@@ -11,7 +11,8 @@
  * against a stored baseline with a tolerance gate, and the grid can
  * be sharded across processes. Options:
  *
- *   --threads N      worker threads (default: hardware concurrency)
+ *   --threads N      worker threads, or worker processes under
+ *                    --isolate (default: hardware concurrency)
  *   --batches LIST   comma-separated per-GPU batch sizes (default: 1,2)
  *   --schedules LIST comma-separated schedule specs (names, aliases,
  *                    or parameterized variants like tutel?degree=4);
@@ -52,9 +53,8 @@
  *                    trace JSON into F; see docs/OBSERVABILITY.md
  *   --selftest       determinism + persistence self-checks: serial vs
  *                    4-thread bit-identity, JSON/CSV round-trip,
- *                    self-diff, shard partition coverage, and the
- *                    fault-injection/retry/quarantine contract; exits
- *                    non-zero on any mismatch
+ *                    self-diff, shard partition coverage, and live
+ *                    audits; exits non-zero on any mismatch
  *
  * Fault tolerance (docs/ROBUSTNESS.md) — any of these flags (or the
  * FSMOE_FAULT environment variable) switches to the robust runner,
@@ -67,20 +67,22 @@
  *   --resume         with --journal: recover the journal, re-simulate
  *                    only what is missing; the final --out-json/--out-csv
  *                    is byte-identical to an uninterrupted run
- *   --isolate        fork each scenario attempt as a subprocess with a
- *                    watchdog, so a crash or hang loses only that
- *                    attempt (supervisor runs serially)
- *   --timeout-ms N   watchdog budget per isolated attempt (default
- *                    30000)
- *   --max-attempts N attempts before a scenario is quarantined
- *                    (default 3)
+ *   --isolate        run the grid on the sweep service's supervisor
+ *                    (service/sweep_server.h): forked worker processes
+ *                    under a heartbeat watchdog, so a crash or hang
+ *                    loses only its worker's shard, which is reassigned
+ *   --timeout-ms N   --isolate heartbeat watchdog: a busy worker silent
+ *                    this long is killed (default 30000)
+ *   --max-attempts N attempts before a scenario (under --isolate: a
+ *                    shard's remainder) is quarantined (default 3)
  *   --inject SPEC    deterministic fault injection, e.g.
  *                    "seed=7,eval=0.3,crash=0.1,timeout=0.05,torn=0.2,
  *                    kill-after=12" (see runtime/fault.h)
  *   --stop-after N   act as if SIGTERM arrived after N finished
  *                    scenarios — the deterministic, scheduler-
  *                    independent way to exercise the graceful-stop
- *                    path below
+ *                    path below (in-process runner only; rejected
+ *                    with --isolate)
  *
  * Graceful stop: under the fault-tolerant runner SIGINT/SIGTERM do
  * not kill the sweep mid-write — the journal record in flight is
@@ -114,6 +116,7 @@
 #include "runtime/sweep_engine.h"
 #include "runtime/trace_export.h"
 #include "runtime/worker.h"
+#include "service/sweep_server.h"
 #include "sim/run_report.h"
 
 namespace {
@@ -311,8 +314,8 @@ printProfile(const runtime::SweepStats &stats)
 
 /**
  * The robust.* counter inventory (docs/OBSERVABILITY.md): printed by
- * --profile and --selftest whenever the fault-tolerant runner did any
- * work this process.
+ * --profile whenever the fault-tolerant runner did any work in this
+ * process.
  */
 void
 printRobustCounters()
@@ -323,9 +326,6 @@ printRobustCounters()
         "robust.scenario.failedAttempts",
         "robust.scenario.quarantined",
         "robust.retry.count",
-        "robust.worker.forks",
-        "robust.worker.crashes",
-        "robust.worker.timeouts",
         "robust.journal.appends",
         "robust.journal.recovered",
         "robust.journal.tornRecords",
@@ -477,105 +477,6 @@ auditSelftest()
     return live;
 }
 
-/**
- * Fault-tolerance pass: deterministic injection, retry, quarantine,
- * and the surviving-bytes contract — a fault-injected robust run's Ok
- * records must be byte-identical to a clean run's, and the same seed
- * must fail the same scenarios every time.
- */
-bool
-robustnessSelftest(const std::vector<runtime::Scenario> &grid)
-{
-    namespace fault = runtime::fault;
-    // A small deterministic slice keeps the pass fast; tight backoff
-    // keeps retries cheap.
-    std::vector<runtime::Scenario> small(
-        grid.begin(),
-        grid.begin() +
-            static_cast<long>(std::min<size_t>(grid.size(), 8)));
-    runtime::RobustOptions opts;
-    opts.numThreads = 2;
-    opts.maxAttempts = 3;
-    opts.backoffBaseMs = 1;
-    opts.backoffMaxMs = 2;
-
-    fault::reset(); // also shields this pass from FSMOE_FAULT
-    const auto clean = runtime::runRobust(small, opts);
-    bool ok = true;
-    for (const auto &r : clean) {
-        if (r.status != runtime::ResultStatus::Ok) {
-            std::printf("  clean robust run FAILED: %s -> %s\n",
-                        r.key().c_str(),
-                        runtime::resultStatusName(r.status));
-            ok = false;
-        }
-    }
-
-    fault::FaultConfig cfg;
-    std::string error;
-    if (!fault::parseSpec("seed=42,eval=0.4", &cfg, &error)) {
-        std::printf("  fault spec parse FAILED: %s\n", error.c_str());
-        return false;
-    }
-    fault::configure(cfg);
-    const auto faulty1 = runtime::runRobust(small, opts);
-    const auto faulty2 = runtime::runRobust(small, opts);
-    fault::reset();
-
-    size_t survivors = 0, quarantined = 0;
-    for (size_t i = 0; i < small.size(); ++i) {
-        if (runtime::toJsonRecord(faulty1[i]) !=
-            runtime::toJsonRecord(faulty2[i])) {
-            std::printf("  injected runs diverge at %s — fault "
-                        "injection is not deterministic\n",
-                        faulty1[i].key().c_str());
-            ok = false;
-        }
-        if (faulty1[i].status == runtime::ResultStatus::Ok) {
-            ++survivors;
-            if (runtime::toJsonRecord(faulty1[i]) !=
-                runtime::toJsonRecord(clean[i])) {
-                std::printf("  surviving result differs from clean run "
-                            "at %s\n",
-                            faulty1[i].key().c_str());
-                ok = false;
-            }
-        } else {
-            ++quarantined;
-        }
-    }
-
-    // Grid-independent retry/quarantine check: a scenario whose every
-    // attempt fails must come back quarantined with the full attempt
-    // count, never abort the run.
-    if (!fault::parseSpec("seed=1,eval=1", &cfg, &error)) {
-        std::printf("  fault spec parse FAILED: %s\n", error.c_str());
-        return false;
-    }
-    fault::configure(cfg);
-    const auto doomed =
-        runtime::runRobust({small.front()}, opts);
-    fault::reset();
-    if (doomed.size() != 1 ||
-        doomed[0].status != runtime::ResultStatus::Quarantined ||
-        doomed[0].attempts != opts.maxAttempts || doomed[0].error.empty()) {
-        std::printf("  quarantine contract FAILED (status %s, "
-                    "%d attempts)\n",
-                    doomed.empty()
-                        ? "?"
-                        : runtime::resultStatusName(doomed[0].status),
-                    doomed.empty() ? 0 : doomed[0].attempts);
-        ok = false;
-    }
-
-    std::printf("  fault injection: %zu of %zu survived, %zu "
-                "quarantined; deterministic + surviving bytes clean: "
-                "%s\n",
-                survivors, small.size(), quarantined, ok ? "ok" : "FAILED");
-    printRobustCounters();
-    return ok;
-}
-
 int
 selftest(const std::vector<runtime::Scenario> &grid)
 {
@@ -612,8 +513,6 @@ selftest(const std::vector<runtime::Scenario> &grid)
 
     const bool persist_ok = persistenceSelftest(grid, serial_results);
 
-    const bool robust_ok = robustnessSelftest(grid);
-
     const bool audit_ok = auditSelftest();
 
     const unsigned hw = std::thread::hardware_concurrency();
@@ -621,7 +520,7 @@ selftest(const std::vector<runtime::Scenario> &grid)
         std::printf("  note: this host exposes %u CPU(s); thread-level "
                     "speedup needs more cores\n",
                     hw);
-    return same && cached && persist_ok && robust_ok && audit_ok ? 0 : 1;
+    return same && cached && persist_ok && audit_ok ? 0 : 1;
 }
 
 /** Atomically write @p text to @p path; stderr + false on failure. */
@@ -836,12 +735,12 @@ main(int argc, char **argv)
                          "(--journal/--resume/--isolate/--inject)\n");
             return 2;
         }
-        runtime::RobustOptions ropts;
-        ropts.numThreads = threads;
-        ropts.isolate = isolate;
-        ropts.maxAttempts = max_attempts;
-        ropts.timeoutMs = timeout_ms;
-        ropts.stopAfterResults = stop_after;
+        if (isolate && stop_after > 0) {
+            std::fprintf(stderr, "--stop-after is a hook of the in-process "
+                                 "runner and is not supported with "
+                                 "--isolate\n");
+            return 2;
+        }
         runtime::Journal journal;
         runtime::Journal *journal_ptr = nullptr;
         if (journal_path != nullptr) {
@@ -854,7 +753,29 @@ main(int argc, char **argv)
             journal_ptr = &journal;
         }
         interrupt::installStopHandlers();
-        records = runtime::runRobust(grid, ropts, journal_ptr);
+        uint64_t resumed = 0;
+        if (isolate) {
+            service::ServerOptions sopts;
+            sopts.numWorkers = threads;
+            sopts.heartbeatTimeoutMs = timeout_ms;
+            sopts.retry.maxAttempts = max_attempts;
+            service::JobOutcome outcome;
+            records = service::SweepServer(sopts).runGrid(grid, journal_ptr,
+                                                          &outcome);
+            if (!outcome.ok && !outcome.interrupted) {
+                std::fprintf(stderr, "fsmoe_sweep: %s\n",
+                             outcome.error.c_str());
+                return 1;
+            }
+            resumed = outcome.resumed;
+        } else {
+            runtime::RobustOptions ropts;
+            ropts.numThreads = threads;
+            ropts.retry.maxAttempts = max_attempts;
+            ropts.stopAfterResults = stop_after;
+            records = runtime::runRobust(grid, ropts, journal_ptr);
+            resumed = stats::counter("robust.scenario.resumed").value();
+        }
 
         if (interrupt::stopRequested()) {
             // Graceful stop: every finished scenario's journal record
@@ -890,10 +811,12 @@ main(int argc, char **argv)
                     "quarantined, %llu resumed from journal\n",
                     records.size(), isolate ? ", isolated" : "", n_ok,
                     records.size() - n_ok,
-                    static_cast<unsigned long long>(
-                        stats::counter("robust.scenario.resumed").value()));
-        if (profile)
+                    static_cast<unsigned long long>(resumed));
+        if (profile) {
             printRobustCounters();
+            if (isolate)
+                service::printServiceCounters();
+        }
     } else {
         runtime::SweepOptions opts;
         opts.numThreads = threads;

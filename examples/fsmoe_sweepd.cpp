@@ -30,7 +30,7 @@
  *                          remainder is quarantined (default 3)
  *   --inject SPEC          deterministic fault injection
  *                          (runtime/fault.h), e.g.
- *                          "seed=7,worker-kill=0.2,kill-after=30";
+ *                          "seed=7,crash=0.2,kill-after=30";
  *                          kill-after kills the *daemon* after that
  *                          many journal appends
  *   --profile              print the service.* counter inventory on
@@ -47,7 +47,6 @@
 #include <cstring>
 
 #include "base/interrupt.h"
-#include "base/stats.h"
 #include "runtime/fault.h"
 #include "service/job_queue.h"
 #include "service/sweep_server.h"
@@ -55,38 +54,6 @@
 namespace {
 
 using namespace fsmoe;
-
-/**
- * The service.* counter inventory (docs/OBSERVABILITY.md): one line
- * per nonzero counter, printed by --profile at exit.
- */
-void
-printServiceCounters()
-{
-    static const char *const kNames[] = {
-        "service.jobs.queued",
-        "service.jobs.recovered",
-        "service.jobs.done",
-        "service.jobs.failed",
-        "service.workers.spawned",
-        "service.workers.restarted",
-        "service.heartbeats.received",
-        "service.heartbeats.missed",
-        "service.shards.assigned",
-        "service.shards.reassigned",
-        "service.shards.quarantined",
-        "service.results.streamed",
-        "service.results.resumed",
-        "service.scenario.evalErrors",
-    };
-    std::printf("service counters (this daemon):\n");
-    for (const char *name : kNames) {
-        const uint64_t v = stats::counter(name).value();
-        if (v > 0)
-            std::printf("  %-34s %llu\n", name,
-                        static_cast<unsigned long long>(v));
-    }
-}
 
 int
 usage(const char *argv0)
@@ -143,7 +110,7 @@ main(int argc, char **argv)
                 positiveIntArg("--heartbeat-timeout-ms", argv[++i]);
         } else if (std::strcmp(argv[i], "--max-shard-attempts") == 0 &&
                    i + 1 < argc) {
-            opts.maxShardAttempts =
+            opts.retry.maxAttempts =
                 positiveIntArg("--max-shard-attempts", argv[++i]);
         } else if (std::strcmp(argv[i], "--inject") == 0 && i + 1 < argc) {
             inject_spec = argv[++i];
@@ -182,6 +149,6 @@ main(int argc, char **argv)
     service::SweepServer server(opts);
     const int code = server.serve(queue, once);
     if (profile)
-        printServiceCounters();
+        service::printServiceCounters();
     return code;
 }

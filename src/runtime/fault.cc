@@ -81,12 +81,8 @@ siteName(Site site)
         return "torn";
     case Site::TransportDrop:
         return "drop";
-    case Site::TransportDelay:
-        return "delay";
     case Site::TransportDisconnect:
         return "disconnect";
-    case Site::WorkerKill:
-        return "worker-kill";
     default:
         return "?";
     }
@@ -153,8 +149,7 @@ parseSpec(const std::string &spec, FaultConfig *out, std::string *error)
             if (error != nullptr)
                 *error = "unknown fault spec key '" + k +
                          "' (want seed, eval, crash, timeout, torn, "
-                         "drop, delay, disconnect, worker-kill, "
-                         "kill-after)";
+                         "drop, disconnect, kill-after)";
             return false;
         }
     }

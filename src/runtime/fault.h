@@ -15,34 +15,31 @@
  * Sites:
  *   EvalError        scenario evaluation throws (a poisoned config, a
  *                    solver blow-up) — exercises retry + quarantine
- *   WorkerCrash      the evaluating process dies (SIGKILL/OOM-style).
- *                    In an isolated child: the child _exit()s. In a
- *                    non-isolated journaled sweep: the *whole process*
- *                    exits, simulating a mid-sweep kill for
- *                    --resume testing
- *   WorkerTimeout    the evaluating child hangs until the supervisor's
- *                    watchdog kills it (isolate mode only)
+ *   WorkerCrash      the evaluating process dies (SIGKILL/OOM-style
+ *                    _exit(137)). In a service worker: only that worker
+ *                    dies — exercises death detection, respawn, and
+ *                    shard reassignment. In the in-process runner: the
+ *                    *whole process* exits, simulating a mid-sweep kill
+ *                    for --resume testing
+ *   WorkerTimeout    a service worker hangs until the supervisor's
+ *                    heartbeat watchdog kills it — exercises the
+ *                    monotonic-clock watchdog + shard reassignment
+ *                    (the in-process runner cannot preempt, so it
+ *                    ignores this site)
  *   TornJournalWrite a journal append writes only a prefix of the
  *                    record and the process exits — exactly the torn
  *                    tail recovery must truncate
  *
  * Transport sites (the sweep service, src/service/) — each proves one
- * failover path of the daemon's worker protocol (docs/SERVICE.md):
+ * failover path of the worker protocol (docs/SERVICE.md):
  *
  *   TransportDrop       a heartbeat frame is silently not sent —
  *                       exercises the supervisor's tolerance for lost
  *                       frames (results still arrive; one missed beat
  *                       must not kill a healthy worker)
- *   TransportDelay      the worker stalls past the heartbeat deadline
- *                       before its next frame — exercises the
- *                       monotonic-clock watchdog + shard reassignment
  *   TransportDisconnect the worker closes its socket mid-shard and
  *                       exits — exercises EOF detection + reassignment
  *                       of the shard's unfinished remainder
- *   WorkerKill          the service worker process dies (SIGKILL-
- *                       style _exit) before evaluating a scenario —
- *                       exercises death detection, respawn, and
- *                       reassignment
  *
  * Plus `kill-after=K`: the process exits after the K-th successful
  * journal append — a precise, scheduler-independent way to kill a
@@ -81,15 +78,13 @@ enum class Site
     WorkerTimeout = 2,
     TornJournalWrite = 3,
     TransportDrop = 4,
-    TransportDelay = 5,
-    TransportDisconnect = 6,
-    WorkerKill = 7,
-    NumSites = 8,
+    TransportDisconnect = 5,
+    NumSites = 6,
 };
 
 /**
  * Spec keyword for @p site ("eval", "crash", "timeout", "torn",
- * "drop", "delay", "disconnect", "worker-kill").
+ * "drop", "disconnect").
  */
 const char *siteName(Site site);
 

@@ -2,14 +2,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
-#include <sstream>
+#include <csignal>
 #include <stdexcept>
 #include <thread>
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "base/interrupt.h"
@@ -24,24 +20,17 @@ namespace fsmoe::runtime {
 
 namespace {
 
-void
-backoffBeforeRetry(const RobustOptions &opts, int failed_attempts)
-{
-    stats::counter("robust.retry.count").inc();
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(retryBackoffMs(opts, failed_attempts)));
-}
-
-// --------------------------------------------------------- in-process
-
 SweepResult
-attemptInProcess(const Scenario &s, const RobustOptions &opts)
+attemptInProcess(const Scenario &s, const RetryPolicy &retry)
 {
     const std::string label = s.label();
     std::string last_error;
-    for (int attempt = 1; attempt <= opts.maxAttempts; ++attempt) {
-        if (attempt > 1)
-            backoffBeforeRetry(opts, attempt - 1);
+    for (int attempt = 1; attempt <= retry.maxAttempts; ++attempt) {
+        if (attempt > 1) {
+            stats::counter("robust.retry.count").inc();
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(retry.backoffMs(attempt - 1)));
+        }
         if (fault::shouldInject(fault::Site::WorkerCrash, label, attempt)) {
             // No isolation boundary: a worker crash IS a process
             // crash — exactly the mid-sweep kill --resume recovers.
@@ -55,182 +44,11 @@ attemptInProcess(const Scenario &s, const RobustOptions &opts)
             last_error = e.what();
             stats::counter("robust.scenario.failedAttempts").inc();
             FSMOE_WARN("scenario ", label, " attempt ", attempt, "/",
-                       opts.maxAttempts, " failed: ", last_error);
+                       retry.maxAttempts, " failed: ", last_error);
         }
     }
     stats::counter("robust.scenario.quarantined").inc();
-    return failureRecord(s, ResultStatus::Quarantined, opts.maxAttempts,
-                         last_error);
-}
-
-// ------------------------------------------------------------ isolate
-
-bool
-writeAll(int fd, const std::string &text)
-{
-    size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-[[noreturn]] void
-childMain(int fd, const Scenario &s, int attempt)
-{
-    const std::string label = s.label();
-    if (fault::shouldInject(fault::Site::WorkerCrash, label, attempt))
-        ::_exit(137); // isolated: only this scenario's attempt dies
-    if (fault::shouldInject(fault::Site::WorkerTimeout, label, attempt)) {
-        for (;;) // hang until the supervisor's watchdog SIGKILLs us
-            ::pause();
-    }
-    std::string msg;
-    try {
-        msg = "ok " + toJsonRecord(evaluateScenario(s, attempt)) + "\n";
-    } catch (const std::exception &e) {
-        msg = std::string("err ") + e.what() + "\n";
-    }
-    writeAll(fd, msg);
-    ::_exit(0);
-}
-
-/**
- * Drain @p fd until EOF or @p deadline. Returns false on watchdog
- * expiry (output collected so far is kept).
- */
-bool
-readUntilDeadline(int fd, std::chrono::steady_clock::time_point deadline,
-                  std::string *out)
-{
-    char buf[4096];
-    for (;;) {
-        const auto now = std::chrono::steady_clock::now();
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                  now)
-                .count();
-        if (left <= 0)
-            return false;
-        struct pollfd pfd = {fd, POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, static_cast<int>(left));
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            return true; // treat as EOF; exit status will classify
-        }
-        if (pr == 0)
-            return false; // timed out
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return true;
-        }
-        if (n == 0)
-            return true; // EOF: child finished writing
-        out->append(buf, static_cast<size_t>(n));
-    }
-}
-
-/**
- * One forked attempt. Returns true with *result on success; false
- * with *error describing the crash/timeout/eval failure.
- */
-bool
-attemptForked(const Scenario &s, const RobustOptions &opts, int attempt,
-              SweepResult *result, std::string *error)
-{
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        *error = std::string("pipe failed: ") + std::strerror(errno);
-        return false;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        *error = std::string("fork failed: ") + std::strerror(errno);
-        return false;
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childMain(fds[1], s, attempt);
-    }
-    ::close(fds[1]);
-    stats::counter("robust.worker.forks").inc();
-
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(opts.timeoutMs);
-    std::string reply;
-    const bool finished = readUntilDeadline(fds[0], deadline, &reply);
-    ::close(fds[0]);
-    if (!finished) {
-        ::kill(pid, SIGKILL);
-        stats::counter("robust.worker.timeouts").inc();
-    }
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    if (!finished) {
-        *error = "worker timed out after " + std::to_string(opts.timeoutMs) +
-                 " ms (killed)";
-        return false;
-    }
-
-    if (reply.rfind("ok ", 0) == 0 && !reply.empty() &&
-        reply.back() == '\n') {
-        std::string parse_error;
-        if (parseJsonRecord(reply.substr(3, reply.size() - 4), result,
-                            &parse_error)) {
-            result->attempts = attempt;
-            return true;
-        }
-        *error = "worker reply unparsable: " + parse_error;
-        return false;
-    }
-    if (reply.rfind("err ", 0) == 0) {
-        *error = reply.substr(4);
-        if (!error->empty() && error->back() == '\n')
-            error->pop_back();
-        return false;
-    }
-    stats::counter("robust.worker.crashes").inc();
-    std::ostringstream oss;
-    if (WIFSIGNALED(status))
-        oss << "worker killed by signal " << WTERMSIG(status);
-    else
-        oss << "worker exited with status "
-            << (WIFEXITED(status) ? WEXITSTATUS(status) : status)
-            << " before reporting a result";
-    *error = oss.str();
-    return false;
-}
-
-SweepResult
-attemptIsolated(const Scenario &s, const RobustOptions &opts)
-{
-    std::string last_error;
-    for (int attempt = 1; attempt <= opts.maxAttempts; ++attempt) {
-        if (attempt > 1)
-            backoffBeforeRetry(opts, attempt - 1);
-        SweepResult r;
-        if (attemptForked(s, opts, attempt, &r, &last_error)) {
-            stats::counter("robust.scenario.ok").inc();
-            return r;
-        }
-        stats::counter("robust.scenario.failedAttempts").inc();
-        FSMOE_WARN("scenario ", s.label(), " attempt ", attempt, "/",
-                   opts.maxAttempts, " failed: ", last_error);
-    }
-    stats::counter("robust.scenario.quarantined").inc();
-    return failureRecord(s, ResultStatus::Quarantined, opts.maxAttempts,
+    return failureRecord(s, ResultStatus::Quarantined, retry.maxAttempts,
                          last_error);
 }
 
@@ -256,13 +74,13 @@ failureRecord(const Scenario &s, ResultStatus status, int attempts,
 }
 
 int
-retryBackoffMs(const RobustOptions &opts, int attempt)
+RetryPolicy::backoffMs(int attempt) const
 {
-    long ms = opts.backoffBaseMs;
-    for (int i = 1; i < attempt && ms < opts.backoffMaxMs; ++i)
+    long ms = backoffBaseMs;
+    for (int i = 1; i < attempt && ms < backoffMaxMs; ++i)
         ms *= 2;
-    if (ms > opts.backoffMaxMs)
-        ms = opts.backoffMaxMs;
+    if (ms > backoffMaxMs)
+        ms = backoffMaxMs;
     return static_cast<int>(ms);
 }
 
@@ -325,32 +143,20 @@ runRobust(const std::vector<Scenario> &grid, const RobustOptions &opts,
             interrupt::requestStop(SIGTERM);
     };
 
-    if (opts.isolate) {
-        // The supervisor must stay single-threaded: forking from a
-        // threaded process can deadlock the child on locks held by
-        // other threads at fork time.
-        for (size_t i = 0; i < grid.size(); ++i) {
+    ThreadPool pool(opts.numThreads);
+    std::vector<std::future<void>> pending;
+    pending.reserve(grid.size());
+    for (size_t i = 0; i < grid.size(); ++i) {
+        if (done[i] != 0)
+            continue;
+        pending.push_back(pool.submit([&, i]() {
             if (interrupt::stopRequested())
-                break;
-            if (done[i] == 0)
-                finish(i, attemptIsolated(grid[i], opts));
-        }
-    } else {
-        ThreadPool pool(opts.numThreads);
-        std::vector<std::future<void>> pending;
-        pending.reserve(grid.size());
-        for (size_t i = 0; i < grid.size(); ++i) {
-            if (done[i] != 0)
-                continue;
-            pending.push_back(pool.submit([&, i]() {
-                if (interrupt::stopRequested())
-                    return; // graceful stop: never start new work
-                finish(i, attemptInProcess(grid[i], opts));
-            }));
-        }
-        for (auto &f : pending)
-            f.get();
+                return; // graceful stop: never start new work
+            finish(i, attemptInProcess(grid[i], opts.retry));
+        }));
     }
+    for (auto &f : pending)
+        f.get();
     return results;
 }
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * Fault-tolerant sweep execution: retries, quarantine, and
- * crash-isolated workers.
+ * Fault-tolerant in-process sweep execution: retries and quarantine.
  *
  * runRobust() is the resilient counterpart of SweepEngine::run(): it
  * evaluates a scenario grid to completion even when individual
- * scenarios fail, crash their worker, or hang. Failed scenarios are
- * retried with a bounded deterministic backoff; a scenario that fails
+ * scenarios fail. Failed scenarios are retried with a bounded
+ * deterministic backoff (RetryPolicy); a scenario that fails
  * maxAttempts times is *quarantined* — recorded with
  * ResultStatus::Quarantined and the last error instead of aborting
  * the sweep. Healthy scenarios produce bytes identical to the plain
@@ -14,22 +13,13 @@
  * fault-injected sweep's surviving results merge byte-identical to a
  * clean run.
  *
- * Two execution modes:
- *
- *   in-process (default) — scenarios run on a ThreadPool like the
- *     plain engine, each wrapped in the retry loop. A crashing
- *     scenario (real or injected) takes the whole process down; with
- *     a journal that is exactly the mid-sweep-kill case --resume
- *     recovers from. Watchdog timeouts are not enforceable here.
- *
- *   isolate (--isolate) — the supervisor stays single-threaded (fork
- *     from a threaded process is a deadlock lottery) and forks one
- *     child per attempt. The child evaluates its scenario and reports
- *     "ok <json>" or "err <msg>" over a pipe; the supervisor enforces
- *     a per-scenario watchdog timeout (SIGKILL on expiry), classifies
- *     crashes/timeouts/errors, and applies the same
- *     retry-then-quarantine policy. A crashing or hung scenario loses
- *     only its own in-flight work.
+ * Scenarios run on a ThreadPool like the plain engine, each wrapped in
+ * the retry loop. A crashing scenario (real or injected) takes the
+ * whole process down; with a journal that is exactly the mid-sweep-kill
+ * case --resume recovers from. Crash and hang containment lives in the
+ * one process supervisor, service::SweepServer (`fsmoe_sweep
+ * --isolate` runs its grid there), which applies the same RetryPolicy
+ * per shard.
  *
  * Determinism: evaluation is pure, retries change no result bytes
  * (only the non-serialised attempts count for Ok records), backoff
@@ -49,23 +39,29 @@
 
 namespace fsmoe::runtime {
 
-/** Policy knobs for runRobust(). */
-struct RobustOptions
+/**
+ * Retry-then-quarantine policy shared by runRobust() (per scenario)
+ * and service::SweepServer (per shard).
+ */
+struct RetryPolicy
 {
-    /// Worker threads for in-process mode; 0 picks the hardware
-    /// concurrency. Ignored under isolate (the supervisor is serial).
-    int numThreads = 0;
-    /// Fork one subprocess per scenario attempt.
-    bool isolate = false;
-    /// Give up on a scenario after this many failed attempts.
+    /// Give up (quarantine) after this many failed attempts.
     int maxAttempts = 3;
-    /// Watchdog: kill an isolated worker after this long (isolate
-    /// mode only; in-process evaluation cannot be preempted).
-    int timeoutMs = 30000;
     /// Deterministic exponential backoff between attempts:
     /// min(backoffBaseMs << (attempt-1), backoffMaxMs).
     int backoffBaseMs = 10;
     int backoffMaxMs = 1000;
+
+    /** The delay before retrying after @p attempt (1-based) failures. */
+    int backoffMs(int attempt) const;
+};
+
+/** Policy knobs for runRobust(). */
+struct RobustOptions
+{
+    /// Worker threads; 0 picks the hardware concurrency.
+    int numThreads = 0;
+    RetryPolicy retry;
     /// Testing hook for the graceful-stop path: after this many
     /// scenarios finish, act as if SIGTERM arrived (see
     /// base/interrupt.h). 0 disables. Unlike a real signal this is
@@ -73,9 +69,6 @@ struct RobustOptions
     /// deterministically.
     int stopAfterResults = 0;
 };
-
-/** The delay before retrying after @p attempt (1-based) failures. */
-int retryBackoffMs(const RobustOptions &opts, int attempt);
 
 /**
  * Evaluate @p s in this process — the same pure cost → schedule →
@@ -95,10 +88,10 @@ SweepResult failureRecord(const Scenario &s, ResultStatus status,
                           int attempts, const std::string &error);
 
 /**
- * Evaluate @p grid to completion under @p opts, honouring
- * fault-injection sites (runtime/fault.h). Results come back in grid
- * order, one per scenario: Ok records carry the simulation outcome,
- * Quarantined records carry the attempt count and last error.
+ * Evaluate @p grid to completion under @p opts, honouring the eval
+ * and crash fault-injection sites (runtime/fault.h). Results come back
+ * in grid order, one per scenario: Ok records carry the simulation
+ * outcome, Quarantined records carry the attempt count and last error.
  *
  * With @p journal (open, same grid) every finished scenario is
  * appended as it completes, and entries recovered by the journal are

@@ -32,7 +32,6 @@ validFrameType(char t)
 {
     switch (static_cast<FrameType>(t)) {
     case FrameType::Hello:
-    case FrameType::Config:
     case FrameType::Assign:
     case FrameType::Heartbeat:
     case FrameType::Result:

@@ -16,7 +16,6 @@
  *
  * Frames (direction, body):
  *   Hello      worker -> server   "<workerId>" — ready for work
- *   Config     server -> worker   "<heartbeatMs> <heartbeatTimeoutMs>"
  *   Assign     server -> worker   "<shardId> <attempt> <n> <idx>..."
  *   Heartbeat  worker -> server   "<workerId>" — liveness proof
  *   Result     worker -> server   "<gridIndex> <one-line JSON record>"
@@ -47,7 +46,6 @@ constexpr size_t kMaxFrameBytes = 1u << 20;
 enum class FrameType : char
 {
     Hello = 'H',
-    Config = 'C',
     Assign = 'A',
     Heartbeat = 'B',
     Result = 'R',

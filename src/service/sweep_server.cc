@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <sstream>
@@ -20,9 +22,6 @@
 #include "base/logging.h"
 #include "base/stats.h"
 #include "runtime/fault.h"
-#include "runtime/journal.h"
-#include "runtime/result_store.h"
-#include "runtime/worker.h"
 #include "service/protocol.h"
 
 namespace fsmoe::service {
@@ -34,16 +33,40 @@ using runtime::Scenario;
 using runtime::SweepResult;
 using Clock = std::chrono::steady_clock;
 
+// The quarantine error of a scenario whose shard's last worker was lost
+// without an eval error: one text per loss class, whichever of socket
+// EOF or waitpid noticed the death first.
+constexpr const char *kWorkerLost = "worker lost before reporting a result";
+constexpr const char *kMissedHeartbeat =
+    "worker missed its heartbeat deadline";
+
+/** Split "<gridIndex> <rest>"; the index must be decimal and in range. */
+bool
+splitIndexedBody(const std::string &body, size_t gridSize, size_t *idx,
+                 std::string *rest)
+{
+    const size_t space = body.find(' ');
+    if (space == std::string::npos)
+        return false;
+    size_t v = 0;
+    const char *end = body.data() + space;
+    const auto parsed = std::from_chars(body.data(), end, v);
+    if (parsed.ec != std::errc() || parsed.ptr != end || v >= gridSize)
+        return false;
+    *idx = v;
+    *rest = body.substr(space + 1);
+    return true;
+}
+
 // ===================================================== worker (child)
 
-/** Child-process state built up from the Config frame. */
+/** What a forked worker inherits from the supervisor. */
 struct WorkerContext
 {
-    int fd = -1;
+    int fd;
     std::string name;
-    int heartbeatMs = 50;
-    int heartbeatTimeoutMs = 2000;
-    std::vector<Scenario> grid;
+    int heartbeatMs;
+    const std::vector<Scenario> &grid;
 };
 
 /** In a worker a failed send means the supervisor is gone: just die. */
@@ -85,24 +108,6 @@ shutdownPending(int fd, FrameReader *reader)
     }
 }
 
-void
-handleConfig(WorkerContext *ctx, const std::string &body)
-{
-    const size_t nl = body.find('\n');
-    if (nl == std::string::npos)
-        ::_exit(1);
-    std::istringstream head(body.substr(0, nl));
-    if (!(head >> ctx->heartbeatMs >> ctx->heartbeatTimeoutMs))
-        ::_exit(1);
-    JobSpec job;
-    std::string error;
-    if (!parseJobSpec(body.substr(nl + 1), &job, &error))
-        ::_exit(1);
-    // The grid is rebuilt, not shipped: buildJobGrid is deterministic,
-    // so supervisor and every worker agree on what each index means.
-    ctx->grid = buildJobGrid(job);
-}
-
 /**
  * Evaluate one Assign frame's scenarios, streaming a Result (or
  * EvalError) per index. @p shutdown is set when a Shutdown arrived
@@ -110,7 +115,7 @@ handleConfig(WorkerContext *ctx, const std::string &body)
  * and will not reassign it).
  */
 void
-runAssignedShard(WorkerContext &ctx, const std::string &body,
+runAssignedShard(const WorkerContext &ctx, const std::string &body,
                  FrameReader *reader, bool *shutdown)
 {
     std::istringstream iss(body);
@@ -130,26 +135,24 @@ runAssignedShard(WorkerContext &ctx, const std::string &body,
             return;
         }
         if (idx >= ctx.grid.size())
-            ::_exit(1); // supervisor and worker disagree on the grid
+            ::_exit(1); // a corrupt Assign frame
         const std::string label = ctx.grid[idx].label();
 
         // Injection sites, each proving one supervisor failover path
         // (runtime/fault.h). Keyed on (label, shard attempt) so a
         // reassigned shard makes fresh — but still deterministic —
         // decisions.
-        if (fault::shouldInject(fault::Site::WorkerKill, label, attempt))
+        if (fault::shouldInject(fault::Site::WorkerCrash, label, attempt))
             ::_exit(137); // SIGKILL-style: no goodbye on the socket
         if (fault::shouldInject(fault::Site::TransportDisconnect, label,
                                 attempt)) {
             ::close(ctx.fd); // EOF reaches the supervisor mid-shard
             ::_exit(1);
         }
-        if (fault::shouldInject(fault::Site::TransportDelay, label,
+        if (fault::shouldInject(fault::Site::WorkerTimeout, label,
                                 attempt)) {
-            // Stall past the watchdog deadline; the supervisor should
-            // SIGKILL us mid-sleep and reassign the shard.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2 * ctx.heartbeatTimeoutMs));
+            for (;;) // hang until the heartbeat watchdog SIGKILLs us
+                ::pause();
         }
         if (!fault::shouldInject(fault::Site::TransportDrop, label, attempt))
             sendOrDie(ctx.fd, FrameType::Heartbeat, ctx.name);
@@ -168,7 +171,8 @@ runAssignedShard(WorkerContext &ctx, const std::string &body,
 }
 
 [[noreturn]] void
-workerMain(int fd, int workerId)
+workerMain(int fd, int workerId, const ServerOptions &opts,
+           const std::vector<Scenario> &grid)
 {
     // Die with the supervisor: a daemon SIGKILL must not leak workers.
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
@@ -176,9 +180,8 @@ workerMain(int fd, int workerId)
         ::_exit(1); // supervisor died before the prctl landed
     interrupt::clearStop(); // a stop meant for the daemon, not us
 
-    WorkerContext ctx;
-    ctx.fd = fd;
-    ctx.name = "w" + std::to_string(workerId);
+    const WorkerContext ctx{fd, "w" + std::to_string(workerId),
+                            opts.heartbeatMs, grid};
     sendOrDie(fd, FrameType::Hello, ctx.name);
 
     FrameReader reader;
@@ -206,22 +209,10 @@ workerMain(int fd, int workerId)
                     ::_exit(1);
                 break;
             }
-            bool shutdown = false;
-            switch (f.type) {
-            case FrameType::Config:
-                handleConfig(&ctx, f.body);
-                break;
-            case FrameType::Assign:
-                if (ctx.grid.empty())
-                    ::_exit(1); // Assign before Config is a bug
+            // Supervisor-bound frame types are ignored.
+            bool shutdown = f.type == FrameType::Shutdown;
+            if (f.type == FrameType::Assign)
                 runAssignedShard(ctx, f.body, &reader, &shutdown);
-                break;
-            case FrameType::Shutdown:
-                shutdown = true;
-                break;
-            default:
-                break; // supervisor-bound frame types: ignore
-            }
             if (shutdown)
                 ::_exit(0);
         }
@@ -255,24 +246,26 @@ struct Shard
     int attempts = 0;              ///< Assignment attempts started.
     ShardState state = ShardState::Pending;
     Clock::time_point notBefore; ///< Backoff gate for reassignment.
+    const char *lastLoss = kWorkerLost; ///< Class of the last lost worker.
 };
 
 /**
- * One job's supervision state. Strictly single-threaded: fork() from
+ * One grid's supervision state. Strictly single-threaded: fork() from
  * a threaded process can deadlock the child on locks some other
  * thread held at fork time, so all concurrency here is between
  * processes, never threads.
  */
-class JobRun
+class GridRun
 {
   public:
-    JobRun(const ServerOptions &opts, const JobSpec &job)
-        : opts_(opts), job_(job)
+    GridRun(const ServerOptions &opts, const std::vector<Scenario> &grid,
+            runtime::Journal *journal)
+        : opts_(opts), grid_(grid), journal_(journal),
+          results_(grid.size()), done_(grid.size(), 0)
     {
     }
 
-    bool run(const std::string &journalPath, bool resume,
-             JobOutcome *outcome);
+    std::vector<SweepResult> run(JobOutcome *outcome);
 
   private:
     void buildShards();
@@ -285,30 +278,29 @@ class JobRun
     void processFrames(WorkerSlot &slot);
     void handleFrame(WorkerSlot &slot, const Frame &f);
     void appendResult(size_t idx, const SweepResult &r);
-    void workerGone(WorkerSlot &slot, const char *why);
-    void killWorker(WorkerSlot &slot, const char *why);
+    void workerGone(WorkerSlot &slot, const char *loss);
+    void killWorker(WorkerSlot &slot, const char *loss);
     void finishOrReassign(int shardId);
     void quarantineShard(int shardId);
     void shutdownWorkers(bool graceful);
     bool allShardsDone() const;
 
     const ServerOptions &opts_;
-    const JobSpec &job_;
-    std::vector<Scenario> grid_;
+    const std::vector<Scenario> &grid_;
+    runtime::Journal *journal_; ///< Null: results are not journalled.
     std::vector<SweepResult> results_;
     std::vector<char> done_;
     std::map<size_t, std::string> lastError_;
-    runtime::Journal journal_;
     std::vector<Shard> shards_;
     std::vector<WorkerSlot> workers_;
     int spawned_ = 0;
     int restarts_ = 0;
     size_t resumed_ = 0;
-    std::string failed_; ///< Non-empty aborts the job with this error.
+    std::string failed_; ///< Non-empty aborts the run with this error.
 };
 
 void
-JobRun::buildShards()
+GridRun::buildShards()
 {
     std::vector<size_t> pending;
     for (size_t i = 0; i < grid_.size(); ++i)
@@ -332,7 +324,7 @@ JobRun::buildShards()
 }
 
 void
-JobRun::spawnWorker(WorkerSlot &slot)
+GridRun::spawnWorker(WorkerSlot &slot)
 {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
@@ -354,7 +346,7 @@ JobRun::spawnWorker(WorkerSlot &slot)
         for (const WorkerSlot &other : workers_)
             if (other.alive && other.fd >= 0)
                 ::close(other.fd);
-        workerMain(sv[1], workerId);
+        workerMain(sv[1], workerId, opts_, grid_);
     }
     ::close(sv[1]);
     slot.pid = pid;
@@ -369,7 +361,7 @@ JobRun::spawnWorker(WorkerSlot &slot)
 }
 
 void
-JobRun::respawnWorkers()
+GridRun::respawnWorkers()
 {
     for (WorkerSlot &slot : workers_) {
         if (slot.alive || !failed_.empty())
@@ -389,7 +381,7 @@ JobRun::respawnWorkers()
 }
 
 void
-JobRun::assignShards()
+GridRun::assignShards()
 {
     const auto now = Clock::now();
     for (WorkerSlot &slot : workers_) {
@@ -417,7 +409,7 @@ JobRun::assignShards()
             // The worker died between frames; the attempt never ran,
             // so hand it back without burning retry budget.
             sh.attempts -= 1;
-            killWorker(slot, "assign write failed");
+            killWorker(slot, kWorkerLost);
             continue;
         }
         stats::counter("service.shards.assigned").inc();
@@ -425,54 +417,41 @@ JobRun::assignShards()
 }
 
 void
-JobRun::appendResult(size_t idx, const SweepResult &r)
+GridRun::appendResult(size_t idx, const SweepResult &r)
 {
     // The append is fsync'd (and honours the torn / kill-after
     // injection sites — the latter is how CI kills the daemon itself
     // mid-sweep); only then does the in-memory state advance, so a
     // daemon death never loses an acknowledged result.
     std::string error;
-    if (!journal_.append(idx, r, &error))
+    if (journal_ != nullptr && !journal_->append(idx, r, &error))
         FSMOE_WARN(error);
     results_[idx] = r;
     done_[idx] = 1;
 }
 
 void
-JobRun::handleFrame(WorkerSlot &slot, const Frame &f)
+GridRun::handleFrame(WorkerSlot &slot, const Frame &f)
 {
     slot.lastBeat = Clock::now();
     switch (f.type) {
-    case FrameType::Hello: {
+    case FrameType::Hello:
         slot.ready = true;
-        const std::string config =
-            std::to_string(opts_.heartbeatMs) + " " +
-            std::to_string(opts_.heartbeatTimeoutMs) + "\n" +
-            serializeJobSpec(job_);
-        if (!sendFrame(slot.fd, Frame{FrameType::Config, config}))
-            killWorker(slot, "config write failed");
         break;
-    }
     case FrameType::Heartbeat:
         stats::counter("service.heartbeats.received").inc();
         break;
     case FrameType::Result: {
-        const size_t space = f.body.find(' ');
-        if (space == std::string::npos) {
-            killWorker(slot, "malformed Result frame");
-            break;
-        }
-        const size_t idx = std::strtoull(f.body.c_str(), nullptr, 10);
+        size_t idx = 0;
         SweepResult r;
         std::string error;
-        if (idx >= grid_.size() ||
-            !runtime::parseJsonRecord(f.body.substr(space + 1), &r,
-                                      &error)) {
-            killWorker(slot, "unparsable Result frame");
+        if (!decodeResultFrame(f.body, grid_, &idx, &r, &error)) {
+            FSMOE_WARN("worker w", slot.workerId, ": ", error);
+            killWorker(slot, kWorkerLost);
             break;
         }
-        // A shard that was reassigned while its original worker's last
-        // frames were in flight can deliver an index twice; evaluation
+        // A dead worker is drained before its shard is reassigned, so
+        // an index arrives once; should it ever arrive twice, evaluation
         // is pure, so the bytes match and the first one wins.
         if (done_[idx] == 0) {
             appendResult(idx, r);
@@ -487,10 +466,15 @@ JobRun::handleFrame(WorkerSlot &slot, const Frame &f)
         break;
     }
     case FrameType::EvalError: {
-        const size_t space = f.body.find(' ');
-        const size_t idx = std::strtoull(f.body.c_str(), nullptr, 10);
-        if (space != std::string::npos && idx < grid_.size())
-            lastError_[idx] = f.body.substr(space + 1);
+        size_t idx = 0;
+        std::string message;
+        if (!splitIndexedBody(f.body, grid_.size(), &idx, &message)) {
+            FSMOE_WARN("worker w", slot.workerId,
+                       ": EvalError frame has no valid grid index");
+            killWorker(slot, kWorkerLost);
+            break;
+        }
+        lastError_[idx] = message;
         stats::counter("service.scenario.evalErrors").inc();
         break;
     }
@@ -507,40 +491,33 @@ JobRun::handleFrame(WorkerSlot &slot, const Frame &f)
 }
 
 void
-JobRun::finishOrReassign(int shardId)
+GridRun::finishOrReassign(int shardId)
 {
     Shard &sh = shards_[static_cast<size_t>(shardId)];
     if (sh.remaining.empty()) {
         sh.state = ShardState::Done;
         return;
     }
-    if (sh.attempts >= opts_.maxShardAttempts) {
+    if (sh.attempts >= opts_.retry.maxAttempts) {
         quarantineShard(shardId);
         return;
     }
-    runtime::RobustOptions backoff;
-    backoff.backoffBaseMs = opts_.backoffBaseMs;
-    backoff.backoffMaxMs = opts_.backoffMaxMs;
     sh.state = ShardState::Pending;
     sh.notBefore = Clock::now() + std::chrono::milliseconds(
-                                      retryBackoffMs(backoff, sh.attempts));
+                                      opts_.retry.backoffMs(sh.attempts));
     stats::counter("service.shards.reassigned").inc();
     FSMOE_VERBOSE("shard ", shardId, " reassigned (attempt ", sh.attempts,
                   ", ", sh.remaining.size(), " scenarios left)");
 }
 
 void
-JobRun::quarantineShard(int shardId)
+GridRun::quarantineShard(int shardId)
 {
     Shard &sh = shards_[static_cast<size_t>(shardId)];
     for (size_t idx : sh.remaining) {
         const auto it = lastError_.find(idx);
         const std::string msg =
-            it != lastError_.end()
-                ? it->second
-                : "shard abandoned after " +
-                      std::to_string(opts_.maxShardAttempts) +
-                      " assignment attempts";
+            it != lastError_.end() ? it->second : sh.lastLoss;
         appendResult(idx, runtime::failureRecord(
                               grid_[idx], runtime::ResultStatus::Quarantined,
                               sh.attempts, msg));
@@ -553,16 +530,20 @@ JobRun::quarantineShard(int shardId)
 }
 
 void
-JobRun::workerGone(WorkerSlot &slot, const char *why)
+GridRun::workerGone(WorkerSlot &slot, const char *loss)
 {
     // Mark the slot dead *first*: the salvage below re-enters
     // handleFrame, whose failure paths call killWorker, and only the
     // alive flag keeps that from recursing back here.
     slot.alive = false;
     slot.ready = false;
-    // Salvage frames the worker streamed before dying — results that
-    // already reached our buffer are real and must not be re-run.
-    // Framing errors just end the salvage; the worker is gone anyway.
+    // Salvage every frame the worker streamed before dying: results it
+    // sent are real, and re-running them at the next shard attempt
+    // would let injected faults decide differently. The worker is dead,
+    // so its socket holds its last bytes and then EOF — draining it
+    // cannot block. Framing errors just end the salvage.
+    while (slot.fd >= 0 && readIntoReader(slot.fd, &slot.reader) > 0) {
+    }
     for (;;) {
         Frame f;
         std::string error;
@@ -576,14 +557,15 @@ JobRun::workerGone(WorkerSlot &slot, const char *why)
     const int shardId = slot.shard;
     slot.shard = -1;
     if (shardId >= 0) {
-        FSMOE_VERBOSE("worker w", slot.workerId, " lost (", why,
+        FSMOE_VERBOSE("worker w", slot.workerId, " gone (", loss,
                       ") holding shard ", shardId);
+        shards_[static_cast<size_t>(shardId)].lastLoss = loss;
         finishOrReassign(shardId);
     }
 }
 
 void
-JobRun::killWorker(WorkerSlot &slot, const char *why)
+GridRun::killWorker(WorkerSlot &slot, const char *loss)
 {
     if (!slot.alive)
         return;
@@ -591,11 +573,11 @@ JobRun::killWorker(WorkerSlot &slot, const char *why)
     int status = 0;
     while (::waitpid(slot.pid, &status, 0) < 0 && errno == EINTR) {
     }
-    workerGone(slot, why);
+    workerGone(slot, loss);
 }
 
 void
-JobRun::checkWatchdogs()
+GridRun::checkWatchdogs()
 {
     const auto now = Clock::now();
     for (WorkerSlot &slot : workers_) {
@@ -607,13 +589,13 @@ JobRun::checkWatchdogs()
             FSMOE_WARN("worker w", slot.workerId, " missed its heartbeat "
                        "deadline (", opts_.heartbeatTimeoutMs,
                        " ms); killing and reassigning shard ", slot.shard);
-            killWorker(slot, "heartbeat timeout");
+            killWorker(slot, kMissedHeartbeat);
         }
     }
 }
 
 void
-JobRun::reapWorkers()
+GridRun::reapWorkers()
 {
     for (WorkerSlot &slot : workers_) {
         if (!slot.alive)
@@ -621,12 +603,12 @@ JobRun::reapWorkers()
         int status = 0;
         const pid_t r = ::waitpid(slot.pid, &status, WNOHANG);
         if (r == slot.pid)
-            workerGone(slot, "exited");
+            workerGone(slot, kWorkerLost);
     }
 }
 
 void
-JobRun::processFrames(WorkerSlot &slot)
+GridRun::processFrames(WorkerSlot &slot)
 {
     for (;;) {
         Frame f;
@@ -634,7 +616,7 @@ JobRun::processFrames(WorkerSlot &slot)
         if (!slot.reader.next(&f, &error)) {
             if (!error.empty() && slot.alive) {
                 FSMOE_WARN("worker w", slot.workerId, ": ", error);
-                killWorker(slot, "protocol error");
+                killWorker(slot, kWorkerLost);
             }
             return;
         }
@@ -645,7 +627,7 @@ JobRun::processFrames(WorkerSlot &slot)
 }
 
 void
-JobRun::pollSockets(int timeoutMs)
+GridRun::pollSockets(int timeoutMs)
 {
     std::vector<struct pollfd> pfds;
     std::vector<size_t> slotOf;
@@ -674,13 +656,13 @@ JobRun::pollSockets(int timeoutMs)
         } else {
             // EOF or read error: the worker closed its end (injected
             // disconnect) or died. Make death official, then salvage.
-            killWorker(slot, n == 0 ? "socket EOF" : "socket read error");
+            killWorker(slot, kWorkerLost);
         }
     }
 }
 
 void
-JobRun::shutdownWorkers(bool graceful)
+GridRun::shutdownWorkers(bool graceful)
 {
     if (graceful) {
         for (WorkerSlot &slot : workers_)
@@ -702,11 +684,11 @@ JobRun::shutdownWorkers(bool graceful)
         }
     }
     for (WorkerSlot &slot : workers_)
-        killWorker(slot, "shutdown");
+        killWorker(slot, kWorkerLost);
 }
 
 bool
-JobRun::allShardsDone() const
+GridRun::allShardsDone() const
 {
     for (const Shard &sh : shards_)
         if (sh.state != ShardState::Done)
@@ -714,32 +696,25 @@ JobRun::allShardsDone() const
     return true;
 }
 
-bool
-JobRun::run(const std::string &journalPath, bool resume,
-            JobOutcome *outcome)
+std::vector<SweepResult>
+GridRun::run(JobOutcome *outcome)
 {
     *outcome = JobOutcome{};
-    grid_ = buildJobGrid(job_);
     outcome->scenarios = grid_.size();
-    results_.resize(grid_.size());
-    done_.assign(grid_.size(), 0);
-
-    std::string error;
-    if (!journal_.open(journalPath, grid_, resume, &error)) {
-        outcome->error = error;
-        return false;
-    }
-    for (const auto &entry : journal_.recovered()) {
-        // Same recovery rule as runRobust: only Ok records are done;
-        // failed/quarantined ones get a fresh chance on this run.
-        if (entry.first < grid_.size() &&
-            entry.second.status == runtime::ResultStatus::Ok) {
-            results_[entry.first] = entry.second;
-            done_[entry.first] = 1;
-            ++resumed_;
-            stats::counter("service.results.resumed").inc();
+    if (journal_ != nullptr) {
+        for (const auto &entry : journal_->recovered()) {
+            // Same recovery rule as runRobust: only Ok records are done;
+            // failed/quarantined ones get a fresh chance on this run.
+            if (entry.first < grid_.size() &&
+                entry.second.status == runtime::ResultStatus::Ok) {
+                results_[entry.first] = entry.second;
+                done_[entry.first] = 1;
+                ++resumed_;
+                stats::counter("service.results.resumed").inc();
+            }
         }
     }
+    outcome->resumed = resumed_;
 
     buildShards();
     if (!shards_.empty()) {
@@ -752,11 +727,9 @@ JobRun::run(const std::string &journalPath, bool resume,
         while (failed_.empty() && !allShardsDone()) {
             if (interrupt::stopRequested()) {
                 shutdownWorkers(/*graceful=*/true);
-                journal_.close();
                 outcome->interrupted = true;
-                outcome->resumed = resumed_;
                 outcome->error = "interrupted by signal";
-                return false;
+                return std::move(results_);
             }
             reapWorkers();
             checkWatchdogs();
@@ -766,36 +739,77 @@ JobRun::run(const std::string &journalPath, bool resume,
         }
         shutdownWorkers(/*graceful=*/failed_.empty());
     }
-    journal_.close();
     if (!failed_.empty()) {
         outcome->error = failed_;
-        return false;
-    }
-
-    if (!runtime::writeResultsJson(job_.outPath, results_)) {
-        outcome->error = "cannot write merged results to " + job_.outPath;
-        return false;
+        return std::move(results_);
     }
     outcome->ok = true;
-    outcome->resumed = resumed_;
     for (const SweepResult &r : results_) {
         if (r.status == runtime::ResultStatus::Ok)
             ++outcome->okResults;
         else
             ++outcome->quarantined;
     }
-    return true;
+    return std::move(results_);
 }
 
 } // namespace
 
 bool
+decodeResultFrame(const std::string &body, const std::vector<Scenario> &grid,
+                  size_t *idx, SweepResult *out, std::string *error)
+{
+    std::string record;
+    if (!splitIndexedBody(body, grid.size(), idx, &record)) {
+        *error = "Result frame has no valid grid index";
+        return false;
+    }
+    std::string parse_error;
+    if (!runtime::parseJsonRecord(record, out, &parse_error)) {
+        *error = "unparsable Result frame: " + parse_error;
+        return false;
+    }
+    if (out->key() != grid[*idx].label()) {
+        *error = "Result frame for grid index " + std::to_string(*idx) +
+                 " carries '" + out->key() + "', want '" +
+                 grid[*idx].label() + "'";
+        return false;
+    }
+    return true;
+}
+
+std::vector<SweepResult>
+SweepServer::runGrid(const std::vector<Scenario> &grid,
+                     runtime::Journal *journal, JobOutcome *outcome)
+{
+    fault::configureFromEnv();
+    GridRun run(opts_, grid, journal);
+    return run.run(outcome);
+}
+
+bool
 SweepServer::runJob(const JobSpec &job, const std::string &journalPath,
                     bool resume, JobOutcome *outcome)
 {
-    fault::configureFromEnv();
-    JobRun run(opts_, job);
-    return run.run(journalPath, resume, outcome);
+    const std::vector<Scenario> grid = buildJobGrid(job);
+    runtime::Journal journal;
+    std::string error;
+    if (!journal.open(journalPath, grid, resume, &error)) {
+        *outcome = JobOutcome{};
+        outcome->scenarios = grid.size();
+        outcome->error = error;
+        return false;
+    }
+    const std::vector<SweepResult> results =
+        runGrid(grid, &journal, outcome);
+    journal.close();
+    if (!outcome->ok)
+        return false;
+    if (!runtime::writeResultsJson(job.outPath, results)) {
+        outcome->ok = false;
+        outcome->error = "cannot write merged results to " + job.outPath;
+    }
+    return outcome->ok;
 }
 
 int
@@ -873,6 +887,34 @@ SweepServer::serve(JobQueue &queue, bool once)
             return 0;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(opts_.queuePollMs));
+    }
+}
+
+void
+printServiceCounters()
+{
+    static const char *const kNames[] = {
+        "service.jobs.queued",
+        "service.jobs.recovered",
+        "service.jobs.done",
+        "service.jobs.failed",
+        "service.workers.spawned",
+        "service.workers.restarted",
+        "service.heartbeats.received",
+        "service.heartbeats.missed",
+        "service.shards.assigned",
+        "service.shards.reassigned",
+        "service.shards.quarantined",
+        "service.results.streamed",
+        "service.results.resumed",
+        "service.scenario.evalErrors",
+    };
+    std::printf("service counters (this process):\n");
+    for (const char *name : kNames) {
+        const uint64_t v = stats::counter(name).value();
+        if (v > 0)
+            std::printf("  %-34s %llu\n", name,
+                        static_cast<unsigned long long>(v));
     }
 }
 

@@ -1,22 +1,26 @@
 /**
  * @file
- * SweepServer — the resilient sweep service supervisor.
+ * SweepServer — the one sweep process supervisor.
  *
- * The server turns one submitted JobSpec into a finished merged result
- * file by fanning the job's scenario grid out to a pool of forked
- * worker processes over AF_UNIX socketpairs (service/protocol.h) and
- * healing every failure mode a worker can exhibit:
+ * The server fans a scenario grid out to a pool of forked worker
+ * processes over AF_UNIX socketpairs (service/protocol.h) and heals
+ * every failure mode a worker can exhibit. It serves two callers: the
+ * fsmoe_sweepd daemon (runJob/serve: a submitted JobSpec in, a merged
+ * result file out) and `fsmoe_sweep --isolate` (runGrid on the CLI's
+ * own grid). Workers are forked, never exec'd, so each one inherits
+ * the grid and options and nothing but shard assignments and results
+ * crosses the wire.
  *
- *   worker dies (SIGKILL, crash, injected worker-kill)
- *     -> death is observed via socket EOF + waitpid; the shard's
- *        unfinished remainder is reassigned and a fresh worker is
- *        forked into the slot
- *   worker stalls (hang, injected delay)
+ *   worker dies (SIGKILL, crash, injected crash)
+ *     -> death is observed via socket EOF or waitpid; either way the
+ *        socket is drained to EOF, the shard's unfinished remainder is
+ *        reassigned, and a fresh worker is forked into the slot
+ *   worker stalls (hang, injected timeout)
  *     -> a per-worker heartbeat watchdog on std::chrono::steady_clock
  *        (wall-clock time is banned in deadline arithmetic — see
  *        fsmoe_lint's wallclock-deadline rule) SIGKILLs the worker
  *        past heartbeatTimeoutMs and reassigns its shard
- *   worker disconnects (socket close, injected disconnect)
+ *   worker disconnects or corrupts a frame (injected disconnect)
  *     -> same reassignment path as death
  *   scenario evaluation fails (throw, injected eval fault)
  *     -> the worker reports EvalError and continues; the failed index
@@ -26,16 +30,20 @@
  *        workers die with it via PR_SET_PDEATHSIG; a restarted daemon
  *        resumes the job from the journal
  *
- * Reassignment is bounded: a shard reassigned maxShardAttempts times
- * has its remaining scenarios quarantined (runtime::failureRecord),
- * mirroring runRobust's retry-then-quarantine policy, with the same
- * deterministic exponential backoff between attempts.
+ * Reassignment follows runtime::RetryPolicy, the same policy
+ * runRobust() applies per scenario: deterministic exponential backoff
+ * between attempts, and a shard assigned maxAttempts times has its
+ * remaining scenarios quarantined (runtime::failureRecord). A
+ * quarantined scenario carries its last eval error or, without one,
+ * the class of its shard's last worker loss ("worker lost before
+ * reporting a result" / "worker missed its heartbeat deadline").
  *
  * Determinism contract (docs/SERVICE.md): scenario evaluation is pure
- * and results are keyed by grid index, so the merged output written to
- * the job's `out` path is byte-identical to a single-process
- * `fsmoe_sweep` over the same grid — regardless of worker count,
- * shard size, injected faults, or how many times the job was resumed.
+ * and results are keyed by grid index, so the merged output is
+ * byte-identical to a single-process `fsmoe_sweep` over the same grid
+ * — regardless of worker count, shard size, or how many times the job
+ * was resumed. Under injected faults the output is a pure function of
+ * the grid, the fault spec and the shard layout.
  *
  * Thread-safety: the supervisor is strictly single-threaded (fork
  * from a threaded process is a deadlock lottery); all concurrency is
@@ -47,7 +55,12 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
+#include "runtime/journal.h"
+#include "runtime/result_store.h"
+#include "runtime/scenario.h"
+#include "runtime/worker.h"
 #include "service/job.h"
 #include "service/job_queue.h"
 
@@ -68,12 +81,9 @@ struct ServerOptions
     /// Watchdog: a busy worker silent for this long (steady clock) is
     /// SIGKILLed and its shard reassigned.
     int heartbeatTimeoutMs = 2000;
-    /// Assignment attempts before a shard's remainder is quarantined.
-    int maxShardAttempts = 3;
-    /// Deterministic exponential backoff before a reassignment:
-    /// min(backoffBaseMs << (attempt-1), backoffMaxMs).
-    int backoffBaseMs = 10;
-    int backoffMaxMs = 1000;
+    /// Assignment attempts before a shard's remainder is quarantined,
+    /// and the backoff before each reassignment.
+    runtime::RetryPolicy retry;
     /// Worker respawns tolerated per job before the job fails — a
     /// backstop against a fault config that kills every fork.
     int maxWorkerRestarts = 200;
@@ -81,10 +91,12 @@ struct ServerOptions
     int queuePollMs = 200;
 };
 
-/** What one runJob() call accomplished. */
+/** What one runGrid() or runJob() call accomplished. */
 struct JobOutcome
 {
-    bool ok = false;          ///< Merged output written; job complete.
+    /// Every scenario finished (Ok or quarantined); for runJob, the
+    /// merged output is written too.
+    bool ok = false;
     bool interrupted = false; ///< Graceful stop drained the job early.
     std::string error;        ///< Failure description when !ok.
     size_t scenarios = 0;     ///< Grid size.
@@ -99,9 +111,24 @@ class SweepServer
     explicit SweepServer(const ServerOptions &opts) : opts_(opts) {}
 
     /**
-     * Run @p job to completion: build its grid, recover @p journalPath
-     * when @p resume, fan pending scenarios out to workers, heal
-     * failures, and atomically write the merged result to job.outPath.
+     * Supervise @p grid to completion: skip scenarios @p journal (open
+     * over the same grid, or null) recovered as Ok, fan the rest out to
+     * workers, heal failures, and append every finished record to the
+     * journal. Returns one record per scenario in grid order and fills
+     * @p outcome. On graceful stop (base/interrupt) the grid is drained
+     * — streamed results are journalled, unstarted scenarios come back
+     * as default records with an empty schedule — and
+     * outcome.interrupted is set. The calling process must be
+     * single-threaded.
+     */
+    std::vector<runtime::SweepResult>
+    runGrid(const std::vector<runtime::Scenario> &grid,
+            runtime::Journal *journal, JobOutcome *outcome);
+
+    /**
+     * Run @p job to completion: buildJobGrid, open @p journalPath
+     * (recovering it when @p resume), runGrid, and atomically write the
+     * merged result to job.outPath.
      * On graceful stop (base/interrupt) the job is drained — streamed
      * results are journalled, no merged output is written — and
      * outcome.interrupted is set so the caller can leave the job
@@ -125,6 +152,24 @@ class SweepServer
   private:
     ServerOptions opts_;
 };
+
+/**
+ * Decode a worker's Result frame body, "<gridIndex> <one-line JSON
+ * record>": the index must be a plain decimal inside @p grid and the
+ * record must describe exactly grid[index]. Returns false and sets
+ * *error otherwise — a frame that names the wrong scenario is as
+ * corrupt as one that does not parse.
+ */
+bool decodeResultFrame(const std::string &body,
+                       const std::vector<runtime::Scenario> &grid,
+                       size_t *idx, runtime::SweepResult *out,
+                       std::string *error);
+
+/**
+ * Print the nonzero service.* counters (docs/OBSERVABILITY.md) — the
+ * --profile block of fsmoe_sweepd and `fsmoe_sweep --isolate`.
+ */
+void printServiceCounters();
 
 } // namespace fsmoe::service
 

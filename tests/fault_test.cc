@@ -60,13 +60,15 @@ TEST(Fault, ParseSpecRejectsMalformedInputAndLeavesOutUntouched)
     cfg.seed = 99;
     std::string error;
     const char *bad[] = {
-        "bogus=1",      // unknown key
-        "eval",         // missing '='
-        "eval=1.5",     // rate out of range
-        "eval=-0.1",    // rate out of range
-        "eval=nope",    // not a number
-        "seed=x",       // not a number
-        "kill-after=x", // not a number
+        "bogus=1",       // unknown key
+        "worker-kill=1", // merged into crash
+        "delay=1",       // merged into timeout
+        "eval",          // missing '='
+        "eval=1.5",      // rate out of range
+        "eval=-0.1",     // rate out of range
+        "eval=nope",     // not a number
+        "seed=x",        // not a number
+        "kill-after=x",  // not a number
     };
     for (const char *spec : bad) {
         SCOPED_TRACE(spec);
@@ -200,27 +202,20 @@ TEST(Fault, SiteNamesMatchSpecKeywords)
     EXPECT_STREQ(siteName(Site::WorkerTimeout), "timeout");
     EXPECT_STREQ(siteName(Site::TornJournalWrite), "torn");
     EXPECT_STREQ(siteName(Site::TransportDrop), "drop");
-    EXPECT_STREQ(siteName(Site::TransportDelay), "delay");
     EXPECT_STREQ(siteName(Site::TransportDisconnect), "disconnect");
-    EXPECT_STREQ(siteName(Site::WorkerKill), "worker-kill");
+    EXPECT_EQ(static_cast<int>(Site::NumSites), 6);
 }
 
 TEST(Fault, ParseSpecAcceptsTheTransportSites)
 {
     FaultConfig cfg;
     std::string error;
-    ASSERT_TRUE(parseSpec(
-        "seed=3,drop=0.5,delay=0.25,disconnect=0.125,worker-kill=0.0625",
-        &cfg, &error))
+    ASSERT_TRUE(parseSpec("seed=3,drop=0.5,disconnect=0.125", &cfg, &error))
         << error;
     EXPECT_DOUBLE_EQ(cfg.rate[static_cast<int>(Site::TransportDrop)],
                      0.5);
-    EXPECT_DOUBLE_EQ(cfg.rate[static_cast<int>(Site::TransportDelay)],
-                     0.25);
     EXPECT_DOUBLE_EQ(
         cfg.rate[static_cast<int>(Site::TransportDisconnect)], 0.125);
-    EXPECT_DOUBLE_EQ(cfg.rate[static_cast<int>(Site::WorkerKill)],
-                     0.0625);
     EXPECT_TRUE(cfg.anyEnabled());
 
     // Every site keyword must round-trip through the parser alone.

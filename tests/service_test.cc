@@ -3,9 +3,10 @@
  * Tests for the sweep service layer: frame encoding/decoding and
  * reader poisoning (service/protocol.h), job spec parsing and
  * canonical serialisation (service/job.h), the crash-safe filesystem
- * job queue (service/job_queue.h), and an in-process end-to-end
- * SweepServer::runJob whose merged output must be byte-identical to a
- * plain single-process evaluation of the same grid.
+ * job queue (service/job_queue.h), and the SweepServer supervisor:
+ * strict Result-frame decoding, runJob's merged output byte-identical
+ * to a plain single-process evaluation, and runGrid's healing paths
+ * (worker crash, hang, disconnect) under deterministic fault injection.
  */
 #include <unistd.h>
 
@@ -17,8 +18,11 @@
 #include <gtest/gtest.h>
 
 #include "base/fileio.h"
+#include "base/stats.h"
+#include "runtime/fault.h"
 #include "runtime/journal.h"
 #include "runtime/result_store.h"
+#include "runtime/sweep_engine.h"
 #include "runtime/worker.h"
 #include "service/job.h"
 #include "service/job_queue.h"
@@ -60,7 +64,7 @@ TEST(ServiceProtocol, FramesRoundTripThroughTheReaderInOrder)
 {
     const std::vector<Frame> sent = {
         {FrameType::Hello, "3"},
-        {FrameType::Config, "50 2000\nfsmoe-job v1"},
+        {FrameType::EvalError, "4 injected eval fault\n(attempt 1)"},
         {FrameType::Assign, "7 2 3 10 11 12"},
         {FrameType::Result, "10 {\"model\":\"m\"}"},
         {FrameType::Shutdown, ""},
@@ -140,6 +144,8 @@ TEST(ServiceProtocol, ValidFrameTypeMatchesTheEnum)
     EXPECT_TRUE(validFrameType('H'));
     EXPECT_TRUE(validFrameType('S'));
     EXPECT_TRUE(validFrameType('R'));
+    // No Config frame: workers inherit the grid and options via fork.
+    EXPECT_FALSE(validFrameType('C'));
     EXPECT_FALSE(validFrameType('Z'));
     EXPECT_FALSE(validFrameType('\0'));
 }
@@ -393,6 +399,249 @@ TEST(ServiceSweepServer, RunJobResumesFromAPartialJournal)
     std::remove(job.outPath.c_str());
     std::remove(journal.c_str());
     std::remove(want.c_str());
+}
+
+TEST(ServiceSweepServer, ResultFramesMustNameTheirGridScenario)
+{
+    // A Result frame is trusted only when its index is a plain decimal
+    // inside the grid and its record describes exactly that scenario;
+    // anything else (a non-numeric index once parsed as 0) is corrupt.
+    const auto grid = runtime::demoGrid({1}, {"FSMoE", "Tutel"});
+    ASSERT_GE(grid.size(), 2u);
+    const std::string rec0 =
+        runtime::toJsonRecord(runtime::evaluateScenario(grid[0], 1));
+
+    size_t idx = 99;
+    runtime::SweepResult r;
+    std::string error;
+    ASSERT_TRUE(decodeResultFrame("0 " + rec0, grid, &idx, &r, &error))
+        << error;
+    EXPECT_EQ(idx, 0u);
+    EXPECT_EQ(r.key(), grid[0].label());
+
+    const std::string bad[] = {
+        "abc " + rec0,                          // non-numeric index
+        "1 " + rec0,                            // another scenario's record
+        " 0 " + rec0,                           // empty index field
+        "+0 " + rec0,                           // signed index
+        "0x0 " + rec0,                          // trailing garbage
+        "99999999999999999999999 " + rec0,      // overflows size_t
+        std::to_string(grid.size()) + " " + rec0, // out of range
+        "0 {\"model\":",                        // unparsable record
+        "0",                                    // no record at all
+    };
+    for (const std::string &body : bad) {
+        SCOPED_TRACE(body.substr(0, 40));
+        error.clear();
+        EXPECT_FALSE(decodeResultFrame(body, grid, &idx, &r, &error));
+        EXPECT_FALSE(error.empty());
+    }
+}
+
+// ---- runGrid: the supervisor behind fsmoe_sweep --isolate -----------
+
+/** RAII: no injection before or after each test, whatever happens. */
+struct FaultGuard
+{
+    FaultGuard() { runtime::fault::reset(); }
+    ~FaultGuard() { runtime::fault::reset(); }
+};
+
+void
+configureFaults(const std::string &spec)
+{
+    runtime::fault::FaultConfig cfg;
+    std::string error;
+    ASSERT_TRUE(runtime::fault::parseSpec(spec, &cfg, &error)) << error;
+    runtime::fault::configure(cfg);
+}
+
+std::vector<runtime::Scenario>
+smallGrid()
+{
+    return runtime::ScenarioGrid().numLayers({1}).build();
+}
+
+std::vector<std::string>
+recordBytes(const std::vector<runtime::SweepResult> &results)
+{
+    std::vector<std::string> out;
+    for (const runtime::SweepResult &r : results)
+        out.push_back(runtime::toJsonRecord(r));
+    return out;
+}
+
+/** The clean bytes, from the same pure path the workers evaluate. */
+std::vector<std::string>
+cleanBytes(const std::vector<runtime::Scenario> &grid)
+{
+    std::vector<runtime::SweepResult> out;
+    for (const runtime::Scenario &s : grid)
+        out.push_back(runtime::evaluateScenario(s, /*attempt=*/1));
+    return recordBytes(out);
+}
+
+ServerOptions
+fastServerOpts()
+{
+    ServerOptions opts;
+    opts.numWorkers = 2;
+    opts.shardsPerWorker = 2;
+    opts.retry.backoffBaseMs = 1;
+    opts.retry.backoffMaxMs = 2;
+    return opts;
+}
+
+constexpr const char *kWorkerLost = "worker lost before reporting a result";
+
+TEST(ServiceRunGrid, CleanRunIsByteIdenticalToThePlainEngine)
+{
+    FaultGuard guard;
+    const auto grid = smallGrid();
+    JobOutcome outcome;
+    const auto results =
+        SweepServer(fastServerOpts()).runGrid(grid, nullptr, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.okResults, grid.size());
+
+    // The engine's thread pool starts only after every fork above.
+    runtime::SweepEngine engine({/*numThreads=*/1});
+    EXPECT_EQ(recordBytes(results),
+              recordBytes(runtime::toSweepResults(engine.run(grid))));
+}
+
+TEST(ServiceRunGrid, WorkerCrashesQuarantineAfterMaxAttempts)
+{
+    FaultGuard guard;
+    const auto grid = runtime::ScenarioGrid()
+                          .schedules({"FSMoE"})
+                          .numLayers({1})
+                          .build();
+    ASSERT_EQ(grid.size(), 1u);
+    configureFaults("seed=1,crash=1");
+    ServerOptions opts = fastServerOpts();
+    opts.retry.maxAttempts = 2;
+    JobOutcome outcome;
+    const auto results = SweepServer(opts).runGrid(grid, nullptr, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, runtime::ResultStatus::Quarantined);
+    EXPECT_EQ(results[0].attempts, opts.retry.maxAttempts);
+    EXPECT_EQ(results[0].error, kWorkerLost);
+    EXPECT_EQ(results[0].key(), grid[0].label());
+    EXPECT_GE(stats::counter("service.workers.restarted").value(), 1u);
+}
+
+TEST(ServiceRunGrid, WatchdogKillsHungWorkers)
+{
+    FaultGuard guard;
+    const auto grid = runtime::ScenarioGrid()
+                          .schedules({"FSMoE"})
+                          .numLayers({1})
+                          .build();
+    configureFaults("seed=1,timeout=1");
+    ServerOptions opts = fastServerOpts();
+    opts.numWorkers = 1;
+    opts.heartbeatTimeoutMs = 300;
+    opts.retry.maxAttempts = 1;
+    JobOutcome outcome;
+    const auto results = SweepServer(opts).runGrid(grid, nullptr, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, runtime::ResultStatus::Quarantined);
+    EXPECT_EQ(results[0].attempts, 1);
+    EXPECT_EQ(results[0].error, "worker missed its heartbeat deadline");
+    EXPECT_GE(stats::counter("service.heartbeats.missed").value(), 1u);
+}
+
+TEST(ServiceRunGrid, DisconnectsQuarantineThenACleanResumeHeals)
+{
+    // Every shard attempt loses its worker to a closed socket: EOF
+    // detection, respawn, backoff-gated reassignment and quarantine all
+    // run, and the journal keeps the quarantine records. A clean resume
+    // re-attempts them and converges to the clean bytes.
+    FaultGuard guard;
+    const auto grid = smallGrid();
+    const std::string path = scratchPath("svc_rungrid_heal_journal.txt");
+    ServerOptions opts = fastServerOpts();
+    opts.retry.maxAttempts = 2;
+    std::string error;
+    {
+        configureFaults("seed=1,disconnect=1");
+        runtime::Journal j;
+        ASSERT_TRUE(j.open(path, grid, /*resume=*/false, &error)) << error;
+        JobOutcome outcome;
+        const auto results = SweepServer(opts).runGrid(grid, &j, &outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+        EXPECT_EQ(outcome.quarantined, grid.size());
+        for (const runtime::SweepResult &r : results) {
+            EXPECT_EQ(r.status, runtime::ResultStatus::Quarantined);
+            EXPECT_EQ(r.attempts, opts.retry.maxAttempts);
+            EXPECT_EQ(r.error, kWorkerLost);
+        }
+    }
+    EXPECT_GE(stats::counter("service.shards.reassigned").value(), 1u);
+
+    runtime::fault::reset();
+    runtime::Journal back;
+    ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
+    EXPECT_EQ(back.recovered().size(), grid.size());
+    JobOutcome outcome;
+    const auto healed = SweepServer(opts).runGrid(grid, &back, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.resumed, 0u); // quarantined records are not done
+    EXPECT_EQ(outcome.quarantined, 0u);
+    EXPECT_EQ(recordBytes(healed), cleanBytes(grid));
+    std::remove(path.c_str());
+}
+
+TEST(ServiceRunGrid, InjectedRunsAreByteIdenticalAndSpareSurvivors)
+{
+    // Which scenarios a fault spec quarantines is a pure function of the
+    // spec and the shard layout — including results a crashed worker
+    // streamed just before dying, which must be salvaged rather than
+    // re-run at the next shard attempt. Four workers and fsync'd
+    // journal appends keep the supervisor busy while other workers
+    // stream and die: the window in which waitpid can notice a death
+    // before the dead worker's last frames are read.
+    FaultGuard guard;
+    const auto grid = runtime::demoGrid();
+    ServerOptions opts;
+    opts.numWorkers = 4;
+    opts.retry.maxAttempts = 2;
+    configureFaults("seed=42,eval=0.4,crash=0.1");
+    const std::string path = scratchPath("svc_rungrid_inject.txt");
+    const auto injectedRun = [&](JobOutcome *outcome) {
+        std::remove(path.c_str());
+        runtime::Journal j;
+        std::string error;
+        EXPECT_TRUE(j.open(path, grid, /*resume=*/false, &error)) << error;
+        return SweepServer(opts).runGrid(grid, &j, outcome);
+    };
+    JobOutcome outcome;
+    const auto first = injectedRun(&outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    for (int run = 2; run <= 3; ++run) {
+        const auto again = injectedRun(&outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+        EXPECT_EQ(recordBytes(again), recordBytes(first)) << "run " << run;
+    }
+    std::remove(path.c_str());
+    EXPECT_GT(outcome.quarantined, 0u)
+        << "pick a seed that quarantines something";
+    EXPECT_GT(outcome.okResults, 0u) << "pick a seed that leaves survivors";
+
+    runtime::fault::reset();
+    const auto clean = cleanBytes(grid);
+    ASSERT_EQ(first.size(), grid.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+        if (first[i].status == runtime::ResultStatus::Ok) {
+            EXPECT_EQ(runtime::toJsonRecord(first[i]), clean[i]);
+        } else {
+            EXPECT_EQ(first[i].attempts, opts.retry.maxAttempts);
+            EXPECT_FALSE(first[i].error.empty());
+        }
+    }
 }
 
 } // namespace

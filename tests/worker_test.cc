@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the fault-tolerant sweep runner: clean runs byte-match the
- * plain engine, retries and quarantine behave deterministically under
- * injected faults, isolated workers survive crashes and hangs, and a
- * journaled sweep SIGKILLed mid-run resumes to byte-identical results
- * — the repo's determinism contract extended across process death.
+ * Tests for the in-process fault-tolerant sweep runner: clean runs
+ * byte-match the plain engine, retries and quarantine behave
+ * deterministically under injected faults, and a journaled sweep
+ * SIGKILLed mid-run resumes to byte-identical results — the repo's
+ * determinism contract extended across process death. Crash and hang
+ * containment (SweepServer) is covered in service_test.cc.
  */
 #include <sys/wait.h>
 #include <unistd.h>
@@ -85,21 +86,21 @@ fastOpts()
 {
     RobustOptions opts;
     opts.numThreads = 2;
-    opts.backoffBaseMs = 1;
-    opts.backoffMaxMs = 2;
+    opts.retry.backoffBaseMs = 1;
+    opts.retry.backoffMaxMs = 2;
     return opts;
 }
 
 TEST(Worker, RetryBackoffDoublesAndSaturates)
 {
-    RobustOptions opts;
-    opts.backoffBaseMs = 10;
-    opts.backoffMaxMs = 1000;
-    EXPECT_EQ(retryBackoffMs(opts, 1), 10);
-    EXPECT_EQ(retryBackoffMs(opts, 2), 20);
-    EXPECT_EQ(retryBackoffMs(opts, 5), 160);
-    EXPECT_EQ(retryBackoffMs(opts, 8), 1000);  // capped
-    EXPECT_EQ(retryBackoffMs(opts, 30), 1000); // no overflow blow-up
+    RetryPolicy retry;
+    retry.backoffBaseMs = 10;
+    retry.backoffMaxMs = 1000;
+    EXPECT_EQ(retry.backoffMs(1), 10);
+    EXPECT_EQ(retry.backoffMs(2), 20);
+    EXPECT_EQ(retry.backoffMs(5), 160);
+    EXPECT_EQ(retry.backoffMs(8), 1000);  // capped
+    EXPECT_EQ(retry.backoffMs(30), 1000); // no overflow blow-up
 }
 
 TEST(Worker, CleanRobustRunIsByteIdenticalToThePlainEngine)
@@ -133,7 +134,7 @@ TEST(Worker, EvalFaultsRetryDeterministicallyAndSpareSurvivors)
             EXPECT_EQ(toJsonRecord(r), clean[i]);
         } else {
             EXPECT_EQ(r.status, ResultStatus::Quarantined);
-            EXPECT_EQ(r.attempts, fastOpts().maxAttempts);
+            EXPECT_EQ(r.attempts, fastOpts().retry.maxAttempts);
             EXPECT_NE(r.error.find("injected eval fault"),
                       std::string::npos)
                 << r.error;
@@ -150,57 +151,13 @@ TEST(Worker, CertainFailureQuarantinesAfterMaxAttempts)
 
     configureFaults("seed=1,eval=1");
     RobustOptions opts = fastOpts();
-    opts.maxAttempts = 2;
+    opts.retry.maxAttempts = 2;
     const auto results = runRobust(grid, opts);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, ResultStatus::Quarantined);
     EXPECT_EQ(results[0].attempts, 2);
     EXPECT_FALSE(results[0].error.empty());
     EXPECT_EQ(results[0].key(), grid[0].label());
-}
-
-TEST(Worker, IsolateCleanRunIsByteIdenticalToThePlainEngine)
-{
-    FaultGuard guard;
-    const auto grid = smallGrid();
-    RobustOptions opts = fastOpts();
-    opts.isolate = true;
-    EXPECT_EQ(recordBytes(runRobust(grid, opts)),
-              recordBytes(engineResults(grid)));
-}
-
-TEST(Worker, IsolateSurvivesWorkerCrashesAndQuarantines)
-{
-    FaultGuard guard;
-    const auto grid = oneScenario();
-
-    configureFaults("seed=1,crash=1");
-    RobustOptions opts = fastOpts();
-    opts.isolate = true;
-    opts.maxAttempts = 2;
-    const auto results = runRobust(grid, opts);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, ResultStatus::Quarantined);
-    EXPECT_EQ(results[0].attempts, 2);
-    EXPECT_NE(results[0].error.find("worker"), std::string::npos)
-        << results[0].error;
-}
-
-TEST(Worker, IsolateWatchdogKillsHungWorkers)
-{
-    FaultGuard guard;
-    const auto grid = oneScenario();
-
-    configureFaults("seed=1,timeout=1");
-    RobustOptions opts = fastOpts();
-    opts.isolate = true;
-    opts.maxAttempts = 1;
-    opts.timeoutMs = 300;
-    const auto results = runRobust(grid, opts);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, ResultStatus::Quarantined);
-    EXPECT_NE(results[0].error.find("timed out"), std::string::npos)
-        << results[0].error;
 }
 
 TEST(Worker, JournaledRunRecordsEverythingAndResumeSkipsOkEntries)
@@ -254,8 +211,8 @@ TEST(Worker, KilledMidSweepResumesToByteIdenticalResults)
             ::_exit(4);
         RobustOptions opts;
         opts.numThreads = 1; // deterministic append order in the child
-        opts.backoffBaseMs = 1;
-        opts.backoffMaxMs = 2;
+        opts.retry.backoffBaseMs = 1;
+        opts.retry.backoffMaxMs = 2;
         runRobust(grid, opts, &j); // must die on the 2nd append
         ::_exit(5);
     }
