@@ -11,8 +11,8 @@
  * against a stored baseline with a tolerance gate, and the grid can
  * be sharded across processes. Options:
  *
- *   --threads N      worker threads, or worker processes under
- *                    --isolate (default: hardware concurrency)
+ *   --threads N      worker threads, or worker processes on the
+ *                    fault-tolerant path (default: hardware concurrency)
  *   --batches LIST   comma-separated per-GPU batch sizes (default: 1,2)
  *   --schedules LIST comma-separated schedule specs (names, aliases,
  *                    or parameterized variants like tutel?degree=4);
@@ -57,34 +57,30 @@
  *                    audits; exits non-zero on any mismatch
  *
  * Fault tolerance (docs/ROBUSTNESS.md) — any of these flags (or the
- * FSMOE_FAULT environment variable) switches to the robust runner,
- * which retries failing scenarios and quarantines persistent failures
- * instead of aborting; healthy results stay byte-identical to the
- * plain engine's:
+ * FSMOE_FAULT environment variable) runs the grid on the sweep
+ * service's supervisor (service/sweep_server.h): forked worker
+ * processes under a heartbeat watchdog, so a crash or hang loses only
+ * its worker's shard, which is reassigned, and persistent failures are
+ * quarantined instead of aborting; healthy results stay byte-identical
+ * to the plain engine's:
  *
  *   --journal FILE   append each finished scenario to a checksummed
  *                    journal (fsync'd), so a killed sweep can resume
  *   --resume         with --journal: recover the journal, re-simulate
  *                    only what is missing; the final --out-json/--out-csv
  *                    is byte-identical to an uninterrupted run
- *   --isolate        run the grid on the sweep service's supervisor
- *                    (service/sweep_server.h): forked worker processes
- *                    under a heartbeat watchdog, so a crash or hang
- *                    loses only its worker's shard, which is reassigned
- *   --timeout-ms N   --isolate heartbeat watchdog: a busy worker silent
- *                    this long is killed (default 30000)
- *   --max-attempts N attempts before a scenario (under --isolate: a
- *                    shard's remainder) is quarantined (default 3)
+ *   --isolate        take the fault-tolerant path without a journal
+ *   --timeout-ms N   heartbeat watchdog: a busy worker silent this long
+ *                    is killed (default 30000)
+ *   --max-attempts N assignments before a shard's remainder is
+ *                    quarantined (default 3)
  *   --inject SPEC    deterministic fault injection, e.g.
  *                    "seed=7,eval=0.3,crash=0.1,timeout=0.05,torn=0.2,
- *                    kill-after=12" (see runtime/fault.h)
- *   --stop-after N   act as if SIGTERM arrived after N finished
- *                    scenarios — the deterministic, scheduler-
- *                    independent way to exercise the graceful-stop
- *                    path below (in-process runner only; rejected
- *                    with --isolate)
+ *                    kill-after=12" or "stop-after=10", the
+ *                    deterministic way to exercise the graceful-stop
+ *                    path below (see runtime/fault.h)
  *
- * Graceful stop: under the fault-tolerant runner SIGINT/SIGTERM do
+ * Graceful stop: on the fault-tolerant path SIGINT/SIGTERM do
  * not kill the sweep mid-write — the journal record in flight is
  * flushed, no new scenario starts, a resume hint is printed, and the
  * process exits with the conventional 128+signal code (130/143). No
@@ -115,7 +111,6 @@
 #include "runtime/self_trace.h"
 #include "runtime/sweep_engine.h"
 #include "runtime/trace_export.h"
-#include "runtime/worker.h"
 #include "service/sweep_server.h"
 #include "sim/run_report.h"
 
@@ -313,27 +308,18 @@ printProfile(const runtime::SweepStats &stats)
 }
 
 /**
- * The robust.* counter inventory (docs/OBSERVABILITY.md): printed by
- * --profile whenever the fault-tolerant runner did any work in this
- * process.
+ * The robust.* counters a completed fault-tolerant run can show
+ * (docs/OBSERVABILITY.md), printed by --profile. The scenario fault
+ * sites count inside the workers, and torn / kill-after / stop-after
+ * end the run before anything prints.
  */
 void
 printRobustCounters()
 {
     static const char *const kNames[] = {
-        "robust.scenario.ok",
-        "robust.scenario.resumed",
-        "robust.scenario.failedAttempts",
-        "robust.scenario.quarantined",
-        "robust.retry.count",
         "robust.journal.appends",
         "robust.journal.recovered",
         "robust.journal.tornRecords",
-        "robust.fault.injected.eval",
-        "robust.fault.injected.crash",
-        "robust.fault.injected.timeout",
-        "robust.fault.injected.torn",
-        "robust.fault.injected.killAfter",
     };
     bool any = false;
     for (const char *name : kNames)
@@ -548,8 +534,7 @@ usage(const char *argv0)
                  "          [--metrics-json FILE] [--self-trace FILE]\n"
                  "          [--journal FILE] [--resume] [--isolate]\n"
                  "          [--timeout-ms N] [--max-attempts N]\n"
-                 "          [--inject SPEC] [--stop-after N]\n"
-                 "          [--selftest]\n",
+                 "          [--inject SPEC] [--selftest]\n",
                  argv0);
     return 2;
 }
@@ -581,7 +566,6 @@ main(int argc, char **argv)
     bool isolate = false;
     int max_attempts = 3;
     int timeout_ms = 30000;
-    int stop_after = 0;
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
@@ -652,13 +636,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "bad --timeout-ms '%s'\n", argv[i]);
                 return 2;
             }
-        } else if (std::strcmp(argv[i], "--stop-after") == 0 &&
-                   i + 1 < argc) {
-            stop_after = std::atoi(argv[++i]);
-            if (stop_after < 1) {
-                std::fprintf(stderr, "bad --stop-after '%s'\n", argv[i]);
-                return 2;
-            }
         } else if (std::strcmp(argv[i], "--selftest") == 0) {
             run_selftest = true;
         } else {
@@ -717,10 +694,10 @@ main(int argc, char **argv)
     }
 
     // Any fault-tolerance flag (or FSMOE_FAULT in the environment)
-    // routes through the robust runner; the plain engine path below
-    // stays exactly as it always was, byte-gated baselines included.
+    // routes through the sweep service's supervisor; everything else
+    // takes the plain engine path below.
     const bool robust = journal_path != nullptr || resume || isolate ||
-                        inject_spec != nullptr || stop_after > 0 ||
+                        inject_spec != nullptr ||
                         runtime::fault::configureFromEnv();
 
     if (self_trace != nullptr)
@@ -735,12 +712,6 @@ main(int argc, char **argv)
                          "(--journal/--resume/--isolate/--inject)\n");
             return 2;
         }
-        if (isolate && stop_after > 0) {
-            std::fprintf(stderr, "--stop-after is a hook of the in-process "
-                                 "runner and is not supported with "
-                                 "--isolate\n");
-            return 2;
-        }
         runtime::Journal journal;
         runtime::Journal *journal_ptr = nullptr;
         if (journal_path != nullptr) {
@@ -753,28 +724,16 @@ main(int argc, char **argv)
             journal_ptr = &journal;
         }
         interrupt::installStopHandlers();
-        uint64_t resumed = 0;
-        if (isolate) {
-            service::ServerOptions sopts;
-            sopts.numWorkers = threads;
-            sopts.heartbeatTimeoutMs = timeout_ms;
-            sopts.retry.maxAttempts = max_attempts;
-            service::JobOutcome outcome;
-            records = service::SweepServer(sopts).runGrid(grid, journal_ptr,
-                                                          &outcome);
-            if (!outcome.ok && !outcome.interrupted) {
-                std::fprintf(stderr, "fsmoe_sweep: %s\n",
-                             outcome.error.c_str());
-                return 1;
-            }
-            resumed = outcome.resumed;
-        } else {
-            runtime::RobustOptions ropts;
-            ropts.numThreads = threads;
-            ropts.retry.maxAttempts = max_attempts;
-            ropts.stopAfterResults = stop_after;
-            records = runtime::runRobust(grid, ropts, journal_ptr);
-            resumed = stats::counter("robust.scenario.resumed").value();
+        service::ServerOptions sopts;
+        sopts.numWorkers = threads;
+        sopts.heartbeatTimeoutMs = timeout_ms;
+        sopts.retry.maxAttempts = max_attempts;
+        service::JobOutcome outcome;
+        records =
+            service::SweepServer(sopts).runGrid(grid, journal_ptr, &outcome);
+        if (!outcome.ok && !outcome.interrupted) {
+            std::fprintf(stderr, "fsmoe_sweep: %s\n", outcome.error.c_str());
+            return 1;
         }
 
         if (interrupt::stopRequested()) {
@@ -803,19 +762,13 @@ main(int argc, char **argv)
             return interrupt::stopExitCode();
         }
         printRanked(records);
-        size_t n_ok = 0;
-        for (const auto &r : records)
-            if (r.status == runtime::ResultStatus::Ok)
-                ++n_ok;
-        std::printf("\n%zu scenarios (robust%s runner): %zu ok, %zu "
-                    "quarantined, %llu resumed from journal\n",
-                    records.size(), isolate ? ", isolated" : "", n_ok,
-                    records.size() - n_ok,
-                    static_cast<unsigned long long>(resumed));
+        std::printf("\n%zu scenarios on %d worker processes: %zu ok, %zu "
+                    "quarantined, %zu resumed from journal\n",
+                    outcome.scenarios, threads, outcome.okResults,
+                    outcome.quarantined, outcome.resumed);
         if (profile) {
             printRobustCounters();
-            if (isolate)
-                service::printServiceCounters();
+            service::printServiceCounters();
         }
     } else {
         runtime::SweepOptions opts;

@@ -7,15 +7,14 @@
  * flushed, the resume hint printed, and the process should exit with a
  * conventional 128+signal code. POSIX signal handlers can do almost
  * nothing safely, so the handler here only stores the signal number
- * into an atomic; every long-running loop (runRobust's scenario loop,
- * SweepServer's poll loop, fsmoe_sweepd's queue loop) polls
- * stopRequested() at its natural checkpoint boundaries and winds down
- * cleanly — finished work is already durable, unfinished work is
- * simply never started.
+ * into an atomic; every long-running loop (SweepServer's poll loop,
+ * fsmoe_sweepd's queue loop) polls stopRequested() at its natural
+ * checkpoint boundaries and winds down cleanly — finished work is
+ * already durable, unfinished work is simply never started.
  *
- * requestStop() lets tests and deterministic CLI knobs (fsmoe_sweep
- * --stop-after N) trigger the exact same drain path without racing a
- * real signal against the scheduler.
+ * requestStop() lets tests and the deterministic `stop-after=K` fault
+ * key (runtime/fault.h) trigger the exact same drain path without
+ * racing a real signal against the scheduler.
  *
  * Thread-safety: all functions are async-signal-safe atomics; any
  * thread (or a signal handler) may call any of them concurrently.

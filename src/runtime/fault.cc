@@ -1,6 +1,7 @@
 #include "runtime/fault.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <mutex>
 
@@ -19,6 +20,7 @@ FaultConfig g_config;      // guarded by g_mutex
 std::atomic<bool> g_enabled{false};
 bool g_envChecked = false; // guarded by g_mutex
 std::atomic<uint64_t> g_appends{0};
+std::atomic<uint64_t> g_results{0};
 
 // FNV-1a over the decision inputs, mirroring base/audit.h's
 // fingerprint scheme. Splitmix-style finalizer on top so low bits are
@@ -52,6 +54,29 @@ decisionUniform(uint64_t seed, Site site, const std::string &key,
     h ^= h >> 31;
     // Top 53 bits -> uniform double in [0, 1).
     return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/**
+ * Count one event on @p count; true exactly when the count reaches the
+ * active config's nonzero @p limit (bumping @p counterName).
+ */
+bool
+countReaches(std::atomic<uint64_t> &count, uint64_t FaultConfig::*limit,
+             const char *counterName)
+{
+    if (!g_enabled.load(std::memory_order_acquire))
+        return false;
+    uint64_t k;
+    {
+        std::lock_guard<std::mutex> lock(g_mutex);
+        k = g_config.*limit;
+    }
+    if (k == 0)
+        return false;
+    if (count.fetch_add(1, std::memory_order_relaxed) + 1 != k)
+        return false;
+    stats::counter(counterName).inc();
+    return true;
 }
 
 bool
@@ -91,7 +116,7 @@ siteName(Site site)
 bool
 FaultConfig::anyEnabled() const
 {
-    if (killAfterAppends > 0)
+    if (killAfterAppends > 0 || stopAfterResults > 0)
         return true;
     for (double r : rate)
         if (r > 0.0)
@@ -120,16 +145,22 @@ parseSpec(const std::string &spec, FaultConfig *out, std::string *error)
         }
         const std::string k = item.substr(0, eq);
         const std::string v = item.substr(eq + 1);
-        if (k == "seed" || k == "kill-after") {
-            char *end = nullptr;
-            const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-            if (end == nullptr || *end != '\0' || v.empty()) {
+        uint64_t *count = k == "seed"         ? &cfg.seed
+                          : k == "kill-after" ? &cfg.killAfterAppends
+                          : k == "stop-after" ? &cfg.stopAfterResults
+                                              : nullptr;
+        if (count != nullptr) {
+            // from_chars takes plain decimal only: no sign, no
+            // whitespace, no wrap-around on overflow.
+            const char *end = v.data() + v.size();
+            const auto parsed = std::from_chars(v.data(), end, *count);
+            if (v.empty() || parsed.ec != std::errc() || parsed.ptr != end) {
                 if (error != nullptr)
-                    *error = "fault spec '" + k + "' wants an integer, got '" +
-                             v + "'";
+                    *error = "fault spec '" + k +
+                             "' wants a non-negative integer, got '" + v +
+                             "'";
                 return false;
             }
-            (k == "seed" ? cfg.seed : cfg.killAfterAppends) = n;
             continue;
         }
         bool matched = false;
@@ -149,7 +180,7 @@ parseSpec(const std::string &spec, FaultConfig *out, std::string *error)
             if (error != nullptr)
                 *error = "unknown fault spec key '" + k +
                          "' (want seed, eval, crash, timeout, torn, "
-                         "drop, disconnect, kill-after)";
+                         "drop, disconnect, kill-after, stop-after)";
             return false;
         }
     }
@@ -163,6 +194,7 @@ configure(const FaultConfig &config)
     std::lock_guard<std::mutex> lock(g_mutex);
     g_config = config;
     g_appends.store(0, std::memory_order_relaxed);
+    g_results.store(0, std::memory_order_relaxed);
     g_envChecked = true; // explicit config wins over the env
     g_enabled.store(config.anyEnabled(), std::memory_order_release);
 }
@@ -181,6 +213,7 @@ configureFromEnv()
                 FSMOE_FATAL("bad FSMOE_FAULT: ", error);
             g_config = cfg;
             g_appends.store(0, std::memory_order_relaxed);
+            g_results.store(0, std::memory_order_relaxed);
             g_enabled.store(cfg.anyEnabled(), std::memory_order_release);
         }
     }
@@ -193,6 +226,7 @@ reset()
     std::lock_guard<std::mutex> lock(g_mutex);
     g_config = FaultConfig{};
     g_appends.store(0, std::memory_order_relaxed);
+    g_results.store(0, std::memory_order_relaxed);
     g_envChecked = true; // do not resurrect the env config
     g_enabled.store(false, std::memory_order_release);
 }
@@ -236,20 +270,15 @@ shouldInject(Site site, const std::string &key, int attempt)
 bool
 shouldKillAfterAppend()
 {
-    if (!g_enabled.load(std::memory_order_acquire))
-        return false;
-    uint64_t killAfter;
-    {
-        std::lock_guard<std::mutex> lock(g_mutex);
-        killAfter = g_config.killAfterAppends;
-    }
-    if (killAfter == 0)
-        return false;
-    const uint64_t n = g_appends.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n != killAfter)
-        return false;
-    stats::counter("robust.fault.injected.killAfter").inc();
-    return true;
+    return countReaches(g_appends, &FaultConfig::killAfterAppends,
+                        "robust.fault.injected.killAfter");
+}
+
+bool
+shouldStopAfterResult()
+{
+    return countReaches(g_results, &FaultConfig::stopAfterResults,
+                        "robust.fault.injected.stopAfter");
 }
 
 } // namespace fsmoe::runtime::fault

@@ -2,52 +2,47 @@
  * @file
  * Deterministic fault injection for the sweep runtime.
  *
- * Every recovery path in the fault-tolerance layer — scenario retry,
+ * Every recovery path in the fault-tolerance layer — shard retry,
  * worker-crash supervision, watchdog timeouts, journal torn-tail
- * truncation — is dead code unless something exercises it. This module
- * injects those failures *deterministically*: the decision to fail is
- * a pure hash of (seed, site, scenario key, attempt), so a given
- * configuration fails the exact same scenarios on every run, every
- * machine, and every thread count. That keeps the repo's byte-identity
+ * truncation, graceful stop — is dead code unless something exercises
+ * it. This module injects those failures *deterministically*: the
+ * decision to fail is a pure hash of (seed, site, scenario key,
+ * attempt), so a given configuration fails the exact same scenarios on
+ * every run and every machine. That keeps the repo's byte-identity
  * contract intact even for chaos tests: CI can inject crashes into a
  * sweep, resume it, and `cmp` the merged output against the clean run.
  *
- * Sites:
+ * Scenario sites fire inside the service workers (service/sweep_server.h):
  *   EvalError        scenario evaluation throws (a poisoned config, a
  *                    solver blow-up) — exercises retry + quarantine
- *   WorkerCrash      the evaluating process dies (SIGKILL/OOM-style
- *                    _exit(137)). In a service worker: only that worker
- *                    dies — exercises death detection, respawn, and
- *                    shard reassignment. In the in-process runner: the
- *                    *whole process* exits, simulating a mid-sweep kill
- *                    for --resume testing
- *   WorkerTimeout    a service worker hangs until the supervisor's
- *                    heartbeat watchdog kills it — exercises the
- *                    monotonic-clock watchdog + shard reassignment
- *                    (the in-process runner cannot preempt, so it
- *                    ignores this site)
+ *   WorkerCrash      the worker dies (SIGKILL/OOM-style _exit(137)) —
+ *                    exercises death detection, respawn, and shard
+ *                    reassignment
+ *   WorkerTimeout    the worker hangs until the supervisor's heartbeat
+ *                    watchdog kills it — exercises the monotonic-clock
+ *                    watchdog + shard reassignment
+ *   TransportDrop    a heartbeat frame is silently not sent —
+ *                    exercises the supervisor's tolerance for lost
+ *                    frames (results still arrive; one missed beat
+ *                    must not kill a healthy worker)
+ *   TransportDisconnect the worker closes its socket mid-shard and
+ *                    exits — exercises EOF detection + reassignment
+ *                    of the shard's unfinished remainder
+ *
+ * Supervisor-side sites:
  *   TornJournalWrite a journal append writes only a prefix of the
  *                    record and the process exits — exactly the torn
  *                    tail recovery must truncate
+ *   `kill-after=K`   the process exits after the K-th successful
+ *                    journal append — a precise, scheduler-independent
+ *                    way to kill a sweep (or the daemon) mid-run
+ *   `stop-after=K`   a SIGTERM is simulated (base/interrupt) once K
+ *                    results have finished — the deterministic way to
+ *                    exercise the graceful-stop drain
  *
- * Transport sites (the sweep service, src/service/) — each proves one
- * failover path of the worker protocol (docs/SERVICE.md):
- *
- *   TransportDrop       a heartbeat frame is silently not sent —
- *                       exercises the supervisor's tolerance for lost
- *                       frames (results still arrive; one missed beat
- *                       must not kill a healthy worker)
- *   TransportDisconnect the worker closes its socket mid-shard and
- *                       exits — exercises EOF detection + reassignment
- *                       of the shard's unfinished remainder
- *
- * Plus `kill-after=K`: the process exits after the K-th successful
- * journal append — a precise, scheduler-independent way to kill a
- * sweep (or the daemon itself) mid-run.
- *
- * Configuration comes from `fsmoe_sweep --inject SPEC` or the
- * FSMOE_FAULT environment variable (same spec syntax, read lazily at
- * first query):
+ * Configuration comes from `--inject SPEC` (fsmoe_sweep, fsmoe_sweepd)
+ * or the FSMOE_FAULT environment variable (same spec syntax, read
+ * lazily at first query):
  *
  *   seed=7,eval=0.3,crash=0.1,timeout=0.05,torn=0.2,kill-after=12
  *
@@ -97,6 +92,9 @@ struct FaultConfig
     /// Exit the process after this many successful journal appends;
     /// 0 disables.
     uint64_t killAfterAppends = 0;
+    /// Request a graceful stop after this many finished results;
+    /// 0 disables.
+    uint64_t stopAfterResults = 0;
 
     /** True when any site can ever fire. */
     bool anyEnabled() const;
@@ -146,6 +144,13 @@ bool shouldInject(Site site, const std::string &key, int attempt);
  * first). Counts appends internally; false when disabled.
  */
 bool shouldKillAfterAppend();
+
+/**
+ * Finished-result hook for stop-after: returns true exactly once, when
+ * the K-th result finishes (the caller requests the stop). Counts
+ * results internally; false when disabled.
+ */
+bool shouldStopAfterResult();
 
 } // namespace fsmoe::runtime::fault
 

@@ -1,7 +1,7 @@
 #include "runtime/journal.h"
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <sstream>
 
@@ -69,15 +69,18 @@ parseRecordLine(const std::string &line, size_t grid_size, size_t *index,
     const size_t sp2 = line.find(' ', sp1 + 1);
     if (sp2 == std::string::npos || sp2 - sp1 - 1 != 16)
         return false;
-    char *end = nullptr;
-    const std::string idx_text = line.substr(0, sp1);
-    const unsigned long long idx = std::strtoull(idx_text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || idx_text.empty() ||
-        idx >= grid_size)
+    // from_chars parses in place and takes only the canonical forms the
+    // writer emits: no sign, no leading whitespace, no base prefix.
+    const char *base = line.data();
+    size_t idx = 0;
+    const auto idx_parsed = std::from_chars(base, base + sp1, idx);
+    if (sp1 == 0 || idx_parsed.ec != std::errc() ||
+        idx_parsed.ptr != base + sp1 || idx >= grid_size)
         return false;
-    const unsigned long long sum =
-        std::strtoull(line.substr(sp1 + 1, 16).c_str(), &end, 16);
-    if (end == nullptr || *end != '\0')
+    uint64_t sum = 0;
+    const auto sum_parsed =
+        std::from_chars(base + sp1 + 1, base + sp2, sum, 16);
+    if (sum_parsed.ec != std::errc() || sum_parsed.ptr != base + sp2)
         return false;
     const std::string payload = line.substr(sp2 + 1);
     if (fnv1a(payload) != sum)

@@ -34,7 +34,7 @@ namespace fsmoe::runtime {
 
 /**
  * Terminal state of one scenario under the fault-tolerant runner
- * (runtime/worker). Plain SweepEngine runs only ever produce Ok;
+ * (service/sweep_server.h). Plain SweepEngine runs only ever produce Ok;
  * non-Ok records exist so a sweep that hit a poisoned scenario
  * *completes* — with the failure recorded explicitly — instead of
  * aborting and losing every healthy result.
@@ -85,7 +85,7 @@ struct SweepResult
     /// and by readers of files that contain the link columns).
     bool hasLinkStats = false;
 
-    // Fault-tolerance outcome (runtime/worker). Serialised only for
+    // Fault-tolerance outcome (service/sweep_server.h). Serialised only for
     // non-Ok records — an all-Ok result set emits byte-identical
     // output to a pre-status writer, which keeps every blessed
     // baseline valid. For non-Ok records makespanMs/opTimeMs are zero.

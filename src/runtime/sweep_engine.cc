@@ -267,6 +267,27 @@ SweepEngine::run(const std::vector<Scenario> &scenarios, bool keep_graphs)
     return results;
 }
 
+ScenarioResult
+SweepEngine::evaluate(const Scenario &s)
+{
+    SelfSpan span(s.label(), "scenario");
+    auto cost = costFor(s);
+    ScenarioResult out;
+    out.scenario = s;
+    if (options_.keepGraphs) {
+        // Graphs are not cached; simulate directly so the retained
+        // graph matches the returned timings.
+        out.sim = timedSimulate(s, *cost, &out.graph);
+    } else if (options_.enableSimCache) {
+        out.sim = *simFor(s, cost);
+    } else {
+        out.sim = timedSimulate(s, *cost);
+    }
+    out.makespanMs = out.sim.makespan;
+    EngineStats::instance().scenarios.inc();
+    return out;
+}
+
 std::vector<ScenarioResult>
 SweepEngine::run(const std::vector<Scenario> &scenarios)
 {
@@ -279,22 +300,7 @@ SweepEngine::run(const std::vector<Scenario> &scenarios)
         done.reserve(scenarios.size());
         for (size_t i = 0; i < scenarios.size(); ++i) {
             done.push_back(pool.submit([this, &scenarios, &results, i]() {
-                const Scenario &s = scenarios[i];
-                SelfSpan span(s.label(), "scenario");
-                auto cost = costFor(s);
-                ScenarioResult &out = results[i];
-                out.scenario = s;
-                if (options_.keepGraphs) {
-                    // Graphs are not cached; simulate directly so the
-                    // retained graph matches the returned timings.
-                    out.sim = timedSimulate(s, *cost, &out.graph);
-                } else if (options_.enableSimCache) {
-                    out.sim = *simFor(s, cost);
-                } else {
-                    out.sim = timedSimulate(s, *cost);
-                }
-                out.makespanMs = out.sim.makespan;
-                EngineStats::instance().scenarios.inc();
+                results[i] = evaluate(scenarios[i]);
             }));
         }
         for (auto &f : done)

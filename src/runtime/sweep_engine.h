@@ -110,6 +110,15 @@ class SweepEngine
     std::vector<ScenarioResult> run(const std::vector<Scenario> &scenarios,
                                     bool keep_graphs);
 
+    /**
+     * Evaluate one scenario on the calling thread, through the caches
+     * the options enable: the per-scenario body of run(), and the one
+     * scenario-evaluation path in the repo. Creates no threads, so a
+     * forked service worker can call it (service/sweep_server.h).
+     * Throws whatever cost derivation or the schedule build throws.
+     */
+    ScenarioResult evaluate(const Scenario &s);
+
     const SweepOptions &options() const { return options_; }
     SweepStats stats() const;
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "base/logging.h"
 #include "base/stats.h"
 #include "runtime/fault.h"
+#include "runtime/sweep_engine.h"
 #include "service/protocol.h"
 
 namespace fsmoe::service {
@@ -67,6 +69,9 @@ struct WorkerContext
     std::string name;
     int heartbeatMs;
     const std::vector<Scenario> &grid;
+    /// Sim cache off: every scenario is evaluated once per attempt, so
+    /// memoizing SimResults would only grow the worker's RSS.
+    runtime::SweepEngine &engine;
 };
 
 /** In a worker a failed send means the supervisor is gone: just die. */
@@ -158,8 +163,11 @@ runAssignedShard(const WorkerContext &ctx, const std::string &body,
             sendOrDie(ctx.fd, FrameType::Heartbeat, ctx.name);
 
         try {
-            const SweepResult r =
-                runtime::evaluateScenario(ctx.grid[idx], attempt);
+            if (fault::shouldInject(fault::Site::EvalError, label, attempt))
+                throw std::runtime_error("injected eval fault (attempt " +
+                                         std::to_string(attempt) + ")");
+            const SweepResult r = SweepResult::fromScenarioResult(
+                ctx.engine.evaluate(ctx.grid[idx]));
             sendOrDie(ctx.fd, FrameType::Result,
                       std::to_string(idx) + " " + runtime::toJsonRecord(r));
         } catch (const std::exception &e) {
@@ -180,8 +188,11 @@ workerMain(int fd, int workerId, const ServerOptions &opts,
         ::_exit(1); // supervisor died before the prctl landed
     interrupt::clearStop(); // a stop meant for the daemon, not us
 
+    runtime::SweepOptions engineOpts;
+    engineOpts.enableSimCache = false;
+    runtime::SweepEngine engine(engineOpts);
     const WorkerContext ctx{fd, "w" + std::to_string(workerId),
-                            opts.heartbeatMs, grid};
+                            opts.heartbeatMs, grid, engine};
     sendOrDie(fd, FrameType::Hello, ctx.name);
 
     FrameReader reader;
@@ -220,6 +231,29 @@ workerMain(int fd, int workerId, const ServerOptions &opts,
 }
 
 // ================================================= supervisor (parent)
+
+/**
+ * Identity-only record for a scenario that never produced a result —
+ * what quarantine persists so the sweep completes with the failure
+ * explicit instead of lost.
+ */
+SweepResult
+quarantineRecord(const Scenario &s, int attempts, const std::string &error)
+{
+    SweepResult r;
+    r.model = s.model;
+    r.cluster = s.cluster;
+    r.schedule = s.schedule;
+    r.batch = s.batch;
+    r.seqLen = s.seqLen;
+    r.numLayers = s.numLayers;
+    r.numExperts = s.numExperts;
+    r.rMax = s.rMax;
+    r.status = runtime::ResultStatus::Quarantined;
+    r.attempts = attempts;
+    r.error = error;
+    return r;
+}
 
 struct WorkerSlot
 {
@@ -428,6 +462,10 @@ GridRun::appendResult(size_t idx, const SweepResult &r)
         FSMOE_WARN(error);
     results_[idx] = r;
     done_[idx] = 1;
+    // stop-after=K: the deterministic stand-in for a SIGTERM arriving
+    // once K results have finished; run() then drains gracefully.
+    if (fault::shouldStopAfterResult())
+        interrupt::requestStop(SIGTERM);
 }
 
 void
@@ -518,9 +556,7 @@ GridRun::quarantineShard(int shardId)
         const auto it = lastError_.find(idx);
         const std::string msg =
             it != lastError_.end() ? it->second : sh.lastLoss;
-        appendResult(idx, runtime::failureRecord(
-                              grid_[idx], runtime::ResultStatus::Quarantined,
-                              sh.attempts, msg));
+        appendResult(idx, quarantineRecord(grid_[idx], sh.attempts, msg));
     }
     FSMOE_WARN("shard ", shardId, " quarantined after ", sh.attempts,
                " attempts (", sh.remaining.size(), " scenarios)");
@@ -703,8 +739,9 @@ GridRun::run(JobOutcome *outcome)
     outcome->scenarios = grid_.size();
     if (journal_ != nullptr) {
         for (const auto &entry : journal_->recovered()) {
-            // Same recovery rule as runRobust: only Ok records are done;
-            // failed/quarantined ones get a fresh chance on this run.
+            // Only Ok records are done; failed/quarantined ones get a
+            // fresh chance on this run, so a resume without fault
+            // injection converges to the clean run's bytes.
             if (entry.first < grid_.size() &&
                 entry.second.status == runtime::ResultStatus::Ok) {
                 results_[entry.first] = entry.second;
@@ -754,6 +791,17 @@ GridRun::run(JobOutcome *outcome)
 }
 
 } // namespace
+
+int
+RetryPolicy::backoffMs(int attempt) const
+{
+    long ms = backoffBaseMs;
+    for (int i = 1; i < attempt && ms < backoffMaxMs; ++i)
+        ms *= 2;
+    if (ms > backoffMaxMs)
+        ms = backoffMaxMs;
+    return static_cast<int>(ms);
+}
 
 bool
 decodeResultFrame(const std::string &body, const std::vector<Scenario> &grid,

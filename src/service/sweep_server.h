@@ -1,15 +1,18 @@
 /**
  * @file
- * SweepServer — the one sweep process supervisor.
+ * SweepServer — the one fault-tolerant sweep runner.
  *
  * The server fans a scenario grid out to a pool of forked worker
  * processes over AF_UNIX socketpairs (service/protocol.h) and heals
  * every failure mode a worker can exhibit. It serves two callers: the
  * fsmoe_sweepd daemon (runJob/serve: a submitted JobSpec in, a merged
- * result file out) and `fsmoe_sweep --isolate` (runGrid on the CLI's
- * own grid). Workers are forked, never exec'd, so each one inherits
- * the grid and options and nothing but shard assignments and results
- * crosses the wire.
+ * result file out) and every journaled, isolated or fault-injected
+ * `fsmoe_sweep` run (runGrid on the CLI's own grid). Workers are
+ * forked, never exec'd, so each one inherits the grid and options and
+ * nothing but shard assignments and results crosses the wire. Each
+ * worker evaluates through one runtime::SweepEngine (sim cache off),
+ * the same path as a plain sweep, so healthy records carry the plain
+ * engine's bytes.
  *
  *   worker dies (SIGKILL, crash, injected crash)
  *     -> death is observed via socket EOF or waitpid; either way the
@@ -30,10 +33,9 @@
  *        workers die with it via PR_SET_PDEATHSIG; a restarted daemon
  *        resumes the job from the journal
  *
- * Reassignment follows runtime::RetryPolicy, the same policy
- * runRobust() applies per scenario: deterministic exponential backoff
+ * Reassignment follows RetryPolicy: deterministic exponential backoff
  * between attempts, and a shard assigned maxAttempts times has its
- * remaining scenarios quarantined (runtime::failureRecord). A
+ * remaining scenarios quarantined (ResultStatus::Quarantined). A
  * quarantined scenario carries its last eval error or, without one,
  * the class of its shard's last worker loss ("worker lost before
  * reporting a result" / "worker missed its heartbeat deadline").
@@ -60,11 +62,24 @@
 #include "runtime/journal.h"
 #include "runtime/result_store.h"
 #include "runtime/scenario.h"
-#include "runtime/worker.h"
 #include "service/job.h"
 #include "service/job_queue.h"
 
 namespace fsmoe::service {
+
+/** Retry-then-quarantine policy for a shard's assignment attempts. */
+struct RetryPolicy
+{
+    /// Give up (quarantine) after this many failed attempts.
+    int maxAttempts = 3;
+    /// Deterministic exponential backoff between attempts:
+    /// min(backoffBaseMs << (attempt-1), backoffMaxMs).
+    int backoffBaseMs = 10;
+    int backoffMaxMs = 1000;
+
+    /** The delay before retrying after @p attempt (1-based) failures. */
+    int backoffMs(int attempt) const;
+};
 
 /** Supervisor policy knobs. */
 struct ServerOptions
@@ -83,7 +98,7 @@ struct ServerOptions
     int heartbeatTimeoutMs = 2000;
     /// Assignment attempts before a shard's remainder is quarantined,
     /// and the backoff before each reassignment.
-    runtime::RetryPolicy retry;
+    RetryPolicy retry;
     /// Worker respawns tolerated per job before the job fails — a
     /// backstop against a fault config that kills every fork.
     int maxWorkerRestarts = 200;
@@ -115,8 +130,9 @@ class SweepServer
      * over the same grid, or null) recovered as Ok, fan the rest out to
      * workers, heal failures, and append every finished record to the
      * journal. Returns one record per scenario in grid order and fills
-     * @p outcome. On graceful stop (base/interrupt) the grid is drained
-     * — streamed results are journalled, unstarted scenarios come back
+     * @p outcome. On graceful stop (base/interrupt, or the stop-after
+     * fault key counting finished results) the grid is drained —
+     * streamed results are journalled, unstarted scenarios come back
      * as default records with an empty schedule — and
      * outcome.interrupted is set. The calling process must be
      * single-threaded.
@@ -167,7 +183,7 @@ bool decodeResultFrame(const std::string &body,
 
 /**
  * Print the nonzero service.* counters (docs/OBSERVABILITY.md) — the
- * --profile block of fsmoe_sweepd and `fsmoe_sweep --isolate`.
+ * --profile block of fsmoe_sweepd and of a fault-tolerant fsmoe_sweep.
  */
 void printServiceCounters();
 

@@ -178,6 +178,49 @@ TEST(Fault, KillAfterFiresExactlyOnceAtTheConfiguredAppend)
     EXPECT_TRUE(shouldKillAfterAppend());
 }
 
+TEST(Fault, StopAfterParsesAPlainCountAndRejectsEverythingElse)
+{
+    FaultConfig cfg;
+    std::string error;
+    ASSERT_TRUE(parseSpec("stop-after=10", &cfg, &error)) << error;
+    EXPECT_EQ(cfg.stopAfterResults, 10u);
+    EXPECT_EQ(cfg.killAfterAppends, 0u);
+    EXPECT_TRUE(cfg.anyEnabled());
+    ASSERT_TRUE(parseSpec("stop-after=0", &cfg, &error)) << error;
+    EXPECT_FALSE(cfg.anyEnabled()) << "0 disables, like kill-after=0";
+
+    const char *bad[] = {
+        "stop-after=",                     // empty
+        "stop-after=-1",                   // negative (strtoull wraps it)
+        "stop-after=+3",                   // signed
+        "stop-after= 3",                   // leading whitespace
+        "stop-after=3x",                   // trailing garbage
+        "stop-after=18446744073709551616", // 2^64 overflows
+    };
+    for (const char *spec : bad) {
+        SCOPED_TRACE(spec);
+        error.clear();
+        EXPECT_FALSE(parseSpec(spec, &cfg, &error));
+        EXPECT_NE(error.find("stop-after"), std::string::npos) << error;
+    }
+}
+
+TEST(Fault, StopAfterFiresExactlyOnceAtTheConfiguredResult)
+{
+    FaultGuard guard;
+    EXPECT_FALSE(shouldStopAfterResult()); // disabled
+    FaultConfig cfg;
+    std::string error;
+    ASSERT_TRUE(parseSpec("stop-after=2,kill-after=1", &cfg, &error))
+        << error;
+    configure(cfg);
+    EXPECT_FALSE(shouldStopAfterResult()); // result 1
+    EXPECT_TRUE(shouldStopAfterResult());  // result 2: fire
+    EXPECT_FALSE(shouldStopAfterResult()); // past the threshold
+    // The two counters are independent.
+    EXPECT_TRUE(shouldKillAfterAppend());
+}
+
 TEST(Fault, ResetDisablesAndConfigReportsTheActivePlan)
 {
     FaultGuard guard;

@@ -2,7 +2,8 @@
  * @file
  * Tests for the four routing functions: assignment structure,
  * determinism, replication, and exact backward passes validated
- * against finite differences of a synthetic loss.
+ * against finite differences of a synthetic loss; plus the
+ * load-balancing auxiliary loss.
  */
 #include <algorithm>
 #include <cmath>
@@ -258,6 +259,36 @@ TEST(GateFactory, NamesMatchKinds)
     EXPECT_EQ(makeGate(GateKind::ExpertChoice, 8, 2, 1, rng)->name(),
               "expert-choice");
     EXPECT_STREQ(gateKindName(GateKind::XMoe), "x-moe");
+}
+
+TEST(AuxLoss, BalancedRoutingMinimisesLoss)
+{
+    // Uniform routing: every expert gets the same count and mass.
+    GateResult balanced, skewed;
+    const int e = 4;
+    const int n = 8;
+    for (int64_t t = 0; t < n; ++t) {
+        balanced.assignments.push_back(
+            {t, static_cast<int>(t % e), 0.5f});
+        skewed.assignments.push_back({t, 0, 0.5f});
+    }
+    AuxLossResult lb = loadBalanceLoss(balanced, e, n);
+    AuxLossResult ls = loadBalanceLoss(skewed, e, n);
+    EXPECT_LT(lb.loss, ls.loss);
+    // Skewed loss is E times the balanced one for one-hot routing.
+    EXPECT_NEAR(ls.loss / lb.loss, e, 1e-6);
+}
+
+TEST(AuxLoss, GradientPushesAwayFromHotExperts)
+{
+    GateResult routing;
+    // Expert 0 takes 3 tokens, expert 1 takes 1.
+    routing.assignments = {
+        {0, 0, 0.9f}, {1, 0, 0.8f}, {2, 0, 0.7f}, {3, 1, 0.6f}};
+    AuxLossResult res = loadBalanceLoss(routing, 2, 4);
+    // Hot expert's weights receive a larger positive gradient (they
+    // get pushed down harder when descending the aux loss).
+    EXPECT_GT(res.dWeights[0], res.dWeights[3]);
 }
 
 } // namespace

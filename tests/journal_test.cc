@@ -209,6 +209,69 @@ TEST(Journal, CorruptChecksumMarksTheTornTail)
     std::remove(path.c_str());
 }
 
+/** The record checksum Journal::append writes: FNV-1a, 16 hex digits. */
+std::string
+checksumHex(const std::string &payload)
+{
+    uint64_t h = 14695981039346656037ULL;
+    for (unsigned char c : payload) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(Journal, NonCanonicalNumbersMarkTheTornTail)
+{
+    // The writer emits "<decimal index> <16 lowercase hex> <payload>".
+    // A line whose index carries a sign, or whose checksum is padded
+    // with whitespace, was not written by Journal::append even when
+    // its numbers parse to the right values — it starts the torn tail.
+    const auto grid = smallGrid();
+    ASSERT_GE(grid.size(), 2u);
+    // A record whose checksum starts with 0, so padding it keeps its
+    // value.
+    std::string payload, sum;
+    for (double ms = 1.0; sum.empty() || sum[0] != '0'; ms += 1.0) {
+        payload = toJsonRecord(recordFor(grid, 1, ms));
+        sum = checksumHex(payload);
+    }
+    const struct
+    {
+        std::string line;
+        size_t recovered;
+    } cases[] = {
+        {"1 " + sum + " " + payload, 2},             // canonical: kept
+        {"+1 " + sum + " " + payload, 1},            // signed index
+        {"1 \t" + sum.substr(1) + " " + payload, 1}, // padded checksum
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.line.substr(0, 20));
+        const std::string path = scratchPath("journal_noncanonical.txt");
+        std::string error;
+        Journal j;
+        ASSERT_TRUE(j.open(path, grid, /*resume=*/false, &error)) << error;
+        ASSERT_TRUE(j.append(0, recordFor(grid, 0, 1.0), &error)) << error;
+        j.close();
+        const std::string intact = readAll(path);
+        ASSERT_TRUE(
+            fileio::atomicWriteFile(path, intact + c.line + "\n", &error))
+            << error;
+
+        Journal back;
+        ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
+        EXPECT_EQ(back.recovered().size(), c.recovered);
+        back.close();
+        if (c.recovered == 1) {
+            EXPECT_EQ(readAll(path), intact) << "torn tail not truncated";
+        }
+        std::remove(path.c_str());
+    }
+}
+
 TEST(Journal, LastRecordWinsForAnIndexAppendedTwice)
 {
     const auto grid = smallGrid();

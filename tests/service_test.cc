@@ -5,9 +5,11 @@
  * canonical serialisation (service/job.h), the crash-safe filesystem
  * job queue (service/job_queue.h), and the SweepServer supervisor:
  * strict Result-frame decoding, runJob's merged output byte-identical
- * to a plain single-process evaluation, and runGrid's healing paths
- * (worker crash, hang, disconnect) under deterministic fault injection.
+ * to the plain SweepEngine, and runGrid's retry, quarantine, resume,
+ * graceful-stop and healing paths (eval error, worker crash, hang,
+ * disconnect, supervisor death) under deterministic fault injection.
  */
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -18,12 +20,12 @@
 #include <gtest/gtest.h>
 
 #include "base/fileio.h"
+#include "base/interrupt.h"
 #include "base/stats.h"
 #include "runtime/fault.h"
 #include "runtime/journal.h"
 #include "runtime/result_store.h"
 #include "runtime/sweep_engine.h"
-#include "runtime/worker.h"
 #include "service/job.h"
 #include "service/job_queue.h"
 #include "service/protocol.h"
@@ -56,6 +58,14 @@ readAll(const std::string &path)
     std::string text, error;
     EXPECT_TRUE(fileio::readTextFile(path, &text, &error)) << error;
     return text;
+}
+
+/** The clean records of @p grid, from the plain engine. */
+std::vector<runtime::SweepResult>
+cleanRecords(const std::vector<runtime::Scenario> &grid)
+{
+    runtime::SweepEngine engine({/*numThreads=*/1});
+    return runtime::toSweepResults(engine.run(grid));
 }
 
 // ---- protocol ------------------------------------------------------
@@ -323,8 +333,8 @@ TEST(ServiceJobQueue, ClaimWithoutStateIsInvisibleDebris)
 TEST(ServiceSweepServer, RunJobOutputIsByteIdenticalToInProcessSweep)
 {
     // The determinism contract (docs/SERVICE.md): the service's
-    // merged output for a grid must equal a plain in-process
-    // evaluation of the same grid, byte for byte.
+    // merged output for a grid must equal the plain engine's sweep of
+    // the same grid, byte for byte.
     JobSpec job = queueJob("e2e");
     job.batches = {1};
     job.schedules = {"FSMoE", "Tutel"};
@@ -346,11 +356,8 @@ TEST(ServiceSweepServer, RunJobOutputIsByteIdenticalToInProcessSweep)
     ASSERT_EQ(outcome.scenarios, grid.size());
     EXPECT_EQ(outcome.okResults, grid.size());
 
-    std::vector<runtime::SweepResult> expect;
-    for (const auto &s : grid)
-        expect.push_back(runtime::evaluateScenario(s, /*attempt=*/1));
     const std::string want = scratchPath("svc_e2e_want.json");
-    ASSERT_TRUE(runtime::writeResultsJson(want, expect));
+    ASSERT_TRUE(runtime::writeResultsJson(want, cleanRecords(grid)));
 
     EXPECT_EQ(readAll(job.outPath), readAll(want));
     std::remove(job.outPath.c_str());
@@ -371,14 +378,13 @@ TEST(ServiceSweepServer, RunJobResumesFromAPartialJournal)
 
     const auto grid = buildJobGrid(job);
     ASSERT_GE(grid.size(), 2u);
+    const auto expect = cleanRecords(grid);
     {
         runtime::Journal j;
         std::string error;
         ASSERT_TRUE(j.open(journal, grid, /*resume=*/false, &error))
             << error;
-        ASSERT_TRUE(j.append(0, runtime::evaluateScenario(grid[0], 1),
-                             &error))
-            << error;
+        ASSERT_TRUE(j.append(0, expect[0], &error)) << error;
     }
 
     ServerOptions opts;
@@ -390,9 +396,6 @@ TEST(ServiceSweepServer, RunJobResumesFromAPartialJournal)
     EXPECT_EQ(outcome.resumed, 1u);
     EXPECT_EQ(outcome.okResults, grid.size());
 
-    std::vector<runtime::SweepResult> expect;
-    for (const auto &s : grid)
-        expect.push_back(runtime::evaluateScenario(s, /*attempt=*/1));
     const std::string want = scratchPath("svc_resume_want.json");
     ASSERT_TRUE(runtime::writeResultsJson(want, expect));
     EXPECT_EQ(readAll(job.outPath), readAll(want));
@@ -408,8 +411,9 @@ TEST(ServiceSweepServer, ResultFramesMustNameTheirGridScenario)
     // anything else (a non-numeric index once parsed as 0) is corrupt.
     const auto grid = runtime::demoGrid({1}, {"FSMoE", "Tutel"});
     ASSERT_GE(grid.size(), 2u);
-    const std::string rec0 =
-        runtime::toJsonRecord(runtime::evaluateScenario(grid[0], 1));
+    runtime::SweepEngine engine;
+    const std::string rec0 = runtime::toJsonRecord(
+        runtime::SweepResult::fromScenarioResult(engine.evaluate(grid[0])));
 
     size_t idx = 99;
     runtime::SweepResult r;
@@ -438,7 +442,7 @@ TEST(ServiceSweepServer, ResultFramesMustNameTheirGridScenario)
     }
 }
 
-// ---- runGrid: the supervisor behind fsmoe_sweep --isolate -----------
+// ---- runGrid: the fault-tolerant path of fsmoe_sweep ----------------
 
 /** RAII: no injection before or after each test, whatever happens. */
 struct FaultGuard
@@ -471,14 +475,19 @@ recordBytes(const std::vector<runtime::SweepResult> &results)
     return out;
 }
 
-/** The clean bytes, from the same pure path the workers evaluate. */
 std::vector<std::string>
 cleanBytes(const std::vector<runtime::Scenario> &grid)
 {
-    std::vector<runtime::SweepResult> out;
-    for (const runtime::Scenario &s : grid)
-        out.push_back(runtime::evaluateScenario(s, /*attempt=*/1));
-    return recordBytes(out);
+    return recordBytes(cleanRecords(grid));
+}
+
+/** Open a fresh journal at @p path over @p grid, or resume it. */
+void
+openJournal(runtime::Journal *j, const std::string &path,
+            const std::vector<runtime::Scenario> &grid, bool resume)
+{
+    std::string error;
+    ASSERT_TRUE(j->open(path, grid, resume, &error)) << error;
 }
 
 ServerOptions
@@ -503,11 +512,256 @@ TEST(ServiceRunGrid, CleanRunIsByteIdenticalToThePlainEngine)
         SweepServer(fastServerOpts()).runGrid(grid, nullptr, &outcome);
     ASSERT_TRUE(outcome.ok) << outcome.error;
     EXPECT_EQ(outcome.okResults, grid.size());
+    EXPECT_EQ(recordBytes(results), cleanBytes(grid));
+}
 
-    // The engine's thread pool starts only after every fork above.
-    runtime::SweepEngine engine({/*numThreads=*/1});
-    EXPECT_EQ(recordBytes(results),
-              recordBytes(runtime::toSweepResults(engine.run(grid))));
+TEST(ServiceRunGrid, JournaledCleanRunIsByteIdenticalToThePlainEngine)
+{
+    // Both what runGrid returns and what it journals carry the plain
+    // engine's bytes, record for record.
+    FaultGuard guard;
+    const auto grid = smallGrid();
+    const auto clean = cleanBytes(grid);
+    const std::string path = scratchPath("svc_rungrid_clean_journal.txt");
+    {
+        runtime::Journal j;
+        openJournal(&j, path, grid, /*resume=*/false);
+        JobOutcome outcome;
+        const auto results =
+            SweepServer(fastServerOpts()).runGrid(grid, &j, &outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+        EXPECT_EQ(outcome.okResults, grid.size());
+        EXPECT_EQ(recordBytes(results), clean);
+    }
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    ASSERT_EQ(back.recovered().size(), grid.size());
+    for (const auto &[idx, r] : back.recovered())
+        EXPECT_EQ(runtime::toJsonRecord(r), clean[idx]) << "index " << idx;
+    std::remove(path.c_str());
+}
+
+TEST(ServiceRunGrid, EvalFaultsRetryDeterministicallyAndSpareSurvivors)
+{
+    // Eval faults alone: no worker dies, every failed scenario is
+    // re-assigned with its shard until it succeeds or exhausts its
+    // attempts, and the outcome is a pure function of the seed.
+    FaultGuard guard;
+    const auto grid = smallGrid();
+    const ServerOptions opts = fastServerOpts();
+    configureFaults("seed=42,eval=0.6");
+    JobOutcome outcome;
+    const auto first = SweepServer(opts).runGrid(grid, nullptr, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto second = SweepServer(opts).runGrid(grid, nullptr, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(recordBytes(first), recordBytes(second));
+    ASSERT_GT(outcome.quarantined, 0u)
+        << "pick a seed that quarantines something";
+    ASSERT_GT(outcome.okResults, 0u) << "pick a seed that leaves survivors";
+
+    runtime::fault::reset();
+    const auto clean = cleanBytes(grid);
+    ASSERT_EQ(first.size(), grid.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+        const runtime::SweepResult &r = first[i];
+        if (r.status == runtime::ResultStatus::Ok) {
+            EXPECT_EQ(runtime::toJsonRecord(r), clean[i]);
+        } else {
+            EXPECT_EQ(r.status, runtime::ResultStatus::Quarantined);
+            EXPECT_EQ(r.attempts, opts.retry.maxAttempts);
+            EXPECT_NE(r.error.find("injected eval fault"), std::string::npos)
+                << r.error;
+            EXPECT_EQ(r.makespanMs, 0.0);
+        }
+    }
+}
+
+TEST(ServiceRunGrid, QuarantinedSweepResumedCleanConvergesToCleanBytes)
+{
+    // A journal holding both Ok and quarantined records: the resume
+    // keeps the Ok ones, re-attempts the rest, and heals to the clean
+    // bytes.
+    FaultGuard guard;
+    const auto grid = smallGrid();
+    const std::string path = scratchPath("svc_rungrid_mixed_journal.txt");
+    size_t survivors = 0;
+    {
+        configureFaults("seed=42,eval=0.9");
+        runtime::Journal j;
+        openJournal(&j, path, grid, /*resume=*/false);
+        JobOutcome outcome;
+        SweepServer(fastServerOpts()).runGrid(grid, &j, &outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+        ASSERT_GT(outcome.quarantined, 0u)
+            << "pick a seed that quarantines something";
+        ASSERT_GT(outcome.okResults, 0u)
+            << "pick a seed that leaves survivors";
+        survivors = outcome.okResults;
+    }
+
+    runtime::fault::reset();
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    EXPECT_EQ(back.recovered().size(), grid.size());
+    JobOutcome outcome;
+    const auto healed =
+        SweepServer(fastServerOpts()).runGrid(grid, &back, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.resumed, survivors);
+    EXPECT_EQ(outcome.quarantined, 0u);
+    EXPECT_EQ(recordBytes(healed), cleanBytes(grid));
+    std::remove(path.c_str());
+}
+
+TEST(ServiceRunGrid, RetryBackoffDoublesAndSaturates)
+{
+    RetryPolicy retry;
+    retry.backoffBaseMs = 10;
+    retry.backoffMaxMs = 1000;
+    EXPECT_EQ(retry.backoffMs(1), 10);
+    EXPECT_EQ(retry.backoffMs(2), 20);
+    EXPECT_EQ(retry.backoffMs(5), 160);
+    EXPECT_EQ(retry.backoffMs(8), 1000);  // capped
+    EXPECT_EQ(retry.backoffMs(30), 1000); // no overflow blow-up
+}
+
+TEST(ServiceRunGrid, CertainEvalFailureQuarantinesAfterMaxAttempts)
+{
+    FaultGuard guard;
+    const auto grid = runtime::ScenarioGrid()
+                          .schedules({"FSMoE"})
+                          .numLayers({1})
+                          .build();
+    ASSERT_EQ(grid.size(), 1u);
+    configureFaults("seed=1,eval=1");
+    ServerOptions opts = fastServerOpts();
+    opts.retry.maxAttempts = 2;
+    JobOutcome outcome;
+    const auto results = SweepServer(opts).runGrid(grid, nullptr, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, runtime::ResultStatus::Quarantined);
+    EXPECT_EQ(results[0].attempts, 2);
+    EXPECT_EQ(results[0].error, "injected eval fault (attempt 2)");
+    EXPECT_EQ(results[0].key(), grid[0].label());
+}
+
+TEST(ServiceRunGrid, ResumeOverACompleteJournalSpawnsNoWorker)
+{
+    FaultGuard guard;
+    const auto grid = smallGrid();
+    const std::string path = scratchPath("svc_rungrid_complete.txt");
+    {
+        runtime::Journal j;
+        openJournal(&j, path, grid, /*resume=*/false);
+        JobOutcome outcome;
+        SweepServer(fastServerOpts()).runGrid(grid, &j, &outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+    }
+
+    // The recovered entries alone must reproduce the full result set.
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    EXPECT_EQ(back.recovered().size(), grid.size());
+    const uint64_t spawned = stats::counter("service.workers.spawned").value();
+    JobOutcome outcome;
+    const auto resumed =
+        SweepServer(fastServerOpts()).runGrid(grid, &back, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(stats::counter("service.workers.spawned").value(), spawned)
+        << "resume over a complete journal forked workers";
+    EXPECT_EQ(outcome.resumed, grid.size());
+    EXPECT_EQ(recordBytes(resumed), cleanBytes(grid));
+    std::remove(path.c_str());
+}
+
+TEST(ServiceRunGrid, KilledMidSweepResumesToByteIdenticalResults)
+{
+    const auto grid = smallGrid();
+    const std::string path = scratchPath("svc_rungrid_kill.txt");
+
+    // Child: a journaled runGrid whose supervisor exits (137) after the
+    // 2nd append — the SIGKILL-mid-sweep case with a deterministic kill
+    // point. Its workers die with it (PR_SET_PDEATHSIG).
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        runtime::fault::FaultConfig cfg;
+        std::string error;
+        if (!runtime::fault::parseSpec("kill-after=2", &cfg, &error))
+            ::_exit(3);
+        runtime::fault::configure(cfg);
+        runtime::Journal j;
+        if (!j.open(path, grid, /*resume=*/false, &error))
+            ::_exit(4);
+        JobOutcome outcome;
+        SweepServer(fastServerOpts()).runGrid(grid, &j, &outcome);
+        ::_exit(5); // must have died on the 2nd append
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 137)
+        << "child completed the sweep it was told to die in";
+
+    // Parent: resume the interrupted journal with injection off.
+    FaultGuard guard;
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    EXPECT_EQ(back.recovered().size(), 2u);
+    JobOutcome outcome;
+    const auto resumed =
+        SweepServer(fastServerOpts()).runGrid(grid, &back, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.resumed, 2u);
+    EXPECT_EQ(recordBytes(resumed), cleanBytes(grid));
+    std::remove(path.c_str());
+}
+
+TEST(ServiceRunGrid, StopAfterDrainsGracefullyAndResumeConverges)
+{
+    // stop-after=K is the deterministic stand-in for SIGTERM: once K
+    // results finish the grid drains, journalled work survives,
+    // unstarted scenarios come back empty, and a resume converges to
+    // the clean bytes.
+    FaultGuard guard;
+    interrupt::clearStop();
+    const auto grid = smallGrid();
+    ASSERT_GT(grid.size(), 2u);
+    const std::string path = scratchPath("svc_rungrid_stop.txt");
+
+    configureFaults("stop-after=2");
+    size_t finished = 0;
+    {
+        runtime::Journal j;
+        openJournal(&j, path, grid, /*resume=*/false);
+        JobOutcome outcome;
+        const auto partial =
+            SweepServer(fastServerOpts()).runGrid(grid, &j, &outcome);
+        EXPECT_TRUE(interrupt::stopRequested());
+        EXPECT_TRUE(outcome.interrupted);
+        ASSERT_EQ(partial.size(), grid.size());
+        for (const runtime::SweepResult &r : partial)
+            finished += !r.schedule.empty();
+    }
+    // Workers finish the scenario in hand while draining, so at least
+    // (not exactly) K results land.
+    EXPECT_GE(finished, 2u);
+    EXPECT_LT(finished, grid.size());
+    interrupt::clearStop();
+    runtime::fault::reset();
+
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    EXPECT_EQ(back.recovered().size(), finished);
+    JobOutcome outcome;
+    const auto resumed =
+        SweepServer(fastServerOpts()).runGrid(grid, &back, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_FALSE(interrupt::stopRequested());
+    EXPECT_EQ(recordBytes(resumed), cleanBytes(grid));
+    std::remove(path.c_str());
 }
 
 TEST(ServiceRunGrid, WorkerCrashesQuarantineAfterMaxAttempts)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the tensor substrate: Tensor, GEMM, elementwise ops,
- * activation forward/backward pairs, top-k, and the RNG.
+ * activation forward/backward pairs, top-k, the RNG, and layer norm.
  */
 #include <cmath>
 #include <numeric>
@@ -328,6 +328,51 @@ TEST(Rng, NormalMomentsRoughlyCorrect)
         var += (t.flat(i) - m) * (t.flat(i) - m);
     var /= t.numel();
     EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
+}
+
+TEST(LayerNorm, NormalisesRows)
+{
+    Rng rng(1);
+    Tensor x = rng.normalTensor({4, 16}, 3.0f, 2.0f);
+    Tensor gamma = Tensor::full({16}, 1.0f);
+    Tensor beta({16});
+    LayerNormCache cache;
+    Tensor y = layerNorm(x, gamma, beta, cache);
+    for (int64_t r = 0; r < 4; ++r) {
+        double sum = 0.0, ss = 0.0;
+        for (int64_t c = 0; c < 16; ++c) {
+            sum += y.at(r, c);
+            ss += y.at(r, c) * y.at(r, c);
+        }
+        EXPECT_NEAR(sum / 16, 0.0, 1e-4);
+        EXPECT_NEAR(ss / 16, 1.0, 1e-3);
+    }
+}
+
+TEST(LayerNorm, BackwardMatchesFiniteDifference)
+{
+    Rng rng(2);
+    Tensor x = rng.normalTensor({3, 8});
+    Tensor gamma = rng.normalTensor({8}, 1.0f, 0.1f);
+    Tensor beta = rng.normalTensor({8}, 0.0f, 0.1f);
+    Tensor dy = rng.normalTensor({3, 8});
+
+    LayerNormCache cache;
+    layerNorm(x, gamma, beta, cache);
+    Tensor d_gamma({8}), d_beta({8});
+    Tensor dx = layerNormBackward(dy, gamma, cache, d_gamma, d_beta);
+
+    auto loss = [&]() {
+        LayerNormCache c;
+        Tensor y = layerNorm(x, gamma, beta, c);
+        double s = 0.0;
+        for (int64_t i = 0; i < y.numel(); ++i)
+            s += y.flat(i) * dy.flat(i);
+        return s;
+    };
+    test::expectGradMatches(x, dx, loss, 1e-3, 2e-2);
+    test::expectGradMatches(gamma, d_gamma, loss, 1e-3, 2e-2);
+    test::expectGradMatches(beta, d_beta, loss, 1e-3, 2e-2);
 }
 
 } // namespace
