@@ -62,17 +62,29 @@ BM_GradPartition(benchmark::State &state)
         core::GeneralizedLayer gl;
         gl.moe = sampleProblem();
         gl.moe.tGar = 0.0;
+        gl.moe.rMax = static_cast<int>(state.range(1));
         gl.denseOlpMs = 0.5;
         gl.gradBytes = 8.0 * (1 << 20);
         gls.push_back(gl);
     }
     core::LinearModel ar{8.37e-2, 5.99e-7, 1.0};
     solver::DeConfig de;
-    de.maxGenerations = 40;
+    de.populationSize = static_cast<int>(state.range(2));
+    de.maxGenerations = static_cast<int>(state.range(3));
+    const bool merged = state.range(4) != 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::partitionGradients(gls, ar, de));
+        benchmark::DoNotOptimize(
+            core::partitionGradients(gls, ar, de, true, merged));
 }
-BENCHMARK(BM_GradPartition)->Arg(4)->Arg(12);
+// The last two rows are the shape a demo-grid sweep pays per FSMoE /
+// FSMoE-No-IIO build: 24 layers, rMax 16, population 24 x 80
+// generations.
+BENCHMARK(BM_GradPartition)
+    ->ArgNames({"layers", "rmax", "pop", "gens", "merged"})
+    ->Args({4, 64, 32, 40, 0})
+    ->Args({12, 64, 32, 40, 0})
+    ->Args({24, 16, 24, 80, 0})
+    ->Args({24, 16, 24, 80, 1});
 
 void
 BM_ScheduleFsMoe(benchmark::State &state)

@@ -239,35 +239,39 @@ printRanked(const std::vector<runtime::SweepResult> &records)
 /**
  * --profile: where did the sweep's time go? Stage times are summed
  * across workers (they can exceed wall time on multiple threads) and
- * count only cache-miss work. The solver line re-slices part of the
- * graph-build line: Algorithm-1 and DE-partition solves happen inside
- * Schedule::build, so cold-solve time is included in "graph build"
- * and broken out separately from the process-wide solver cache.
+ * count only cache-miss work. The two solver lines re-slice part of
+ * the graph-build line: Algorithm-1 and DE-partition solves happen
+ * inside Schedule::build, so cold-solve time is included in "graph
+ * build" and broken out per solver from the process-wide solver cache.
  */
 void
 printProfile(const runtime::SweepStats &stats)
 {
     const core::SolverCacheStats solver = core::solverCacheStats();
     std::printf("\nper-stage profile (summed across workers):\n");
-    std::printf("  %-28s %10.1f ms  (%zu cold, %zu cached)\n",
+    std::printf("  %-30s %10.1f ms  (%zu cold, %zu cached)\n",
                 "cost derivation", stats.costDeriveMs,
                 stats.costCacheMisses, stats.costCacheHits);
     // No cold/cached annotation here: builds are counted by the sim
     // cache only when it is enabled (keepGraphs and --no-sim-cache
     // build every scenario without moving those counters, which the
     // main stats line already reports).
-    std::printf("  %-28s %10.1f ms\n", "graph build + in-build sims",
+    std::printf("  %-30s %10.1f ms\n", "graph build + in-build sims",
                 stats.graphBuildMs);
-    std::printf("  %-28s %10.1f ms  (%llu cold, %llu cached; "
-                "process-wide)\n",
-                "  of which solver solves", solver.solveMs,
-                static_cast<unsigned long long>(solver.pipelineMisses +
-                                                solver.partitionMisses),
-                static_cast<unsigned long long>(solver.pipelineHits +
-                                                solver.partitionHits));
-    std::printf("  %-28s %10.1f ms\n", "simulate (final graphs)",
+    const auto solver_line = [](const char *label, double ms,
+                                uint64_t cold, uint64_t cached) {
+        std::printf("  %-30s %10.1f ms  (%llu cold, %llu cached; "
+                    "process-wide)\n",
+                    label, ms, static_cast<unsigned long long>(cold),
+                    static_cast<unsigned long long>(cached));
+    };
+    solver_line("  of which Algorithm-1 solves", solver.pipelineSolveMs,
+                solver.pipelineMisses, solver.pipelineHits);
+    solver_line("  of which DE partition solves", solver.partitionSolveMs,
+                solver.partitionMisses, solver.partitionHits);
+    std::printf("  %-30s %10.1f ms\n", "simulate (final graphs)",
                 stats.simulateMs);
-    std::printf("  %-28s %10.1f ms\n", "sweep wall time",
+    std::printf("  %-30s %10.1f ms\n", "sweep wall time",
                 stats.lastSweepWallMs);
 
     // Registry-backed view: ratios and per-scenario latency come from

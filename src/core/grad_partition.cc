@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "base/logging.h"
 
@@ -23,22 +26,108 @@ garCapacity(const LinearModel &ar, double ms)
     return std::max(0.0, ar.inverse(ms));
 }
 
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+bool
+sameBits(const TaskModel &a, const TaskModel &b)
+{
+    return bitsOf(a.alpha) == bitsOf(b.alpha) &&
+           bitsOf(a.beta) == bitsOf(b.beta) && bitsOf(a.n) == bitsOf(b.n);
+}
+
+/**
+ * Bitwise equality of every input but tGar, field by field as the
+ * solver cache keys them: -0.0 and 0.0 differ, and struct padding is
+ * never read.
+ */
+bool
+sameShape(const PipelineProblem &a, const PipelineProblem &b)
+{
+    return sameBits(a.a2a, b.a2a) && sameBits(a.ag, b.ag) &&
+           sameBits(a.rs, b.rs) && sameBits(a.exp, b.exp) &&
+           a.rMax == b.rMax;
+}
+
+/**
+ * The per-layer pipeline solves of one partition. Layers whose
+ * problems are bitwise-identical (within one model, all of them) share
+ * one group: one DegreeTable serving the step-2 objective, and one
+ * memo of Algorithm-1 (or merged-channel) solutions keyed by the bit
+ * pattern of tGar, so identical (problem, tGar) inputs solve once.
+ */
+class LayerSolver
+{
+  public:
+    LayerSolver(const std::vector<GeneralizedLayer> &layers, bool merged)
+        : merged_(merged)
+    {
+        groupOf_.reserve(layers.size());
+        for (const GeneralizedLayer &gl : layers) {
+            size_t g = 0;
+            while (g < groups_.size() &&
+                   !sameShape(groups_[g].problem, gl.moe))
+                ++g;
+            if (g == groups_.size())
+                groups_.push_back({gl.moe, DegreeTable(gl.moe), {}});
+            groupOf_.push_back(g);
+        }
+    }
+
+    /** Layer @p i's minimum makespan over all degrees at @p t_gar. */
+    double
+    minTime(size_t i, double t_gar) const
+    {
+        const DegreeTable &table = groups_[groupOf_[i]].table;
+        return merged_ ? table.minMergedTime(t_gar) : table.minTime(t_gar);
+    }
+
+    /** The solver's solution for layer @p i's problem at @p t_gar. */
+    PipelineSolution
+    solve(size_t i, double t_gar)
+    {
+        Group &group = groups_[groupOf_[i]];
+        const uint64_t key = bitsOf(t_gar);
+        for (const auto &[bits, sol] : group.solved)
+            if (bits == key)
+                return sol;
+        PipelineProblem prob = group.problem;
+        prob.tGar = t_gar;
+        group.solved.emplace_back(
+            key, merged_ ? solvePipelineMerged(prob) : solvePipeline(prob));
+        return group.solved.back().second;
+    }
+
+  private:
+    struct Group
+    {
+        PipelineProblem problem;
+        DegreeTable table;
+        std::vector<std::pair<uint64_t, PipelineSolution>> solved;
+    };
+    bool merged_;
+    std::vector<Group> groups_;
+    std::vector<size_t> groupOf_; ///< Group index per layer.
+};
+
 /** Fill a plan's solutions, times and total from its byte assignment. */
 void
 finalizePlan(GradPartitionPlan &plan,
              const std::vector<GeneralizedLayer> &layers,
-             const LinearModel &ar, bool merged)
+             const LinearModel &ar, LayerSolver &solver)
 {
     const size_t n = layers.size();
     plan.tGar.assign(n, 0.0);
     plan.solutions.resize(n);
     plan.totalTimeMs = 0.0;
     for (size_t i = 0; i < n; ++i) {
-        PipelineProblem prob = layers[i].moe;
         plan.tGar[i] = garTime(ar, plan.moeBytes[i]);
-        prob.tGar = plan.tGar[i];
-        plan.solutions[i] = merged ? solvePipelineMerged(prob)
-                                   : solvePipeline(prob);
+        plan.solutions[i] = solver.solve(i, plan.tGar[i]);
         plan.totalTimeMs += plan.solutions[i].tMoe + layers[i].denseOlpMs;
     }
     plan.totalTimeMs += garTime(ar, plan.exposedBytes);
@@ -57,6 +146,7 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
     GradPartitionPlan plan;
     plan.denseBytes.assign(n, 0.0);
     plan.moeBytes.assign(n, 0.0);
+    LayerSolver solver(layers, merged_channel);
 
     // ---- Step 1 (Eqs. 3-4): greedy window filling. ----------------
     // Walk layers in backward execution order. A layer's gradient
@@ -77,9 +167,7 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
             pending -= take;
         }
         if (pending > 0.0) {
-            PipelineSolution free_sol =
-                merged_channel ? solvePipelineMerged(layers[i].moe)
-                               : solvePipeline(layers[i].moe);
+            PipelineSolution free_sol = solver.solve(i, layers[i].moe.tGar);
             double moe_cap = garCapacity(allreduce, free_sol.tOlpMoe);
             double take = std::min(pending, moe_cap);
             plan.moeBytes[i] = take;
@@ -90,7 +178,7 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
     plan.exposedBytes = pending;
 
     if (!enable_step2 || pending <= 0.0) {
-        finalizePlan(plan, layers, allreduce, merged_channel);
+        finalizePlan(plan, layers, allreduce, solver);
         return plan;
     }
 
@@ -115,14 +203,11 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
         assigned = cum;
         if (assigned > remaining)
             violation += assigned - remaining;
-        for (size_t i = 0; i < n; ++i) {
-            PipelineProblem prob = layers[i].moe;
-            prob.tGar = garTime(allreduce, plan.moeBytes[i] + x[i]);
-            // The exhaustive integer solves are exact and cheap
-            // enough for the inner loop of differential evolution.
-            total += merged_channel ? solvePipelineMerged(prob).tMoe
-                                    : solvePipelineExhaustive(prob).tMoe;
-        }
+        // Each layer's exact integer optimum over all degrees, read
+        // from its degree table.
+        for (size_t i = 0; i < n; ++i)
+            total += solver.minTime(
+                i, garTime(allreduce, plan.moeBytes[i] + x[i]));
         double tail = std::max(0.0, remaining - assigned);
         total += garTime(allreduce, tail);
         // Penalty scale: one full AllReduce of the violation, squared
@@ -148,7 +233,7 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
         plan.moeBytes[i] += x;
     }
     plan.exposedBytes = std::max(0.0, remaining - cum);
-    finalizePlan(plan, layers, allreduce, merged_channel);
+    finalizePlan(plan, layers, allreduce, solver);
     return plan;
 }
 
@@ -193,7 +278,8 @@ partitionGradientsLina(const std::vector<GeneralizedLayer> &layers,
         pending += layers[i].gradBytes;
     }
     plan.exposedBytes = pending;
-    finalizePlan(plan, layers, allreduce, /*merged=*/true);
+    LayerSolver merged_solver(layers, /*merged=*/true);
+    finalizePlan(plan, layers, allreduce, merged_solver);
     return plan;
 }
 

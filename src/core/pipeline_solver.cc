@@ -28,59 +28,95 @@ makeProblem(const PerfModelSet &models, const Workload &w, Phase phase,
     return p;
 }
 
-CasePredicates
-evalPredicates(const PipelineProblem &p, double r)
-{
-    const double a2a = p.a2a.chunk(r);
-    const double ag = p.ag.chunk(r);
-    const double rs = p.rs.chunk(r);
-    const double exp = p.exp.chunk(r);
-    const double gar = p.tGar;
+namespace {
 
-    CasePredicates q;
-    q.q1 = a2a > ag;
-    q.q2 = r * exp > 2.0 * (r - 1.0) * a2a;
-    q.q3 = r * exp > (r - 1.0) * (ag + rs);
-    q.q4 = gar > ag + rs;
-    q.q5 = gar > r * exp - 2.0 * (r - 1.0) * a2a + ag + rs;
-    q.q6 = gar > r * ag + r * rs - 2.0 * (r - 1.0) * a2a;
-    q.q7 = gar > ag + rs + r * exp - 2.0 * (r - 1.0) * a2a;
-    return q;
+/** Per-chunk times of the four task types at one degree (Eq. 1). */
+struct Chunks
+{
+    double a2a, ag, rs, exp;
+};
+
+Chunks
+chunksAt(const PipelineProblem &p, double r)
+{
+    return {p.a2a.chunk(r), p.ag.chunk(r), p.rs.chunk(r), p.exp.chunk(r)};
+}
+
+// The makespan formulas below add t_gar last, so every t_gar-free
+// prefix is a subexpression DegreeTable can store with unchanged bits.
+
+/** 2r AlltoAll chunks back to back: case 1 less t_gar, and case 3's head. */
+double
+interBase(const Chunks &c, double r)
+{
+    return 2.0 * r * c.a2a;
+}
+
+/** Compute-bound path: case 2, and the merged model's compute side. */
+double
+computeBound(const Chunks &c, double r)
+{
+    return 2.0 * c.a2a + c.ag + c.rs + r * c.exp;
+}
+
+/** Merged-channel busy time less t_gar. */
+double
+channelBase(const Chunks &c, double r)
+{
+    return r * (2.0 * c.a2a + c.ag + c.rs);
+}
+
+CaseSplit
+caseSplitOf(const Chunks &c, double r)
+{
+    if (c.a2a > c.ag) {                                        // Q1
+        if (r * c.exp > 2.0 * (r - 1.0) * c.a2a)               // Q2
+            return {r * c.exp - 2.0 * (r - 1.0) * c.a2a + c.ag + c.rs,
+                    2};                                        // Q5
+        return {c.ag + c.rs, 3};                               // Q4
+    }
+    if (r * c.exp > (r - 1.0) * (c.ag + c.rs))                 // Q3
+        return {c.ag + c.rs + r * c.exp - 2.0 * (r - 1.0) * c.a2a,
+                2};                                            // Q7
+    return {r * c.ag + r * c.rs - 2.0 * (r - 1.0) * c.a2a, 4}; // Q6
+}
+
+double
+caseTimeOf(const Chunks &c, int case_id, double r, double t_gar)
+{
+    switch (case_id) {
+      case 1: // inter-node communication dominates (Eq. 2)
+        return interBase(c, r) + t_gar;
+      case 2: // expert computation dominates
+        return computeBound(c, r);
+      case 3: // AlltoAll dominates, gar and experts small
+        return interBase(c, r) + c.ag + c.rs;
+      case 4: // intra-node communication dominates
+        return 2.0 * c.a2a + r * (c.ag + c.rs);
+      default:
+        FSMOE_PANIC("invalid case id ", case_id);
+    }
+}
+
+} // namespace
+
+CaseSplit
+caseSplitAt(const PipelineProblem &p, double r)
+{
+    return caseSplitOf(chunksAt(p, r), r);
 }
 
 int
 caseAt(const PipelineProblem &p, double r)
 {
-    const CasePredicates q = evalPredicates(p, r);
-    if (q.q1) {
-        if (q.q2)
-            return q.q5 ? 1 : 2;
-        return q.q4 ? 1 : 3;
-    }
-    if (q.q3)
-        return q.q7 ? 1 : 2;
-    return q.q6 ? 1 : 4;
+    const CaseSplit s = caseSplitAt(p, r);
+    return s.case1(p.tGar) ? 1 : s.otherCase;
 }
 
 double
 caseTime(const PipelineProblem &p, int case_id, double r)
 {
-    const double a2a = p.a2a.chunk(r);
-    const double ag = p.ag.chunk(r);
-    const double rs = p.rs.chunk(r);
-    const double exp = p.exp.chunk(r);
-    switch (case_id) {
-      case 1: // inter-node communication dominates (Eq. 2)
-        return 2.0 * r * a2a + p.tGar;
-      case 2: // expert computation dominates
-        return 2.0 * a2a + ag + rs + r * exp;
-      case 3: // AlltoAll dominates, gar and experts small
-        return 2.0 * r * a2a + ag + rs;
-      case 4: // intra-node communication dominates
-        return 2.0 * a2a + r * (ag + rs);
-      default:
-        FSMOE_PANIC("invalid case id ", case_id);
-    }
+    return caseTimeOf(chunksAt(p, r), case_id, r, p.tGar);
 }
 
 double
@@ -175,14 +211,8 @@ solvePipeline(const PipelineProblem &p)
 double
 mergedMoeTime(const PipelineProblem &p, double r)
 {
-    const double a2a = p.a2a.chunk(r);
-    const double ag = p.ag.chunk(r);
-    const double rs = p.rs.chunk(r);
-    const double exp = p.exp.chunk(r);
-    const double channel =
-        r * (2.0 * a2a + ag + rs) + p.tGar;
-    const double compute = 2.0 * a2a + ag + rs + r * exp;
-    return std::max(channel, compute);
+    const Chunks c = chunksAt(p, r);
+    return std::max(channelBase(c, r) + p.tGar, computeBound(c, r));
 }
 
 PipelineSolution
@@ -205,10 +235,8 @@ solvePipelineMerged(const PipelineProblem &p)
     // merged-channel makespan.
     PipelineProblem q = p;
     q.tGar = 0.0;
-    sol.tOlpMoe = std::max(
-        0.0, mergedMoeTime(q, sol.r) -
-                 (sol.r * (2.0 * q.a2a.chunk(sol.r) + q.ag.chunk(sol.r) +
-                           q.rs.chunk(sol.r))));
+    sol.tOlpMoe = std::max(0.0, mergedMoeTime(q, sol.r) -
+                                    channelBase(chunksAt(q, sol.r), sol.r));
     return sol;
 }
 
@@ -230,6 +258,48 @@ solvePipelineExhaustive(const PipelineProblem &p)
     sol.caseId = caseAt(p, sol.r);
     sol.tOlpMoe = overlappableMoeTime(p, sol.r);
     return sol;
+}
+
+DegreeTable::DegreeTable(const PipelineProblem &p)
+{
+    FSMOE_CHECK_ARG(p.rMax >= 1, "rMax must be at least 1");
+    rows_.reserve(static_cast<size_t>(p.rMax));
+    for (int i = 1; i <= p.rMax; ++i) {
+        const double r = i;
+        const Chunks c = chunksAt(p, r);
+        const CaseSplit split = caseSplitOf(c, r);
+        // Cases 2-4 do not read t_gar.
+        rows_.push_back({split, interBase(c, r),
+                         caseTimeOf(c, split.otherCase, r, 0.0),
+                         channelBase(c, r), computeBound(c, r)});
+    }
+}
+
+// Both scans keep the solvers' strict-< argmin over r = 1..rMax, so
+// they return the first minimal row's value, as the solvers do.
+double
+DegreeTable::minTime(double t_gar) const
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (const Row &row : rows_) {
+        const double t =
+            row.split.case1(t_gar) ? row.case1Base + t_gar : row.otherTime;
+        if (t < best)
+            best = t;
+    }
+    return best;
+}
+
+double
+DegreeTable::minMergedTime(double t_gar) const
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (const Row &row : rows_) {
+        const double t = std::max(row.channelBase + t_gar, row.compute);
+        if (t < best)
+            best = t;
+    }
+    return best;
 }
 
 } // namespace fsmoe::core

@@ -16,6 +16,8 @@
 #ifndef FSMOE_CORE_PIPELINE_SOLVER_H
 #define FSMOE_CORE_PIPELINE_SOLVER_H
 
+#include <vector>
+
 #include "core/moe_config.h"
 #include "core/perf_model.h"
 
@@ -65,12 +67,23 @@ struct PipelineSolution
                               ///< (§5.2), evaluated at r with t_gar = 0.
 };
 
-/** The paper's seven predicates evaluated at pipeline degree @p r. */
-struct CasePredicates
+/**
+ * The t_gar-independent half of the case analysis at one degree.
+ * Predicates Q1..Q3 involve no t_gar; they select which of Q4..Q7
+ * decides case 1, and each of those compares t_gar with a right-hand
+ * side that involves no t_gar either.
+ */
+struct CaseSplit
 {
-    bool q1, q2, q3, q4, q5, q6, q7;
+    double threshold = 0.0; ///< Right-hand side of the deciding Q4..Q7.
+    int otherCase = 2;      ///< Case (2..4) that holds unless case 1 does.
+
+    /** Whether case 1 holds at @p t_gar: the deciding predicate. */
+    bool case1(double t_gar) const { return t_gar > threshold; }
 };
-CasePredicates evalPredicates(const PipelineProblem &p, double r);
+
+/** Evaluate Q1..Q3 and the deciding threshold at degree @p r. */
+CaseSplit caseSplitAt(const PipelineProblem &p, double r);
 
 /** Case id (1..4) that holds at degree @p r; exactly one always does. */
 int caseAt(const PipelineProblem &p, double r);
@@ -101,7 +114,8 @@ PipelineSolution solvePipeline(const PipelineProblem &p);
 
 /**
  * Brute-force reference: evaluate analyticMoeTime at every integer r
- * in [1, rMax] and return the argmin. Used to validate solvePipeline.
+ * in [1, rMax] and return the argmin. The test oracle for
+ * solvePipeline and DegreeTable::minTime.
  */
 PipelineSolution solvePipelineExhaustive(const PipelineProblem &p);
 
@@ -116,6 +130,40 @@ double mergedMoeTime(const PipelineProblem &p, double r);
 
 /** Integer argmin of mergedMoeTime over [1, rMax]. */
 PipelineSolution solvePipelineMerged(const PipelineProblem &p);
+
+/**
+ * The t_gar-independent terms of analyticMoeTime and mergedMoeTime at
+ * every degree r in [1, rMax] of one problem, built once so the
+ * problem's minimum makespan can be re-evaluated for many t_gar values
+ * (the gradient partitioner's step-2 objective) at one comparison and
+ * one addition per degree. Each row holds the very subexpressions the
+ * per-degree formulas compute, and t_gar is added last in both, so
+ * minTime(g) has exactly the bits of solvePipelineExhaustive(p with
+ * tGar = g).tMoe and minMergedTime(g) those of solvePipelineMerged's.
+ */
+class DegreeTable
+{
+  public:
+    /** Tabulate @p p at r = 1..p.rMax; p.tGar is ignored. */
+    explicit DegreeTable(const PipelineProblem &p);
+
+    /** min over r of analyticMoeTime at t_gar = @p t_gar. */
+    double minTime(double t_gar) const;
+
+    /** min over r of mergedMoeTime at t_gar = @p t_gar. */
+    double minMergedTime(double t_gar) const;
+
+  private:
+    struct Row
+    {
+        CaseSplit split;
+        double case1Base;   ///< Case-1 makespan less t_gar.
+        double otherTime;   ///< Makespan of split.otherCase.
+        double channelBase; ///< Merged-channel busy time less t_gar.
+        double compute;     ///< Merged model's compute-bound path.
+    };
+    std::vector<Row> rows_;
+};
 
 } // namespace fsmoe::core
 

@@ -50,6 +50,7 @@ class LinaSchedule : public Schedule
                 best_r = r;
             }
         }
+        // Rebuilt rather than kept, for peak memory (see tutel.cc).
         return buildWithDegree(model, best_r);
     }
 

@@ -52,6 +52,9 @@ class TutelSchedule : public Schedule
                 best_r = r;
             }
         }
+        // Rebuilt rather than kept: holding the winner's graph while
+        // later candidates build and simulate raises peak memory by up
+        // to one graph, which costs more than this one build saves.
         return buildWithDegree(model, best_r);
     }
 

@@ -15,25 +15,39 @@ namespace fsmoe::core {
 namespace {
 
 /**
- * Registry mirrors of the local SolverCacheStats counters, so
- * `--metrics-json` snapshots see the solver tier next to the sweep
+ * One solver tier's statistics: its SolverCacheStats fields and their
+ * registry mirrors `<name>.hits`, `.misses` and `.solve.ms`, so
+ * `--metrics-json` snapshots see the solver tiers next to the sweep
  * caches. clearSolverCaches() resets the local struct only — the
  * registry stays cumulative until Registry::reset().
  */
-struct SolverRegStats
+struct Tier
 {
-    stats::Counter &pipelineHits = stats::counter("solver.pipeline.hits");
-    stats::Counter &pipelineMisses =
-        stats::counter("solver.pipeline.misses");
-    stats::Counter &partitionHits = stats::counter("solver.partition.hits");
-    stats::Counter &partitionMisses =
-        stats::counter("solver.partition.misses");
-    stats::Histogram &solveMs = stats::histogram("solver.solve.ms");
+    const char *name; ///< Registry prefix, also the audit domain.
+    uint64_t SolverCacheStats::*hits;
+    uint64_t SolverCacheStats::*misses;
+    double SolverCacheStats::*solveMs;
+    stats::Counter &regHits = stats::counter(std::string(name) + ".hits");
+    stats::Counter &regMisses =
+        stats::counter(std::string(name) + ".misses");
+    stats::Histogram &regSolveMs =
+        stats::histogram(std::string(name) + ".solve.ms");
+};
 
-    static SolverRegStats &instance()
+/** Both tiers, registered together on first use of either. */
+struct Tiers
+{
+    Tier pipeline{"solver.pipeline", &SolverCacheStats::pipelineHits,
+                  &SolverCacheStats::pipelineMisses,
+                  &SolverCacheStats::pipelineSolveMs};
+    Tier partition{"solver.partition", &SolverCacheStats::partitionHits,
+                   &SolverCacheStats::partitionMisses,
+                   &SolverCacheStats::partitionSolveMs};
+
+    static Tiers &instance()
     {
-        static SolverRegStats s;
-        return s;
+        static Tiers t;
+        return t;
     }
 };
 
@@ -158,41 +172,37 @@ fingerprintPlan(const GradPartitionPlan &p)
  */
 template <typename Map, typename Solve, typename Fingerprint>
 auto
-memoized(Map &cache, const char *audit_domain, const std::string &key,
-         uint64_t SolverCacheStats::*hit, uint64_t SolverCacheStats::*miss,
-         stats::Counter &reg_hit, stats::Counter &reg_miss, Solve &&solve,
+memoized(Map &cache, const Tier &tier, const std::string &key, Solve &&solve,
          Fingerprint &&fingerprint)
 {
-    (void)audit_domain;
     (void)fingerprint;
     typename Map::mapped_type entry;
     {
         std::lock_guard<std::mutex> lock(mu);
         auto it = cache.find(key);
         if (it != cache.end()) {
-            stats.*hit += 1;
+            stats.*tier.hits += 1;
             entry = it->second;
         } else {
-            stats.*miss += 1;
+            stats.*tier.misses += 1;
         }
     }
     if (entry != nullptr) {
-        reg_hit.inc();
+        tier.regHits.inc();
         return *entry;
     }
-    reg_miss.inc();
+    tier.regMisses.inc();
     Timer timer;
     auto value = std::make_shared<
         typename Map::mapped_type::element_type>(solve());
     const double ms = timer.elapsedMs();
-    SolverRegStats::instance().solveMs.observe(ms);
+    tier.regSolveMs.observe(ms);
     // Cold solves register their payload fingerprint; a later compute
     // of the same bit-pattern key must produce identical bytes.
-    FSMOE_AUDIT(audit::checkCacheKey(audit_domain, key,
-                                     fingerprint(*value)));
+    FSMOE_AUDIT(audit::checkCacheKey(tier.name, key, fingerprint(*value)));
     {
         std::lock_guard<std::mutex> lock(mu);
-        stats.solveMs += ms;
+        stats.*tier.solveMs += ms;
         if (cache.size() >= kMaxEntries)
             cache.clear();
         cache.emplace(key, value);
@@ -207,11 +217,8 @@ cachedSolvePipeline(const PipelineProblem &p)
 {
     std::string key(1, 'S');
     appendProblem(key, p);
-    SolverRegStats &reg = SolverRegStats::instance();
-    return memoized(pipeline_cache, "solver.pipeline", key,
-                    &SolverCacheStats::pipelineHits,
-                    &SolverCacheStats::pipelineMisses, reg.pipelineHits,
-                    reg.pipelineMisses, [&] { return solvePipeline(p); },
+    return memoized(pipeline_cache, Tiers::instance().pipeline, key,
+                    [&] { return solvePipeline(p); },
                     FSMOE_SOLVER_FP(fingerprintSolution));
 }
 
@@ -220,11 +227,7 @@ cachedSolvePipelineMerged(const PipelineProblem &p)
 {
     std::string key(1, 'M');
     appendProblem(key, p);
-    SolverRegStats &reg = SolverRegStats::instance();
-    return memoized(pipeline_cache, "solver.pipeline", key,
-                    &SolverCacheStats::pipelineHits,
-                    &SolverCacheStats::pipelineMisses, reg.pipelineHits,
-                    reg.pipelineMisses,
+    return memoized(pipeline_cache, Tiers::instance().pipeline, key,
                     [&] { return solvePipelineMerged(p); },
                     FSMOE_SOLVER_FP(fingerprintSolution));
 }
@@ -253,11 +256,7 @@ cachedPartitionGradients(const std::vector<GeneralizedLayer> &layers,
     appendBits(key, de.tolerance);
     key.push_back(enable_step2 ? '1' : '0');
     key.push_back(merged_channel ? '1' : '0');
-    SolverRegStats &reg = SolverRegStats::instance();
-    return memoized(partition_cache, "solver.partition", key,
-                    &SolverCacheStats::partitionHits,
-                    &SolverCacheStats::partitionMisses, reg.partitionHits,
-                    reg.partitionMisses,
+    return memoized(partition_cache, Tiers::instance().partition, key,
                     [&] {
                         return partitionGradients(layers, allreduce, de,
                                                   enable_step2,

@@ -40,7 +40,8 @@ struct SolverCacheStats
     uint64_t pipelineMisses = 0; ///< Cold Algorithm-1 solves.
     uint64_t partitionHits = 0;  ///< partitionGradients cache hits.
     uint64_t partitionMisses = 0; ///< Cold DE partition solves.
-    double solveMs = 0.0;        ///< Wall time spent in cold solves.
+    double pipelineSolveMs = 0.0;  ///< Wall time in cold Algorithm-1 solves.
+    double partitionSolveMs = 0.0; ///< Wall time in cold DE partitions.
 };
 
 /** Memoized solvePipeline (Algorithm 1, separate channels). */

@@ -114,6 +114,58 @@ TEST(GradPartition, Step2NeverWorseThanStep1Alone)
     EXPECT_LE(full.totalTimeMs, greedy.totalTimeMs * 1.001);
 }
 
+/** A partition's output bits, pinned when the plan must not move. */
+struct PinnedPlan
+{
+    double totalTimeMs;
+    double exposedBytes;
+    int deGenerations;
+    std::vector<double> moeBytes;
+    std::vector<int> r;
+};
+
+void
+expectPinned(const GradPartitionPlan &plan, const PinnedPlan &pin)
+{
+    EXPECT_EQ(plan.totalTimeMs, pin.totalTimeMs);
+    EXPECT_EQ(plan.exposedBytes, pin.exposedBytes);
+    EXPECT_EQ(plan.deGenerations, pin.deGenerations);
+    ASSERT_EQ(plan.moeBytes.size(), pin.moeBytes.size());
+    ASSERT_EQ(plan.solutions.size(), pin.r.size());
+    for (size_t i = 0; i < pin.moeBytes.size(); ++i) {
+        EXPECT_EQ(plan.moeBytes[i], pin.moeBytes[i]) << "layer " << i;
+        EXPECT_EQ(plan.solutions[i].r, pin.r[i]) << "layer " << i;
+    }
+}
+
+TEST(GradPartition, Step2PlanBitsArePinned)
+{
+    // Step 2 with FSMoE's DE budget on both channel models, pinned to
+    // 17 digits: the step-2 objective must equal the exhaustive integer
+    // solves bit for bit, or DE takes another path, and this input
+    // reaches expressions the blessed demo grid may not.
+    solver::DeConfig de;
+    de.populationSize = 24;
+    de.maxGenerations = 80;
+    const auto layers = makeLayers(6, 30.0, 0.3);
+    expectPinned(partitionGradients(layers, arModel(), de, true, false),
+                 {190.17268890239995,
+                  9526173.5256271958,
+                  54,
+                  {25524849.683044892, 22945879.074664507,
+                   26020648.539906114, 37608037.489372171,
+                   40239226.952166632, 24712253.716854524},
+                  {1, 1, 1, 1, 1, 1}});
+    expectPinned(partitionGradients(layers, arModel(), de, true, true),
+                 {231.06593389439996,
+                  1621965.5232794881,
+                  40,
+                  {12644137.874764711, 31821530.754858941,
+                   22869303.142960511, 9686793.9780983739,
+                   70406642.622865632, 37526695.084808394},
+                  {1, 1, 1, 1, 1, 1}});
+}
+
 TEST(GradPartition, TGarReflectsAssignedBytes)
 {
     auto layers = makeLayers(5, 20.0);

@@ -1,10 +1,16 @@
 /**
  * @file
  * Tests for Algorithm 1: predicate logic, case formulas, continuous
- * vs exhaustive agreement over a configuration sweep, agreement with
+ * vs exhaustive agreement over a configuration sweep, bit-exactness of
+ * the per-degree table against the integer solvers, agreement with
  * the discrete-event simulator, and the paper's observation that
  * forward and backward phases prefer different degrees.
  */
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/moe_config.h"
@@ -95,11 +101,11 @@ TEST(PipelineSolver, CaseFormulasAreTheMaxEnvelope)
     }
 }
 
-TEST(PipelineSolver, SolverMatchesExhaustiveOnSweep)
+/** The Table-4 slice both testbeds are swept over, t_gar = 0.8. */
+std::vector<PipelineProblem>
+table4Slice()
 {
-    // Sweep a slice of the paper's Table 4 grid on both testbeds and
-    // require the Algorithm-1 solve to match brute force.
-    int checked = 0, matched_time = 0;
+    std::vector<PipelineProblem> problems;
     for (const sim::ClusterSpec &cluster :
          {sim::testbedA(), sim::testbedB()}) {
         for (int64_t batch : {1, 4}) {
@@ -112,27 +118,73 @@ TEST(PipelineSolver, SolverMatchesExhaustiveOnSweep)
                         s.embed = m;
                         s.hidden = static_cast<int64_t>(m * hs);
                         s.numExperts = cluster.numNodes;
-                        for (Phase ph :
-                             {Phase::Forward, Phase::Backward}) {
-                            PipelineProblem p =
-                                problemFor(cluster, s, ph, 0.8);
-                            PipelineSolution fast = solvePipeline(p);
-                            PipelineSolution ref =
-                                solvePipelineExhaustive(p);
-                            checked++;
-                            // Times must agree to within 2%; the
-                            // degree itself may differ on flat optima.
-                            if (fast.tMoe <= ref.tMoe * 1.02)
-                                matched_time++;
-                        }
+                        for (Phase ph : {Phase::Forward, Phase::Backward})
+                            problems.push_back(
+                                problemFor(cluster, s, ph, 0.8));
                     }
                 }
             }
         }
     }
+    return problems;
+}
+
+TEST(PipelineSolver, SolverMatchesExhaustiveOnSweep)
+{
+    // Require the Algorithm-1 solve to match brute force on the slice.
+    int checked = 0, matched_time = 0;
+    for (const PipelineProblem &p : table4Slice()) {
+        PipelineSolution fast = solvePipeline(p);
+        PipelineSolution ref = solvePipelineExhaustive(p);
+        checked++;
+        // Times must agree to within 2%; the degree itself may differ
+        // on flat optima.
+        if (fast.tMoe <= ref.tMoe * 1.02)
+            matched_time++;
+    }
     EXPECT_EQ(checked, matched_time)
         << "Algorithm 1 lost >2% vs brute force on some configs";
     EXPECT_EQ(checked, 2 * 2 * 2 * 2 * 2 * 2);
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+TEST(PipelineSolver, DegreeTableIsBitExactAgainstTheSolvers)
+{
+    // The gradient partitioner's objective reads minimum makespans from
+    // DegreeTable instead of solving; any reordered expression would
+    // move the blessed baselines, so equality is on the bit pattern.
+    // Probe both signed zeros, each row's case-1 threshold and its two
+    // neighbouring doubles (where the deciding predicate flips), and a
+    // tiny and a huge t_gar.
+    int probes = 0;
+    for (PipelineProblem p : table4Slice()) {
+        const DegreeTable table(p);
+        std::vector<double> gars = {0.0, -0.0, 1e-300, 1e6};
+        for (int r = 1; r <= p.rMax; ++r) {
+            const double th = caseSplitAt(p, r).threshold;
+            gars.push_back(th);
+            gars.push_back(std::nextafter(th, -HUGE_VAL));
+            gars.push_back(std::nextafter(th, HUGE_VAL));
+        }
+        for (double g : gars) {
+            p.tGar = g;
+            EXPECT_EQ(bitsOf(table.minTime(g)),
+                      bitsOf(solvePipelineExhaustive(p).tMoe))
+                << "t_gar=" << g;
+            EXPECT_EQ(bitsOf(table.minMergedTime(g)),
+                      bitsOf(solvePipelineMerged(p).tMoe))
+                << "t_gar=" << g;
+            ++probes;
+        }
+    }
+    EXPECT_EQ(probes, 64 * (4 + 3 * 64));
 }
 
 TEST(PipelineSolver, AnalyticTimeTracksSimulatedPipeline)
