@@ -14,6 +14,7 @@
 #include "core/schedules/schedule.h"
 #include "dist/communicator.h"
 #include "model/models.h"
+#include "runtime/scenario.h"
 #include "tensor/gemm.h"
 #include "tensor/rng.h"
 
@@ -98,6 +99,29 @@ BM_ScheduleFsMoe(benchmark::State &state)
         benchmark::DoNotOptimize(sched->iterationTimeMs(cost));
 }
 BENCHMARK(BM_ScheduleFsMoe);
+
+/**
+ * One Tutel degree search (searchDegree plus the winner's rebuild) on
+ * the demo grid's mixtral-7b/testbedB/b2 configuration: it picks r = 2
+ * and has the fewest candidates the link-sum bound skips, so it is the
+ * pruned search's worst demo case. Items are candidate degrees.
+ */
+void
+BM_DegreeSearch(benchmark::State &state)
+{
+    runtime::Scenario scenario;
+    scenario.model = "mixtral-7b";
+    scenario.cluster = "testbedB";
+    scenario.batch = 2;
+    scenario.seqLen = 256;
+    const core::ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(scenario);
+    auto sched = core::Schedule::create("tutel");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sched->build(cost));
+    state.SetItemsProcessed(state.iterations() * cost.rMax);
+}
+BENCHMARK(BM_DegreeSearch);
 
 void
 BM_Simulator(benchmark::State &state)

@@ -269,6 +269,20 @@ printProfile(const runtime::SweepStats &stats)
                 solver.pipelineMisses, solver.pipelineHits);
     solver_line("  of which DE partition solves", solver.partitionSolveMs,
                 solver.partitionMisses, solver.partitionHits);
+    // Tutel/Lina degree searches (core::detail::searchDegree): of the
+    // candidate degrees, how many the link-sum bound skipped unbuilt,
+    // how many were simulated, and how many of those hit the cutoff.
+    const auto count = [](const char *name) {
+        return static_cast<unsigned long long>(
+            stats::counter(name).value());
+    };
+    std::printf("  %-30s %10llu     (%llu bounded, %llu simulated, "
+                "%llu cut; process-wide)\n",
+                "  degree-search candidates",
+                count("schedule.search.candidates"),
+                count("schedule.search.bounded"),
+                count("schedule.search.simulated"),
+                count("schedule.search.cut"));
     std::printf("  %-30s %10.1f ms\n", "simulate (final graphs)",
                 stats.simulateMs);
     std::printf("  %-30s %10.1f ms\n", "sweep wall time",

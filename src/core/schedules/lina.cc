@@ -9,7 +9,6 @@
  * oversized chunk collides with AlltoAll on the shared channel.
  */
 #include <cmath>
-#include <limits>
 
 #include "core/schedules/builtins.h"
 #include "core/schedules/schedule.h"
@@ -37,28 +36,21 @@ class LinaSchedule : public Schedule
     sim::TaskGraph
     build(const ModelCost &model) const override
     {
-        if (degree_ > 0)
-            return buildWithDegree(model, degree_);
-        int best_r = 1;
-        double best_t = std::numeric_limits<double>::infinity();
-        sim::Simulator simulator;
-        for (int r = 1; r <= model.rMax; ++r) {
-            sim::TaskGraph g = buildWithDegree(model, r);
-            double t = simulator.run(g).makespan;
-            if (t < best_t) {
-                best_t = t;
-                best_r = r;
-            }
-        }
-        // Rebuilt rather than kept, for peak memory (see tutel.cc).
-        return buildWithDegree(model, best_r);
+        int r = degree_;
+        if (r == 0)
+            r = searchDegree(model, [&](sim::TaskGraph &g, int d) {
+                    emit(g, model, d);
+                }).r;
+        sim::TaskGraph graph;
+        emit(graph, model, r);
+        return graph;
     }
 
   private:
-    sim::TaskGraph
-    buildWithDegree(const ModelCost &model, int r) const
+    /** Append the iteration graph at pipeline degree @p r. */
+    void
+    emit(sim::TaskGraph &graph, const ModelCost &model, int r) const
     {
-        sim::TaskGraph graph;
         reserveIteration(graph, model.layers.size(), r);
         PipelineBuildOptions opts;
         opts.mergeCommLinks = true;
@@ -100,7 +92,6 @@ class LinaSchedule : public Schedule
         barrier_deps.push_back(dep);
         graph.addTask("barrier", sim::OpType::Other, sim::Link::Compute,
                       kCompute, 0.0, std::move(barrier_deps));
-        return graph;
     }
 
     double chunk_bytes_;

@@ -1,8 +1,10 @@
 #include "core/schedules/schedule.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/logging.h"
+#include "base/stats.h"
 
 namespace fsmoe::core {
 
@@ -170,6 +172,59 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
         tail_deps.push_back(combine[i]);
     return graph.addTask("iorder", sim::OpType::Order, sim::Link::Compute,
                          s_comp, t.order, std::move(tail_deps));
+}
+
+namespace {
+
+/** Registry handles for the degree search, resolved once. */
+struct SearchStats
+{
+    stats::Counter &candidates =
+        stats::counter("schedule.search.candidates");
+    stats::Counter &bounded = stats::counter("schedule.search.bounded");
+    stats::Counter &simulated = stats::counter("schedule.search.simulated");
+    stats::Counter &cut = stats::counter("schedule.search.cut");
+
+    static SearchStats &instance()
+    {
+        static SearchStats s;
+        return s;
+    }
+};
+
+} // namespace
+
+DegreeChoice
+searchDegree(const ModelCost &model, const DegreeEmitter &emit)
+{
+    DegreeChoice best;
+    best.makespanMs = std::numeric_limits<double>::infinity();
+    uint64_t bounded = 0, simulated = 0, cut = 0;
+    const sim::Simulator simulator;
+    for (int r = 1; r <= model.rMax; ++r) {
+        sim::TaskGraph tally = sim::TaskGraph::durationTally();
+        emit(tally, r);
+        if (sim::Simulator::makespanLowerBound(tally) >= best.makespanMs) {
+            ++bounded;
+            continue;
+        }
+        sim::TaskGraph graph;
+        emit(graph, r);
+        ++simulated;
+        const double t = simulator.makespanBelow(graph, best.makespanMs);
+        if (t < best.makespanMs) {
+            best.r = r;
+            best.makespanMs = t;
+        } else {
+            ++cut;
+        }
+    }
+    SearchStats &st = SearchStats::instance();
+    st.candidates.inc(bounded + simulated);
+    st.bounded.inc(bounded);
+    st.simulated.inc(simulated);
+    st.cut.inc(cut);
+    return best;
 }
 
 std::vector<GeneralizedLayer>

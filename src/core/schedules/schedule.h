@@ -34,6 +34,7 @@
 #ifndef FSMOE_CORE_SCHEDULES_SCHEDULE_H
 #define FSMOE_CORE_SCHEDULES_SCHEDULE_H
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,6 +202,34 @@ sim::TaskId appendAttention(sim::TaskGraph &graph, const LayerCost &lc,
  * degrade vector growth to quadratic copying).
  */
 void reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max);
+
+/** Appends a schedule's iteration graph at pipeline degree r. */
+using DegreeEmitter = std::function<void(sim::TaskGraph &graph, int r)>;
+
+/** The degree a search picked and its simulated makespan. */
+struct DegreeChoice
+{
+    int r = 1;
+    double makespanMs = 0.0;
+};
+
+/**
+ * PipeMoE's adaptive pipeline degree (paper Fig. 3b): the r in
+ * 1..model.rMax whose graph, as @p emit appends it, simulates to the
+ * smallest makespan, the first such r on ties. Exact but pruned: each
+ * candidate is first emitted into a TaskGraph::durationTally(), and
+ * is skipped without being built when its link-sum lower bound
+ * (Simulator::makespanLowerBound) already reaches the best makespan so
+ * far; the rest are built and simulated with that makespan as the
+ * cutoff (Simulator::makespanBelow). A skipped or cut candidate's
+ * makespan is >= the best, and the loop keeps a new best only on a
+ * strict <, ascending in r, so the choice is the unpruned loop's,
+ * bit for bit. Counts into schedule.search.{candidates, bounded,
+ * simulated, cut} (docs/OBSERVABILITY.md). The caller rebuilds the
+ * winner: holding its graph while later candidates build raises peak
+ * memory by up to one graph.
+ */
+DegreeChoice searchDegree(const ModelCost &model, const DegreeEmitter &emit);
 
 /** Build backward-order generalized layers for the grad partitioner. */
 std::vector<GeneralizedLayer> makeGeneralizedLayers(const ModelCost &model);

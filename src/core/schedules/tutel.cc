@@ -11,8 +11,6 @@
  *    adaptively (PipeMoE) by minimising the simulated iteration time;
  *  - plain Tutel leaves Gradient-AllReduce unoverlapped at the end.
  */
-#include <limits>
-
 #include "core/schedules/builtins.h"
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
@@ -39,30 +37,21 @@ class TutelSchedule : public Schedule
     sim::TaskGraph
     build(const ModelCost &model) const override
     {
-        if (degree_ > 0)
-            return buildWithDegree(model, degree_);
-        int best_r = 1;
-        double best_t = std::numeric_limits<double>::infinity();
-        sim::Simulator simulator;
-        for (int r = 1; r <= model.rMax; ++r) {
-            sim::TaskGraph g = buildWithDegree(model, r);
-            double t = simulator.run(g).makespan;
-            if (t < best_t) {
-                best_t = t;
-                best_r = r;
-            }
-        }
-        // Rebuilt rather than kept: holding the winner's graph while
-        // later candidates build and simulate raises peak memory by up
-        // to one graph, which costs more than this one build saves.
-        return buildWithDegree(model, best_r);
+        int r = degree_;
+        if (r == 0)
+            r = searchDegree(model, [&](sim::TaskGraph &g, int d) {
+                    emit(g, model, d);
+                }).r;
+        sim::TaskGraph graph;
+        emit(graph, model, r);
+        return graph;
     }
 
   private:
-    sim::TaskGraph
-    buildWithDegree(const ModelCost &model, int r) const
+    /** Append the iteration graph at pipeline degree @p r. */
+    void
+    emit(sim::TaskGraph &graph, const ModelCost &model, int r) const
     {
-        sim::TaskGraph graph;
         reserveIteration(graph, model.layers.size(), r);
         PipelineBuildOptions opts;
         opts.mergeCommLinks = true;
@@ -108,12 +97,11 @@ class TutelSchedule : public Schedule
                                     sim::Link::InterNode, kGradAllReduce, t,
                                     {dep});
             }
-            return graph;
+            return;
         }
         gar_tasks.push_back(dep);
         graph.addTask("barrier", sim::OpType::Other, sim::Link::Compute,
                       kCompute, 0.0, std::move(gar_tasks));
-        return graph;
     }
 
     bool improved_;

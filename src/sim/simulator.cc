@@ -22,6 +22,7 @@ namespace {
 struct SimStats
 {
     stats::Counter &runs = stats::counter("sim.runs");
+    stats::Counter &runsCut = stats::counter("sim.runs.cut");
     stats::Counter &tasks = stats::counter("sim.tasks.executed");
     stats::Counter &events = stats::counter("sim.events.processed");
     stats::Counter &heapPushes = stats::counter("sim.heap.pushes");
@@ -67,8 +68,18 @@ struct SimStats
  * minimum *is* the task the scan would have picked.
  */
 
-SimResult
-Simulator::run(const TaskGraph &graph) const
+namespace {
+
+/**
+ * The event loop behind run() and makespanBelow(). Simulates @p graph
+ * into @p result, writing result.trace only when @p record_trace (the
+ * caller sizes it), and gives up — returning false with @p result
+ * partial — once the makespan is proven >= @p cutoff. With cutoff =
+ * +inf it never gives up.
+ */
+bool
+simulate(const TaskGraph &graph, double cutoff, bool record_trace,
+         SimResult &result)
 {
     // Debug-mode audit: full CSR/acyclicity validation of the input
     // graph (compiled out of Release; see base/audit.h).
@@ -76,12 +87,16 @@ Simulator::run(const TaskGraph &graph) const
 
     const auto &tasks = graph.tasks();
     const size_t n = tasks.size();
-    SimResult result;
-    result.trace.resize(n);
+    FSMOE_CHECK_ARG(n == graph.size(), "cannot simulate a duration tally");
     SimStats &sim_stats = SimStats::instance();
     sim_stats.runs.inc();
+    const bool can_cut = cutoff < std::numeric_limits<double>::infinity();
+    if (can_cut && Simulator::makespanLowerBound(graph) >= cutoff) {
+        sim_stats.runsCut.inc();
+        return false;
+    }
     if (n == 0)
-        return result;
+        return true;
 
     // Local telemetry, flushed to the registry once after the loop.
     uint64_t heap_pushes = 0;
@@ -220,7 +235,8 @@ Simulator::run(const TaskGraph &graph) const
         }
 #endif
         double finish = now + t.duration;
-        result.trace[id] = {id, now, finish};
+        if (record_trace)
+            result.trace[id] = {id, now, finish};
         link_free[li] = finish;
         events.emplace(finish, id);
         head[t.stream]++;
@@ -245,6 +261,7 @@ Simulator::run(const TaskGraph &graph) const
         }
     };
 
+    bool cut = false;
     try_start();
     while (finished_count < n) {
         FSMOE_ASSERT(!events.empty(),
@@ -253,6 +270,10 @@ Simulator::run(const TaskGraph &graph) const
         auto [t_now, id] = events.top();
         events.pop();
         ++events_processed;
+        if (can_cut && t_now >= cutoff) {
+            cut = true;
+            break;
+        }
         now = t_now;
         if (finished[id])
             continue;
@@ -282,13 +303,53 @@ Simulator::run(const TaskGraph &graph) const
         pop_checks.inc(audit_pop_checks);
     }
 #endif
-    sim_stats.tasks.inc(n);
+    // A cut run flushes the work it actually did.
+    if (cut)
+        sim_stats.runsCut.inc();
+    sim_stats.tasks.inc(finished_count);
     sim_stats.events.inc(events_processed);
     sim_stats.heapPushes.inc(heap_pushes);
     sim_stats.heapPops.inc(heap_pops);
     for (size_t li = 0; li < result.linkBusyMs.size(); ++li)
         sim_stats.linkBusy[li]->add(result.linkBusyMs[li]);
+    return !cut;
+}
+
+} // namespace
+
+SimResult
+Simulator::run(const TaskGraph &graph) const
+{
+    SimResult result;
+    result.trace.resize(graph.tasks().size());
+    simulate(graph, std::numeric_limits<double>::infinity(),
+             /*record_trace=*/true, result);
     return result;
+}
+
+double
+Simulator::makespanBelow(const TaskGraph &graph, double cutoff) const
+{
+    SimResult result;
+    return simulate(graph, cutoff, /*record_trace=*/false, result) &&
+                   result.makespan < cutoff
+               ? result.makespan
+               : std::numeric_limits<double>::infinity();
+}
+
+double
+Simulator::makespanLowerBound(const TaskGraph &graph)
+{
+    // Exact in binary64 for n < 2^51: 4(n+1) is an integer and
+    // 1 - m 2^-53 is representable for m 2^-53 <= 1/2.
+    const double margin =
+        1.0 - 4.0 * (static_cast<double>(graph.size()) + 1.0) * 0x1p-53;
+    double bound = 0.0;
+    for (size_t li = 0; li < static_cast<size_t>(Link::NumLinks); ++li)
+        bound = std::max(bound,
+                         graph.linkDurationSum(static_cast<Link>(li)) *
+                             margin);
+    return bound;
 }
 
 std::string

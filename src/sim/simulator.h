@@ -85,6 +85,36 @@ class Simulator
     SimResult run(const TaskGraph &graph) const;
 
     /**
+     * The makespan of @p graph when it is below @p cutoff, else +inf.
+     * Runs run()'s event loop, recording no per-task trace, and stops
+     * as soon as the answer is known to be >= @p cutoff: before the
+     * first event when makespanLowerBound(graph) >= @p cutoff, or at
+     * the first popped completion event whose time is >= @p cutoff
+     * (events pop in time order and the makespan is the last one). A
+     * returned value below the cutoff is bit-identical to
+     * run(graph).makespan; run() is this loop with cutoff = +inf.
+     */
+    double makespanBelow(const TaskGraph &graph, double cutoff) const;
+
+    /**
+     * A proven lower bound on run(graph).makespan, computed from the
+     * graph's per-link duration sums alone, so it holds for a
+     * TaskGraph::durationTally() as well as for a built graph: the
+     * largest linkDurationSum() times (1 - 4(n+1) 2^-53) for n tasks.
+     *
+     * Why the margin is sound: a link runs one task at a time, each
+     * starting no earlier than the previous one finished, and rounding
+     * is monotone, so the link's last finish is >= the rounded left
+     * fold of its durations in *start* order. That fold and the id-
+     * order fold linkDurationSum() keeps are both within gamma_n =
+     * n u / (1 - n u) (u = 2^-53) of the exact sum of the same
+     * non-negative terms, so they differ by a factor of at most
+     * 1 - 2 gamma_n >= 1 - 4 n u; the extra 4u covers the rounding of
+     * the product itself.
+     */
+    static double makespanLowerBound(const TaskGraph &graph);
+
+    /**
      * Render an ASCII Gantt chart of a simulated run, one row per
      * stream, for debugging and the schedule_explorer example.
      *

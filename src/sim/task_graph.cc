@@ -33,11 +33,16 @@ TaskGraph::addTaskImpl(TaskLabel label, OpType op, Link link, int stream,
     FSMOE_CHECK_ARG(duration >= 0.0, "task '", label.str(),
                     "' has negative duration ", duration);
     FSMOE_CHECK_ARG(stream >= 0, "negative stream index");
-    TaskId id = static_cast<TaskId>(tasks_.size());
+    TaskId id = static_cast<TaskId>(count_);
     for (size_t i = 0; i < n_deps; ++i) {
         FSMOE_CHECK_ARG(deps[i] >= 0 && deps[i] < id, "task '",
                         label.str(), "' depends on unknown task ", deps[i]);
     }
+    link_sums_[static_cast<size_t>(link)] += duration;
+    num_streams_ = std::max(num_streams_, stream + 1);
+    ++count_;
+    if (tally_only_)
+        return id;
     Task t;
     t.id = id;
     t.op = op;
@@ -50,7 +55,6 @@ TaskGraph::addTaskImpl(TaskLabel label, OpType op, Link link, int stream,
     t.depCount = static_cast<uint32_t>(n_deps);
     dep_pool_.insert(dep_pool_.end(), deps, deps + n_deps);
     tasks_.push_back(t);
-    num_streams_ = std::max(num_streams_, stream + 1);
     return id;
 }
 
@@ -96,8 +100,8 @@ auditTasksAndDeps(const Task *tasks, size_t num_tasks,
 void
 auditTaskGraph(const TaskGraph &g)
 {
-    auditTasksAndDeps(g.tasks().data(), g.size(), g.depPool().data(),
-                      g.numDeps(), g.numStreams());
+    auditTasksAndDeps(g.tasks().data(), g.tasks().size(),
+                      g.depPool().data(), g.numDeps(), g.numStreams());
 }
 
 const Task &

@@ -20,6 +20,7 @@
 #ifndef FSMOE_SIM_TASK_GRAPH_H
 #define FSMOE_SIM_TASK_GRAPH_H
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -135,6 +136,22 @@ class TaskGraph
 {
   public:
     /**
+     * A graph that validates and counts what is added to it but keeps
+     * no tasks: addTask runs the same checks (duration >= 0, every dep
+     * an earlier id) and keeps size(), numStreams() and
+     * linkDurationSum() exactly as a real graph fed the same calls
+     * would, while tasks(), deps() and the dep pool stay empty and
+     * reserve() does nothing. The degree search emits each candidate
+     * into one of these to bound its makespan before building it.
+     */
+    static TaskGraph durationTally()
+    {
+        TaskGraph g;
+        g.tally_only_ = true;
+        return g;
+    }
+
+    /**
      * Append a task.
      *
      * @param label    Lazy trace label (base must be a static string).
@@ -172,6 +189,8 @@ class TaskGraph
      */
     void reserve(size_t tasks, size_t deps)
     {
+        if (tally_only_)
+            return;
         tasks_.reserve(tasks);
         dep_pool_.reserve(deps);
     }
@@ -189,8 +208,9 @@ class TaskGraph
     /** Materialised label of @p id (allocates; exporter-only path). */
     std::string taskName(TaskId id) const { return task(id).name(); }
 
-    size_t size() const { return tasks_.size(); }
-    bool empty() const { return tasks_.empty(); }
+    /** Number of tasks added (also counted by a duration tally). */
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
 
     /** Total dependency-edge count across all tasks. */
     size_t numDeps() const { return dep_pool_.size(); }
@@ -201,6 +221,17 @@ class TaskGraph
     /** Highest stream index used plus one. */
     int numStreams() const { return num_streams_; }
 
+    /**
+     * Sum of the durations of every task on @p link, accumulated left
+     * to right in id order. The simulator runs a link's tasks one
+     * after another, which makes this (with a rounding margin, see
+     * Simulator::makespanLowerBound) a lower bound on the makespan.
+     */
+    double linkDurationSum(Link link) const
+    {
+        return link_sums_[static_cast<size_t>(link)];
+    }
+
   private:
     TaskId addTaskImpl(TaskLabel label, OpType op, Link link, int stream,
                        double duration, const TaskId *deps, size_t n_deps,
@@ -208,7 +239,10 @@ class TaskGraph
 
     std::vector<Task> tasks_;
     std::vector<TaskId> dep_pool_; ///< All tasks' deps, CSR-flattened.
+    std::array<double, static_cast<size_t>(Link::NumLinks)> link_sums_{};
+    size_t count_ = 0;
     int num_streams_ = 0;
+    bool tally_only_ = false; ///< durationTally(): count, store nothing.
 };
 
 /**

@@ -11,8 +11,12 @@
  * that claim: zero-duration barriers, priority classes, deep FIFO
  * streams, wide fan-in, and simultaneous completions; a second test
  * runs every registered schedule's real graph through both engines.
+ * The cutoff tests hold Simulator::makespanBelow to run() on the same
+ * graphs, and the link-sum lower bound to the makespan under rounding.
  */
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "sim/cluster.h"
 #include "sim/simulator.h"
 #include "sim_reference.h"
+#include "test_util.h"
 
 namespace fsmoe::sim {
 namespace {
@@ -96,6 +101,24 @@ expectIdentical(const TaskGraph &g, const SimResult &got,
     }
 }
 
+/** Three identical layers on @p cluster: the sweep's graph shapes. */
+core::ModelCost
+scheduleCost(const sim::ClusterSpec &cluster)
+{
+    core::LayerShape shape;
+    shape.batch = 2;
+    shape.seqLen = 512;
+    shape.embed = 2048;
+    shape.hidden = 3 * 2048;
+    shape.numExperts = cluster.numNodes;
+    const core::ParallelConfig par = model::paperParallelism(cluster);
+    core::ModelCost cost;
+    cost.models = core::PerfModelSet::fromCluster(cluster);
+    for (int i = 0; i < 3; ++i)
+        cost.layers.push_back(core::makeLayerCost(cost.models, shape, par));
+    return cost;
+}
+
 TEST(SimFuzz, MatchesNaiveReferenceOnRandomDags)
 {
     constexpr int kSeeds = 120;
@@ -118,18 +141,7 @@ TEST(SimFuzz, MatchesNaiveReferenceOnScheduleGraphs)
     // Real graphs from every registered schedule plugin, both
     // testbeds: the exact shapes the sweep hot path simulates.
     for (const sim::ClusterSpec &cluster : {testbedA(), testbedB()}) {
-        core::LayerShape shape;
-        shape.batch = 2;
-        shape.seqLen = 512;
-        shape.embed = 2048;
-        shape.hidden = 3 * 2048;
-        shape.numExperts = cluster.numNodes;
-        core::ParallelConfig par = model::paperParallelism(cluster);
-        core::ModelCost cost;
-        cost.models = core::PerfModelSet::fromCluster(cluster);
-        for (int i = 0; i < 3; ++i)
-            cost.layers.push_back(
-                core::makeLayerCost(cost.models, shape, par));
+        const core::ModelCost cost = scheduleCost(cluster);
 
         for (const std::string &name :
              core::ScheduleRegistry::instance().names()) {
@@ -138,6 +150,98 @@ TEST(SimFuzz, MatchesNaiveReferenceOnScheduleGraphs)
             SimResult ref = referenceRun(graph);
             expectIdentical(graph, fast, ref, name);
         }
+    }
+}
+
+// ------------------------------------------------------------ cutoffs
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/**
+ * makespanBelow(g, c) is run(g).makespan, bit for bit, when that is
+ * below c and +inf otherwise; checked at the makespan, at both of its
+ * nextafter neighbours, at 0 and +inf, and at random cutoffs. The link
+ * bound may never exceed the makespan, so it cannot fire for any
+ * cutoff above it.
+ */
+void
+expectCutoffContract(const TaskGraph &g, std::mt19937 &rng,
+                     const std::string &what)
+{
+    const Simulator simulator;
+    const double m = simulator.run(g).makespan;
+    EXPECT_LE(Simulator::makespanLowerBound(g), m) << what;
+    std::uniform_real_distribution<double> frac(0.0, 2.0);
+    for (double c : {m, std::nextafter(m, kInf), std::nextafter(m, -kInf),
+                     0.0, kInf, m * frac(rng), m * frac(rng),
+                     m * frac(rng)}) {
+        const double got = simulator.makespanBelow(g, c);
+        const double want = m < c ? m : kInf;
+        EXPECT_TRUE(test::sameBits(got, want))
+            << what << ": cutoff " << c << " gave " << got << ", want "
+            << want;
+    }
+}
+
+TEST(SimFuzz, MakespanBelowAgreesWithRunOnRandomDags)
+{
+    constexpr int kSeeds = 120;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937 rng(0xc0ffu + static_cast<unsigned>(seed));
+        const TaskGraph g = randomDag(rng);
+        expectCutoffContract(g, rng, "seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            FAIL() << "first divergence at seed " << seed;
+    }
+}
+
+TEST(SimFuzz, MakespanBelowAgreesWithRunOnScheduleGraphs)
+{
+    std::mt19937 rng(7);
+    for (const sim::ClusterSpec &cluster : {testbedA(), testbedB()}) {
+        const core::ModelCost cost = scheduleCost(cluster);
+
+        for (const std::string &name :
+             core::ScheduleRegistry::instance().names())
+            expectCutoffContract(core::Schedule::create(name)->build(cost),
+                                 rng, cluster.name + " " + name);
+        for (int r : {1, 3, 16})
+            expectCutoffContract(
+                core::Schedule::create("tutel?degree=" + std::to_string(r))
+                    ->build(cost),
+                rng, cluster.name + " tutel r=" + std::to_string(r));
+    }
+}
+
+TEST(SimFuzz, LinkBoundHoldsWhenStartOrderDiffersFromIdOrder)
+{
+    // Every task on one link, spread over streams so the start order
+    // differs from the id order, with durations spanning 40 binades:
+    // the makespan is then the start-order rounded sum and the bound
+    // comes from the id-order one, the case the margin exists for.
+    constexpr int kSeeds = 200;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937 rng(0xb0u + static_cast<unsigned>(seed));
+        const int n = std::uniform_int_distribution<int>(2, 200)(rng);
+        const int streams = std::uniform_int_distribution<int>(1, 6)(rng);
+        std::uniform_int_distribution<int> stream_dist(0, streams - 1);
+        std::uniform_int_distribution<int> exponent(-30, 10);
+        std::uniform_int_distribution<int> pct(0, 99);
+        std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+        TaskGraph g;
+        for (int i = 0; i < n; ++i) {
+            std::vector<TaskId> deps;
+            if (i > 0 && pct(rng) < 20)
+                deps.push_back(
+                    std::uniform_int_distribution<TaskId>(0, i - 1)(rng));
+            g.addTask({"t", i}, OpType::Other, Link::InterNode,
+                      stream_dist(rng),
+                      std::ldexp(mantissa(rng), exponent(rng)), deps,
+                      pct(rng) < 30 ? 1 : 0);
+        }
+        expectCutoffContract(g, rng, "seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            FAIL() << "first violation at seed " << seed;
     }
 }
 

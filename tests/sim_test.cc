@@ -2,13 +2,23 @@
  * @file
  * Unit tests for the discrete-event simulator: dependency handling,
  * stream FIFO semantics, exclusive links, readiness arbitration, the
- * per-op accounting, and the testbed specifications.
+ * per-op accounting, duration tallies and cut-off runs, and the testbed
+ * specifications.
  */
+#include <array>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "base/stats.h"
+#include "core/schedules/schedule.h"
+#include "core/schedules/schedule_registry.h"
+#include "model/models.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
 #include "sim/task_graph.h"
+#include "sim/trace.h"
+#include "test_util.h"
 
 namespace fsmoe::sim {
 namespace {
@@ -26,6 +36,127 @@ TEST(TaskGraph, AddAndQuery)
     EXPECT_EQ(g.numDeps(), 1u);
     EXPECT_EQ(g.taskName(a), "a");
     EXPECT_EQ(g.numStreams(), 2);
+}
+
+TEST(TaskGraph, DurationTallyMatchesEveryBuiltinSchedulesGraph)
+{
+    for (const ClusterSpec &cluster : {testbedA(), testbedB()}) {
+        core::LayerShape shape;
+        shape.batch = 2;
+        shape.seqLen = 512;
+        shape.embed = 2048;
+        shape.hidden = 3 * 2048;
+        shape.numExperts = cluster.numNodes;
+        const core::ParallelConfig par = model::paperParallelism(cluster);
+        core::ModelCost cost;
+        cost.models = core::PerfModelSet::fromCluster(cluster);
+        for (int i = 0; i < 3; ++i)
+            cost.layers.push_back(
+                core::makeLayerCost(cost.models, shape, par));
+
+        for (const std::string &name :
+             core::ScheduleRegistry::instance().names()) {
+            const TaskGraph built =
+                core::Schedule::create(name)->build(cost);
+            TaskGraph tally = TaskGraph::durationTally();
+            tally.reserve(built.size(), built.numDeps());
+            test::replayGraph(built, tally);
+            const std::string what = cluster.name + " " + name;
+            EXPECT_EQ(tally.size(), built.size()) << what;
+            EXPECT_EQ(tally.numStreams(), built.numStreams()) << what;
+            EXPECT_TRUE(tally.tasks().empty()) << what;
+            EXPECT_EQ(tally.numDeps(), 0u) << what;
+            // Both keep the id-order left fold of each link's tasks.
+            std::array<double, static_cast<size_t>(Link::NumLinks)> fold{};
+            for (const Task &t : built.tasks())
+                fold[static_cast<size_t>(t.link)] += t.duration;
+            for (size_t li = 0; li < fold.size(); ++li) {
+                const Link link = static_cast<Link>(li);
+                EXPECT_TRUE(test::sameBits(tally.linkDurationSum(link),
+                                           built.linkDurationSum(link)))
+                    << what << " " << linkName(link);
+                EXPECT_TRUE(
+                    test::sameBits(built.linkDurationSum(link), fold[li]))
+                    << what << " " << linkName(link);
+            }
+        }
+    }
+}
+
+TEST(TaskGraph, DurationTallyRejectsWhatAGraphRejects)
+{
+    for (bool tally_only : {false, true}) {
+        auto fresh = [tally_only] {
+            TaskGraph g = tally_only ? TaskGraph::durationTally()
+                                     : TaskGraph{};
+            g.addTask("a", OpType::Experts, Link::Compute, 0, 1.0);
+            return g;
+        };
+        EXPECT_DEATH(fresh().addTask("neg", OpType::Other, Link::Compute,
+                                     0, -1.0),
+                     "negative duration");
+        EXPECT_DEATH(fresh().addTask("fwd", OpType::Other, Link::Compute,
+                                     0, 1.0, {1}),
+                     "depends on unknown task 1");
+        EXPECT_DEATH(fresh().addTask("self", OpType::Other, Link::Compute,
+                                     0, 1.0, {-1}),
+                     "depends on unknown task -1");
+    }
+}
+
+TEST(Simulator, CutRunsCountTheWorkTheyDid)
+{
+    // A 10-task chain alternating two links, 1 ms each: every link sum
+    // is 5 ms, so the bound cannot cut at 7.5 ms and the loop runs
+    // until it pops the completion at 8 ms.
+    TaskGraph g;
+    TaskId prev = -1;
+    for (int i = 0; i < 10; ++i) {
+        std::vector<TaskId> deps;
+        if (prev >= 0)
+            deps.push_back(prev);
+        prev = g.addTask({"t", i}, OpType::Other,
+                         i % 2 ? Link::InterNode : Link::Compute, 0, 1.0,
+                         deps);
+    }
+    const auto value = [](const char *name) {
+        return stats::counter(name).value();
+    };
+    const char *const kNames[] = {"sim.runs", "sim.runs.cut",
+                                  "sim.tasks.executed",
+                                  "sim.events.processed", "sim.heap.pops"};
+    const auto snapshot = [&] {
+        std::array<uint64_t, 5> v{};
+        for (size_t i = 0; i < v.size(); ++i)
+            v[i] = value(kNames[i]);
+        return v;
+    };
+    const Simulator s;
+    auto before = snapshot();
+    EXPECT_EQ(s.makespanBelow(g, 7.5),
+              std::numeric_limits<double>::infinity());
+    auto after = snapshot();
+    EXPECT_EQ(after[0] - before[0], 1u); // one run,
+    EXPECT_EQ(after[1] - before[1], 1u); // cut,
+    EXPECT_EQ(after[2] - before[2], 7u); // after 7 tasks finished,
+    EXPECT_EQ(after[3] - before[3], 8u); // on the 8th popped event,
+    EXPECT_EQ(after[4] - before[4], 8u); // with 8 tasks started.
+
+    // Cut by the link bound: no event is processed at all.
+    before = snapshot();
+    EXPECT_EQ(s.makespanBelow(g, 4.0),
+              std::numeric_limits<double>::infinity());
+    after = snapshot();
+    EXPECT_EQ(after[1] - before[1], 1u);
+    EXPECT_EQ(after[2] - before[2], 0u);
+    EXPECT_EQ(after[3] - before[3], 0u);
+
+    // A run that finishes below the cutoff is a plain run.
+    before = snapshot();
+    EXPECT_EQ(s.makespanBelow(g, 10.5), 10.0);
+    after = snapshot();
+    EXPECT_EQ(after[1] - before[1], 0u);
+    EXPECT_EQ(after[2] - before[2], 10u);
 }
 
 TEST(Simulator, EmptyGraph)

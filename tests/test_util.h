@@ -1,16 +1,19 @@
 /**
  * @file
  * Shared helpers for the FSMoE test suite: finite-difference gradient
- * checking and tensor comparison utilities.
+ * checking, tensor comparison utilities, and task-graph replay.
  */
 #ifndef FSMOE_TESTS_TEST_UTIL_H
 #define FSMOE_TESTS_TEST_UTIL_H
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/task_graph.h"
 #include "tensor/tensor.h"
 
 namespace fsmoe::test {
@@ -60,6 +63,30 @@ expectGradMatches(Tensor &x, const Tensor &analytic,
         double scale = std::max({1.0, std::fabs(num), std::fabs(ana)});
         EXPECT_NEAR(ana, num, tol * scale)
             << "gradient mismatch at flat index " << i;
+    }
+}
+
+/** Bitwise equality of two doubles (tells -0 from 0; NaN == same NaN). */
+inline bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Append every task of @p src to @p dst with the same addTask calls a
+ * builder made, e.g. to feed a built graph to a
+ * sim::TaskGraph::durationTally().
+ */
+inline void
+replayGraph(const sim::TaskGraph &src, sim::TaskGraph &dst)
+{
+    std::vector<sim::TaskId> deps;
+    for (const sim::Task &t : src.tasks()) {
+        const sim::DepSpan span = src.deps(t.id);
+        deps.assign(span.begin(), span.end());
+        dst.addTask(t.label, t.op, t.link, t.stream, t.duration, deps,
+                    t.priority);
     }
 }
 
