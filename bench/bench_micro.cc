@@ -3,9 +3,13 @@
  * Micro-benchmarks (google-benchmark) backing the paper's overhead
  * claims: Algorithm-1 solve cost (§6.2 reports ~193 ms per case for
  * SLSQP; our combined solve must be far cheaper to run 1458 cases),
- * gradient-partitioning cost, simulator throughput, gate kernels, the
- * GEMM kernel, and the functional AlltoAll algorithms.
+ * gradient-partitioning cost (and its DE and degree-table parts),
+ * simulator throughput, gate kernels, the GEMM kernel, and the
+ * functional AlltoAll algorithms.
  */
+#include <limits>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "core/gate.h"
@@ -79,13 +83,73 @@ BM_GradPartition(benchmark::State &state)
 }
 // The last two rows are the shape a demo-grid sweep pays per FSMoE /
 // FSMoE-No-IIO build: 24 layers, rMax 16, population 24 x 80
-// generations.
+// generations, 1,944 objective evaluations. About two thirds of those
+// trials are cut on the floor bound before the layer sum, and the rest
+// read each layer's minimum from the degree tables' envelopes, so what
+// remains is close to BM_DeLoop's RNG floor plus the cut checks.
 BENCHMARK(BM_GradPartition)
     ->ArgNames({"layers", "rmax", "pop", "gens", "merged"})
     ->Args({4, 64, 32, 40, 0})
     ->Args({12, 64, 32, 40, 0})
     ->Args({24, 16, 24, 80, 0})
     ->Args({24, 16, 24, 80, 1});
+
+/**
+ * DE itself at the sweep shape (d = 24, population 24, 80 generations,
+ * never stopping early) over an objective that costs nothing: the
+ * mt19937_64 draws, mutation and selection the partitioner pays on
+ * every call. No change that keeps the DE decisions, and so the
+ * blessed bits, can take a partition below this floor.
+ */
+void
+BM_DeLoop(benchmark::State &state)
+{
+    const size_t d = 24;
+    std::vector<double> lo(d, 0.0), hi(d, 1.0);
+    solver::DeConfig de;
+    de.populationSize = 24;
+    de.maxGenerations = 80;
+    de.tolerance = -std::numeric_limits<double>::infinity();
+    const auto objective = [](const std::vector<double> &x, double) {
+        return x[0];
+    };
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            solver::differentialEvolution(objective, lo, hi, de));
+    state.SetItemsProcessed(state.iterations() * 24 * 81);
+}
+BENCHMARK(BM_DeLoop);
+
+/**
+ * One DegreeTable query (the DE objective's per-layer term) on the
+ * sample problem: envelope binary search plus one addition. Items are
+ * queries over a fixed spread of t_gar values.
+ */
+void
+BM_DegreeTableMin(benchmark::State &state)
+{
+    core::PipelineProblem p = sampleProblem();
+    p.rMax = static_cast<int>(state.range(0));
+    const core::DegreeTable table(p);
+    const bool merged = state.range(1) != 0;
+    std::vector<double> gars(256);
+    for (size_t i = 0; i < gars.size(); ++i)
+        gars[i] = 0.05 * static_cast<double>(i * 37 % 256);
+    for (auto _ : state) {
+        double sum = 0.0;
+        for (double g : gars)
+            sum += merged ? table.minMergedTime(g) : table.minTime(g);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(gars.size()));
+}
+BENCHMARK(BM_DegreeTableMin)
+    ->ArgNames({"rmax", "merged"})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({64, 0})
+    ->Args({64, 1});
 
 void
 BM_ScheduleFsMoe(benchmark::State &state)

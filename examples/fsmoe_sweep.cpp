@@ -258,24 +258,31 @@ printProfile(const runtime::SweepStats &stats)
     // main stats line already reports).
     std::printf("  %-30s %10.1f ms\n", "graph build + in-build sims",
                 stats.graphBuildMs);
-    const auto solver_line = [](const char *label, double ms,
-                                uint64_t cold, uint64_t cached) {
-        std::printf("  %-30s %10.1f ms  (%llu cold, %llu cached; "
-                    "process-wide)\n",
-                    label, ms, static_cast<unsigned long long>(cold),
-                    static_cast<unsigned long long>(cached));
-    };
-    solver_line("  of which Algorithm-1 solves", solver.pipelineSolveMs,
-                solver.pipelineMisses, solver.pipelineHits);
-    solver_line("  of which DE partition solves", solver.partitionSolveMs,
-                solver.partitionMisses, solver.partitionHits);
-    // Tutel/Lina degree searches (core::detail::searchDegree): of the
-    // candidate degrees, how many the link-sum bound skipped unbuilt,
-    // how many were simulated, and how many of those hit the cutoff.
     const auto count = [](const char *name) {
         return static_cast<unsigned long long>(
             stats::counter(name).value());
     };
+    const auto solver_line = [](const char *label, double ms,
+                                uint64_t cold, uint64_t cached,
+                                const std::string &extra) {
+        std::printf("  %-30s %10.1f ms  (%llu cold, %llu cached%s; "
+                    "process-wide)\n",
+                    label, ms, static_cast<unsigned long long>(cold),
+                    static_cast<unsigned long long>(cached), extra.c_str());
+    };
+    solver_line("  of which Algorithm-1 solves", solver.pipelineSolveMs,
+                solver.pipelineMisses, solver.pipelineHits, "");
+    // DE objective evaluations, and how many of them the floor bound
+    // showed to lose to their parent without summing the layers.
+    solver_line("  of which DE partition solves", solver.partitionSolveMs,
+                solver.partitionMisses, solver.partitionHits,
+                ", " + std::to_string(count("solver.partition.de.evals")) +
+                    " evals, " +
+                    std::to_string(count("solver.partition.de.cut")) +
+                    " cut");
+    // Tutel/Lina degree searches (core::detail::searchDegree): of the
+    // candidate degrees, how many the link-sum bound skipped unbuilt,
+    // how many were simulated, and how many of those hit the cutoff.
     std::printf("  %-30s %10llu     (%llu bounded, %llu simulated, "
                 "%llu cut; process-wide)\n",
                 "  degree-search candidates",

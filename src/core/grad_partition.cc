@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "base/logging.h"
+#include "base/stats.h"
 
 namespace fsmoe::core {
 
@@ -85,6 +87,17 @@ class LayerSolver
     {
         const DegreeTable &table = groups_[groupOf_[i]].table;
         return merged_ ? table.minMergedTime(t_gar) : table.minTime(t_gar);
+    }
+
+    /** A lower bound on every layer's minTime at any t_gar. */
+    double
+    floor() const
+    {
+        double f = std::numeric_limits<double>::infinity();
+        for (const Group &g : groups_)
+            f = std::min(f, merged_ ? g.table.floorMergedTime()
+                                    : g.table.floorTime());
+        return f;
     }
 
     /** The solver's solution for layer @p i's problem at @p t_gar. */
@@ -189,8 +202,16 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
     // and over-assignment are penalised.
     const double remaining = pending;
     std::vector<double> lo(n, 0.0), hi(n, remaining);
-    auto objective = [&](const std::vector<double> &x) {
-        double total = 0.0;
+    // Every layer term is at least the smallest floor and fp addition
+    // is monotone, so summing n floors in the objective's order gives a
+    // lower bound on its layer sum with no rounding margin needed.
+    const double layer_floor = solver.floor();
+    double floor_sum = 0.0;
+    for (size_t i = 0; i < n; ++i)
+        floor_sum += layer_floor;
+    uint64_t evals = 0, cut = 0;
+    auto objective = [&](const std::vector<double> &x, double cutoff) {
+        ++evals;
         double assigned = 0.0;
         double violation = 0.0;
         double cum = 0.0;
@@ -203,24 +224,40 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
         assigned = cum;
         if (assigned > remaining)
             violation += assigned - remaining;
+        const double tail = std::max(0.0, remaining - assigned);
+        const double tail_time = garTime(allreduce, tail);
+        // Penalty scale: one full AllReduce of the violation, squared
+        // growth to push DE firmly inside the feasible region.
+        const auto finish = [&](double total) {
+            total += tail_time;
+            if (violation > 0.0) {
+                total += garTime(allreduce, violation) * 10.0 +
+                         allreduce.beta * violation;
+            }
+            return total;
+        };
+        const double bound = finish(floor_sum);
+        if (bound > cutoff) {
+            ++cut;
+            return bound;
+        }
         // Each layer's exact integer optimum over all degrees, read
         // from its degree table.
+        double total = 0.0;
         for (size_t i = 0; i < n; ++i)
             total += solver.minTime(
                 i, garTime(allreduce, plan.moeBytes[i] + x[i]));
-        double tail = std::max(0.0, remaining - assigned);
-        total += garTime(allreduce, tail);
-        // Penalty scale: one full AllReduce of the violation, squared
-        // growth to push DE firmly inside the feasible region.
-        if (violation > 0.0) {
-            total += garTime(allreduce, violation) * 10.0 +
-                     allreduce.beta * violation;
-        }
-        return total;
+        return finish(total);
     };
 
     solver::DeResult best = solver::differentialEvolution(objective, lo, hi,
                                                           de);
+    static stats::Counter &evals_counter =
+        stats::counter("solver.partition.de.evals");
+    static stats::Counter &cut_counter =
+        stats::counter("solver.partition.de.cut");
+    evals_counter.inc(evals);
+    cut_counter.inc(cut);
     plan.deGenerations = best.generations;
 
     // Clip the DE solution to the feasible polytope before adopting it.

@@ -260,45 +260,126 @@ solvePipelineExhaustive(const PipelineProblem &p)
     return sol;
 }
 
-DegreeTable::DegreeTable(const PipelineProblem &p)
+namespace {
+
+std::vector<DegreeTable::Row>
+tabulate(const PipelineProblem &p)
 {
     FSMOE_CHECK_ARG(p.rMax >= 1, "rMax must be at least 1");
-    rows_.reserve(static_cast<size_t>(p.rMax));
+    std::vector<DegreeTable::Row> rows;
+    rows.reserve(static_cast<size_t>(p.rMax));
     for (int i = 1; i <= p.rMax; ++i) {
         const double r = i;
         const Chunks c = chunksAt(p, r);
         const CaseSplit split = caseSplitOf(c, r);
         // Cases 2-4 do not read t_gar.
-        rows_.push_back({split, interBase(c, r),
-                         caseTimeOf(c, split.otherCase, r, 0.0),
-                         channelBase(c, r), computeBound(c, r)});
+        rows.push_back({split, interBase(c, r),
+                        caseTimeOf(c, split.otherCase, r, 0.0),
+                        channelBase(c, r), computeBound(c, r)});
     }
+    return rows;
 }
 
-// Both scans keep the solvers' strict-< argmin over r = 1..rMax, so
-// they return the first minimal row's value, as the solvers do.
+/** The lesser of @p a and @p b, ignoring a NaN @p a as the scans did. */
+double
+lesser(double a, double b)
+{
+    return a < b ? a : b;
+}
+
+} // namespace
+
+DegreeTable::DegreeTable(const PipelineProblem &p) : DegreeTable(tabulate(p))
+{
+}
+
+// Both envelopes rest on fl(a + t) being monotone in a, so the least
+// rounded sum over any set of rows is the rounded sum of the least a:
+// taking minima before adding t_gar changes no bit.
+DegreeTable::DegreeTable(const std::vector<Row> &rows)
+{
+    FSMOE_CHECK_ARG(!rows.empty(), "a degree table needs a row");
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const size_t n = rows.size();
+    std::vector<size_t> order(n);
+
+    const auto threshold = [&](size_t i) {
+        const double th = rows[i].split.threshold;
+        return std::isnan(th) ? kInf : th;
+    };
+    for (size_t i = 0; i < n; ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return threshold(a) < threshold(b);
+    });
+    threshold_.resize(n);
+    case1Prefix_.assign(n + 1, kInf);
+    otherSuffix_.assign(n + 1, kInf);
+    floorTime_ = kInf;
+    for (size_t k = 0; k < n; ++k) {
+        const Row &row = rows[order[k]];
+        threshold_[k] = threshold(order[k]);
+        case1Prefix_[k + 1] = lesser(row.case1Base, case1Prefix_[k]);
+        // A case-1 row costs at least its cost at its own threshold.
+        floorTime_ = lesser(row.otherTime, floorTime_);
+        floorTime_ = lesser(row.case1Base + threshold_[k], floorTime_);
+    }
+    for (size_t k = n; k-- > 0;)
+        otherSuffix_[k] = lesser(rows[order[k]].otherTime, otherSuffix_[k + 1]);
+
+    const auto compute = [&](size_t i) {
+        const double c = rows[i].compute;
+        return std::isnan(c) ? -kInf : c;
+    };
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return compute(a) < compute(b);
+    });
+    compute_.resize(n);
+    channelPrefix_.resize(n);
+    double channel = kInf;
+    for (size_t k = 0; k < n; ++k) {
+        compute_[k] = compute(order[k]);
+        channel = lesser(rows[order[k]].channelBase, channel);
+        channelPrefix_[k] = channel;
+    }
+    // Every merged makespan is at least its row's compute term.
+    floorMerged_ = compute_[0];
+}
+
+// A row is in case 1 iff t_gar > threshold, so the case-1 rows are the
+// first k in threshold order, k = lower_bound(t_gar) (no NaN t_gar
+// exceeds anything, and lower_bound counts none for it either). The
+// answer is the better of the least case-1 sum and the least fallback.
 double
 DegreeTable::minTime(double t_gar) const
 {
-    double best = std::numeric_limits<double>::infinity();
-    for (const Row &row : rows_) {
-        const double t =
-            row.split.case1(t_gar) ? row.case1Base + t_gar : row.otherTime;
-        if (t < best)
-            best = t;
-    }
-    return best;
+    const size_t k = static_cast<size_t>(
+        std::lower_bound(threshold_.begin(), threshold_.end(), t_gar) -
+        threshold_.begin());
+    return lesser(case1Prefix_[k] + t_gar, otherSuffix_[k]);
 }
 
+// min_j max(a_j + t, c_j) over rows equals min_k max(P_k + t, c_k) with
+// rows in compute order and P_k the least a of rows 0..k (a row j's
+// pair bounds row k's from below when c_j <= c_k). P_k + t falls and
+// c_k rises with k, so past the first k with c_k >= P_k + t the max is
+// c_k, and before it P_k + t: the minimum is one of the two neighbours.
 double
 DegreeTable::minMergedTime(double t_gar) const
 {
-    double best = std::numeric_limits<double>::infinity();
-    for (const Row &row : rows_) {
-        const double t = std::max(row.channelBase + t_gar, row.compute);
-        if (t < best)
-            best = t;
+    size_t lo = 0, hi = compute_.size();
+    while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (compute_[mid] >= channelPrefix_[mid] + t_gar)
+            hi = mid;
+        else
+            lo = mid + 1;
     }
+    double best = lo < compute_.size()
+                      ? compute_[lo]
+                      : std::numeric_limits<double>::infinity();
+    if (lo > 0)
+        best = lesser(channelPrefix_[lo - 1] + t_gar, best);
     return best;
 }
 

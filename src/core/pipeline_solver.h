@@ -135,25 +135,23 @@ PipelineSolution solvePipelineMerged(const PipelineProblem &p);
  * The t_gar-independent terms of analyticMoeTime and mergedMoeTime at
  * every degree r in [1, rMax] of one problem, built once so the
  * problem's minimum makespan can be re-evaluated for many t_gar values
- * (the gradient partitioner's step-2 objective) at one comparison and
- * one addition per degree. Each row holds the very subexpressions the
- * per-degree formulas compute, and t_gar is added last in both, so
- * minTime(g) has exactly the bits of solvePipelineExhaustive(p with
- * tGar = g).tMoe and minMergedTime(g) those of solvePipelineMerged's.
+ * (the gradient partitioner's step-2 objective). Each row holds the
+ * very subexpressions the per-degree formulas compute, and t_gar is
+ * added last in both, so minTime(g) has exactly the bits of
+ * solvePipelineExhaustive(p with tGar = g).tMoe and minMergedTime(g)
+ * those of solvePipelineMerged's.
+ *
+ * The rows are not scanned per query: construction sorts them into
+ * lower envelopes (docs/PERFORMANCE.md has the exactness argument),
+ * so each query is one binary search plus one addition of t_gar.
+ * Ties can differ from the scans only in the sign of a zero, so
+ * exactness needs no row field to be -0.0. NaN fields act as in the
+ * scans: a NaN threshold is never case 1, a NaN makespan is skipped.
  */
 class DegreeTable
 {
   public:
-    /** Tabulate @p p at r = 1..p.rMax; p.tGar is ignored. */
-    explicit DegreeTable(const PipelineProblem &p);
-
-    /** min over r of analyticMoeTime at t_gar = @p t_gar. */
-    double minTime(double t_gar) const;
-
-    /** min over r of mergedMoeTime at t_gar = @p t_gar. */
-    double minMergedTime(double t_gar) const;
-
-  private:
+    /** The t_gar-free terms of both makespan formulas at one degree. */
     struct Row
     {
         CaseSplit split;
@@ -162,7 +160,36 @@ class DegreeTable
         double channelBase; ///< Merged-channel busy time less t_gar.
         double compute;     ///< Merged model's compute-bound path.
     };
-    std::vector<Row> rows_;
+
+    /** Tabulate @p p at r = 1..p.rMax; p.tGar is ignored. */
+    explicit DegreeTable(const PipelineProblem &p);
+
+    /** Build the envelopes of @p rows (at least one). */
+    explicit DegreeTable(const std::vector<Row> &rows);
+
+    /** min over r of analyticMoeTime at t_gar = @p t_gar. */
+    double minTime(double t_gar) const;
+
+    /** min over r of mergedMoeTime at t_gar = @p t_gar. */
+    double minMergedTime(double t_gar) const;
+
+    /** A lower bound on minTime(t_gar) valid for every t_gar. */
+    double floorTime() const { return floorTime_; }
+
+    /** A lower bound on minMergedTime(t_gar) valid for every t_gar. */
+    double floorMergedTime() const { return floorMerged_; }
+
+  private:
+    // Case-1 envelope, rows ordered by threshold (NaN stored as +inf,
+    // which no t_gar exceeds either): threshold_[k] ascending,
+    // case1Prefix_[k] the least case1Base of the first k rows and
+    // otherSuffix_[k] the least otherTime of the rest (size n + 1).
+    std::vector<double> threshold_, case1Prefix_, otherSuffix_;
+    // Merged envelope, rows ordered by compute (NaN stored as -inf,
+    // which std::max ignores alike): compute_[k] ascending and
+    // channelPrefix_[k] the least channelBase of rows 0..k.
+    std::vector<double> compute_, channelPrefix_;
+    double floorTime_ = 0.0, floorMerged_ = 0.0;
 };
 
 } // namespace fsmoe::core

@@ -336,7 +336,9 @@ Tuner::search(const TuneQuery &query)
             lo.push_back(axis.lo);
             hi.push_back(axis.hi);
         }
-        const auto objective = [&](const std::vector<double> &x) {
+        // Every probe counts towards `evaluated`, so each one is
+        // simulated in full and the cutoff is ignored.
+        const auto objective = [&](const std::vector<double> &x, double) {
             return probe(canonical(core::specFromPoint(space, x)));
         };
         const solver::DeResult de =

@@ -1,6 +1,7 @@
 #include "solver/differential_evolution.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <random>
 
@@ -8,17 +9,62 @@
 
 namespace fsmoe::solver {
 
+namespace detail {
+
+namespace {
+
+/** A generator that yields one fixed draw, to read off the mapping. */
+struct FixedDraw
+{
+    using result_type = std::mt19937_64::result_type;
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+    result_type operator()() const { return draw; }
+    result_type draw;
+};
+
+} // namespace
+
+CrossoverTest::CrossoverTest(double cr)
+{
+    FSMOE_CHECK_ARG(cr >= 0.0 && cr <= 1.0, "DE crossover ", cr,
+                    " is outside [0, 1]");
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const auto mapped = [&](uint64_t draw) {
+        FixedDraw gen{draw};
+        return unit(gen);
+    };
+    // The largest draw maps below 1, so only cr == 1 has no threshold.
+    if (mapped(FixedDraw::max()) < cr) {
+        all_ = true;
+        return;
+    }
+    uint64_t lo = FixedDraw::min(), hi = FixedDraw::max();
+    while (lo < hi) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        if (mapped(mid) >= cr)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    threshold_ = lo;
+}
+
+} // namespace detail
+
 DeResult
-differentialEvolution(
-    const std::function<double(const std::vector<double> &)> &objective,
-    const std::vector<double> &lo, const std::vector<double> &hi,
-    const DeConfig &config)
+differentialEvolution(const DeObjective &objective,
+                      const std::vector<double> &lo,
+                      const std::vector<double> &hi, const DeConfig &config)
 {
     const size_t d = lo.size();
     FSMOE_CHECK_ARG(hi.size() == d, "DE bound length mismatch");
     FSMOE_CHECK_ARG(d >= 1, "DE needs at least one dimension");
     for (size_t i = 0; i < d; ++i)
         FSMOE_CHECK_ARG(lo[i] <= hi[i], "DE bound ", i, " inverted");
+    FSMOE_CHECK_ARG(std::isfinite(config.weight), "DE weight ",
+                    config.weight, " is not finite");
+    const detail::CrossoverTest crosses(config.crossover);
     const int np = std::max(config.populationSize, 4);
 
     std::mt19937_64 rng(config.seed);
@@ -33,7 +79,8 @@ differentialEvolution(
     for (int m = 0; m < np; ++m) {
         for (size_t i = 0; i < d; ++i)
             pop[m][i] = lo[i] + unit(rng) * (hi[i] - lo[i]);
-        fitness[m] = objective(pop[m]);
+        fitness[m] =
+            objective(pop[m], std::numeric_limits<double>::infinity());
     }
 
     auto best_it = std::min_element(fitness.begin(), fitness.end());
@@ -54,13 +101,16 @@ differentialEvolution(
             do { c = pick(rng); } while (c == m || c == a || c == b);
             size_t forced = pick_dim(rng);
             for (size_t i = 0; i < d; ++i) {
-                bool cross = unit(rng) < config.crossover || i == forced;
+                // Every dimension takes its draw, forced or not.
+                const bool cross = crosses(rng()) || i == forced;
                 trial[i] = cross
                     ? pop[a][i] + config.weight * (pop[b][i] - pop[c][i])
                     : pop[m][i];
             }
             clamp(trial);
-            double fv = objective(trial);
+            // A trial that loses to its parent is discarded, so its
+            // exact value above fitness[m] is never needed.
+            double fv = objective(trial, fitness[m]);
             if (fv <= fitness[m]) {
                 pop[m] = trial;
                 fitness[m] = fv;

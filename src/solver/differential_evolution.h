@@ -38,15 +38,50 @@ struct DeResult
 };
 
 /**
+ * A DE objective. Called with a candidate and a cutoff, it returns the
+ * candidate's exact value whenever that value is <= the cutoff, and
+ * otherwise may return any value > the cutoff: DE only compares a
+ * trial against its parent, so a provably losing trial need not be
+ * evaluated in full. An objective is free to ignore the cutoff.
+ */
+using DeObjective =
+    std::function<double(const std::vector<double> &x, double cutoff)>;
+
+/**
  * Minimise @p objective over the box [lo_i, hi_i]^d.
  *
  * The objective may implement coupled constraints by returning a
  * penalised value; candidates are always clamped into the box first.
+ * Initial members are evaluated with cutoff +inf, and each trial with
+ * its parent's value.
  */
-DeResult differentialEvolution(
-    const std::function<double(const std::vector<double> &)> &objective,
-    const std::vector<double> &lo, const std::vector<double> &hi,
-    const DeConfig &config = {});
+DeResult differentialEvolution(const DeObjective &objective,
+                               const std::vector<double> &lo,
+                               const std::vector<double> &hi,
+                               const DeConfig &config = {});
+
+namespace detail {
+
+/**
+ * DE's binomial crossover test `unit(rng) < cr`, decided on the raw
+ * mt19937_64 draw instead: std::uniform_real_distribution<double>(0, 1)
+ * maps draws to [0, 1) monotonically, so the draws below the smallest
+ * one it maps to a value >= @p cr are exactly those that cross. Same
+ * draws, same decisions, no conversion. Requires 0 <= cr <= 1.
+ */
+class CrossoverTest
+{
+  public:
+    explicit CrossoverTest(double cr);
+
+    bool operator()(uint64_t draw) const { return all_ || draw < threshold_; }
+
+  private:
+    uint64_t threshold_ = 0; ///< Smallest draw mapped to >= cr.
+    bool all_ = false;       ///< cr == 1: every draw maps below it.
+};
+
+} // namespace detail
 
 } // namespace fsmoe::solver
 

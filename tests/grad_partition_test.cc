@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/stats.h"
 #include "core/grad_partition.h"
 #include "core/moe_config.h"
 #include "core/schedules/schedule.h"
@@ -164,6 +165,25 @@ TEST(GradPartition, Step2PlanBitsArePinned)
                    22869303.142960511, 9686793.9780983739,
                    70406642.622865632, 37526695.084808394},
                   {1, 1, 1, 1, 1, 1}});
+}
+
+TEST(GradPartition, CountsDeEvaluationsAndCutTrials)
+{
+    // Every DE evaluation is counted, cut or not: the initial
+    // population plus one trial per member per generation. Trials the
+    // floor bound proves lose to their parent are counted as cut.
+    solver::DeConfig de;
+    de.populationSize = 24;
+    de.maxGenerations = 80;
+    stats::Counter &evals = stats::counter("solver.partition.de.evals");
+    stats::Counter &cut = stats::counter("solver.partition.de.cut");
+    const uint64_t evals0 = evals.value(), cut0 = cut.value();
+    const GradPartitionPlan plan =
+        partitionGradients(makeLayers(6, 30.0, 0.3), arModel(), de);
+    EXPECT_EQ(evals.value() - evals0,
+              static_cast<uint64_t>(24 * (1 + plan.deGenerations)));
+    EXPECT_GT(cut.value() - cut0, 0u);
+    EXPECT_LT(cut.value() - cut0, evals.value() - evals0);
 }
 
 TEST(GradPartition, TGarReflectsAssignedBytes)

@@ -2,13 +2,16 @@
  * @file
  * Tests for Algorithm 1: predicate logic, case formulas, continuous
  * vs exhaustive agreement over a configuration sweep, bit-exactness of
- * the per-degree table against the integer solvers, agreement with
+ * the per-degree table against the integer solvers and of its sorted
+ * envelopes against the naive row scan, agreement with
  * the discrete-event simulator, and the paper's observation that
  * forward and backward phases prefer different degrees.
  */
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "core/perf_model.h"
 #include "core/pipeline_solver.h"
 #include "core/schedules/schedule.h"
+#include "degree_table_reference.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
 
@@ -185,6 +189,98 @@ TEST(PipelineSolver, DegreeTableIsBitExactAgainstTheSolvers)
         }
     }
     EXPECT_EQ(probes, 64 * (4 + 3 * 64));
+}
+
+/**
+ * Seeded random rows with positive terms. A third of the thresholds
+ * and compute terms repeat an earlier row's (ties the envelopes must
+ * order like the scan), thresholds go negative so negative t_gar
+ * reaches case 1, and about one field in 24 is NaN: a NaN threshold is
+ * never case 1, and the scan skips a NaN makespan.
+ */
+std::vector<DegreeTable::Row>
+randomRows(std::mt19937_64 &rng, size_t n)
+{
+    std::uniform_real_distribution<double> term(0.125, 40.0);
+    std::uniform_real_distribution<double> th(-10.0, 30.0);
+    std::uniform_int_distribution<int> die(0, 23);
+    const auto maybe_nan = [&](double v) {
+        return die(rng) == 0 ? std::numeric_limits<double>::quiet_NaN() : v;
+    };
+    std::vector<DegreeTable::Row> rows;
+    for (size_t i = 0; i < n; ++i) {
+        DegreeTable::Row row{};
+        std::uniform_int_distribution<size_t> earlier(0, i > 0 ? i - 1 : 0);
+        const bool tie_threshold = i > 0 && die(rng) < 8;
+        row.split.threshold = maybe_nan(
+            tie_threshold ? rows[earlier(rng)].split.threshold : th(rng));
+        row.split.otherCase = 2;
+        row.case1Base = maybe_nan(term(rng));
+        row.otherTime = maybe_nan(term(rng));
+        row.channelBase = maybe_nan(term(rng));
+        const bool tie_compute = i > 0 && die(rng) < 8;
+        row.compute = maybe_nan(tie_compute ? rows[earlier(rng)].compute
+                                            : term(rng));
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+TEST(PipelineSolver, DegreeTableEnvelopesMatchTheRowScanBitwise)
+{
+    // The envelopes answer with a binary search where the solvers scan
+    // every degree; any disagreement, even in the last bit, would move
+    // a DE decision. Probe every threshold and its neighbouring doubles
+    // (where a row enters case 1), both signed zeros, negative, huge
+    // and infinite t_gar, and the merged model's crossover points
+    // compute - channelBase, on tables of 1 to 64 rows. The floors
+    // must bound every probe from below.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::mt19937_64 rng(0x5eedc0deULL);
+    int probes = 0;
+    for (size_t n : {1, 1, 2, 3, 5, 16, 16, 16, 64, 64}) {
+        for (int rep = 0; rep < 8; ++rep) {
+            const std::vector<DegreeTable::Row> rows = randomRows(rng, n);
+            const DegreeTable table(rows);
+            std::vector<double> gars = {0.0,  -0.0,  -3.5,  1e-300,
+                                        7.25, 1e6,   1e300, -1e300,
+                                        kInf, -kInf};
+            for (const DegreeTable::Row &row : rows) {
+                for (double g : {row.split.threshold,
+                                 row.compute - row.channelBase}) {
+                    gars.push_back(g);
+                    gars.push_back(std::nextafter(g, -kInf));
+                    gars.push_back(std::nextafter(g, kInf));
+                }
+            }
+            for (double g : gars) {
+                const double t = table.minTime(g);
+                const double m = table.minMergedTime(g);
+                EXPECT_EQ(bitsOf(t), bitsOf(referenceMinTime(rows, g)))
+                    << "rows=" << n << " t_gar=" << g;
+                EXPECT_EQ(bitsOf(m),
+                          bitsOf(referenceMinMergedTime(rows, g)))
+                    << "rows=" << n << " t_gar=" << g;
+                EXPECT_LE(table.floorTime(), t) << "t_gar=" << g;
+                EXPECT_LE(table.floorMergedTime(), m) << "t_gar=" << g;
+                ++probes;
+            }
+        }
+    }
+    EXPECT_GT(probes, 8 * 10 * 10);
+}
+
+TEST(PipelineSolver, DegreeTableFloorsBoundTheSolverTables)
+{
+    // The partitioner cuts a DE trial on the floors, so on real
+    // problems they must never exceed a reachable minimum.
+    for (PipelineProblem p : table4Slice()) {
+        const DegreeTable table(p);
+        for (double g : {0.0, 1e-3, 0.5, 3.0, 40.0, 1e4}) {
+            EXPECT_LE(table.floorTime(), table.minTime(g));
+            EXPECT_LE(table.floorMergedTime(), table.minMergedTime(g));
+        }
+    }
 }
 
 TEST(PipelineSolver, AnalyticTimeTracksSimulatedPipeline)

@@ -4,6 +4,10 @@
  * and differential evolution.
  */
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -103,7 +107,7 @@ TEST(MinimizeConstrained, ReturnsEmptyWhenInfeasible)
 
 TEST(DifferentialEvolution, SolvesSphere)
 {
-    auto sphere = [](const std::vector<double> &x) {
+    auto sphere = [](const std::vector<double> &x, double) {
         double s = 0.0;
         for (double v : x)
             s += (v - 1.5) * (v - 1.5);
@@ -118,7 +122,7 @@ TEST(DifferentialEvolution, SolvesSphere)
 
 TEST(DifferentialEvolution, SolvesRosenbrock2D)
 {
-    auto rosen = [](const std::vector<double> &x) {
+    auto rosen = [](const std::vector<double> &x, double) {
         double a = 1.0 - x[0];
         double b = x[1] - x[0] * x[0];
         return a * a + 100.0 * b * b;
@@ -132,7 +136,7 @@ TEST(DifferentialEvolution, SolvesRosenbrock2D)
 
 TEST(DifferentialEvolution, RespectsBoxBounds)
 {
-    auto f = [](const std::vector<double> &x) { return -x[0]; };
+    auto f = [](const std::vector<double> &x, double) { return -x[0]; };
     std::vector<double> lo = {0.0}, hi = {2.0};
     DeResult r = differentialEvolution(f, lo, hi);
     EXPECT_NEAR(r.x[0], 2.0, 1e-6);
@@ -140,7 +144,7 @@ TEST(DifferentialEvolution, RespectsBoxBounds)
 
 TEST(DifferentialEvolution, DeterministicGivenSeed)
 {
-    auto f = [](const std::vector<double> &x) {
+    auto f = [](const std::vector<double> &x, double) {
         return std::sin(x[0]) + x[0] * x[0] * 0.1;
     };
     std::vector<double> lo = {-5.0}, hi = {5.0};
@@ -148,6 +152,135 @@ TEST(DifferentialEvolution, DeterministicGivenSeed)
     DeResult b = differentialEvolution(f, lo, hi);
     EXPECT_EQ(a.x[0], b.x[0]);
     EXPECT_EQ(a.value, b.value);
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+TEST(DifferentialEvolution, CutoffObjectiveKeepsEveryBit)
+{
+    // An objective may answer "loses" for a trial worse than its
+    // cutoff without computing it. DE must then take the very same
+    // path: the honouring objective below returns only a barely-larger
+    // value for such trials, yet the result matches the objective that
+    // ignores the cutoff bit for bit.
+    const auto shifted_sphere = [](const std::vector<double> &x) {
+        double s = 0.0;
+        for (size_t i = 0; i < x.size(); ++i)
+            s += (x[i] - 0.25 * i) * (x[i] - 0.25 * i) + std::sin(3.0 * x[i]);
+        return s;
+    };
+    for (size_t d : {1, 3, 8, 24}) {
+        for (uint64_t seed : {1ULL, 0x0d5eedULL, 977ULL}) {
+            DeConfig cfg;
+            cfg.populationSize = 12;
+            cfg.maxGenerations = 40;
+            cfg.seed = seed;
+            std::vector<double> lo(d, -4.0), hi(d, 4.0);
+            const DeResult full = differentialEvolution(
+                [&](const std::vector<double> &x, double) {
+                    return shifted_sphere(x);
+                },
+                lo, hi, cfg);
+            int cut = 0;
+            const DeResult pruned = differentialEvolution(
+                [&](const std::vector<double> &x, double cutoff) {
+                    const double v = shifted_sphere(x);
+                    if (v <= cutoff)
+                        return v;
+                    ++cut;
+                    return std::nextafter(cutoff, HUGE_VAL);
+                },
+                lo, hi, cfg);
+            EXPECT_GT(cut, 0);
+            EXPECT_EQ(bitsOf(full.value), bitsOf(pruned.value));
+            EXPECT_EQ(full.generations, pruned.generations);
+            ASSERT_EQ(full.x.size(), pruned.x.size());
+            for (size_t i = 0; i < d; ++i)
+                EXPECT_EQ(bitsOf(full.x[i]), bitsOf(pruned.x[i]))
+                    << "d=" << d << " seed=" << seed << " i=" << i;
+        }
+    }
+}
+
+/** A generator that yields one fixed draw. */
+struct FixedDraw
+{
+    using result_type = std::mt19937_64::result_type;
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+    result_type operator()() const { return draw; }
+    result_type draw;
+};
+
+TEST(DifferentialEvolution, CrossoverTestAgreesWithTheUniformDraw)
+{
+    // The raw-draw test must make the decision unit(rng) < CR makes,
+    // on a stream of draws and on every draw near the boundary.
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (double cr : {0.0, 0.3, 0.7, 0.9, 1.0}) {
+        const detail::CrossoverTest crosses(cr);
+        std::mt19937_64 raw(42), mapped(42);
+        int disagree = 0;
+        for (int i = 0; i < 1000000; ++i)
+            disagree += crosses(raw()) != (unit(mapped) < cr);
+        EXPECT_EQ(disagree, 0) << "CR=" << cr;
+
+        // Every draw within 4096 of CR * 2^64, where the decision flips.
+        const double scaled = std::ldexp(cr, 64);
+        const uint64_t center = scaled < std::ldexp(1.0, 64)
+                                    ? static_cast<uint64_t>(scaled)
+                                    : FixedDraw::max();
+        const uint64_t span = 4096;
+        const uint64_t first = center - std::min(center, span);
+        const uint64_t last = center + std::min(FixedDraw::max() - center,
+                                                span);
+        for (FixedDraw gen{first};; ++gen.draw) {
+            EXPECT_EQ(crosses(gen.draw), unit(gen) < cr)
+                << "CR=" << cr << " draw=" << gen.draw;
+            if (gen.draw == last)
+                break;
+        }
+        EXPECT_EQ(crosses(FixedDraw::min()), cr > 0.0);
+        EXPECT_EQ(crosses(FixedDraw::max()), cr == 1.0);
+    }
+}
+
+TEST(DifferentialEvolutionDeathTest, RejectsInvalidConfig)
+{
+    const auto f = [](const std::vector<double> &x, double) { return x[0]; };
+    const std::vector<double> lo = {0.0}, hi = {1.0};
+    const auto run = [&](double crossover, double weight) {
+        DeConfig cfg;
+        cfg.crossover = crossover;
+        cfg.weight = weight;
+        differentialEvolution(f, lo, hi, cfg);
+    };
+    EXPECT_DEATH(run(std::nan(""), 0.7), "crossover");
+    EXPECT_DEATH(run(-0.1, 0.7), "crossover");
+    EXPECT_DEATH(run(1.5, 0.7), "crossover");
+    EXPECT_DEATH(run(0.9, std::nan("")), "weight");
+    EXPECT_DEATH(run(0.9, HUGE_VAL), "weight");
+}
+
+TEST(DifferentialEvolution, FullCrossoverStillSolves)
+{
+    // CR = 1 crosses every dimension (and still takes every draw).
+    DeConfig cfg;
+    cfg.crossover = 1.0;
+    std::vector<double> lo(3, -5.0), hi(3, 5.0);
+    const DeResult r = differentialEvolution(
+        [](const std::vector<double> &x, double) {
+            return (x[0] - 1.0) * (x[0] - 1.0) + x[1] * x[1] +
+                   (x[2] + 2.0) * (x[2] + 2.0);
+        },
+        lo, hi, cfg);
+    EXPECT_LT(r.value, 1e-3);
 }
 
 } // namespace
