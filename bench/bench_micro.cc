@@ -4,10 +4,12 @@
  * claims: Algorithm-1 solve cost (§6.2 reports ~193 ms per case for
  * SLSQP; our combined solve must be far cheaper to run 1458 cases),
  * gradient-partitioning cost (and its DE and degree-table parts),
- * simulator throughput, gate kernels, the GEMM kernel, and the
- * functional AlltoAll algorithms.
+ * simulator throughput (also against the naive reference simulator),
+ * gate kernels, the GEMM kernel, and the functional AlltoAll
+ * algorithms.
  */
 #include <limits>
+#include <random>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -19,6 +21,7 @@
 #include "dist/communicator.h"
 #include "model/models.h"
 #include "runtime/scenario.h"
+#include "sim_reference.h"
 #include "tensor/gemm.h"
 #include "tensor/rng.h"
 
@@ -203,6 +206,79 @@ BM_Simulator(benchmark::State &state)
                             static_cast<int64_t>(graph.size()));
 }
 BENCHMARK(BM_Simulator);
+
+/**
+ * A synthetic pipelined workload: @p num_streams streams of equal
+ * length, tasks cycling over links and op classes, each task
+ * depending on its stream predecessor and (every third task) on a
+ * task of the previous stream — the cross-stream fan-in that makes
+ * eligibility tracking non-trivial. ~10% zero-duration barriers and
+ * ~20% background-priority tasks mirror real schedule graphs.
+ */
+sim::TaskGraph
+makeSynthetic(int num_tasks, int num_streams)
+{
+    std::mt19937 rng(0xbe9c4u);
+    std::uniform_int_distribution<int> pct(0, 99);
+    std::uniform_int_distribution<int> quantum(1, 20);
+
+    sim::TaskGraph g;
+    g.reserve(num_tasks, 2 * num_tasks);
+    const int per_stream = num_tasks / num_streams;
+    std::vector<sim::TaskId> prev_row(num_streams, -1);
+    std::vector<sim::TaskId> deps;
+    for (int i = 0; i < per_stream; ++i) {
+        for (int s = 0; s < num_streams; ++s) {
+            deps.clear();
+            if (prev_row[s] >= 0)
+                deps.push_back(prev_row[s]);
+            if (i % 3 == 1 && s > 0 && prev_row[s - 1] >= 0)
+                deps.push_back(prev_row[s - 1]);
+            const auto link = static_cast<sim::Link>((i + s) % 3);
+            const auto op = static_cast<sim::OpType>(
+                (i + s) % static_cast<int>(sim::OpType::NumOpTypes));
+            const double duration =
+                pct(rng) < 10 ? 0.0 : 0.05 * quantum(rng);
+            const int priority = pct(rng) < 20 ? 1 : 0;
+            prev_row[s] = g.addTask({"t", i * num_streams + s}, op, link,
+                                    s, duration, deps, priority);
+        }
+    }
+    return g;
+}
+
+/**
+ * The production heap engine against the naive reference simulator
+ * (tests/sim_reference.h) on a 16,384-task synthetic graph: 512
+ * streams ("wide", where the reference's per-event stream rescan
+ * hurts most) or 6 streams (the shape real schedules simulate).
+ * Items are tasks, so items/s reads as the inverse of ns/task. The
+ * two engines must agree on the makespan.
+ */
+void
+BM_SimulatorVsReference(benchmark::State &state)
+{
+    const int streams = static_cast<int>(state.range(0));
+    const bool reference = state.range(1) != 0;
+    const sim::TaskGraph graph = makeSynthetic(16384, streams);
+    const double expected = sim::referenceRun(graph).makespan;
+    double makespan = 0.0;
+    for (auto _ : state) {
+        makespan = reference ? sim::referenceRun(graph).makespan
+                             : sim::Simulator{}.run(graph).makespan;
+        benchmark::DoNotOptimize(makespan);
+    }
+    if (makespan != expected)
+        state.SkipWithError("engine and reference makespans disagree");
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(graph.size()));
+}
+BENCHMARK(BM_SimulatorVsReference)
+    ->ArgNames({"streams", "reference"})
+    ->Args({512, 0})
+    ->Args({512, 1})
+    ->Args({6, 0})
+    ->Args({6, 1});
 
 void
 BM_GateForward(benchmark::State &state)

@@ -51,10 +51,6 @@
  *   --self-trace F   record the sweep's own execution (scenario and
  *                    stage spans on each worker thread) as Chrome
  *                    trace JSON into F; see docs/OBSERVABILITY.md
- *   --selftest       determinism + persistence self-checks: serial vs
- *                    4-thread bit-identity, JSON/CSV round-trip,
- *                    self-diff, shard partition coverage, and live
- *                    audits; exits non-zero on any mismatch
  *
  * Fault tolerance (docs/ROBUSTNESS.md) — any of these flags (or the
  * FSMOE_FAULT environment variable) runs the grid on the sweep
@@ -88,6 +84,8 @@
  * to converge to the uninterrupted run's bytes. A second signal
  * falls through to the default disposition and kills immediately.
  */
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -98,7 +96,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/audit.h"
 #include "base/fileio.h"
 #include "base/interrupt.h"
 #include "base/stats.h"
@@ -117,6 +114,24 @@
 namespace {
 
 using namespace fsmoe;
+
+/**
+ * The value of integer flag @p flag: all of @p arg must be a decimal
+ * in [@p min, INT_MAX], else "bad FLAG 'ARG'" and exit 2.
+ */
+int
+intFlag(const char *flag, const char *arg, int min)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(arg, &end, 10);
+    if (end == arg || *end != '\0' || errno != 0 || v < min ||
+        v > INT_MAX) {
+        std::fprintf(stderr, "bad %s '%s'\n", flag, arg);
+        std::exit(2);
+    }
+    return static_cast<int>(v);
+}
 
 std::vector<int64_t>
 parseBatches(const char *arg)
@@ -360,180 +375,6 @@ printRobustCounters()
     }
 }
 
-/** memcmp-level equality of two sweeps' timing results. */
-bool
-identicalResults(const std::vector<runtime::ScenarioResult> &a,
-                 const std::vector<runtime::ScenarioResult> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (std::memcmp(&a[i].makespanMs, &b[i].makespanMs,
-                        sizeof(double)) != 0)
-            return false;
-        if (a[i].sim.trace.size() != b[i].sim.trace.size())
-            return false;
-        for (size_t t = 0; t < a[i].sim.trace.size(); ++t) {
-            const auto &x = a[i].sim.trace[t];
-            const auto &y = b[i].sim.trace[t];
-            if (x.id != y.id ||
-                std::memcmp(&x.start, &y.start, sizeof(double)) != 0 ||
-                std::memcmp(&x.finish, &y.finish, sizeof(double)) != 0)
-                return false;
-        }
-    }
-    return true;
-}
-
-/** memcmp-level equality of two persisted result sets. */
-bool
-identicalSweepResults(const std::vector<runtime::SweepResult> &a,
-                      const std::vector<runtime::SweepResult> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].key() != b[i].key() ||
-            std::memcmp(&a[i].makespanMs, &b[i].makespanMs,
-                        sizeof(double)) != 0 ||
-            std::memcmp(a[i].opTimeMs.data(), b[i].opTimeMs.data(),
-                        sizeof(double) * a[i].opTimeMs.size()) != 0)
-            return false;
-    }
-    return true;
-}
-
-/** Persistence self-checks: round-trip, self-diff, shard coverage. */
-bool
-persistenceSelftest(const std::vector<runtime::Scenario> &grid,
-                    const std::vector<runtime::ScenarioResult> &results)
-{
-    const auto records = runtime::toSweepResults(results);
-    bool ok = true;
-
-    std::vector<runtime::SweepResult> reread;
-    std::string error = "re-read results differ";
-    if (!runtime::parseJson(runtime::toJson(records), &reread, &error) ||
-        !identicalSweepResults(records, reread)) {
-        std::printf("  JSON round-trip FAILED: %s\n", error.c_str());
-        ok = false;
-    }
-    error = "re-read results differ";
-    if (!runtime::parseCsv(runtime::toCsv(records), &reread, &error) ||
-        !identicalSweepResults(records, reread)) {
-        std::printf("  CSV round-trip FAILED: %s\n", error.c_str());
-        ok = false;
-    }
-
-    const auto self = runtime::diffResults(records, records);
-    if (!self.passes(0.0)) {
-        std::printf("  self-diff FAILED:\n%s",
-                    runtime::formatDiff(self, 0.0).c_str());
-        ok = false;
-    }
-
-    // Shard 1/3..3/3 must partition the grid: disjoint, in order,
-    // union == full grid.
-    std::vector<runtime::Scenario> merged;
-    for (int k = 1; k <= 3; ++k) {
-        auto part = runtime::shardScenarios(grid, {k, 3});
-        merged.insert(merged.end(), part.begin(), part.end());
-    }
-    bool shards_ok = merged.size() == grid.size();
-    for (size_t i = 0; shards_ok && i < grid.size(); ++i)
-        shards_ok = merged[i].label() == grid[i].label();
-    if (!shards_ok) {
-        std::printf("  shard partition FAILED\n");
-        ok = false;
-    }
-    std::printf("  persistence round-trip + self-diff + shards: %s\n",
-                ok ? "ok" : "FAILED");
-    return ok;
-}
-
-/**
- * Audit-mode pass (base/audit.h): when the binary carries the
- * debug-mode audits, prove they actually ran during the sweeps above
- * by reporting the audit.* counters from the stats registry — a
- * selftest that "passes" with audits silently compiled out would be
- * meaningless, so Release builds say so explicitly instead.
- */
-bool
-auditSelftest()
-{
-    if (!fsmoe::audit::compiledIn()) {
-        std::printf("  audits: compiled out in this build "
-                    "(rebuild with -DFSMOE_AUDIT=ON or Debug)\n");
-        return true;
-    }
-    const uint64_t graphs =
-        fsmoe::stats::counter("audit.taskGraph.verified").value();
-    const uint64_t pops =
-        fsmoe::stats::counter("audit.heap.popChecks").value();
-    const uint64_t checks =
-        fsmoe::stats::counter("audit.cacheKey.checks").value();
-    const uint64_t recorded =
-        fsmoe::stats::counter("audit.cacheKey.recorded").value();
-    std::printf("  audits: %llu graphs verified, %llu heap pops "
-                "checked, %llu cache-key checks (%llu keys recorded)\n",
-                static_cast<unsigned long long>(graphs),
-                static_cast<unsigned long long>(pops),
-                static_cast<unsigned long long>(checks),
-                static_cast<unsigned long long>(recorded));
-    const bool live = graphs > 0 && pops > 0 && checks > 0 &&
-                      recorded > 0 && checks >= recorded;
-    if (!live)
-        std::printf("  audit pass FAILED: audits are compiled in but "
-                    "some counter stayed zero\n");
-    return live;
-}
-
-int
-selftest(const std::vector<runtime::Scenario> &grid)
-{
-    std::printf("selftest: %zu scenarios, serial vs 4 threads\n",
-                grid.size());
-    runtime::SweepEngine serial({/*numThreads=*/1});
-    auto serial_results = serial.run(grid);
-    const double serial_ms = serial.stats().lastSweepWallMs;
-
-    runtime::SweepEngine parallel({/*numThreads=*/4});
-    auto parallel_results = parallel.run(grid);
-    const double parallel_ms = parallel.stats().lastSweepWallMs;
-
-    // A second sweep on the warm engine: every ModelCost and every
-    // SimResult is served from the caches, which is the repeated-sweep
-    // case the caches are for.
-    auto warm_results = parallel.run(grid);
-    const double warm_ms = parallel.stats().lastSweepWallMs;
-    const runtime::SweepStats warm_stats = parallel.stats();
-
-    const bool same = identicalResults(serial_results, parallel_results) &&
-                      identicalResults(serial_results, warm_results);
-    std::printf("  1 thread        : %9.1f ms\n", serial_ms);
-    std::printf("  4 threads (cold): %9.1f ms  (%.2fx)\n", parallel_ms,
-                serial_ms / parallel_ms);
-    std::printf("  4 threads (warm): %9.1f ms  (%.2fx, %zu sim-cache "
-                "hits)\n",
-                warm_ms, serial_ms / warm_ms, warm_stats.simCacheHits);
-    std::printf("  results bit-identical: %s\n", same ? "yes" : "NO");
-    const bool cached = warm_stats.simCacheHits == grid.size();
-    if (!cached)
-        std::printf("  sim cache FAILED: %zu hits, expected %zu\n",
-                    warm_stats.simCacheHits, grid.size());
-
-    const bool persist_ok = persistenceSelftest(grid, serial_results);
-
-    const bool audit_ok = auditSelftest();
-
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 2)
-        std::printf("  note: this host exposes %u CPU(s); thread-level "
-                    "speedup needs more cores\n",
-                    hw);
-    return same && cached && persist_ok && audit_ok ? 0 : 1;
-}
-
 /** Atomically write @p text to @p path; stderr + false on failure. */
 bool
 dumpTextFile(const char *path, const std::string &text)
@@ -559,7 +400,7 @@ usage(const char *argv0)
                  "          [--metrics-json FILE] [--self-trace FILE]\n"
                  "          [--journal FILE] [--resume] [--isolate]\n"
                  "          [--timeout-ms N] [--max-attempts N]\n"
-                 "          [--inject SPEC] [--selftest]\n",
+                 "          [--inject SPEC]\n",
                  argv0);
     return 2;
 }
@@ -579,7 +420,6 @@ main(int argc, char **argv)
     double tolerance_pct = 0.0;
     runtime::ShardSpec shard;
     bool sim_cache = true;
-    bool run_selftest = false;
     bool profile = false;
     bool link_util = false;
     const char *explain = nullptr;
@@ -594,7 +434,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
+            threads = intFlag("--threads", argv[++i], 0);
         } else if (std::strcmp(argv[i], "--batches") == 0 && i + 1 < argc) {
             batches = parseBatches(argv[++i]);
         } else if (std::strcmp(argv[i], "--schedules") == 0 &&
@@ -649,20 +489,10 @@ main(int argc, char **argv)
             inject_spec = argv[++i];
         } else if (std::strcmp(argv[i], "--max-attempts") == 0 &&
                    i + 1 < argc) {
-            max_attempts = std::atoi(argv[++i]);
-            if (max_attempts < 1) {
-                std::fprintf(stderr, "bad --max-attempts '%s'\n", argv[i]);
-                return 2;
-            }
+            max_attempts = intFlag("--max-attempts", argv[++i], 1);
         } else if (std::strcmp(argv[i], "--timeout-ms") == 0 &&
                    i + 1 < argc) {
-            timeout_ms = std::atoi(argv[++i]);
-            if (timeout_ms < 1) {
-                std::fprintf(stderr, "bad --timeout-ms '%s'\n", argv[i]);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--selftest") == 0) {
-            run_selftest = true;
+            timeout_ms = intFlag("--timeout-ms", argv[++i], 1);
         } else {
             return usage(argv[0]);
         }
@@ -698,14 +528,6 @@ main(int argc, char **argv)
 
     std::vector<runtime::Scenario> grid =
         runtime::demoGrid(batches, schedules);
-    if (run_selftest) {
-        if (trace_path != nullptr || explain != nullptr ||
-            self_trace != nullptr || metrics_json != nullptr)
-            std::fprintf(stderr, "warning: --trace/--explain/--self-trace/"
-                                 "--metrics-json are ignored with "
-                                 "--selftest\n");
-        return selftest(grid);
-    }
     if (shard.count > 1) {
         const size_t full = grid.size();
         grid = runtime::shardScenarios(grid, shard);

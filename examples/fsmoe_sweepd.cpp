@@ -42,6 +42,8 @@
  * 128+signal. A second signal kills immediately (the journal still
  * protects every acknowledged result).
  */
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,12 +73,15 @@ usage(const char *argv0)
 int
 positiveIntArg(const char *flag, const char *value)
 {
-    const int v = std::atoi(value);
-    if (v < 1) {
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || errno != 0 || v < 1 ||
+        v > INT_MAX) {
         std::fprintf(stderr, "bad %s '%s'\n", flag, value);
         std::exit(2);
     }
-    return v;
+    return static_cast<int>(v);
 }
 
 } // namespace

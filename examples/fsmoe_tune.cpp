@@ -12,9 +12,7 @@
  *
  * Everything printed and written is deterministic — byte-identical
  * across runs, thread counts, and Debug/Release builds — which is
- * what lets CI `cmp` the artifacts (--selftest re-asks the query and
- * fails unless the warm answer matches byte-for-byte with zero new
- * simulations).
+ * what lets CI `cmp` the artifacts.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +21,6 @@
 
 #include "base/fileio.h"
 #include "base/json.h"
-#include "base/stats.h"
 #include "runtime/tuner.h"
 
 using namespace fsmoe;
@@ -49,9 +46,6 @@ usage(const char *argv0)
         "  --advisor-cache F  load cached answers from F before the\n"
         "                     query and save all answers back after\n"
         "  --out-json F       write the answer JSON to F\n"
-        "  --selftest         re-ask the query warm and fail unless it\n"
-        "                     is answered from cache, byte-identically,\n"
-        "                     with zero new simulations\n"
         "  --quiet            suppress the frontier table\n"
         "  --help             this text\n",
         argv0);
@@ -86,7 +80,6 @@ main(int argc, char **argv)
     runtime::TuneOptions options;
     std::string cache_path;
     std::string out_json;
-    bool selftest = false;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -121,8 +114,6 @@ main(int argc, char **argv)
             cache_path = v;
         } else if (const char *v = flagValue("--out-json")) {
             out_json = v;
-        } else if (isFlag("--selftest")) {
-            selftest = true;
         } else if (isFlag("--quiet")) {
             quiet = true;
         } else {
@@ -174,28 +165,6 @@ main(int argc, char **argv)
                         json::fmtDouble(c.makespanMs).c_str(),
                         json::fmtDouble(c.commBusyMs).c_str(),
                         json::fmtDouble(c.peakMemMB).c_str());
-    }
-
-    if (selftest) {
-        const uint64_t sim_runs = stats::counter("sim.runs").value();
-        const runtime::TuneAnswer warm = tuner.tune(query);
-        const uint64_t sim_runs_after = stats::counter("sim.runs").value();
-        if (!warm.fromCache || sim_runs_after != sim_runs) {
-            std::fprintf(stderr,
-                         "selftest FAILED: warm query was not served "
-                         "from cache (sim.runs %llu -> %llu)\n",
-                         static_cast<unsigned long long>(sim_runs),
-                         static_cast<unsigned long long>(sim_runs_after));
-            return 1;
-        }
-        if (runtime::Tuner::answerJson(warm) !=
-            runtime::Tuner::answerJson(answer)) {
-            std::fprintf(stderr, "selftest FAILED: warm answer differs "
-                                 "from the cold answer\n");
-            return 1;
-        }
-        std::printf("\nselftest ok: warm query answered from cache, "
-                    "byte-identical, zero new simulations\n");
     }
 
     if (!out_json.empty()) {

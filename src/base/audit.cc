@@ -18,7 +18,7 @@ std::atomic<bool> g_enabled{true};
 /// insertions are evicted FIFO. Collisions between an evicted key and
 /// a later payload go unnoticed, which is acceptable: the table is a
 /// debug net, not a correctness dependency, and ordinary Debug runs
-/// (demo grid, tests, selftest) stay far below the cap.
+/// (demo grid, tests) stay far below the cap.
 constexpr size_t kMaxEntries = 1 << 20;
 
 struct KeyTable

@@ -17,15 +17,14 @@
  *     in Release, overridable either way with the CMake option
  *     -DFSMOE_AUDIT=ON|OFF (which defines FSMOE_FORCE_AUDIT=1|0).
  *     When 0, FSMOE_AUDIT(...) compiles to nothing — Release
- *     BENCH_sim.json numbers are untouched by this layer.
+ *     benchmark numbers are untouched by this layer.
  *   - run time: audit::enabled() (default on when compiled in) lets a
- *     process opt out, e.g. to time a Debug build, and lets
- *     `fsmoe_sweep --selftest` assert the audit pass really ran.
+ *     process opt out, e.g. to time a Debug build.
  *
  * Every executed check bumps a counter in the base/stats registry
- * ("audit.*"), so a test or selftest can prove audits were live
- * instead of silently compiled out. An audit failure is a bug by
- * definition and panics (aborts) — audits never degrade to warnings.
+ * ("audit.*"), so a test can prove audits were live instead of
+ * silently compiled out. An audit failure is a bug by definition and
+ * panics (aborts) — audits never degrade to warnings.
  *
  * Thread-safety: all functions here may be called concurrently; the
  * collision table is internally synchronised, counters are atomics.
@@ -140,15 +139,15 @@ class Fingerprint
 void checkCacheKey(const char *domain, const std::string &key,
                    uint64_t payload_fingerprint);
 
-/** Entries currently held by the collision table (tests/selftest). */
+/** Entries currently held by the collision table (for tests). */
 size_t cacheKeyTableSize();
 
 /** Drop every recorded (domain, key) fingerprint. */
 void clearCacheKeyTable();
 
 /**
- * Names of the registry counters audits bump; `fsmoe_sweep --selftest`
- * prints these after its audit pass.
+ * Names of the registry counters audits bump; the demo-grid baseline
+ * test asserts each is live after a real sweep.
  *
  *   audit.taskGraph.verified   graphs structurally validated
  *   audit.heap.popChecks       simulator heap pops validated

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -52,15 +54,61 @@ dominates(const TuneCandidate &a, const TuneCandidate &b)
            a.peakMemMB < b.peakMemMB;
 }
 
-/** One answer as a JSON object at @p indent spaces (no trailing \n). */
+/**
+ * Fingerprint of the candidate set a search draws from: every
+ * registered schedule and its declared params, in canonical-name
+ * order. Registering a schedule changes it, so answers cached before
+ * (or by a build with other schedules) are never served after.
+ */
+uint64_t
+registryDigest()
+{
+    std::vector<core::ScheduleInfo> infos =
+        core::ScheduleRegistry::instance().list();
+    std::sort(infos.begin(), infos.end(),
+              [](const core::ScheduleInfo &a, const core::ScheduleInfo &b) {
+                  return a.name < b.name;
+              });
+    audit::Fingerprint fp;
+    for (const core::ScheduleInfo &info : infos) {
+        fp.mix(info.name).mix(static_cast<uint64_t>(info.params.size()));
+        for (const core::ScheduleParamInfo &p : info.params)
+            fp.mix(p.key)
+                .mix(static_cast<int>(p.type))
+                .mix(p.defaultValue)
+                .mix(p.minValue)
+                .mix(p.maxValue)
+                .mix(p.tunable);
+    }
+    return fp.digest();
+}
+
+/** @p digest as the 16 hex digits the advisor-cache file stores. */
 std::string
-entryJson(const TuneAnswer &a, int indent)
+hexDigest(uint64_t digest)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(digest));
+    return buf;
+}
+
+/**
+ * One answer as a JSON object at @p indent spaces (no trailing \n).
+ * A non-null @p registry adds the advisor-cache file's per-entry
+ * registry digest.
+ */
+std::string
+entryJson(const TuneAnswer &a, int indent,
+          const std::string *registry = nullptr)
 {
     const std::string pad(indent, ' ');
     const std::string in(indent + 2, ' ');
     std::ostringstream oss;
     oss << pad << "{\n";
     oss << in << "\"query\": \"" << json::escape(a.queryKey) << "\",\n";
+    if (registry != nullptr)
+        oss << in << "\"registry\": \"" << *registry << "\",\n";
     oss << in << "\"best\": \"" << json::escape(a.best) << "\",\n";
     oss << in << "\"bestMakespanMs\": " << json::fmtDouble(a.bestMakespanMs)
         << ",\n";
@@ -94,23 +142,36 @@ fingerprintAnswer(const TuneAnswer &a)
 }
 #endif
 
-/** Inverse of entryJson; false (with *error) on a malformed entry. */
+/**
+ * Inverse of entryJson with a registry digest, which lands in
+ * *registry; false (with *error) on a malformed entry.
+ */
 bool
-parseEntry(const json::Value &v, TuneAnswer *out, std::string *error)
+parseEntry(const json::Value &v, TuneAnswer *out, uint64_t *registry,
+           std::string *error)
 {
     if (v.kind != json::Value::Kind::Object) {
         *error = "cache entry is not an object";
         return false;
     }
     double evaluated = 0.0;
+    std::string digest;
     if (!json::asString(v.find("query"), &out->queryKey) ||
+        !json::asString(v.find("registry"), &digest) ||
         !json::asString(v.find("best"), &out->best) ||
         !json::asNumber(v.find("bestMakespanMs"), &out->bestMakespanMs) ||
         !json::asNumber(v.find("evaluated"), &evaluated)) {
-        *error = "cache entry is missing query/best/bestMakespanMs/"
-                 "evaluated";
+        *error = "cache entry is missing query/registry/best/"
+                 "bestMakespanMs/evaluated";
         return false;
     }
+    if (digest.size() != 16 ||
+        digest.find_first_not_of("0123456789abcdef") != std::string::npos) {
+        *error = "cache entry has a malformed registry digest '" + digest +
+                 "'";
+        return false;
+    }
+    *registry = std::strtoull(digest.c_str(), nullptr, 16);
     out->evaluated = static_cast<size_t>(evaluated);
     const json::Value *frontier = v.find("frontier");
     if (frontier == nullptr ||
@@ -263,7 +324,7 @@ Tuner::queryKey(const TuneQuery &query) const
 TuneAnswer
 Tuner::tune(const TuneQuery &query)
 {
-    const std::string key = queryKey(query);
+    const CacheKey key{queryKey(query), registryDigest()};
     auto it = cache_.find(key);
     if (it != cache_.end()) {
         TuneAnswer answer = it->second;
@@ -271,9 +332,10 @@ Tuner::tune(const TuneQuery &query)
         return answer;
     }
     TuneAnswer answer = search(query);
-    answer.queryKey = key;
-    FSMOE_AUDIT(
-        audit::checkCacheKey("tuner.answer", key, fingerprintAnswer(answer)));
+    answer.queryKey = key.first;
+    FSMOE_AUDIT(audit::checkCacheKey(
+        "tuner.answer", key.first + "|registry=" + hexDigest(key.second),
+        fingerprintAnswer(answer)));
     cache_.emplace(key, answer);
     return answer;
 }
@@ -438,9 +500,9 @@ Tuner::loadCache(const std::string &path, std::string *error)
     int64_t version = 0;
     if (!json::asString(root.find("schema"), &schema) ||
         schema != "fsmoe-advisor-cache" ||
-        !json::asInt(root.find("version"), &version) || version != 1) {
+        !json::asInt(root.find("version"), &version) || version != 2) {
         if (error)
-            *error = "'" + path + "' is not a v1 fsmoe-advisor-cache";
+            *error = "'" + path + "' is not a v2 fsmoe-advisor-cache";
         return false;
     }
     const json::Value *entries = root.find("entries");
@@ -450,23 +512,25 @@ Tuner::loadCache(const std::string &path, std::string *error)
             *error = "'" + path + "' has no entries array";
         return false;
     }
-    std::vector<TuneAnswer> parsed;
+    std::vector<std::pair<CacheKey, TuneAnswer>> parsed;
     for (const json::Value &v : entries->array) {
         TuneAnswer a;
+        uint64_t registry = 0;
         std::string entry_error;
-        if (!parseEntry(v, &a, &entry_error)) {
+        if (!parseEntry(v, &a, &registry, &entry_error)) {
             if (error)
                 *error = "'" + path + "': " + entry_error;
             return false;
         }
-        parsed.push_back(std::move(a));
+        parsed.emplace_back(CacheKey{a.queryKey, registry}, std::move(a));
     }
-    for (TuneAnswer &a : parsed) {
+    for (auto &[key, a] : parsed) {
         // A loaded entry must agree with any answer this process
         // already computed (or later computes) for the same key.
-        FSMOE_AUDIT(audit::checkCacheKey("tuner.answer", a.queryKey,
-                                         fingerprintAnswer(a)));
-        cache_.emplace(a.queryKey, std::move(a)); // in-memory wins
+        FSMOE_AUDIT(audit::checkCacheKey(
+            "tuner.answer", key.first + "|registry=" + hexDigest(key.second),
+            fingerprintAnswer(a)));
+        cache_.emplace(key, std::move(a)); // in-memory wins
     }
     return true;
 }
@@ -476,10 +540,11 @@ Tuner::saveCache(const std::string &path, std::string *error) const
 {
     std::ostringstream oss;
     oss << "{\n  \"schema\": \"fsmoe-advisor-cache\",\n"
-        << "  \"version\": 1,\n  \"entries\": [";
+        << "  \"version\": 2,\n  \"entries\": [";
     bool first = true;
-    for (const auto &kv : cache_) {
-        oss << (first ? "\n" : ",\n") << entryJson(kv.second, 4);
+    for (const auto &[key, answer] : cache_) {
+        const std::string registry = hexDigest(key.second);
+        oss << (first ? "\n" : ",\n") << entryJson(answer, 4, &registry);
         first = false;
     }
     if (!cache_.empty())

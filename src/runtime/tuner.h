@@ -27,8 +27,9 @@
  * never worse than the best default configuration.
  *
  * Advisor caching: answers are memoized by a key derived from the
- * query and the tuner configuration, and can be persisted as a JSON
- * cache file (load/save), so a repeated query is a lookup — zero
+ * query and the tuner configuration, together with a digest of the
+ * registered schedules (the candidate set), and can be persisted as a
+ * JSON cache file (load/save), so a repeated query is a lookup — zero
  * simulations, verifiable via the "sim.runs" stats counter. The
  * persisted form round-trips byte-identically (base/json.h fmtDouble).
  *
@@ -45,8 +46,10 @@
 #define FSMOE_RUNTIME_TUNER_H
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/perf_model.h"
@@ -102,7 +105,7 @@ struct TuneCandidate
 /** The advisor's answer to one query. */
 struct TuneAnswer
 {
-    std::string queryKey; ///< Advisor-cache key (see Tuner::queryKey).
+    std::string queryKey; ///< See Tuner::queryKey.
     std::string best;     ///< Canonical spec with the least makespan.
     double bestMakespanMs = 0.0;
     size_t evaluated = 0; ///< Distinct specs probed by the search.
@@ -150,18 +153,22 @@ class Tuner
     TuneAnswer tune(const TuneQuery &query);
 
     /**
-     * Advisor-cache key of @p query under this tuner's configuration:
-     * the scenario cost key plus the search settings, so a tuner with
-     * a different budget never serves another configuration's answer.
+     * The query part of the advisor-cache key of @p query under this
+     * tuner's configuration: the scenario cost key plus the search
+     * settings, so a tuner with a different budget never serves
+     * another configuration's answer. The cache pairs it with a
+     * digest of the registered schedules, so registering one makes
+     * earlier answers stale.
      */
     std::string queryKey(const TuneQuery &query) const;
 
     /**
-     * Merge entries from a persisted advisor-cache JSON file.
-     * Returns false (leaving the cache unchanged) when the file is
-     * missing, unparseable, or has the wrong schema; *error explains.
-     * Entries whose key collides with an in-memory answer are kept
-     * from memory.
+     * Merge entries from a persisted advisor-cache JSON file (v2:
+     * each entry carries its registry digest). Returns false (leaving
+     * the cache unchanged) when the file is missing, unparseable, or
+     * has the wrong schema or version; *error explains. Entries whose
+     * key collides with an in-memory answer are kept from memory;
+     * entries with another registry digest load but are never served.
      */
     bool loadCache(const std::string &path, std::string *error);
 
@@ -187,10 +194,13 @@ class Tuner
   private:
     TuneAnswer search(const TuneQuery &query);
 
+    /// (queryKey, registry digest); see queryKey.
+    using CacheKey = std::pair<std::string, uint64_t>;
+
     TuneOptions options_;
     SweepEngine engine_;
     /// key -> answer; ordered so saveCache is deterministic.
-    std::map<std::string, TuneAnswer> cache_;
+    std::map<CacheKey, TuneAnswer> cache_;
 };
 
 } // namespace fsmoe::runtime

@@ -27,7 +27,7 @@
  * stream set (the pre-optimisation loop rescanned every stream for
  * every link on every event, O(events x links x streams); it survives
  * as the reference implementation in tests/sim_reference.h and is the
- * baseline bench_sim_hotpath measures speedup against).
+ * baseline bench_micro's BM_SimulatorVsReference measures against).
  */
 #ifndef FSMOE_SIM_SIMULATOR_H
 #define FSMOE_SIM_SIMULATOR_H

@@ -10,7 +10,8 @@
  * replaced the rescan with incrementally maintained per-link heaps and
  * must stay *bit-identical* to this loop: tests/sim_fuzz_test.cc
  * checks makespan, per-op times, and full traces on randomized DAGs,
- * and bench/bench_sim_hotpath.cc measures the speedup against it.
+ * and bench_micro's BM_SimulatorVsReference measures the speedup
+ * against it.
  *
  * Keep this file dumb and obviously correct; it is the oracle.
  */

@@ -287,7 +287,18 @@ TEST(Tuner, CacheLoadRejectsForeignFiles)
     EXPECT_FALSE(tuner.loadCache(path, &error));
     EXPECT_NE(error.find("fsmoe-advisor-cache"), std::string::npos)
         << error;
+    // A v1 file has no registry digests, so it cannot say which
+    // schedules its answers were chosen from.
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "{\"schema\": \"fsmoe-advisor-cache\", \"version\": 1, "
+               "\"entries\": []}";
+    }
+    EXPECT_FALSE(tuner.loadCache(path, &error));
+    EXPECT_NE(error.find("fsmoe-advisor-cache"), std::string::npos)
+        << error;
     EXPECT_FALSE(tuner.loadCache(path + ".missing", &error));
+    EXPECT_EQ(tuner.cacheSize(), 0u);
     std::remove(path.c_str());
 }
 
@@ -354,6 +365,55 @@ TEST(Tuner, PickMatchesExhaustiveGridSearchOracle)
     const TuneAnswer answer = tuner.tune(query);
     EXPECT_EQ(answer.best, oracle_best);
     EXPECT_DOUBLE_EQ(answer.bestMakespanMs, oracle_ms);
+}
+
+/** A parameterless schedule faster than anything above: one 1 ns task. */
+class InstantSchedule : public core::Schedule
+{
+  public:
+    sim::TaskGraph build(const core::ModelCost &) const override
+    {
+        sim::TaskGraph graph;
+        graph.addTask("instant", sim::OpType::Other, sim::Link::Compute, 0,
+                      1e-6, {});
+        return graph;
+    }
+};
+
+// Declared after the oracle test: a single-process run registers this
+// schedule for every later test, and it beats the oracle's optimum.
+TEST(Tuner, RegisteringAScheduleInvalidatesCachedAnswers)
+{
+    const std::string path =
+        testing::TempDir() + "/fsmoe_advisor_registry_test.json";
+    std::string error;
+    Tuner tuner;
+    const TuneAnswer before = tuner.tune(smallQuery());
+    ASSERT_TRUE(tuner.saveCache(path, &error)) << error;
+
+    core::ScheduleInfo info;
+    info.name = "tuner-test-late";
+    info.description = "registered after an answer was cached";
+    ASSERT_TRUE(core::ScheduleRegistry::instance().registerSchedule(
+        info, [](const core::ScheduleParams &) {
+            return std::make_unique<InstantSchedule>();
+        }));
+
+    // In memory: the answer cached before the registration is stale.
+    const TuneAnswer after = tuner.tune(smallQuery());
+    EXPECT_FALSE(after.fromCache);
+    EXPECT_EQ(after.best, "tuner-test-late");
+    EXPECT_NE(after.best, before.best);
+    EXPECT_EQ(after.queryKey, before.queryKey);
+
+    // Via the file: a cache saved before the registration loads, but
+    // its answer is not served.
+    Tuner reader;
+    ASSERT_TRUE(reader.loadCache(path, &error)) << error;
+    const TuneAnswer loaded = reader.tune(smallQuery());
+    EXPECT_FALSE(loaded.fromCache);
+    EXPECT_EQ(loaded.best, "tuner-test-late");
+    std::remove(path.c_str());
 }
 
 // --------------------------------------------------- answer structure
