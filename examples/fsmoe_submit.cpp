@@ -45,27 +45,6 @@ namespace {
 
 using namespace fsmoe;
 
-std::vector<int64_t>
-parseBatches(const char *arg)
-{
-    std::vector<int64_t> out;
-    for (const char *p = arg; *p != '\0';) {
-        char *end = nullptr;
-        long v = std::strtol(p, &end, 10);
-        if (end == p || v <= 0) {
-            std::fprintf(stderr, "bad --batches list '%s'\n", arg);
-            std::exit(2);
-        }
-        out.push_back(v);
-        p = *end == ',' ? end + 1 : end;
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "--batches needs at least one value\n");
-        std::exit(2);
-    }
-    return out;
-}
-
 std::vector<std::string>
 parseSchedules(const char *arg)
 {
@@ -154,7 +133,10 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--batches") == 0 && i + 1 < argc) {
-            batches = parseBatches(argv[++i]);
+            if (!service::parseBatchList(argv[++i], &batches)) {
+                std::fprintf(stderr, "bad --batches list '%s'\n", argv[i]);
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "--schedules") == 0 &&
                    i + 1 < argc) {
             schedules = parseSchedules(argv[++i]);

@@ -55,10 +55,10 @@
  * Fault tolerance (docs/ROBUSTNESS.md) — any of these flags (or the
  * FSMOE_FAULT environment variable) runs the grid on the sweep
  * service's supervisor (service/sweep_server.h): forked worker
- * processes under a heartbeat watchdog, so a crash or hang loses only
- * its worker's shard, which is reassigned, and persistent failures are
- * quarantined instead of aborting; healthy results stay byte-identical
- * to the plain engine's:
+ * processes under a heartbeat watchdog, so a crash or hang costs only
+ * the scenario in flight one attempt, and a scenario that keeps failing
+ * is quarantined instead of aborting the sweep; healthy results stay
+ * byte-identical to the plain engine's:
  *
  *   --journal FILE   append each finished scenario to a checksummed
  *                    journal (fsync'd), so a killed sweep can resume
@@ -68,8 +68,8 @@
  *   --isolate        take the fault-tolerant path without a journal
  *   --timeout-ms N   heartbeat watchdog: a busy worker silent this long
  *                    is killed (default 30000)
- *   --max-attempts N assignments before a shard's remainder is
- *                    quarantined (default 3)
+ *   --max-attempts N assignments before a scenario is quarantined
+ *                    (default 3)
  *   --inject SPEC    deterministic fault injection, e.g.
  *                    "seed=7,eval=0.3,crash=0.1,timeout=0.05,torn=0.2,
  *                    kill-after=12" or "stop-after=10", the
@@ -108,6 +108,7 @@
 #include "runtime/self_trace.h"
 #include "runtime/sweep_engine.h"
 #include "runtime/trace_export.h"
+#include "service/job.h"
 #include "service/sweep_server.h"
 #include "sim/run_report.h"
 
@@ -131,27 +132,6 @@ intFlag(const char *flag, const char *arg, int min)
         std::exit(2);
     }
     return static_cast<int>(v);
-}
-
-std::vector<int64_t>
-parseBatches(const char *arg)
-{
-    std::vector<int64_t> out;
-    for (const char *p = arg; *p != '\0';) {
-        char *end = nullptr;
-        long v = std::strtol(p, &end, 10);
-        if (end == p || v <= 0) {
-            std::fprintf(stderr, "bad --batches list '%s'\n", arg);
-            std::exit(2);
-        }
-        out.push_back(v);
-        p = *end == ',' ? end + 1 : end;
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "--batches needs at least one value\n");
-        std::exit(2);
-    }
-    return out;
 }
 
 /**
@@ -436,7 +416,10 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
             threads = intFlag("--threads", argv[++i], 0);
         } else if (std::strcmp(argv[i], "--batches") == 0 && i + 1 < argc) {
-            batches = parseBatches(argv[++i]);
+            if (!service::parseBatchList(argv[++i], &batches)) {
+                std::fprintf(stderr, "bad --batches list '%s'\n", argv[i]);
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "--schedules") == 0 &&
                    i + 1 < argc) {
             schedules = parseSchedules(argv[++i]);

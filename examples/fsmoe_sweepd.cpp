@@ -6,7 +6,7 @@
  * submitted by fsmoe_submit, runs each over a pool of heartbeat-
  * supervised worker processes (service/sweep_server.h), and writes
  * every job's merged result file. The daemon heals worker deaths,
- * stalls, and disconnects by reassigning shards, and survives its own
+ * stalls, and disconnects by retrying scenarios, and survives its own
  * death: every streamed result is journalled (fsync'd) before it is
  * acknowledged, so a restarted daemon resumes in-flight jobs and the
  * final output is byte-identical to an uninterrupted run (see
@@ -19,15 +19,13 @@
  *   --once                 drain the queue, then exit instead of
  *                          polling for new jobs (CI mode)
  *   --workers N            worker processes per job (default 3)
- *   --shards-per-worker N  shard granularity (default 4): pending
- *                          scenarios split into N*workers slices
  *   --heartbeat-ms N       idle-worker heartbeat interval (default 50)
  *   --heartbeat-timeout-ms N
  *                          watchdog: a busy worker silent this long is
- *                          killed and its shard reassigned (default
+ *                          killed and its scenario retried (default
  *                          2000; measured on the monotonic clock)
- *   --max-shard-attempts N assignment attempts before a shard's
- *                          remainder is quarantined (default 3)
+ *   --max-attempts N       assignment attempts before a scenario is
+ *                          quarantined (default 3)
  *   --inject SPEC          deterministic fault injection
  *                          (runtime/fault.h), e.g.
  *                          "seed=7,crash=0.2,kill-after=30";
@@ -62,9 +60,8 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s --queue DIR [--once] [--workers N]\n"
-                 "          [--shards-per-worker N] [--heartbeat-ms N]\n"
-                 "          [--heartbeat-timeout-ms N]\n"
-                 "          [--max-shard-attempts N] [--inject SPEC]\n"
+                 "          [--heartbeat-ms N] [--heartbeat-timeout-ms N]\n"
+                 "          [--max-attempts N] [--inject SPEC]\n"
                  "          [--profile]\n",
                  argv0);
     return 2;
@@ -102,10 +99,6 @@ main(int argc, char **argv)
             once = true;
         } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
             opts.numWorkers = positiveIntArg("--workers", argv[++i]);
-        } else if (std::strcmp(argv[i], "--shards-per-worker") == 0 &&
-                   i + 1 < argc) {
-            opts.shardsPerWorker =
-                positiveIntArg("--shards-per-worker", argv[++i]);
         } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0 &&
                    i + 1 < argc) {
             opts.heartbeatMs = positiveIntArg("--heartbeat-ms", argv[++i]);
@@ -113,10 +106,10 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             opts.heartbeatTimeoutMs =
                 positiveIntArg("--heartbeat-timeout-ms", argv[++i]);
-        } else if (std::strcmp(argv[i], "--max-shard-attempts") == 0 &&
+        } else if (std::strcmp(argv[i], "--max-attempts") == 0 &&
                    i + 1 < argc) {
             opts.retry.maxAttempts =
-                positiveIntArg("--max-shard-attempts", argv[++i]);
+                positiveIntArg("--max-attempts", argv[++i]);
         } else if (std::strcmp(argv[i], "--inject") == 0 && i + 1 < argc) {
             inject_spec = argv[++i];
         } else if (std::strcmp(argv[i], "--profile") == 0) {

@@ -82,9 +82,13 @@ countReaches(std::atomic<uint64_t> &count, uint64_t FaultConfig::*limit,
 bool
 parseRate(const std::string &value, double *out)
 {
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0' || v < 0.0 || v > 1.0)
+    // from_chars takes no leading whitespace or '+', and the range
+    // test is written so that NaN fails it.
+    double v = 0.0;
+    const char *end = value.data() + value.size();
+    const auto parsed = std::from_chars(value.data(), end, v);
+    if (parsed.ec != std::errc() || parsed.ptr != end ||
+        !(v >= 0.0 && v <= 1.0))
         return false;
     *out = v;
     return true;

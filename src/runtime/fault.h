@@ -2,7 +2,7 @@
  * @file
  * Deterministic fault injection for the sweep runtime.
  *
- * Every recovery path in the fault-tolerance layer — shard retry,
+ * Every recovery path in the fault-tolerance layer — scenario retry,
  * worker-crash supervision, watchdog timeouts, journal torn-tail
  * truncation, graceful stop — is dead code unless something exercises
  * it. This module injects those failures *deterministically*: the
@@ -16,18 +16,17 @@
  *   EvalError        scenario evaluation throws (a poisoned config, a
  *                    solver blow-up) — exercises retry + quarantine
  *   WorkerCrash      the worker dies (SIGKILL/OOM-style _exit(137)) —
- *                    exercises death detection, respawn, and shard
- *                    reassignment
+ *                    exercises death detection, respawn, and retry of
+ *                    the scenario in flight
  *   WorkerTimeout    the worker hangs until the supervisor's heartbeat
  *                    watchdog kills it — exercises the monotonic-clock
- *                    watchdog + shard reassignment
+ *                    watchdog + retry
  *   TransportDrop    a heartbeat frame is silently not sent —
  *                    exercises the supervisor's tolerance for lost
  *                    frames (results still arrive; one missed beat
  *                    must not kill a healthy worker)
- *   TransportDisconnect the worker closes its socket mid-shard and
- *                    exits — exercises EOF detection + reassignment
- *                    of the shard's unfinished remainder
+ *   TransportDisconnect the worker closes its socket mid-scenario and
+ *                    exits — exercises EOF detection + retry
  *
  * Supervisor-side sites:
  *   TornJournalWrite a journal append writes only a prefix of the

@@ -1,7 +1,8 @@
 #include "service/job.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 
 namespace fsmoe::service {
@@ -34,14 +35,18 @@ splitWords(const std::string &line)
     return words;
 }
 
+/**
+ * A batch size: plain decimal (from_chars takes no sign or
+ * whitespace), > 0, and no overflow. The one batch parser behind job
+ * specs and the CLIs' --batches flags.
+ */
 bool
-parseInt64(const std::string &text, int64_t *out)
+parsePositiveInt(const std::string &text, int64_t *out)
 {
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0)
+    int64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto parsed = std::from_chars(text.data(), end, v);
+    if (parsed.ec != std::errc() || parsed.ptr != end || v <= 0)
         return false;
     *out = v;
     return true;
@@ -88,7 +93,7 @@ parseJobSpec(const std::string &text, JobSpec *out, std::string *error)
             job.batches.clear();
             for (size_t i = 1; i < words.size(); ++i) {
                 int64_t b = 0;
-                if (!parseInt64(words[i], &b))
+                if (!parsePositiveInt(words[i], &b))
                     return fail("line " + std::to_string(lineno) +
                                 ": bad batch '" + words[i] +
                                 "' (want a positive integer)");
@@ -124,6 +129,25 @@ parseJobSpec(const std::string &text, JobSpec *out, std::string *error)
         return fail("missing mandatory key 'out'");
     (void)sawSchedules;
     *out = job;
+    return true;
+}
+
+bool
+parseBatchList(const std::string &text, std::vector<int64_t> *out)
+{
+    std::vector<int64_t> batches;
+    size_t pos = 0;
+    for (;;) {
+        const size_t comma = std::min(text.find(',', pos), text.size());
+        int64_t b = 0;
+        if (!parsePositiveInt(text.substr(pos, comma - pos), &b))
+            return false;
+        batches.push_back(b);
+        if (comma == text.size())
+            break;
+        pos = comma + 1;
+    }
+    *out = batches;
     return true;
 }
 

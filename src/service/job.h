@@ -58,6 +58,14 @@ struct JobSpec
 bool parseJobSpec(const std::string &text, JobSpec *out,
                   std::string *error);
 
+/**
+ * Parse a comma-separated --batches list ("1,2,4"). Each item is
+ * checked like a job spec's batch: a plain decimal integer > 0 that
+ * fits int64_t, with no sign, whitespace or overflow. Returns false on
+ * an empty list or any bad item; *out is untouched on failure.
+ */
+bool parseBatchList(const std::string &text, std::vector<int64_t> *out);
+
 /** Serialise @p job in canonical key order (round-trips via parse). */
 std::string serializeJobSpec(const JobSpec &job);
 

@@ -36,7 +36,6 @@ validFrameType(char t)
     case FrameType::Heartbeat:
     case FrameType::Result:
     case FrameType::EvalError:
-    case FrameType::ShardDone:
     case FrameType::Shutdown:
         return true;
     default:

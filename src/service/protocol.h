@@ -16,11 +16,10 @@
  *
  * Frames (direction, body):
  *   Hello      worker -> server   "<workerId>" — ready for work
- *   Assign     server -> worker   "<shardId> <attempt> <n> <idx>..."
+ *   Assign     server -> worker   "<gridIndex> <attempt>" — one scenario
  *   Heartbeat  worker -> server   "<workerId>" — liveness proof
  *   Result     worker -> server   "<gridIndex> <one-line JSON record>"
  *   EvalError  worker -> server   "<gridIndex> <message>"
- *   ShardDone  worker -> server   "<shardId>"
  *   Shutdown   server -> worker   "" — graceful drain request
  *
  * Determinism: framing adds no timestamps or randomness; a frame's
@@ -50,7 +49,6 @@ enum class FrameType : char
     Heartbeat = 'B',
     Result = 'R',
     EvalError = 'E',
-    ShardDone = 'D',
     Shutdown = 'S',
 };
 

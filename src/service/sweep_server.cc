@@ -7,8 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <sstream>
+#include <deque>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -35,9 +34,9 @@ using runtime::Scenario;
 using runtime::SweepResult;
 using Clock = std::chrono::steady_clock;
 
-// The quarantine error of a scenario whose shard's last worker was lost
-// without an eval error: one text per loss class, whichever of socket
-// EOF or waitpid noticed the death first.
+// The quarantine error of a scenario whose last attempt lost its worker:
+// one text per loss class, whichever of socket EOF or waitpid noticed
+// the death first.
 constexpr const char *kWorkerLost = "worker lost before reporting a result";
 constexpr const char *kMissedHeartbeat =
     "worker missed its heartbeat deadline";
@@ -83,99 +82,52 @@ sendOrDie(int fd, FrameType type, const std::string &body)
 }
 
 /**
- * Drain buffered + immediately-readable frames between scenarios so a
- * Shutdown issued mid-shard stops the worker at the next scenario
- * boundary. Returns true when a Shutdown was seen.
- */
-bool
-shutdownPending(int fd, FrameReader *reader)
-{
-    for (;;) {
-        Frame f;
-        std::string error;
-        while (reader->next(&f, &error)) {
-            if (f.type == FrameType::Shutdown)
-                return true;
-        }
-        if (!error.empty())
-            ::_exit(1); // framing broke; the stream is unusable
-        struct pollfd pfd = {fd, POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, 0);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            ::_exit(1);
-        }
-        if (pr == 0)
-            return false;
-        if (readIntoReader(fd, reader) <= 0)
-            ::_exit(0); // EOF: supervisor died; PDEATHSIG races this
-    }
-}
-
-/**
- * Evaluate one Assign frame's scenarios, streaming a Result (or
- * EvalError) per index. @p shutdown is set when a Shutdown arrived
- * mid-shard (the shard is left unfinished; the supervisor is draining
- * and will not reassign it).
+ * Evaluate the one scenario an Assign frame names, "<gridIndex>
+ * <attempt>", and report a Result or an EvalError for it.
  */
 void
-runAssignedShard(const WorkerContext &ctx, const std::string &body,
-                 FrameReader *reader, bool *shutdown)
+runAssigned(const WorkerContext &ctx, const std::string &body)
 {
-    std::istringstream iss(body);
-    int shardId = -1;
-    int attempt = 1;
-    size_t n = 0;
-    if (!(iss >> shardId >> attempt >> n))
+    size_t idx = 0;
+    std::string rest;
+    int attempt = 0;
+    if (!splitIndexedBody(body, ctx.grid.size(), &idx, &rest))
+        ::_exit(1); // a corrupt Assign frame
+    const char *end = rest.data() + rest.size();
+    const auto parsed = std::from_chars(rest.data(), end, attempt);
+    if (parsed.ec != std::errc() || parsed.ptr != end || attempt < 1)
         ::_exit(1);
-    std::vector<size_t> indices(n);
-    for (size_t i = 0; i < n; ++i)
-        if (!(iss >> indices[i]))
-            ::_exit(1);
+    const std::string label = ctx.grid[idx].label();
 
-    for (size_t idx : indices) {
-        if (shutdownPending(ctx.fd, reader)) {
-            *shutdown = true;
-            return;
-        }
-        if (idx >= ctx.grid.size())
-            ::_exit(1); // a corrupt Assign frame
-        const std::string label = ctx.grid[idx].label();
-
-        // Injection sites, each proving one supervisor failover path
-        // (runtime/fault.h). Keyed on (label, shard attempt) so a
-        // reassigned shard makes fresh — but still deterministic —
-        // decisions.
-        if (fault::shouldInject(fault::Site::WorkerCrash, label, attempt))
-            ::_exit(137); // SIGKILL-style: no goodbye on the socket
-        if (fault::shouldInject(fault::Site::TransportDisconnect, label,
-                                attempt)) {
-            ::close(ctx.fd); // EOF reaches the supervisor mid-shard
-            ::_exit(1);
-        }
-        if (fault::shouldInject(fault::Site::WorkerTimeout, label,
-                                attempt)) {
-            for (;;) // hang until the heartbeat watchdog SIGKILLs us
-                ::pause();
-        }
-        if (!fault::shouldInject(fault::Site::TransportDrop, label, attempt))
-            sendOrDie(ctx.fd, FrameType::Heartbeat, ctx.name);
-
-        try {
-            if (fault::shouldInject(fault::Site::EvalError, label, attempt))
-                throw std::runtime_error("injected eval fault (attempt " +
-                                         std::to_string(attempt) + ")");
-            const SweepResult r = SweepResult::fromScenarioResult(
-                ctx.engine.evaluate(ctx.grid[idx]));
-            sendOrDie(ctx.fd, FrameType::Result,
-                      std::to_string(idx) + " " + runtime::toJsonRecord(r));
-        } catch (const std::exception &e) {
-            sendOrDie(ctx.fd, FrameType::EvalError,
-                      std::to_string(idx) + " " + e.what());
-        }
+    // Injection sites, each proving one supervisor failover path
+    // (runtime/fault.h). Keyed on (label, the scenario's own attempt),
+    // so a retry makes a fresh — but still deterministic — decision.
+    if (fault::shouldInject(fault::Site::WorkerCrash, label, attempt))
+        ::_exit(137); // SIGKILL-style: no goodbye on the socket
+    if (fault::shouldInject(fault::Site::TransportDisconnect, label,
+                            attempt)) {
+        ::close(ctx.fd); // EOF reaches the supervisor mid-scenario
+        ::_exit(1);
     }
-    sendOrDie(ctx.fd, FrameType::ShardDone, std::to_string(shardId));
+    if (fault::shouldInject(fault::Site::WorkerTimeout, label, attempt)) {
+        for (;;) // hang until the heartbeat watchdog SIGKILLs us
+            ::pause();
+    }
+    if (!fault::shouldInject(fault::Site::TransportDrop, label, attempt))
+        sendOrDie(ctx.fd, FrameType::Heartbeat, ctx.name);
+
+    try {
+        if (fault::shouldInject(fault::Site::EvalError, label, attempt))
+            throw std::runtime_error("injected eval fault (attempt " +
+                                     std::to_string(attempt) + ")");
+        const SweepResult r = SweepResult::fromScenarioResult(
+            ctx.engine.evaluate(ctx.grid[idx]));
+        sendOrDie(ctx.fd, FrameType::Result,
+                  std::to_string(idx) + " " + runtime::toJsonRecord(r));
+    } catch (const std::exception &e) {
+        sendOrDie(ctx.fd, FrameType::EvalError,
+                  std::to_string(idx) + " " + e.what());
+    }
 }
 
 [[noreturn]] void
@@ -220,12 +172,12 @@ workerMain(int fd, int workerId, const ServerOptions &opts,
                     ::_exit(1);
                 break;
             }
-            // Supervisor-bound frame types are ignored.
-            bool shutdown = f.type == FrameType::Shutdown;
-            if (f.type == FrameType::Assign)
-                runAssignedShard(ctx, f.body, &reader, &shutdown);
-            if (shutdown)
+            // Frames are handled in arrival order, so a Shutdown lands
+            // between scenarios. Supervisor-bound types are ignored.
+            if (f.type == FrameType::Shutdown)
                 ::_exit(0);
+            if (f.type == FrameType::Assign)
+                runAssigned(ctx, f.body);
         }
     }
 }
@@ -255,6 +207,9 @@ quarantineRecord(const Scenario &s, int attempts, const std::string &error)
     return r;
 }
 
+/// WorkerSlot::idx of a worker with no scenario in flight.
+constexpr size_t kIdle = static_cast<size_t>(-1);
+
 struct WorkerSlot
 {
     pid_t pid = -1;
@@ -262,25 +217,9 @@ struct WorkerSlot
     int workerId = -1;
     FrameReader reader;
     bool alive = false;
-    bool ready = false; ///< Hello received; eligible for assignment.
-    int shard = -1;     ///< Active shard id, -1 when idle.
+    bool ready = false;  ///< Hello received; eligible for assignment.
+    size_t idx = kIdle;  ///< Grid index in flight, kIdle when idle.
     Clock::time_point lastBeat;
-};
-
-enum class ShardState
-{
-    Pending,
-    Active,
-    Done,
-};
-
-struct Shard
-{
-    std::vector<size_t> remaining; ///< Grid indices not yet finished.
-    int attempts = 0;              ///< Assignment attempts started.
-    ShardState state = ShardState::Pending;
-    Clock::time_point notBefore; ///< Backoff gate for reassignment.
-    const char *lastLoss = kWorkerLost; ///< Class of the last lost worker.
 };
 
 /**
@@ -295,66 +234,52 @@ class GridRun
     GridRun(const ServerOptions &opts, const std::vector<Scenario> &grid,
             runtime::Journal *journal)
         : opts_(opts), grid_(grid), journal_(journal),
-          results_(grid.size()), done_(grid.size(), 0)
+          results_(grid.size()), attempts_(grid.size(), 0),
+          notBefore_(grid.size())
     {
     }
 
     std::vector<SweepResult> run(JobOutcome *outcome);
 
   private:
-    void buildShards();
+    bool draining() const;
     void spawnWorker(WorkerSlot &slot);
     void respawnWorkers();
-    void assignShards();
+    void assign(WorkerSlot &slot);
     void checkWatchdogs();
     void reapWorkers();
     void pollSockets(int timeoutMs);
     void processFrames(WorkerSlot &slot);
     void handleFrame(WorkerSlot &slot, const Frame &f);
     void appendResult(size_t idx, const SweepResult &r);
+    void charge(size_t idx, const std::string &error);
     void workerGone(WorkerSlot &slot, const char *loss);
     void killWorker(WorkerSlot &slot, const char *loss);
-    void finishOrReassign(int shardId);
-    void quarantineShard(int shardId);
     void shutdownWorkers(bool graceful);
-    bool allShardsDone() const;
 
     const ServerOptions &opts_;
     const std::vector<Scenario> &grid_;
     runtime::Journal *journal_; ///< Null: results are not journalled.
     std::vector<SweepResult> results_;
-    std::vector<char> done_;
-    std::map<size_t, std::string> lastError_;
-    std::vector<Shard> shards_;
+    std::vector<int> attempts_; ///< Assignment attempts, by grid index.
+    std::vector<Clock::time_point> notBefore_; ///< Backoff gate, by index.
+    std::deque<size_t> pending_; ///< Grid order; retries join the back.
+    size_t unfinished_ = 0;      ///< Scenarios with no record yet.
     std::vector<WorkerSlot> workers_;
     int spawned_ = 0;
     int restarts_ = 0;
-    size_t resumed_ = 0;
     std::string failed_; ///< Non-empty aborts the run with this error.
 };
 
-void
-GridRun::buildShards()
+/**
+ * A stop was requested or the run failed: assign nothing and charge
+ * nothing, so an interrupted scenario is left for a resume instead of
+ * being quarantined for a loss that was not its own.
+ */
+bool
+GridRun::draining() const
 {
-    std::vector<size_t> pending;
-    for (size_t i = 0; i < grid_.size(); ++i)
-        if (done_[i] == 0)
-            pending.push_back(i);
-    if (pending.empty())
-        return;
-    // Contiguous slices, the same arithmetic as shardScenarios(): a
-    // lost worker forfeits at most one slice, and slice boundaries are
-    // deterministic for a given (grid, worker count).
-    size_t count = static_cast<size_t>(opts_.numWorkers) *
-                   static_cast<size_t>(opts_.shardsPerWorker);
-    count = std::max<size_t>(1, std::min(count, pending.size()));
-    shards_.resize(count);
-    for (size_t k = 0; k < count; ++k) {
-        const size_t lo = pending.size() * k / count;
-        const size_t hi = pending.size() * (k + 1) / count;
-        shards_[k].remaining.assign(pending.begin() + static_cast<long>(lo),
-                                    pending.begin() + static_cast<long>(hi));
-    }
+    return interrupt::stopRequested() || !failed_.empty();
 }
 
 void
@@ -389,7 +314,7 @@ GridRun::spawnWorker(WorkerSlot &slot)
     slot.reader = FrameReader{};
     slot.alive = true;
     slot.ready = false;
-    slot.shard = -1;
+    slot.idx = kIdle;
     slot.lastBeat = Clock::now();
     stats::counter("service.workers.spawned").inc();
 }
@@ -414,40 +339,34 @@ GridRun::respawnWorkers()
     }
 }
 
+/** Hand an idle worker the first pending scenario past its backoff. */
 void
-GridRun::assignShards()
+GridRun::assign(WorkerSlot &slot)
 {
+    if (!slot.alive || !slot.ready || slot.idx != kIdle || draining())
+        return;
     const auto now = Clock::now();
-    for (WorkerSlot &slot : workers_) {
-        if (!slot.alive || !slot.ready || slot.shard >= 0)
-            continue;
-        int pick = -1;
-        for (size_t s = 0; s < shards_.size(); ++s) {
-            if (shards_[s].state == ShardState::Pending &&
-                shards_[s].notBefore <= now) {
-                pick = static_cast<int>(s);
-                break;
-            }
-        }
-        if (pick < 0)
-            return;
-        Shard &sh = shards_[static_cast<size_t>(pick)];
-        sh.attempts += 1;
-        sh.state = ShardState::Active;
-        std::ostringstream body;
-        body << pick << " " << sh.attempts << " " << sh.remaining.size();
-        for (size_t idx : sh.remaining)
-            body << " " << idx;
-        slot.shard = pick;
-        if (!sendFrame(slot.fd, Frame{FrameType::Assign, body.str()})) {
-            // The worker died between frames; the attempt never ran,
-            // so hand it back without burning retry budget.
-            sh.attempts -= 1;
-            killWorker(slot, kWorkerLost);
-            continue;
-        }
-        stats::counter("service.shards.assigned").inc();
+    const auto it =
+        std::find_if(pending_.begin(), pending_.end(),
+                     [&](size_t i) { return notBefore_[i] <= now; });
+    if (it == pending_.end())
+        return;
+    const size_t idx = *it;
+    pending_.erase(it);
+    attempts_[idx] += 1;
+    slot.idx = idx;
+    if (!sendFrame(slot.fd, Frame{FrameType::Assign,
+                                  std::to_string(idx) + " " +
+                                      std::to_string(attempts_[idx])})) {
+        // The worker died between frames; the attempt never ran, so
+        // hand it back without burning retry budget.
+        attempts_[idx] -= 1;
+        slot.idx = kIdle;
+        pending_.push_front(idx);
+        killWorker(slot, kWorkerLost);
+        return;
     }
+    stats::counter("service.scenarios.assigned").inc();
 }
 
 void
@@ -461,11 +380,35 @@ GridRun::appendResult(size_t idx, const SweepResult &r)
     if (journal_ != nullptr && !journal_->append(idx, r, &error))
         FSMOE_WARN(error);
     results_[idx] = r;
-    done_[idx] = 1;
+    --unfinished_;
     // stop-after=K: the deterministic stand-in for a SIGTERM arriving
     // once K results have finished; run() then drains gracefully.
     if (fault::shouldStopAfterResult())
         interrupt::requestStop(SIGTERM);
+}
+
+/**
+ * Charge scenario @p idx's failed attempt: retry it after its backoff,
+ * or quarantine it with @p error once its attempts reach maxAttempts.
+ */
+void
+GridRun::charge(size_t idx, const std::string &error)
+{
+    if (draining())
+        return;
+    if (attempts_[idx] >= opts_.retry.maxAttempts) {
+        FSMOE_WARN("scenario ", grid_[idx].label(), " quarantined after ",
+                   attempts_[idx], " attempts: ", error);
+        appendResult(idx, quarantineRecord(grid_[idx], attempts_[idx], error));
+        stats::counter("service.scenarios.quarantined").inc();
+        return;
+    }
+    notBefore_[idx] = Clock::now() + std::chrono::milliseconds(
+                                         opts_.retry.backoffMs(attempts_[idx]));
+    pending_.push_back(idx);
+    stats::counter("service.scenarios.retried").inc();
+    FSMOE_VERBOSE("scenario ", idx, " retried (attempt ", attempts_[idx],
+                  " failed: ", error, ")");
 }
 
 void
@@ -483,86 +426,41 @@ GridRun::handleFrame(WorkerSlot &slot, const Frame &f)
         size_t idx = 0;
         SweepResult r;
         std::string error;
-        if (!decodeResultFrame(f.body, grid_, &idx, &r, &error)) {
-            FSMOE_WARN("worker w", slot.workerId, ": ", error);
+        if (!decodeResultFrame(f.body, grid_, &idx, &r, &error) ||
+            idx != slot.idx) {
+            FSMOE_WARN("worker w", slot.workerId, ": ",
+                       error.empty() ? "Result frame names a scenario it "
+                                       "was not assigned"
+                                     : error);
             killWorker(slot, kWorkerLost);
             break;
         }
-        // A dead worker is drained before its shard is reassigned, so
-        // an index arrives once; should it ever arrive twice, evaluation
-        // is pure, so the bytes match and the first one wins.
-        if (done_[idx] == 0) {
-            appendResult(idx, r);
-            stats::counter("service.results.streamed").inc();
-        }
-        if (slot.shard >= 0) {
-            auto &rem = shards_[static_cast<size_t>(slot.shard)].remaining;
-            const auto it = std::find(rem.begin(), rem.end(), idx);
-            if (it != rem.end())
-                rem.erase(it);
-        }
+        // Keep the worker busy through the fsync'd append below.
+        slot.idx = kIdle;
+        assign(slot);
+        appendResult(idx, r);
+        stats::counter("service.results.streamed").inc();
         break;
     }
     case FrameType::EvalError: {
         size_t idx = 0;
         std::string message;
-        if (!splitIndexedBody(f.body, grid_.size(), &idx, &message)) {
+        if (!splitIndexedBody(f.body, grid_.size(), &idx, &message) ||
+            idx != slot.idx) {
             FSMOE_WARN("worker w", slot.workerId,
-                       ": EvalError frame has no valid grid index");
+                       ": EvalError frame does not name its scenario");
             killWorker(slot, kWorkerLost);
             break;
         }
-        lastError_[idx] = message;
         stats::counter("service.scenario.evalErrors").inc();
-        break;
-    }
-    case FrameType::ShardDone: {
-        const int shardId = slot.shard;
-        slot.shard = -1;
-        if (shardId >= 0)
-            finishOrReassign(shardId);
+        slot.idx = kIdle;
+        assign(slot);
+        charge(idx, message);
         break;
     }
     default:
         break; // worker-bound frame types: ignore
     }
-}
-
-void
-GridRun::finishOrReassign(int shardId)
-{
-    Shard &sh = shards_[static_cast<size_t>(shardId)];
-    if (sh.remaining.empty()) {
-        sh.state = ShardState::Done;
-        return;
-    }
-    if (sh.attempts >= opts_.retry.maxAttempts) {
-        quarantineShard(shardId);
-        return;
-    }
-    sh.state = ShardState::Pending;
-    sh.notBefore = Clock::now() + std::chrono::milliseconds(
-                                      opts_.retry.backoffMs(sh.attempts));
-    stats::counter("service.shards.reassigned").inc();
-    FSMOE_VERBOSE("shard ", shardId, " reassigned (attempt ", sh.attempts,
-                  ", ", sh.remaining.size(), " scenarios left)");
-}
-
-void
-GridRun::quarantineShard(int shardId)
-{
-    Shard &sh = shards_[static_cast<size_t>(shardId)];
-    for (size_t idx : sh.remaining) {
-        const auto it = lastError_.find(idx);
-        const std::string msg =
-            it != lastError_.end() ? it->second : sh.lastLoss;
-        appendResult(idx, quarantineRecord(grid_[idx], sh.attempts, msg));
-    }
-    FSMOE_WARN("shard ", shardId, " quarantined after ", sh.attempts,
-               " attempts (", sh.remaining.size(), " scenarios)");
-    sh.remaining.clear();
-    sh.state = ShardState::Done;
-    stats::counter("service.shards.quarantined").inc();
 }
 
 void
@@ -573,11 +471,11 @@ GridRun::workerGone(WorkerSlot &slot, const char *loss)
     // alive flag keeps that from recursing back here.
     slot.alive = false;
     slot.ready = false;
-    // Salvage every frame the worker streamed before dying: results it
-    // sent are real, and re-running them at the next shard attempt
-    // would let injected faults decide differently. The worker is dead,
-    // so its socket holds its last bytes and then EOF — draining it
-    // cannot block. Framing errors just end the salvage.
+    // Salvage every frame the worker streamed before dying: a result
+    // it sent is real, and charging its scenario instead would let an
+    // injected fault decide a second time. The worker is dead, so its
+    // socket holds its last bytes and then EOF — draining it cannot
+    // block. Framing errors just end the salvage.
     while (slot.fd >= 0 && readIntoReader(slot.fd, &slot.reader) > 0) {
     }
     for (;;) {
@@ -590,13 +488,12 @@ GridRun::workerGone(WorkerSlot &slot, const char *loss)
     if (slot.fd >= 0)
         ::close(slot.fd);
     slot.fd = -1;
-    const int shardId = slot.shard;
-    slot.shard = -1;
-    if (shardId >= 0) {
+    const size_t idx = slot.idx;
+    slot.idx = kIdle;
+    if (idx != kIdle) {
         FSMOE_VERBOSE("worker w", slot.workerId, " gone (", loss,
-                      ") holding shard ", shardId);
-        shards_[static_cast<size_t>(shardId)].lastLoss = loss;
-        finishOrReassign(shardId);
+                      ") holding scenario ", idx);
+        charge(idx, loss);
     }
 }
 
@@ -617,14 +514,14 @@ GridRun::checkWatchdogs()
 {
     const auto now = Clock::now();
     for (WorkerSlot &slot : workers_) {
-        if (!slot.alive || slot.shard < 0)
+        if (!slot.alive || slot.idx == kIdle)
             continue;
         if (now - slot.lastBeat >
             std::chrono::milliseconds(opts_.heartbeatTimeoutMs)) {
             stats::counter("service.heartbeats.missed").inc();
             FSMOE_WARN("worker w", slot.workerId, " missed its heartbeat "
                        "deadline (", opts_.heartbeatTimeoutMs,
-                       " ms); killing and reassigning shard ", slot.shard);
+                       " ms); killing it and charging scenario ", slot.idx);
             killWorker(slot, kMissedHeartbeat);
         }
     }
@@ -723,20 +620,12 @@ GridRun::shutdownWorkers(bool graceful)
         killWorker(slot, kWorkerLost);
 }
 
-bool
-GridRun::allShardsDone() const
-{
-    for (const Shard &sh : shards_)
-        if (sh.state != ShardState::Done)
-            return false;
-    return true;
-}
-
 std::vector<SweepResult>
 GridRun::run(JobOutcome *outcome)
 {
     *outcome = JobOutcome{};
     outcome->scenarios = grid_.size();
+    std::vector<char> recovered(grid_.size(), 0);
     if (journal_ != nullptr) {
         for (const auto &entry : journal_->recovered()) {
             // Only Ok records are done; failed/quarantined ones get a
@@ -745,23 +634,25 @@ GridRun::run(JobOutcome *outcome)
             if (entry.first < grid_.size() &&
                 entry.second.status == runtime::ResultStatus::Ok) {
                 results_[entry.first] = entry.second;
-                done_[entry.first] = 1;
-                ++resumed_;
+                recovered[entry.first] = 1;
+                ++outcome->resumed;
                 stats::counter("service.results.resumed").inc();
             }
         }
     }
-    outcome->resumed = resumed_;
+    for (size_t i = 0; i < grid_.size(); ++i)
+        if (recovered[i] == 0)
+            pending_.push_back(i);
+    unfinished_ = pending_.size();
 
-    buildShards();
-    if (!shards_.empty()) {
+    if (unfinished_ > 0) {
         workers_.resize(static_cast<size_t>(std::max(1, opts_.numWorkers)));
         for (WorkerSlot &slot : workers_) {
             spawnWorker(slot);
             if (!failed_.empty())
                 break;
         }
-        while (failed_.empty() && !allShardsDone()) {
+        while (failed_.empty() && unfinished_ > 0) {
             if (interrupt::stopRequested()) {
                 shutdownWorkers(/*graceful=*/true);
                 outcome->interrupted = true;
@@ -771,7 +662,8 @@ GridRun::run(JobOutcome *outcome)
             reapWorkers();
             checkWatchdogs();
             respawnWorkers();
-            assignShards();
+            for (WorkerSlot &slot : workers_)
+                assign(slot);
             pollSockets(std::max(1, opts_.heartbeatMs / 2));
         }
         shutdownWorkers(/*graceful=*/failed_.empty());
@@ -950,9 +842,9 @@ printServiceCounters()
         "service.workers.restarted",
         "service.heartbeats.received",
         "service.heartbeats.missed",
-        "service.shards.assigned",
-        "service.shards.reassigned",
-        "service.shards.quarantined",
+        "service.scenarios.assigned",
+        "service.scenarios.retried",
+        "service.scenarios.quarantined",
         "service.results.streamed",
         "service.results.resumed",
         "service.scenario.evalErrors",

@@ -9,43 +9,49 @@
  * result file out) and every journaled, isolated or fault-injected
  * `fsmoe_sweep` run (runGrid on the CLI's own grid). Workers are
  * forked, never exec'd, so each one inherits the grid and options and
- * nothing but shard assignments and results crosses the wire. Each
- * worker evaluates through one runtime::SweepEngine (sim cache off),
- * the same path as a plain sweep, so healthy records carry the plain
- * engine's bytes.
+ * nothing but scenario assignments and results crosses the wire. One
+ * scenario is the unit of both assignment and retry: an Assign names
+ * one grid index and that scenario's own attempt number. Each worker
+ * evaluates through one runtime::SweepEngine (sim cache off), the same
+ * path as a plain sweep, so healthy records carry the plain engine's
+ * bytes.
  *
  *   worker dies (SIGKILL, crash, injected crash)
  *     -> death is observed via socket EOF or waitpid; either way the
- *        socket is drained to EOF, the shard's unfinished remainder is
- *        reassigned, and a fresh worker is forked into the slot
+ *        socket is drained to EOF, the scenario in flight (if its
+ *        result did not arrive) is charged one attempt, and a fresh
+ *        worker is forked into the slot
  *   worker stalls (hang, injected timeout)
  *     -> a per-worker heartbeat watchdog on std::chrono::steady_clock
  *        (wall-clock time is banned in deadline arithmetic — see
  *        fsmoe_lint's wallclock-deadline rule) SIGKILLs the worker
- *        past heartbeatTimeoutMs and reassigns its shard
+ *        past heartbeatTimeoutMs and charges its scenario
  *   worker disconnects or corrupts a frame (injected disconnect)
- *     -> same reassignment path as death
+ *     -> same path as death
  *   scenario evaluation fails (throw, injected eval fault)
- *     -> the worker reports EvalError and continues; the failed index
- *        rides the shard's next assignment attempt
+ *     -> the worker reports EvalError and stays up; the scenario is
+ *        charged one attempt
  *   the daemon itself dies (SIGKILL, injected kill-after)
  *     -> every streamed result was already journalled (fsync'd);
  *        workers die with it via PR_SET_PDEATHSIG; a restarted daemon
  *        resumes the job from the journal
  *
- * Reassignment follows RetryPolicy: deterministic exponential backoff
- * between attempts, and a shard assigned maxAttempts times has its
- * remaining scenarios quarantined (ResultStatus::Quarantined). A
- * quarantined scenario carries its last eval error or, without one,
- * the class of its shard's last worker loss ("worker lost before
- * reporting a result" / "worker missed its heartbeat deadline").
+ * Retries follow RetryPolicy: a charged scenario rejoins the back of
+ * the pending queue after a deterministic exponential backoff, and a
+ * scenario whose own attempts reach maxAttempts is quarantined
+ * (ResultStatus::Quarantined) with its last failure as the error: the
+ * eval message, or the loss class ("worker lost before reporting a
+ * result" / "worker missed its heartbeat deadline"). Once a stop is
+ * requested nothing is assigned or charged, so a graceful drain never
+ * quarantines a scenario it only interrupted.
  *
  * Determinism contract (docs/SERVICE.md): scenario evaluation is pure
  * and results are keyed by grid index, so the merged output is
  * byte-identical to a single-process `fsmoe_sweep` over the same grid
- * — regardless of worker count, shard size, or how many times the job
- * was resumed. Under injected faults the output is a pure function of
- * the grid, the fault spec and the shard layout.
+ * — regardless of worker count or how many times the job was resumed.
+ * Every injected fault keys on (seed, site, label, that scenario's
+ * attempt), so an injected run's output is a pure function of the grid
+ * and the fault spec, at any worker count.
  *
  * Thread-safety: the supervisor is strictly single-threaded (fork
  * from a threaded process is a deadlock lottery); all concurrency is
@@ -67,7 +73,7 @@
 
 namespace fsmoe::service {
 
-/** Retry-then-quarantine policy for a shard's assignment attempts. */
+/** Retry-then-quarantine policy for a scenario's assignment attempts. */
 struct RetryPolicy
 {
     /// Give up (quarantine) after this many failed attempts.
@@ -86,18 +92,14 @@ struct ServerOptions
 {
     /// Worker processes to keep alive while a job runs.
     int numWorkers = 3;
-    /// Shards per worker: the grid's pending indices are split into
-    /// numWorkers * shardsPerWorker contiguous slices, so losing a
-    /// worker forfeits at most 1/shardsPerWorker of its fair share.
-    int shardsPerWorker = 4;
     /// Interval at which an idle worker volunteers a heartbeat; busy
     /// workers beat once per scenario.
     int heartbeatMs = 50;
     /// Watchdog: a busy worker silent for this long (steady clock) is
-    /// SIGKILLed and its shard reassigned.
+    /// SIGKILLed and its scenario charged one attempt.
     int heartbeatTimeoutMs = 2000;
-    /// Assignment attempts before a shard's remainder is quarantined,
-    /// and the backoff before each reassignment.
+    /// Assignment attempts before a scenario is quarantined, and the
+    /// backoff before each retry.
     RetryPolicy retry;
     /// Worker respawns tolerated per job before the job fails — a
     /// backstop against a fault config that kills every fork.

@@ -67,6 +67,9 @@ TEST(Fault, ParseSpecRejectsMalformedInputAndLeavesOutUntouched)
         "eval=1.5",      // rate out of range
         "eval=-0.1",     // rate out of range
         "eval=nope",     // not a number
+        "eval=nan",      // not a number, and would fire every time
+        "eval=",         // empty rate
+        "eval= 0.5",     // leading whitespace
         "seed=x",        // not a number
         "kill-after=x",  // not a number
     };

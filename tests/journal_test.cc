@@ -324,10 +324,9 @@ TEST(Journal, NonOkRecordsRoundTripWithStatusIntact)
 
 TEST(Journal, DuplicateRecordsFromAReassignedShardAreIdempotent)
 {
-    // Service failover replays a shard from its start: results the
-    // dead worker already streamed are streamed (and journalled)
-    // again. Evaluation is pure, so the duplicates are byte-identical
-    // and recovery must keep exactly one record per index.
+    // An index journalled twice — a scenario re-run after its result
+    // was already written — carries identical bytes, since evaluation
+    // is pure, and recovery must keep exactly one record per index.
     const auto grid = smallGrid();
     ASSERT_GE(grid.size(), 3u);
     const std::string path = scratchPath("journal_dup_shard.txt");
@@ -335,10 +334,10 @@ TEST(Journal, DuplicateRecordsFromAReassignedShardAreIdempotent)
     Journal j;
     std::string error;
     ASSERT_TRUE(j.open(path, grid, /*resume=*/false, &error)) << error;
-    // First assignment finishes indices 0 and 1, then the worker dies.
+    // Indices 0 and 1 finish.
     ASSERT_TRUE(j.append(0, recordFor(grid, 0, 10.0), &error)) << error;
     ASSERT_TRUE(j.append(1, recordFor(grid, 1, 11.0), &error)) << error;
-    // Reassigned shard replays 1 (identical bytes) and reaches 2.
+    // 1 is re-run (identical bytes), then 2 finishes.
     ASSERT_TRUE(j.append(1, recordFor(grid, 1, 11.0), &error)) << error;
     ASSERT_TRUE(j.append(2, recordFor(grid, 2, 12.0), &error)) << error;
     j.close();
@@ -354,7 +353,7 @@ TEST(Journal, DuplicateRecordsFromAReassignedShardAreIdempotent)
 
 TEST(Journal, OutOfOrderShardAppendsMergeToCanonicalBytes)
 {
-    // Two shards stream results concurrently, so the journal's append
+    // Workers stream results concurrently, so the journal's append
     // order interleaves arbitrarily. recovered() is keyed by grid
     // index, so rebuilding in index order must reproduce the exact
     // bytes of an unsharded in-order sweep.

@@ -75,7 +75,7 @@ TEST(ServiceProtocol, FramesRoundTripThroughTheReaderInOrder)
     const std::vector<Frame> sent = {
         {FrameType::Hello, "3"},
         {FrameType::EvalError, "4 injected eval fault\n(attempt 1)"},
-        {FrameType::Assign, "7 2 3 10 11 12"},
+        {FrameType::Assign, "7 2"},
         {FrameType::Result, "10 {\"model\":\"m\"}"},
         {FrameType::Shutdown, ""},
     };
@@ -156,6 +156,8 @@ TEST(ServiceProtocol, ValidFrameTypeMatchesTheEnum)
     EXPECT_TRUE(validFrameType('R'));
     // No Config frame: workers inherit the grid and options via fork.
     EXPECT_FALSE(validFrameType('C'));
+    // No end-of-batch frame: an Assign names one scenario.
+    EXPECT_FALSE(validFrameType('D'));
     EXPECT_FALSE(validFrameType('Z'));
     EXPECT_FALSE(validFrameType('\0'));
 }
@@ -203,6 +205,8 @@ TEST(ServiceJob, MalformedSpecsAreRejectedWithLineErrors)
         "fsmoe-job v1\nname a\nbatches 1\nout o\nfrobnicate yes\n",
         "fsmoe-job v1\nname a\nbatches 0\nout o\n",  // bad batch
         "fsmoe-job v1\nname a\nbatches x\nout o\n",  // non-integer
+        "fsmoe-job v1\nname a\nbatches 99999999999999999999\nout o\n",
+        "fsmoe-job v1\nname a\nbatches +3\nout o\n", // signed
         "fsmoe-job v1\nbatches 1\nout o\n",          // missing name
         "fsmoe-job v1\nname a\nout o\n",             // missing batches
         "fsmoe-job v1\nname a\nbatches 1\n",         // missing out
@@ -214,6 +218,20 @@ TEST(ServiceJob, MalformedSpecsAreRejectedWithLineErrors)
         std::string error;
         EXPECT_FALSE(parseJobSpec(text, &out, &error));
         EXPECT_FALSE(error.empty());
+    }
+}
+
+TEST(ServiceJob, BatchListsParseStrictly)
+{
+    std::vector<int64_t> batches = {9};
+    ASSERT_TRUE(parseBatchList("1,2,4", &batches));
+    EXPECT_EQ(batches, (std::vector<int64_t>{1, 2, 4}));
+    const char *bad[] = {"", "1,", ",1", "1,,2", "0", "-1", "+2", " 1",
+                         "1 ", "2x", "99999999999999999999"};
+    for (const char *text : bad) {
+        SCOPED_TRACE(text);
+        EXPECT_FALSE(parseBatchList(text, &batches));
+        EXPECT_EQ(batches, (std::vector<int64_t>{1, 2, 4}));
     }
 }
 
@@ -343,7 +361,6 @@ TEST(ServiceSweepServer, RunJobOutputIsByteIdenticalToInProcessSweep)
 
     ServerOptions opts;
     opts.numWorkers = 2;
-    opts.shardsPerWorker = 2;
     SweepServer server(opts);
     JobOutcome outcome;
     ASSERT_TRUE(server.runJob(job, journal, /*resume=*/false, &outcome))
@@ -495,7 +512,6 @@ fastServerOpts()
 {
     ServerOptions opts;
     opts.numWorkers = 2;
-    opts.shardsPerWorker = 2;
     opts.retry.backoffBaseMs = 1;
     opts.retry.backoffMaxMs = 2;
     return opts;
@@ -544,8 +560,8 @@ TEST(ServiceRunGrid, JournaledCleanRunIsByteIdenticalToThePlainEngine)
 TEST(ServiceRunGrid, EvalFaultsRetryDeterministicallyAndSpareSurvivors)
 {
     // Eval faults alone: no worker dies, every failed scenario is
-    // re-assigned with its shard until it succeeds or exhausts its
-    // attempts, and the outcome is a pure function of the seed.
+    // re-assigned until it succeeds or exhausts its own attempts, and
+    // the outcome is a pure function of the seed.
     FaultGuard guard;
     const auto grid = smallGrid();
     const ServerOptions opts = fastServerOpts();
@@ -764,6 +780,39 @@ TEST(ServiceRunGrid, StopAfterDrainsGracefullyAndResumeConverges)
     std::remove(path.c_str());
 }
 
+TEST(ServiceRunGrid, GracefulStopChargesNoAttempt)
+{
+    // A drain only interrupts the scenarios in flight: it must not
+    // charge them an attempt, so even at maxAttempts 1 nothing is
+    // quarantined and every journalled record is a real result.
+    FaultGuard guard;
+    interrupt::clearStop();
+    const auto grid = runtime::demoGrid();
+    const std::string path = scratchPath("svc_rungrid_stop_charge.txt");
+    ServerOptions opts = fastServerOpts();
+    opts.numWorkers = 3;
+    opts.retry.maxAttempts = 1;
+    configureFaults("stop-after=10");
+    {
+        runtime::Journal j;
+        openJournal(&j, path, grid, /*resume=*/false);
+        JobOutcome outcome;
+        SweepServer(opts).runGrid(grid, &j, &outcome);
+        EXPECT_TRUE(outcome.interrupted);
+    }
+    interrupt::clearStop();
+    runtime::fault::reset();
+
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    EXPECT_GE(back.recovered().size(), 10u);
+    EXPECT_LT(back.recovered().size(), grid.size());
+    for (const auto &[idx, r] : back.recovered())
+        EXPECT_EQ(r.status, runtime::ResultStatus::Ok)
+            << "index " << idx << ": " << r.error;
+    std::remove(path.c_str());
+}
+
 TEST(ServiceRunGrid, WorkerCrashesQuarantineAfterMaxAttempts)
 {
     FaultGuard guard;
@@ -810,7 +859,7 @@ TEST(ServiceRunGrid, WatchdogKillsHungWorkers)
 
 TEST(ServiceRunGrid, DisconnectsQuarantineThenACleanResumeHeals)
 {
-    // Every shard attempt loses its worker to a closed socket: EOF
+    // Every attempt loses its worker to a closed socket: EOF
     // detection, respawn, backoff-gated reassignment and quarantine all
     // run, and the journal keeps the quarantine records. A clean resume
     // re-attempts them and converges to the clean bytes.
@@ -834,7 +883,7 @@ TEST(ServiceRunGrid, DisconnectsQuarantineThenACleanResumeHeals)
             EXPECT_EQ(r.error, kWorkerLost);
         }
     }
-    EXPECT_GE(stats::counter("service.shards.reassigned").value(), 1u);
+    EXPECT_GE(stats::counter("service.scenarios.retried").value(), 1u);
 
     runtime::fault::reset();
     runtime::Journal back;
@@ -852,9 +901,9 @@ TEST(ServiceRunGrid, DisconnectsQuarantineThenACleanResumeHeals)
 TEST(ServiceRunGrid, InjectedRunsAreByteIdenticalAndSpareSurvivors)
 {
     // Which scenarios a fault spec quarantines is a pure function of the
-    // spec and the shard layout — including results a crashed worker
-    // streamed just before dying, which must be salvaged rather than
-    // re-run at the next shard attempt. Four workers and fsync'd
+    // spec — including results a crashed worker streamed just before
+    // dying, which must be salvaged rather than charged and re-run at
+    // the scenario's next attempt. Four workers and fsync'd
     // journal appends keep the supervisor busy while other workers
     // stream and die: the window in which waitpid can notice a death
     // before the dead worker's last frames are read.
@@ -894,6 +943,44 @@ TEST(ServiceRunGrid, InjectedRunsAreByteIdenticalAndSpareSurvivors)
         } else {
             EXPECT_EQ(first[i].attempts, opts.retry.maxAttempts);
             EXPECT_FALSE(first[i].error.empty());
+        }
+    }
+}
+
+TEST(ServiceRunGrid, InjectedOutcomeIsIndependentOfWorkerCount)
+{
+    // Each scenario is assigned and retried on its own, so every fault
+    // decision keys on that scenario's attempt alone: the output is the
+    // same at any worker count.
+    FaultGuard guard;
+    const auto grid = runtime::demoGrid();
+    configureFaults("seed=7,eval=0.3,crash=0.2,timeout=0.1");
+    ServerOptions opts = fastServerOpts();
+    opts.retry.maxAttempts = 2;
+    opts.heartbeatTimeoutMs = 300;
+    std::vector<runtime::SweepResult> first;
+    for (int workers : {1, 3, 8}) {
+        SCOPED_TRACE(workers);
+        opts.numWorkers = workers;
+        JobOutcome outcome;
+        const auto results = SweepServer(opts).runGrid(grid, nullptr, &outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+        EXPECT_GT(outcome.quarantined, 0u)
+            << "pick a seed that quarantines something";
+        EXPECT_GT(outcome.okResults, 0u) << "pick a seed that leaves survivors";
+        if (first.empty()) {
+            first = results;
+        } else {
+            EXPECT_EQ(recordBytes(results), recordBytes(first));
+        }
+    }
+
+    runtime::fault::reset();
+    const auto clean = cleanBytes(grid);
+    ASSERT_EQ(first.size(), grid.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+        if (first[i].status == runtime::ResultStatus::Ok) {
+            EXPECT_EQ(runtime::toJsonRecord(first[i]), clean[i]) << i;
         }
     }
 }
