@@ -18,6 +18,7 @@
  * Because shards are contiguous grid slices, merging them in K order
  * writes a file byte-identical to the unsharded sweep's.
  */
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -100,7 +101,8 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             char *end = nullptr;
             tolerance_pct = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' || tolerance_pct < 0.0) {
+            if (end == argv[i] || *end != '\0' ||
+                !std::isfinite(tolerance_pct) || tolerance_pct < 0.0) {
                 std::fprintf(stderr, "bad --tolerance '%s'\n", argv[i]);
                 return 2;
             }

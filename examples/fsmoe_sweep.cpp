@@ -86,6 +86,7 @@
  */
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -438,7 +439,8 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             char *end = nullptr;
             tolerance_pct = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' || tolerance_pct < 0.0) {
+            if (end == argv[i] || *end != '\0' ||
+                !std::isfinite(tolerance_pct) || tolerance_pct < 0.0) {
                 std::fprintf(stderr, "bad --tolerance '%s'\n", argv[i]);
                 return 2;
             }

@@ -1,6 +1,7 @@
 #include "base/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -270,8 +271,11 @@ asNumber(const Value *v, double *out)
 bool
 asInt(const Value *v, int64_t *out)
 {
+    // 2^63 is exact in a double, and int64 holds [-2^63, 2^63).
+    constexpr double kLimit = 9223372036854775808.0;
     double d;
-    if (!asNumber(v, &d))
+    if (!asNumber(v, &d) || d != std::trunc(d) || d < -kLimit ||
+        d >= kLimit)
         return false;
     *out = static_cast<int64_t>(d);
     return true;

@@ -63,7 +63,7 @@ bool asString(const Value *v, std::string *out);
 /** *out = v's number; false unless @p v is a Number. */
 bool asNumber(const Value *v, double *out);
 
-/** asNumber truncated toward zero into an int64. */
+/** v's number as an int64; false unless it is integral and in range. */
 bool asInt(const Value *v, int64_t *out);
 
 /** *out = v's boolean; false unless @p v is a Bool. */

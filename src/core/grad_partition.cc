@@ -274,50 +274,4 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
     return plan;
 }
 
-GradPartitionPlan
-partitionGradientsLina(const std::vector<GeneralizedLayer> &layers,
-                       const LinearModel &allreduce, double chunk_bytes)
-{
-    const size_t n = layers.size();
-    FSMOE_CHECK_ARG(n >= 1, "need at least one generalized layer");
-    FSMOE_CHECK_ARG(chunk_bytes > 0.0, "chunk size must be positive");
-
-    GradPartitionPlan plan;
-    plan.denseBytes.assign(n, 0.0);
-    plan.moeBytes.assign(n, 0.0);
-
-    // Lina slices gradients into fixed chunks and overlaps them with
-    // expert computation and dense parts, not with the intra-node
-    // collectives; a chunk is scheduled only if it fits entirely, so a
-    // window smaller than one chunk's AllReduce stays idle — the
-    // "hit or miss" behaviour the paper observes (§6.4).
-    const double chunk_ms = allreduce.predict(chunk_bytes);
-    double pending = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        // Dense window: whole chunks only.
-        double window = layers[i].denseOlpMs;
-        while (pending >= chunk_bytes && window >= chunk_ms) {
-            plan.denseBytes[i] += chunk_bytes;
-            pending -= chunk_bytes;
-            window -= chunk_ms;
-        }
-        // Expert-computation window inside the MoE layer: Lina overlaps
-        // gradient chunks with expert compute only (not the pipeline's
-        // communication slack).
-        PipelineSolution sol = solvePipeline(layers[i].moe);
-        double exp_window =
-            layers[i].moe.exp.chunk(sol.r) * sol.r;
-        while (pending >= chunk_bytes && exp_window >= chunk_ms) {
-            plan.moeBytes[i] += chunk_bytes;
-            pending -= chunk_bytes;
-            exp_window -= chunk_ms;
-        }
-        pending += layers[i].gradBytes;
-    }
-    plan.exposedBytes = pending;
-    LayerSolver merged_solver(layers, /*merged=*/true);
-    finalizePlan(plan, layers, allreduce, merged_solver);
-    return plan;
-}
-
 } // namespace fsmoe::core

@@ -84,16 +84,6 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
                    const solver::DeConfig &de = {}, bool enable_step2 = true,
                    bool merged_channel = false);
 
-/**
- * Baseline from Lina [24]: partition gradients into fixed-size chunks
- * (30 MB in the paper) and overlap them with dense compute and expert
- * computation only, without adapting to per-layer slack.
- */
-GradPartitionPlan
-partitionGradientsLina(const std::vector<GeneralizedLayer> &layers,
-                       const LinearModel &allreduce,
-                       double chunk_bytes = 30.0 * (1 << 20));
-
 } // namespace fsmoe::core
 
 #endif // FSMOE_CORE_GRAD_PARTITION_H

@@ -1,8 +1,9 @@
 #include "runtime/result_store.h"
 
+#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,24 +38,18 @@ linkName(size_t i)
 using json::fmtDouble;
 const auto jsonEscape = json::escape;
 
+/**
+ * A CSV number field, parsed strictly: the whole field, no leading
+ * space or '+', and no overflow (std::from_chars, as service/job.cc
+ * parses batch sizes). T = int range-checks the narrow fields.
+ */
+template <typename T>
 bool
-parseDouble(const std::string &text, double *out)
+parseNumber(const std::string &text, T *out)
 {
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size();
-}
-
-bool
-parseInt64(const std::string &text, int64_t *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtoll(text.c_str(), &end, 10);
-    return end == text.c_str() + text.size();
+    const char *end = text.data() + text.size();
+    const auto parsed = std::from_chars(text.data(), end, *out);
+    return parsed.ec == std::errc() && parsed.ptr == end;
 }
 
 // JSON-in goes through base/json (json::parse and the typed member
@@ -62,6 +57,17 @@ parseInt64(const std::string &text, int64_t *out)
 const auto jsonString = json::asString;
 const auto jsonNumber = json::asNumber;
 const auto jsonInt = json::asInt;
+
+/** jsonInt for the int-typed fields; false when the value does not fit. */
+bool
+jsonNarrowInt(const json::Value *v, int *out)
+{
+    int64_t n = 0;
+    if (!jsonInt(v, &n) || n < INT_MIN || n > INT_MAX)
+        return false;
+    *out = static_cast<int>(n);
+    return true;
+}
 
 // ------------------------------------------------------------- CSV
 
@@ -256,20 +262,16 @@ parseRecordJson(const json::Value &entry, SweepResult *out,
         return bad("cluster");
     if (!jsonString(entry.find("schedule"), &r.schedule))
         return bad("schedule");
-    int64_t n = 0;
     if (!jsonInt(entry.find("batch"), &r.batch))
         return bad("batch");
     if (!jsonInt(entry.find("seq_len"), &r.seqLen))
         return bad("seq_len");
-    if (!jsonInt(entry.find("num_layers"), &n))
+    if (!jsonNarrowInt(entry.find("num_layers"), &r.numLayers))
         return bad("num_layers");
-    r.numLayers = static_cast<int>(n);
-    if (!jsonInt(entry.find("num_experts"), &n))
+    if (!jsonNarrowInt(entry.find("num_experts"), &r.numExperts))
         return bad("num_experts");
-    r.numExperts = static_cast<int>(n);
-    if (!jsonInt(entry.find("r_max"), &n))
+    if (!jsonNarrowInt(entry.find("r_max"), &r.rMax))
         return bad("r_max");
-    r.rMax = static_cast<int>(n);
     if (!jsonNumber(entry.find("makespan_ms"), &r.makespanMs))
         return bad("makespan_ms");
     const json::Value *ops = entry.find("op_time_ms");
@@ -298,9 +300,8 @@ parseRecordJson(const json::Value &entry, SweepResult *out,
         if (!jsonString(status, &name) ||
             !parseResultStatus(name, &r.status))
             return bad("status");
-        if (!jsonInt(entry.find("attempts"), &n))
+        if (!jsonNarrowInt(entry.find("attempts"), &r.attempts))
             return bad("attempts");
-        r.attempts = static_cast<int>(n);
         if (!jsonString(entry.find("error"), &r.error))
             return bad("error");
     }
@@ -573,29 +574,25 @@ parseCsv(const std::string &text, std::vector<SweepResult> *out,
         r.model = fields[0];
         r.cluster = fields[1];
         r.schedule = fields[2];
-        int64_t n = 0;
-        if (!parseInt64(fields[3], &r.batch))
+        if (!parseNumber(fields[3], &r.batch))
             return bad("bad batch");
-        if (!parseInt64(fields[4], &r.seqLen))
+        if (!parseNumber(fields[4], &r.seqLen))
             return bad("bad seq_len");
-        if (!parseInt64(fields[5], &n))
+        if (!parseNumber(fields[5], &r.numLayers))
             return bad("bad num_layers");
-        r.numLayers = static_cast<int>(n);
-        if (!parseInt64(fields[6], &n))
+        if (!parseNumber(fields[6], &r.numExperts))
             return bad("bad num_experts");
-        r.numExperts = static_cast<int>(n);
-        if (!parseInt64(fields[7], &n))
+        if (!parseNumber(fields[7], &r.rMax))
             return bad("bad r_max");
-        r.rMax = static_cast<int>(n);
-        if (!parseDouble(fields[8], &r.makespanMs))
+        if (!parseNumber(fields[8], &r.makespanMs))
             return bad("bad makespan_ms");
         for (size_t op = 0; op < kNumOps; ++op) {
-            if (!parseDouble(fields[9 + op], &r.opTimeMs[op]))
+            if (!parseNumber(fields[9 + op], &r.opTimeMs[op]))
                 return bad("bad op time");
         }
         if (with_links) {
             for (size_t li = 0; li < kNumLinks; ++li) {
-                if (!parseDouble(fields[9 + kNumOps + li],
+                if (!parseNumber(fields[9 + kNumOps + li],
                                  &r.linkBusyMs[li]))
                     return bad("bad link time");
             }
@@ -605,9 +602,8 @@ parseCsv(const std::string &text, std::vector<SweepResult> *out,
             const size_t base = 9 + kNumOps + (with_links ? kNumLinks : 0);
             if (!parseResultStatus(fields[base], &r.status))
                 return bad("bad status");
-            if (!parseInt64(fields[base + 1], &n))
+            if (!parseNumber(fields[base + 1], &r.attempts))
                 return bad("bad attempts");
-            r.attempts = static_cast<int>(n);
             r.error = fields[base + 2];
         }
         out->push_back(std::move(r));

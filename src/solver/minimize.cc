@@ -1,30 +1,10 @@
 #include "solver/minimize.h"
 
-#include <cmath>
 #include <limits>
 
 #include "base/logging.h"
 
 namespace fsmoe::solver {
-
-Minimum
-minimizeHyperbolic(double a, double b, double c, double lo)
-{
-    FSMOE_CHECK_ARG(lo > 0.0, "minimizeHyperbolic requires lo > 0");
-    auto eval = [&](double r) { return a * r + b / r + c; };
-    double x = lo;
-    if (a > 0.0 && b > 0.0) {
-        x = std::max(lo, std::sqrt(b / a));
-    } else if (a > 0.0) {
-        x = lo; // increasing: boundary optimum
-    } else if (b > 0.0) {
-        // Decreasing in r: unbounded improvement; report a large r so the
-        // caller's integer clamp takes over.
-        x = std::numeric_limits<double>::max();
-        return {x, c};
-    }
-    return {x, eval(x)};
-}
 
 Minimum
 goldenSection(const std::function<double(double)> &f, double lo, double hi,

@@ -4,11 +4,11 @@
  *
  * The paper solves each case objective f1..f4 with SLSQP (§4.3). Every
  * objective has the hyperbolic form A*r + B/r + C, which is convex on
- * r > 0, so we provide (a) the closed-form unconstrained minimiser,
- * (b) golden-section search for general convex objectives, and (c) a
- * feasibility-aware solve that combines a coarse grid scan with local
- * golden-section refinement — robust for the paper's disjunctive
- * Q-predicate constraint regions, which need not be intervals.
+ * r > 0, so we provide (a) golden-section search for general convex
+ * objectives and (b) a feasibility-aware solve that combines a coarse
+ * grid scan with local golden-section refinement — robust for the
+ * paper's disjunctive Q-predicate constraint regions, which need not
+ * be intervals.
  */
 #ifndef FSMOE_SOLVER_MINIMIZE_H
 #define FSMOE_SOLVER_MINIMIZE_H
@@ -24,13 +24,6 @@ struct Minimum
     double x = 0.0; ///< Argmin.
     double value = 0.0; ///< Objective at the argmin.
 };
-
-/**
- * Closed-form minimiser of f(r) = a*r + b/r + c over r >= lo.
- * With a,b >= 0 the unconstrained argmin is sqrt(b/a); degenerate
- * coefficients fall back to the boundary.
- */
-Minimum minimizeHyperbolic(double a, double b, double c, double lo = 1.0);
 
 /**
  * Golden-section search for a unimodal objective on [lo, hi].

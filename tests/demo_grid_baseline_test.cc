@@ -2,10 +2,10 @@
  * @file
  * Cross-PR bit-exactness gate, in-tree: sweeping the demo grid must
  * serialise to the exact bytes of the blessed baseline
- * (bench/baselines/demo_grid.json). CI runs the same check through
- * fsmoe_diff; this test makes the guarantee enforceable from a bare
- * `ctest`, so a simulator or schedule change that moves any simulated
- * number fails locally before a PR is even drafted. Regenerate the
+ * (bench/baselines/demo_grid.json). The e2e_persist ctest case runs the
+ * same check through fsmoe_sweep, cmp and fsmoe_diff; this test checks
+ * the library in-process, so a simulator or schedule change that moves
+ * any simulated number fails locally before a PR is even drafted. Regenerate the
  * baseline deliberately (`fsmoe_sweep --out-json
  * bench/baselines/demo_grid.json`) when a change is *supposed* to move
  * the numbers.

@@ -2,10 +2,10 @@
  * @file
  * Cross-PR byte-gate for the schedule advisor, in-tree: tuning the
  * demo query must serialise to the exact bytes of the blessed answer
- * (bench/baselines/demo_tune.json). CI runs the same `cmp` on the
- * fsmoe_tune artifact in Debug and Release; this test makes the
- * guarantee enforceable from a bare `ctest`, so a simulator, schedule,
- * or search change that moves the recommendation (or any frontier
+ * (bench/baselines/demo_tune.json). The e2e_tune ctest case runs the
+ * same `cmp` on the fsmoe_tune program's output, cold and warm; this
+ * test checks the library in-process, so a simulator, schedule, or
+ * search change that moves the recommendation (or any frontier
  * number) fails locally before a PR is drafted. Regenerate the
  * baseline deliberately (`fsmoe_tune --quiet --out-json
  * bench/baselines/demo_tune.json`) when a change is *supposed* to move

@@ -1,11 +1,8 @@
 /**
  * @file
  * Tests for the adaptive gradient partitioner (§5): byte conservation,
- * causality, window filling, step-2 improvement, and the Lina
- * fixed-chunk baseline's hit-or-miss behaviour.
+ * causality, window filling, and step-2 improvement.
  */
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "base/stats.h"
@@ -208,43 +205,6 @@ TEST(GradPartition, SolutionsUseSolvedDegrees)
     for (const PipelineSolution &sol : plan.solutions) {
         EXPECT_GE(sol.r, 1);
         EXPECT_GT(sol.tMoe, 0.0);
-    }
-}
-
-TEST(GradPartitionLina, FixedChunksAreHitOrMiss)
-{
-    // Windows smaller than one 30 MB chunk stay idle under Lina while
-    // the adaptive partitioner fills them, so Lina's plan can never be
-    // better and is typically worse.
-    auto layers = makeLayers(6, 10.0, 0.4);
-    LinearModel ar = arModel();
-    GradPartitionPlan lina = partitionGradientsLina(layers, ar);
-    GradPartitionPlan adaptive = partitionGradients(layers, ar);
-    EXPECT_LE(adaptive.totalTimeMs, lina.totalTimeMs * 1.001);
-}
-
-TEST(GradPartitionLina, ConservesBytes)
-{
-    auto layers = makeLayers(5, 25.0);
-    GradPartitionPlan plan = partitionGradientsLina(layers, arModel());
-    double total_in = 0.0, total_out = plan.exposedBytes;
-    for (size_t i = 0; i < layers.size(); ++i) {
-        total_in += layers[i].gradBytes;
-        total_out += plan.denseBytes[i] + plan.moeBytes[i];
-    }
-    EXPECT_NEAR(total_out, total_in, 1.0);
-}
-
-TEST(GradPartitionLina, OnlyWholeChunksScheduledInWindows)
-{
-    auto layers = makeLayers(6, 10.0, 0.4);
-    const double chunk = 30.0 * (1 << 20);
-    GradPartitionPlan plan =
-        partitionGradientsLina(makeLayers(6, 10.0, 0.4), arModel(), chunk);
-    for (size_t i = 0; i < layers.size(); ++i) {
-        double b = plan.denseBytes[i] + plan.moeBytes[i];
-        EXPECT_NEAR(b / chunk, std::round(b / chunk), 1e-6)
-            << "layer " << i << " scheduled a partial chunk";
     }
 }
 

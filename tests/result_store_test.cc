@@ -10,6 +10,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -307,6 +308,59 @@ TEST(ResultStore, ReadersRejectMalformedInput)
 
     // Pathological nesting must fail the parse, not overflow the stack.
     EXPECT_FALSE(parseJson(std::string(200000, '['), &out, &error));
+
+    // Integer fields are read exactly or not at all, so a corrupt
+    // record cannot alias a real scenario key: no truncated fractions,
+    // no wrap when narrowing to int, no lenient CSV numbers.
+    SweepResult r;
+    r.model = "m";
+    r.cluster = "c";
+    r.schedule = "s";
+    r.batch = 1;
+    r.seqLen = 1024;
+    r.numLayers = 2;
+    r.numExperts = 8;
+    r.rMax = 16;
+    r.status = ResultStatus::Quarantined;
+    r.attempts = 2;
+    r.error = "e";
+    const std::string record = toJsonRecord(r);
+    const std::string csv = toCsv({r});
+    SweepResult one;
+    ASSERT_TRUE(parseJsonRecord(record, &one, &error)) << error;
+    ASSERT_TRUE(parseCsv(csv, &out, &error)) << error;
+    const auto replaced = [](std::string text, const std::string &from,
+                             const std::string &to) {
+        const size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"batch\":1,", "\"batch\":1.5,"},
+             {"\"batch\":1,", "\"batch\":1e300,"},
+             {"\"seq_len\":1024,", "\"seq_len\":9.3e18,"},
+             {"\"r_max\":16,", "\"r_max\":4294967312,"},
+             {"\"num_layers\":2,", "\"num_layers\":-2147483649,"},
+             {"\"num_experts\":8,", "\"num_experts\":8.25,"},
+             {"\"attempts\":2,", "\"attempts\":2147483648,"}}) {
+        EXPECT_FALSE(parseJsonRecord(replaced(record, from, to), &one,
+                                     &error))
+            << to;
+    }
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {",1,1024,", ",+1,1024,"},
+             {",1,1024,", ", 1,1024,"},
+             {",1,1024,", ",1 ,1024,"},
+             {",1,1024,", ",0x1,1024,"},
+             {",1,1024,", ",1,99999999999999999999,"},
+             {",1024,2,8,16,", ",1024,2,8,4294967312,"},
+             {",16,0,", ",16, 0,"},
+             {",16,0,", ",16,1e999,"},
+             {",quarantined,2,", ",quarantined,+2,"}}) {
+        EXPECT_FALSE(parseCsv(replaced(csv, from, to), &out, &error)) << to;
+    }
 
     // The empty result set is valid in both formats.
     EXPECT_TRUE(parseJson(toJson({}), &out, &error)) << error;

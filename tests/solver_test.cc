@@ -55,21 +55,6 @@ TEST(LeastSquares, FlatDataGivesZeroSlopePerfectR2)
     EXPECT_NEAR(fit.r2, 1.0, 1e-12);
 }
 
-TEST(MinimizeHyperbolic, InteriorOptimum)
-{
-    // f(r) = 2r + 32/r -> r* = 4, f* = 16.
-    Minimum m = minimizeHyperbolic(2.0, 32.0, 0.0);
-    EXPECT_NEAR(m.x, 4.0, 1e-9);
-    EXPECT_NEAR(m.value, 16.0, 1e-9);
-}
-
-TEST(MinimizeHyperbolic, BoundaryOptimumWhenIncreasing)
-{
-    Minimum m = minimizeHyperbolic(3.0, 0.0, 1.0, 1.0);
-    EXPECT_NEAR(m.x, 1.0, 1e-12);
-    EXPECT_NEAR(m.value, 4.0, 1e-12);
-}
-
 TEST(GoldenSection, FindsQuadraticMinimum)
 {
     auto f = [](double x) { return (x - 2.7) * (x - 2.7) + 1.0; };
