@@ -168,27 +168,39 @@ BM_ScheduleFsMoe(benchmark::State &state)
 BENCHMARK(BM_ScheduleFsMoe);
 
 /**
- * One Tutel degree search (searchDegree plus the winner's rebuild) on
- * the demo grid's mixtral-7b/testbedB/b2 configuration: it picks r = 2
- * and has the fewest candidates the link-sum bound skips, so it is the
- * pruned search's worst demo case. Items are candidate degrees.
+ * One degree-0 build: the degree search, whose winning graph is the
+ * build's result. Row 0 is Tutel on the demo grid's
+ * mixtral-7b/testbedB/b2 configuration: it picks r = 2 and has the
+ * fewest candidates the link-sum bound skips, so it is the pruned
+ * search's worst demo case. Row 1 is PipeMoE+Lina on the tuner's
+ * gpt2xl-moe/testbedA/b1/L1024 query, the search tune-cold runs most.
+ * Items are candidate degrees.
  */
 void
 BM_DegreeSearch(benchmark::State &state)
 {
     runtime::Scenario scenario;
-    scenario.model = "mixtral-7b";
-    scenario.cluster = "testbedB";
-    scenario.batch = 2;
-    scenario.seqLen = 256;
+    const char *spec = "tutel";
+    if (state.range(0) == 0) {
+        scenario.model = "mixtral-7b";
+        scenario.cluster = "testbedB";
+        scenario.batch = 2;
+        scenario.seqLen = 256;
+    } else {
+        scenario.model = "gpt2xl-moe";
+        scenario.cluster = "testbedA";
+        scenario.batch = 1;
+        scenario.seqLen = 1024;
+        spec = "lina";
+    }
     const core::ModelCost cost =
         runtime::ScenarioRegistry::instance().makeCost(scenario);
-    auto sched = core::Schedule::create("tutel");
+    auto sched = core::Schedule::create(spec);
     for (auto _ : state)
         benchmark::DoNotOptimize(sched->build(cost));
     state.SetItemsProcessed(state.iterations() * cost.rMax);
 }
-BENCHMARK(BM_DegreeSearch);
+BENCHMARK(BM_DegreeSearch)->ArgName("tuner")->Arg(0)->Arg(1);
 
 void
 BM_Simulator(benchmark::State &state)

@@ -36,13 +36,12 @@ class LinaSchedule : public Schedule
     sim::TaskGraph
     build(const ModelCost &model) const override
     {
-        int r = degree_;
-        if (r == 0)
-            r = searchDegree(model, [&](sim::TaskGraph &g, int d) {
-                    emit(g, model, d);
-                }).r;
+        if (degree_ == 0)
+            return searchDegree(model, [&](sim::TaskGraph &g, int d) {
+                       emit(g, model, d);
+                   }).graph;
         sim::TaskGraph graph;
-        emit(graph, model, r);
+        emit(graph, model, degree_);
         return graph;
     }
 
@@ -51,7 +50,15 @@ class LinaSchedule : public Schedule
     void
     emit(sim::TaskGraph &graph, const ModelCost &model, int r) const
     {
-        reserveIteration(graph, model.layers.size(), r);
+        // One AllReduce per full bucket plus a partial one, with slack
+        // for rounding in `pending` below: reserved up front, so small
+        // buckets do not regrow the graph.
+        double grad_bytes = 0.0;
+        for (const LayerCost &lc : model.layers)
+            grad_bytes += lc.workload.gradBytes;
+        const size_t buckets = static_cast<size_t>(grad_bytes / chunk_bytes_) +
+                               model.layers.size() + 1;
+        reserveIteration(graph, model.layers.size(), r, buckets);
         PipelineBuildOptions opts;
         opts.mergeCommLinks = true;
 
@@ -62,7 +69,7 @@ class LinaSchedule : public Schedule
                                  r, opts, dep);
         }
         std::vector<sim::TaskId> barrier_deps;
-        barrier_deps.reserve(2 * model.layers.size() + 2);
+        barrier_deps.reserve(buckets + 1);
         // Lina accumulates gradients into fixed-size buckets across
         // layers and flushes an AllReduce only when a bucket fills; a
         // partial bucket waits until backpropagation ends. Readiness

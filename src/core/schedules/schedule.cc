@@ -1,6 +1,7 @@
 #include "core/schedules/schedule.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "base/logging.h"
@@ -63,7 +64,8 @@ commLink(bool merged)
 } // namespace
 
 void
-reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max)
+reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
+                 size_t extra_tasks)
 {
     const size_t r = static_cast<size_t>(std::max(1, r_max));
     // Per layer per phase: attention, routing, order, iorder, up to
@@ -71,8 +73,10 @@ reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max)
     // slack for per-layer gradient tasks (Lina buckets, Tutel slices,
     // exposed tails) and the end-of-iteration barrier.
     const size_t per_phase = 5 + 5 * r;
-    graph.reserve(num_layers * 2 * per_phase + 8 * num_layers + 2,
-                  num_layers * 2 * (6 * r + 8) + 8 * num_layers + 8);
+    graph.reserve(num_layers * 2 * per_phase + 8 * num_layers + 2 +
+                      extra_tasks,
+                  num_layers * 2 * (6 * r + 8) + 8 * num_layers + 8 +
+                      2 * extra_tasks);
 }
 
 sim::TaskId
@@ -81,12 +85,10 @@ appendAttention(sim::TaskGraph &graph, const LayerCost &lc, Phase phase,
 {
     (void)opts;
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
-    std::vector<sim::TaskId> deps;
-    if (dep >= 0)
-        deps.push_back(dep);
-    return graph.addTask("attention", sim::OpType::Attention,
-                         sim::Link::Compute, kCompute, t.attention,
-                         std::move(deps));
+    return graph.addTaskWithDeps("attention", sim::OpType::Attention,
+                                 sim::Link::Compute, kCompute, t.attention,
+                                 dep >= 0 ? 1 : 0,
+                                 [dep](size_t) { return dep; });
 }
 
 sim::TaskId
@@ -119,13 +121,9 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     const sim::Link l_inter = sim::Link::InterNode;
     const sim::Link l_intra = commLink(opts.mergeCommLinks);
 
-    std::vector<sim::TaskId> start_deps;
-    if (dep >= 0)
-        start_deps.push_back(dep);
-
-    sim::TaskId routing = graph.addTask("routing", sim::OpType::Routing,
-                                        sim::Link::Compute, s_comp,
-                                        t.routing, start_deps);
+    sim::TaskId routing = graph.addTaskWithDeps(
+        "routing", sim::OpType::Routing, sim::Link::Compute, s_comp,
+        t.routing, dep >= 0 ? 1 : 0, [dep](size_t) { return dep; });
     sim::TaskId order = graph.addTask("order", sim::OpType::Order,
                                       sim::Link::Compute, s_comp, t.order,
                                       {routing});
@@ -133,12 +131,15 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     // Pipelined body: dispatch_i -> allgather_i -> experts_i ->
     // reducescatter_i -> combine_i, all chunks independent of each
     // other except through the shared links and streams. Labels are
-    // lazy {base, chunk} pairs, so none of this formats or allocates
-    // strings on the sweep hot path.
-    std::vector<sim::TaskId> dispatch(r), combine(r);
+    // lazy {base, chunk} pairs and chunk ids are computed rather than
+    // collected, so none of this allocates on the sweep hot path:
+    // dispatch i is first_dispatch + i, and each chunk's four later
+    // tasks are contiguous, so combine i is first_combine + 4i.
+    constexpr sim::TaskId kChunkTasks = 4;
+    const sim::TaskId first_dispatch = static_cast<sim::TaskId>(graph.size());
     for (int i = 0; i < r; ++i) {
-        dispatch[i] = graph.addTask({"d", i}, sim::OpType::AlltoAll,
-                                    l_inter, s_disp, t_a2a, {order});
+        graph.addTask({"d", i}, sim::OpType::AlltoAll, l_inter, s_disp,
+                      t_a2a, {order});
     }
     sim::TaskId gar = -1;
     if (gar_ms > 0.0) {
@@ -147,31 +148,39 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
         // AlltoAll chunks keeps it from stretching the pipeline when
         // the estimate is tight.
         gar = graph.addTask("gar", sim::OpType::GradAllReduce, l_inter,
-                            s_gar, gar_ms, {dispatch[r - 1]},
+                            s_gar, gar_ms, {first_dispatch + r - 1},
                             /*priority=*/1);
     }
     if (gar_out)
         *gar_out = gar;
+    sim::TaskId first_combine = -1;
     for (int i = 0; i < r; ++i) {
         sim::TaskId ag = graph.addTask({"g", i}, sim::OpType::AllGather,
-                                       l_intra, s_ag, t_ag, {dispatch[i]});
+                                       l_intra, s_ag, t_ag,
+                                       {first_dispatch + i});
         sim::TaskId exp = graph.addTask({"e", i}, sim::OpType::Experts,
                                         sim::Link::Compute, s_comp, t_exp,
                                         {ag});
         sim::TaskId rs = graph.addTask({"s", i}, sim::OpType::ReduceScatter,
                                        l_intra, s_rs, t_rs, {exp});
-        combine[i] = graph.addTask({"c", i}, sim::OpType::AlltoAll, l_inter,
-                                   s_comb, t_a2a, {rs});
+        sim::TaskId comb = graph.addTask({"c", i}, sim::OpType::AlltoAll,
+                                         l_inter, s_comb, t_a2a, {rs});
+        if (i == 0)
+            first_combine = comb;
     }
 
-    // The inverse order waits for every combined chunk; the gradient
-    // AllReduce does not gate it (only the end-of-iteration barrier
-    // waits for AllReduces, so they may spill into later dense work).
-    std::vector<sim::TaskId> tail_deps = {combine.back()};
-    for (int i = 0; i + 1 < r; ++i)
-        tail_deps.push_back(combine[i]);
-    return graph.addTask("iorder", sim::OpType::Order, sim::Link::Compute,
-                         s_comp, t.order, std::move(tail_deps));
+    // The inverse order waits for every combined chunk, the last one
+    // first; the gradient AllReduce does not gate it (only the
+    // end-of-iteration barrier waits for AllReduces, so they may spill
+    // into later dense work).
+    const sim::TaskId last_combine = first_combine + kChunkTasks * (r - 1);
+    return graph.addTaskWithDeps(
+        "iorder", sim::OpType::Order, sim::Link::Compute, s_comp, t.order,
+        static_cast<size_t>(r), [=](size_t i) {
+            return i == 0 ? last_combine
+                          : first_combine +
+                                kChunkTasks * static_cast<sim::TaskId>(i - 1);
+        });
 }
 
 namespace {
@@ -197,6 +206,7 @@ struct SearchStats
 DegreeChoice
 searchDegree(const ModelCost &model, const DegreeEmitter &emit)
 {
+    FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
     DegreeChoice best;
     best.makespanMs = std::numeric_limits<double>::infinity();
     uint64_t bounded = 0, simulated = 0, cut = 0;
@@ -215,10 +225,15 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit)
         if (t < best.makespanMs) {
             best.r = r;
             best.makespanMs = t;
+            best.graph = std::move(graph);
         } else {
             ++cut;
         }
     }
+    // No candidate finished below +inf (a graph with an infinite
+    // duration): the choice stays r = 1, emitted here.
+    if (std::isinf(best.makespanMs))
+        emit(best.graph, best.r);
     SearchStats &st = SearchStats::instance();
     st.candidates.inc(bounded + simulated);
     st.bounded.inc(bounded);

@@ -197,37 +197,42 @@ sim::TaskId appendAttention(sim::TaskGraph &graph, const LayerCost &lc,
 /**
  * Reserve @p graph's task vector and dependency pool for one full
  * iteration (forward + backward) of @p num_layers layers at pipeline
- * degrees up to @p r_max. Call once per build, before appending —
- * over-estimating is fine, repeated exact-fit reserves are not (they
- * degrade vector growth to quadratic copying).
+ * degrees up to @p r_max, plus @p extra_tasks tasks of two edges each
+ * (e.g. gradient buckets and their barrier edges). Call once per
+ * build, before appending — over-estimating is fine, repeated
+ * exact-fit reserves are not (they degrade vector growth to quadratic
+ * copying).
  */
-void reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max);
+void reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
+                      size_t extra_tasks = 0);
 
 /** Appends a schedule's iteration graph at pipeline degree r. */
 using DegreeEmitter = std::function<void(sim::TaskGraph &graph, int r)>;
 
-/** The degree a search picked and its simulated makespan. */
+/** The degree a search picked, its simulated makespan and its graph. */
 struct DegreeChoice
 {
     int r = 1;
     double makespanMs = 0.0;
+    sim::TaskGraph graph; ///< The graph @p emit appended at r.
 };
 
 /**
  * PipeMoE's adaptive pipeline degree (paper Fig. 3b): the r in
- * 1..model.rMax whose graph, as @p emit appends it, simulates to the
- * smallest makespan, the first such r on ties. Exact but pruned: each
- * candidate is first emitted into a TaskGraph::durationTally(), and
- * is skipped without being built when its link-sum lower bound
- * (Simulator::makespanLowerBound) already reaches the best makespan so
- * far; the rest are built and simulated with that makespan as the
- * cutoff (Simulator::makespanBelow). A skipped or cut candidate's
- * makespan is >= the best, and the loop keeps a new best only on a
- * strict <, ascending in r, so the choice is the unpruned loop's,
- * bit for bit. Counts into schedule.search.{candidates, bounded,
- * simulated, cut} (docs/OBSERVABILITY.md). The caller rebuilds the
- * winner: holding its graph while later candidates build raises peak
- * memory by up to one graph.
+ * 1..model.rMax (which must be >= 1) whose graph, as @p emit appends
+ * it, simulates to the smallest makespan, the first such r on ties.
+ * Exact but pruned: each candidate is first emitted into a
+ * TaskGraph::durationTally(), and is skipped without being built when
+ * its link-sum lower bound (Simulator::makespanLowerBound) already
+ * reaches the best makespan so far; the rest are built and simulated
+ * with that makespan as the cutoff (Simulator::makespanBelow). A
+ * skipped or cut candidate's makespan is >= the best, and the loop
+ * keeps a new best only on a strict <, ascending in r, so the choice
+ * is the unpruned loop's, bit for bit. Counts into
+ * schedule.search.{candidates, bounded, simulated, cut}
+ * (docs/OBSERVABILITY.md). The winner's graph is the one the search
+ * simulated, returned so the caller need not emit it again; holding it
+ * while later candidates build raises peak memory by up to one graph.
  */
 DegreeChoice searchDegree(const ModelCost &model, const DegreeEmitter &emit);
 

@@ -37,13 +37,12 @@ class TutelSchedule : public Schedule
     sim::TaskGraph
     build(const ModelCost &model) const override
     {
-        int r = degree_;
-        if (r == 0)
-            r = searchDegree(model, [&](sim::TaskGraph &g, int d) {
-                    emit(g, model, d);
-                }).r;
+        if (degree_ == 0)
+            return searchDegree(model, [&](sim::TaskGraph &g, int d) {
+                       emit(g, model, d);
+                   }).graph;
         sim::TaskGraph graph;
-        emit(graph, model, r);
+        emit(graph, model, degree_);
         return graph;
     }
 

@@ -294,7 +294,11 @@ SweepEngine::run(const std::vector<Scenario> &scenarios)
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<ScenarioResult> results(scenarios.size());
 
-    {
+    if (scenarios.size() == 1) {
+        // A pool's start and join would cost more than many a
+        // scenario; the tuner's probes run one at a time.
+        results[0] = evaluate(scenarios[0]);
+    } else {
         ThreadPool pool(options_.numThreads, options_.queueCapacity);
         std::vector<std::future<void>> done;
         done.reserve(scenarios.size());

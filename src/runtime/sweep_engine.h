@@ -96,7 +96,8 @@ class SweepEngine
     /**
      * Evaluate every scenario and return results in input order.
      * Reentrant with respect to both caches; not safe to call
-     * concurrently from multiple threads.
+     * concurrently from multiple threads. A single scenario is
+     * evaluated on the calling thread, without starting a pool.
      */
     std::vector<ScenarioResult> run(const std::vector<Scenario> &scenarios);
 

@@ -1,6 +1,5 @@
 #include "sim/task_graph.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "base/audit.h"
@@ -25,37 +24,19 @@ opTypeName(OpType t)
     }
 }
 
-TaskId
-TaskGraph::addTaskImpl(TaskLabel label, OpType op, Link link, int stream,
-                       double duration, const TaskId *deps, size_t n_deps,
-                       int priority)
+void
+TaskGraph::rejectTask(TaskLabel label, int stream, double duration,
+                      const std::vector<TaskId> &deps) const
 {
     FSMOE_CHECK_ARG(duration >= 0.0, "task '", label.str(),
                     "' has negative duration ", duration);
     FSMOE_CHECK_ARG(stream >= 0, "negative stream index");
-    TaskId id = static_cast<TaskId>(count_);
-    for (size_t i = 0; i < n_deps; ++i) {
-        FSMOE_CHECK_ARG(deps[i] >= 0 && deps[i] < id, "task '",
-                        label.str(), "' depends on unknown task ", deps[i]);
+    const TaskId id = static_cast<TaskId>(count_);
+    for (TaskId d : deps) {
+        FSMOE_CHECK_ARG(d >= 0 && d < id, "task '", label.str(),
+                        "' depends on unknown task ", d);
     }
-    link_sums_[static_cast<size_t>(link)] += duration;
-    num_streams_ = std::max(num_streams_, stream + 1);
-    ++count_;
-    if (tally_only_)
-        return id;
-    Task t;
-    t.id = id;
-    t.op = op;
-    t.link = link;
-    t.stream = stream;
-    t.duration = duration;
-    t.priority = priority;
-    t.label = label;
-    t.depBegin = static_cast<uint32_t>(dep_pool_.size());
-    t.depCount = static_cast<uint32_t>(n_deps);
-    dep_pool_.insert(dep_pool_.end(), deps, deps + n_deps);
-    tasks_.push_back(t);
-    return id;
+    FSMOE_PANIC("rejectTask called with a valid task");
 }
 
 void

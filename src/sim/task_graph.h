@@ -169,8 +169,10 @@ class TaskGraph
                    double duration, std::initializer_list<TaskId> deps = {},
                    int priority = 0)
     {
-        return addTaskImpl(label, op, link, stream, duration, deps.begin(),
-                           deps.size(), priority);
+        const TaskId *d = deps.begin();
+        return addTaskWithDeps(label, op, link, stream, duration,
+                               deps.size(),
+                               [d](size_t i) { return d[i]; }, priority);
     }
 
     /** Overload for dynamically built dependency lists. */
@@ -178,8 +180,60 @@ class TaskGraph
                    double duration, const std::vector<TaskId> &deps,
                    int priority = 0)
     {
-        return addTaskImpl(label, op, link, stream, duration, deps.data(),
-                           deps.size(), priority);
+        const TaskId *d = deps.data();
+        return addTaskWithDeps(label, op, link, stream, duration,
+                               deps.size(),
+                               [d](size_t i) { return d[i]; }, priority);
+    }
+
+    /**
+     * Overload for computed dependency lists: the task's i-th
+     * dependency is dep_at(i), for i < @p n_deps, so a builder can
+     * emit e.g. every fourth id without materialising the list.
+     * dep_at must be pure; it may be called more than once per index.
+     *
+     * The checks are those of the other overloads. A duration tally
+     * stops after them and the count, stream and link-sum updates;
+     * an invalid task goes to the out-of-line rejectTask(), which
+     * reports it.
+     */
+    template <typename DepAt>
+    TaskId addTaskWithDeps(TaskLabel label, OpType op, Link link,
+                           int stream, double duration, size_t n_deps,
+                           DepAt dep_at, int priority = 0)
+    {
+        const TaskId id = static_cast<TaskId>(count_);
+        bool valid = duration >= 0.0 && stream >= 0;
+        for (size_t i = 0; valid && i < n_deps; ++i) {
+            const TaskId d = dep_at(i);
+            valid = d >= 0 && d < id;
+        }
+        if (!valid) {
+            std::vector<TaskId> deps(n_deps);
+            for (size_t i = 0; i < n_deps; ++i)
+                deps[i] = dep_at(i);
+            rejectTask(label, stream, duration, deps);
+        }
+        link_sums_[static_cast<size_t>(link)] += duration;
+        if (stream >= num_streams_)
+            num_streams_ = stream + 1;
+        ++count_;
+        if (tally_only_)
+            return id;
+        Task t;
+        t.id = id;
+        t.op = op;
+        t.link = link;
+        t.stream = stream;
+        t.duration = duration;
+        t.priority = priority;
+        t.label = label;
+        t.depBegin = static_cast<uint32_t>(dep_pool_.size());
+        t.depCount = static_cast<uint32_t>(n_deps);
+        for (size_t i = 0; i < n_deps; ++i)
+            dep_pool_.push_back(dep_at(i));
+        tasks_.push_back(t);
+        return id;
     }
 
     /**
@@ -233,9 +287,10 @@ class TaskGraph
     }
 
   private:
-    TaskId addTaskImpl(TaskLabel label, OpType op, Link link, int stream,
-                       double duration, const TaskId *deps, size_t n_deps,
-                       int priority);
+    /** Fails with the message for the first invalid argument. */
+    [[noreturn]] void rejectTask(TaskLabel label, int stream,
+                                 double duration,
+                                 const std::vector<TaskId> &deps) const;
 
     std::vector<Task> tasks_;
     std::vector<TaskId> dep_pool_; ///< All tasks' deps, CSR-flattened.

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/stats.h"
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
 #include "runtime/scenario.h"
@@ -273,6 +274,34 @@ TEST(SweepEngine, KeepGraphsBypassesTheSimCache)
     // and the counters must not pretend otherwise.
     EXPECT_EQ(stats.simCacheMisses, 0u);
     EXPECT_EQ(stats.simCacheHits, 0u);
+}
+
+TEST(SweepEngine, OneScenarioRunsOnTheCallingThreadWithTheSameStats)
+{
+    const Scenario s = testGrid().front();
+    const auto value = [](const char *name) {
+        return stats::counter(name).value();
+    };
+    stats::Histogram &wall = stats::histogram("sweep.wall.ms");
+    const uint64_t submitted = value("threadpool.tasks.submitted");
+    const uint64_t walls = wall.count();
+
+    SweepEngine engine({/*numThreads=*/4});
+    const auto one = engine.run({s});
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(value("threadpool.tasks.submitted"), submitted);
+    EXPECT_EQ(wall.count(), walls + 1);
+    SweepStats stats = engine.stats();
+    EXPECT_EQ(stats.scenariosRun, 1u);
+    EXPECT_GT(stats.lastSweepWallMs, 0.0);
+
+    // The result is the pooled run's, bit for bit.
+    SweepEngine pooled({/*numThreads=*/4});
+    const auto both = pooled.run({s, s});
+    EXPECT_EQ(std::memcmp(&one[0].makespanMs, &both[0].makespanMs,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(pooled.stats().scenariosRun, 2u);
 }
 
 // ----------------------------------------------------------- traces

@@ -11,10 +11,12 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "base/audit.h"
 #include "base/stats.h"
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
@@ -354,18 +356,25 @@ TEST(DegreeSearch, PrunedSearchEqualsTheNaiveLoopOnTheDemoGrid)
             runtime::ScenarioRegistry::instance().makeCost(s), key);
 }
 
-TEST(DegreeSearch, PruningSkipsCandidatesEvenInTheWorstDemoConfig)
+/** The cost of the demo grid's mixtral-7b/testbedB/b2 configuration. */
+ModelCost
+mixtralTestbedBCost()
 {
-    // mixtral-7b/testbedB/b2 Tutel picks r = 2 and has the fewest
-    // candidates the link-sum bound skips of any demo configuration.
     const std::vector<runtime::Scenario> grid = runtime::demoGrid();
     const auto it = std::find_if(
         grid.begin(), grid.end(), [](const runtime::Scenario &s) {
             return s.model == "mixtral-7b" && s.cluster == "testbedB" &&
                    s.batch == 2;
         });
-    ASSERT_NE(it, grid.end());
-    const ModelCost cost = runtime::ScenarioRegistry::instance().makeCost(*it);
+    FSMOE_ASSERT(it != grid.end(), "demo grid lost mixtral-7b/testbedB/b2");
+    return runtime::ScenarioRegistry::instance().makeCost(*it);
+}
+
+TEST(DegreeSearch, PruningSkipsCandidatesEvenInTheWorstDemoConfig)
+{
+    // mixtral-7b/testbedB/b2 Tutel picks r = 2 and has the fewest
+    // candidates the link-sum bound skips of any demo configuration.
+    const ModelCost cost = mixtralTestbedBCost();
     const auto value = [](const char *name) {
         return stats::counter(name).value();
     };
@@ -391,6 +400,170 @@ TEST(DegreeSearch, PruningSkipsCandidatesEvenInTheWorstDemoConfig)
     EXPECT_EQ(value("sim.runs.cut") - runs_cut,
               value("schedule.search.cut") - cut);
     EXPECT_EQ(value("schedule.search.cut") - cut, d_simulated - 2);
+}
+
+TEST(DegreeSearch, TheReturnedWinnerIsTheFixedDegreeGraph)
+{
+    // A degree-0 build hands back the graph the search simulated; it
+    // must be the graph a fixed-degree build at the winning r emits.
+    std::map<std::string, runtime::Scenario> configs;
+    for (const runtime::Scenario &s : runtime::demoGrid())
+        configs.emplace(s.costKey(), s);
+    ASSERT_EQ(configs.size(), 8u);
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        for (const std::string &name : degreeSearchingSchedules()) {
+            const std::string where = key + " " + name;
+            const detail::DegreeChoice choice = detail::searchDegree(
+                cost, [&](sim::TaskGraph &g, int r) {
+                    test::replayGraph(
+                        Schedule::create(withDegree(name, r))->build(cost),
+                        g);
+                });
+            const sim::TaskGraph winner =
+                Schedule::create(withDegree(name, choice.r))->build(cost);
+            expectSameGraph(choice.graph, winner, where + " (search)");
+            const sim::TaskGraph built = Schedule::create(name)->build(cost);
+            expectSameGraph(built, winner, where + " (build)");
+            const double makespan = sim::Simulator{}.run(built).makespan;
+            EXPECT_TRUE(test::sameBits(
+                makespan, sim::Simulator{}.run(winner).makespan))
+                << where;
+            EXPECT_TRUE(test::sameBits(makespan, choice.makespanMs)) << where;
+        }
+    }
+}
+
+TEST(DegreeSearch, AnInfiniteMakespanKeepsTheDegreeOneGraph)
+{
+    // Infinite AllReduce durations make every candidate's link-sum
+    // bound +inf, so none is simulated and none wins.
+    ModelCost cost = smallModel(sim::testbedB(), 2);
+    cost.models.allreduce.alpha = std::numeric_limits<double>::infinity();
+    for (const std::string &name : degreeSearchingSchedules()) {
+        const sim::TaskGraph built = Schedule::create(name)->build(cost);
+        EXPECT_FALSE(built.empty()) << name;
+        expectSameGraph(built,
+                        Schedule::create(withDegree(name, 1))->build(cost),
+                        name);
+    }
+}
+
+TEST(DegreeSearchDeathTest, RejectsAModelWithoutCandidateDegrees)
+{
+    ModelCost cost = smallModel(sim::testbedB(), 1);
+    cost.rMax = 0;
+    const auto emit = [](sim::TaskGraph &, int) {};
+    EXPECT_DEATH(detail::searchDegree(cost, emit), "rMax must be at least 1");
+}
+
+// ------------------------------------------------ builder graph structure
+
+/**
+ * Digest of a graph's structure: each task's op, link, stream,
+ * priority and duration bits, then its dependency list in pool order.
+ */
+uint64_t
+graphFingerprint(const sim::TaskGraph &g)
+{
+    audit::Fingerprint fp;
+    fp.mix(static_cast<uint64_t>(g.size()));
+    for (const sim::Task &t : g.tasks()) {
+        const sim::DepSpan deps = g.deps(t.id);
+        fp.mix(static_cast<int>(t.op))
+            .mix(static_cast<int>(t.link))
+            .mix(t.stream)
+            .mix(t.priority)
+            .mix(t.duration)
+            .mix(static_cast<uint64_t>(deps.size()));
+        for (sim::TaskId d : deps)
+            fp.mix(d);
+    }
+    return fp.digest();
+}
+
+TEST(Schedules, BuiltinGraphsKeepTheirStructure)
+{
+    // Every builtin schedule on mixtral-7b/testbedB/b2, at each fixed
+    // degree 1..rMax when it takes one. The digests were recorded from
+    // the vector-based phase emitter; a change here means a builder
+    // now emits a different graph (tasks, durations or dependency
+    // order), which the byte baselines may not catch.
+    const std::map<std::string, uint64_t> kWant = {
+        {"DS-MoE", 0xec022627299fa89bull},
+        {"FSMoE", 0xccde8ce94b37c2d3ull},
+        {"FSMoE-No-IIO", 0xede0ffae8a4aae7cull},
+        {"PipeMoE+Lina?degree=1", 0xc1d3b4c500108dceull},
+        {"PipeMoE+Lina?degree=10", 0xe11bfa3bb889c6a2ull},
+        {"PipeMoE+Lina?degree=11", 0x6b3f61838623bdf8ull},
+        {"PipeMoE+Lina?degree=12", 0xd2603b4171f30506ull},
+        {"PipeMoE+Lina?degree=13", 0xdf20d20806143dabull},
+        {"PipeMoE+Lina?degree=14", 0xeb7b19b0c43783e3ull},
+        {"PipeMoE+Lina?degree=15", 0x345198aa3ac8e991ull},
+        {"PipeMoE+Lina?degree=16", 0x5d62acf3f17e3f88ull},
+        {"PipeMoE+Lina?degree=2", 0x47a38e0617556162ull},
+        {"PipeMoE+Lina?degree=3", 0x35b49f2cfc12e69dull},
+        {"PipeMoE+Lina?degree=4", 0x8ff89a487c5d199bull},
+        {"PipeMoE+Lina?degree=5", 0xcfb46fbf16faf95ull},
+        {"PipeMoE+Lina?degree=6", 0x910f5b1d08300cbbull},
+        {"PipeMoE+Lina?degree=7", 0xe2565af6347341c0ull},
+        {"PipeMoE+Lina?degree=8", 0x7bb7fdd6516888e0ull},
+        {"PipeMoE+Lina?degree=9", 0xf4f6837860f258b0ull},
+        {"Tutel-Improved?degree=1", 0xcabc9c01c4bc6460ull},
+        {"Tutel-Improved?degree=10", 0xa23be48efdd981f2ull},
+        {"Tutel-Improved?degree=11", 0xbcc01eb4b909f7efull},
+        {"Tutel-Improved?degree=12", 0xaaec73e6eaefad42ull},
+        {"Tutel-Improved?degree=13", 0x514f764db20d1869ull},
+        {"Tutel-Improved?degree=14", 0xdc164515f7b756beull},
+        {"Tutel-Improved?degree=15", 0x1044174bc0e6f2a6ull},
+        {"Tutel-Improved?degree=16", 0x3e85084e6771689bull},
+        {"Tutel-Improved?degree=2", 0x8877fbc850cc34f1ull},
+        {"Tutel-Improved?degree=3", 0xa7d0fe07ce6b8005ull},
+        {"Tutel-Improved?degree=4", 0x509a9dd78d6cabe0ull},
+        {"Tutel-Improved?degree=5", 0x88e74263a70ab873ull},
+        {"Tutel-Improved?degree=6", 0x93714d577bde0265ull},
+        {"Tutel-Improved?degree=7", 0xe7aefe52e07fba14ull},
+        {"Tutel-Improved?degree=8", 0xf04b4fc6d0c916b5ull},
+        {"Tutel-Improved?degree=9", 0x585e7807dcd4cfd6ull},
+        {"Tutel?degree=1", 0x1e804d82d22a3307ull},
+        {"Tutel?degree=10", 0xb125951e6c9da74aull},
+        {"Tutel?degree=11", 0x236c167bffdb65bbull},
+        {"Tutel?degree=12", 0xd7d091a218bd781bull},
+        {"Tutel?degree=13", 0xd2505807149bf753ull},
+        {"Tutel?degree=14", 0xd5cdf9a862a043a9ull},
+        {"Tutel?degree=15", 0xffead4e9faa39d03ull},
+        {"Tutel?degree=16", 0x77100aeba748a917ull},
+        {"Tutel?degree=2", 0x186d26955e3ab616ull},
+        {"Tutel?degree=3", 0xf12c9148368576efull},
+        {"Tutel?degree=4", 0x92da97f00c8210f5ull},
+        {"Tutel?degree=5", 0x81c01abac5a72f6full},
+        {"Tutel?degree=6", 0xe56c2883646a589eull},
+        {"Tutel?degree=7", 0xf6627a71d9454cffull},
+        {"Tutel?degree=8", 0x80824f86da9f10e2ull},
+        {"Tutel?degree=9", 0xe6e68bb4757526efull},
+    };
+    const ModelCost cost = mixtralTestbedBCost();
+    std::map<std::string, uint64_t> got;
+    for (const ScheduleInfo &info : ScheduleRegistry::instance().list()) {
+        const bool has_degree = std::any_of(
+            info.params.begin(), info.params.end(),
+            [](const ScheduleParamInfo &p) { return p.key == "degree"; });
+        if (!has_degree) {
+            got[info.name] =
+                graphFingerprint(Schedule::create(info.name)->build(cost));
+            continue;
+        }
+        for (int r = 1; r <= cost.rMax; ++r) {
+            const std::string spec = withDegree(info.name, r);
+            got[spec] = graphFingerprint(Schedule::create(spec)->build(cost));
+        }
+    }
+    std::ostringstream table;
+    for (const auto &[spec, digest] : got)
+        table << "        {\"" << spec << "\", 0x" << std::hex << digest
+              << std::dec << "ull},\n";
+    EXPECT_EQ(got, kWant) << "current digests:\n" << table.str();
 }
 
 } // namespace
