@@ -22,6 +22,7 @@
 #include "model/models.h"
 #include "runtime/scenario.h"
 #include "sim_reference.h"
+#include "solver/differential_evolution.h"
 #include "tensor/gemm.h"
 #include "tensor/rng.h"
 
@@ -88,8 +89,11 @@ BM_GradPartition(benchmark::State &state)
 // FSMoE-No-IIO build: 24 layers, rMax 16, population 24 x 80
 // generations, 1,944 objective evaluations. About two thirds of those
 // trials are cut on the floor bound before the layer sum, and the rest
-// read each layer's minimum from the degree tables' envelopes, so what
-// remains is close to BM_DeLoop's RNG floor plus the cut checks.
+// read each layer's minimum from the degree tables' envelopes, so the
+// search itself costs about BM_DeLoop. The rows differ in the final
+// plan: FSMoE's solves Algorithm 1 for each of its 24 layers (see
+// BM_SolvePipelineAlgorithm1), FSMoE-No-IIO's scans the merged model's
+// 16 degrees, which is why the FSMoE row costs more.
 BENCHMARK(BM_GradPartition)
     ->ArgNames({"layers", "rmax", "pop", "gens", "merged"})
     ->Args({4, 64, 32, 40, 0})
@@ -100,9 +104,9 @@ BENCHMARK(BM_GradPartition)
 /**
  * DE itself at the sweep shape (d = 24, population 24, 80 generations,
  * never stopping early) over an objective that costs nothing: the
- * mt19937_64 draws, mutation and selection the partitioner pays on
- * every call. No change that keeps the DE decisions, and so the
- * blessed bits, can take a partition below this floor.
+ * MT19937-64 draws (about 30 per trial), mutation and selection the
+ * partitioner pays on every call. The draws are fixed by the blessed
+ * bits, but not how they are made: BM_DeRng prices one.
  */
 void
 BM_DeLoop(benchmark::State &state)
@@ -122,6 +126,30 @@ BM_DeLoop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 24 * 81);
 }
 BENCHMARK(BM_DeLoop);
+
+/**
+ * One MT19937-64 draw: row 0 is std::mt19937_64, row 1 the block
+ * generator DE uses, which yields the same words. Items are draws.
+ */
+template <typename Engine>
+void
+drawAll(benchmark::State &state, Engine rng)
+{
+    for (auto _ : state)
+        for (int i = 0; i < 1024; ++i)
+            benchmark::DoNotOptimize(rng());
+    state.SetItemsProcessed(state.iterations() * 1024);
+}
+
+void
+BM_DeRng(benchmark::State &state)
+{
+    if (state.range(0) == 0)
+        drawAll(state, std::mt19937_64(solver::DeConfig{}.seed));
+    else
+        drawAll(state, solver::detail::Mt19937_64(solver::DeConfig{}.seed));
+}
+BENCHMARK(BM_DeRng)->ArgName("block")->Arg(0)->Arg(1);
 
 /**
  * One DegreeTable query (the DE objective's per-layer term) on the

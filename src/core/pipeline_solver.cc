@@ -149,41 +149,70 @@ overlappableMoeTime(const PipelineProblem &p, double r)
     }
 }
 
-namespace {
-
-/** Continuous constrained minimisation of one case objective. */
-std::optional<solver::Minimum>
-solveCase(const PipelineProblem &p, int case_id)
-{
-    auto objective = [&](double r) { return caseTime(p, case_id, r); };
-    auto feasible = [&](double r) { return caseAt(p, r) == case_id; };
-    return solver::minimizeConstrained(objective, feasible, 1.0,
-                                       static_cast<double>(p.rMax));
-}
-
-} // namespace
-
 PipelineSolution
 solvePipeline(const PipelineProblem &p)
 {
     FSMOE_CHECK_ARG(p.rMax >= 1, "rMax must be at least 1");
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const auto case_of = [&](const Chunks &c, double r) {
+        const CaseSplit split = caseSplitOf(c, r);
+        return split.case1(p.tGar) ? 1 : split.otherCase;
+    };
+    const auto feasible = [&](int case_id, double r) {
+        return case_of(chunksAt(p, r), r) == case_id;
+    };
 
-    // Lines 1-6 of Algorithm 1: per-case constrained solves.
+    // Lines 1-6 of Algorithm 1: minimise each case's formula t1..t4
+    // over its feasible region in [1, rMax], a union of intervals.
+    // One pass over a 512-point grid classifies every sample once and
+    // keeps each case's best (the first on ties; a case whose samples
+    // are all NaN or +inf finds nothing). Each case's best is then
+    // refined by golden section over the feasible run around it,
+    // walked out in grid steps.
     double best_cont_r = 1.0;
-    double best_cont_t = std::numeric_limits<double>::infinity();
-    for (int c = 1; c <= 4; ++c) {
-        auto m = solveCase(p, c);
-        if (m && m->value < best_cont_t) {
-            best_cont_t = m->value;
-            best_cont_r = m->x;
+    double best_cont_t = kInf;
+    const double r_lo = 1.0, r_hi = static_cast<double>(p.rMax);
+    // At rMax = 1 the one candidate is r = 1.
+    if (r_hi - r_lo >= 1e-12) {
+        constexpr int kSamples = 512;
+        const double step = (r_hi - r_lo) / (kSamples - 1);
+        double grid_r[5] = {};
+        double grid_t[5] = {kInf, kInf, kInf, kInf, kInf};
+        for (int i = 0; i < kSamples; ++i) {
+            const double r = r_lo + step * i;
+            const Chunks c = chunksAt(p, r);
+            const int k = case_of(c, r);
+            const double t = caseTimeOf(c, k, r, p.tGar);
+            if (t < grid_t[k]) {
+                grid_t[k] = t;
+                grid_r[k] = r;
+            }
+        }
+        for (int k = 1; k <= 4; ++k) {
+            if (grid_t[k] == kInf)
+                continue;
+            double left = grid_r[k], right = grid_r[k];
+            while (left - step >= r_lo && feasible(k, left - step))
+                left -= step;
+            while (right + step <= r_hi && feasible(k, right + step))
+                right += step;
+            solver::Minimum m = solver::goldenSection(
+                [&](double r) {
+                    return caseTimeOf(chunksAt(p, r), k, r, p.tGar);
+                },
+                left, right);
+            if (!(feasible(k, m.x) && m.value < grid_t[k]))
+                m = {grid_r[k], grid_t[k]};
+            if (m.value < best_cont_t) {
+                best_cont_t = m.value;
+                best_cont_r = m.x;
+            }
         }
     }
-    if (!std::isfinite(best_cont_t)) {
-        // No case feasible anywhere on the grid (cannot happen: the
-        // cases partition the space) — fall back to r = 1.
+    // No finite case optimum (the cases partition the space, so only
+    // non-finite formulas get here, with a -inf one moving r): r = 1.
+    if (!std::isfinite(best_cont_t))
         best_cont_r = 1.0;
-        best_cont_t = analyticMoeTime(p, 1.0);
-    }
 
     // Integer refinement: a pipeline degree is a chunk count. Probe
     // the neighbourhood of the continuous optimum plus the boundary.

@@ -13,17 +13,57 @@ namespace detail {
 
 namespace {
 
+constexpr size_t kMid = 156; ///< The standard's shift size m.
+
+/** One word's twist, xoring in the matrix when y is odd, branch-free. */
+uint64_t
+twist(uint64_t word, uint64_t next)
+{
+    const uint64_t y = (word & ~0ULL << 31) | (next & ((1ULL << 31) - 1));
+    return (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9ULL);
+}
+
 /** A generator that yields one fixed draw, to read off the mapping. */
 struct FixedDraw
 {
-    using result_type = std::mt19937_64::result_type;
-    static constexpr result_type min() { return std::mt19937_64::min(); }
-    static constexpr result_type max() { return std::mt19937_64::max(); }
+    using result_type = Mt19937_64::result_type;
+    static constexpr result_type min() { return Mt19937_64::min(); }
+    static constexpr result_type max() { return Mt19937_64::max(); }
     result_type operator()() const { return draw; }
     result_type draw;
 };
 
 } // namespace
+
+Mt19937_64::Mt19937_64(uint64_t seed)
+{
+    state_[0] = seed;
+    for (size_t i = 1; i < kN; ++i) {
+        const uint64_t prev = state_[i - 1];
+        state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+}
+
+void
+Mt19937_64::refill()
+{
+    // Word k takes word k + m of the block, old or already twisted,
+    // exactly as the standard's one-word-at-a-time order does.
+    size_t k = 0;
+    for (; k < kN - kMid; ++k)
+        state_[k] = state_[k + kMid] ^ twist(state_[k], state_[k + 1]);
+    for (; k < kN - 1; ++k)
+        state_[k] = state_[k + kMid - kN] ^ twist(state_[k], state_[k + 1]);
+    state_[kN - 1] = state_[kMid - 1] ^ twist(state_[kN - 1], state_[0]);
+    for (size_t i = 0; i < kN; ++i) {
+        uint64_t z = state_[i];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        out_[i] = z ^ (z >> 43);
+    }
+    next_ = 0;
+}
 
 CrossoverTest::CrossoverTest(double cr)
 {
@@ -64,10 +104,13 @@ differentialEvolution(const DeObjective &objective,
         FSMOE_CHECK_ARG(lo[i] <= hi[i], "DE bound ", i, " inverted");
     FSMOE_CHECK_ARG(std::isfinite(config.weight), "DE weight ",
                     config.weight, " is not finite");
+    FSMOE_CHECK_ARG(config.populationSize >= 4, "DE population ",
+                    config.populationSize, " is below 4");
+    FSMOE_CHECK_ARG(!std::isnan(config.tolerance), "DE tolerance is NaN");
     const detail::CrossoverTest crosses(config.crossover);
-    const int np = std::max(config.populationSize, 4);
+    const int np = config.populationSize;
 
-    std::mt19937_64 rng(config.seed);
+    detail::Mt19937_64 rng(config.seed);
     std::uniform_real_distribution<double> unit(0.0, 1.0);
     auto clamp = [&](std::vector<double> &x) {
         for (size_t i = 0; i < d; ++i)

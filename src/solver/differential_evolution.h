@@ -11,6 +11,7 @@
 #ifndef FSMOE_SOLVER_DIFFERENTIAL_EVOLUTION_H
 #define FSMOE_SOLVER_DIFFERENTIAL_EVOLUTION_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -26,7 +27,8 @@ struct DeConfig
     double crossover = 0.9;    ///< Crossover probability CR.
     uint64_t seed = 0x0d5eedULL; ///< RNG seed for reproducibility.
     double tolerance = 1e-9;   ///< Stop when best improves less than this
-                               ///< over a full generation sweep.
+                               ///< over a full generation sweep (not
+                               ///< NaN; -inf never stops early).
 };
 
 /** Result of a DE run. */
@@ -63,8 +65,42 @@ DeResult differentialEvolution(const DeObjective &objective,
 namespace detail {
 
 /**
+ * MT19937-64 yielding std::mt19937_64's words for every seed, so the
+ * standard distributions make the same draws from it. It twists all
+ * 312 state words at once, branch-free (the standard twists one per
+ * draw and branches on its low bit), and tempers them into a buffer.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = uint64_t;
+
+    explicit Mt19937_64(uint64_t seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type operator()()
+    {
+        if (next_ == kN)
+            refill();
+        return out_[next_++];
+    }
+
+  private:
+    static constexpr size_t kN = 312;
+
+    /** Twist the state one block forward and temper it into out_. */
+    void refill();
+
+    uint64_t state_[kN];
+    uint64_t out_[kN];
+    size_t next_ = kN;
+};
+
+/**
  * DE's binomial crossover test `unit(rng) < cr`, decided on the raw
- * mt19937_64 draw instead: std::uniform_real_distribution<double>(0, 1)
+ * MT19937-64 draw instead: std::uniform_real_distribution<double>(0, 1)
  * maps draws to [0, 1) monotonically, so the draws below the smallest
  * one it maps to a value >= @p cr are exactly those that cross. Same
  * draws, same decisions, no conversion. Requires 0 <= cr <= 1.

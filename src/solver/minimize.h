@@ -1,20 +1,13 @@
 /**
  * @file
- * One-dimensional minimisation used by the pipeline-degree solver.
- *
- * The paper solves each case objective f1..f4 with SLSQP (§4.3). Every
- * objective has the hyperbolic form A*r + B/r + C, which is convex on
- * r > 0, so we provide (a) golden-section search for general convex
- * objectives and (b) a feasibility-aware solve that combines a coarse
- * grid scan with local golden-section refinement — robust for the
- * paper's disjunctive Q-predicate constraint regions, which need not
- * be intervals.
+ * Golden-section search, the local refinement of the pipeline-degree
+ * solver's per-case minimisations. The paper solves each case objective
+ * f1..f4 (all of the convex form A*r + B/r + C) with SLSQP (§4.3).
  */
 #ifndef FSMOE_SOLVER_MINIMIZE_H
 #define FSMOE_SOLVER_MINIMIZE_H
 
-#include <functional>
-#include <optional>
+#include "base/logging.h"
 
 namespace fsmoe::solver {
 
@@ -26,29 +19,37 @@ struct Minimum
 };
 
 /**
- * Golden-section search for a unimodal objective on [lo, hi].
- *
- * @param f    Objective.
- * @param lo   Left bound.
- * @param hi   Right bound.
- * @param tol  Termination width.
+ * Golden-section search for a unimodal objective @p f, any callable
+ * double(double), on [lo, hi] down to a bracket of width @p tol.
  */
-Minimum goldenSection(const std::function<double(double)> &f, double lo,
-                      double hi, double tol = 1e-6);
-
-/**
- * Minimise @p f over [lo, hi] subject to @p feasible(x) being true,
- * where the feasible set may be a union of intervals (the paper's
- * Q-predicate case regions). Scans a uniform grid of @p samples
- * points, keeps feasible candidates, and refines the best one locally
- * with golden-section (clamped to the feasible neighbourhood).
- *
- * @return Nothing when no grid point is feasible.
- */
-std::optional<Minimum>
-minimizeConstrained(const std::function<double(double)> &f,
-                    const std::function<bool(double)> &feasible, double lo,
-                    double hi, int samples = 512);
+template <typename F>
+Minimum
+goldenSection(const F &f, double lo, double hi, double tol = 1e-6)
+{
+    FSMOE_CHECK_ARG(lo <= hi, "goldenSection requires lo <= hi");
+    constexpr double kInvPhi = 0.6180339887498949;
+    double a = lo, b = hi;
+    double c = b - kInvPhi * (b - a);
+    double d = a + kInvPhi * (b - a);
+    double fc = f(c), fd = f(d);
+    while (b - a > tol) {
+        if (fc < fd) {
+            b = d;
+            d = c;
+            fd = fc;
+            c = b - kInvPhi * (b - a);
+            fc = f(c);
+        } else {
+            a = c;
+            c = d;
+            fc = fd;
+            d = a + kInvPhi * (b - a);
+            fd = f(d);
+        }
+    }
+    double x = 0.5 * (a + b);
+    return {x, f(x)};
+}
 
 } // namespace fsmoe::solver
 

@@ -3,15 +3,21 @@
  * Tests for Algorithm 1: predicate logic, case formulas, continuous
  * vs exhaustive agreement over a configuration sweep, bit-exactness of
  * the per-degree table against the integer solvers and of its sorted
- * envelopes against the naive row scan, agreement with
+ * envelopes against the naive row scan, bit-identity of the
+ * single-pass solve to the four-pass one it replaced, agreement with
  * the discrete-event simulator, and the paper's observation that
  * forward and backward phases prefer different degrees.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <map>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,8 +27,10 @@
 #include "core/pipeline_solver.h"
 #include "core/schedules/schedule.h"
 #include "degree_table_reference.h"
+#include "runtime/scenario.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
+#include "solver/minimize.h"
 
 namespace fsmoe::core {
 namespace {
@@ -281,6 +289,231 @@ TEST(PipelineSolver, DegreeTableFloorsBoundTheSolverTables)
             EXPECT_LE(table.floorMergedTime(), table.minMergedTime(g));
         }
     }
+}
+
+/**
+ * Minimise @p f over [lo, hi] where @p feasible holds, as the solver
+ * did before its single grid pass: scan @p samples grid points, keep
+ * the best feasible one, then golden-section over the feasible run
+ * around it. Nothing when no grid point has a value below +inf.
+ */
+std::optional<solver::Minimum>
+minimizeConstrained(const std::function<double(double)> &f,
+                    const std::function<bool(double)> &feasible, double lo,
+                    double hi, int samples = 512)
+{
+    if (hi - lo < 1e-12) {
+        if (!feasible(lo))
+            return std::nullopt;
+        return solver::Minimum{lo, f(lo)};
+    }
+    const double step = (hi - lo) / (samples - 1);
+    double best_x = 0.0;
+    double best_v = std::numeric_limits<double>::infinity();
+    bool found = false;
+    for (int i = 0; i < samples; ++i) {
+        double x = lo + step * i;
+        if (!feasible(x))
+            continue;
+        double v = f(x);
+        if (v < best_v) {
+            best_v = v;
+            best_x = x;
+            found = true;
+        }
+    }
+    if (!found)
+        return std::nullopt;
+    double left = best_x, right = best_x;
+    while (left - step >= lo && feasible(left - step))
+        left -= step;
+    while (right + step <= hi && feasible(right + step))
+        right += step;
+    solver::Minimum refined = solver::goldenSection(f, left, right);
+    if (feasible(refined.x) && refined.value < best_v)
+        return refined;
+    return solver::Minimum{best_x, best_v};
+}
+
+/**
+ * The four-pass Algorithm 1 the single-pass solvePipeline replaced:
+ * one constrained solve per case, each classifying every grid point
+ * through the public caseAt, then the same integer refinement.
+ */
+PipelineSolution
+solvePipelineFourPass(const PipelineProblem &p)
+{
+    double best_cont_r = 1.0;
+    double best_cont_t = std::numeric_limits<double>::infinity();
+    for (int c = 1; c <= 4; ++c) {
+        auto m = minimizeConstrained(
+            [&](double r) { return caseTime(p, c, r); },
+            [&](double r) { return caseAt(p, r) == c; }, 1.0,
+            static_cast<double>(p.rMax));
+        if (m && m->value < best_cont_t) {
+            best_cont_t = m->value;
+            best_cont_r = m->x;
+        }
+    }
+    if (!std::isfinite(best_cont_t))
+        best_cont_r = 1.0;
+
+    PipelineSolution sol;
+    sol.rContinuous = best_cont_r;
+    double best_t = std::numeric_limits<double>::infinity();
+    int lo = std::max(1, static_cast<int>(std::floor(best_cont_r)) - 2);
+    int hi = std::min(p.rMax, static_cast<int>(std::ceil(best_cont_r)) + 2);
+    auto consider = [&](int r) {
+        double t = analyticMoeTime(p, r);
+        if (t < best_t) {
+            best_t = t;
+            sol.r = r;
+        }
+    };
+    consider(1);
+    for (int r = lo; r <= hi; ++r)
+        consider(r);
+    sol.tMoe = best_t;
+    sol.caseId = caseAt(p, sol.r);
+    sol.tOlpMoe = overlappableMoeTime(p, sol.r);
+    return sol;
+}
+
+/** Every PipelineSolution field of @p p from both solves, bitwise. */
+void
+expectSinglePassIsTheFourPassSolve(const PipelineProblem &p,
+                                   const std::string &where)
+{
+    const PipelineSolution fast = solvePipeline(p);
+    const PipelineSolution ref = solvePipelineFourPass(p);
+    EXPECT_EQ(bitsOf(fast.rContinuous), bitsOf(ref.rContinuous)) << where;
+    EXPECT_EQ(fast.r, ref.r) << where;
+    EXPECT_EQ(bitsOf(fast.tMoe), bitsOf(ref.tMoe)) << where;
+    EXPECT_EQ(fast.caseId, ref.caseId) << where;
+    EXPECT_EQ(bitsOf(fast.tOlpMoe), bitsOf(ref.tOlpMoe)) << where;
+}
+
+/**
+ * A seeded random problem at @p r_max: each task's whole-volume time
+ * log-uniform in [1 us, 100 ms], its startup zero one time in four,
+ * and t_gar zero, log-uniform, or on or beside the case-1 threshold of
+ * a random integer degree or grid point (where case 1 flips).
+ */
+PipelineProblem
+randomProblem(std::mt19937_64 &rng, int r_max)
+{
+    std::uniform_real_distribution<double> log_ms(-3.0, 2.0);
+    std::uniform_real_distribution<double> startup(0.0, 0.5);
+    std::uniform_int_distribution<int> die(0, 3);
+    const auto task = [&] {
+        TaskModel t;
+        t.alpha = die(rng) == 0 ? 0.0 : startup(rng);
+        t.n = std::ldexp(1.0, 10 + 5 * die(rng));
+        t.beta = std::pow(10.0, log_ms(rng)) / t.n;
+        return t;
+    };
+    PipelineProblem p;
+    p.a2a = task();
+    p.ag = task();
+    p.rs = task();
+    p.exp = task();
+    p.rMax = r_max;
+    const int kind = die(rng);
+    if (kind == 0) {
+        p.tGar = 0.0;
+    } else if (kind == 1) {
+        p.tGar = std::pow(10.0, log_ms(rng));
+    } else {
+        std::uniform_int_distribution<int> degree(1, r_max);
+        std::uniform_int_distribution<int> sample(0, 511);
+        const double r = kind == 2
+                             ? degree(rng)
+                             : 1.0 + (r_max - 1.0) / 511 * sample(rng);
+        const double th = caseSplitAt(p, r).threshold;
+        const int side = die(rng) % 3;
+        p.tGar = side == 0 ? th
+                           : std::nextafter(th, side == 1 ? -HUGE_VAL
+                                                          : HUGE_VAL);
+    }
+    return p;
+}
+
+TEST(PipelineSolver, SinglePassEqualsTheFourPassSolveBitwise)
+{
+    std::mt19937_64 rng(0xa1a1);
+    int ones = 0, zero_gar = 0;
+    for (int i = 0; i < 2048; ++i) {
+        const PipelineProblem p = randomProblem(rng, 1 + i % 64);
+        ones += p.rMax == 1;
+        zero_gar += p.tGar == 0.0;
+        expectSinglePassIsTheFourPassSolve(p, "problem " +
+                                                  std::to_string(i));
+        if (::testing::Test::HasFailure())
+            FAIL() << "first divergence at problem " << i;
+    }
+    EXPECT_EQ(ones, 32);
+    EXPECT_GT(zero_gar, 400);
+
+    // Non-finite startups: cases whose formulas are NaN or +inf find
+    // nothing, and a -inf optimum falls back to r = 1.
+    for (int i = 0; i < 96; ++i) {
+        PipelineProblem p = randomProblem(rng, 1 + 9 * (i % 8));
+        TaskModel *tasks[] = {&p.a2a, &p.ag, &p.rs, &p.exp};
+        const double odd[] = {-HUGE_VAL, HUGE_VAL,
+                              std::numeric_limits<double>::quiet_NaN()};
+        tasks[i / 8 % 4]->alpha = odd[i / 32];
+        expectSinglePassIsTheFourPassSolve(p, "non-finite problem " +
+                                                  std::to_string(i));
+    }
+    // Every formula is -inf here: case 4 holds at r = 1 and case 2
+    // past it, so case 2's optimum sits above r = 1 and the -inf
+    // fallback is what returns r = 1.
+    PipelineProblem corner;
+    corner.a2a = {-HUGE_VAL, 1e-3, 1000.0};
+    corner.ag = {0.0, 1e-6, 1000.0};
+    corner.rs = {0.0, 1e-6, 1000.0};
+    corner.exp = {1.0, -1e-3, 1000.0};
+    corner.rMax = 16;
+    ASSERT_EQ(caseAt(corner, 1.0), 4);
+    ASSERT_EQ(caseAt(corner, 2.0), 2);
+    EXPECT_EQ(solvePipeline(corner).rContinuous, 1.0);
+    expectSinglePassIsTheFourPassSolve(corner, "all -inf");
+}
+
+TEST(PipelineSolver, SinglePassEqualsTheFourPassSolveOnTheDemoGrid)
+{
+    // Every backward problem the demo grid's gradient partitions
+    // start from, at t_gar = 0 and on and beside each degree's case-1
+    // threshold.
+    std::map<std::string, runtime::Scenario> configs;
+    for (const runtime::Scenario &s : runtime::demoGrid())
+        configs.emplace(s.costKey(), s);
+    ASSERT_EQ(configs.size(), 8u);
+    int solves = 0;
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        const std::vector<GeneralizedLayer> layers =
+            detail::makeGeneralizedLayers(cost);
+        for (size_t l = 0; l < layers.size(); ++l) {
+            PipelineProblem p = layers[l].moe;
+            std::vector<double> gars = {0.0};
+            for (int r = 1; r <= p.rMax; ++r) {
+                const double th = caseSplitAt(p, r).threshold;
+                gars.push_back(th);
+                gars.push_back(std::nextafter(th, -HUGE_VAL));
+                gars.push_back(std::nextafter(th, HUGE_VAL));
+            }
+            for (double g : gars) {
+                p.tGar = g;
+                expectSinglePassIsTheFourPassSolve(
+                    p, key + " layer " + std::to_string(l) +
+                           " t_gar=" + std::to_string(g));
+                ++solves;
+            }
+        }
+    }
+    EXPECT_GT(solves, 8 * 16);
 }
 
 TEST(PipelineSolver, AnalyticTimeTracksSimulatedPipeline)

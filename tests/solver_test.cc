@@ -1,13 +1,15 @@
 /**
  * @file
- * Unit tests for the numeric solvers: least squares, 1-D minimisation,
- * and differential evolution.
+ * Unit tests for the numeric solvers: least squares, golden-section
+ * search, differential evolution and its MT19937-64 generator.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,33 +63,6 @@ TEST(GoldenSection, FindsQuadraticMinimum)
     Minimum m = goldenSection(f, 0.0, 10.0);
     EXPECT_NEAR(m.x, 2.7, 1e-4);
     EXPECT_NEAR(m.value, 1.0, 1e-8);
-}
-
-TEST(MinimizeConstrained, RespectsFeasibleRegion)
-{
-    auto f = [](double x) { return (x - 5.0) * (x - 5.0); };
-    auto feasible = [](double x) { return x <= 3.0; };
-    auto m = minimizeConstrained(f, feasible, 0.0, 10.0);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_NEAR(m->x, 3.0, 0.05);
-}
-
-TEST(MinimizeConstrained, HandlesDisjointFeasibleSet)
-{
-    auto f = [](double x) { return x; };
-    auto feasible = [](double x) {
-        return (x >= 2.0 && x <= 3.0) || (x >= 7.0 && x <= 8.0);
-    };
-    auto m = minimizeConstrained(f, feasible, 0.0, 10.0);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_NEAR(m->x, 2.0, 0.05);
-}
-
-TEST(MinimizeConstrained, ReturnsEmptyWhenInfeasible)
-{
-    auto f = [](double x) { return x; };
-    auto feasible = [](double) { return false; };
-    EXPECT_FALSE(minimizeConstrained(f, feasible, 0.0, 1.0).has_value());
 }
 
 TEST(DifferentialEvolution, SolvesSphere)
@@ -236,6 +211,86 @@ TEST(DifferentialEvolution, CrossoverTestAgreesWithTheUniformDraw)
     }
 }
 
+TEST(Mt19937_64, IsTheStandardEngineThroughEveryDistributionDeUses)
+{
+    // Seeds 0, 1, DeConfig's default, the tuner's and the largest;
+    // 2,000 draws cross six block refills.
+    for (uint64_t seed :
+         {0ULL, 1ULL, 0x0d5eedULL, 0xf500e7ULL, ~0ULL}) {
+        std::mt19937_64 std_raw(seed), std_unit(seed), std_int(seed),
+            std_size(seed), std_cross(seed);
+        detail::Mt19937_64 raw(seed), unit_gen(seed), int_gen(seed),
+            size_gen(seed), cross_gen(seed);
+        std::uniform_real_distribution<double> unit(0.0, 1.0);
+        std::uniform_int_distribution<int> pick(0, 23);
+        std::uniform_int_distribution<size_t> pick_dim(0, 23);
+        const detail::CrossoverTest crosses(0.9);
+        for (int i = 0; i < 2000; ++i) {
+            ASSERT_EQ(raw(), std_raw()) << "seed " << seed << " draw " << i;
+            ASSERT_EQ(bitsOf(unit(unit_gen)), bitsOf(unit(std_unit)))
+                << "seed " << seed << " draw " << i;
+            ASSERT_EQ(pick(int_gen), pick(std_int))
+                << "seed " << seed << " draw " << i;
+            ASSERT_EQ(pick_dim(size_gen), pick_dim(std_size))
+                << "seed " << seed << " draw " << i;
+            ASSERT_EQ(crosses(cross_gen()), crosses(std_cross()))
+                << "seed " << seed << " draw " << i;
+        }
+    }
+}
+
+/** FNV-1a over the bits of a DeResult's x, value and generations. */
+uint64_t
+digestOf(const DeResult &r)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&](uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (double v : r.x)
+        mix(bitsOf(v));
+    mix(bitsOf(r.value));
+    mix(static_cast<uint64_t>(r.generations));
+    return h;
+}
+
+TEST(DifferentialEvolution, ResultsKeepTheirBits)
+{
+    // Digests recorded with std::mt19937_64 driving DE: the generator
+    // may change only how its words are made, never which words.
+    const auto sphere = [](const std::vector<double> &x, double) {
+        double s = 0.0;
+        for (double v : x)
+            s += (v - 1.5) * (v - 1.5);
+        return s;
+    };
+    const DeResult small = differentialEvolution(
+        sphere, std::vector<double>(4, -10.0), std::vector<double>(4, 10.0));
+    EXPECT_EQ(digestOf(small), 0x2787708d763aeafdULL);
+
+    // The gradient partition's shape: 24 layers' byte shares under a
+    // coupled budget, population 24 x 80 generations.
+    const auto partition_like = [](const std::vector<double> &x, double) {
+        double load = 0.0, t = 0.0;
+        for (size_t i = 0; i < x.size(); ++i) {
+            load += x[i];
+            t += std::max(0.25 + 0.05 * static_cast<double>(i % 7),
+                          0.08 * x[i]);
+        }
+        return t + 2.0 * std::abs(load - 48.0);
+    };
+    DeConfig cfg;
+    cfg.populationSize = 24;
+    cfg.maxGenerations = 80;
+    const DeResult wide = differentialEvolution(
+        partition_like, std::vector<double>(24, 0.0),
+        std::vector<double>(24, 8.0), cfg);
+    EXPECT_EQ(digestOf(wide), 0x21512cef2f260af2ULL);
+}
+
 TEST(DifferentialEvolutionDeathTest, RejectsInvalidConfig)
 {
     const auto f = [](const std::vector<double> &x, double) { return x[0]; };
@@ -251,6 +306,27 @@ TEST(DifferentialEvolutionDeathTest, RejectsInvalidConfig)
     EXPECT_DEATH(run(1.5, 0.7), "crossover");
     EXPECT_DEATH(run(0.9, std::nan("")), "weight");
     EXPECT_DEATH(run(0.9, HUGE_VAL), "weight");
+}
+
+TEST(DifferentialEvolutionDeathTest, RejectsASmallPopulationAndNanTolerance)
+{
+    // DE needs a parent and three distinct donors; a smaller population
+    // was once run as 4 members while caches keyed the raw value. A NaN
+    // tolerance would silently disable early stopping.
+    const auto f = [](const std::vector<double> &x, double) { return x[0]; };
+    const std::vector<double> lo = {0.0}, hi = {1.0};
+    const auto run = [&](int population, double tolerance) {
+        DeConfig cfg;
+        cfg.populationSize = population;
+        cfg.tolerance = tolerance;
+        differentialEvolution(f, lo, hi, cfg);
+    };
+    EXPECT_DEATH(run(3, 1e-9), "population");
+    EXPECT_DEATH(run(0, 1e-9), "population");
+    EXPECT_DEATH(run(-1, 1e-9), "population");
+    EXPECT_DEATH(run(4, std::nan("")), "tolerance");
+    // -inf never stops early, and is legal.
+    run(4, -HUGE_VAL);
 }
 
 TEST(DifferentialEvolution, FullCrossoverStillSolves)
