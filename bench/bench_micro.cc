@@ -10,6 +10,7 @@
  */
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include "dist/communicator.h"
 #include "model/models.h"
 #include "runtime/scenario.h"
+#include "sim/simulator.h"
 #include "sim_reference.h"
 #include "solver/differential_evolution.h"
 #include "tensor/gemm.h"
@@ -229,6 +231,45 @@ BM_DegreeSearch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * cost.rMax);
 }
 BENCHMARK(BM_DegreeSearch)->ArgName("tuner")->Arg(0)->Arg(1);
+
+/**
+ * A losing tuner DE probe: PipeMoE+Lina at the chunkMB clamp bound
+ * (1 KB gradient buckets, 121,333 tasks) on the tuner's
+ * gpt2xl-moe/testbedA/b1/L1024 query, at degree 0 (the search) or 1.
+ * cutoff:0 builds and runs it in full; cutoff:1 asks makespanBelow
+ * with the 30 MB default's makespan as the cutoff, as DE does when the
+ * probe's parent is that default, so it stops at its tallies.
+ */
+void
+BM_LinaProbe(benchmark::State &state)
+{
+    runtime::Scenario scenario;
+    scenario.model = "gpt2xl-moe";
+    scenario.cluster = "testbedA";
+    scenario.batch = 1;
+    scenario.seqLen = 1024;
+    const core::ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(scenario);
+    const double cutoff =
+        sim::Simulator{}.run(core::Schedule::create("lina")->build(cost))
+            .makespan;
+    auto sched = core::Schedule::create(
+        "lina?chunkMB=0.0009765625&degree=" +
+        std::to_string(state.range(0)));
+    for (auto _ : state) {
+        if (state.range(1) == 0)
+            benchmark::DoNotOptimize(sim::Simulator{}.run(sched->build(cost)));
+        else
+            benchmark::DoNotOptimize(sched->makespanBelow(cost, cutoff));
+    }
+}
+BENCHMARK(BM_LinaProbe)
+    ->ArgNames({"degree", "cutoff"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_Simulator(benchmark::State &state)

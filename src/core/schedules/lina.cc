@@ -20,7 +20,7 @@ namespace {
 
 using namespace detail;
 
-class LinaSchedule : public Schedule
+class LinaSchedule : public DegreeSchedule
 {
   public:
     /**
@@ -29,26 +29,14 @@ class LinaSchedule : public Schedule
      * @param degree      Fixed pipeline degree; 0 searches 1..rMax.
      */
     LinaSchedule(double chunk_bytes, int degree)
-        : chunk_bytes_(chunk_bytes), degree_(degree)
+        : DegreeSchedule(degree), chunk_bytes_(chunk_bytes)
     {
-    }
-
-    sim::TaskGraph
-    build(const ModelCost &model) const override
-    {
-        if (degree_ == 0)
-            return searchDegree(model, [&](sim::TaskGraph &g, int d) {
-                       emit(g, model, d);
-                   }).graph;
-        sim::TaskGraph graph;
-        emit(graph, model, degree_);
-        return graph;
     }
 
   private:
-    /** Append the iteration graph at pipeline degree @p r. */
     void
-    emit(sim::TaskGraph &graph, const ModelCost &model, int r) const
+    emit(sim::TaskGraph &graph, const ModelCost &model,
+         int r) const override
     {
         // One AllReduce per full bucket plus a partial one, with slack
         // for rounding in `pending` below: reserved up front, so small
@@ -102,7 +90,6 @@ class LinaSchedule : public Schedule
     }
 
     double chunk_bytes_;
-    int degree_;
 };
 
 } // namespace

@@ -37,6 +37,12 @@ Schedule::simulate(const ModelCost &model, sim::TaskGraph *graph_out) const
     return result;
 }
 
+double
+Schedule::makespanBelow(const ModelCost &model, double cutoff) const
+{
+    return sim::Simulator{}.makespanBelow(build(model), cutoff);
+}
+
 namespace detail {
 
 const char *
@@ -204,11 +210,12 @@ struct SearchStats
 } // namespace
 
 DegreeChoice
-searchDegree(const ModelCost &model, const DegreeEmitter &emit)
+searchDegree(const ModelCost &model, const DegreeEmitter &emit,
+             double cutoff)
 {
     FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
     DegreeChoice best;
-    best.makespanMs = std::numeric_limits<double>::infinity();
+    best.makespanMs = cutoff;
     uint64_t bounded = 0, simulated = 0, cut = 0;
     const sim::Simulator simulator;
     for (int r = 1; r <= model.rMax; ++r) {
@@ -230,16 +237,50 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit)
             ++cut;
         }
     }
-    // No candidate finished below +inf (a graph with an infinite
-    // duration): the choice stays r = 1, emitted here.
-    if (std::isinf(best.makespanMs))
-        emit(best.graph, best.r);
+    if (!(best.makespanMs < cutoff)) {
+        // No candidate finished below the cutoff. Unseeded, that means
+        // a graph with an infinite duration: the choice stays r = 1,
+        // emitted here.
+        best.makespanMs = std::numeric_limits<double>::infinity();
+        if (std::isinf(cutoff))
+            emit(best.graph, best.r);
+    }
     SearchStats &st = SearchStats::instance();
     st.candidates.inc(bounded + simulated);
     st.bounded.inc(bounded);
     st.simulated.inc(simulated);
     st.cut.inc(cut);
     return best;
+}
+
+sim::TaskGraph
+DegreeSchedule::build(const ModelCost &model) const
+{
+    if (degree_ == 0)
+        return searchDegree(model, [&](sim::TaskGraph &g, int r) {
+                   emit(g, model, r);
+               }).graph;
+    sim::TaskGraph graph;
+    emit(graph, model, degree_);
+    return graph;
+}
+
+double
+DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff) const
+{
+    if (degree_ == 0)
+        return searchDegree(
+                   model,
+                   [&](sim::TaskGraph &g, int r) { emit(g, model, r); },
+                   cutoff)
+            .makespanMs;
+    sim::TaskGraph tally = sim::TaskGraph::durationTally();
+    emit(tally, model, degree_);
+    if (sim::Simulator::makespanLowerBound(tally) >= cutoff)
+        return std::numeric_limits<double>::infinity();
+    sim::TaskGraph graph;
+    emit(graph, model, degree_);
+    return sim::Simulator{}.makespanBelow(graph, cutoff);
 }
 
 std::vector<GeneralizedLayer>

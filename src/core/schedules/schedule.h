@@ -35,6 +35,7 @@
 #define FSMOE_CORE_SCHEDULES_SCHEDULE_H
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,6 +119,17 @@ class Schedule
 
     /** Build the full-iteration (forward + backward) task graph. */
     virtual sim::TaskGraph build(const ModelCost &model) const = 0;
+
+    /**
+     * The makespan of build(model) when it is below @p cutoff, else
+     * +inf: a value below the cutoff has the bits of
+     * `Simulator::run(build(model)).makespan`. A schedule may stop as
+     * soon as the answer is known to reach the cutoff, before its
+     * graph is built. The default builds and runs
+     * Simulator::makespanBelow.
+     */
+    virtual double makespanBelow(const ModelCost &model,
+                                 double cutoff) const;
 
     /** Convenience: build, simulate, and return the makespan in ms. */
     double iterationTimeMs(const ModelCost &model) const;
@@ -233,8 +245,47 @@ struct DegreeChoice
  * (docs/OBSERVABILITY.md). The winner's graph is the one the search
  * simulated, returned so the caller need not emit it again; holding it
  * while later candidates build raises peak memory by up to one graph.
+ *
+ * The best makespan starts at @p cutoff. When the minimum is below it,
+ * the result is the unseeded search's (same r, makespan bits and
+ * graph). Otherwise makespanMs is +inf and the graph is empty, and no
+ * candidate whose bound reaches the cutoff was built. Only with
+ * cutoff = +inf does a search where nothing finishes below +inf emit
+ * the r = 1 graph.
  */
-DegreeChoice searchDegree(const ModelCost &model, const DegreeEmitter &emit);
+DegreeChoice searchDegree(
+    const ModelCost &model, const DegreeEmitter &emit,
+    double cutoff = std::numeric_limits<double>::infinity());
+
+/**
+ * A schedule emitted at one pipeline degree: a fixed one, or with
+ * degree 0 the searchDegree() winner over 1..rMax. Tutel and Lina
+ * derive from it and supply emit().
+ */
+class DegreeSchedule : public Schedule
+{
+  public:
+    /** @param degree Fixed pipeline degree; 0 searches 1..rMax. */
+    explicit DegreeSchedule(int degree) : degree_(degree) {}
+
+    sim::TaskGraph build(const ModelCost &model) const override;
+
+    /**
+     * At degree 0, the search seeded with @p cutoff. At a fixed
+     * degree, the graph is tallied first and built and simulated only
+     * when its link-sum bound is below @p cutoff.
+     */
+    double makespanBelow(const ModelCost &model,
+                         double cutoff) const override;
+
+  protected:
+    /** Append the iteration graph at pipeline degree @p r. */
+    virtual void emit(sim::TaskGraph &graph, const ModelCost &model,
+                      int r) const = 0;
+
+  private:
+    int degree_;
+};
 
 /** Build backward-order generalized layers for the grad partitioner. */
 std::vector<GeneralizedLayer> makeGeneralizedLayers(const ModelCost &model);

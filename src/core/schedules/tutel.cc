@@ -21,7 +21,7 @@ namespace {
 
 using namespace detail;
 
-class TutelSchedule : public Schedule
+class TutelSchedule : public DegreeSchedule
 {
   public:
     /**
@@ -30,26 +30,14 @@ class TutelSchedule : public Schedule
      *                 the simulated-makespan minimiser (PipeMoE).
      */
     TutelSchedule(bool improved, int degree)
-        : improved_(improved), degree_(degree)
+        : DegreeSchedule(degree), improved_(improved)
     {
-    }
-
-    sim::TaskGraph
-    build(const ModelCost &model) const override
-    {
-        if (degree_ == 0)
-            return searchDegree(model, [&](sim::TaskGraph &g, int d) {
-                       emit(g, model, d);
-                   }).graph;
-        sim::TaskGraph graph;
-        emit(graph, model, degree_);
-        return graph;
     }
 
   private:
-    /** Append the iteration graph at pipeline degree @p r. */
     void
-    emit(sim::TaskGraph &graph, const ModelCost &model, int r) const
+    emit(sim::TaskGraph &graph, const ModelCost &model,
+         int r) const override
     {
         reserveIteration(graph, model.layers.size(), r);
         PipelineBuildOptions opts;
@@ -104,7 +92,6 @@ class TutelSchedule : public Schedule
     }
 
     bool improved_;
-    int degree_;
 };
 
 ScheduleParamInfo

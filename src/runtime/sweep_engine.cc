@@ -255,6 +255,28 @@ SweepEngine::timedSimulate(const Scenario &s, const core::ModelCost &cost,
     return result;
 }
 
+double
+SweepEngine::makespanBelow(const Scenario &s, double cutoff)
+{
+    auto cost = costFor(s);
+    const auto t0 = std::chrono::steady_clock::now();
+    double makespan;
+    {
+        SelfSpan span("graphBuild", "stage");
+        makespan =
+            core::Schedule::create(s.schedule)->makespanBelow(*cost, cutoff);
+    }
+    const double build_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+    EngineStats::instance().graphBuildMs.observe(build_ms);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_.graphBuildMs += build_ms;
+    }
+    return makespan;
+}
+
 std::vector<ScenarioResult>
 SweepEngine::run(const std::vector<Scenario> &scenarios, bool keep_graphs)
 {

@@ -84,7 +84,8 @@ struct SweepStats
     // in-schedule degree-search simulations (see core::solverCacheStats
     // for the solver share). Feeds `fsmoe_sweep --profile`.
     double costDeriveMs = 0.0; ///< Cold ModelCost derivations.
-    double graphBuildMs = 0.0; ///< Schedule create + build.
+    /// Schedule create + build, and all of makespanBelow().
+    double graphBuildMs = 0.0;
     double simulateMs = 0.0;   ///< Simulator::run on built graphs.
 };
 
@@ -114,11 +115,23 @@ class SweepEngine
     /**
      * Evaluate one scenario on the calling thread, through the caches
      * the options enable: the per-scenario body of run(), and the one
-     * scenario-evaluation path in the repo. Creates no threads, so a
-     * forked service worker can call it (service/sweep_server.h).
+     * path in the repo that yields a ScenarioResult. Creates no
+     * threads, so a forked service worker can call it
+     * (service/sweep_server.h).
      * Throws whatever cost derivation or the schedule build throws.
      */
     ScenarioResult evaluate(const Scenario &s);
+
+    /**
+     * The makespan of scenario @p s when it is below @p cutoff, else
+     * +inf (core::Schedule::makespanBelow): a losing schedule may stop
+     * before its graph is built or simulated. The cost comes from the
+     * cost cache as in evaluate(); the SimResult cache is neither read
+     * nor filled, since a cut result has no SimResult. The time counts
+     * as graph build (SweepStats::graphBuildMs), like the simulations
+     * an in-build degree search runs. Runs on the calling thread.
+     */
+    double makespanBelow(const Scenario &s, double cutoff);
 
     const SweepOptions &options() const { return options_; }
     SweepStats stats() const;

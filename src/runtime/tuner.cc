@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 #include "base/fileio.h"
 #include "base/json.h"
 #include "base/logging.h"
+#include "base/stats.h"
 #include "core/schedules/param_space.h"
 #include "core/schedules/schedule_registry.h"
 
@@ -154,15 +156,19 @@ parseEntry(const json::Value &v, TuneAnswer *out, uint64_t *registry,
         *error = "cache entry is not an object";
         return false;
     }
-    double evaluated = 0.0;
+    int64_t evaluated = 0;
     std::string digest;
     if (!json::asString(v.find("query"), &out->queryKey) ||
         !json::asString(v.find("registry"), &digest) ||
         !json::asString(v.find("best"), &out->best) ||
         !json::asNumber(v.find("bestMakespanMs"), &out->bestMakespanMs) ||
-        !json::asNumber(v.find("evaluated"), &evaluated)) {
+        !json::asInt(v.find("evaluated"), &evaluated)) {
         *error = "cache entry is missing query/registry/best/"
                  "bestMakespanMs/evaluated";
+        return false;
+    }
+    if (evaluated < 0) {
+        *error = "cache entry has a negative evaluated count";
         return false;
     }
     if (digest.size() != 16 ||
@@ -189,6 +195,18 @@ parseEntry(const json::Value &v, TuneAnswer *out, uint64_t *registry,
             return false;
         }
         out->frontier.push_back(std::move(c));
+    }
+    // search() answers with the frontier's head, so any other entry
+    // was not written by this program.
+    if (out->frontier.empty()) {
+        *error = "cache entry has an empty frontier";
+        return false;
+    }
+    const TuneCandidate &head = out->frontier.front();
+    if (out->best != head.spec ||
+        out->bestMakespanMs != head.makespanMs) {
+        *error = "cache entry's best is not its frontier's first entry";
+        return false;
     }
     return true;
 }
@@ -287,6 +305,20 @@ peakConcurrentCommMB(const sim::TaskGraph &graph, const sim::SimResult &sim,
 
 namespace {
 
+/** Registry handles for the DE probe counters, resolved once. */
+struct ProbeStats
+{
+    stats::Counter &evals = stats::counter("tuner.probe.evals");
+    stats::Counter &memo = stats::counter("tuner.probe.memo");
+    stats::Counter &cut = stats::counter("tuner.probe.cut");
+
+    static ProbeStats &instance()
+    {
+        static ProbeStats s;
+        return s;
+    }
+};
+
 SweepOptions
 engineOptions(const TuneOptions &options)
 {
@@ -347,9 +379,9 @@ Tuner::search(const TuneQuery &query)
         core::ScheduleRegistry::instance();
     const Scenario base = query.scenario();
 
-    // Every distinct spec this search simulates (grid candidates and
-    // DE probes alike), kept sorted so `evaluated` and candidate
-    // handling are independent of discovery order.
+    // Every distinct spec this search probes (grid candidates and DE
+    // probes alike, cut or not), kept sorted so `evaluated` and
+    // candidate handling are independent of discovery order.
     std::set<std::string> probedSpecs;
 
     const auto canonical = [&registry](const std::string &spec) {
@@ -359,12 +391,15 @@ Tuner::search(const TuneQuery &query)
                         "': ", error);
         return canon;
     };
-    const auto probe = [&](const std::string &spec) {
-        Scenario s = base;
-        s.schedule = spec;
-        probedSpecs.insert(spec);
-        return engine_.run({s})[0].makespanMs;
+    // What DE has learnt of each spec it probed: its exact makespan,
+    // or a proven lower bound when a probe stopped at its cutoff.
+    struct Known
+    {
+        double makespanMs;
+        bool exact;
     };
+    std::unordered_map<std::string, Known> known;
+    uint64_t evals = 0, memo = 0, cut = 0;
 
     // --- Candidate generation: per schedule, bare name + its derived
     // search space (small grids exhaustively, continuous spaces via
@@ -390,23 +425,54 @@ Tuner::search(const TuneQuery &query)
                 addCandidate(info.name, canonical(spec));
             continue;
         }
-        // DE over the box; probes run one scenario at a time (so the
-        // sequence is identical on every thread count) and revisited
-        // specs hit the engine's SimResult cache.
+        // DE over the box; probes run one scenario at a time on this
+        // thread (so the sequence is identical on every thread count).
         std::vector<double> lo, hi;
         for (const core::ParamAxis &axis : space.axes) {
             lo.push_back(axis.lo);
             hi.push_back(axis.hi);
         }
-        // Every probe counts towards `evaluated`, so each one is
-        // simulated in full and the cutoff is ignored.
-        const auto objective = [&](const std::vector<double> &x, double) {
-            return probe(canonical(core::specFromPoint(space, x)));
+        // DE keeps a trial whose value is <= its parent's, so a probe
+        // needs its exact makespan only up to the cutoff itself: it
+        // asks for one below the next double up, and a probe that
+        // provably lands past that stops there, often before its graph
+        // is built. Every probe still counts towards `evaluated`.
+        const auto objective = [&](const std::vector<double> &x,
+                                   double cutoff) {
+            const std::string spec =
+                canonical(core::specFromPoint(space, x));
+            probedSpecs.insert(spec);
+            const double below = std::nextafter(
+                cutoff, std::numeric_limits<double>::infinity());
+            auto it = known.find(spec);
+            if (it != known.end() &&
+                (it->second.exact || it->second.makespanMs >= below)) {
+                ++memo;
+                return it->second.exact
+                           ? it->second.makespanMs
+                           : std::numeric_limits<double>::infinity();
+            }
+            Scenario s = base;
+            s.schedule = spec;
+            ++evals;
+            const double ms = engine_.makespanBelow(s, below);
+            if (ms < below) {
+                known[spec] = {ms, true};
+            } else {
+                ++cut;
+                known[spec] = {below, false};
+            }
+            return ms;
         };
         const solver::DeResult de =
             solver::differentialEvolution(objective, lo, hi, options_.de);
         addCandidate(info.name, canonical(core::specFromPoint(space, de.x)));
     }
+
+    ProbeStats &ps = ProbeStats::instance();
+    ps.evals.inc(evals);
+    ps.memo.inc(memo);
+    ps.cut.inc(cut);
 
     // --- Probe pass: every candidate, cached, in parallel.
     std::vector<Scenario> scenarios;

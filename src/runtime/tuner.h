@@ -88,8 +88,9 @@ struct TuneOptions
     /// pass that computes comm/memory objectives and the frontier;
     /// each schedule's best candidate is always included as well.
     size_t frontierCandidates = 16;
-    /// DE budget for continuous spaces. Every probe goes through the
-    /// engine's SimResult cache, so revisited specs are free.
+    /// DE budget for continuous spaces. A probe stops at its parent's
+    /// cutoff (SweepEngine::makespanBelow), and a per-search memo
+    /// makes revisited specs free.
     solver::DeConfig de{16, 24, 0.7, 0.9, 0xf500e7ULL, 1e-9};
 };
 

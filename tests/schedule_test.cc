@@ -3,10 +3,12 @@
  * Tests for the six schedule generators: graph validity, per-op time
  * conservation, the performance orderings the paper reports (DS-MoE
  * slowest; FSMoE at least as fast as its No-IIO ablation and the Tutel
- * baselines), and exactness of the pruned Tutel/Lina degree search
- * against the unpruned loop.
+ * baselines), exactness of the pruned Tutel/Lina degree search
+ * against the unpruned loop, with and without a cutoff, and
+ * Schedule::makespanBelow against run()'s makespan.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -564,6 +566,171 @@ TEST(Schedules, BuiltinGraphsKeepTheirStructure)
         table << "        {\"" << spec << "\", 0x" << std::hex << digest
               << std::dec << "ull},\n";
     EXPECT_EQ(got, kWant) << "current digests:\n" << table.str();
+}
+
+// ------------------------------------- cutoff-bounded makespans
+
+/** The demo grid's eight configurations by cost key. */
+std::map<std::string, runtime::Scenario>
+demoConfigs()
+{
+    std::map<std::string, runtime::Scenario> configs;
+    for (const runtime::Scenario &s : runtime::demoGrid())
+        configs.emplace(s.costKey(), s);
+    return configs;
+}
+
+/** The tuner's demo query (fsmoe_tune's defaults) as a scenario. */
+runtime::Scenario
+tunerQuery()
+{
+    runtime::Scenario s;
+    s.model = "gpt2xl-moe";
+    s.cluster = "testbedA";
+    s.batch = 1;
+    s.seqLen = 1024;
+    return s;
+}
+
+/**
+ * Every builtin schedule at its defaults; each degree-taking one also
+ * at degree 0, 1 and rMax; and Lina at chunkMB 30 and 1024 (plus the
+ * tuner's clamp bound 1/1024 with @p tiny_chunks) at each of those
+ * degrees.
+ */
+std::vector<std::string>
+cutoffSpecs(int r_max, bool tiny_chunks)
+{
+    std::vector<std::string> specs = ScheduleRegistry::instance().names();
+    const std::vector<int> degrees = {0, 1, r_max};
+    for (const std::string &name : degreeSearchingSchedules())
+        for (int r : degrees)
+            specs.push_back(withDegree(name, r));
+    std::vector<std::string> chunks = {"30", "1024"};
+    if (tiny_chunks)
+        chunks.push_back("0.0009765625");
+    for (const std::string &mb : chunks)
+        for (int r : degrees)
+            specs.push_back("PipeMoE+Lina?chunkMB=" + mb +
+                            "&degree=" + std::to_string(r));
+    return specs;
+}
+
+/**
+ * Schedule::makespanBelow against run(build()).makespan = m at the
+ * cutoffs +inf, m, m's two neighbours and m/2: m's bits when
+ * m < cutoff, else +inf.
+ */
+void
+expectMakespanBelowContract(const ModelCost &cost, const std::string &spec,
+                            const std::string &where)
+{
+    const auto sched = Schedule::create(spec);
+    const double m = sim::Simulator{}.run(sched->build(cost)).makespan;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double cutoff : {inf, m, std::nextafter(m, inf),
+                                std::nextafter(m, -inf), m / 2}) {
+        const double got = sched->makespanBelow(cost, cutoff);
+        if (m < cutoff)
+            EXPECT_TRUE(test::sameBits(got, m))
+                << where << " " << spec << " cutoff " << cutoff << ": "
+                << got << " vs " << m;
+        else
+            EXPECT_EQ(got, inf)
+                << where << " " << spec << " cutoff " << cutoff;
+    }
+}
+
+TEST(Schedules, MakespanBelowIsRunsMakespanUnderTheCutoff)
+{
+    // The demo grid holds the tuner's query; only there are 1 KB
+    // buckets affordable (on mixtral-7b they emit 2.1M tasks).
+    const std::string tuner_key = tunerQuery().costKey();
+    std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    ASSERT_EQ(configs.size(), 8u);
+    ASSERT_EQ(configs.count(tuner_key), 1u);
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        for (const std::string &spec :
+             cutoffSpecs(cost.rMax, key == tuner_key))
+            expectMakespanBelowContract(cost, spec, key);
+    }
+}
+
+TEST(DegreeSearch, ACutoffAboveTheMinimumKeepsTheUnseededChoice)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto &[key, s] : demoConfigs()) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        for (const std::string &name : degreeSearchingSchedules()) {
+            const std::string where = key + " " + name;
+            const auto emit = [&](sim::TaskGraph &g, int r) {
+                test::replayGraph(
+                    Schedule::create(withDegree(name, r))->build(cost), g);
+            };
+            const detail::DegreeChoice want =
+                detail::searchDegree(cost, emit);
+            const uint64_t want_digest = graphFingerprint(want.graph);
+            for (const double cutoff :
+                 {std::nextafter(want.makespanMs, inf),
+                  2 * want.makespanMs}) {
+                const detail::DegreeChoice got =
+                    detail::searchDegree(cost, emit, cutoff);
+                EXPECT_EQ(got.r, want.r) << where;
+                EXPECT_TRUE(test::sameBits(got.makespanMs, want.makespanMs))
+                    << where << ": " << got.makespanMs << " vs "
+                    << want.makespanMs;
+                EXPECT_EQ(graphFingerprint(got.graph), want_digest)
+                    << where;
+            }
+        }
+    }
+}
+
+TEST(DegreeSearch, ACutoffAtEveryBoundSimulatesNothing)
+{
+    const ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(tunerQuery());
+    const double inf = std::numeric_limits<double>::infinity();
+    stats::Counter &simulated = stats::counter("schedule.search.simulated");
+    stats::Counter &runs = stats::counter("sim.runs");
+    for (const std::string name :
+         {"Tutel", "PipeMoE+Lina", "PipeMoE+Lina?chunkMB=0.0009765625"}) {
+        const auto spec_at = [&](int r) {
+            return name + (name.find('?') == std::string::npos ? "?" : "&") +
+                   "degree=" + std::to_string(r);
+        };
+        const auto emit = [&](sim::TaskGraph &g, int r) {
+            test::replayGraph(Schedule::create(spec_at(r))->build(cost), g);
+        };
+        double min_bound = inf;
+        for (int r = 1; r <= cost.rMax; ++r) {
+            sim::TaskGraph tally = sim::TaskGraph::durationTally();
+            emit(tally, r);
+            min_bound = std::min(min_bound,
+                                 sim::Simulator::makespanLowerBound(tally));
+        }
+        const uint64_t simulated0 = simulated.value();
+        const detail::DegreeChoice got =
+            detail::searchDegree(cost, emit, min_bound);
+        EXPECT_EQ(simulated.value(), simulated0) << name;
+        EXPECT_EQ(got.makespanMs, inf) << name;
+        EXPECT_TRUE(got.graph.empty()) << name;
+
+        // The schedule's own probes at that cutoff stop at their
+        // tallies too, searching and at every fixed degree.
+        const uint64_t runs0 = runs.value();
+        EXPECT_EQ(Schedule::create(name)->makespanBelow(cost, min_bound), inf)
+            << name;
+        for (int r = 1; r <= cost.rMax; ++r)
+            EXPECT_EQ(Schedule::create(spec_at(r))
+                          ->makespanBelow(cost, min_bound),
+                      inf)
+                << spec_at(r);
+        EXPECT_EQ(runs.value(), runs0) << name;
+    }
 }
 
 } // namespace

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the schedule auto-tuner: Pareto-dominance invariants on
- * hand-built cost sets, byte-determinism of the search (repeat runs
- * and serial == parallel), the cached-advisor hit path (zero new
- * simulations, byte-identical warm answers, persistence round-trip),
- * an oracle check that the tuner's pick matches an independent
+ * hand-built cost sets, byte-determinism of the search (repeat runs,
+ * serial == parallel, and pinned demo answers at four DE seeds), the
+ * cached-advisor hit path (zero new simulations, byte-identical warm
+ * answers, persistence round-trip, impossible entries rejected), an
+ * oracle check that the tuner's pick matches an independent
  * exhaustive grid search, and the peak-memory metric.
  *
- * Tuner searches here use a small query (Testbed B, short sequences,
- * low rMax) so a full search stays fast; registrations are
+ * Most tuner searches here use a small query (Testbed B, short
+ * sequences, low rMax) so a full search stays fast; registrations are
  * process-wide, so plugins registered here use test-unique names.
  */
 #include <algorithm>
@@ -17,10 +18,12 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/audit.h"
 #include "base/stats.h"
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
@@ -223,6 +226,62 @@ TEST(Tuner, SerialAndParallelSearchesAgree)
               Tuner::answerJson(pt.tune(smallQuery())));
 }
 
+/** The demo query (fsmoe_tune's defaults), as demo_tune.json pins. */
+TuneQuery
+demoQuery()
+{
+    TuneQuery q;
+    q.model = "gpt2xl-moe";
+    q.cluster = "testbedA";
+    return q;
+}
+
+TEST(Tuner, DemoAnswersKeepTheirBytesAtEveryDeSeed)
+{
+    // FNV digests of answerJson for the four DE seeds perfbench's
+    // tune-cold queries (the default first), recorded when every DE
+    // probe was still built and simulated in full. A probe that stops
+    // at its cutoff must leave every DE decision, and so every answer
+    // byte, as it was.
+    const std::vector<std::pair<uint64_t, uint64_t>> kWant = {
+        {TuneOptions{}.de.seed, 0x32676c887b70002full},
+        {11, 0x0739205b719c084aull},
+        {23, 0x107f6a56ed2ad277ull},
+        {37, 0x978c70166adb4332ull},
+    };
+    stats::Counter &tasks = stats::counter("sim.tasks.executed");
+    stats::Counter &evals = stats::counter("tuner.probe.evals");
+    stats::Counter &memo = stats::counter("tuner.probe.memo");
+    stats::Counter &cut = stats::counter("tuner.probe.cut");
+    for (const auto &[seed, digest] : kWant) {
+        TuneOptions options;
+        options.numThreads = 1;
+        options.de.seed = seed;
+        Tuner tuner(options);
+        const uint64_t tasks0 = tasks.value();
+        const uint64_t evals0 = evals.value();
+        const uint64_t memo0 = memo.value();
+        const uint64_t cut0 = cut.value();
+        const std::string json = Tuner::answerJson(tuner.tune(demoQuery()));
+        EXPECT_EQ(audit::Fingerprint().mix(json).digest(), digest)
+            << "seed " << seed << ":\n" << json;
+        // Lina's DE makes 16 x 25 objective calls; some are revisits
+        // and some stop at their cutoff.
+        EXPECT_EQ(evals.value() - evals0 + memo.value() - memo0, 400u)
+            << "seed " << seed;
+        EXPECT_GT(memo.value(), memo0) << "seed " << seed;
+        EXPECT_GT(cut.value(), cut0) << "seed " << seed;
+        EXPECT_LE(cut.value() - cut0, evals.value() - evals0)
+            << "seed " << seed;
+        if (seed == TuneOptions{}.de.seed) {
+            // The default-seed query simulated 556,846 tasks when every
+            // DE probe was built and run in full; it now simulates
+            // 235,261, since losing probes stop at their cutoff.
+            EXPECT_LT(tasks.value() - tasks0, 556846u);
+        }
+    }
+}
+
 // ------------------------------------------------- advisor cache path
 
 TEST(Tuner, WarmQueryIsServedFromCacheWithZeroSimulations)
@@ -299,6 +358,58 @@ TEST(Tuner, CacheLoadRejectsForeignFiles)
         << error;
     EXPECT_FALSE(tuner.loadCache(path + ".missing", &error));
     EXPECT_EQ(tuner.cacheSize(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(Tuner, CacheLoadRejectsImpossibleEntries)
+{
+    // One well-formed entry, then each field an answer from search()
+    // can never carry: loadCache must fail and keep nothing.
+    const std::string path =
+        testing::TempDir() + "/fsmoe_advisor_impossible_test.json";
+    const auto file = [](const std::string &best, const std::string &ms,
+                         const std::string &evaluated,
+                         const std::string &frontier) {
+        return "{\"schema\": \"fsmoe-advisor-cache\", \"version\": 2, "
+               "\"entries\": [{\"query\": \"q\", \"registry\": "
+               "\"0123456789abcdef\", \"best\": \"" +
+               best + "\", \"bestMakespanMs\": " + ms +
+               ", \"evaluated\": " + evaluated + ", \"frontier\": [" +
+               frontier + "]}]}";
+    };
+    const std::string head = "{\"spec\": \"A\", \"makespanMs\": 2.5, "
+                             "\"commBusyMs\": 1, \"peakMemMB\": 1}";
+    const auto load = [&](const std::string &text, std::string *error) {
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << text;
+        }
+        Tuner tuner;
+        const bool ok = tuner.loadCache(path, error);
+        EXPECT_EQ(tuner.cacheSize(), ok ? 1u : 0u);
+        return ok;
+    };
+    std::string error;
+    ASSERT_TRUE(load(file("A", "2.5", "7", head), &error)) << error;
+
+    const struct
+    {
+        std::string text;
+        const char *why;
+    } kBad[] = {
+        {file("A", "2.5", "-1", head), "negative"},
+        {file("A", "2.5", "2.5", head), "evaluated"},
+        {file("A", "2.5", "1e300", head), "evaluated"},
+        {file("A", "2.5", "7", ""), "empty frontier"},
+        {file("B", "2.5", "7", head), "frontier's first"},
+        {file("A", "2.25", "7", head), "frontier's first"},
+    };
+    for (const auto &bad : kBad) {
+        error.clear();
+        EXPECT_FALSE(load(bad.text, &error)) << bad.text;
+        EXPECT_NE(error.find(bad.why), std::string::npos)
+            << bad.text << ": " << error;
+    }
     std::remove(path.c_str());
 }
 
