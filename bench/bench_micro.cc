@@ -238,7 +238,8 @@ BENCHMARK(BM_DegreeSearch)->ArgName("tuner")->Arg(0)->Arg(1);
  * gpt2xl-moe/testbedA/b1/L1024 query, at degree 0 (the search) or 1.
  * cutoff:0 builds and runs it in full; cutoff:1 asks makespanBelow
  * with the 30 MB default's makespan as the cutoff, as DE does when the
- * probe's parent is that default, so it stops at its tallies.
+ * probe's parent is that default, so it stops at its bucket bound
+ * (the degree-free bound) before any candidate is tallied.
  */
 void
 BM_LinaProbe(benchmark::State &state)
@@ -270,6 +271,56 @@ BENCHMARK(BM_LinaProbe)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * One backward MoE phase (a mixtral-7b layer on testbedB, merged
+ * links, with an in-pipeline Gradient-AllReduce) counted into a
+ * duration tally at pipeline degree r. path:0 is appendMoePhase's O(1)
+ * tally; path:1 replays the same phase's built tasks into the tally
+ * one addTask at a time, what a tally cost per task before.
+ */
+void
+BM_PhaseTally(benchmark::State &state)
+{
+    sim::ClusterSpec cluster = sim::testbedB();
+    const core::ModelCost cost = model::makeModelCost(
+        model::mixtral7B(cluster.numNodes, 1, 256, 7), cluster,
+        model::paperParallelism(cluster));
+    const core::LayerCost &lc = cost.layers.front();
+    const int r = static_cast<int>(state.range(0));
+    core::detail::PipelineBuildOptions opts;
+    opts.mergeCommLinks = true;
+    const auto append = [&](sim::TaskGraph &g) {
+        return core::detail::appendMoePhase(g, lc, cost.models,
+                                            core::Phase::Backward, r, opts,
+                                            -1, /*gar_ms=*/1.0);
+    };
+    sim::TaskGraph built;
+    append(built);
+    std::vector<sim::TaskId> deps;
+    for (auto _ : state) {
+        sim::TaskGraph tally = sim::TaskGraph::durationTally();
+        if (state.range(1) == 0) {
+            benchmark::DoNotOptimize(append(tally));
+        } else {
+            for (const sim::Task &t : built.tasks()) {
+                const sim::DepSpan span = built.deps(t.id);
+                deps.assign(span.begin(), span.end());
+                tally.addTask(t.label, t.op, t.link, t.stream, t.duration,
+                              deps, t.priority);
+            }
+        }
+        benchmark::DoNotOptimize(tally.linkDurationSum(sim::Link::InterNode));
+    }
+}
+BENCHMARK(BM_PhaseTally)
+    ->ArgNames({"r", "path"})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({16, 0})
+    ->Args({16, 1});
 
 void
 BM_Simulator(benchmark::State &state)

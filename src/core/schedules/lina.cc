@@ -58,35 +58,71 @@ class LinaSchedule : public DegreeSchedule
         }
         std::vector<sim::TaskId> barrier_deps;
         barrier_deps.reserve(buckets + 1);
-        // Lina accumulates gradients into fixed-size buckets across
-        // layers and flushes an AllReduce only when a bucket fills; a
-        // partial bucket waits until backpropagation ends. Readiness
-        // arbitration then lets full buckets ride whatever channel
-        // slack exists in the remaining layers.
-        double pending = 0.0;
-        for (auto it = model.layers.rbegin(); it != model.layers.rend();
-             ++it) {
-            dep = appendMoePhase(graph, *it, model.models, Phase::Backward,
-                                 r, opts, dep);
-            dep = appendAttention(graph, *it, Phase::Backward, opts, dep);
-            pending += it->workload.gradBytes;
-            while (pending >= chunk_bytes_) {
-                double t = model.models.allreduce.predict(chunk_bytes_);
+        walkBackward(
+            model,
+            [&](const LayerCost &lc) {
+                dep = appendMoePhase(graph, lc, model.models,
+                                     Phase::Backward, r, opts, dep);
+                dep = appendAttention(graph, lc, Phase::Backward, opts, dep);
+            },
+            [&](double ms) {
                 barrier_deps.push_back(graph.addTask(
                     "gar", sim::OpType::GradAllReduce, sim::Link::InterNode,
-                    kGradAllReduce, t, {dep}, /*priority=*/1));
-                pending -= chunk_bytes_;
-            }
-        }
-        if (pending > 0.0) {
-            double t = model.models.allreduce.predict(pending);
-            barrier_deps.push_back(graph.addTask(
-                "gar", sim::OpType::GradAllReduce, sim::Link::InterNode,
-                kGradAllReduce, t, {dep}, /*priority=*/1));
-        }
+                    kGradAllReduce, ms, {dep}, /*priority=*/1));
+            });
         barrier_deps.push_back(dep);
         graph.addTask("barrier", sim::OpType::Other, sim::Link::Compute,
                       kCompute, 0.0, std::move(barrier_deps));
+    }
+
+    /**
+     * The bucket AllReduces run one at a time on the inter-node link
+     * at every degree, so the last one finishes no earlier than the
+     * rounded fold of their durations in start order: the sum of the
+     * buckets emit() adds, within sim::Simulator::sumLowerBound's
+     * margin.
+     */
+    double
+    degreeFreeBound(const ModelCost &model) const override
+    {
+        double sum = 0.0;
+        size_t buckets = 0;
+        walkBackward(
+            model, [](const LayerCost &) {},
+            [&](double ms) {
+                sum += ms;
+                ++buckets;
+            });
+        return sim::Simulator::sumLowerBound(sum, buckets);
+    }
+
+    /**
+     * The backward pass's layers, last to first, each followed by the
+     * AllReduce duration of every bucket it fills; then the partial
+     * bucket's, if any. Lina accumulates gradients into fixed-size
+     * buckets across layers and flushes an AllReduce only when a bucket
+     * fills; a partial bucket waits until backpropagation ends.
+     * Readiness arbitration then lets full buckets ride whatever
+     * channel slack exists in the remaining layers.
+     */
+    template <typename OnLayer, typename OnBucket>
+    void
+    walkBackward(const ModelCost &model, OnLayer on_layer,
+                 OnBucket on_bucket) const
+    {
+        const double full_ms = model.models.allreduce.predict(chunk_bytes_);
+        double pending = 0.0;
+        for (auto it = model.layers.rbegin(); it != model.layers.rend();
+             ++it) {
+            on_layer(*it);
+            pending += it->workload.gradBytes;
+            while (pending >= chunk_bytes_) {
+                on_bucket(full_ms);
+                pending -= chunk_bytes_;
+            }
+        }
+        if (pending > 0.0)
+            on_bucket(model.models.allreduce.predict(pending));
     }
 
     double chunk_bytes_;

@@ -40,6 +40,7 @@ Schedule::simulate(const ModelCost &model, sim::TaskGraph *graph_out) const
 double
 Schedule::makespanBelow(const ModelCost &model, double cutoff) const
 {
+    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
     return sim::Simulator{}.makespanBelow(build(model), cutoff);
 }
 
@@ -127,6 +128,32 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     const sim::Link l_inter = sim::Link::InterNode;
     const sim::Link l_intra = commLink(opts.mergeCommLinks);
 
+    // A tally counts each run of equal tasks in one step: the phase
+    // costs O(1), not O(r), with the ids, size() and numStreams() of
+    // the per-task path below. An invalid duration or dep goes down
+    // that path, which rejects it with addTask's message.
+    if (graph.isDurationTally() && t.routing >= 0.0 && t.order >= 0.0 &&
+        t_a2a >= 0.0 && t_ag >= 0.0 && t_rs >= 0.0 && t_exp >= 0.0 &&
+        dep < static_cast<sim::TaskId>(graph.size())) {
+        const size_t n = static_cast<size_t>(r);
+        graph.tallyTasks("routing", sim::Link::Compute, s_comp, t.routing,
+                         1);
+        graph.tallyTasks("order", sim::Link::Compute, s_comp, t.order, 1);
+        graph.tallyTasks("d", l_inter, s_disp, t_a2a, n);
+        const sim::TaskId gar =
+            gar_ms > 0.0
+                ? graph.tallyTasks("gar", l_inter, s_gar, gar_ms, 1)
+                : -1;
+        if (gar_out)
+            *gar_out = gar;
+        graph.tallyTasks("g", l_intra, s_ag, t_ag, n);
+        graph.tallyTasks("e", sim::Link::Compute, s_comp, t_exp, n);
+        graph.tallyTasks("s", l_intra, s_rs, t_rs, n);
+        graph.tallyTasks("c", l_inter, s_comb, t_a2a, n);
+        return graph.tallyTasks("iorder", sim::Link::Compute, s_comp,
+                                t.order, 1);
+    }
+
     sim::TaskId routing = graph.addTaskWithDeps(
         "routing", sim::OpType::Routing, sim::Link::Compute, s_comp,
         t.routing, dep >= 0 ? 1 : 0, [dep](size_t) { return dep; });
@@ -199,6 +226,8 @@ struct SearchStats
     stats::Counter &bounded = stats::counter("schedule.search.bounded");
     stats::Counter &simulated = stats::counter("schedule.search.simulated");
     stats::Counter &cut = stats::counter("schedule.search.cut");
+    stats::Counter &degreeFreeCut =
+        stats::counter("schedule.search.degreeFreeCut");
 
     static SearchStats &instance()
     {
@@ -214,6 +243,7 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
              double cutoff)
 {
     FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
+    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
     DegreeChoice best;
     best.makespanMs = cutoff;
     uint64_t bounded = 0, simulated = 0, cut = 0;
@@ -268,6 +298,11 @@ DegreeSchedule::build(const ModelCost &model) const
 double
 DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff) const
 {
+    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
+    if (degreeFreeBound(model) >= cutoff) {
+        SearchStats::instance().degreeFreeCut.inc();
+        return std::numeric_limits<double>::infinity();
+    }
     if (degree_ == 0)
         return searchDegree(
                    model,

@@ -126,7 +126,7 @@ class Schedule
      * `Simulator::run(build(model)).makespan`. A schedule may stop as
      * soon as the answer is known to reach the cutoff, before its
      * graph is built. The default builds and runs
-     * Simulator::makespanBelow.
+     * Simulator::makespanBelow. A NaN cutoff is rejected.
      */
     virtual double makespanBelow(const ModelCost &model,
                                  double cutoff) const;
@@ -251,7 +251,7 @@ struct DegreeChoice
  * graph). Otherwise makespanMs is +inf and the graph is empty, and no
  * candidate whose bound reaches the cutoff was built. Only with
  * cutoff = +inf does a search where nothing finishes below +inf emit
- * the r = 1 graph.
+ * the r = 1 graph. A NaN cutoff is rejected.
  */
 DegreeChoice searchDegree(
     const ModelCost &model, const DegreeEmitter &emit,
@@ -271,17 +271,31 @@ class DegreeSchedule : public Schedule
     sim::TaskGraph build(const ModelCost &model) const override;
 
     /**
-     * At degree 0, the search seeded with @p cutoff. At a fixed
-     * degree, the graph is tallied first and built and simulated only
-     * when its link-sum bound is below @p cutoff.
+     * +inf at once when degreeFreeBound() reaches @p cutoff (counted in
+     * schedule.search.degreeFreeCut). Otherwise, at degree 0, the
+     * search seeded with @p cutoff; at a fixed degree, the graph is
+     * tallied first and built and simulated only when its link-sum
+     * bound is below @p cutoff.
      */
     double makespanBelow(const ModelCost &model,
                          double cutoff) const override;
 
-  protected:
-    /** Append the iteration graph at pipeline degree @p r. */
+    /**
+     * Append the iteration graph at pipeline degree @p r; into a
+     * TaskGraph::durationTally(), this is the candidate's bound.
+     */
     virtual void emit(sim::TaskGraph &graph, const ModelCost &model,
                       int r) const = 0;
+
+    /**
+     * A lower bound on the makespan of emit()'s graph at every degree,
+     * found without emitting one. The default, 0, never cuts.
+     */
+    virtual double degreeFreeBound(const ModelCost &model) const
+    {
+        (void)model;
+        return 0.0;
+    }
 
   private:
     int degree_;

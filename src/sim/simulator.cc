@@ -330,6 +330,7 @@ Simulator::run(const TaskGraph &graph) const
 double
 Simulator::makespanBelow(const TaskGraph &graph, double cutoff) const
 {
+    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
     SimResult result;
     return simulate(graph, cutoff, /*record_trace=*/false, result) &&
                    result.makespan < cutoff
@@ -338,17 +339,21 @@ Simulator::makespanBelow(const TaskGraph &graph, double cutoff) const
 }
 
 double
-Simulator::makespanLowerBound(const TaskGraph &graph)
+Simulator::sumLowerBound(double sum, size_t n)
 {
     // Exact in binary64 for n < 2^51: 4(n+1) is an integer and
     // 1 - m 2^-53 is representable for m 2^-53 <= 1/2.
-    const double margin =
-        1.0 - 4.0 * (static_cast<double>(graph.size()) + 1.0) * 0x1p-53;
+    return sum * (1.0 - 4.0 * (static_cast<double>(n) + 1.0) * 0x1p-53);
+}
+
+double
+Simulator::makespanLowerBound(const TaskGraph &graph)
+{
     double bound = 0.0;
     for (size_t li = 0; li < static_cast<size_t>(Link::NumLinks); ++li)
-        bound = std::max(bound,
-                         graph.linkDurationSum(static_cast<Link>(li)) *
-                             margin);
+        bound = std::max(
+            bound, sumLowerBound(graph.linkDurationSum(static_cast<Link>(li)),
+                                 graph.size()));
     return bound;
 }
 

@@ -93,6 +93,7 @@ class Simulator
      * (events pop in time order and the makespan is the last one). A
      * returned value below the cutoff is bit-identical to
      * run(graph).makespan; run() is this loop with cutoff = +inf.
+     * A NaN cutoff is rejected.
      */
     double makespanBelow(const TaskGraph &graph, double cutoff) const;
 
@@ -100,19 +101,26 @@ class Simulator
      * A proven lower bound on run(graph).makespan, computed from the
      * graph's per-link duration sums alone, so it holds for a
      * TaskGraph::durationTally() as well as for a built graph: the
-     * largest linkDurationSum() times (1 - 4(n+1) 2^-53) for n tasks.
+     * largest sumLowerBound(linkDurationSum(link), n) for n tasks.
+     */
+    static double makespanLowerBound(const TaskGraph &graph);
+
+    /**
+     * @p sum times (1 - 4(n+1) 2^-53): a lower bound on when the last
+     * of n tasks that one link (or one stream) runs one at a time can
+     * finish, given any rounded sum of their non-negative durations.
      *
-     * Why the margin is sound: a link runs one task at a time, each
-     * starting no earlier than the previous one finished, and rounding
-     * is monotone, so the link's last finish is >= the rounded left
-     * fold of its durations in *start* order. That fold and the id-
-     * order fold linkDurationSum() keeps are both within gamma_n =
-     * n u / (1 - n u) (u = 2^-53) of the exact sum of the same
-     * non-negative terms, so they differ by a factor of at most
+     * Why the margin is sound: each task starts no earlier than the
+     * previous one finished, and rounding is monotone, so the last
+     * finish is >= the rounded left fold of the durations in *start*
+     * order. That fold and @p sum, a fold in any order in which a term
+     * may be fl(k t) standing for k equal terms t, are both within
+     * gamma_n = n u / (1 - n u) (u = 2^-53) of the exact sum of the
+     * same terms, so they differ by a factor of at most
      * 1 - 2 gamma_n >= 1 - 4 n u; the extra 4u covers the rounding of
      * the product itself.
      */
-    static double makespanLowerBound(const TaskGraph &graph);
+    static double sumLowerBound(double sum, size_t n);
 
     /**
      * Render an ASCII Gantt chart of a simulated run, one row per

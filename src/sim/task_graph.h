@@ -138,11 +138,15 @@ class TaskGraph
     /**
      * A graph that validates and counts what is added to it but keeps
      * no tasks: addTask runs the same checks (duration >= 0, every dep
-     * an earlier id) and keeps size(), numStreams() and
-     * linkDurationSum() exactly as a real graph fed the same calls
-     * would, while tasks(), deps() and the dep pool stay empty and
-     * reserve() does nothing. The degree search emits each candidate
-     * into one of these to bound its makespan before building it.
+     * an earlier id) and keeps size() and numStreams() exactly as a
+     * real graph fed the same calls would, while tasks(), deps() and
+     * the dep pool stay empty and reserve() does nothing. A tally also
+     * takes tallyTasks(), which counts many equal tasks in one step, so
+     * its linkDurationSum() sums the built graph's durations grouped
+     * differently and may differ from the built graph's in the last
+     * bits; Simulator::makespanLowerBound's margin covers both. The
+     * degree search emits each candidate into one of these to bound its
+     * makespan before building it.
      */
     static TaskGraph durationTally()
     {
@@ -237,6 +241,35 @@ class TaskGraph
     }
 
     /**
+     * Count @p n tasks of one @p duration on @p link and @p stream, none
+     * with dependencies, into a durationTally() in O(1): the checks of
+     * addTask (duration >= 0, stream >= 0, with its messages), then
+     * size() and numStreams() as n addTask calls would leave them, and
+     * fl(n * duration) added to the link's sum in one step.
+     *
+     * @return Id of the first task counted.
+     */
+    TaskId tallyTasks(TaskLabel label, Link link, int stream,
+                      double duration, size_t n)
+    {
+        FSMOE_CHECK_ARG(tally_only_, "tallyTasks needs a duration tally");
+        if (!(duration >= 0.0 && stream >= 0))
+            rejectTask(label, stream, duration, {});
+        const TaskId first = static_cast<TaskId>(count_);
+        if (n == 0)
+            return first;
+        link_sums_[static_cast<size_t>(link)] +=
+            static_cast<double>(n) * duration;
+        if (stream >= num_streams_)
+            num_streams_ = stream + 1;
+        count_ += n;
+        return first;
+    }
+
+    /** True for a durationTally(). */
+    bool isDurationTally() const { return tally_only_; }
+
+    /**
      * Pre-size the task vector and dependency pool. Call once per
      * build with (over-)estimates; repeated exact-fit reserves would
      * degrade push_back growth to quadratic copying.
@@ -276,10 +309,12 @@ class TaskGraph
     int numStreams() const { return num_streams_; }
 
     /**
-     * Sum of the durations of every task on @p link, accumulated left
-     * to right in id order. The simulator runs a link's tasks one
-     * after another, which makes this (with a rounding margin, see
-     * Simulator::makespanLowerBound) a lower bound on the makespan.
+     * Sum of the durations of every task on @p link: in a built graph
+     * the left fold in id order; in a durationTally() a fold in which
+     * each tallyTasks() call is one term. The simulator runs a link's
+     * tasks one after another, which makes this (with a rounding
+     * margin, see Simulator::makespanLowerBound) a lower bound on the
+     * makespan.
      */
     double linkDurationSum(Link link) const
     {

@@ -26,6 +26,7 @@
 #include "runtime/scenario.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
+#include "sim/trace.h"
 #include "test_util.h"
 
 namespace fsmoe::core {
@@ -689,6 +690,24 @@ TEST(DegreeSearch, ACutoffAboveTheMinimumKeepsTheUnseededChoice)
     }
 }
 
+/** @p sched as the degree schedule it is (Tutel, Tutel-Improved, Lina). */
+const detail::DegreeSchedule &
+asDegreeSchedule(const Schedule &sched)
+{
+    const auto *ds = dynamic_cast<const detail::DegreeSchedule *>(&sched);
+    FSMOE_ASSERT(ds != nullptr, sched.name(), " takes no degree");
+    return *ds;
+}
+
+/** The link-sum bound of @p ds's own tally at degree @p r. */
+double
+ownTallyBound(const detail::DegreeSchedule &ds, const ModelCost &cost, int r)
+{
+    sim::TaskGraph tally = sim::TaskGraph::durationTally();
+    ds.emit(tally, cost, r);
+    return sim::Simulator::makespanLowerBound(tally);
+}
+
 TEST(DegreeSearch, ACutoffAtEveryBoundSimulatesNothing)
 {
     const ModelCost cost =
@@ -702,28 +721,26 @@ TEST(DegreeSearch, ACutoffAtEveryBoundSimulatesNothing)
             return name + (name.find('?') == std::string::npos ? "?" : "&") +
                    "degree=" + std::to_string(r);
         };
-        const auto emit = [&](sim::TaskGraph &g, int r) {
-            test::replayGraph(Schedule::create(spec_at(r))->build(cost), g);
-        };
+        // The least bound the schedule's own tallies compute: their
+        // sums group equal tasks, so their bits are not a replayed
+        // graph's.
+        const auto sched = Schedule::create(name);
+        const detail::DegreeSchedule &ds = asDegreeSchedule(*sched);
         double min_bound = inf;
-        for (int r = 1; r <= cost.rMax; ++r) {
-            sim::TaskGraph tally = sim::TaskGraph::durationTally();
-            emit(tally, r);
-            min_bound = std::min(min_bound,
-                                 sim::Simulator::makespanLowerBound(tally));
-        }
+        for (int r = 1; r <= cost.rMax; ++r)
+            min_bound = std::min(min_bound, ownTallyBound(ds, cost, r));
         const uint64_t simulated0 = simulated.value();
-        const detail::DegreeChoice got =
-            detail::searchDegree(cost, emit, min_bound);
+        const detail::DegreeChoice got = detail::searchDegree(
+            cost, [&](sim::TaskGraph &g, int r) { ds.emit(g, cost, r); },
+            min_bound);
         EXPECT_EQ(simulated.value(), simulated0) << name;
         EXPECT_EQ(got.makespanMs, inf) << name;
         EXPECT_TRUE(got.graph.empty()) << name;
 
         // The schedule's own probes at that cutoff stop at their
-        // tallies too, searching and at every fixed degree.
+        // bounds too, searching and at every fixed degree.
         const uint64_t runs0 = runs.value();
-        EXPECT_EQ(Schedule::create(name)->makespanBelow(cost, min_bound), inf)
-            << name;
+        EXPECT_EQ(sched->makespanBelow(cost, min_bound), inf) << name;
         for (int r = 1; r <= cost.rMax; ++r)
             EXPECT_EQ(Schedule::create(spec_at(r))
                           ->makespanBelow(cost, min_bound),
@@ -731,6 +748,216 @@ TEST(DegreeSearch, ACutoffAtEveryBoundSimulatesNothing)
                 << spec_at(r);
         EXPECT_EQ(runs.value(), runs0) << name;
     }
+}
+
+TEST(DegreeSearchDeathTest, RejectsANanCutoff)
+{
+    const ModelCost cost = smallModel(sim::testbedB(), 1);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto emit = [&](sim::TaskGraph &g, int r) {
+        test::replayGraph(Schedule::create(withDegree("tutel", r))->build(cost),
+                          g);
+    };
+    EXPECT_DEATH(detail::searchDegree(cost, emit, nan),
+                 "makespan cutoff is NaN");
+    for (const char *spec : {"fsmoe", "tutel", "lina?degree=2"})
+        EXPECT_DEATH(Schedule::create(spec)->makespanBelow(cost, nan),
+                     "makespan cutoff is NaN")
+            << spec;
+}
+
+// ------------------------------------------------ O(1) tallies and bounds
+
+TEST(PhaseTally, MatchesThePerTaskPhaseOnRandomLayers)
+{
+    // Layers of random models (a third with zero startup), chained in
+    // both phases at random degrees, options and AllReduce placements:
+    // appendMoePhase into a tally against the built graph replayed into
+    // one, task by task.
+    constexpr int kSeeds = 48;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937 rng(0x7a11u + static_cast<unsigned>(seed));
+        const ModelCost cost = randomModel(rng, seed % 3 == 0);
+        std::uniform_int_distribution<int> coin(0, 1);
+        std::uniform_int_distribution<int> degree(1, 64);
+        std::uniform_real_distribution<double> gar(0.0, 10.0);
+        sim::TaskGraph tally = sim::TaskGraph::durationTally();
+        sim::TaskGraph built;
+        sim::TaskId last = -1;
+        for (const LayerCost &lc : cost.layers) {
+            for (const Phase phase : {Phase::Forward, Phase::Backward}) {
+                detail::PipelineBuildOptions opts;
+                opts.mergeCommLinks = coin(rng) == 1;
+                opts.sequential = coin(rng) == 1;
+                const int r = degree(rng);
+                const double gar_ms = coin(rng) ? gar(rng) : 0.0;
+                const sim::TaskId dep = coin(rng) ? last : -1;
+                sim::TaskId tally_gar = -2;
+                sim::TaskId built_gar = -2;
+                const sim::TaskId id = detail::appendMoePhase(
+                    tally, lc, cost.models, phase, r, opts, dep, gar_ms,
+                    &tally_gar);
+                last = detail::appendMoePhase(built, lc, cost.models, phase,
+                                              r, opts, dep, gar_ms,
+                                              &built_gar);
+                const std::string where = "seed " + std::to_string(seed) +
+                                          " r " + std::to_string(r);
+                ASSERT_EQ(id, last) << where;
+                ASSERT_EQ(tally_gar, built_gar) << where;
+                ASSERT_EQ(tally.size(), built.size()) << where;
+                ASSERT_EQ(tally.numStreams(), built.numStreams()) << where;
+            }
+        }
+        EXPECT_TRUE(tally.tasks().empty());
+        sim::TaskGraph replayed = sim::TaskGraph::durationTally();
+        test::replayGraph(built, replayed);
+        ASSERT_EQ(replayed.size(), tally.size());
+        const double tol =
+            4.0 * (static_cast<double>(tally.size()) + 1.0) * 0x1p-53;
+        for (size_t li = 0; li < static_cast<size_t>(sim::Link::NumLinks);
+             ++li) {
+            const sim::Link link = static_cast<sim::Link>(li);
+            const double want = replayed.linkDurationSum(link);
+            EXPECT_LE(std::fabs(tally.linkDurationSum(link) - want),
+                      tol * want)
+                << "seed " << seed << " " << sim::linkName(link);
+        }
+    }
+}
+
+TEST(PhaseTallyDeathTest, AnInvalidPhaseKeepsAddTasksMessages)
+{
+    LayerCost lc = smallModel(sim::testbedB(), 1).layers[0];
+    const PerfModelSet models = PerfModelSet::fromCluster(sim::testbedB());
+    const detail::PipelineBuildOptions opts;
+    EXPECT_DEATH(
+        {
+            sim::TaskGraph g = sim::TaskGraph::durationTally();
+            detail::appendMoePhase(g, lc, models, Phase::Forward, 4, opts, 7);
+        },
+        "task 'routing' depends on unknown task 7");
+    lc.fwd.order = -1.0;
+    EXPECT_DEATH(
+        {
+            sim::TaskGraph g = sim::TaskGraph::durationTally();
+            detail::appendMoePhase(g, lc, models, Phase::Forward, 4, opts,
+                                   -1);
+        },
+        "task 'order' has negative duration");
+}
+
+/**
+ * The spec prefixes the bound tests append "degree=r" to, r = 1..16,
+ * on @p key's cost: each degree-taking schedule (only Lina with
+ * @p lina_only), Lina at chunkMB 30 and 1024, and at 1/1024 on the
+ * tuner query, the only configuration where 1 KB buckets are
+ * affordable.
+ */
+std::vector<std::string>
+boundSpecPrefixes(const std::string &key, bool lina_only)
+{
+    std::vector<std::string> prefixes;
+    if (!lina_only)
+        for (const std::string &name : degreeSearchingSchedules())
+            if (name != "PipeMoE+Lina")
+                prefixes.push_back(name + "?");
+    std::vector<std::string> chunks = {"30", "1024"};
+    if (key == tunerQuery().costKey())
+        chunks.push_back("0.0009765625");
+    for (const std::string &mb : chunks)
+        prefixes.push_back("PipeMoE+Lina?chunkMB=" + mb + "&");
+    return prefixes;
+}
+
+TEST(Schedules, EveryOwnTallyBoundIsBelowTheMakespan)
+{
+    const std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    ASSERT_EQ(configs.count(tunerQuery().costKey()), 1u);
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        // The schedules without a degree build their one graph.
+        for (const std::string &name : ScheduleRegistry::instance().names()) {
+            const auto sched = Schedule::create(name);
+            if (dynamic_cast<const detail::DegreeSchedule *>(sched.get()))
+                continue;
+            const sim::TaskGraph g = sched->build(cost);
+            sim::TaskGraph tally = sim::TaskGraph::durationTally();
+            test::replayGraph(g, tally);
+            EXPECT_LE(sim::Simulator::makespanLowerBound(tally),
+                      sim::Simulator{}.run(g).makespan)
+                << key << " " << name;
+        }
+        for (const std::string &prefix : boundSpecPrefixes(key, false)) {
+            for (int r = 1; r <= 16; ++r) {
+                const std::string spec = prefix + "degree=" + std::to_string(r);
+                const auto sched = Schedule::create(spec);
+                EXPECT_LE(ownTallyBound(asDegreeSchedule(*sched), cost, r),
+                          sim::Simulator{}.run(sched->build(cost)).makespan)
+                    << key << " " << spec;
+            }
+        }
+    }
+}
+
+TEST(Schedules, LinasDegreeFreeBoundIsBelowTheMakespanAtEveryDegree)
+{
+    for (const auto &[key, s] : demoConfigs()) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        for (const std::string &prefix : boundSpecPrefixes(key, true)) {
+            const double bound =
+                asDegreeSchedule(*Schedule::create(prefix + "degree=0"))
+                    .degreeFreeBound(cost);
+            EXPECT_GT(bound, 0.0) << key << " " << prefix;
+            for (int r = 1; r <= 16; ++r) {
+                const std::string spec = prefix + "degree=" + std::to_string(r);
+                EXPECT_LE(bound, sim::Simulator{}
+                                     .run(Schedule::create(spec)->build(cost))
+                                     .makespan)
+                    << key << " " << spec;
+            }
+        }
+    }
+    // Tutel's default bound never cuts.
+    const ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(tunerQuery());
+    EXPECT_EQ(asDegreeSchedule(*Schedule::create("tutel"))
+                  .degreeFreeBound(cost),
+              0.0);
+}
+
+TEST(DegreeSearch, TheDegreeFreeBoundStopsALosingLinaProbeFirst)
+{
+    // Lina at 1 KB buckets against the 30 MB default's makespan, the
+    // tuner's losing probe: its buckets alone outlast the cutoff, so it
+    // stops before any candidate is tallied or simulated.
+    const ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(tunerQuery());
+    const double cutoff =
+        sim::Simulator{}.run(Schedule::create("lina")->build(cost)).makespan;
+    const auto value = [](const char *name) {
+        return stats::counter(name).value();
+    };
+    for (const std::string spec :
+         {"lina?chunkMB=0.0009765625", "lina?chunkMB=0.0009765625&degree=1"}) {
+        const uint64_t cuts = value("schedule.search.degreeFreeCut");
+        const uint64_t candidates = value("schedule.search.candidates");
+        const uint64_t runs = value("sim.runs");
+        EXPECT_EQ(Schedule::create(spec)->makespanBelow(cost, cutoff),
+                  std::numeric_limits<double>::infinity())
+            << spec;
+        EXPECT_EQ(value("schedule.search.degreeFreeCut"), cuts + 1) << spec;
+        EXPECT_EQ(value("schedule.search.candidates"), candidates) << spec;
+        EXPECT_EQ(value("sim.runs"), runs) << spec;
+    }
+    // The default probe itself is not cut by it.
+    const uint64_t cuts = value("schedule.search.degreeFreeCut");
+    EXPECT_TRUE(test::sameBits(
+        Schedule::create("lina")->makespanBelow(
+            cost, std::numeric_limits<double>::infinity()),
+        cutoff));
+    EXPECT_EQ(value("schedule.search.degreeFreeCut"), cuts);
 }
 
 } // namespace

@@ -104,6 +104,40 @@ TEST(TaskGraph, DurationTallyRejectsWhatAGraphRejects)
     }
 }
 
+TEST(TaskGraph, TallyTasksCountsLikeThatManyAddTasks)
+{
+    TaskGraph g = TaskGraph::durationTally();
+    EXPECT_EQ(g.tallyTasks("a", Link::InterNode, 3, 0.5, 4), 0);
+    EXPECT_EQ(g.tallyTasks("b", Link::InterNode, 1, 2.0, 0), 4);
+    EXPECT_EQ(g.tallyTasks("c", Link::Compute, 0, 1.0, 1), 4);
+    EXPECT_EQ(g.size(), 5u);
+    EXPECT_EQ(g.numStreams(), 4);
+    EXPECT_EQ(g.linkDurationSum(Link::InterNode), 2.0);
+    EXPECT_EQ(g.linkDurationSum(Link::Compute), 1.0);
+    EXPECT_EQ(g.linkDurationSum(Link::IntraNode), 0.0);
+    EXPECT_TRUE(g.tasks().empty());
+}
+
+TEST(TaskGraphDeathTest, TallyTasksChecksLikeAddTask)
+{
+    const auto fresh = [] {
+        TaskGraph g = TaskGraph::durationTally();
+        g.addTask("a", OpType::Experts, Link::Compute, 0, 1.0);
+        return g;
+    };
+    EXPECT_DEATH(fresh().tallyTasks("neg", Link::Compute, 0, -1.0, 4),
+                 "task 'neg' has negative duration");
+    EXPECT_DEATH(fresh().tallyTasks("nan", Link::Compute, 0,
+                                    std::numeric_limits<double>::quiet_NaN(),
+                                    4),
+                 "task 'nan' has negative duration");
+    EXPECT_DEATH(fresh().tallyTasks("s", Link::Compute, -1, 1.0, 4),
+                 "negative stream index");
+    TaskGraph built;
+    EXPECT_DEATH(built.tallyTasks("a", Link::Compute, 0, 1.0, 1),
+                 "tallyTasks needs a duration tally");
+}
+
 TEST(Simulator, CutRunsCountTheWorkTheyDid)
 {
     // A 10-task chain alternating two links, 1 ms each: every link sum
@@ -157,6 +191,17 @@ TEST(Simulator, CutRunsCountTheWorkTheyDid)
     after = snapshot();
     EXPECT_EQ(after[1] - before[1], 0u);
     EXPECT_EQ(after[2] - before[2], 10u);
+}
+
+TEST(SimulatorDeathTest, MakespanBelowRejectsANanCutoff)
+{
+    // A NaN compares false with everything: unchecked, every run would
+    // go uncut and then "lose".
+    TaskGraph g;
+    g.addTask("a", OpType::Experts, Link::Compute, 0, 1.0);
+    EXPECT_DEATH(Simulator{}.makespanBelow(
+                     g, std::numeric_limits<double>::quiet_NaN()),
+                 "makespan cutoff is NaN");
 }
 
 TEST(Simulator, EmptyGraph)
