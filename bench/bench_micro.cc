@@ -233,6 +233,48 @@ BM_DegreeSearch(benchmark::State &state)
 BENCHMARK(BM_DegreeSearch)->ArgName("tuner")->Arg(0)->Arg(1);
 
 /**
+ * A losing degree-search candidate: Tutel at r on
+ * mixtral-7b/testbedB/b2, built once and run through makespanBelow
+ * with the r = 2 winner's makespan as the cutoff, as the search runs
+ * it. r = 10 is the largest degree the search simulates there (from
+ * r = 11 on, the link-sum bound skips the candidate unbuilt) and stops
+ * at the remaining-work bound after 326 of its 3,488 tasks; r = 3, a
+ * near tie (1874.4 against 1871.0 ms), after 1,206 of 1,248.
+ */
+void
+BM_LosingCandidate(benchmark::State &state)
+{
+    runtime::Scenario scenario;
+    scenario.model = "mixtral-7b";
+    scenario.cluster = "testbedB";
+    scenario.batch = 2;
+    scenario.seqLen = 256;
+    const core::ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(scenario);
+    const double cutoff =
+        sim::Simulator{}
+            .run(core::Schedule::create("tutel?degree=2")->build(cost))
+            .makespan;
+    const sim::TaskGraph graph =
+        core::Schedule::create("tutel?degree=" +
+                               std::to_string(state.range(0)))
+            ->build(cost);
+    const sim::Simulator simulator;
+    for (auto _ : state) {
+        const double got = simulator.makespanBelow(graph, cutoff);
+        if (got != std::numeric_limits<double>::infinity()) {
+            state.SkipWithError("the candidate did not lose");
+            break;
+        }
+    }
+}
+BENCHMARK(BM_LosingCandidate)
+    ->ArgName("r")
+    ->Arg(3)
+    ->Arg(10)
+    ->Unit(benchmark::kMicrosecond);
+
+/**
  * A losing tuner DE probe: PipeMoE+Lina at the chunkMB clamp bound
  * (1 KB gradient buckets, 121,333 tasks) on the tuner's
  * gpt2xl-moe/testbedA/b1/L1024 query, at degree 0 (the search) or 1.

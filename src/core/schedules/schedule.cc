@@ -26,12 +26,21 @@ Schedule::iterationTimeMs(const ModelCost &model) const
     return simulate(model).makespan;
 }
 
+sim::TaskGraph
+Schedule::buildSimulated(const ModelCost &model,
+                         std::optional<sim::SimResult> &simulated) const
+{
+    simulated.reset();
+    return build(model);
+}
+
 sim::SimResult
 Schedule::simulate(const ModelCost &model, sim::TaskGraph *graph_out) const
 {
-    sim::TaskGraph graph = build(model);
-    sim::Simulator simulator;
-    sim::SimResult result = simulator.run(graph);
+    std::optional<sim::SimResult> handed_back;
+    sim::TaskGraph graph = buildSimulated(model, handed_back);
+    sim::SimResult result = handed_back ? std::move(*handed_back)
+                                        : sim::Simulator{}.run(graph);
     if (graph_out)
         *graph_out = std::move(graph);
     return result;
@@ -258,11 +267,13 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
         sim::TaskGraph graph;
         emit(graph, r);
         ++simulated;
-        const double t = simulator.makespanBelow(graph, best.makespanMs);
-        if (t < best.makespanMs) {
+        std::optional<sim::SimResult> result =
+            simulator.runBelow(graph, best.makespanMs);
+        if (result) {
             best.r = r;
-            best.makespanMs = t;
+            best.makespanMs = result->makespan;
             best.graph = std::move(graph);
+            best.sim = std::move(*result);
         } else {
             ++cut;
         }
@@ -286,10 +297,22 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
 sim::TaskGraph
 DegreeSchedule::build(const ModelCost &model) const
 {
-    if (degree_ == 0)
-        return searchDegree(model, [&](sim::TaskGraph &g, int r) {
-                   emit(g, model, r);
-               }).graph;
+    std::optional<sim::SimResult> unused;
+    return buildSimulated(model, unused);
+}
+
+sim::TaskGraph
+DegreeSchedule::buildSimulated(const ModelCost &model,
+                               std::optional<sim::SimResult> &simulated) const
+{
+    simulated.reset();
+    if (degree_ == 0) {
+        DegreeChoice choice = searchDegree(
+            model, [&](sim::TaskGraph &g, int r) { emit(g, model, r); });
+        if (choice.makespanMs < std::numeric_limits<double>::infinity())
+            simulated = std::move(choice.sim);
+        return std::move(choice.graph);
+    }
     sim::TaskGraph graph;
     emit(graph, model, degree_);
     return graph;

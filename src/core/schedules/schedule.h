@@ -37,6 +37,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,6 +122,17 @@ class Schedule
     virtual sim::TaskGraph build(const ModelCost &model) const = 0;
 
     /**
+     * build(model), and in @p simulated the graph's
+     * `Simulator::run` result, bit for bit, when building it already
+     * simulated it (a degree search simulates its winner); otherwise
+     * @p simulated is left empty. The default builds and simulates
+     * nothing.
+     */
+    virtual sim::TaskGraph
+    buildSimulated(const ModelCost &model,
+                   std::optional<sim::SimResult> &simulated) const;
+
+    /**
      * The makespan of build(model) when it is below @p cutoff, else
      * +inf: a value below the cutoff has the bits of
      * `Simulator::run(build(model)).makespan`. A schedule may stop as
@@ -134,7 +146,12 @@ class Schedule
     /** Convenience: build, simulate, and return the makespan in ms. */
     double iterationTimeMs(const ModelCost &model) const;
 
-    /** Build + simulate, returning the full result for inspection. */
+    /**
+     * Build + simulate, returning the full result for inspection:
+     * `Simulator::run(build(model))` bit for bit, with the graph in
+     * @p graph_out. A graph is simulated at most once: a result that
+     * buildSimulated() hands back is not simulated again.
+     */
     sim::SimResult simulate(const ModelCost &model,
                             sim::TaskGraph *graph_out = nullptr) const;
 
@@ -227,6 +244,9 @@ struct DegreeChoice
     int r = 1;
     double makespanMs = 0.0;
     sim::TaskGraph graph; ///< The graph @p emit appended at r.
+    /// Simulator::run(graph), trace included, when makespanMs is
+    /// finite; otherwise empty.
+    sim::SimResult sim;
 };
 
 /**
@@ -237,21 +257,23 @@ struct DegreeChoice
  * TaskGraph::durationTally(), and is skipped without being built when
  * its link-sum lower bound (Simulator::makespanLowerBound) already
  * reaches the best makespan so far; the rest are built and simulated
- * with that makespan as the cutoff (Simulator::makespanBelow). A
+ * with that makespan as the cutoff (Simulator::runBelow). A
  * skipped or cut candidate's makespan is >= the best, and the loop
  * keeps a new best only on a strict <, ascending in r, so the choice
  * is the unpruned loop's, bit for bit. Counts into
  * schedule.search.{candidates, bounded, simulated, cut}
- * (docs/OBSERVABILITY.md). The winner's graph is the one the search
- * simulated, returned so the caller need not emit it again; holding it
- * while later candidates build raises peak memory by up to one graph.
+ * (docs/OBSERVABILITY.md). The winner's graph and its whole SimResult
+ * are the ones the search simulated, returned so the caller need
+ * neither emit nor simulate it again; holding them while later
+ * candidates build raises peak memory by up to one graph and trace.
  *
  * The best makespan starts at @p cutoff. When the minimum is below it,
  * the result is the unseeded search's (same r, makespan bits and
- * graph). Otherwise makespanMs is +inf and the graph is empty, and no
- * candidate whose bound reaches the cutoff was built. Only with
- * cutoff = +inf does a search where nothing finishes below +inf emit
- * the r = 1 graph. A NaN cutoff is rejected.
+ * graph). Otherwise makespanMs is +inf, the graph and result are
+ * empty, and no candidate whose bound reaches the cutoff was built.
+ * Only with cutoff = +inf does a search where nothing finishes below
+ * +inf emit the r = 1 graph, which it does not simulate. A NaN cutoff
+ * is rejected.
  */
 DegreeChoice searchDegree(
     const ModelCost &model, const DegreeEmitter &emit,
@@ -269,6 +291,14 @@ class DegreeSchedule : public Schedule
     explicit DegreeSchedule(int degree) : degree_(degree) {}
 
     sim::TaskGraph build(const ModelCost &model) const override;
+
+    /**
+     * At degree 0, the search's winner with its simulated result (none
+     * when no candidate finished below +inf).
+     */
+    sim::TaskGraph
+    buildSimulated(const ModelCost &model,
+                   std::optional<sim::SimResult> &simulated) const override;
 
     /**
      * +inf at once when degreeFreeBound() reaches @p cutoff (counted in

@@ -80,13 +80,17 @@ struct SweepStats
     // Per-stage wall time, summed across workers (so on N threads the
     // stages can add up to ~N x lastSweepWallMs). Only cache-miss work
     // is counted — a cache hit contributes nothing. Graph build
-    // includes everything a Schedule::build does: solver calls and
-    // in-schedule degree-search simulations (see core::solverCacheStats
-    // for the solver share). Feeds `fsmoe_sweep --profile`.
+    // includes everything a Schedule::buildSimulated does: solver
+    // calls and in-schedule degree-search simulations, the searched
+    // winner's included, whose result is handed back and not
+    // simulated again (see core::solverCacheStats for the solver
+    // share). Feeds `fsmoe_sweep --profile`.
     double costDeriveMs = 0.0; ///< Cold ModelCost derivations.
-    /// Schedule create + build, and all of makespanBelow().
+    /// Schedule create + buildSimulated, and all of makespanBelow().
     double graphBuildMs = 0.0;
-    double simulateMs = 0.0;   ///< Simulator::run on built graphs.
+    /// Simulator::run on built graphs that no in-build search
+    /// simulated (FSMoE's, DS-MoE's, a fixed-degree Tutel's, ...).
+    double simulateMs = 0.0;
 };
 
 class SweepEngine
@@ -160,9 +164,12 @@ class SweepEngine
     simFor(const Scenario &s, const std::shared_ptr<const core::ModelCost> &cost);
 
     /**
-     * Build @p s's schedule graph and simulate it, charging the two
-     * stages to SweepStats::graphBuildMs / simulateMs. With
-     * @p graph_out the built graph is retained (the keepGraphs path).
+     * core::Schedule::simulate() for @p s, charging its two stages to
+     * SweepStats::graphBuildMs / simulateMs: the build, with any
+     * degree search, whose winner's result is handed back, and only
+     * when nothing was handed back, the Simulator::run of the built
+     * graph. With @p graph_out the built graph is retained (the
+     * keepGraphs path).
      */
     sim::SimResult timedSimulate(const Scenario &s,
                                  const core::ModelCost &cost,

@@ -71,11 +71,11 @@ struct SimStats
 namespace {
 
 /**
- * The event loop behind run() and makespanBelow(). Simulates @p graph
- * into @p result, writing result.trace only when @p record_trace (the
- * caller sizes it), and gives up — returning false with @p result
- * partial — once the makespan is proven >= @p cutoff. With cutoff =
- * +inf it never gives up.
+ * The event loop behind run(), makespanBelow() and runBelow().
+ * Simulates @p graph into @p result, writing result.trace only when
+ * @p record_trace (the caller sizes it), and gives up — returning
+ * false with @p result partial — once the makespan is proven
+ * >= @p cutoff. With cutoff = +inf it never gives up.
  */
 bool
 simulate(const TaskGraph &graph, double cutoff, bool record_trace,
@@ -195,6 +195,23 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
     size_t finished_count = 0;
     double now = 0.0;
 
+    // Remaining-work cut (Simulator::remainingWorkBound): each link's
+    // shrunk duration sum, and the running sum of what it started.
+    std::array<double, static_cast<size_t>(Link::NumLinks)> sum_lo{};
+    std::array<double, static_cast<size_t>(Link::NumLinks)> started{};
+    started.fill(0.0);
+    for (size_t li = 0; li < sum_lo.size(); ++li)
+        sum_lo[li] = Simulator::shrunkLinkSum(
+            graph.linkDurationSum(static_cast<Link>(li)), n);
+    auto remaining_work_reaches_cutoff = [&]() {
+        for (size_t li = 0; li < link_free.size(); ++li)
+            if (Simulator::remainingWorkBound(std::max(now, link_free[li]),
+                                              sum_lo[li], started[li],
+                                              n) >= cutoff)
+                return true;
+        return false;
+    };
+
     auto start_best = [&](size_t li) {
         auto &h = cands[li];
         if (h.empty())
@@ -238,6 +255,7 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
         if (record_trace)
             result.trace[id] = {id, now, finish};
         link_free[li] = finish;
+        started[li] += t.duration;
         events.emplace(finish, id);
         head[t.stream]++;
         push_if_issuable_head(t.stream);
@@ -294,6 +312,10 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
             }
         }
         try_start();
+        if (can_cut && remaining_work_reaches_cutoff()) {
+            cut = true;
+            break;
+        }
     }
 
 #if FSMOE_AUDIT_ENABLED
@@ -336,6 +358,18 @@ Simulator::makespanBelow(const TaskGraph &graph, double cutoff) const
                    result.makespan < cutoff
                ? result.makespan
                : std::numeric_limits<double>::infinity();
+}
+
+std::optional<SimResult>
+Simulator::runBelow(const TaskGraph &graph, double cutoff) const
+{
+    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
+    SimResult result;
+    result.trace.resize(graph.tasks().size());
+    if (simulate(graph, cutoff, /*record_trace=*/true, result) &&
+        result.makespan < cutoff)
+        return result;
+    return std::nullopt;
 }
 
 double

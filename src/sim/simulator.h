@@ -33,6 +33,7 @@
 #define FSMOE_SIM_SIMULATOR_H
 
 #include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,15 +88,68 @@ class Simulator
     /**
      * The makespan of @p graph when it is below @p cutoff, else +inf.
      * Runs run()'s event loop, recording no per-task trace, and stops
-     * as soon as the answer is known to be >= @p cutoff: before the
-     * first event when makespanLowerBound(graph) >= @p cutoff, or at
-     * the first popped completion event whose time is >= @p cutoff
-     * (events pop in time order and the makespan is the last one). A
-     * returned value below the cutoff is bit-identical to
+     * as soon as the answer is known to be >= @p cutoff:
+     *   - before the first event, when makespanLowerBound(graph)
+     *     reaches @p cutoff;
+     *   - at the first popped completion event at or past @p cutoff
+     *     (events pop in time order and the makespan is the last one);
+     *   - after an event, when some link's remaining work cannot end
+     *     before @p cutoff: the link is busy until max(now, its last
+     *     start's finish), and the durations it has not started yet
+     *     still run on it one at a time (remainingWorkBound()).
+     * A returned value below the cutoff is bit-identical to
      * run(graph).makespan; run() is this loop with cutoff = +inf.
      * A NaN cutoff is rejected.
      */
     double makespanBelow(const TaskGraph &graph, double cutoff) const;
+
+    /**
+     * run(graph) when its makespan is below @p cutoff, else
+     * std::nullopt: makespanBelow() with the per-task trace recorded,
+     * for a caller that keeps a winner's whole result. A returned
+     * result is bit-identical to run(graph), trace included. A NaN
+     * cutoff is rejected.
+     */
+    std::optional<SimResult> runBelow(const TaskGraph &graph,
+                                      double cutoff) const;
+
+    /**
+     * A lower bound on the makespan from one link's state mid-run, in
+     * a graph of @p n tasks: @p busy_until is max(now, the finish of
+     * the link's last started task), @p sum_lo is
+     * shrunkLinkSum(linkDurationSum(link), n), and @p started the
+     * rounded running sum, in start order, of the durations started on
+     * the link so far. Returns
+     * sumLowerBound(busy_until + (sum_lo - started), n).
+     *
+     * Why it is sound, with u = 2^-53 and gamma_n = n u / (1 - n u):
+     * the link's unstarted tasks each start at or after busy_until and
+     * after the one before them finished, and rounding is monotone, so
+     * the link's last finish is at least the rounded fold of
+     * busy_until and their durations in start order, which is within
+     * gamma_n of busy_until + E, E their exact sum: the exact link sum
+     * S minus the exact started sum. The link sum and @p started are
+     * folds of at most n non-negative terms, each within gamma_n S of
+     * its exact sum, so sum_lo - started <= E: the 8(n+1)u shrink
+     * exceeds 2 gamma_n S plus the rounding of its own product. The
+     * sumLowerBound factor then covers gamma_n and the roundings of
+     * the subtraction, the addition and its own product. A negative
+     * difference only lowers the bound below busy_until, which no run
+     * finishes before.
+     */
+    static double remainingWorkBound(double busy_until, double sum_lo,
+                                     double started, size_t n)
+    {
+        return sumLowerBound(busy_until + (sum_lo - started), n);
+    }
+
+    /** @p link_sum times (1 - 8(n+1) 2^-53), remainingWorkBound's shrink. */
+    static double shrunkLinkSum(double link_sum, size_t n)
+    {
+        // Exact factor for n < 2^49, as in sumLowerBound.
+        return link_sum *
+               (1.0 - 8.0 * (static_cast<double>(n) + 1.0) * 0x1p-53);
+    }
 
     /**
      * A proven lower bound on run(graph).makespan, computed from the

@@ -4,8 +4,10 @@
  * conservation, the performance orderings the paper reports (DS-MoE
  * slowest; FSMoE at least as fast as its No-IIO ablation and the Tutel
  * baselines), exactness of the pruned Tutel/Lina degree search
- * against the unpruned loop, with and without a cutoff, and
- * Schedule::makespanBelow against run()'s makespan.
+ * against the unpruned loop, with and without a cutoff,
+ * Schedule::makespanBelow against run()'s makespan, and
+ * Schedule::simulate, which hands back a search's result, against
+ * run(build()).
  */
 #include <algorithm>
 #include <cmath>
@@ -486,14 +488,15 @@ graphFingerprint(const sim::TaskGraph &g)
     return fp.digest();
 }
 
-TEST(Schedules, BuiltinGraphsKeepTheirStructure)
+/**
+ * graphFingerprint of every builtin schedule's graph on
+ * mixtral-7b/testbedB/b2, at each fixed degree 1..rMax when it takes
+ * one, by spec. Recorded from the vector-based phase emitter.
+ */
+const std::map<std::string, uint64_t> &
+pinnedGraphDigests()
 {
-    // Every builtin schedule on mixtral-7b/testbedB/b2, at each fixed
-    // degree 1..rMax when it takes one. The digests were recorded from
-    // the vector-based phase emitter; a change here means a builder
-    // now emits a different graph (tasks, durations or dependency
-    // order), which the byte baselines may not catch.
-    const std::map<std::string, uint64_t> kWant = {
+    static const std::map<std::string, uint64_t> kWant = {
         {"DS-MoE", 0xec022627299fa89bull},
         {"FSMoE", 0xccde8ce94b37c2d3ull},
         {"FSMoE-No-IIO", 0xede0ffae8a4aae7cull},
@@ -546,6 +549,14 @@ TEST(Schedules, BuiltinGraphsKeepTheirStructure)
         {"Tutel?degree=8", 0x80824f86da9f10e2ull},
         {"Tutel?degree=9", 0xe6e68bb4757526efull},
     };
+    return kWant;
+}
+
+TEST(Schedules, BuiltinGraphsKeepTheirStructure)
+{
+    // A change here means a builder now emits a different graph
+    // (tasks, durations or dependency order), which the byte baselines
+    // may not catch.
     const ModelCost cost = mixtralTestbedBCost();
     std::map<std::string, uint64_t> got;
     for (const ScheduleInfo &info : ScheduleRegistry::instance().list()) {
@@ -566,7 +577,8 @@ TEST(Schedules, BuiltinGraphsKeepTheirStructure)
     for (const auto &[spec, digest] : got)
         table << "        {\"" << spec << "\", 0x" << std::hex << digest
               << std::dec << "ull},\n";
-    EXPECT_EQ(got, kWant) << "current digests:\n" << table.str();
+    EXPECT_EQ(got, pinnedGraphDigests()) << "current digests:\n"
+                                         << table.str();
 }
 
 // ------------------------------------- cutoff-bounded makespans
@@ -656,6 +668,89 @@ TEST(Schedules, MakespanBelowIsRunsMakespanUnderTheCutoff)
         for (const std::string &spec :
              cutoffSpecs(cost.rMax, key == tuner_key))
             expectMakespanBelowContract(cost, spec, key);
+    }
+}
+
+/** Bitwise equality of two results: makespan, trace, opTime, links. */
+void
+expectSameResult(const sim::SimResult &got, const sim::SimResult &want,
+                 const std::string &what)
+{
+    EXPECT_TRUE(test::sameBits(got.makespan, want.makespan)) << what;
+    ASSERT_EQ(got.trace.size(), want.trace.size()) << what;
+    for (size_t i = 0; i < want.trace.size(); ++i) {
+        const sim::TaskTrace &a = got.trace[i];
+        const sim::TaskTrace &b = want.trace[i];
+        ASSERT_TRUE(a.id == b.id && test::sameBits(a.start, b.start) &&
+                    test::sameBits(a.finish, b.finish))
+            << what << ": task " << i;
+    }
+    for (size_t op = 0; op < want.opTime.size(); ++op)
+        EXPECT_TRUE(test::sameBits(got.opTime[op], want.opTime[op]))
+            << what << ": op " << op;
+    for (size_t li = 0; li < want.linkBusyMs.size(); ++li)
+        EXPECT_TRUE(test::sameBits(got.linkBusyMs[li], want.linkBusyMs[li]))
+            << what << ": link " << li;
+}
+
+TEST(Schedules, SimulateIsRunOfBuildSimulatingOnce)
+{
+    // Schedule::simulate hands back a degree search's winner instead of
+    // simulating its graph again; it must still be run(build()) bit for
+    // bit, with build()'s graph, for every builtin schedule, and for
+    // Tutel, Tutel-Improved and Lina at degree 0 and every fixed
+    // degree, on all eight demo configurations. On
+    // mixtral-7b/testbedB/b2 the graphs must also keep their pinned
+    // digests.
+    const std::string pinned_key = [] {
+        runtime::Scenario s;
+        s.model = "mixtral-7b";
+        s.cluster = "testbedB";
+        s.batch = 2;
+        s.seqLen = 256;
+        return s.costKey();
+    }();
+    const std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    ASSERT_EQ(configs.size(), 8u);
+    ASSERT_EQ(configs.count(pinned_key), 1u);
+    const std::vector<std::string> searching = degreeSearchingSchedules();
+    stats::Counter &runs = stats::counter("sim.runs");
+    stats::Counter &simulated = stats::counter("schedule.search.simulated");
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        std::vector<std::string> specs = ScheduleRegistry::instance().names();
+        for (const std::string &name : searching)
+            for (int r = 0; r <= cost.rMax; ++r)
+                specs.push_back(withDegree(name, r));
+        for (const std::string &spec : specs) {
+            const std::string where = key + " " + spec;
+            const auto sched = Schedule::create(spec);
+            const sim::TaskGraph built = sched->build(cost);
+            const sim::SimResult want = sim::Simulator{}.run(built);
+            sim::TaskGraph g;
+            const uint64_t runs0 = runs.value();
+            const uint64_t simulated0 = simulated.value();
+            const sim::SimResult got = sched->simulate(cost, &g);
+            const uint64_t d_runs = runs.value() - runs0;
+            const uint64_t d_simulated = simulated.value() - simulated0;
+            expectSameResult(got, want, where);
+            const uint64_t digest = graphFingerprint(g);
+            EXPECT_EQ(digest, graphFingerprint(built)) << where;
+            if (key == pinned_key) {
+                const auto pinned = pinnedGraphDigests().find(spec);
+                if (pinned != pinnedGraphDigests().end()) {
+                    EXPECT_EQ(digest, pinned->second) << where;
+                }
+            }
+            // A search simulates its candidates and nothing after
+            // them; any other build is simulated once.
+            const bool searched =
+                std::count(searching.begin(), searching.end(), spec) > 0 ||
+                spec.find("?degree=0") != std::string::npos;
+            EXPECT_EQ(d_runs, searched ? d_simulated : 1u) << where;
+            EXPECT_EQ(d_simulated > 0, searched) << where;
+        }
     }
 }
 

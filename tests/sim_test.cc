@@ -141,8 +141,13 @@ TEST(TaskGraphDeathTest, TallyTasksChecksLikeAddTask)
 TEST(Simulator, CutRunsCountTheWorkTheyDid)
 {
     // A 10-task chain alternating two links, 1 ms each: every link sum
-    // is 5 ms, so the bound cannot cut at 7.5 ms and the loop runs
-    // until it pops the completion at 8 ms.
+    // is 5 ms, so the link-sum bound cannot cut at 7.5 ms. Task t
+    // starts at t and ends at t + 1. After the completion at 5 ms,
+    // task 5 runs on the inter-node link until 6 ms, which still has
+    // two 1 ms tasks (7 and 9) to run after it: the remaining-work
+    // bound is 6 + 2 = 8 >= 7.5 ms, so the run stops there, before
+    // any completion reaches the cutoff. (At 4 ms the same bound on
+    // task 4's link was 5 + 2 = 7.)
     TaskGraph g;
     TaskId prev = -1;
     for (int i = 0; i < 10; ++i) {
@@ -172,9 +177,9 @@ TEST(Simulator, CutRunsCountTheWorkTheyDid)
     auto after = snapshot();
     EXPECT_EQ(after[0] - before[0], 1u); // one run,
     EXPECT_EQ(after[1] - before[1], 1u); // cut,
-    EXPECT_EQ(after[2] - before[2], 7u); // after 7 tasks finished,
-    EXPECT_EQ(after[3] - before[3], 8u); // on the 8th popped event,
-    EXPECT_EQ(after[4] - before[4], 8u); // with 8 tasks started.
+    EXPECT_EQ(after[2] - before[2], 5u); // after 5 tasks finished,
+    EXPECT_EQ(after[3] - before[3], 5u); // on the 5th popped event,
+    EXPECT_EQ(after[4] - before[4], 6u); // with 6 tasks started.
 
     // Cut by the link bound: no event is processed at all.
     before = snapshot();
@@ -191,6 +196,29 @@ TEST(Simulator, CutRunsCountTheWorkTheyDid)
     after = snapshot();
     EXPECT_EQ(after[1] - before[1], 0u);
     EXPECT_EQ(after[2] - before[2], 10u);
+
+    // A link that idles: a 2 ms compute task, then four 1 ms inter-node
+    // tasks in a chain after it (makespan 6 ms). The link sums (2 and
+    // 4 ms) miss the inter-node link's idle first 2 ms, so neither the
+    // link-sum bound nor, until the completion at 5 ms, the popped
+    // events reach a 5 ms cutoff. The remaining-work bound does at the
+    // first completion: the inter-node link is busy until 3 ms with
+    // 3 ms still to run after that.
+    TaskGraph idle;
+    prev = idle.addTask("a", OpType::Other, Link::Compute, 0, 2.0);
+    for (int i = 0; i < 4; ++i)
+        prev = idle.addTask({"b", i}, OpType::Other, Link::InterNode, 1,
+                            1.0, {prev});
+    ASSERT_EQ(s.run(idle).makespan, 6.0);
+    ASSERT_LT(Simulator::makespanLowerBound(idle), 5.0);
+    before = snapshot();
+    EXPECT_EQ(s.makespanBelow(idle, 5.0),
+              std::numeric_limits<double>::infinity());
+    after = snapshot();
+    EXPECT_EQ(after[1] - before[1], 1u);
+    EXPECT_EQ(after[2] - before[2], 1u); // only a finished,
+    EXPECT_EQ(after[3] - before[3], 1u); // at the first event,
+    EXPECT_EQ(after[4] - before[4], 2u); // with a and b0 started.
 }
 
 TEST(SimulatorDeathTest, MakespanBelowRejectsANanCutoff)
