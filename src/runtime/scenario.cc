@@ -57,42 +57,21 @@ ScenarioRegistry::ScenarioRegistry()
     clusters_["testbedB"] = []() { return sim::testbedB(); };
 }
 
-void
-ScenarioRegistry::registerModel(const std::string &name,
-                                ModelBuilder builder)
-{
-    FSMOE_CHECK_ARG(builder != nullptr, "null model builder for ", name);
-    std::lock_guard<std::mutex> lock(mu_);
-    models_[name] = std::move(builder);
-}
-
-void
-ScenarioRegistry::registerCluster(const std::string &name,
-                                  ClusterBuilder builder)
-{
-    FSMOE_CHECK_ARG(builder != nullptr, "null cluster builder for ", name);
-    std::lock_guard<std::mutex> lock(mu_);
-    clusters_[name] = std::move(builder);
-}
-
 bool
 ScenarioRegistry::hasModel(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return models_.count(name) > 0;
 }
 
 bool
 ScenarioRegistry::hasCluster(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return clusters_.count(name) > 0;
 }
 
 std::vector<std::string>
 ScenarioRegistry::modelNames() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> names;
     names.reserve(models_.size());
     for (const auto &kv : models_)
@@ -106,7 +85,6 @@ ScenarioRegistry::modelNames() const
 std::vector<std::string>
 ScenarioRegistry::clusterNames() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> names;
     names.reserve(clusters_.size());
     for (const auto &kv : clusters_)
@@ -119,33 +97,23 @@ ScenarioRegistry::clusterNames() const
 sim::ClusterSpec
 ScenarioRegistry::makeCluster(const std::string &name) const
 {
-    ClusterBuilder builder;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = clusters_.find(name);
-        FSMOE_CHECK_ARG(it != clusters_.end(), "unknown cluster preset '",
-                        name, "'");
-        builder = it->second;
-    }
-    return builder();
+    auto it = clusters_.find(name);
+    FSMOE_CHECK_ARG(it != clusters_.end(), "unknown cluster preset '", name,
+                    "'");
+    return it->second();
 }
 
 model::ModelSpec
 ScenarioRegistry::makeModel(const Scenario &scenario,
                             const sim::ClusterSpec &cluster) const
 {
-    ModelBuilder builder;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = models_.find(scenario.model);
-        FSMOE_CHECK_ARG(it != models_.end(), "unknown model preset '",
-                        scenario.model, "'");
-        builder = it->second;
-    }
+    auto it = models_.find(scenario.model);
+    FSMOE_CHECK_ARG(it != models_.end(), "unknown model preset '",
+                    scenario.model, "'");
     const int experts = scenario.numExperts > 0 ? scenario.numExperts
                                                 : cluster.numNodes;
-    return builder(experts, scenario.batch, scenario.seqLen,
-                   scenario.numLayers);
+    return it->second(experts, scenario.batch, scenario.seqLen,
+                      scenario.numLayers);
 }
 
 core::ModelCost

@@ -5,13 +5,12 @@
  * A Scenario names everything needed to price one training iteration:
  * a model preset, a cluster preset, a schedule, and the workload knobs
  * (batch, sequence length, layer/expert counts). Presets are resolved
- * through a ScenarioRegistry so new models and testbeds can be plugged
- * in without touching the engine, and ScenarioGrid enumerates
+ * through a ScenarioRegistry, and ScenarioGrid enumerates
  * cartesian-product sweeps in a deterministic order.
  *
- * Thread-safety: ScenarioRegistry is fully thread-safe (every method
- * takes its internal lock; builders run outside the lock, so they may
- * themselves call back into the registry). Scenario and ScenarioGrid
+ * Thread-safety: ScenarioRegistry's presets are fixed when its
+ * instance is built and never change, so its const methods are safe to
+ * call from any thread without a lock. Scenario and ScenarioGrid
  * are plain value types with no internal synchronisation — share them
  * across threads only as read-only data.
  *
@@ -25,7 +24,6 @@
 #define FSMOE_RUNTIME_SCENARIO_H
 
 #include <functional>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,23 +64,15 @@ struct Scenario
 };
 
 /**
- * Name-indexed builders for model and cluster presets. The built-in
- * presets are the paper's: models "gpt2xl-moe", "mixtral-7b",
- * "mixtral-22b"; clusters "testbedA", "testbedB". Thread-safe.
+ * Name-indexed model and cluster presets: the paper's models
+ * "gpt2xl-moe", "mixtral-7b", "mixtral-22b" and clusters "testbedA",
+ * "testbedB". Immutable, so thread-safe.
  */
 class ScenarioRegistry
 {
   public:
-    /// Builds a ModelSpec; @p num_layers <= 0 selects the preset default.
-    using ModelBuilder = std::function<model::ModelSpec(
-        int num_experts, int64_t batch, int64_t seq_len, int num_layers)>;
-    using ClusterBuilder = std::function<sim::ClusterSpec()>;
-
-    /** The process-wide registry, with built-ins pre-registered. */
+    /** The process-wide registry. */
     static ScenarioRegistry &instance();
-
-    void registerModel(const std::string &name, ModelBuilder builder);
-    void registerCluster(const std::string &name, ClusterBuilder builder);
 
     bool hasModel(const std::string &name) const;
     bool hasCluster(const std::string &name) const;
@@ -103,9 +93,13 @@ class ScenarioRegistry
     core::ModelCost makeCost(const Scenario &scenario) const;
 
   private:
+    /// Builds a ModelSpec; @p num_layers <= 0 selects the preset default.
+    using ModelBuilder = std::function<model::ModelSpec(
+        int num_experts, int64_t batch, int64_t seq_len, int num_layers)>;
+    using ClusterBuilder = std::function<sim::ClusterSpec()>;
+
     ScenarioRegistry();
 
-    mutable std::mutex mu_;
     std::unordered_map<std::string, ModelBuilder> models_;
     std::unordered_map<std::string, ClusterBuilder> clusters_;
 };

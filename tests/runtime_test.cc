@@ -95,17 +95,12 @@ TEST(Scenario, CostKeyIgnoresScheduleOnly)
     EXPECT_NE(a.costKey(), b.costKey());
 }
 
-TEST(Scenario, RegistryKnowsBuiltinsAndAcceptsCustomPresets)
+TEST(Scenario, RegistryKnowsBuiltinPresets)
 {
-    ScenarioRegistry &reg = ScenarioRegistry::instance();
+    const ScenarioRegistry &reg = ScenarioRegistry::instance();
     EXPECT_TRUE(reg.hasModel("mixtral-7b"));
     EXPECT_TRUE(reg.hasCluster("testbedB"));
     EXPECT_FALSE(reg.hasModel("no-such-model"));
-
-    reg.registerCluster("testbedA-3node",
-                        []() { return sim::scaledTestbedA(3); });
-    EXPECT_TRUE(reg.hasCluster("testbedA-3node"));
-    EXPECT_EQ(reg.makeCluster("testbedA-3node").numNodes, 3);
 }
 
 TEST(Schedule, FactoryBySpecResolvesCanonicalNamesAndAliases)
