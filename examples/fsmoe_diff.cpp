@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "base/number.h"
 #include "runtime/result_store.h"
 
 namespace {
@@ -99,9 +100,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--tolerance") == 0) {
             if (i + 1 >= argc)
                 return usage(argv[0]);
-            char *end = nullptr;
-            tolerance_pct = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' ||
+            if (!parseNumber(argv[++i], &tolerance_pct) ||
                 !std::isfinite(tolerance_pct) || tolerance_pct < 0.0) {
                 std::fprintf(stderr, "bad --tolerance '%s'\n", argv[i]);
                 return 2;

@@ -84,8 +84,6 @@
  * to converge to the uninterrupted run's bytes. A second signal
  * falls through to the default disposition and kills immediately.
  */
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -99,6 +97,7 @@
 
 #include "base/fileio.h"
 #include "base/interrupt.h"
+#include "base/number.h"
 #include "base/stats.h"
 #include "core/schedules/schedule_registry.h"
 #include "core/solver_cache.h"
@@ -124,15 +123,12 @@ using namespace fsmoe;
 int
 intFlag(const char *flag, const char *arg, int min)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(arg, &end, 10);
-    if (end == arg || *end != '\0' || errno != 0 || v < min ||
-        v > INT_MAX) {
+    int v = 0;
+    if (!parseNumber(arg, &v) || v < min) {
         std::fprintf(stderr, "bad %s '%s'\n", flag, arg);
         std::exit(2);
     }
-    return static_cast<int>(v);
+    return v;
 }
 
 /**
@@ -445,9 +441,7 @@ main(int argc, char **argv)
             diff_baseline = argv[++i];
         } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
                    i + 1 < argc) {
-            char *end = nullptr;
-            tolerance_pct = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' ||
+            if (!parseNumber(argv[++i], &tolerance_pct) ||
                 !std::isfinite(tolerance_pct) || tolerance_pct < 0.0) {
                 std::fprintf(stderr, "bad --tolerance '%s'\n", argv[i]);
                 return 2;

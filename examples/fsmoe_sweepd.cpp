@@ -40,13 +40,12 @@
  * 128+signal. A second signal kills immediately (the journal still
  * protects every acknowledged result).
  */
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "base/interrupt.h"
+#include "base/number.h"
 #include "runtime/fault.h"
 #include "service/job_queue.h"
 #include "service/sweep_server.h"
@@ -70,15 +69,12 @@ usage(const char *argv0)
 int
 positiveIntArg(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || errno != 0 || v < 1 ||
-        v > INT_MAX) {
+    int v = 0;
+    if (!parseNumber(value, &v) || v < 1) {
         std::fprintf(stderr, "bad %s '%s'\n", flag, value);
         std::exit(2);
     }
-    return static_cast<int>(v);
+    return v;
 }
 
 } // namespace

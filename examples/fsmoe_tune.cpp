@@ -21,6 +21,7 @@
 
 #include "base/fileio.h"
 #include "base/json.h"
+#include "base/number.h"
 #include "runtime/tuner.h"
 
 using namespace fsmoe;
@@ -49,24 +50,6 @@ usage(const char *argv0)
         "  --quiet            suppress the frontier table\n"
         "  --help             this text\n",
         argv0);
-}
-
-bool
-parseI64(const char *text, int64_t *out)
-{
-    char *end = nullptr;
-    *out = std::strtoll(text, &end, 10);
-    return end != text && *end == '\0';
-}
-
-bool
-parseI32(const char *text, int *out)
-{
-    int64_t v;
-    if (!parseI64(text, &v) || v < -2147483647 - 1 || v > 2147483647)
-        return false;
-    *out = static_cast<int>(v);
-    return true;
 }
 
 } // namespace
@@ -98,17 +81,17 @@ main(int argc, char **argv)
         } else if (const char *v = flagValue("--cluster")) {
             query.cluster = v;
         } else if (const char *v = flagValue("--batch")) {
-            ok = parseI64(v, &query.batch) && query.batch > 0;
+            ok = parseNumber(v, &query.batch) && query.batch > 0;
         } else if (const char *v = flagValue("--seq-len")) {
-            ok = parseI64(v, &query.seqLen) && query.seqLen > 0;
+            ok = parseNumber(v, &query.seqLen) && query.seqLen > 0;
         } else if (const char *v = flagValue("--layers")) {
-            ok = parseI32(v, &query.numLayers) && query.numLayers >= 0;
+            ok = parseNumber(v, &query.numLayers) && query.numLayers >= 0;
         } else if (const char *v = flagValue("--experts")) {
-            ok = parseI32(v, &query.numExperts) && query.numExperts >= 0;
+            ok = parseNumber(v, &query.numExperts) && query.numExperts >= 0;
         } else if (const char *v = flagValue("--rmax")) {
-            ok = parseI32(v, &query.rMax) && query.rMax >= 1;
+            ok = parseNumber(v, &query.rMax) && query.rMax >= 1;
         } else if (const char *v = flagValue("--threads")) {
-            ok = parseI32(v, &options.numThreads) &&
+            ok = parseNumber(v, &options.numThreads) &&
                  options.numThreads >= 0;
         } else if (const char *v = flagValue("--advisor-cache")) {
             cache_path = v;

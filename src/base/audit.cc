@@ -1,6 +1,7 @@
 #include "base/audit.h"
 
 #include <atomic>
+#include <cstdio>
 #include <deque>
 #include <mutex>
 #include <unordered_map>
@@ -47,6 +48,15 @@ struct AuditStats
 };
 
 } // namespace
+
+std::string
+hex16(uint64_t digest)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(digest));
+    return buf;
+}
 
 bool
 enabled()

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #if defined(FSMOE_FORCE_AUDIT)
 #define FSMOE_AUDIT_ENABLED FSMOE_FORCE_AUDIT
@@ -105,10 +106,15 @@ class Fingerprint
         std::memcpy(&bits, &v, sizeof bits);
         return mix(bits);
     }
+    /** Length-prefixed, so ("ab","c") and ("a","bc") differ. */
     Fingerprint &mix(const std::string &s)
     {
-        mix(static_cast<uint64_t>(s.size()));
-        for (char c : s) {
+        return mix(static_cast<uint64_t>(s.size())).mixBytes(s);
+    }
+    /** The bytes alone, with no length prefix: plain FNV-1a. */
+    Fingerprint &mixBytes(std::string_view bytes)
+    {
+        for (char c : bytes) {
             h_ ^= static_cast<unsigned char>(c);
             h_ *= 0x100000001b3ull;
         }
@@ -120,6 +126,9 @@ class Fingerprint
   private:
     uint64_t h_ = 0xcbf29ce484222325ull; // FNV-1a offset basis.
 };
+
+/** @p digest as the 16 lowercase hex digits persisted files store. */
+std::string hex16(uint64_t digest);
 
 /**
  * Cache-key collision detector. Call at every point a cache *payload*

@@ -3,23 +3,14 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include "base/number.h"
 
 namespace fsmoe::json {
 
 namespace {
-
-bool
-parseDoubleText(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size();
-}
 
 class Parser
 {
@@ -209,8 +200,9 @@ class Parser
         if (pos_ == start)
             return false;
         out->kind = Value::Kind::Number;
-        return parseDoubleText(s_.substr(start, pos_ - start),
-                               &out->number);
+        return static_cast<bool>(parseNumber(
+            std::string_view(s_).substr(start, pos_ - start),
+            &out->number));
     }
 
     bool literal(const char *text, Value *out, bool value)

@@ -1,10 +1,10 @@
 #include "base/stats.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
+#include "base/json.h"
 #include "base/logging.h"
 
 namespace fsmoe::stats {
@@ -37,39 +37,6 @@ atomicMin(std::atomic<double> &a, double v)
     while (cur > v &&
            !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
-}
-
-/** 17 significant digits: re-parses to the identical bit pattern. */
-std::string
-fmtDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -245,29 +212,30 @@ Registry::snapshotJson() const
     oss << "{\"schema\":\"fsmoe-stats\",\"version\":1,\n\"counters\":{";
     bool first = true;
     for (const auto &[name, c] : counters_) {
-        oss << (first ? "\n" : ",\n") << '"' << jsonEscape(name)
+        oss << (first ? "\n" : ",\n") << '"' << json::escape(name)
             << "\":" << c->value();
         first = false;
     }
     oss << (first ? "" : "\n") << "},\n\"gauges\":{";
     first = true;
     for (const auto &[name, g] : gauges_) {
-        oss << (first ? "\n" : ",\n") << '"' << jsonEscape(name)
-            << "\":{\"value\":" << fmtDouble(g->value())
-            << ",\"max\":" << fmtDouble(g->maxValue()) << '}';
+        oss << (first ? "\n" : ",\n") << '"' << json::escape(name)
+            << "\":{\"value\":" << json::fmtDouble(g->value())
+            << ",\"max\":" << json::fmtDouble(g->maxValue()) << '}';
         first = false;
     }
     oss << (first ? "" : "\n") << "},\n\"histograms\":{";
     first = true;
     for (const auto &[name, h] : histograms_) {
-        oss << (first ? "\n" : ",\n") << '"' << jsonEscape(name)
+        oss << (first ? "\n" : ",\n") << '"' << json::escape(name)
             << "\":{\"count\":" << h->count()
-            << ",\"sum\":" << fmtDouble(h->sum())
-            << ",\"min\":" << fmtDouble(h->minValue())
-            << ",\"max\":" << fmtDouble(h->maxValue()) << ",\"buckets\":[";
+            << ",\"sum\":" << json::fmtDouble(h->sum())
+            << ",\"min\":" << json::fmtDouble(h->minValue())
+            << ",\"max\":" << json::fmtDouble(h->maxValue())
+            << ",\"buckets\":[";
         for (size_t i = 0; i < h->bounds().size(); ++i) {
             oss << (i == 0 ? "" : ",") << "{\"le\":"
-                << fmtDouble(h->bounds()[i])
+                << json::fmtDouble(h->bounds()[i])
                 << ",\"count\":" << h->bucketCount(i) << '}';
         }
         oss << ",{\"le\":\"inf\",\"count\":"

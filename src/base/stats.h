@@ -34,7 +34,6 @@
 #define FSMOE_BASE_STATS_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -178,31 +177,6 @@ Gauge &gauge(const std::string &name);
 Histogram &histogram(const std::string &name,
                      const std::vector<double> &bounds =
                          defaultTimeBucketsMs());
-
-/**
- * RAII timer: observes the scope's elapsed wall time, in
- * milliseconds, into a histogram at destruction.
- */
-class ScopedTimerMs
-{
-  public:
-    explicit ScopedTimerMs(Histogram &h)
-        : h_(h), t0_(std::chrono::steady_clock::now())
-    {
-    }
-    ~ScopedTimerMs()
-    {
-        h_.observe(std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0_)
-                       .count());
-    }
-    ScopedTimerMs(const ScopedTimerMs &) = delete;
-    ScopedTimerMs &operator=(const ScopedTimerMs &) = delete;
-
-  private:
-    Histogram &h_;
-    std::chrono::steady_clock::time_point t0_;
-};
 
 } // namespace fsmoe::stats
 

@@ -13,6 +13,16 @@ ffnGemmCount(FfnType t)
     return t == FfnType::Mixtral ? 3 : 2;
 }
 
+int64_t
+LayerShape::tokens() const
+{
+    int64_t n = 0;
+    if (__builtin_mul_overflow(batch, seqLen, &n))
+        FSMOE_FATAL("invalid layer shape: batch ", batch, " x seqLen ",
+                    seqLen, " overflows int64");
+    return n;
+}
+
 Workload
 deriveWorkload(const LayerShape &shape, const ParallelConfig &par)
 {

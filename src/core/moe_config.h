@@ -39,8 +39,11 @@ struct LayerShape
     int numHeads = 16;        ///< Attention heads.
     FfnType ffn = FfnType::Simple;
 
-    /** Tokens entering the layer per DP replica (B*L). */
-    int64_t tokens() const { return batch * seqLen; }
+    /**
+     * Tokens entering the layer per DP replica (B*L). Fatal, naming
+     * both factors, when the product overflows int64.
+     */
+    int64_t tokens() const;
 };
 
 /** Hybrid-parallelism group sizes (paper Table 1). */

@@ -71,16 +71,4 @@ Profiler::profile(ProfileOp op) const
     return result;
 }
 
-PerfModelSet
-Profiler::profileAll() const
-{
-    PerfModelSet set;
-    set.alltoall = profile(ProfileOp::AlltoAll).model;
-    set.allgather = profile(ProfileOp::AllGather).model;
-    set.reducescatter = profile(ProfileOp::ReduceScatter).model;
-    set.allreduce = profile(ProfileOp::AllReduce).model;
-    set.gemm = profile(ProfileOp::Gemm).model;
-    return set;
-}
-
 } // namespace fsmoe::core

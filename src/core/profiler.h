@@ -57,9 +57,6 @@ class Profiler
     /** Microbenchmark one task class over the paper's size sweep. */
     ProfileResult profile(ProfileOp op) const;
 
-    /** Profile all five task classes and bundle the fits. */
-    PerfModelSet profileAll() const;
-
   private:
     /** One noisy "measurement" of ground truth at volume @p n. */
     double measureOnce(const sim::CostCoeffs &truth, double n,

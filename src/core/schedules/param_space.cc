@@ -62,7 +62,7 @@ deriveParamSpace(const ScheduleInfo &info, int degree_cap,
     ParamSpace space;
     space.schedule = info.name;
     for (const ScheduleParamInfo &p : info.params) {
-        if (!p.tunable || p.type == ScheduleParamType::String)
+        if (!p.tunable)
             continue;
         if (p.type != ScheduleParamType::Bool && !p.bounded())
             continue;
@@ -98,8 +98,6 @@ deriveParamSpace(const ScheduleInfo &info, int degree_cap,
             if (axis.hi < axis.lo)
                 continue;
             break;
-          case ScheduleParamType::String:
-            continue; // unreachable (filtered above)
         }
         space.axes.push_back(std::move(axis));
     }

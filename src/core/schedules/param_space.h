@@ -68,12 +68,11 @@ struct ParamSpace
 
 /**
  * Derive @p info's search space. Parameters are skipped (left at
- * their defaults) unless tunable with finite bounds; String params
- * are never searchable. Int axes spanning at most
- * @p max_grid_per_axis values enumerate every integer; wider Int
- * axes and all Double axes are continuous. Bool axes enumerate
- * {false, true}. Axes keyed "degree" (any case) have their upper
- * bound clamped to @p degree_cap.
+ * their defaults) unless tunable with finite bounds. Int axes
+ * spanning at most @p max_grid_per_axis values enumerate every
+ * integer; wider Int axes and all Double axes are continuous. Bool
+ * axes enumerate {false, true}. Axes keyed "degree" (any case) have
+ * their upper bound clamped to @p degree_cap.
  */
 ParamSpace deriveParamSpace(const ScheduleInfo &info, int degree_cap,
                             size_t max_grid_per_axis = 32);

@@ -1,12 +1,11 @@
 #include "core/schedules/schedule_registry.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "base/logging.h"
+#include "base/number.h"
 #include "core/schedules/builtins.h"
 #include "core/schedules/schedule.h"
 
@@ -44,28 +43,6 @@ trim(const std::string &s)
 }
 
 bool
-parseIntValue(const std::string &text, int64_t *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    *out = std::strtoll(text.c_str(), &end, 10);
-    // ERANGE: strtoll saturated; the value is not what was written.
-    return end == text.c_str() + text.size() && errno != ERANGE;
-}
-
-bool
-parseDoubleValue(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size();
-}
-
-bool
 parseBoolValue(const std::string &text, bool *out)
 {
     const std::string t = normalizeName(text);
@@ -92,17 +69,15 @@ canonicalValue(const ScheduleParamInfo &param, const std::string &raw,
 {
     switch (param.type) {
       case ScheduleParamType::Int: {
-        int64_t v;
-        if (!parseIntValue(raw, &v)) {
-            *why = "expected an integer";
-            return false;
-        }
         // Factories consume Int params as 32-bit ints; a wider value
         // would silently wrap into a different configuration than the
-        // canonical spec claims, so reject it here.
-        constexpr int64_t kIntMax = 2147483647;
-        if (v < -kIntMax - 1 || v > kIntMax) {
-            *why = "out of range (must fit a 32-bit int)";
+        // canonical spec claims, so it is out of range here.
+        int v;
+        const NumberParse parsed = parseNumber(raw, &v);
+        if (!parsed) {
+            *why = parsed.outOfRange()
+                       ? "out of range (must fit a 32-bit int)"
+                       : "expected an integer";
             return false;
         }
         if (static_cast<double>(v) < param.minValue) {
@@ -120,7 +95,7 @@ canonicalValue(const ScheduleParamInfo &param, const std::string &raw,
       }
       case ScheduleParamType::Double: {
         double v;
-        if (!parseDoubleValue(raw, &v)) {
+        if (!parseNumber(raw, &v)) {
             *why = "expected a number";
             return false;
         }
@@ -157,13 +132,6 @@ canonicalValue(const ScheduleParamInfo &param, const std::string &raw,
         *out = v ? "true" : "false";
         return true;
       }
-      case ScheduleParamType::String:
-        if (raw.empty()) {
-            *why = "expected a non-empty string";
-            return false;
-        }
-        *out = raw;
-        return true;
     }
     *why = "unknown parameter type";
     return false;
@@ -187,7 +155,6 @@ scheduleParamTypeName(ScheduleParamType type)
       case ScheduleParamType::Int: return "int";
       case ScheduleParamType::Double: return "double";
       case ScheduleParamType::Bool: return "bool";
-      case ScheduleParamType::String: return "string";
     }
     return "?";
 }
@@ -217,7 +184,7 @@ ScheduleParams::getInt(const std::string &key, int64_t fallback) const
     if (v == nullptr)
         return fallback;
     int64_t out = 0;
-    FSMOE_ASSERT(parseIntValue(*v, &out), "validated int param '", key,
+    FSMOE_ASSERT(parseNumber(*v, &out), "validated int param '", key,
                  "' no longer parses: '", *v, "'");
     return out;
 }
@@ -229,7 +196,7 @@ ScheduleParams::getDouble(const std::string &key, double fallback) const
     if (v == nullptr)
         return fallback;
     double out = 0.0;
-    FSMOE_ASSERT(parseDoubleValue(*v, &out), "validated double param '",
+    FSMOE_ASSERT(parseNumber(*v, &out), "validated double param '",
                  key, "' no longer parses: '", *v, "'");
     return out;
 }
@@ -244,14 +211,6 @@ ScheduleParams::getBool(const std::string &key, bool fallback) const
     FSMOE_ASSERT(parseBoolValue(*v, &out), "validated bool param '", key,
                  "' no longer parses: '", *v, "'");
     return out;
-}
-
-std::string
-ScheduleParams::getString(const std::string &key,
-                          const std::string &fallback) const
-{
-    const std::string *v = findValue(key);
-    return v != nullptr ? *v : fallback;
 }
 
 // -------------------------------------------------------- ScheduleSpec

@@ -64,8 +64,7 @@ enum class ScheduleParamType
 {
     Int,
     Double,
-    Bool,
-    String
+    Bool
 };
 
 /** Printable name of a parameter type ("int", "double", ...). */
@@ -78,9 +77,9 @@ struct ScheduleParamInfo
     ScheduleParamType type = ScheduleParamType::Int;
     std::string defaultValue; ///< Printable default, for discovery.
     std::string description;
-    /// Numeric lower bound (inclusive); ignored for Bool/String.
+    /// Numeric lower bound (inclusive); ignored for Bool.
     double minValue = std::numeric_limits<double>::lowest();
-    /// Numeric upper bound (inclusive); ignored for Bool/String.
+    /// Numeric upper bound (inclusive); ignored for Bool.
     double maxValue = std::numeric_limits<double>::max();
     /**
      * Whether an auto-tuner may search over this parameter. Tunable
@@ -122,8 +121,6 @@ class ScheduleParams
     int64_t getInt(const std::string &key, int64_t fallback) const;
     double getDouble(const std::string &key, double fallback) const;
     bool getBool(const std::string &key, bool fallback) const;
-    std::string getString(const std::string &key,
-                          const std::string &fallback) const;
 
   private:
     friend class ScheduleRegistry;

@@ -208,16 +208,4 @@ Communicator::allReduce(std::vector<Tensor> &bufs, const Group &group) const
         bufs[r] = sum;
 }
 
-void
-Communicator::broadcast(std::vector<Tensor> &bufs, const Group &group,
-                        int root) const
-{
-    checkGroup(bufs, group, "Broadcast");
-    FSMOE_CHECK_ARG(std::find(group.begin(), group.end(), root) !=
-                        group.end(),
-                    "broadcast root ", root, " not in group");
-    for (int r : group)
-        bufs[r] = bufs[root];
-}
-
 } // namespace fsmoe::dist

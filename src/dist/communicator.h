@@ -103,10 +103,6 @@ class Communicator
     /** Elementwise-sum members' buffers, result on every member. */
     void allReduce(std::vector<Tensor> &bufs, const Group &group) const;
 
-    /** Copy the buffer of global rank @p root to every group member. */
-    void broadcast(std::vector<Tensor> &bufs, const Group &group,
-                   int root) const;
-
   private:
     void checkGroup(const std::vector<Tensor> &bufs, const Group &group,
                     const char *what) const;

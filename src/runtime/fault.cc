@@ -1,11 +1,12 @@
 #include "runtime/fault.h"
 
 #include <atomic>
-#include <charconv>
 #include <cstdlib>
 #include <mutex>
 
+#include "base/audit.h"
 #include "base/logging.h"
+#include "base/number.h"
 #include "base/stats.h"
 
 namespace fsmoe::runtime::fault {
@@ -22,31 +23,20 @@ bool g_envChecked = false; // guarded by g_mutex
 std::atomic<uint64_t> g_appends{0};
 std::atomic<uint64_t> g_results{0};
 
-// FNV-1a over the decision inputs, mirroring base/audit.h's
-// fingerprint scheme. Splitmix-style finalizer on top so low bits are
-// well mixed before the [0,1) projection.
-uint64_t
-fnv1a(uint64_t h, const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
+// FNV-1a over the decision inputs (base/audit.h's fingerprint; the
+// key's bytes are mixed without a length prefix). Splitmix-style
+// finalizer on top so low bits are well mixed before the [0,1)
+// projection.
 double
 decisionUniform(uint64_t seed, Site site, const std::string &key,
                 int attempt)
 {
-    uint64_t h = 14695981039346656037ULL;
-    h = fnv1a(h, &seed, sizeof seed);
-    const auto s = static_cast<uint64_t>(site);
-    h = fnv1a(h, &s, sizeof s);
-    h = fnv1a(h, key.data(), key.size());
-    const auto a = static_cast<uint64_t>(attempt);
-    h = fnv1a(h, &a, sizeof a);
+    uint64_t h = audit::Fingerprint()
+                     .mix(seed)
+                     .mix(static_cast<uint64_t>(site))
+                     .mixBytes(key)
+                     .mix(static_cast<uint64_t>(attempt))
+                     .digest();
     h ^= h >> 30;
     h *= 0xbf58476d1ce4e5b9ULL;
     h ^= h >> 27;
@@ -82,13 +72,9 @@ countReaches(std::atomic<uint64_t> &count, uint64_t FaultConfig::*limit,
 bool
 parseRate(const std::string &value, double *out)
 {
-    // from_chars takes no leading whitespace or '+', and the range
-    // test is written so that NaN fails it.
+    // The range test is written so that NaN fails it.
     double v = 0.0;
-    const char *end = value.data() + value.size();
-    const auto parsed = std::from_chars(value.data(), end, v);
-    if (parsed.ec != std::errc() || parsed.ptr != end ||
-        !(v >= 0.0 && v <= 1.0))
+    if (!parseNumber(value, &v) || !(v >= 0.0 && v <= 1.0))
         return false;
     *out = v;
     return true;
@@ -154,11 +140,7 @@ parseSpec(const std::string &spec, FaultConfig *out, std::string *error)
                           : k == "stop-after" ? &cfg.stopAfterResults
                                               : nullptr;
         if (count != nullptr) {
-            // from_chars takes plain decimal only: no sign, no
-            // whitespace, no wrap-around on overflow.
-            const char *end = v.data() + v.size();
-            const auto parsed = std::from_chars(v.data(), end, *count);
-            if (v.empty() || parsed.ec != std::errc() || parsed.ptr != end) {
+            if (!parseNumber(v, count)) {
                 if (error != nullptr)
                     *error = "fault spec '" + k +
                              "' wants a non-negative integer, got '" + v +

@@ -1,14 +1,15 @@
 #include "runtime/journal.h"
 
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <sstream>
 
 #include <unistd.h>
 
+#include "base/audit.h"
 #include "base/fileio.h"
 #include "base/logging.h"
+#include "base/number.h"
 #include "base/stats.h"
 #include "runtime/fault.h"
 
@@ -16,31 +17,19 @@ namespace fsmoe::runtime {
 
 namespace {
 
+/** The record checksum: plain FNV-1a over the payload bytes. */
 uint64_t
-fnv1a(const std::string &text)
+checksum(const std::string &payload)
 {
-    uint64_t h = 14695981039346656037ULL;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-std::string
-hex16(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
+    return audit::Fingerprint().mixBytes(payload).digest();
 }
 
 std::string
 headerLine(uint64_t grid_fp, size_t grid_size)
 {
     std::ostringstream oss;
-    oss << "fsmoe-journal v1 grid=" << hex16(grid_fp) << " n=" << grid_size;
+    oss << "fsmoe-journal v1 grid=" << audit::hex16(grid_fp)
+        << " n=" << grid_size;
     return oss.str();
 }
 
@@ -69,21 +58,15 @@ parseRecordLine(const std::string &line, size_t grid_size, size_t *index,
     const size_t sp2 = line.find(' ', sp1 + 1);
     if (sp2 == std::string::npos || sp2 - sp1 - 1 != 16)
         return false;
-    // from_chars parses in place and takes only the canonical forms the
-    // writer emits: no sign, no leading whitespace, no base prefix.
-    const char *base = line.data();
+    const std::string_view text(line);
     size_t idx = 0;
-    const auto idx_parsed = std::from_chars(base, base + sp1, idx);
-    if (sp1 == 0 || idx_parsed.ec != std::errc() ||
-        idx_parsed.ptr != base + sp1 || idx >= grid_size)
+    if (!parseNumber(text.substr(0, sp1), &idx) || idx >= grid_size)
         return false;
     uint64_t sum = 0;
-    const auto sum_parsed =
-        std::from_chars(base + sp1 + 1, base + sp2, sum, 16);
-    if (sum_parsed.ec != std::errc() || sum_parsed.ptr != base + sp2)
+    if (!parseNumber(text.substr(sp1 + 1, 16), &sum, 16))
         return false;
     const std::string payload = line.substr(sp2 + 1);
-    if (fnv1a(payload) != sum)
+    if (checksum(payload) != sum)
         return false;
     std::string error;
     if (!parseJsonRecord(payload, result, &error))
@@ -102,17 +85,10 @@ Journal::~Journal()
 uint64_t
 Journal::gridFingerprint(const std::vector<Scenario> &grid)
 {
-    uint64_t h = 14695981039346656037ULL;
-    for (const Scenario &s : grid) {
-        const std::string label = s.label();
-        for (unsigned char c : label) {
-            h ^= c;
-            h *= 1099511628211ULL;
-        }
-        h ^= '\n';
-        h *= 1099511628211ULL;
-    }
-    return h;
+    audit::Fingerprint fp;
+    for (const Scenario &s : grid)
+        fp.mixBytes(s.label()).mixBytes("\n");
+    return fp.digest();
 }
 
 bool
@@ -203,8 +179,8 @@ Journal::append(size_t index, const SweepResult &r, std::string *error)
     FSMOE_ASSERT(index < gridSize_, "journal index out of range");
     const std::string payload = toJsonRecord(r);
     const std::string line =
-        std::to_string(index) + " " + hex16(fnv1a(payload)) + " " + payload +
-        "\n";
+        std::to_string(index) + " " + audit::hex16(checksum(payload)) + " " +
+        payload + "\n";
 
     if (fault::shouldInject(fault::Site::TornJournalWrite, r.key(), 0)) {
         // A torn write only exists because the process died mid-append;

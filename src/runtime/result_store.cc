@@ -1,6 +1,5 @@
 #include "runtime/result_store.h"
 
-#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -11,6 +10,7 @@
 #include "base/fileio.h"
 #include "base/json.h"
 #include "base/logging.h"
+#include "base/number.h"
 #include "sim/trace.h"
 
 namespace fsmoe::runtime {
@@ -37,20 +37,6 @@ linkName(size_t i)
 // stays bit-exact the same way.
 using json::fmtDouble;
 const auto jsonEscape = json::escape;
-
-/**
- * A CSV number field, parsed strictly: the whole field, no leading
- * space or '+', and no overflow (std::from_chars, as service/job.cc
- * parses batch sizes). T = int range-checks the narrow fields.
- */
-template <typename T>
-bool
-parseNumber(const std::string &text, T *out)
-{
-    const char *end = text.data() + text.size();
-    const auto parsed = std::from_chars(text.data(), end, *out);
-    return parsed.ec == std::errc() && parsed.ptr == end;
-}
 
 // JSON-in goes through base/json (json::parse and the typed member
 // accessors); aliases keep the reader code below reading naturally.

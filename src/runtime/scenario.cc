@@ -1,12 +1,10 @@
 #include "runtime/scenario.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "base/logging.h"
+#include "base/number.h"
 #include "core/schedules/schedule_registry.h"
 
 namespace fsmoe::runtime {
@@ -236,28 +234,25 @@ parseShardSpec(const std::string &text, ShardSpec *spec,
     if (slash == std::string::npos || slash == 0 ||
         slash + 1 >= text.size())
         return fail("expected K/N, e.g. 2/4");
-    errno = 0;
-    char *end = nullptr;
-    const long k = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + slash)
+    // Both halves parse as int; a value wider than 32 bits is out of
+    // range rather than wrapped into a different shard.
+    const std::string_view whole(text);
+    int k = 0;
+    int n = 0;
+    const NumberParse pk = parseNumber(whole.substr(0, slash), &k);
+    if (!pk && !pk.outOfRange())
         return fail("shard index K is not an integer");
-    const bool k_overflow = errno == ERANGE;
-    errno = 0;
-    const long n = std::strtol(text.c_str() + slash + 1, &end, 10);
-    if (end != text.c_str() + text.size())
+    const NumberParse pn = parseNumber(whole.substr(slash + 1), &n);
+    if (!pn && !pn.outOfRange())
         return fail("shard count N is not an integer");
-    // strtol saturates out-of-range input at LONG_MIN/LONG_MAX, and a
-    // long may also hold values that would silently wrap when cast to
-    // the int fields below — reject both explicitly.
-    constexpr long kIntMax = std::numeric_limits<int>::max();
-    if (k_overflow || errno == ERANGE || k > kIntMax || n > kIntMax)
+    if (!pk || !pn)
         return fail("value out of range (must fit a 32-bit int)");
     if (n < 1)
         return fail("shard count N must be >= 1");
     if (k < 1 || k > n)
         return fail("shard index K must be in [1, N]");
-    spec->index = static_cast<int>(k);
-    spec->count = static_cast<int>(n);
+    spec->index = k;
+    spec->count = n;
     return true;
 }
 

@@ -1,40 +1,12 @@
 #include "runtime/self_trace.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "base/fileio.h"
+#include "base/json.h"
 #include "base/logging.h"
 
 namespace fsmoe::runtime {
-
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 SelfTrace &
 SelfTrace::instance()
@@ -98,7 +70,7 @@ SelfTrace::chromeTraceJson(const std::string &process_name) const
     oss << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     oss << "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
            "\"args\":{\"name\":\""
-        << jsonEscape(process_name) << "\"}}";
+        << json::escape(process_name) << "\"}}";
     for (int tid = 0; tid < next_tid_; ++tid) {
         oss << ",{\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
             << ",\"name\":\"thread_name\",\"args\":{\"name\":\"worker-"
@@ -106,7 +78,7 @@ SelfTrace::chromeTraceJson(const std::string &process_name) const
     }
     for (const Event &ev : events_) {
         oss << ",{\"ph\":\"X\",\"pid\":0,\"tid\":" << ev.tid
-            << ",\"name\":\"" << jsonEscape(ev.name) << "\",\"cat\":\""
+            << ",\"name\":\"" << json::escape(ev.name) << "\",\"cat\":\""
             << ev.cat << "\",\"ts\":" << ev.tsUs << ",\"dur\":" << ev.durUs
             << "}";
     }

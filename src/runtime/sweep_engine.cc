@@ -13,6 +13,9 @@ namespace fsmoe::runtime {
 
 namespace {
 
+/// Bounded work-queue depth (backpressure for huge grids).
+constexpr size_t kQueueCapacity = 256;
+
 /**
  * Registry handles for the engine's telemetry, resolved once. The
  * same counters back every SweepEngine in the process (the registry
@@ -334,7 +337,7 @@ SweepEngine::run(const std::vector<Scenario> &scenarios)
         // scenario; the tuner's probes run one at a time.
         results[0] = evaluate(scenarios[0]);
     } else {
-        ThreadPool pool(options_.numThreads, options_.queueCapacity);
+        ThreadPool pool(options_.numThreads, kQueueCapacity);
         std::vector<std::future<void>> done;
         done.reserve(scenarios.size());
         for (size_t i = 0; i < scenarios.size(); ++i) {

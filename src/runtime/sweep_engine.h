@@ -46,8 +46,6 @@ struct SweepOptions
 {
     /// Worker threads; 0 picks the hardware concurrency.
     int numThreads = 0;
-    /// Bounded work-queue depth (backpressure for huge grids).
-    size_t queueCapacity = 256;
     /// Also retain each scenario's TaskGraph (needed for Chrome-trace
     /// export; costs memory proportional to grid size). Graphs are
     /// never cached, so this bypasses the SimResult cache: every

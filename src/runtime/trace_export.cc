@@ -1,43 +1,14 @@
 #include "runtime/trace_export.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "base/fileio.h"
+#include "base/json.h"
 #include "base/logging.h"
 #include "core/schedules/schedule.h"
 #include "sim/trace.h"
 
 namespace fsmoe::runtime {
-
-namespace {
-
-/** Minimal JSON string escaping (labels are plain ASCII in practice). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 chromeTraceJson(const sim::TaskGraph &graph, const sim::SimResult &result,
@@ -53,7 +24,7 @@ chromeTraceJson(const sim::TaskGraph &graph, const sim::SimResult &result,
 
     oss << "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
            "\"args\":{\"name\":\""
-        << jsonEscape(process_name) << "\"}}";
+        << json::escape(process_name) << "\"}}";
     for (int s = 0; s < graph.numStreams(); ++s) {
         const char *label = core::detail::streamName(s);
         std::string name = label != nullptr
@@ -66,7 +37,7 @@ chromeTraceJson(const sim::TaskGraph &graph, const sim::SimResult &result,
 
     for (const sim::TraceEvent &ev : events) {
         oss << ",{\"ph\":\"X\",\"pid\":0,\"tid\":" << ev.stream
-            << ",\"name\":\"" << jsonEscape(ev.name) << "\",\"cat\":\""
+            << ",\"name\":\"" << json::escape(ev.name) << "\",\"cat\":\""
             << sim::opTypeName(ev.op) << "\",\"ts\":" << ev.startMs * 1000.0
             << ",\"dur\":" << ev.durationMs * 1000.0
             << ",\"args\":{\"task\":" << ev.id << ",\"link\":\""

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -15,6 +13,7 @@
 #include "base/fileio.h"
 #include "base/json.h"
 #include "base/logging.h"
+#include "base/number.h"
 #include "base/stats.h"
 #include "core/schedules/param_space.h"
 #include "core/schedules/schedule_registry.h"
@@ -22,6 +21,16 @@
 namespace fsmoe::runtime {
 
 namespace {
+
+/// Int axes spanning more values than this become continuous.
+constexpr size_t kMaxGridPerAxis = 32;
+/// Largest full grid enumerated per schedule; larger spaces (and any
+/// space with a continuous axis) use differential evolution.
+constexpr size_t kMaxGridSpecs = 512;
+/// Global top-N candidates (by makespan) carried into the metric pass
+/// that computes comm/memory objectives and the frontier; each
+/// schedule's best candidate is always included as well.
+constexpr size_t kFrontierCandidates = 16;
 
 /** Tie-stable "is a better (makespan, spec) pair" ordering. */
 bool
@@ -83,16 +92,6 @@ registryDigest()
                 .mix(p.tunable);
     }
     return fp.digest();
-}
-
-/** @p digest as the 16 hex digits the advisor-cache file stores. */
-std::string
-hexDigest(uint64_t digest)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buf;
 }
 
 /**
@@ -172,12 +171,12 @@ parseEntry(const json::Value &v, TuneAnswer *out, uint64_t *registry,
         return false;
     }
     if (digest.size() != 16 ||
-        digest.find_first_not_of("0123456789abcdef") != std::string::npos) {
+        digest.find_first_not_of("0123456789abcdef") != std::string::npos ||
+        !parseNumber(digest, registry, 16)) {
         *error = "cache entry has a malformed registry digest '" + digest +
                  "'";
         return false;
     }
-    *registry = std::strtoull(digest.c_str(), nullptr, 16);
     out->evaluated = static_cast<size_t>(evaluated);
     const json::Value *frontier = v.find("frontier");
     if (frontier == nullptr ||
@@ -342,8 +341,8 @@ Tuner::queryKey(const TuneQuery &query) const
     // serves (or pollutes) another configuration's answer.
     std::ostringstream oss;
     oss << query.scenario().costKey() << "|grid="
-        << options_.maxGridPerAxis << ',' << options_.maxGridSpecs
-        << "|top=" << options_.frontierCandidates << "|de="
+        << kMaxGridPerAxis << ',' << kMaxGridSpecs
+        << "|top=" << kFrontierCandidates << "|de="
         << options_.de.populationSize << 'x'
         << options_.de.maxGenerations << ",w="
         << json::fmtDouble(options_.de.weight) << ",cr="
@@ -366,7 +365,7 @@ Tuner::tune(const TuneQuery &query)
     TuneAnswer answer = search(query);
     answer.queryKey = key.first;
     FSMOE_AUDIT(audit::checkCacheKey(
-        "tuner.answer", key.first + "|registry=" + hexDigest(key.second),
+        "tuner.answer", key.first + "|registry=" + audit::hex16(key.second),
         fingerprintAnswer(answer)));
     cache_.emplace(key, answer);
     return answer;
@@ -415,13 +414,13 @@ Tuner::search(const TuneQuery &query)
     for (const core::ScheduleInfo &info : registry.list()) {
         addCandidate(info.name, info.name);
         core::ParamSpace space = core::deriveParamSpace(
-            info, query.rMax, options_.maxGridPerAxis);
+            info, query.rMax, kMaxGridPerAxis);
         if (space.axes.empty())
             continue;
         if (!space.continuous() &&
-            space.gridSize() <= options_.maxGridSpecs) {
+            space.gridSize() <= kMaxGridSpecs) {
             for (const std::string &spec :
-                 core::enumerateGridSpecs(space, options_.maxGridSpecs))
+                 core::enumerateGridSpecs(space, kMaxGridSpecs))
                 addCandidate(info.name, canonical(spec));
             continue;
         }
@@ -507,7 +506,7 @@ Tuner::search(const TuneQuery &query)
     for (const auto &kv : bestOfSchedule)
         metricSpecs.insert(candidates[kv.second].second);
     for (size_t i = 0;
-         i < order.size() && i < options_.frontierCandidates; ++i)
+         i < order.size() && i < kFrontierCandidates; ++i)
         metricSpecs.insert(candidates[order[i]].second);
 
     // --- Metric pass: re-run the short list with graphs retained and
@@ -594,7 +593,7 @@ Tuner::loadCache(const std::string &path, std::string *error)
         // A loaded entry must agree with any answer this process
         // already computed (or later computes) for the same key.
         FSMOE_AUDIT(audit::checkCacheKey(
-            "tuner.answer", key.first + "|registry=" + hexDigest(key.second),
+            "tuner.answer", key.first + "|registry=" + audit::hex16(key.second),
             fingerprintAnswer(a)));
         cache_.emplace(key, std::move(a)); // in-memory wins
     }
@@ -609,7 +608,7 @@ Tuner::saveCache(const std::string &path, std::string *error) const
         << "  \"version\": 2,\n  \"entries\": [";
     bool first = true;
     for (const auto &[key, answer] : cache_) {
-        const std::string registry = hexDigest(key.second);
+        const std::string registry = audit::hex16(key.second);
         oss << (first ? "\n" : ",\n") << entryJson(answer, 4, &registry);
         first = false;
     }

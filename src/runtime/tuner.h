@@ -79,15 +79,6 @@ struct TuneQuery
 struct TuneOptions
 {
     int numThreads = 0; ///< Engine worker threads; 0 = hardware.
-    /// Int axes spanning more values than this become continuous.
-    size_t maxGridPerAxis = 32;
-    /// Largest full grid enumerated per schedule; larger spaces (and
-    /// any space with a continuous axis) use differential evolution.
-    size_t maxGridSpecs = 512;
-    /// Global top-N candidates (by makespan) carried into the metric
-    /// pass that computes comm/memory objectives and the frontier;
-    /// each schedule's best candidate is always included as well.
-    size_t frontierCandidates = 16;
     /// DE budget for continuous spaces. A probe stops at its parent's
     /// cutoff (SweepEngine::makespanBelow), and a per-search memo
     /// makes revisited specs free.

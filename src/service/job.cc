@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <sstream>
+
+#include "base/number.h"
 
 namespace fsmoe::service {
 
@@ -36,17 +37,14 @@ splitWords(const std::string &line)
 }
 
 /**
- * A batch size: plain decimal (from_chars takes no sign or
- * whitespace), > 0, and no overflow. The one batch parser behind job
- * specs and the CLIs' --batches flags.
+ * A batch size: a number (base/number.h) that is > 0. The one batch
+ * parser behind job specs and the CLIs' --batches flags.
  */
 bool
 parsePositiveInt(const std::string &text, int64_t *out)
 {
     int64_t v = 0;
-    const char *end = text.data() + text.size();
-    const auto parsed = std::from_chars(text.data(), end, v);
-    if (parsed.ec != std::errc() || parsed.ptr != end || v <= 0)
+    if (!parseNumber(text, &v) || v <= 0)
         return false;
     *out = v;
     return true;

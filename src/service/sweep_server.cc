@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -20,6 +19,7 @@
 
 #include "base/interrupt.h"
 #include "base/logging.h"
+#include "base/number.h"
 #include "base/stats.h"
 #include "runtime/fault.h"
 #include "runtime/sweep_engine.h"
@@ -41,6 +41,12 @@ constexpr const char *kWorkerLost = "worker lost before reporting a result";
 constexpr const char *kMissedHeartbeat =
     "worker missed its heartbeat deadline";
 
+/// Worker respawns tolerated per job before the job fails — a
+/// backstop against a fault config that kills every fork.
+constexpr int kMaxWorkerRestarts = 200;
+/// Queue poll interval for serve() when the queue is empty.
+constexpr int kQueuePollMs = 200;
+
 /** Split "<gridIndex> <rest>"; the index must be decimal and in range. */
 bool
 splitIndexedBody(const std::string &body, size_t gridSize, size_t *idx,
@@ -50,9 +56,8 @@ splitIndexedBody(const std::string &body, size_t gridSize, size_t *idx,
     if (space == std::string::npos)
         return false;
     size_t v = 0;
-    const char *end = body.data() + space;
-    const auto parsed = std::from_chars(body.data(), end, v);
-    if (parsed.ec != std::errc() || parsed.ptr != end || v >= gridSize)
+    if (!parseNumber(std::string_view(body).substr(0, space), &v) ||
+        v >= gridSize)
         return false;
     *idx = v;
     *rest = body.substr(space + 1);
@@ -93,9 +98,7 @@ runAssigned(const WorkerContext &ctx, const std::string &body)
     int attempt = 0;
     if (!splitIndexedBody(body, ctx.grid.size(), &idx, &rest))
         ::_exit(1); // a corrupt Assign frame
-    const char *end = rest.data() + rest.size();
-    const auto parsed = std::from_chars(rest.data(), end, attempt);
-    if (parsed.ec != std::errc() || parsed.ptr != end || attempt < 1)
+    if (!parseNumber(rest, &attempt) || attempt < 1)
         ::_exit(1);
     const std::string label = ctx.grid[idx].label();
 
@@ -325,9 +328,9 @@ GridRun::respawnWorkers()
     for (WorkerSlot &slot : workers_) {
         if (slot.alive || !failed_.empty())
             continue;
-        if (restarts_ >= opts_.maxWorkerRestarts) {
+        if (restarts_ >= kMaxWorkerRestarts) {
             failed_ = "worker restart budget exhausted (" +
-                      std::to_string(opts_.maxWorkerRestarts) +
+                      std::to_string(kMaxWorkerRestarts) +
                       " restarts)";
             return;
         }
@@ -826,7 +829,7 @@ SweepServer::serve(JobQueue &queue, bool once)
         if (once)
             return 0;
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts_.queuePollMs));
+            std::chrono::milliseconds(kQueuePollMs));
     }
 }
 

@@ -101,11 +101,6 @@ struct ServerOptions
     /// Assignment attempts before a scenario is quarantined, and the
     /// backoff before each retry.
     RetryPolicy retry;
-    /// Worker respawns tolerated per job before the job fails — a
-    /// backstop against a fault config that kills every fork.
-    int maxWorkerRestarts = 200;
-    /// Queue poll interval for serve() when the queue is empty.
-    int queuePollMs = 200;
 };
 
 /** What one runGrid() or runJob() call accomplished. */

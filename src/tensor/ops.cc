@@ -110,39 +110,6 @@ sigmoid(const Tensor &x)
 }
 
 Tensor
-sigmoidBackward(const Tensor &y, const Tensor &dy)
-{
-    FSMOE_CHECK_ARG(y.sameShape(dy), "sigmoid backward shape mismatch");
-    Tensor dx = dy;
-    for (int64_t i = 0; i < dx.numel(); ++i) {
-        float yi = y.flat(i);
-        dx.flat(i) *= yi * (1.0f - yi);
-    }
-    return dx;
-}
-
-Tensor
-relu(const Tensor &x)
-{
-    Tensor out = x;
-    for (int64_t i = 0; i < out.numel(); ++i)
-        out.flat(i) = std::max(0.0f, out.flat(i));
-    return out;
-}
-
-Tensor
-reluBackward(const Tensor &x, const Tensor &dy)
-{
-    FSMOE_CHECK_ARG(x.sameShape(dy), "relu backward shape mismatch");
-    Tensor dx = dy;
-    for (int64_t i = 0; i < dx.numel(); ++i) {
-        if (x.flat(i) <= 0.0f)
-            dx.flat(i) = 0.0f;
-    }
-    return dx;
-}
-
-Tensor
 silu(const Tensor &x)
 {
     Tensor out = x;
@@ -208,26 +175,6 @@ softplus(const Tensor &x)
     return out;
 }
 
-std::vector<float>
-l2NormalizeRows(Tensor &x, float eps)
-{
-    auto [rows, cols] = rowsCols(x, "l2NormalizeRows");
-    std::vector<float> norms(rows);
-    for (int64_t r = 0; r < rows; ++r) {
-        float *row = x.data() + r * cols;
-        float ss = 0.0f;
-        for (int64_t c = 0; c < cols; ++c)
-            ss += row[c] * row[c];
-        float norm = std::sqrt(ss);
-        norms[r] = norm;
-        if (norm > eps) {
-            for (int64_t c = 0; c < cols; ++c)
-                row[c] /= norm;
-        }
-    }
-    return norms;
-}
-
 Tensor
 cosineScores(const Tensor &x, const Tensor &w, float eps)
 {
@@ -257,87 +204,6 @@ cosineScores(const Tensor &x, const Tensor &w, float eps)
                 dot += xr[c] * wr[c];
             out.at(i, j) = dot / std::max(xn * wn[j], eps);
         }
-    }
-    return out;
-}
-
-Tensor
-layerNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
-          LayerNormCache &cache, float eps)
-{
-    auto [rows, cols] = rowsCols(x, "layerNorm");
-    FSMOE_CHECK_ARG(gamma.numel() == cols && beta.numel() == cols,
-                    "layerNorm parameter size mismatch");
-    cache.mean.resize(rows);
-    cache.invStd.resize(rows);
-    cache.normalized = Tensor({rows, cols});
-    Tensor out({rows, cols});
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *in = x.data() + r * cols;
-        double sum = 0.0;
-        for (int64_t c = 0; c < cols; ++c)
-            sum += in[c];
-        const float mu = static_cast<float>(sum / cols);
-        double var = 0.0;
-        for (int64_t c = 0; c < cols; ++c)
-            var += (in[c] - mu) * (in[c] - mu);
-        const float inv = 1.0f / std::sqrt(
-                                     static_cast<float>(var / cols) + eps);
-        cache.mean[r] = mu;
-        cache.invStd[r] = inv;
-        float *norm = cache.normalized.data() + r * cols;
-        float *o = out.data() + r * cols;
-        for (int64_t c = 0; c < cols; ++c) {
-            norm[c] = (in[c] - mu) * inv;
-            o[c] = norm[c] * gamma.flat(c) + beta.flat(c);
-        }
-    }
-    return out;
-}
-
-Tensor
-layerNormBackward(const Tensor &dy, const Tensor &gamma,
-                  const LayerNormCache &cache, Tensor &d_gamma,
-                  Tensor &d_beta)
-{
-    auto [rows, cols] = rowsCols(dy, "layerNormBackward");
-    FSMOE_CHECK_ARG(d_gamma.numel() == cols && d_beta.numel() == cols,
-                    "layerNorm gradient buffers mis-sized");
-    Tensor dx({rows, cols});
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *g = dy.data() + r * cols;
-        const float *norm = cache.normalized.data() + r * cols;
-        const float inv = cache.invStd[r];
-        // d_xhat = dy * gamma; dx derives from the standard LN
-        // backward: inv * (d_xhat - mean(d_xhat) - xhat*mean(d_xhat*xhat)).
-        double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
-        for (int64_t c = 0; c < cols; ++c) {
-            const float dxh = g[c] * gamma.flat(c);
-            sum_dxhat += dxh;
-            sum_dxhat_xhat += dxh * norm[c];
-            d_gamma.flat(c) += g[c] * norm[c];
-            d_beta.flat(c) += g[c];
-        }
-        const float m1 = static_cast<float>(sum_dxhat / cols);
-        const float m2 = static_cast<float>(sum_dxhat_xhat / cols);
-        float *o = dx.data() + r * cols;
-        for (int64_t c = 0; c < cols; ++c) {
-            const float dxh = g[c] * gamma.flat(c);
-            o[c] = inv * (dxh - m1 - norm[c] * m2);
-        }
-    }
-    return dx;
-}
-
-Tensor
-sumDim0(const Tensor &x)
-{
-    auto [rows, cols] = rowsCols(x, "sumDim0");
-    Tensor out({cols});
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *row = x.data() + r * cols;
-        for (int64_t c = 0; c < cols; ++c)
-            out.flat(c) += row[c];
     }
     return out;
 }

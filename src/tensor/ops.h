@@ -43,15 +43,6 @@ TopK topkRows(const Tensor &scores, int k);
 /** Numerically stable sigmoid, elementwise. */
 Tensor sigmoid(const Tensor &x);
 
-/** Backward of sigmoid given its output y and upstream gradient dy. */
-Tensor sigmoidBackward(const Tensor &y, const Tensor &dy);
-
-/** Elementwise ReLU. */
-Tensor relu(const Tensor &x);
-
-/** Backward of ReLU given the forward input x and upstream gradient dy. */
-Tensor reluBackward(const Tensor &x, const Tensor &dy);
-
 /** Elementwise SiLU (x * sigmoid(x)), the Mixtral expert activation. */
 Tensor silu(const Tensor &x);
 
@@ -68,53 +59,11 @@ Tensor geluBackward(const Tensor &x, const Tensor &dy);
 Tensor softplus(const Tensor &x);
 
 /**
- * L2-normalize each row of a 2-D tensor in place; rows with near-zero
- * norm are left untouched. Returns the per-row norms.
- */
-std::vector<float> l2NormalizeRows(Tensor &x, float eps = 1e-12f);
-
-/**
  * Cosine-similarity scores between every row of @p x (n,d) and every
  * row of @p w (e,d); output shape (n,e). Implements the X-MoE scoring
  * s_i = cos(W_proj I, W_g).
  */
 Tensor cosineScores(const Tensor &x, const Tensor &w, float eps = 1e-12f);
-
-/** Cached statistics from a layerNorm forward, needed by backward. */
-struct LayerNormCache
-{
-    std::vector<float> mean;   ///< Per-row mean.
-    std::vector<float> invStd; ///< Per-row 1/sqrt(var + eps).
-    Tensor normalized;         ///< (x - mean) * invStd.
-};
-
-/**
- * Row-wise layer normalisation y = (x - mu)/sigma * gamma + beta.
- *
- * @param x      Input (rows, cols).
- * @param gamma  Scale (cols).
- * @param beta   Shift (cols).
- * @param cache  Receives the statistics backward needs.
- */
-Tensor layerNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
-                 LayerNormCache &cache, float eps = 1e-5f);
-
-/**
- * Backward of layerNorm.
- *
- * @param dy      Gradient w.r.t. the output.
- * @param gamma   The forward's scale parameter.
- * @param cache   Statistics from the forward.
- * @param d_gamma Accumulated gradient w.r.t. gamma (pre-sized (cols)).
- * @param d_beta  Accumulated gradient w.r.t. beta (pre-sized (cols)).
- * @return        Gradient w.r.t. the input.
- */
-Tensor layerNormBackward(const Tensor &dy, const Tensor &gamma,
-                         const LayerNormCache &cache, Tensor &d_gamma,
-                         Tensor &d_beta);
-
-/** Sum over dimension 0 of a 2-D tensor, producing shape (cols). */
-Tensor sumDim0(const Tensor &x);
 
 /** Mean of all elements. */
 float mean(const Tensor &x);

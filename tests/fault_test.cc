@@ -194,7 +194,7 @@ TEST(Fault, StopAfterParsesAPlainCountAndRejectsEverythingElse)
 
     const char *bad[] = {
         "stop-after=",                     // empty
-        "stop-after=-1",                   // negative (strtoull wraps it)
+        "stop-after=-1",                   // negative: no wrap-around
         "stop-after=+3",                   // signed
         "stop-after= 3",                   // leading whitespace
         "stop-after=3x",                   // trailing garbage

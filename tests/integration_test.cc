@@ -5,6 +5,8 @@
  * generation and simulation; plus the functional layer driven by the
  * same configurations the scheduler prices.
  */
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/dispatch.h"
@@ -29,7 +31,14 @@ TEST(EndToEnd, ProfiledModelsMatchGroundTruthScheduling)
     sim::ClusterSpec cluster = sim::testbedB();
     cluster.measurementNoise = 0.01;
     core::Profiler profiler(cluster, 99, 5);
-    core::PerfModelSet fitted = profiler.profileAll();
+    core::PerfModelSet fitted;
+    for (const auto &[op, model] :
+         {std::pair{core::ProfileOp::AlltoAll, &fitted.alltoall},
+          std::pair{core::ProfileOp::AllGather, &fitted.allgather},
+          std::pair{core::ProfileOp::ReduceScatter, &fitted.reducescatter},
+          std::pair{core::ProfileOp::AllReduce, &fitted.allreduce},
+          std::pair{core::ProfileOp::Gemm, &fitted.gemm}})
+        *model = profiler.profile(op).model;
     core::PerfModelSet truth = core::PerfModelSet::fromCluster(cluster);
 
     model::ModelSpec spec = model::mixtral7B(cluster.numNodes, 1, 256, 7);

@@ -3,6 +3,8 @@
  * Tests for the model zoo, workload derivation, phase times, and the
  * GPipe pipeline-parallel wrapper.
  */
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/moe_config.h"
@@ -41,6 +43,18 @@ TEST(Workload, VolumesScaleAsDerived)
     Workload wm = core::deriveWorkload(s, par);
     EXPECT_EQ(wm.expertGemms, 3);
     EXPECT_DOUBLE_EQ(wm.expertMacs, 1.5 * w.expertMacs);
+}
+
+TEST(WorkloadDeathTest, TokenCountOverflowIsFatalNamingBothFactors)
+{
+    core::LayerShape s;
+    s.batch = INT64_MAX;
+    s.seqLen = 1024;
+    EXPECT_DEATH(s.tokens(), "batch 9223372036854775807 x seqLen 1024");
+    EXPECT_DEATH(core::deriveWorkload(s, core::ParallelConfig{}),
+                 "overflows int64");
+    s.batch = INT64_MAX / 1024;
+    EXPECT_EQ(s.tokens(), INT64_MAX / 1024 * 1024);
 }
 
 TEST(Workload, NoDropFactorActsAsUnity)

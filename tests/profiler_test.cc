@@ -55,12 +55,22 @@ TEST(Profiler, ProfileAllBundlesFiveModels)
 {
     sim::ClusterSpec cluster = sim::testbedA();
     Profiler profiler(cluster);
-    PerfModelSet set = profiler.profileAll();
-    EXPECT_NEAR(set.alltoall.beta, cluster.alltoall.beta, 1e-15);
-    EXPECT_NEAR(set.allgather.beta, cluster.allgather.beta, 1e-15);
-    EXPECT_NEAR(set.reducescatter.beta, cluster.reducescatter.beta, 1e-15);
-    EXPECT_NEAR(set.allreduce.beta, cluster.allreduce.beta, 1e-15);
-    EXPECT_NEAR(set.gemm.beta, cluster.gemm.beta, 1e-18);
+    const struct
+    {
+        ProfileOp op;
+        double truthBeta;
+        double tolerance;
+    } cases[] = {
+        {ProfileOp::AlltoAll, cluster.alltoall.beta, 1e-15},
+        {ProfileOp::AllGather, cluster.allgather.beta, 1e-15},
+        {ProfileOp::ReduceScatter, cluster.reducescatter.beta, 1e-15},
+        {ProfileOp::AllReduce, cluster.allreduce.beta, 1e-15},
+        {ProfileOp::Gemm, cluster.gemm.beta, 1e-18},
+    };
+    for (const auto &c : cases)
+        EXPECT_NEAR(profiler.profile(c.op).model.beta, c.truthBeta,
+                    c.tolerance)
+            << "op " << static_cast<int>(c.op);
 }
 
 TEST(Profiler, DeterministicGivenSeed)

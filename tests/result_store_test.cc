@@ -343,7 +343,13 @@ TEST(ResultStore, ReadersRejectMalformedInput)
              {"\"r_max\":16,", "\"r_max\":4294967312,"},
              {"\"num_layers\":2,", "\"num_layers\":-2147483649,"},
              {"\"num_experts\":8,", "\"num_experts\":8.25,"},
-             {"\"attempts\":2,", "\"attempts\":2147483648,"}}) {
+             {"\"attempts\":2,", "\"attempts\":2147483648,"},
+             // JSON numbers follow the one number grammar
+             // (base/number.h): no '+', nothing beyond binary64.
+             {"\"batch\":1,", "\"batch\":+1,"},
+             {"\"makespan_ms\":0,", "\"makespan_ms\":1e999,"},
+             {"\"makespan_ms\":0,", "\"makespan_ms\":-1e999,"},
+             {"\"makespan_ms\":0,", "\"makespan_ms\":1e-400,"}}) {
         EXPECT_FALSE(parseJsonRecord(replaced(record, from, to), &one,
                                      &error))
             << to;
@@ -507,12 +513,19 @@ TEST(ResultStore, ParseShardSpecExplainsRejectionsAndRejectsOverflow)
 
     // Values beyond 32 bits used to wrap through the int cast and
     // silently select the wrong shard (4294967297 -> 1); they must be
-    // rejected, including strtol-saturating digit strings.
+    // rejected, including digit strings beyond int64.
     EXPECT_FALSE(parseShardSpec("4294967297/4294967298", &spec, &error));
     EXPECT_NE(error.find("out of range"), std::string::npos) << error;
     EXPECT_FALSE(
         parseShardSpec("1/99999999999999999999999999", &spec, &error));
     EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+
+    // The one number grammar (base/number.h): no whitespace or '+'.
+    EXPECT_FALSE(parseShardSpec(" 1/ 2", &spec, &error));
+    EXPECT_NE(error.find("not an integer"), std::string::npos) << error;
+    EXPECT_FALSE(parseShardSpec("1/ 2", &spec, &error));
+    EXPECT_FALSE(parseShardSpec("+1/2", &spec, &error));
+    EXPECT_FALSE(parseShardSpec("1/+2", &spec, &error));
 
     // Failures never partially update the output spec.
     EXPECT_EQ(spec.index, -7);

@@ -158,12 +158,24 @@ TEST(ScheduleRegistry, UnknownAndInvalidParamsAreRejected)
     EXPECT_EQ(reg.tryCreate("lina?chunkMB=0", &error), nullptr);
     // Int values wider than 32 bits would silently wrap to a
     // different configuration than the spec claims; reject them —
-    // both the in-int64-range case and strtoll saturation.
+    // both the in-int64-range case and one beyond int64.
     EXPECT_EQ(reg.tryCreate("tutel?degree=4294967298", &error), nullptr);
     EXPECT_NE(error.find("out of range"), std::string::npos) << error;
     EXPECT_EQ(reg.tryCreate("tutel?degree=9223372036854775807999",
                             &error),
               nullptr);
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+    // One number grammar (base/number.h): no sign, base prefix or hex
+    // float, and no double beyond binary64's range.
+    EXPECT_EQ(reg.tryCreate("tutel?degree=+4", &error), nullptr);
+    EXPECT_NE(error.find("expected an integer"), std::string::npos)
+        << error;
+    EXPECT_EQ(reg.tryCreate("tutel?degree=0x4", &error), nullptr);
+    EXPECT_EQ(reg.tryCreate("lina?chunkMB=0x1e", &error), nullptr);
+    EXPECT_NE(error.find("expected a number"), std::string::npos) << error;
+    EXPECT_EQ(reg.tryCreate("lina?chunkMB=+30", &error), nullptr);
+    EXPECT_EQ(reg.tryCreate("lina?chunkMB=1e999", &error), nullptr);
+    EXPECT_EQ(reg.tryCreate("lina?chunkMB=1e-400", &error), nullptr);
     // Non-finite doubles sneak past a plain bound check (NaN compares
     // false against everything); they must be rejected.
     EXPECT_EQ(reg.tryCreate("lina?chunkMB=nan", &error), nullptr);
@@ -320,7 +332,6 @@ TEST(ScheduleRegistry, ParamBagExposesTypedValuesToFactories)
         {"count", ScheduleParamType::Int, "1", "", 0.0},
         {"scale", ScheduleParamType::Double, "1.5", "", 0.0},
         {"flag", ScheduleParamType::Bool, "false", "", 0.0},
-        {"tag", ScheduleParamType::String, "x", "", 0.0},
     };
     ScheduleParams seen;
     ASSERT_TRUE(reg.registerSchedule(
@@ -330,16 +341,15 @@ TEST(ScheduleRegistry, ParamBagExposesTypedValuesToFactories)
         }));
 
     auto sched = reg.create(
-        "registry-test-probe?count=7&scale=2.25&flag=on&tag=hello");
+        "registry-test-probe?count=7&scale=2.25&flag=on");
     ASSERT_NE(sched, nullptr);
     EXPECT_EQ(sched->spec(), "registry-test-probe?count=7&scale=2.25&"
-                             "flag=true&tag=hello");
+                             "flag=true");
     EXPECT_TRUE(seen.has("count"));
     EXPECT_TRUE(seen.has("COUNT")) << "key lookup is normalized";
     EXPECT_EQ(seen.getInt("count", -1), 7);
     EXPECT_DOUBLE_EQ(seen.getDouble("scale", 0.0), 2.25);
     EXPECT_TRUE(seen.getBool("flag", false));
-    EXPECT_EQ(seen.getString("tag", ""), "hello");
     // Absent keys fall back.
     EXPECT_FALSE(seen.has("missing"));
     EXPECT_EQ(seen.getInt("missing", 42), 42);
@@ -384,7 +394,7 @@ TEST(ScheduleRegistry, UpperBoundsAreEnforcedWithTheParamName)
  * accepts must round-trip exactly (create -> canonical spec ->
  * re-parse -> identical spec and identical canonicalization), and any
  * out-of-bounds value must be rejected with the parameter's canonical
- * name in the message. Runs against a test plugin covering all four
+ * name in the message. Runs against a test plugin covering all three
  * param types plus every built-in schedule.
  */
 TEST(ScheduleRegistry, FuzzRandomParamBagsRoundTripOrFailWithParamName)
@@ -396,7 +406,6 @@ TEST(ScheduleRegistry, FuzzRandomParamBagsRoundTripOrFailWithParamName)
         {"count", ScheduleParamType::Int, "3", "", 1.0, 64.0},
         {"scale", ScheduleParamType::Double, "1.5", "", 0.25, 8.0},
         {"flag", ScheduleParamType::Bool, "false", ""},
-        {"tag", ScheduleParamType::String, "x", ""},
     };
     ASSERT_TRUE(reg.registerSchedule(info, nullFactory()));
 
@@ -415,8 +424,7 @@ TEST(ScheduleRegistry, FuzzRandomParamBagsRoundTripOrFailWithParamName)
         std::snprintf(scale_text, sizeof scale_text, "%.17g", scale);
         const std::string spec =
             "registry-test-fuzz?count=" + std::to_string(count) +
-            "&scale=" + scale_text + "&flag=" + (flag ? "on" : "0") +
-            "&tag=t" + std::to_string(iter % 7);
+            "&scale=" + scale_text + "&flag=" + (flag ? "on" : "0");
         const bool in_bounds = count >= 1 && count <= 64 &&
                                scale >= 0.25 && scale <= 8.0;
 
@@ -461,8 +469,7 @@ TEST(ScheduleRegistry, FuzzRandomParamBagsRoundTripOrFailWithParamName)
             std::string spec = builtin.name;
             char sep = '?';
             for (const ScheduleParamInfo &p : builtin.params) {
-                if (p.type == ScheduleParamType::String ||
-                    (p.type != ScheduleParamType::Bool && !p.bounded()))
+                if (p.type != ScheduleParamType::Bool && !p.bounded())
                     continue;
                 const double frac = variant / 7.0;
                 std::string value;

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the base/stats metrics registry — counter/gauge
  * semantics, histogram bucketing, exactness of concurrent updates,
- * snapshot determinism, reset behaviour, the scoped timer — and for
+ * snapshot determinism and reset behaviour — and for
  * the levelled logging layer (FSMOE_LOG_LEVEL semantics and warning
  * deduplication) that rides on the same observability satellite.
  */
@@ -183,17 +183,6 @@ TEST(Registry, ResetZeroesButKeepsRegistrations)
     EXPECT_EQ(h.count(), 0u);
     c.inc();
     EXPECT_EQ(reg.counter("r.count").value(), 1u);
-}
-
-TEST(ScopedTimer, ObservesElapsedScope)
-{
-    Registry reg;
-    Histogram &h = reg.histogram("timer.ms", {1000.0});
-    {
-        ScopedTimerMs timer(h);
-    }
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_GE(h.minValue(), 0.0);
 }
 
 // ------------------------------------------------------------- logging

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the tensor substrate: Tensor, GEMM, elementwise ops,
- * activation forward/backward pairs, top-k, the RNG, and layer norm.
+ * activation forward/backward pairs, top-k and the RNG.
  */
 #include <cmath>
 #include <numeric>
@@ -214,6 +214,21 @@ struct ActivationCase
     Tensor (*bwd)(const Tensor &, const Tensor &);
 };
 
+/**
+ * The library has no sigmoid backward (its gates only run forward), so
+ * the sigmoid case checks the forward against the analytic
+ * derivative y(1 - y).
+ */
+Tensor
+sigmoidGrad(const Tensor &x, const Tensor &dy)
+{
+    const Tensor y = sigmoid(x);
+    Tensor dx = dy;
+    for (int64_t i = 0; i < dx.numel(); ++i)
+        dx.flat(i) *= y.flat(i) * (1.0f - y.flat(i));
+    return dx;
+}
+
 class ActivationGradTest : public ::testing::TestWithParam<ActivationCase>
 {
 };
@@ -224,9 +239,7 @@ TEST_P(ActivationGradTest, BackwardMatchesFiniteDifference)
     Rng rng(13);
     Tensor x = rng.normalTensor({4, 7});
     Tensor dy = rng.normalTensor({4, 7});
-    Tensor dx = ac.name == std::string("sigmoid")
-                    ? ac.bwd(ac.fwd(x), dy) // sigmoid bwd takes y
-                    : ac.bwd(x, dy);
+    Tensor dx = ac.bwd(x, dy);
     auto loss = [&]() {
         Tensor y = ac.fwd(x);
         double s = 0.0;
@@ -239,10 +252,9 @@ TEST_P(ActivationGradTest, BackwardMatchesFiniteDifference)
 
 INSTANTIATE_TEST_SUITE_P(
     Activations, ActivationGradTest,
-    ::testing::Values(ActivationCase{"relu", relu, reluBackward},
-                      ActivationCase{"silu", silu, siluBackward},
+    ::testing::Values(ActivationCase{"silu", silu, siluBackward},
                       ActivationCase{"gelu", gelu, geluBackward},
-                      ActivationCase{"sigmoid", sigmoid, sigmoidBackward}),
+                      ActivationCase{"sigmoid", sigmoid, sigmoidGrad}),
     [](const ::testing::TestParamInfo<ActivationCase> &info) {
         return info.param.name;
     });
@@ -254,19 +266,6 @@ TEST(Ops, SoftplusMatchesDefinition)
     EXPECT_NEAR(y.flat(0), std::log1p(std::exp(-2.0)), 1e-6);
     EXPECT_NEAR(y.flat(1), std::log(2.0), 1e-6);
     EXPECT_NEAR(y.flat(2), 30.0, 1e-4);
-}
-
-TEST(Ops, L2NormalizeRowsUnitNorm)
-{
-    Rng rng(17);
-    Tensor x = rng.normalTensor({5, 8});
-    l2NormalizeRows(x);
-    for (int64_t r = 0; r < 5; ++r) {
-        double ss = 0.0;
-        for (int64_t c = 0; c < 8; ++c)
-            ss += x.at(r, c) * x.at(r, c);
-        EXPECT_NEAR(ss, 1.0, 1e-5);
-    }
 }
 
 TEST(Ops, CosineScoresInUnitRange)
@@ -290,12 +289,9 @@ TEST(Ops, CosineScoresSelfIsOne)
         EXPECT_NEAR(s.at(i, i), 1.0f, 1e-5f);
 }
 
-TEST(Ops, SumDim0AndMean)
+TEST(Ops, MeanOfAllElements)
 {
     Tensor x({2, 3}, {1, 2, 3, 4, 5, 6});
-    Tensor s = sumDim0(x);
-    EXPECT_EQ(s.flat(0), 5.0f);
-    EXPECT_EQ(s.flat(2), 9.0f);
     EXPECT_NEAR(mean(x), 3.5f, 1e-6f);
 }
 
@@ -328,51 +324,6 @@ TEST(Rng, NormalMomentsRoughlyCorrect)
         var += (t.flat(i) - m) * (t.flat(i) - m);
     var /= t.numel();
     EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
-}
-
-TEST(LayerNorm, NormalisesRows)
-{
-    Rng rng(1);
-    Tensor x = rng.normalTensor({4, 16}, 3.0f, 2.0f);
-    Tensor gamma = Tensor::full({16}, 1.0f);
-    Tensor beta({16});
-    LayerNormCache cache;
-    Tensor y = layerNorm(x, gamma, beta, cache);
-    for (int64_t r = 0; r < 4; ++r) {
-        double sum = 0.0, ss = 0.0;
-        for (int64_t c = 0; c < 16; ++c) {
-            sum += y.at(r, c);
-            ss += y.at(r, c) * y.at(r, c);
-        }
-        EXPECT_NEAR(sum / 16, 0.0, 1e-4);
-        EXPECT_NEAR(ss / 16, 1.0, 1e-3);
-    }
-}
-
-TEST(LayerNorm, BackwardMatchesFiniteDifference)
-{
-    Rng rng(2);
-    Tensor x = rng.normalTensor({3, 8});
-    Tensor gamma = rng.normalTensor({8}, 1.0f, 0.1f);
-    Tensor beta = rng.normalTensor({8}, 0.0f, 0.1f);
-    Tensor dy = rng.normalTensor({3, 8});
-
-    LayerNormCache cache;
-    layerNorm(x, gamma, beta, cache);
-    Tensor d_gamma({8}), d_beta({8});
-    Tensor dx = layerNormBackward(dy, gamma, cache, d_gamma, d_beta);
-
-    auto loss = [&]() {
-        LayerNormCache c;
-        Tensor y = layerNorm(x, gamma, beta, c);
-        double s = 0.0;
-        for (int64_t i = 0; i < y.numel(); ++i)
-            s += y.flat(i) * dy.flat(i);
-        return s;
-    };
-    test::expectGradMatches(x, dx, loss, 1e-3, 2e-2);
-    test::expectGradMatches(gamma, d_gamma, loss, 1e-3, 2e-2);
-    test::expectGradMatches(beta, d_beta, loss, 1e-3, 2e-2);
 }
 
 } // namespace

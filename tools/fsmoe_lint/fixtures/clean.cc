@@ -85,3 +85,20 @@ vectorSum(const std::vector<double> &xs)
         sum += x;
     return sum;
 }
+
+// Names that merely contain a conversion's spelling are not calls to
+// it: restore(), a member .stop(), mystrtol().
+struct Store
+{
+    void restore() {}
+    void stop() {}
+};
+long mystrtol(const char *s) { return s != nullptr ? 1 : 0; }
+
+void
+nearMissNumbers(Store &s)
+{
+    s.restore();
+    s.stop();
+    (void)mystrtol("12"); // the comment may say std::strtol( freely
+}

@@ -16,7 +16,7 @@ const char *const kRuleIds[] = {
     "unordered-iter", "float-accum-unordered", "banned-rand",
     "banned-time",    "pointer-hash",          "thread-id",
     "addr-order",     "static-mutable",        "nonatomic-write",
-    "wallclock-deadline",
+    "wallclock-deadline", "lenient-number",
 };
 
 std::string
@@ -254,6 +254,12 @@ simpleRules()
                      "mid-write leaves a torn file that readers see as "
                      "valid-but-truncated — route output through "
                      "fsmoe::fileio::atomicWriteFile (tmp + rename)"});
+        r.push_back({"lenient-number",
+                     std::regex(R"(\bstrto(l|ll|ul|ull|d|f|ld|imax|umax)\s*\(|\bato(i|l|ll|f)\s*\(|\bstd\s*::\s*sto(i|l|ll|ul|ull|f|d|ld)\s*\()"),
+                     "hand-rolled text-to-number conversion: it skips "
+                     "whitespace, takes '+' (and hex floats), and "
+                     "saturates, wraps or throws on overflow — parse "
+                     "with fsmoe::parseNumber (base/number.h)"});
         return r;
     }();
     return rules;

@@ -33,6 +33,13 @@
  *                         with no documented thread-safety story
  *                         (comment keywords: "thread-safe",
  *                         "guarded by", "synchroni...", ...)
+ *   nonatomic-write       std::ofstream / fopen straight to a final
+ *                         output path
+ *   wallclock-deadline    a wall-clock source feeding deadline or
+ *                         timeout arithmetic
+ *   lenient-number        strto* / ato* / std::sto* text-to-number
+ *                         conversions (base/number.h's parseNumber
+ *                         is the one strict parser)
  *
  * The analysis is a deliberately simple lexical scan (comments and
  * string literals are blanked, declarations are tracked by name, a

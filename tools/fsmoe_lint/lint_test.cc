@@ -78,6 +78,7 @@ const FixtureCase kCases[] = {
     // The system_clock line also trips banned-time — by design, same
     // as the float-accum overlap above.
     {"hazard_wallclock_deadline.cc", "wallclock-deadline", 3, 4},
+    {"hazard_lenient_number.cc", "lenient-number", 4, 4},
 };
 
 TEST(FsmoeLint, EveryHazardClassIsFlaggedWithExactCount)

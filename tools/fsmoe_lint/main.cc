@@ -8,7 +8,7 @@
  * Exit status: 0 when no (unsuppressed) findings, 1 when findings
  * were reported, 2 on usage or I/O errors. The fsmoe_lint_tree ctest
  * case runs
- *   fsmoe_lint --allowlist tools/fsmoe_lint/allowlist.txt src/
+ *   fsmoe_lint --allowlist tools/fsmoe_lint/allowlist.txt src/ examples/
  * as a gate; the fixture self-tests (lint_test.cc) pin the exact
  * finding counts per hazard class.
  */
