@@ -88,6 +88,16 @@ gate_shard() {
     "$bin/fsmoe_sweep" --shard 2/2 --out-json shard2.json
     "$bin/fsmoe_diff" --merge merged.json shard1.json shard2.json
     cmp merged.json "$grid"
+    # Shards that all carry --link-util columns merge with them kept.
+    "$bin/fsmoe_sweep" --link-util --out-json links.json --out-csv links.csv
+    for k in 1 2; do
+        "$bin/fsmoe_sweep" --shard $k/2 --link-util \
+            --out-json links$k.json --out-csv links$k.csv
+    done
+    for ext in json csv; do
+        "$bin/fsmoe_diff" --merge merged-links.$ext links1.$ext links2.$ext
+        cmp merged-links.$ext links.$ext
+    done
 }
 
 gate_tune() {

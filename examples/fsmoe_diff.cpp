@@ -16,7 +16,8 @@
  *   fsmoe_diff --merge OUT SHARD1 SHARD2 [...]
  *
  * Because shards are contiguous grid slices, merging them in K order
- * writes a file byte-identical to the unsharded sweep's.
+ * writes a file byte-identical to the unsharded sweep's; when every
+ * shard record carries link stats (`--link-util`), so does the merge.
  */
 #include <cmath>
 #include <cstdio>
@@ -74,11 +75,11 @@ mergeMain(int argc, char **argv)
         std::fprintf(stderr, "merge failed: %s\n", error.c_str());
         return 1;
     }
-    const bool csv = out_path.size() >= 4 &&
-                     out_path.compare(out_path.size() - 4, 4, ".csv") == 0;
-    const bool ok = csv ? runtime::writeResultsCsv(out_path, merged)
-                        : runtime::writeResultsJson(out_path, merged);
-    if (!ok)
+    // The link group survives the merge when every record carries it.
+    bool links = !merged.empty();
+    for (const runtime::SweepResult &r : merged)
+        links = links && r.hasLinkStats;
+    if (!runtime::writeResults(out_path, merged, links))
         return 2;
     std::printf("merged %zu shards (%zu results) into %s\n",
                 shards.size(), merged.size(), out_path.c_str());

@@ -45,7 +45,7 @@
  *                    persisted keys) or "best" for the grid's fastest
  *   --link-util      include per-link busy-time columns in --out-json
  *                    / --out-csv rows (link_busy_ms object / extra
- *                    CSV columns; readers auto-detect either shape)
+ *                    CSV columns; readers take the group if present)
  *   --metrics-json F dump the process-wide stats registry snapshot
  *                    (base/stats) to F after the sweep
  *   --self-trace F   record the sweep's own execution (scenario and
@@ -188,7 +188,7 @@ printRanked(const std::vector<runtime::SweepResult> &records)
     std::vector<std::string> order;
     std::map<std::string, std::vector<const runtime::SweepResult *>> groups;
     for (const auto &r : records) {
-        const std::string key = r.toScenario().costKey();
+        const std::string key = r.scenario.costKey();
         if (groups.find(key) == groups.end())
             order.push_back(key);
         groups[key].push_back(&r);
@@ -206,23 +206,24 @@ printRanked(const std::vector<runtime::SweepResult> &records)
                           return xok;
                       return x->makespanMs < y->makespanMs;
                   });
-        const auto &r0 = *ranked.front();
-        std::printf("\n%s on %s, B=%lld, L=%lld\n", r0.model.c_str(),
-                    r0.cluster.c_str(), static_cast<long long>(r0.batch),
-                    static_cast<long long>(r0.seqLen));
+        const runtime::Scenario &s0 = ranked.front()->scenario;
+        std::printf("\n%s on %s, B=%lld, L=%lld\n", s0.model.c_str(),
+                    s0.cluster.c_str(), static_cast<long long>(s0.batch),
+                    static_cast<long long>(s0.seqLen));
         std::printf("  %-4s %-16s %12s %9s\n", "rank", "schedule",
                     "iter [ms]", "vs best");
         for (size_t i = 0; i < ranked.size(); ++i) {
             if (ranked[i]->status != runtime::ResultStatus::Ok) {
                 std::printf("  %-4s %-16s %12s  (%s after %d attempts: "
                             "%s)\n",
-                            "-", ranked[i]->schedule.c_str(), "-",
+                            "-", ranked[i]->scenario.schedule.c_str(), "-",
                             runtime::resultStatusName(ranked[i]->status),
                             ranked[i]->attempts, ranked[i]->error.c_str());
                 continue;
             }
             std::printf("  %-4zu %-16s %12.2f %8.2fx\n", i + 1,
-                        ranked[i]->schedule.c_str(), ranked[i]->makespanMs,
+                        ranked[i]->scenario.schedule.c_str(),
+                        ranked[i]->makespanMs,
                         ranked[i]->makespanMs / ranked.front()->makespanMs);
         }
     }
@@ -577,13 +578,10 @@ main(int argc, char **argv)
             // default records. Writing a partial --out-json would
             // poison downstream cmp gates, so print the resume hint
             // and exit with the conventional 128+signal code instead.
-            size_t n_finished = 0;
-            for (const auto &r : records)
-                if (!r.schedule.empty())
-                    ++n_finished;
             std::printf("\ninterrupted (signal %d) after %zu of %zu "
                         "scenarios\n",
-                        interrupt::stopSignal(), n_finished,
+                        interrupt::stopSignal(),
+                        outcome.okResults + outcome.quarantined,
                         records.size());
             if (journal_path != nullptr)
                 std::printf("finished records are safe in %s — resume "

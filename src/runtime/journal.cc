@@ -45,12 +45,14 @@ fileExists(const std::string &path)
 
 /**
  * Parse "<index> <16-hex checksum> <payload>"; checksum-verify and
- * JSON-parse the payload. Any failure means this line — and
- * everything after it — is the torn tail.
+ * JSON-parse the payload, and require the record to describe the
+ * grid's scenario at that index (the checksum does not cover the
+ * index). Any failure means this line — and everything after it — is
+ * the torn tail.
  */
 bool
-parseRecordLine(const std::string &line, size_t grid_size, size_t *index,
-                SweepResult *result)
+parseRecordLine(const std::string &line, const std::vector<Scenario> &grid,
+                size_t *index, SweepResult *result)
 {
     const size_t sp1 = line.find(' ');
     if (sp1 == std::string::npos)
@@ -60,7 +62,7 @@ parseRecordLine(const std::string &line, size_t grid_size, size_t *index,
         return false;
     const std::string_view text(line);
     size_t idx = 0;
-    if (!parseNumber(text.substr(0, sp1), &idx) || idx >= grid_size)
+    if (!parseNumber(text.substr(0, sp1), &idx) || idx >= grid.size())
         return false;
     uint64_t sum = 0;
     if (!parseNumber(text.substr(sp1 + 1, 16), &sum, 16))
@@ -69,7 +71,8 @@ parseRecordLine(const std::string &line, size_t grid_size, size_t *index,
     if (checksum(payload) != sum)
         return false;
     std::string error;
-    if (!parseJsonRecord(payload, result, &error))
+    if (!parseJsonRecord(payload, result, &error) ||
+        result->scenario.label() != grid[idx].label())
         return false;
     *index = idx;
     return true;
@@ -132,7 +135,7 @@ Journal::open(const std::string &path, const std::vector<Scenario> &grid,
         while (std::getline(in, line)) {
             size_t index = 0;
             SweepResult r;
-            if (!parseRecordLine(line, gridSize_, &index, &r)) {
+            if (!parseRecordLine(line, grid, &index, &r)) {
                 ++dropped;
                 // Count the rest of the file as dropped too.
                 while (std::getline(in, line))
@@ -182,7 +185,8 @@ Journal::append(size_t index, const SweepResult &r, std::string *error)
         std::to_string(index) + " " + audit::hex16(checksum(payload)) + " " +
         payload + "\n";
 
-    if (fault::shouldInject(fault::Site::TornJournalWrite, r.key(), 0)) {
+    if (fault::shouldInject(fault::Site::TornJournalWrite,
+                            r.scenario.label(), 0)) {
         // A torn write only exists because the process died mid-append;
         // manufacture exactly that: half the record, then gone.
         std::fwrite(line.data(), 1, line.size() / 2, file_);

@@ -18,8 +18,9 @@
  * `grid` is an FNV-1a fingerprint over the grid's scenario labels in
  * order, so a journal can never be resumed against a different sweep
  * — a mismatch is a hard error, not silent corruption. Each record's
- * checksum covers its JSON payload; a record that fails the checksum,
- * fails to parse, or is out of range marks the *torn tail*: the valid
+ * checksum covers its JSON payload, not its index; a record that fails
+ * the checksum, fails to parse, is out of range, or describes another
+ * scenario than the grid's at its index marks the *torn tail*: the valid
  * prefix is kept (rewritten atomically via tmp+rename) and everything
  * from the first bad record on is dropped and re-simulated. This is
  * exactly the shape a crash mid-append leaves behind — fault

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -143,26 +144,50 @@ splitCsvRecords(const std::string &text, std::vector<std::string> *records)
     return true;
 }
 
-std::vector<std::string>
-csvHeader(bool with_links, bool with_status)
+/**
+ * The CSV header's column groups, in the order toCsv writes them: the
+ * fixed columns, then the optional link group, then the optional
+ * status group. Each optional group starts with its separating comma.
+ */
+struct CsvHeader
 {
-    std::vector<std::string> cols = {
-        "model",      "cluster",     "schedule",
-        "batch",      "seq_len",     "num_layers",
-        "num_experts", "r_max",      "makespan_ms",
-    };
+    std::string fixed, links, status;
+};
+
+CsvHeader
+csvHeader()
+{
+    CsvHeader h;
+    h.fixed = "model,cluster,schedule,batch,seq_len,num_layers,"
+              "num_experts,r_max,makespan_ms";
     for (size_t i = 0; i < kNumOps; ++i)
-        cols.push_back(std::string("op_") + opName(i) + "_ms");
-    if (with_links) {
-        for (size_t i = 0; i < kNumLinks; ++i)
-            cols.push_back(std::string("link_") + linkName(i) + "_busy_ms");
-    }
-    if (with_status) {
-        cols.push_back("status");
-        cols.push_back("attempts");
-        cols.push_back("error");
-    }
-    return cols;
+        h.fixed += std::string(",op_") + opName(i) + "_ms";
+    for (size_t i = 0; i < kNumLinks; ++i)
+        h.links += std::string(",link_") + linkName(i) + "_busy_ms";
+    h.status = ",status,attempts,error";
+    return h;
+}
+
+/**
+ * Read a CSV header line in one pass, group by group in csvHeader()'s
+ * order. False for anything else: a partial, repeated or reordered
+ * group, or a trailing unknown column.
+ */
+bool
+readCsvHeader(std::string_view line, bool *with_links, bool *with_status)
+{
+    const auto take = [&line](const std::string &group) {
+        if (line.substr(0, group.size()) != group)
+            return false;
+        line.remove_prefix(group.size());
+        return true;
+    };
+    const CsvHeader h = csvHeader();
+    if (!take(h.fixed))
+        return false;
+    *with_links = take(h.links);
+    *with_status = take(h.status);
+    return line.empty();
 }
 
 /// Does this set need the status columns / fields at all?
@@ -173,6 +198,13 @@ anyNonOk(const std::vector<SweepResult> &results)
         if (r.status != ResultStatus::Ok)
             return true;
     return false;
+}
+
+/// The file-extension rule readResults and writeResults share.
+bool
+isCsvPath(const std::string &path)
+{
+    return path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
 }
 
 bool
@@ -191,14 +223,15 @@ void
 appendRecordJson(std::ostringstream &oss, const SweepResult &r,
                  bool include_link_stats)
 {
-    oss << "{\"model\":\"" << jsonEscape(r.model) << "\","
-        << "\"cluster\":\"" << jsonEscape(r.cluster) << "\","
-        << "\"schedule\":\"" << jsonEscape(r.schedule) << "\","
-        << "\"batch\":" << r.batch << ","
-        << "\"seq_len\":" << r.seqLen << ","
-        << "\"num_layers\":" << r.numLayers << ","
-        << "\"num_experts\":" << r.numExperts << ","
-        << "\"r_max\":" << r.rMax << ","
+    const Scenario &s = r.scenario;
+    oss << "{\"model\":\"" << jsonEscape(s.model) << "\","
+        << "\"cluster\":\"" << jsonEscape(s.cluster) << "\","
+        << "\"schedule\":\"" << jsonEscape(s.schedule) << "\","
+        << "\"batch\":" << s.batch << ","
+        << "\"seq_len\":" << s.seqLen << ","
+        << "\"num_layers\":" << s.numLayers << ","
+        << "\"num_experts\":" << s.numExperts << ","
+        << "\"r_max\":" << s.rMax << ","
         << "\"makespan_ms\":" << fmtDouble(r.makespanMs) << ","
         << "\"op_time_ms\":{";
     for (size_t op = 0; op < kNumOps; ++op) {
@@ -242,21 +275,22 @@ parseRecordJson(const json::Value &entry, SweepResult *out,
         return false;
     }
     SweepResult r;
-    if (!jsonString(entry.find("model"), &r.model))
+    Scenario &s = r.scenario;
+    if (!jsonString(entry.find("model"), &s.model))
         return bad("model");
-    if (!jsonString(entry.find("cluster"), &r.cluster))
+    if (!jsonString(entry.find("cluster"), &s.cluster))
         return bad("cluster");
-    if (!jsonString(entry.find("schedule"), &r.schedule))
+    if (!jsonString(entry.find("schedule"), &s.schedule))
         return bad("schedule");
-    if (!jsonInt(entry.find("batch"), &r.batch))
+    if (!jsonInt(entry.find("batch"), &s.batch))
         return bad("batch");
-    if (!jsonInt(entry.find("seq_len"), &r.seqLen))
+    if (!jsonInt(entry.find("seq_len"), &s.seqLen))
         return bad("seq_len");
-    if (!jsonNarrowInt(entry.find("num_layers"), &r.numLayers))
+    if (!jsonNarrowInt(entry.find("num_layers"), &s.numLayers))
         return bad("num_layers");
-    if (!jsonNarrowInt(entry.find("num_experts"), &r.numExperts))
+    if (!jsonNarrowInt(entry.find("num_experts"), &s.numExperts))
         return bad("num_experts");
-    if (!jsonNarrowInt(entry.find("r_max"), &r.rMax))
+    if (!jsonNarrowInt(entry.find("r_max"), &s.rMax))
         return bad("r_max");
     if (!jsonNumber(entry.find("makespan_ms"), &r.makespanMs))
         return bad("makespan_ms");
@@ -328,49 +362,11 @@ parseResultStatus(const std::string &name, ResultStatus *out)
     return true;
 }
 
-std::string
-SweepResult::key() const
-{
-    // Mirrors Scenario::label() so persisted keys match live labels.
-    std::ostringstream oss;
-    oss << model << '/' << cluster << '/' << schedule << "/b" << batch
-        << "/L" << seqLen;
-    if (numLayers > 0)
-        oss << "/l" << numLayers;
-    if (numExperts > 0)
-        oss << "/e" << numExperts;
-    if (rMax != 16)
-        oss << "/r" << rMax;
-    return oss.str();
-}
-
-Scenario
-SweepResult::toScenario() const
-{
-    Scenario s;
-    s.model = model;
-    s.cluster = cluster;
-    s.schedule = schedule;
-    s.batch = batch;
-    s.seqLen = seqLen;
-    s.numLayers = numLayers;
-    s.numExperts = numExperts;
-    s.rMax = rMax;
-    return s;
-}
-
 SweepResult
 SweepResult::fromScenarioResult(const ScenarioResult &r)
 {
     SweepResult out;
-    out.model = r.scenario.model;
-    out.cluster = r.scenario.cluster;
-    out.schedule = r.scenario.schedule;
-    out.batch = r.scenario.batch;
-    out.seqLen = r.scenario.seqLen;
-    out.numLayers = r.scenario.numLayers;
-    out.numExperts = r.scenario.numExperts;
-    out.rMax = r.scenario.rMax;
+    out.scenario = r.scenario;
     out.makespanMs = r.makespanMs;
     for (size_t i = 0; i < kNumOps; ++i)
         out.opTimeMs[i] = r.sim.opTime[i];
@@ -428,19 +424,18 @@ std::string
 toCsv(const std::vector<SweepResult> &results, bool include_link_stats)
 {
     std::ostringstream oss;
-    // The status columns appear iff any record needs them — a
+    // The status group appears iff any record needs it — a
     // deterministic function of the result set, so an all-Ok sweep
     // emits the classic header bytes.
     const bool with_status = anyNonOk(results);
-    const std::vector<std::string> header =
-        csvHeader(include_link_stats, with_status);
-    for (size_t i = 0; i < header.size(); ++i)
-        oss << (i == 0 ? "" : ",") << header[i];
-    oss << '\n';
+    const CsvHeader h = csvHeader();
+    oss << h.fixed << (include_link_stats ? h.links : "")
+        << (with_status ? h.status : "") << '\n';
     for (const SweepResult &r : results) {
-        oss << csvEscape(r.model) << ',' << csvEscape(r.cluster) << ','
-            << csvEscape(r.schedule) << ',' << r.batch << ',' << r.seqLen
-            << ',' << r.numLayers << ',' << r.numExperts << ',' << r.rMax
+        const Scenario &s = r.scenario;
+        oss << csvEscape(s.model) << ',' << csvEscape(s.cluster) << ','
+            << csvEscape(s.schedule) << ',' << s.batch << ',' << s.seqLen
+            << ',' << s.numLayers << ',' << s.numExperts << ',' << s.rMax
             << ',' << fmtDouble(r.makespanMs);
         for (size_t op = 0; op < kNumOps; ++op)
             oss << ',' << fmtDouble(r.opTimeMs[op]);
@@ -478,6 +473,18 @@ parseJson(const std::string &text, std::vector<SweepResult> *out,
             *error = "missing or unknown \"schema\"";
         return false;
     }
+    // Version 1 is the only schema there is; refuse to guess at others.
+    const json::Value *version = root.find("version");
+    double v = 0.0;
+    if (!jsonNumber(version, &v) || v != 1.0) {
+        if (error)
+            *error = version == nullptr ? "missing \"version\""
+                     : version->kind != json::Value::Kind::Number
+                         ? "\"version\" is not a number"
+                         : "unsupported \"version\" " + fmtDouble(v) +
+                               " (this reader knows version 1)";
+        return false;
+    }
     const json::Value *results = root.find("results");
     if (results == nullptr || results->kind != json::Value::Kind::Array) {
         if (error)
@@ -511,35 +518,18 @@ parseCsv(const std::string &text, std::vector<SweepResult> *out,
             *error = "empty CSV";
         return false;
     }
-    // The header row decides which writer shape this file has: the
-    // classic columns, optionally plus the link columns, optionally
-    // plus the status columns.
     std::vector<std::string> fields;
     bool with_links = false;
     bool with_status = false;
-    if (!splitCsvRecord(records[0], &fields)) {
-        if (error)
-            *error = "CSV header does not match the sweep-result schema";
-        return false;
-    }
-    bool known = false;
-    for (bool links : {false, true}) {
-        for (bool status : {false, true}) {
-            if (fields == csvHeader(links, status)) {
-                with_links = links;
-                with_status = status;
-                known = true;
-            }
-        }
-    }
-    if (!known) {
+    if (!readCsvHeader(records[0], &with_links, &with_status) ||
+        !splitCsvRecord(records[0], &fields)) {
         if (error)
             *error = "CSV header does not match the sweep-result schema";
         return false;
     }
 
     out->clear();
-    const size_t ncols = fields.size(); // == csvHeader(with_links).size()
+    const size_t ncols = fields.size();
     for (size_t lineno = 2; lineno <= records.size(); ++lineno) {
         const std::string &line = records[lineno - 1];
         if (line.empty())
@@ -556,41 +546,45 @@ parseCsv(const std::string &text, std::vector<SweepResult> *out,
             return bad("unterminated quote");
         if (fields.size() != ncols)
             return bad("wrong field count");
+        // Fields are taken in header order.
+        size_t col = 0;
+        const auto next = [&](auto *out) {
+            return parseNumber(fields[col++], out);
+        };
         SweepResult r;
-        r.model = fields[0];
-        r.cluster = fields[1];
-        r.schedule = fields[2];
-        if (!parseNumber(fields[3], &r.batch))
+        Scenario &s = r.scenario;
+        s.model = fields[col++];
+        s.cluster = fields[col++];
+        s.schedule = fields[col++];
+        if (!next(&s.batch))
             return bad("bad batch");
-        if (!parseNumber(fields[4], &r.seqLen))
+        if (!next(&s.seqLen))
             return bad("bad seq_len");
-        if (!parseNumber(fields[5], &r.numLayers))
+        if (!next(&s.numLayers))
             return bad("bad num_layers");
-        if (!parseNumber(fields[6], &r.numExperts))
+        if (!next(&s.numExperts))
             return bad("bad num_experts");
-        if (!parseNumber(fields[7], &r.rMax))
+        if (!next(&s.rMax))
             return bad("bad r_max");
-        if (!parseNumber(fields[8], &r.makespanMs))
+        if (!next(&r.makespanMs))
             return bad("bad makespan_ms");
         for (size_t op = 0; op < kNumOps; ++op) {
-            if (!parseNumber(fields[9 + op], &r.opTimeMs[op]))
+            if (!next(&r.opTimeMs[op]))
                 return bad("bad op time");
         }
         if (with_links) {
             for (size_t li = 0; li < kNumLinks; ++li) {
-                if (!parseNumber(fields[9 + kNumOps + li],
-                                 &r.linkBusyMs[li]))
+                if (!next(&r.linkBusyMs[li]))
                     return bad("bad link time");
             }
             r.hasLinkStats = true;
         }
         if (with_status) {
-            const size_t base = 9 + kNumOps + (with_links ? kNumLinks : 0);
-            if (!parseResultStatus(fields[base], &r.status))
+            if (!parseResultStatus(fields[col++], &r.status))
                 return bad("bad status");
-            if (!parseNumber(fields[base + 1], &r.attempts))
+            if (!next(&r.attempts))
                 return bad("bad attempts");
-            r.error = fields[base + 2];
+            r.error = fields[col++];
         }
         out->push_back(std::move(r));
     }
@@ -620,9 +614,17 @@ readResults(const std::string &path, std::vector<SweepResult> *out,
     std::string text;
     if (!fileio::readTextFile(path, &text, error))
         return false;
-    const bool csv =
-        path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-    return csv ? parseCsv(text, out, error) : parseJson(text, out, error);
+    return isCsvPath(path) ? parseCsv(text, out, error)
+                           : parseJson(text, out, error);
+}
+
+bool
+writeResults(const std::string &path, const std::vector<SweepResult> &results,
+             bool include_link_stats)
+{
+    return isCsvPath(path)
+               ? writeResultsCsv(path, results, include_link_stats)
+               : writeResultsJson(path, results, include_link_stats);
 }
 
 // ------------------------------------------------------------- diffing
@@ -659,35 +661,32 @@ diffResults(const std::vector<SweepResult> &baseline,
             const std::vector<SweepResult> &current)
 {
     DiffReport report;
-    std::unordered_map<std::string, const SweepResult *> current_by_key;
-    std::unordered_set<std::string> seen;
+    // Current records not yet matched, by key (the first of duplicates).
+    std::unordered_map<std::string, const SweepResult *> unmatched;
     for (const SweepResult &r : current) {
-        if (!current_by_key.emplace(r.key(), &r).second)
-            report.duplicateKeys.push_back(r.key());
+        const std::string key = r.scenario.label();
+        if (!unmatched.emplace(key, &r).second)
+            report.duplicateKeys.push_back(key);
     }
-    std::unordered_set<std::string> matched_keys;
+    std::unordered_set<std::string> seen;
     for (const SweepResult &b : baseline) {
-        const std::string key = b.key();
+        const std::string key = b.scenario.label();
         if (!seen.insert(key).second) {
             report.duplicateKeys.push_back(key);
             continue;
         }
-        auto it = current_by_key.find(key);
-        if (it == current_by_key.end()) {
+        auto it = unmatched.find(key);
+        if (it == unmatched.end()) {
             report.onlyBaseline.push_back(key);
             continue;
         }
-        matched_keys.insert(key);
-        DiffEntry entry;
-        entry.key = key;
-        entry.baselineMs = b.makespanMs;
-        entry.currentMs = it->second->makespanMs;
-        report.matched.push_back(std::move(entry));
+        report.matched.push_back({key, b.makespanMs, it->second->makespanMs});
+        unmatched.erase(it);
     }
     for (const SweepResult &c : current) {
-        if (matched_keys.count(c.key()) == 0 &&
-            current_by_key.at(c.key()) == &c)
-            report.onlyCurrent.push_back(c.key());
+        const std::string key = c.scenario.label();
+        if (unmatched.erase(key) > 0)
+            report.onlyCurrent.push_back(key);
     }
     return report;
 }
@@ -741,9 +740,10 @@ mergeResults(const std::vector<std::vector<SweepResult>> &shards,
     seen.reserve(total);
     for (const auto &shard : shards) {
         for (const SweepResult &r : shard) {
-            if (!seen.insert(r.key()).second) {
+            const std::string key = r.scenario.label();
+            if (!seen.insert(key).second) {
                 if (error)
-                    *error = "duplicate scenario across shards: " + r.key();
+                    *error = "duplicate scenario across shards: " + key;
                 out->clear();
                 return false;
             }

@@ -4,14 +4,13 @@
  * scenario sweep measured, so evaluation artifacts survive the process
  * and regressions stay visible across commits and machines.
  *
- * A SweepResult is the flat, serialisable projection of one
- * ScenarioResult: the scenario's identity fields, its makespan, and
- * the per-op-class busy-time breakdown. Results round-trip through
- * JSON and CSV **bit-exactly** — doubles are printed with 17
- * significant digits, which IEEE-754 binary64 guarantees to re-parse
- * to the identical bit pattern — so a re-read file can be compared
- * with memcmp-level strictness and a merged set of shard files is
- * byte-identical to the unsharded file.
+ * A SweepResult is the serialisable projection of one ScenarioResult:
+ * its Scenario, its makespan, and the per-op-class busy-time
+ * breakdown. Results round-trip through JSON and CSV **bit-exactly** —
+ * doubles are printed with 17 significant digits, which IEEE-754
+ * binary64 guarantees to re-parse to the identical bit pattern — so a
+ * re-read file can be compared with memcmp-level strictness and a
+ * merged set of shard files is byte-identical to the unsharded file.
  *
  * Thread-safety: everything here is either a free function of its
  * arguments or a plain value type; all functions are safe to call
@@ -56,18 +55,10 @@ bool parseResultStatus(const std::string &name, ResultStatus *out);
 /** One persisted scenario outcome (one JSON object / CSV row). */
 struct SweepResult
 {
-    // Scenario identity — mirrors runtime::Scenario; the schedule is
-    // its canonical spec string (name plus any explicit parameters,
-    // e.g. "Tutel?degree=4"), so parameterized variants persist as
-    // distinct, diffable rows.
-    std::string model;
-    std::string cluster;
-    std::string schedule;
-    int64_t batch = 1;
-    int64_t seqLen = 1024;
-    int numLayers = 0;
-    int numExperts = 0;
-    int rMax = 16;
+    /// The scenario this record describes; scenario.label() is the key
+    /// diffs, merges and journal resumes join on. Parameterized
+    /// schedule variants ("Tutel?degree=4") persist as distinct rows.
+    Scenario scenario;
 
     // Outcome.
     double makespanMs = 0.0;
@@ -95,19 +86,6 @@ struct SweepResult
     /// Last failure message for non-Ok records ("" when Ok).
     std::string error;
 
-    /**
-     * Stable scenario key used to join result sets in diffResults():
-     * identical to Scenario::label() for the scenario that produced
-     * this record (e.g. "mixtral-7b/testbedA/FSMoE/b1/L1024").
-     */
-    std::string key() const;
-
-    /**
-     * Reconstruct the Scenario this record describes (identity fields
-     * only) — what a resumed sweep re-simulates for non-Ok records.
-     */
-    Scenario toScenario() const;
-
     /** Flatten an engine result into its persistent record. */
     static SweepResult fromScenarioResult(const ScenarioResult &r);
 };
@@ -124,18 +102,20 @@ toSweepResults(const std::vector<ScenarioResult> &results);
 // forward compatibility); on malformed input they return false and
 // describe the problem in *error.
 //
-// include_link_stats opts rows into the per-link busy-time columns
+// include_link_stats opts rows into the per-link busy-time group
 // ("link_busy_ms" JSON object / link_*_busy_ms CSV columns, fsmoe_sweep
 // --link-util). Default off: the emitted bytes then match pre-link-stat
 // writers exactly, which is what keeps the blessed demo-grid baseline
-// byte-identical. Readers auto-detect either shape.
+// byte-identical.
 //
-// Status follows the same optional-field discipline: JSON rows carry
+// Status follows the same optional-group discipline: JSON rows carry
 // "status"/"attempts"/"error" members only when non-Ok, and the CSV
 // writer appends the status,attempts,error columns iff the result set
 // contains at least one non-Ok record. All-Ok output is byte-for-byte
-// what a pre-status writer produced; readers auto-detect all four
-// header shapes (links × status).
+// what a pre-status writer produced. The CSV reader takes the header
+// in one pass, in the order toCsv writes it: the fixed columns, then
+// the link group if present, then the status group if present; any
+// other header is rejected.
 // ---------------------------------------------------------------------
 
 std::string toJson(const std::vector<SweepResult> &results,
@@ -173,6 +153,11 @@ bool writeResultsCsv(const std::string &path,
  */
 bool readResults(const std::string &path, std::vector<SweepResult> *out,
                  std::string *error);
+
+/** Write a result file, dispatching on its extension as readResults. */
+bool writeResults(const std::string &path,
+                  const std::vector<SweepResult> &results,
+                  bool include_link_stats = false);
 
 // ---------------------------------------------------------------------
 // Regression diffing.

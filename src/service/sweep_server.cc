@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -196,14 +197,7 @@ SweepResult
 quarantineRecord(const Scenario &s, int attempts, const std::string &error)
 {
     SweepResult r;
-    r.model = s.model;
-    r.cluster = s.cluster;
-    r.schedule = s.schedule;
-    r.batch = s.batch;
-    r.seqLen = s.seqLen;
-    r.numLayers = s.numLayers;
-    r.numExperts = s.numExperts;
-    r.rMax = s.rMax;
+    r.scenario = s;
     r.status = runtime::ResultStatus::Quarantined;
     r.attempts = attempts;
     r.error = error;
@@ -268,6 +262,8 @@ class GridRun
     std::vector<Clock::time_point> notBefore_; ///< Backoff gate, by index.
     std::deque<size_t> pending_; ///< Grid order; retries join the back.
     size_t unfinished_ = 0;      ///< Scenarios with no record yet.
+    size_t okResults_ = 0;       ///< Finished records with status Ok.
+    size_t quarantined_ = 0;     ///< Finished records given up on.
     std::vector<WorkerSlot> workers_;
     int spawned_ = 0;
     int restarts_ = 0;
@@ -384,6 +380,7 @@ GridRun::appendResult(size_t idx, const SweepResult &r)
         FSMOE_WARN(error);
     results_[idx] = r;
     --unfinished_;
+    ++(r.status == runtime::ResultStatus::Ok ? okResults_ : quarantined_);
     // stop-after=K: the deterministic stand-in for a SIGTERM arriving
     // once K results have finished; run() then drains gracefully.
     if (fault::shouldStopAfterResult())
@@ -628,26 +625,26 @@ GridRun::run(JobOutcome *outcome)
 {
     *outcome = JobOutcome{};
     outcome->scenarios = grid_.size();
-    std::vector<char> recovered(grid_.size(), 0);
-    if (journal_ != nullptr) {
-        for (const auto &entry : journal_->recovered()) {
-            // Only Ok records are done; failed/quarantined ones get a
-            // fresh chance on this run, so a resume without fault
-            // injection converges to the clean run's bytes.
-            if (entry.first < grid_.size() &&
-                entry.second.status == runtime::ResultStatus::Ok) {
-                results_[entry.first] = entry.second;
-                recovered[entry.first] = 1;
-                ++outcome->resumed;
-                stats::counter("service.results.resumed").inc();
-            }
-        }
-    }
-    for (size_t i = 0; i < grid_.size(); ++i)
-        if (recovered[i] == 0)
+    const std::map<size_t, SweepResult> none;
+    const auto &recovered = journal_ != nullptr ? journal_->recovered() : none;
+    for (size_t i = 0; i < grid_.size(); ++i) {
+        // Only Ok records are done; failed/quarantined ones get a fresh
+        // chance on this run, so a resume without fault injection
+        // converges to the clean run's bytes.
+        const auto it = recovered.find(i);
+        if (it == recovered.end() ||
+            it->second.status != runtime::ResultStatus::Ok) {
             pending_.push_back(i);
+            continue;
+        }
+        results_[i] = it->second;
+        ++okResults_;
+        ++outcome->resumed;
+        stats::counter("service.results.resumed").inc();
+    }
     unfinished_ = pending_.size();
 
+    bool interrupted = false;
     if (unfinished_ > 0) {
         workers_.resize(static_cast<size_t>(std::max(1, opts_.numWorkers)));
         for (WorkerSlot &slot : workers_) {
@@ -657,10 +654,8 @@ GridRun::run(JobOutcome *outcome)
         }
         while (failed_.empty() && unfinished_ > 0) {
             if (interrupt::stopRequested()) {
-                shutdownWorkers(/*graceful=*/true);
-                outcome->interrupted = true;
-                outcome->error = "interrupted by signal";
-                return std::move(results_);
+                interrupted = true;
+                break;
             }
             reapWorkers();
             checkWatchdogs();
@@ -671,16 +666,17 @@ GridRun::run(JobOutcome *outcome)
         }
         shutdownWorkers(/*graceful=*/failed_.empty());
     }
-    if (!failed_.empty()) {
+    // Unstarted scenarios have default records; these counts say how
+    // many records are real.
+    outcome->okResults = okResults_;
+    outcome->quarantined = quarantined_;
+    if (interrupted) {
+        outcome->interrupted = true;
+        outcome->error = "interrupted by signal";
+    } else if (!failed_.empty()) {
         outcome->error = failed_;
-        return std::move(results_);
-    }
-    outcome->ok = true;
-    for (const SweepResult &r : results_) {
-        if (r.status == runtime::ResultStatus::Ok)
-            ++outcome->okResults;
-        else
-            ++outcome->quarantined;
+    } else {
+        outcome->ok = true;
     }
     return std::move(results_);
 }
@@ -712,9 +708,9 @@ decodeResultFrame(const std::string &body, const std::vector<Scenario> &grid,
         *error = "unparsable Result frame: " + parse_error;
         return false;
     }
-    if (out->key() != grid[*idx].label()) {
+    if (out->scenario.label() != grid[*idx].label()) {
         *error = "Result frame for grid index " + std::to_string(*idx) +
-                 " carries '" + out->key() + "', want '" +
+                 " carries '" + out->scenario.label() + "', want '" +
                  grid[*idx].label() + "'";
         return false;
     }

@@ -112,8 +112,8 @@ struct JobOutcome
     bool interrupted = false; ///< Graceful stop drained the job early.
     std::string error;        ///< Failure description when !ok.
     size_t scenarios = 0;     ///< Grid size.
-    size_t okResults = 0;     ///< Scenarios with status Ok.
-    size_t quarantined = 0;   ///< Scenarios given up on.
+    size_t okResults = 0;     ///< Finished scenarios with status Ok.
+    size_t quarantined = 0;   ///< Finished scenarios given up on.
     size_t resumed = 0;       ///< Scenarios recovered from the journal.
 };
 
@@ -130,9 +130,9 @@ class SweepServer
      * @p outcome. On graceful stop (base/interrupt, or the stop-after
      * fault key counting finished results) the grid is drained —
      * streamed results are journalled, unstarted scenarios come back
-     * as default records with an empty schedule — and
-     * outcome.interrupted is set. The calling process must be
-     * single-threaded.
+     * as default records, which outcome's okResults and quarantined
+     * leave out — and outcome.interrupted is set. The calling process
+     * must be single-threaded.
      */
     std::vector<runtime::SweepResult>
     runGrid(const std::vector<runtime::Scenario> &grid,

@@ -50,16 +50,8 @@ SweepResult
 recordFor(const std::vector<Scenario> &grid, size_t index,
           double makespan)
 {
-    const Scenario &s = grid[index];
     SweepResult r;
-    r.model = s.model;
-    r.cluster = s.cluster;
-    r.schedule = s.schedule;
-    r.batch = s.batch;
-    r.seqLen = s.seqLen;
-    r.numLayers = s.numLayers;
-    r.numExperts = s.numExperts;
-    r.rMax = s.rMax;
+    r.scenario = grid[index];
     r.makespanMs = makespan;
     return r;
 }
@@ -206,6 +198,39 @@ TEST(Journal, CorruptChecksumMarksTheTornTail)
     ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
     EXPECT_EQ(back.recovered().size(), 1u);
     EXPECT_EQ(back.recovered().count(0), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, RecordUnderAnotherGridIndexMarksTheTornTail)
+{
+    // The checksum covers the payload, not the leading index: a record
+    // whose index was rewritten to another in-range slot still passes
+    // it, so recovery must check that the record describes the grid's
+    // scenario at that index.
+    const auto grid = smallGrid();
+    ASSERT_GE(grid.size(), 3u);
+    const std::string path = scratchPath("journal_moved.txt");
+
+    Journal j;
+    std::string error;
+    ASSERT_TRUE(j.open(path, grid, /*resume=*/false, &error)) << error;
+    for (size_t i = 0; i < 3; ++i)
+        ASSERT_TRUE(j.append(i, recordFor(grid, i, 1.0 + i), &error))
+            << error;
+    j.close();
+
+    std::string text = readAll(path);
+    const size_t rec1 = text.find("\n1 ");
+    ASSERT_NE(rec1, std::string::npos);
+    text[rec1 + 1] = '2'; // record 1 now claims slot 2
+    ASSERT_TRUE(fileio::atomicWriteFile(path, text, &error)) << error;
+
+    Journal back;
+    ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
+    EXPECT_EQ(back.recovered().size(), 1u);
+    EXPECT_EQ(back.recovered().count(0), 1u);
+    for (const auto &[index, r] : back.recovered())
+        EXPECT_EQ(r.scenario.label(), grid[index].label()) << index;
     std::remove(path.c_str());
 }
 

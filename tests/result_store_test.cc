@@ -41,41 +41,27 @@ expectBitEqual(const std::vector<SweepResult> &a,
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].model, b[i].model);
-        EXPECT_EQ(a[i].cluster, b[i].cluster);
-        EXPECT_EQ(a[i].schedule, b[i].schedule);
-        EXPECT_EQ(a[i].batch, b[i].batch);
-        EXPECT_EQ(a[i].seqLen, b[i].seqLen);
-        EXPECT_EQ(a[i].numLayers, b[i].numLayers);
-        EXPECT_EQ(a[i].numExperts, b[i].numExperts);
-        EXPECT_EQ(a[i].rMax, b[i].rMax);
+        EXPECT_EQ(a[i].scenario.model, b[i].scenario.model);
+        EXPECT_EQ(a[i].scenario.cluster, b[i].scenario.cluster);
+        EXPECT_EQ(a[i].scenario.schedule, b[i].scenario.schedule);
+        EXPECT_EQ(a[i].scenario.batch, b[i].scenario.batch);
+        EXPECT_EQ(a[i].scenario.seqLen, b[i].scenario.seqLen);
+        EXPECT_EQ(a[i].scenario.numLayers, b[i].scenario.numLayers);
+        EXPECT_EQ(a[i].scenario.numExperts, b[i].scenario.numExperts);
+        EXPECT_EQ(a[i].scenario.rMax, b[i].scenario.rMax);
         // memcmp: bit-identical doubles, not approximately equal.
         EXPECT_EQ(std::memcmp(&a[i].makespanMs, &b[i].makespanMs,
                               sizeof(double)),
                   0)
-            << a[i].key();
+            << a[i].scenario.label();
         EXPECT_EQ(std::memcmp(a[i].opTimeMs.data(), b[i].opTimeMs.data(),
                               sizeof(double) * a[i].opTimeMs.size()),
                   0)
-            << a[i].key();
+            << a[i].scenario.label();
     }
 }
 
 // --------------------------------------------------------- round-trip
-
-TEST(ResultStore, KeyMatchesScenarioLabel)
-{
-    const auto grid = ScenarioGrid()
-                          .models({"gpt2xl-moe"})
-                          .clusters({"testbedB"})
-                          .numLayers({1})
-                          .build();
-    SweepEngine engine({/*numThreads=*/1});
-    const auto results = engine.run(grid);
-    for (const auto &r : results)
-        EXPECT_EQ(SweepResult::fromScenarioResult(r).key(),
-                  r.scenario.label());
-}
 
 TEST(ResultStore, JsonRoundTripIsBitExact)
 {
@@ -107,7 +93,7 @@ TEST(ResultStore, LinkStatsRoundTripThroughBothFormats)
         double total = 0.0;
         for (double v : r.linkBusyMs)
             total += v;
-        EXPECT_GT(total, 0.0) << r.key();
+        EXPECT_GT(total, 0.0) << r.scenario.label();
     }
 
     std::vector<SweepResult> reread;
@@ -122,7 +108,7 @@ TEST(ResultStore, LinkStatsRoundTripThroughBothFormats)
                               reread[i].linkBusyMs.data(),
                               sizeof(double) * records[i].linkBusyMs.size()),
                   0)
-            << records[i].key();
+            << records[i].scenario.label();
     }
 
     ASSERT_TRUE(parseCsv(toCsv(records, /*include_link_stats=*/true),
@@ -135,7 +121,7 @@ TEST(ResultStore, LinkStatsRoundTripThroughBothFormats)
                               reread[i].linkBusyMs.data(),
                               sizeof(double) * records[i].linkBusyMs.size()),
                   0)
-            << records[i].key();
+            << records[i].scenario.label();
     }
 }
 
@@ -248,14 +234,14 @@ TEST(ResultStore, ParseResultStatusAcceptsOnlyWireNames)
 TEST(ResultStore, AwkwardValuesAndNamesSurviveBothFormats)
 {
     SweepResult r;
-    r.model = "model,with \"quotes\"\nand newline";
-    r.cluster = "back\\slash";
-    r.schedule = "FSMoE";
-    r.batch = 7;
-    r.seqLen = 4096;
-    r.numLayers = 3;
-    r.numExperts = 9;
-    r.rMax = 8;
+    r.scenario.model = "model,with \"quotes\"\nand newline";
+    r.scenario.cluster = "back\\slash";
+    r.scenario.schedule = "FSMoE";
+    r.scenario.batch = 7;
+    r.scenario.seqLen = 4096;
+    r.scenario.numLayers = 3;
+    r.scenario.numExperts = 9;
+    r.scenario.rMax = 8;
     r.makespanMs = 1.0 / 3.0;
     r.opTimeMs[0] = 1e-300;         // subnormal-adjacent tiny value
     r.opTimeMs[1] = 12345.678901234567;
@@ -313,14 +299,14 @@ TEST(ResultStore, ReadersRejectMalformedInput)
     // record cannot alias a real scenario key: no truncated fractions,
     // no wrap when narrowing to int, no lenient CSV numbers.
     SweepResult r;
-    r.model = "m";
-    r.cluster = "c";
-    r.schedule = "s";
-    r.batch = 1;
-    r.seqLen = 1024;
-    r.numLayers = 2;
-    r.numExperts = 8;
-    r.rMax = 16;
+    r.scenario.model = "m";
+    r.scenario.cluster = "c";
+    r.scenario.schedule = "s";
+    r.scenario.batch = 1;
+    r.scenario.seqLen = 1024;
+    r.scenario.numLayers = 2;
+    r.scenario.numExperts = 8;
+    r.scenario.rMax = 16;
     r.status = ResultStatus::Quarantined;
     r.attempts = 2;
     r.error = "e";
@@ -368,6 +354,43 @@ TEST(ResultStore, ReadersRejectMalformedInput)
         EXPECT_FALSE(parseCsv(replaced(csv, from, to), &out, &error)) << to;
     }
 
+    // Version 1 is the only schema; another version, or none, is named
+    // and refused rather than read as if it were version 1.
+    const std::string json = toJson({r});
+    EXPECT_FALSE(parseJson(replaced(json, "\"version\":1,", "\"version\":7,"),
+                           &out, &error));
+    EXPECT_NE(error.find("\"version\" 7"), std::string::npos) << error;
+    EXPECT_FALSE(
+        parseJson(replaced(json, "\"version\":1,", ""), &out, &error));
+    EXPECT_NE(error.find("missing \"version\""), std::string::npos) << error;
+
+    // The CSV header is read in one pass in the writer's order: fixed
+    // columns, then the link group, then the status group. Any other
+    // arrangement of the groups is refused.
+    const std::string links_csv = toCsv({r}, /*include_link_stats=*/true);
+    const std::string header = links_csv.substr(0, links_csv.find('\n'));
+    const size_t link_at = header.find(",link_");
+    const size_t status_at = header.find(",status,");
+    ASSERT_NE(link_at, std::string::npos);
+    ASSERT_NE(status_at, std::string::npos);
+    const std::string fixed = header.substr(0, link_at);
+    const std::string link_group = header.substr(link_at, status_at - link_at);
+    const std::string status_group = header.substr(status_at);
+    const std::string first_link =
+        link_group.substr(0, link_group.find(',', 1));
+    for (const std::string &bad_header :
+         {fixed + status_group + link_group,        // status before links
+          fixed + first_link + status_group,        // partial link group
+          fixed + ",status,attempts",               // partial status group
+          fixed + link_group + link_group,          // repeated group
+          fixed + status_group + status_group,      // repeated group
+          fixed + link_group + status_group + ",x", // trailing unknown
+          fixed + ",x"}) {
+        EXPECT_FALSE(parseCsv(bad_header + "\n", &out, &error)) << bad_header;
+        EXPECT_NE(error.find("header"), std::string::npos) << error;
+    }
+    EXPECT_TRUE(parseCsv(header + "\n", &out, &error)) << error;
+
     // The empty result set is valid in both formats.
     EXPECT_TRUE(parseJson(toJson({}), &out, &error)) << error;
     EXPECT_TRUE(out.empty());
@@ -402,7 +425,7 @@ TEST(ResultStore, DiffGatesOnDriftAndRespectsTolerance)
     const DiffReport report = diffResults(baseline, current);
     EXPECT_FALSE(report.passes(0.0));
     ASSERT_EQ(report.exceeding(0.0).size(), 1u);
-    EXPECT_EQ(report.exceeding(0.0)[0]->key, baseline[3].key());
+    EXPECT_EQ(report.exceeding(0.0)[0]->key, baseline[3].scenario.label());
     EXPECT_NEAR(report.exceeding(0.0)[0]->relDelta(), 0.001, 1e-12);
     // Within a 0.5 % budget the drift is tolerated...
     EXPECT_TRUE(report.passes(0.005));
@@ -421,17 +444,17 @@ TEST(ResultStore, DiffFlagsMissingExtraAndDuplicateScenarios)
 {
     const auto baseline = sweptResults();
     auto current = baseline;
-    const std::string dropped = current.back().key();
+    const std::string dropped = current.back().scenario.label();
     current.pop_back();
     SweepResult extra = current.front();
-    extra.model = "some-other-model";
+    extra.scenario.model = "some-other-model";
     current.push_back(extra);
 
     const DiffReport report = diffResults(baseline, current);
     ASSERT_EQ(report.onlyBaseline.size(), 1u);
     EXPECT_EQ(report.onlyBaseline[0], dropped);
     ASSERT_EQ(report.onlyCurrent.size(), 1u);
-    EXPECT_EQ(report.onlyCurrent[0], extra.key());
+    EXPECT_EQ(report.onlyCurrent[0], extra.scenario.label());
     EXPECT_FALSE(report.passes(1.0)); // no tolerance forgives a set diff
 
     auto dup = baseline;
@@ -542,7 +565,7 @@ TEST(ResultStore, MergeAutoDetectsMixedShapeShards)
     // One sweep, split in two, persisted in the two on-disk shapes:
     // shard A without the link-util columns (old shape), shard B with
     // them (new shape). A single mergeResults call over what the
-    // readers auto-detected must reassemble the full sweep.
+    // readers returned must reassemble the full sweep.
     const auto full = sweptResults();
     ASSERT_GE(full.size(), 4u);
     const size_t half = full.size() / 2;
@@ -558,9 +581,9 @@ TEST(ResultStore, MergeAutoDetectsMixedShapeShards)
                          &error))
         << error;
     for (const SweepResult &r : a_read)
-        EXPECT_FALSE(r.hasLinkStats) << r.key();
+        EXPECT_FALSE(r.hasLinkStats) << r.scenario.label();
     for (const SweepResult &r : b_read)
-        EXPECT_TRUE(r.hasLinkStats) << r.key();
+        EXPECT_TRUE(r.hasLinkStats) << r.scenario.label();
 
     std::vector<SweepResult> merged;
     ASSERT_TRUE(mergeResults({a_read, b_read}, &merged, &error)) << error;
@@ -577,7 +600,7 @@ TEST(ResultStore, DiffTreatsNonFiniteMakespansAsExceeding)
     const double inf = std::numeric_limits<double>::infinity();
     auto row = [](const char *model, double ms) {
         SweepResult r;
-        r.model = model;
+        r.scenario.model = model;
         r.makespanMs = ms;
         return r;
     };
@@ -599,8 +622,9 @@ TEST(ResultStore, DiffTreatsNonFiniteMakespansAsExceeding)
     for (const DiffEntry *e : bad)
         keys.insert(e->key);
     EXPECT_EQ(keys, (std::set<std::string>{
-                        row("m-nan", 0).key(), row("m-inf", 0).key(),
-                        row("m-nan2", 0).key()}));
+                        row("m-nan", 0).scenario.label(),
+                        row("m-inf", 0).scenario.label(),
+                        row("m-nan2", 0).scenario.label()}));
     EXPECT_FALSE(report.passes(1e9));
 }
 
@@ -608,7 +632,7 @@ TEST(ResultStore, DiffToleranceBoundaryIsInclusive)
 {
     auto row = [](double ms) {
         SweepResult r;
-        r.model = "m";
+        r.scenario.model = "m";
         r.makespanMs = ms;
         return r;
     };

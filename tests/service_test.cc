@@ -438,7 +438,7 @@ TEST(ServiceSweepServer, ResultFramesMustNameTheirGridScenario)
     ASSERT_TRUE(decodeResultFrame("0 " + rec0, grid, &idx, &r, &error))
         << error;
     EXPECT_EQ(idx, 0u);
-    EXPECT_EQ(r.key(), grid[0].label());
+    EXPECT_EQ(r.scenario.label(), grid[0].label());
 
     const std::string bad[] = {
         "abc " + rec0,                          // non-numeric index
@@ -660,7 +660,7 @@ TEST(ServiceRunGrid, CertainEvalFailureQuarantinesAfterMaxAttempts)
     EXPECT_EQ(results[0].status, runtime::ResultStatus::Quarantined);
     EXPECT_EQ(results[0].attempts, 2);
     EXPECT_EQ(results[0].error, "injected eval fault (attempt 2)");
-    EXPECT_EQ(results[0].key(), grid[0].label());
+    EXPECT_EQ(results[0].scenario.label(), grid[0].label());
 }
 
 TEST(ServiceRunGrid, ResumeOverACompleteJournalSpawnsNoWorker)
@@ -739,8 +739,8 @@ TEST(ServiceRunGrid, StopAfterDrainsGracefullyAndResumeConverges)
 {
     // stop-after=K is the deterministic stand-in for SIGTERM: once K
     // results finish the grid drains, journalled work survives,
-    // unstarted scenarios come back empty, and a resume converges to
-    // the clean bytes.
+    // unstarted scenarios are not counted as finished, and a resume
+    // converges to the clean bytes.
     FaultGuard guard;
     interrupt::clearStop();
     const auto grid = smallGrid();
@@ -758,8 +758,7 @@ TEST(ServiceRunGrid, StopAfterDrainsGracefullyAndResumeConverges)
         EXPECT_TRUE(interrupt::stopRequested());
         EXPECT_TRUE(outcome.interrupted);
         ASSERT_EQ(partial.size(), grid.size());
-        for (const runtime::SweepResult &r : partial)
-            finished += !r.schedule.empty();
+        finished = outcome.okResults + outcome.quarantined;
     }
     // Workers finish the scenario in hand while draining, so at least
     // (not exactly) K results land.
@@ -831,7 +830,7 @@ TEST(ServiceRunGrid, WorkerCrashesQuarantineAfterMaxAttempts)
     EXPECT_EQ(results[0].status, runtime::ResultStatus::Quarantined);
     EXPECT_EQ(results[0].attempts, opts.retry.maxAttempts);
     EXPECT_EQ(results[0].error, kWorkerLost);
-    EXPECT_EQ(results[0].key(), grid[0].label());
+    EXPECT_EQ(results[0].scenario.label(), grid[0].label());
     EXPECT_GE(stats::counter("service.workers.restarted").value(), 1u);
 }
 
