@@ -3,10 +3,10 @@
  * Micro-benchmarks (google-benchmark) backing the paper's overhead
  * claims: Algorithm-1 solve cost (§6.2 reports ~193 ms per case for
  * SLSQP; our combined solve must be far cheaper to run 1458 cases),
- * gradient-partitioning cost (and its DE and degree-table parts),
- * simulator throughput (also against the naive reference simulator),
- * gate kernels, the GEMM kernel, and the functional AlltoAll
- * algorithms.
+ * gradient-partitioning cost (and its degree-table part), the tuner's
+ * DE loop, simulator throughput (also against the naive reference
+ * simulator), gate kernels, the GEMM kernel, and the functional
+ * AlltoAll algorithms.
  */
 #include <limits>
 #include <random>
@@ -64,10 +64,18 @@ BM_SolvePipelineExhaustive(benchmark::State &state)
 }
 BENCHMARK(BM_SolvePipelineExhaustive);
 
+/**
+ * One partition, both steps, on identical layers: 8 MB of gradients
+ * each, or with `binding` 1, 1 MB in the first half of the stack and
+ * 15 MB in the second. On the merged channel the latter binds step 2's
+ * prefix bounds at 11 of the 24 layers: they carry all that is left
+ * when they run, short of their flats' ends.
+ */
 void
 BM_GradPartition(benchmark::State &state)
 {
     const int layers = static_cast<int>(state.range(0));
+    const bool binding = state.range(3) != 0;
     std::vector<core::GeneralizedLayer> gls;
     for (int i = 0; i < layers; ++i) {
         core::GeneralizedLayer gl;
@@ -75,40 +83,35 @@ BM_GradPartition(benchmark::State &state)
         gl.moe.tGar = 0.0;
         gl.moe.rMax = static_cast<int>(state.range(1));
         gl.denseOlpMs = 0.5;
-        gl.gradBytes = 8.0 * (1 << 20);
+        gl.gradBytes = (binding ? (2 * i < layers ? 1.0 : 15.0) : 8.0) *
+                       (1 << 20);
         gls.push_back(gl);
     }
     core::LinearModel ar{8.37e-2, 5.99e-7, 1.0};
-    solver::DeConfig de;
-    de.populationSize = static_cast<int>(state.range(2));
-    de.maxGenerations = static_cast<int>(state.range(3));
-    const bool merged = state.range(4) != 0;
+    const bool merged = state.range(2) != 0;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            core::partitionGradients(gls, ar, de, true, merged));
+            core::partitionGradients(gls, ar, true, merged));
 }
-// The last two rows are the shape a demo-grid sweep pays per FSMoE /
-// FSMoE-No-IIO build: 24 layers, rMax 16, population 24 x 80
-// generations, 1,944 objective evaluations. About two thirds of those
-// trials are cut on the floor bound before the layer sum, and the rest
-// read each layer's minimum from the degree tables' envelopes, so the
-// search itself costs about BM_DeLoop. The rows differ in the final
-// plan: FSMoE's solves Algorithm 1 for each of its 24 layers (see
-// BM_SolvePipelineAlgorithm1), FSMoE-No-IIO's scans the merged model's
-// 16 degrees, which is why the FSMoE row costs more.
+// The 24-layer, rMax 16 rows are the shape a demo-grid sweep pays per
+// FSMoE / FSMoE-No-IIO build. Step 2 is a DP over the layers' envelope
+// flats; the rows differ mostly in the final plans: FSMoE's solves
+// Algorithm 1 for each distinct t_gar (see BM_SolvePipelineAlgorithm1),
+// FSMoE-No-IIO's scans the merged model's 16 degrees.
 BENCHMARK(BM_GradPartition)
-    ->ArgNames({"layers", "rmax", "pop", "gens", "merged"})
-    ->Args({4, 64, 32, 40, 0})
-    ->Args({12, 64, 32, 40, 0})
-    ->Args({24, 16, 24, 80, 0})
-    ->Args({24, 16, 24, 80, 1});
+    ->ArgNames({"layers", "rmax", "merged", "binding"})
+    ->Args({4, 64, 0, 0})
+    ->Args({12, 64, 0, 0})
+    ->Args({24, 16, 0, 0})
+    ->Args({24, 16, 1, 0})
+    ->Args({24, 16, 1, 1});
 
 /**
- * DE itself at the sweep shape (d = 24, population 24, 80 generations,
- * never stopping early) over an objective that costs nothing: the
- * MT19937-64 draws (about 30 per trial), mutation and selection the
- * partitioner pays on every call. The draws are fixed by the blessed
- * bits, but not how they are made: BM_DeRng prices one.
+ * The tuner's DE loop (d = 24, population 24, 80 generations, never
+ * stopping early) over an objective that costs nothing: the MT19937-64
+ * draws (about 30 per trial), mutation and selection a search pays on
+ * top of its probes. The draws are fixed by the blessed bits, but not
+ * how they are made: BM_DeRng prices one.
  */
 void
 BM_DeLoop(benchmark::State &state)
@@ -154,9 +157,9 @@ BM_DeRng(benchmark::State &state)
 BENCHMARK(BM_DeRng)->ArgName("block")->Arg(0)->Arg(1);
 
 /**
- * One DegreeTable query (the DE objective's per-layer term) on the
- * sample problem: envelope binary search plus one addition. Items are
- * queries over a fixed spread of t_gar values.
+ * One DegreeTable query on the sample problem: envelope binary search
+ * plus one addition. Items are queries over a fixed spread of t_gar
+ * values.
  */
 void
 BM_DegreeTableMin(benchmark::State &state)

@@ -233,7 +233,7 @@ printRanked(const std::vector<runtime::SweepResult> &records)
  * --profile: where did the sweep's time go? Stage times are summed
  * across workers (they can exceed wall time on multiple threads) and
  * count only cache-miss work. The two solver lines re-slice part of
- * the graph-build line: Algorithm-1 and DE-partition solves happen
+ * the graph-build line: Algorithm-1 and gradient-partition solves happen
  * inside Schedule::build, so cold-solve time is included in "graph
  * build" and broken out per solver from the process-wide solver cache.
  * A Tutel/Lina degree search simulates its winner inside the build and
@@ -245,41 +245,35 @@ printProfile(const runtime::SweepStats &stats)
 {
     const core::SolverCacheStats solver = core::solverCacheStats();
     std::printf("\nper-stage profile (summed across workers):\n");
-    std::printf("  %-30s %10.1f ms  (%zu cold, %zu cached)\n",
+    std::printf("  %-36s %10.1f ms  (%zu cold, %zu cached)\n",
                 "cost derivation", stats.costDeriveMs,
                 stats.costCacheMisses, stats.costCacheHits);
     // No cold/cached annotation here: builds are counted by the sim
     // cache only when it is enabled (keepGraphs and --no-sim-cache
     // build every scenario without moving those counters, which the
     // main stats line already reports).
-    std::printf("  %-30s %10.1f ms\n", "graph build + in-build sims",
+    std::printf("  %-36s %10.1f ms\n", "graph build + in-build sims",
                 stats.graphBuildMs);
     const auto count = [](const char *name) {
         return static_cast<unsigned long long>(
             stats::counter(name).value());
     };
     const auto solver_line = [](const char *label, double ms,
-                                uint64_t cold, uint64_t cached,
-                                const std::string &extra) {
-        std::printf("  %-30s %10.1f ms  (%llu cold, %llu cached%s; "
+                                uint64_t cold, uint64_t cached) {
+        std::printf("  %-36s %10.1f ms  (%llu cold, %llu cached; "
                     "process-wide)\n",
                     label, ms, static_cast<unsigned long long>(cold),
-                    static_cast<unsigned long long>(cached), extra.c_str());
+                    static_cast<unsigned long long>(cached));
     };
     solver_line("  of which Algorithm-1 solves", solver.pipelineSolveMs,
-                solver.pipelineMisses, solver.pipelineHits, "");
-    // DE objective evaluations, and how many of them the floor bound
-    // showed to lose to their parent without summing the layers.
-    solver_line("  of which DE partition solves", solver.partitionSolveMs,
-                solver.partitionMisses, solver.partitionHits,
-                ", " + std::to_string(count("solver.partition.de.evals")) +
-                    " evals, " +
-                    std::to_string(count("solver.partition.de.cut")) +
-                    " cut");
+                solver.pipelineMisses, solver.pipelineHits);
+    solver_line("  of which gradient partition solves",
+                solver.partitionSolveMs, solver.partitionMisses,
+                solver.partitionHits);
     // Tutel/Lina degree searches (core::detail::searchDegree): of the
     // candidate degrees, how many the link-sum bound skipped unbuilt,
     // how many were simulated, and how many of those hit the cutoff.
-    std::printf("  %-30s %10llu     (%llu bounded, %llu simulated, "
+    std::printf("  %-36s %10llu     (%llu bounded, %llu simulated, "
                 "%llu cut; process-wide)\n",
                 "  degree-search candidates",
                 count("schedule.search.candidates"),
@@ -288,11 +282,11 @@ printProfile(const runtime::SweepStats &stats)
                 count("schedule.search.cut"));
     // A degree search simulates its winner inside the build and hands
     // the result back, so those scenarios add to the graph-build line.
-    std::printf("  %-30s %10.1f ms  (%llu searched winners handed back, "
+    std::printf("  %-36s %10.1f ms  (%llu searched winners handed back, "
                 "in graph build; process-wide)\n",
                 "simulate (final graphs)", stats.simulateMs,
                 count("sweep.simulate.handedBack"));
-    std::printf("  %-30s %10.1f ms\n", "sweep wall time",
+    std::printf("  %-36s %10.1f ms\n", "sweep wall time",
                 stats.lastSweepWallMs);
 
     // Registry-backed view: ratios and per-scenario latency come from

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "base/logging.h"
-#include "base/stats.h"
 
 namespace fsmoe::core {
 
@@ -59,9 +57,9 @@ sameShape(const PipelineProblem &a, const PipelineProblem &b)
 /**
  * The per-layer pipeline solves of one partition. Layers whose
  * problems are bitwise-identical (within one model, all of them) share
- * one group: one DegreeTable serving the step-2 objective, and one
- * memo of Algorithm-1 (or merged-channel) solutions keyed by the bit
- * pattern of tGar, so identical (problem, tGar) inputs solve once.
+ * one group: one set of envelope flats for step 2, and one memo of
+ * Algorithm-1 (or merged-channel) solutions keyed by the bit pattern
+ * of tGar, so identical (problem, tGar) inputs solve once.
  */
 class LayerSolver
 {
@@ -76,28 +74,17 @@ class LayerSolver
                    !sameShape(groups_[g].problem, gl.moe))
                 ++g;
             if (g == groups_.size())
-                groups_.push_back({gl.moe, DegreeTable(gl.moe), {}});
+                groups_.push_back(
+                    {gl.moe, DegreeTable(gl.moe).flats(merged), {}});
             groupOf_.push_back(g);
         }
     }
 
-    /** Layer @p i's minimum makespan over all degrees at @p t_gar. */
-    double
-    minTime(size_t i, double t_gar) const
+    /** Where layer @p i's minimum makespan is flat in t_gar. */
+    const std::vector<DegreeTable::Interval> &
+    flats(size_t i) const
     {
-        const DegreeTable &table = groups_[groupOf_[i]].table;
-        return merged_ ? table.minMergedTime(t_gar) : table.minTime(t_gar);
-    }
-
-    /** A lower bound on every layer's minTime at any t_gar. */
-    double
-    floor() const
-    {
-        double f = std::numeric_limits<double>::infinity();
-        for (const Group &g : groups_)
-            f = std::min(f, merged_ ? g.table.floorMergedTime()
-                                    : g.table.floorTime());
-        return f;
+        return groups_[groupOf_[i]].flats;
     }
 
     /** The solver's solution for layer @p i's problem at @p t_gar. */
@@ -120,7 +107,7 @@ class LayerSolver
     struct Group
     {
         PipelineProblem problem;
-        DegreeTable table;
+        std::vector<DegreeTable::Interval> flats;
         std::vector<std::pair<uint64_t, PipelineSolution>> solved;
     };
     bool merged_;
@@ -146,12 +133,279 @@ finalizePlan(GradPartitionPlan &plan,
     plan.totalTimeMs += garTime(ar, plan.exposedBytes);
 }
 
+/** One piece of a gain function: slope 0 or 1 after s. */
+struct Piece
+{
+    double s;  ///< Start, bytes.
+    double v;  ///< Gain just after s, bytes.
+    bool rise; ///< Slope 1, else 0.
+};
+
+/**
+ * A piecewise-linear gain function of bytes on (0, end], slopes 0
+ * and 1 only: piece k spans (s_k, s_{k+1}]. No pieces: only x = 0.
+ * It may drop where a piece starts: a domain that ended there.
+ */
+struct Gain
+{
+    std::vector<Piece> pieces;
+    double end = 0.0;
+    /// Where a rising piece ends: the best byte counts of a layer.
+    std::vector<double> ends;
+    /// Where the gain drops, and end: the best byte counts of a prefix.
+    std::vector<double> drops;
+
+    /** Gain at @p x in (0, end]; at a drop, the piece ending there. */
+    double
+    at(double x) const
+    {
+        auto it = std::lower_bound(
+            pieces.begin() + 1, pieces.end(), x,
+            [](const Piece &p, double v) { return p.s < v; });
+        const Piece &p = *(it - 1);
+        return p.v + (p.rise ? x - p.s : 0.0);
+    }
+
+    /** Record ends, and drops by more than @p eps, from the pieces. */
+    void
+    findBreaks(double eps)
+    {
+        ends.clear();
+        drops.clear();
+        for (size_t k = 0; k < pieces.size(); ++k) {
+            const Piece &p = pieces[k];
+            const bool last = k + 1 == pieces.size();
+            const double to = last ? end : pieces[k + 1].s;
+            if (p.rise && (last || !pieces[k + 1].rise))
+                ends.push_back(to);
+            const double left = p.v + (p.rise ? to - p.s : 0.0);
+            if (last || left > pieces[k + 1].v + eps)
+                drops.push_back(to);
+        }
+    }
+};
+
+/**
+ * Append a piece to @p out, merging a continuation of the last one
+ * and dropping a last one shorter than @p eps: rounding leaves slivers
+ * of ulps where two candidates cross or touch.
+ */
+void
+push(std::vector<Piece> &out, double eps, double s, double v, bool rise)
+{
+    while (!out.empty()) {
+        const Piece last = out.back();
+        const double lv = last.v + (last.rise ? s - last.s : 0.0);
+        if (last.rise == rise && std::abs(lv - v) <= eps)
+            return;
+        if (s - last.s > eps)
+            break;
+        out.pop_back(); // a sliver: this piece starts there instead
+        v -= rise ? s - last.s : 0.0;
+        s = last.s;
+    }
+    out.push_back({s, v, rise});
+}
+
+/**
+ * env := max(env, f(x - dx) + dv) on (lo, hi], the shifted copy being
+ * -inf elsewhere, with lo >= dx. Pieces outside (lo, hi] are copied;
+ * inside, one sweep over both piece lists, and where the two slopes
+ * differ by one, a crossing is exactly |difference| away.
+ */
+void
+raise(Gain &env, const Gain &f, double dx, double dv, double lo, double hi,
+      double eps, std::vector<Piece> &scratch)
+{
+    hi = std::min(hi, env.end);
+    if (f.pieces.empty() || !(lo < hi))
+        return;
+    const std::vector<Piece> &ep = env.pieces;
+    const auto after = [](double v, const Piece &p) { return v < p.s; };
+    size_t e = static_cast<size_t>(
+        std::upper_bound(ep.begin() + 1, ep.end(), lo, after) - ep.begin() -
+        1);
+    scratch.assign(ep.begin(), ep.begin() + static_cast<long>(e));
+    const auto out = [&](double s, double v, bool rise) {
+        push(scratch, eps, s, v, rise);
+    };
+    const auto env_at = [&](double x) {
+        return ep[e].v + (ep[e].rise ? x - ep[e].s : 0.0);
+    };
+    if (ep[e].s < lo)
+        out(ep[e].s, ep[e].v, ep[e].rise);
+    size_t c = 0;
+    for (double x = lo; x < hi;) {
+        while (e + 1 < ep.size() && ep[e + 1].s <= x)
+            ++e;
+        while (c + 1 < f.pieces.size() && f.pieces[c + 1].s + dx <= x)
+            ++c;
+        double next = e + 1 < ep.size() ? std::min(hi, ep[e + 1].s) : hi;
+        if (c + 1 < f.pieces.size())
+            next = std::min(next, f.pieces[c + 1].s + dx);
+        const Piece &fp = f.pieces[c];
+        const bool er = ep[e].rise;
+        const double ev = env_at(x);
+        const double fv = fp.v + dv + (fp.rise ? x - (fp.s + dx) : 0.0);
+        const double d0 = fv - ev;
+        const double d1 =
+            d0 + ((fp.rise ? 1.0 : 0.0) - (er ? 1.0 : 0.0)) * (next - x);
+        if (d0 > 0.0) {
+            out(x, fv, fp.rise);
+            if (d1 < 0.0) // env rises through f at x + d0
+                out(x + d0, fv, er);
+        } else {
+            out(x, ev, er);
+            if (d1 > 0.0) // f rises through env at x - d0
+                out(x - d0, ev, fp.rise);
+        }
+        x = next;
+    }
+    if (hi < env.end) {
+        while (e + 1 < ep.size() && ep[e + 1].s <= hi)
+            ++e;
+        out(hi, env_at(hi), ep[e].rise);
+        scratch.insert(scratch.end(), ep.begin() + static_cast<long>(e) + 1,
+                       ep.end());
+    }
+    env.pieces.swap(scratch);
+}
+
+/**
+ * Layer gain w(x) - J [x > 0] on (0, end]: the bytes of [t0, t0 +
+ * beta x] the envelope spends flat, less the jump J in bytes.
+ */
+Gain
+layerGain(const std::vector<DegreeTable::Interval> &flats, double t0,
+          double beta, double jump, double end, double eps,
+          std::vector<Piece> &scratch)
+{
+    Gain g;
+    g.end = end;
+    if (!(end > 0.0))
+        return g;
+    scratch.clear();
+    const auto out = [&](double s, double v, bool rise) {
+        push(scratch, eps, s, v, rise);
+    };
+    double x = 0.0, v = -jump;
+    out(0.0, v, false);
+    for (const DegreeTable::Interval &f : flats) {
+        const double lo = std::max(x, (f.lo - t0) / beta);
+        const double hi = std::min(end, (f.hi - t0) / beta);
+        if (!(lo < hi))
+            continue;
+        out(x, v, false);
+        out(lo, v, true);
+        v += hi - lo;
+        x = hi;
+    }
+    if (x < end)
+        out(x, v, false);
+    g.pieces.swap(scratch);
+    g.findBreaks(eps);
+    return g;
+}
+
 } // namespace
+
+std::vector<double>
+placeRemainder(const std::vector<std::vector<DegreeTable::Interval>> &flats,
+               const std::vector<double> &filled,
+               const std::vector<double> &available,
+               const LinearModel &allreduce)
+{
+    const size_t n = flats.size();
+    FSMOE_CHECK_ARG(n >= 1 && filled.size() == n && available.size() == n,
+                    "one flat list, fill and availability per layer");
+    std::vector<double> x(n, 0.0);
+    const double remaining = available.back();
+    const double alpha = allreduce.alpha, beta = allreduce.beta;
+    if (!(remaining > 0.0) || !(beta > 0.0))
+        return x;
+    const double eps = 1e-13 * remaining;
+
+    // cap[i]: the most bytes layers 0..i can carry, min over j >= i of
+    // available[j].
+    std::vector<double> cap(n);
+    double c = remaining;
+    for (size_t i = n; i-- > 0;)
+        cap[i] = c = std::max(0.0, std::min(c, available[i]));
+
+    // Forward: gain[i] is layer i's gain, best[i](S) the most gain of
+    // layers 0..i carrying exactly S bytes (best(0) = 0 always).
+    std::vector<Piece> scratch;
+    std::vector<Gain> gain(n), best(n);
+    for (size_t i = 0; i < n; ++i) {
+        const double t0 = alpha + beta * filled[i];
+        double jump = 0.0;
+        if (!(filled[i] > 0.0)) {
+            // From t_gar = 0 to alpha at the first byte: the rise
+            // outside the flats, in bytes.
+            double flat = 0.0;
+            for (const DegreeTable::Interval &f : flats[i])
+                flat += std::max(0.0, std::min(f.hi, alpha) -
+                                          std::max(f.lo, 0.0));
+            jump = (alpha - flat) / beta;
+        }
+        gain[i] = layerGain(flats[i], t0, beta, jump, cap[i], eps, scratch);
+        Gain &env = best[i];
+        env = gain[i]; // x_i = S: nothing before layer i
+        if (i == 0 || best[i - 1].pieces.empty())
+            continue;
+        const Gain &prev = best[i - 1];
+        raise(env, prev, 0.0, 0.0, 0.0, prev.end, eps, scratch); // x_i = 0
+        for (double e : gain[i].ends)
+            raise(env, prev, e, gain[i].at(e), e, e + prev.end, eps,
+                  scratch);
+        for (double d : prev.drops) // x_i = S - d
+            raise(env, gain[i], d, prev.at(d), d, env.end, eps, scratch);
+        env.findBreaks(eps);
+    }
+
+    // Backward: the same candidates at the one S each layer ends at.
+    // Ties go to the largest x_i, so the earliest layers carry the
+    // fewest bytes.
+    double s = remaining;
+    for (size_t i = n; i-- > 0 && s > 0.0;) {
+        double take = s, value = gain[i].at(s);
+        const auto consider = [&](double xi, double v) {
+            if (v > value + eps || (v >= value - eps && xi > take)) {
+                take = xi;
+                value = v;
+            }
+        };
+        if (i > 0 && !best[i - 1].pieces.empty()) {
+            const Gain &prev = best[i - 1];
+            if (s <= prev.end)
+                consider(0.0, prev.at(s));
+            for (double e : gain[i].ends)
+                if (e < s && s - e <= prev.end)
+                    consider(e, prev.at(s - e) + gain[i].at(e));
+            for (double d : prev.drops)
+                if (d < s)
+                    consider(s - d, prev.at(d) + gain[i].at(s - d));
+        }
+        x[i] = take > eps ? take : 0.0;
+        s -= take;
+    }
+    // Rounding residue goes to the last carrying layer, so the plan
+    // sums to exactly the remainder and leaves no sliver of a tail.
+    size_t last = n - 1;
+    while (last > 0 && x[last] == 0.0)
+        --last;
+    double others = 0.0;
+    for (size_t i = 0; i < n; ++i)
+        if (i != last)
+            others += x[i];
+    x[last] = remaining - others;
+    return x;
+}
 
 GradPartitionPlan
 partitionGradients(const std::vector<GeneralizedLayer> &layers,
-                   const LinearModel &allreduce, const solver::DeConfig &de,
-                   bool enable_step2, bool merged_channel)
+                   const LinearModel &allreduce, bool enable_step2,
+                   bool merged_channel)
 {
     const size_t n = layers.size();
     FSMOE_CHECK_ARG(n >= 1, "need at least one generalized layer");
@@ -189,88 +443,29 @@ partitionGradients(const std::vector<GeneralizedLayer> &layers,
         produced_prefix[i] = pending; // bytes still unassigned after i
     }
     plan.exposedBytes = pending;
-
-    if (!enable_step2 || pending <= 0.0) {
-        finalizePlan(plan, layers, allreduce, solver);
-        return plan;
-    }
-
-    // ---- Step 2 (Eq. 5): optimise the remaining assignment. -------
-    // Variables: extra bytes x_i ridden in layer i's pipeline on top of
-    // the step-1 fill. Causality: bytes assigned to layers 0..i cannot
-    // exceed the bytes left unassigned when layer i runs; violations
-    // and over-assignment are penalised.
-    const double remaining = pending;
-    std::vector<double> lo(n, 0.0), hi(n, remaining);
-    // Every layer term is at least the smallest floor and fp addition
-    // is monotone, so summing n floors in the objective's order gives a
-    // lower bound on its layer sum with no rounding margin needed.
-    const double layer_floor = solver.floor();
-    double floor_sum = 0.0;
-    for (size_t i = 0; i < n; ++i)
-        floor_sum += layer_floor;
-    uint64_t evals = 0, cut = 0;
-    auto objective = [&](const std::vector<double> &x, double cutoff) {
-        ++evals;
-        double assigned = 0.0;
-        double violation = 0.0;
-        double cum = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            cum += x[i];
-            double avail = produced_prefix[i];
-            if (cum > avail)
-                violation += cum - avail;
-        }
-        assigned = cum;
-        if (assigned > remaining)
-            violation += assigned - remaining;
-        const double tail = std::max(0.0, remaining - assigned);
-        const double tail_time = garTime(allreduce, tail);
-        // Penalty scale: one full AllReduce of the violation, squared
-        // growth to push DE firmly inside the feasible region.
-        const auto finish = [&](double total) {
-            total += tail_time;
-            if (violation > 0.0) {
-                total += garTime(allreduce, violation) * 10.0 +
-                         allreduce.beta * violation;
-            }
-            return total;
-        };
-        const double bound = finish(floor_sum);
-        if (bound > cutoff) {
-            ++cut;
-            return bound;
-        }
-        // Each layer's exact integer optimum over all degrees, read
-        // from its degree table.
-        double total = 0.0;
-        for (size_t i = 0; i < n; ++i)
-            total += solver.minTime(
-                i, garTime(allreduce, plan.moeBytes[i] + x[i]));
-        return finish(total);
-    };
-
-    solver::DeResult best = solver::differentialEvolution(objective, lo, hi,
-                                                          de);
-    static stats::Counter &evals_counter =
-        stats::counter("solver.partition.de.evals");
-    static stats::Counter &cut_counter =
-        stats::counter("solver.partition.de.cut");
-    evals_counter.inc(evals);
-    cut_counter.inc(cut);
-    plan.deGenerations = best.generations;
-
-    // Clip the DE solution to the feasible polytope before adopting it.
-    double cum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        double avail = produced_prefix[i];
-        double x = std::max(0.0, best.x[i]);
-        x = std::min(x, std::max(0.0, avail - cum));
-        cum += x;
-        plan.moeBytes[i] += x;
-    }
-    plan.exposedBytes = std::max(0.0, remaining - cum);
     finalizePlan(plan, layers, allreduce, solver);
+    if (!enable_step2 || pending <= 0.0)
+        return plan;
+
+    // ---- Step 2 (Eq. 5): place the remainder exactly. -------------
+    std::vector<std::vector<DegreeTable::Interval>> flats;
+    flats.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        flats.push_back(solver.flats(i));
+    const std::vector<double> extra =
+        placeRemainder(flats, plan.moeBytes, produced_prefix, allreduce);
+    if (std::all_of(extra.begin(), extra.end(),
+                    [](double b) { return b == 0.0; }))
+        return plan;
+    GradPartitionPlan placed = plan;
+    for (size_t i = 0; i < n; ++i)
+        placed.moeBytes[i] += extra[i];
+    placed.exposedBytes = 0.0;
+    finalizePlan(placed, layers, allreduce, solver);
+    // Step 2 minimises the envelope's makespans; Algorithm 1 may
+    // realise them worse, so keep step 1's plan unless this one wins.
+    if (placed.totalTimeMs < plan.totalTimeMs)
+        return placed;
     return plan;
 }
 

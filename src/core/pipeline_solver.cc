@@ -344,14 +344,10 @@ DegreeTable::DegreeTable(const std::vector<Row> &rows)
     threshold_.resize(n);
     case1Prefix_.assign(n + 1, kInf);
     otherSuffix_.assign(n + 1, kInf);
-    floorTime_ = kInf;
     for (size_t k = 0; k < n; ++k) {
         const Row &row = rows[order[k]];
         threshold_[k] = threshold(order[k]);
         case1Prefix_[k + 1] = lesser(row.case1Base, case1Prefix_[k]);
-        // A case-1 row costs at least its cost at its own threshold.
-        floorTime_ = lesser(row.otherTime, floorTime_);
-        floorTime_ = lesser(row.case1Base + threshold_[k], floorTime_);
     }
     for (size_t k = n; k-- > 0;)
         otherSuffix_[k] = lesser(rows[order[k]].otherTime, otherSuffix_[k + 1]);
@@ -371,8 +367,6 @@ DegreeTable::DegreeTable(const std::vector<Row> &rows)
         channel = lesser(rows[order[k]].channelBase, channel);
         channelPrefix_[k] = channel;
     }
-    // Every merged makespan is at least its row's compute term.
-    floorMerged_ = compute_[0];
 }
 
 // A row is in case 1 iff t_gar > threshold, so the case-1 rows are the
@@ -410,6 +404,44 @@ DegreeTable::minMergedTime(double t_gar) const
     if (lo > 0)
         best = lesser(channelPrefix_[lo - 1] + t_gar, best);
     return best;
+}
+
+// Every row's makespan is max(c, a + t_gar), flat up to t_gar = c - a
+// and rising after, so each envelope is flat, then rising, on the
+// intervals between its breakpoints. Threshold order: on
+// (threshold_[k-1], threshold_[k]] minTime is min(P + t, O), flat
+// from t = O - P on. Compute order: the staircase of minMergedTime
+// holds compute_[k] from channelPrefix_[k-1] + t = compute_[k] to
+// channelPrefix_[k] + t = compute_[k] (from -inf for k = 0).
+std::vector<DegreeTable::Interval>
+DegreeTable::flats(bool merged) const
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<Interval> out;
+    double last_value = kInf;
+    const auto add = [&](double lo, double hi, double value) {
+        if (!(lo < hi))
+            return;
+        if (!out.empty() && out.back().hi >= lo && last_value == value)
+            out.back().hi = std::max(out.back().hi, hi);
+        else
+            out.push_back({lo, hi});
+        last_value = value;
+    };
+    if (merged) {
+        for (size_t k = 0; k < compute_.size(); ++k)
+            add(k == 0 ? -kInf : compute_[k] - channelPrefix_[k - 1],
+                compute_[k] - channelPrefix_[k], compute_[k]);
+    } else {
+        for (size_t k = 0; k < otherSuffix_.size(); ++k) {
+            const double lo = k == 0 ? -kInf : threshold_[k - 1];
+            const double hi = k < threshold_.size() ? threshold_[k] : kInf;
+            if (otherSuffix_[k] < kInf)
+                add(std::max(lo, otherSuffix_[k] - case1Prefix_[k]), hi,
+                    otherSuffix_[k]);
+        }
+    }
+    return out;
 }
 
 } // namespace fsmoe::core

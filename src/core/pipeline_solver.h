@@ -173,11 +173,18 @@ class DegreeTable
     /** min over r of mergedMoeTime at t_gar = @p t_gar. */
     double minMergedTime(double t_gar) const;
 
-    /** A lower bound on minTime(t_gar) valid for every t_gar. */
-    double floorTime() const { return floorTime_; }
+    /** A closed t_gar interval [lo, hi]. */
+    struct Interval
+    {
+        double lo, hi;
+    };
 
-    /** A lower bound on minMergedTime(t_gar) valid for every t_gar. */
-    double floorMergedTime() const { return floorMerged_; }
+    /**
+     * The t_gar intervals on which minTime (@p merged: minMergedTime)
+     * is flat, ascending and disjoint; lo may be -inf. Between and
+     * after them the envelope rises with slope 1 in t_gar.
+     */
+    std::vector<Interval> flats(bool merged) const;
 
   private:
     // Case-1 envelope, rows ordered by threshold (NaN stored as +inf,
@@ -189,7 +196,6 @@ class DegreeTable
     // which std::max ignores alike): compute_[k] ascending and
     // channelPrefix_[k] the least channelBase of rows 0..k.
     std::vector<double> compute_, channelPrefix_;
-    double floorTime_ = 0.0, floorMerged_ = 0.0;
 };
 
 } // namespace fsmoe::core

@@ -66,11 +66,8 @@ class FsMoeSchedule : public Schedule
         // Backward: degrees and Gradient-AllReduce placement from the
         // adaptive partitioner. Plan index 0 is the layer backward
         // reaches first (the last model layer).
-        solver::DeConfig de;
-        de.populationSize = 24;
-        de.maxGenerations = 80;
         GradPartitionPlan plan = cachedPartitionGradients(
-            makeGeneralizedLayers(model), model.models.allreduce, de,
+            makeGeneralizedLayers(model), model.models.allreduce,
             /*enable_step2=*/step2_, /*merged_channel=*/!iio_);
 
         std::vector<sim::TaskId> barrier_deps;

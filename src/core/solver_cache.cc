@@ -234,8 +234,7 @@ cachedSolvePipelineMerged(const PipelineProblem &p)
 
 GradPartitionPlan
 cachedPartitionGradients(const std::vector<GeneralizedLayer> &layers,
-                         const LinearModel &allreduce,
-                         const solver::DeConfig &de, bool enable_step2,
+                         const LinearModel &allreduce, bool enable_step2,
                          bool merged_channel)
 {
     std::string key(1, 'P');
@@ -248,21 +247,26 @@ cachedPartitionGradients(const std::vector<GeneralizedLayer> &layers,
     }
     appendBits(key, allreduce.alpha);
     appendBits(key, allreduce.beta);
-    appendBits(key, static_cast<int64_t>(de.populationSize));
-    appendBits(key, static_cast<int64_t>(de.maxGenerations));
-    appendBits(key, de.weight);
-    appendBits(key, de.crossover);
-    appendBits(key, static_cast<int64_t>(de.seed));
-    appendBits(key, de.tolerance);
     key.push_back(enable_step2 ? '1' : '0');
     key.push_back(merged_channel ? '1' : '0');
     return memoized(partition_cache, Tiers::instance().partition, key,
                     [&] {
-                        return partitionGradients(layers, allreduce, de,
+                        return partitionGradients(layers, allreduce,
                                                   enable_step2,
                                                   merged_channel);
                     },
                     FSMOE_SOLVER_FP(fingerprintPlan));
+}
+
+GradPartitionPlan
+cachedPartitionGradients(const std::vector<GeneralizedLayer> &layers,
+                         const LinearModel &allreduce,
+                         const solver::DeConfig &de, bool enable_step2,
+                         bool merged_channel)
+{
+    (void)de;
+    return cachedPartitionGradients(layers, allreduce, enable_step2,
+                                    merged_channel);
 }
 
 SolverCacheStats

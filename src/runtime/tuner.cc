@@ -15,6 +15,7 @@
 #include "base/logging.h"
 #include "base/number.h"
 #include "base/stats.h"
+#include "core/grad_partition.h"
 #include "core/schedules/param_space.h"
 #include "core/schedules/schedule_registry.h"
 
@@ -66,10 +67,12 @@ dominates(const TuneCandidate &a, const TuneCandidate &b)
 }
 
 /**
- * Fingerprint of the candidate set a search draws from: every
- * registered schedule and its declared params, in canonical-name
- * order. Registering a schedule changes it, so answers cached before
- * (or by a build with other schedules) are never served after.
+ * Fingerprint of the candidate set a search draws from and of the cost
+ * model it prices them with: every registered schedule and its
+ * declared params, in canonical-name order, and the gradient
+ * partitioner's revision. Registering a schedule or changing the
+ * partitioner changes it, so answers cached before (or by a build with
+ * other schedules or another partitioner) are never served after.
  */
 uint64_t
 registryDigest()
@@ -81,6 +84,7 @@ registryDigest()
                   return a.name < b.name;
               });
     audit::Fingerprint fp;
+    fp.mix(core::kPartitionRevision);
     for (const core::ScheduleInfo &info : infos) {
         fp.mix(info.name).mix(static_cast<uint64_t>(info.params.size()));
         for (const core::ScheduleParamInfo &p : info.params)

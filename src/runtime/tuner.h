@@ -28,7 +28,9 @@
  *
  * Advisor caching: answers are memoized by a key derived from the
  * query and the tuner configuration, together with a digest of the
- * registered schedules (the candidate set), and can be persisted as a
+ * registered schedules (the candidate set) and the gradient
+ * partitioner's revision (core::kPartitionRevision), and can be
+ * persisted as a
  * JSON cache file (load/save), so a repeated query is a lookup — zero
  * simulations, verifiable via the "sim.runs" stats counter. The
  * persisted form round-trips byte-identically (base/json.h fmtDouble).
@@ -149,7 +151,8 @@ class Tuner
      * tuner's configuration: the scenario cost key plus the search
      * settings, so a tuner with a different budget never serves
      * another configuration's answer. The cache pairs it with a
-     * digest of the registered schedules, so registering one makes
+     * digest of the registered schedules and the partitioner
+     * revision, so registering one, or a new partitioner, makes
      * earlier answers stale.
      */
     std::string queryKey(const TuneQuery &query) const;

@@ -2,11 +2,11 @@
  * @file
  * Differential evolution (rand/1/bin) global optimiser.
  *
- * Paper §5.3 assigns the gradient bytes that remain after Step 1 to MoE
- * layers by solving Eq. 5 with differential evolution, noting the solve
- * runs once before training so wall-clock cost is not critical. This is
- * a standard DE with box constraints and an optional penalty hook for
- * the coupled upper-bound constraints of Eq. 5.
+ * Paper §5.3 solves Eq. 5's gradient placement with differential
+ * evolution; here the gradient partitioner solves it exactly, and the
+ * schedule tuner searches continuous parameter spaces with DE. This is
+ * a standard DE with box constraints; coupled constraints can be
+ * imposed through a penalised objective.
  */
 #ifndef FSMOE_SOLVER_DIFFERENTIAL_EVOLUTION_H
 #define FSMOE_SOLVER_DIFFERENTIAL_EVOLUTION_H

@@ -241,8 +241,7 @@ TEST(PipelineSolver, DegreeTableEnvelopesMatchTheRowScanBitwise)
     // a DE decision. Probe every threshold and its neighbouring doubles
     // (where a row enters case 1), both signed zeros, negative, huge
     // and infinite t_gar, and the merged model's crossover points
-    // compute - channelBase, on tables of 1 to 64 rows. The floors
-    // must bound every probe from below.
+    // compute - channelBase, on tables of 1 to 64 rows.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     std::mt19937_64 rng(0x5eedc0deULL);
     int probes = 0;
@@ -269,8 +268,6 @@ TEST(PipelineSolver, DegreeTableEnvelopesMatchTheRowScanBitwise)
                 EXPECT_EQ(bitsOf(m),
                           bitsOf(referenceMinMergedTime(rows, g)))
                     << "rows=" << n << " t_gar=" << g;
-                EXPECT_LE(table.floorTime(), t) << "t_gar=" << g;
-                EXPECT_LE(table.floorMergedTime(), m) << "t_gar=" << g;
                 ++probes;
             }
         }
@@ -278,17 +275,63 @@ TEST(PipelineSolver, DegreeTableEnvelopesMatchTheRowScanBitwise)
     EXPECT_GT(probes, 8 * 10 * 10);
 }
 
-TEST(PipelineSolver, DegreeTableFloorsBoundTheSolverTables)
+TEST(PipelineSolver, DegreeTableFlatsAreWhereTheEnvelopeIsFlat)
 {
-    // The partitioner cuts a DE trial on the floors, so on real
-    // problems they must never exceed a reachable minimum.
-    for (PipelineProblem p : table4Slice()) {
+    // The gradient partitioner reads each envelope only through its
+    // flats and assumes slope 1 in t_gar everywhere else, so on real
+    // problems both must hold: one value across each flat, and
+    // minTime(b) - minTime(a) = b - a between and after them. The
+    // demo grid's backward problems have up to six flats each.
+    std::vector<PipelineProblem> problems = table4Slice();
+    std::map<std::string, runtime::Scenario> configs;
+    for (const runtime::Scenario &s : runtime::demoGrid())
+        configs.emplace(s.costKey(), s);
+    for (const auto &[key, s] : configs)
+        problems.push_back(detail::makeGeneralizedLayers(
+                               runtime::ScenarioRegistry::instance()
+                                   .makeCost(s))
+                               .front()
+                               .moe);
+    int flats = 0, gaps = 0;
+    size_t most = 0;
+    for (const PipelineProblem &p : problems) {
         const DegreeTable table(p);
-        for (double g : {0.0, 1e-3, 0.5, 3.0, 40.0, 1e4}) {
-            EXPECT_LE(table.floorTime(), table.minTime(g));
-            EXPECT_LE(table.floorMergedTime(), table.minMergedTime(g));
+        for (bool merged : {false, true}) {
+            const auto at = [&](double g) {
+                return merged ? table.minMergedTime(g) : table.minTime(g);
+            };
+            const std::vector<DegreeTable::Interval> fl =
+                table.flats(merged);
+            ASSERT_FALSE(fl.empty());
+            most = std::max(most, fl.size());
+            double rise = 0.0; // where the current rise starts
+            for (size_t k = 0; k <= fl.size(); ++k) {
+                const double lo = k < fl.size() ? std::max(fl[k].lo, 0.0)
+                                                : rise + 50.0;
+                if (rise < lo) {
+                    EXPECT_NEAR(at(lo) - at(rise), lo - rise, 1e-9 * at(lo));
+                    ++gaps;
+                }
+                if (k == fl.size())
+                    break;
+                if (k > 0) {
+                    EXPECT_LE(fl[k - 1].hi, fl[k].lo);
+                }
+                const double hi = fl[k].hi;
+                if (!(lo < hi))
+                    continue; // wholly below t_gar = 0
+                const double mid = at(lo + 0.5 * (hi - lo));
+                EXPECT_EQ(at(lo + 0.25 * (hi - lo)), mid);
+                EXPECT_EQ(at(lo + 0.75 * (hi - lo)), mid);
+                EXPECT_NEAR(at(hi), mid, 1e-9 * mid);
+                rise = hi;
+                ++flats;
+            }
         }
     }
+    EXPECT_GT(flats, 0);
+    EXPECT_GT(gaps, 0);
+    EXPECT_GE(most, 5u);
 }
 
 /**
