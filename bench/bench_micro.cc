@@ -4,7 +4,8 @@
  * claims: Algorithm-1 solve cost (§6.2 reports ~193 ms per case for
  * SLSQP; our combined solve must be far cheaper to run 1458 cases),
  * gradient-partitioning cost (and its degree-table part), the tuner's
- * DE loop, simulator throughput (also against the naive reference
+ * DE loop and one cold tuner query, simulator throughput (also
+ * against the naive reference
  * simulator), gate kernels, the GEMM kernel, and the functional
  * AlltoAll algorithms.
  */
@@ -22,6 +23,7 @@
 #include "dist/communicator.h"
 #include "model/models.h"
 #include "runtime/scenario.h"
+#include "runtime/tuner.h"
 #include "sim/simulator.h"
 #include "sim_reference.h"
 #include "solver/differential_evolution.h"
@@ -316,6 +318,29 @@ BENCHMARK(BM_LinaProbe)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * One cold tuner query: fsmoe_tune's demo query (gpt2xl-moe/testbedA,
+ * b1, rMax 16) on a fresh Tuner with one engine thread, so neither
+ * the advisor cache nor the engine's caches carry over between
+ * iterations. It covers the DE probes, the best-first frontier pass
+ * and the metric pass; perfbench's tune-cold runs four such queries
+ * per rep at different DE seeds.
+ */
+void
+BM_TuneQuery(benchmark::State &state)
+{
+    runtime::TuneQuery query;
+    query.model = "gpt2xl-moe";
+    query.cluster = "testbedA";
+    runtime::TuneOptions options;
+    options.numThreads = 1;
+    for (auto _ : state) {
+        runtime::Tuner tuner(options);
+        benchmark::DoNotOptimize(tuner.tune(query));
+    }
+}
+BENCHMARK(BM_TuneQuery)->Unit(benchmark::kMillisecond);
 
 /**
  * One backward MoE phase (a mixtral-7b layer on testbedB, merged

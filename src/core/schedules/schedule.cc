@@ -332,13 +332,33 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff) const
                    [&](sim::TaskGraph &g, int r) { emit(g, model, r); },
                    cutoff)
             .makespanMs;
-    sim::TaskGraph tally = sim::TaskGraph::durationTally();
-    emit(tally, model, degree_);
-    if (sim::Simulator::makespanLowerBound(tally) >= cutoff)
+    if (tallyBound(model, degree_) >= cutoff)
         return std::numeric_limits<double>::infinity();
     sim::TaskGraph graph;
     emit(graph, model, degree_);
     return sim::Simulator{}.makespanBelow(graph, cutoff);
+}
+
+double
+DegreeSchedule::makespanLowerBound(const ModelCost &model) const
+{
+    double bound = std::numeric_limits<double>::infinity();
+    if (degree_ != 0) {
+        bound = tallyBound(model, degree_);
+    } else {
+        FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
+        for (int r = 1; r <= model.rMax; ++r)
+            bound = std::min(bound, tallyBound(model, r));
+    }
+    return std::max(bound, degreeFreeBound(model));
+}
+
+double
+DegreeSchedule::tallyBound(const ModelCost &model, int r) const
+{
+    sim::TaskGraph tally = sim::TaskGraph::durationTally();
+    emit(tally, model, r);
+    return sim::Simulator::makespanLowerBound(tally);
 }
 
 std::vector<GeneralizedLayer>

@@ -143,6 +143,18 @@ class Schedule
     virtual double makespanBelow(const ModelCost &model,
                                  double cutoff) const;
 
+    /**
+     * A proven lower bound on `Simulator::run(build(model)).makespan`
+     * that costs no build: a caller pricing many candidates against a
+     * running cutoff (the tuner's frontier pass) skips the ones whose
+     * bound already reaches it. The default, 0, never skips.
+     */
+    virtual double makespanLowerBound(const ModelCost &model) const
+    {
+        (void)model;
+        return 0.0;
+    }
+
     /** Convenience: build, simulate, and return the makespan in ms. */
     double iterationTimeMs(const ModelCost &model) const;
 
@@ -304,11 +316,20 @@ class DegreeSchedule : public Schedule
      * +inf at once when degreeFreeBound() reaches @p cutoff (counted in
      * schedule.search.degreeFreeCut). Otherwise, at degree 0, the
      * search seeded with @p cutoff; at a fixed degree, the graph is
-     * tallied first and built and simulated only when its link-sum
-     * bound is below @p cutoff.
+     * built and simulated only when makespanLowerBound() is below
+     * @p cutoff.
      */
     double makespanBelow(const ModelCost &model,
                          double cutoff) const override;
+
+    /**
+     * The larger of degreeFreeBound() and the link-sum bound
+     * (Simulator::makespanLowerBound) of emit()'s duration tally at
+     * the fixed degree, or at degree 0 the least such tally bound over
+     * 1..rMax: the search picks one of those degrees, so its makespan
+     * is at least the smallest of their bounds.
+     */
+    double makespanLowerBound(const ModelCost &model) const override;
 
     /**
      * Append the iteration graph at pipeline degree @p r; into a
@@ -328,6 +349,9 @@ class DegreeSchedule : public Schedule
     }
 
   private:
+    /** Simulator::makespanLowerBound of emit()'s tally at degree @p r. */
+    double tallyBound(const ModelCost &model, int r) const;
+
     int degree_;
 };
 

@@ -293,18 +293,6 @@ SweepEngine::makespanBelow(const Scenario &s, double cutoff)
     return makespan;
 }
 
-std::vector<ScenarioResult>
-SweepEngine::run(const std::vector<Scenario> &scenarios, bool keep_graphs)
-{
-    // run() is documented non-concurrent, so a scoped swap of the
-    // option is safe and keeps one code path.
-    const bool saved = options_.keepGraphs;
-    options_.keepGraphs = keep_graphs;
-    auto results = run(scenarios);
-    options_.keepGraphs = saved;
-    return results;
-}
-
 ScenarioResult
 SweepEngine::evaluate(const Scenario &s)
 {

@@ -105,16 +105,6 @@ class SweepEngine
     std::vector<ScenarioResult> run(const std::vector<Scenario> &scenarios);
 
     /**
-     * run() with SweepOptions::keepGraphs overridden for this call
-     * only. Lets one engine interleave cached probe sweeps
-     * (keep_graphs = false, SimResult cache active) with graph-bearing
-     * metric passes (keep_graphs = true) without rebuilding its caches
-     * — the tuner's frontier pass relies on this.
-     */
-    std::vector<ScenarioResult> run(const std::vector<Scenario> &scenarios,
-                                    bool keep_graphs);
-
-    /**
      * Evaluate one scenario on the calling thread, through the caches
      * the options enable: the per-scenario body of run(), and the one
      * path in the repo that yields a ScenarioResult. Creates no

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -322,11 +323,31 @@ struct ProbeStats
     }
 };
 
+/** Registry handles for the frontier-pass counters, resolved once. */
+struct FrontierStats
+{
+    stats::Counter &exact = stats::counter("tuner.frontier.exact");
+    stats::Counter &cut = stats::counter("tuner.frontier.cut");
+    stats::Counter &bounded = stats::counter("tuner.frontier.bounded");
+
+    static FrontierStats &instance()
+    {
+        static FrontierStats s;
+        return s;
+    }
+};
+
+/**
+ * The tuner's engine: the probes and the frontier pass price through
+ * makespanBelow, which keeps no SimResult, and the metric pass needs
+ * each graph with its result, so the engine keeps graphs.
+ */
 SweepOptions
 engineOptions(const TuneOptions &options)
 {
     SweepOptions sweep;
     sweep.numThreads = options.numThreads;
+    sweep.keepGraphs = true;
     return sweep;
 }
 
@@ -477,43 +498,84 @@ Tuner::search(const TuneQuery &query)
     ps.memo.inc(memo);
     ps.cut.inc(cut);
 
-    // --- Probe pass: every candidate, cached, in parallel.
-    std::vector<Scenario> scenarios;
-    scenarios.reserve(candidates.size());
-    for (const auto &c : candidates) {
-        Scenario s = base;
-        s.schedule = c.second;
-        scenarios.push_back(std::move(s));
-        probedSpecs.insert(c.second);
-    }
-    const std::vector<ScenarioResult> probes = engine_.run(scenarios);
-
-    // --- Select the metric-pass set: each schedule's best candidate
-    // plus the global top-N by makespan.
-    std::unordered_map<std::string, size_t> bestOfSchedule;
+    // --- Frontier pass: the candidates that can reach the metric
+    // pass, which takes each schedule's best candidate plus the global
+    // top-N by (makespan, spec). Candidates are visited best bound
+    // first, each priced only below the larger of the N-th best so far
+    // and its schedule's best so far: both only fall as the pass goes
+    // on, so a candidate whose bound reaches that cutoff, or whose
+    // probe stops at it, is worse than the final N-th best and than
+    // its schedule's final best, and the metric set is the one every
+    // candidate priced in full would give. The cutoff's next double up
+    // keeps a tie on makespan, which the spec then breaks.
+    const core::ModelCost cost =
+        ScenarioRegistry::instance().makeCost(base);
+    std::vector<double> bound(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
-        auto it = bestOfSchedule.find(candidates[i].first);
-        if (it == bestOfSchedule.end() ||
-            betterProbe(probes[i].makespanMs, candidates[i].second,
-                        probes[it->second].makespanMs,
-                        candidates[it->second].second))
-            bestOfSchedule[candidates[i].first] = i;
+        bound[i] = core::Schedule::create(candidates[i].second)
+                       ->makespanLowerBound(cost);
+        probedSpecs.insert(candidates[i].second);
     }
-    std::vector<size_t> order(candidates.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return betterProbe(probes[a].makespanMs, candidates[a].second,
-                           probes[b].makespanMs, candidates[b].second);
+    std::vector<size_t> visit(candidates.size());
+    std::iota(visit.begin(), visit.end(), size_t{0});
+    std::stable_sort(visit.begin(), visit.end(), [&](size_t a, size_t b) {
+        return bound[a] < bound[b];
     });
+
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    struct Priced
+    {
+        double makespanMs;
+        const std::string *spec;
+        bool operator<(const Priced &o) const
+        {
+            return betterProbe(makespanMs, *spec, o.makespanMs, *o.spec);
+        }
+    };
+    std::vector<Priced> top; // the best N so far, sorted
+    std::unordered_map<std::string, Priced> bestOfSchedule;
+    uint64_t exact = 0, frontierCut = 0, bounded = 0;
+    for (size_t i : visit) {
+        const auto &[schedule, spec] = candidates[i];
+        auto best = bestOfSchedule.find(schedule);
+        const double cutoff = std::max(
+            top.size() < kFrontierCandidates ? kInf : top.back().makespanMs,
+            best == bestOfSchedule.end() ? kInf : best->second.makespanMs);
+        const double below = std::nextafter(cutoff, kInf);
+        if (bound[i] >= below) {
+            ++bounded;
+            continue;
+        }
+        Scenario s = base;
+        s.schedule = spec;
+        const double ms = engine_.makespanBelow(s, below);
+        if (!(ms < below)) {
+            ++frontierCut;
+            continue;
+        }
+        ++exact;
+        const Priced priced{ms, &spec};
+        if (best == bestOfSchedule.end())
+            bestOfSchedule.emplace(schedule, priced);
+        else if (priced < best->second)
+            best->second = priced;
+        top.insert(std::upper_bound(top.begin(), top.end(), priced),
+                   priced);
+        if (top.size() > kFrontierCandidates)
+            top.pop_back();
+    }
+    FrontierStats &fs = FrontierStats::instance();
+    fs.exact.inc(exact);
+    fs.cut.inc(frontierCut);
+    fs.bounded.inc(bounded);
+
     std::set<std::string> metricSpecs;
     for (const auto &kv : bestOfSchedule)
-        metricSpecs.insert(candidates[kv.second].second);
-    for (size_t i = 0;
-         i < order.size() && i < kFrontierCandidates; ++i)
-        metricSpecs.insert(candidates[order[i]].second);
+        metricSpecs.insert(*kv.second.spec);
+    for (const Priced &p : top)
+        metricSpecs.insert(*p.spec);
 
-    // --- Metric pass: re-run the short list with graphs retained and
+    // --- Metric pass: simulate the short list with graphs retained and
     // compute the comm/memory objectives from each trace.
     std::vector<Scenario> metricScenarios;
     for (const std::string &spec : metricSpecs) {
@@ -521,10 +583,7 @@ Tuner::search(const TuneQuery &query)
         s.schedule = spec;
         metricScenarios.push_back(std::move(s));
     }
-    const std::vector<ScenarioResult> metrics =
-        engine_.run(metricScenarios, /*keep_graphs=*/true);
-    const core::ModelCost cost =
-        ScenarioRegistry::instance().makeCost(base);
+    const std::vector<ScenarioResult> metrics = engine_.run(metricScenarios);
 
     std::vector<TuneCandidate> evaluated;
     evaluated.reserve(metrics.size());

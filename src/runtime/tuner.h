@@ -7,10 +7,9 @@
  * that claim. Given a (model, cluster, batch) query, the tuner
  * enumerates every registered schedule, derives each one's search
  * space from its declared parameters (core/schedules/param_space.h),
- * probes candidates through a SweepEngine — so both memo tiers and
- * the thread pool are reused across candidates and across queries —
- * and answers with the best canonical spec plus a Pareto frontier
- * over three objectives:
+ * prices candidates through a SweepEngine, whose cost cache serves
+ * every candidate and later queries, and answers with the best
+ * canonical spec plus a Pareto frontier over three objectives:
  *
  *   makespanMs  simulated iteration time (the primary objective);
  *   commBusyMs  total busy time on the two communication links —
@@ -22,9 +21,11 @@
  *
  * Small spaces are searched exhaustively (grid); spaces with a
  * continuous axis fall back to the solver's differential evolution,
- * probing through the same cached engine. Every schedule's bare
- * canonical name is always a candidate, so the tuner's answer is
- * never worse than the best default configuration.
+ * probing through the same engine. Every schedule's bare canonical
+ * name is always a candidate, so the tuner's answer is never worse
+ * than the best default configuration. Candidates are priced best
+ * lower bound first against a running cutoff (docs/TUNING.md), so
+ * only those that can still reach the metric pass are simulated.
  *
  * Advisor caching: answers are memoized by a key derived from the
  * query and the tuner configuration, together with a digest of the
@@ -35,8 +36,9 @@
  * simulations, verifiable via the "sim.runs" stats counter. The
  * persisted form round-trips byte-identically (base/json.h fmtDouble).
  *
- * Determinism contract: fixed DE seed, sequential DE probes, and the
- * engine's parallel-equals-serial guarantee make tune() byte-stable:
+ * Determinism contract: fixed DE seed, sequential DE probes and
+ * frontier pass, and the engine's parallel-equals-serial guarantee
+ * for the metric pass make tune() byte-stable:
  * the same query on any thread count, in Debug or Release, produces
  * an identical answer (tuner_test and CI assert this).
  *
@@ -80,7 +82,8 @@ struct TuneQuery
 /** Tuner configuration (all defaults are deterministic). */
 struct TuneOptions
 {
-    int numThreads = 0; ///< Engine worker threads; 0 = hardware.
+    /// Engine worker threads for the metric pass; 0 = hardware.
+    int numThreads = 0;
     /// DE budget for continuous spaces. A probe stops at its parent's
     /// cutoff (SweepEngine::makespanBelow), and a per-search memo
     /// makes revisited specs free.
@@ -183,7 +186,7 @@ class Tuner
      */
     static std::string answerJson(const TuneAnswer &answer);
 
-    /** The underlying engine (its caches persist across queries). */
+    /** The underlying engine (its cost cache persists across queries). */
     SweepEngine &engine() { return engine_; }
 
   private:

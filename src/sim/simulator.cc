@@ -112,36 +112,35 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
     std::vector<double> ready(n, 0.0);
     std::vector<uint8_t> finished(n, 0);
 
-    // Reverse CSR: dependents of each task, built by counting sort
-    // over the graph's flat dependency pool.
+    // Reverse CSR (the dependents of each task) and stream CSR (each
+    // stream's FIFO issue queue, in addTask order), built by one
+    // counting pass and one fill pass over the tasks and the flat
+    // dependency pool; head[s] is an absolute cursor into str_tasks.
+    const TaskId *dep_pool = graph.depPool().data();
+    const int num_streams = graph.numStreams();
     std::vector<uint32_t> rev_off(n + 1, 0);
+    std::vector<uint32_t> str_off(num_streams + 1, 0);
     for (const Task &t : tasks) {
         pending[t.id] = static_cast<int32_t>(t.depCount);
-        for (TaskId d : graph.deps(t.id))
-            rev_off[static_cast<size_t>(d) + 1]++;
+        for (uint32_t j = t.depBegin; j < t.depBegin + t.depCount; ++j)
+            rev_off[static_cast<size_t>(dep_pool[j]) + 1]++;
+        str_off[t.stream + 1]++;
     }
     for (size_t i = 0; i < n; ++i)
         rev_off[i + 1] += rev_off[i];
-    std::vector<TaskId> rev(graph.numDeps());
-    {
-        std::vector<uint32_t> cursor(rev_off.begin(), rev_off.end() - 1);
-        for (const Task &t : tasks)
-            for (TaskId d : graph.deps(t.id))
-                rev[cursor[d]++] = t.id;
-    }
-
-    // Stream CSR: per-stream FIFO issue queues in addTask order;
-    // head[s] is an absolute cursor into str_tasks.
-    const int num_streams = graph.numStreams();
-    std::vector<uint32_t> str_off(num_streams + 1, 0);
-    for (const Task &t : tasks)
-        str_off[t.stream + 1]++;
     for (int s = 0; s < num_streams; ++s)
         str_off[s + 1] += str_off[s];
+    std::vector<TaskId> rev(graph.numDeps());
     std::vector<TaskId> str_tasks(n);
     std::vector<uint32_t> head(str_off.begin(), str_off.end() - 1);
-    for (const Task &t : tasks)
-        str_tasks[head[t.stream]++] = t.id;
+    {
+        std::vector<uint32_t> cursor(rev_off.begin(), rev_off.end() - 1);
+        for (const Task &t : tasks) {
+            for (uint32_t j = t.depBegin; j < t.depBegin + t.depCount; ++j)
+                rev[cursor[dep_pool[j]]++] = t.id;
+            str_tasks[head[t.stream]++] = t.id;
+        }
+    }
     std::copy(str_off.begin(), str_off.end() - 1, head.begin());
 
     // Per-link candidate heaps. Entries carry their full arbitration

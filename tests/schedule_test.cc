@@ -5,9 +5,9 @@
  * slowest; FSMoE at least as fast as its No-IIO ablation and the Tutel
  * baselines), exactness of the pruned Tutel/Lina degree search
  * against the unpruned loop, with and without a cutoff,
- * Schedule::makespanBelow against run()'s makespan, and
- * Schedule::simulate, which hands back a search's result, against
- * run(build()).
+ * Schedule::makespanBelow against run()'s makespan,
+ * Schedule::makespanLowerBound below it, and Schedule::simulate,
+ * which hands back a search's result, against run(build()).
  */
 #include <algorithm>
 #include <cmath>
@@ -1021,6 +1021,55 @@ TEST(Schedules, LinasDegreeFreeBoundIsBelowTheMakespanAtEveryDegree)
     EXPECT_EQ(asDegreeSchedule(*Schedule::create("tutel"))
                   .degreeFreeBound(cost),
               0.0);
+}
+
+TEST(Schedules, MakespanLowerBoundIsBelowTheMakespan)
+{
+    // Every demo configuration (the tuner's query among them) and the
+    // tuner's query at rMax 4, where the degree-0 bound is a minimum
+    // over fewer degrees.
+    std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    runtime::Scenario small_r = tunerQuery();
+    small_r.rMax = 4;
+    configs.emplace(small_r.costKey(), small_r);
+    const std::string tuner_key = tunerQuery().costKey();
+    ASSERT_EQ(configs.count(tuner_key), 1u);
+    ASSERT_EQ(configs.size(), 9u);
+    const auto makespan = [](const Schedule &sched, const ModelCost &cost) {
+        return sim::Simulator{}.run(sched.build(cost)).makespan;
+    };
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        // A schedule without a degree has no bound of its own.
+        for (const std::string &name : ScheduleRegistry::instance().names()) {
+            const auto sched = Schedule::create(name);
+            const double bound = sched->makespanLowerBound(cost);
+            if (!dynamic_cast<const detail::DegreeSchedule *>(sched.get())) {
+                EXPECT_EQ(bound, 0.0) << key << " " << name;
+            }
+            EXPECT_LE(bound, makespan(*sched, cost)) << key << " " << name;
+        }
+        for (const std::string &prefix : boundSpecPrefixes(key, false)) {
+            // Degree 0 searches 1..rMax, so its bound is the least of
+            // theirs, and below the makespan of whichever it picks.
+            double least = std::numeric_limits<double>::infinity();
+            for (int r = 0; r <= cost.rMax; ++r) {
+                const std::string spec = prefix + "degree=" + std::to_string(r);
+                const auto sched = Schedule::create(spec);
+                const double bound = sched->makespanLowerBound(cost);
+                EXPECT_LE(bound, makespan(*sched, cost)) << key << " " << spec;
+                if (r == 0)
+                    continue;
+                EXPECT_GT(bound, 0.0) << key << " " << spec;
+                least = std::min(least, bound);
+            }
+            EXPECT_EQ(Schedule::create(prefix + "degree=0")
+                          ->makespanLowerBound(cost),
+                      least)
+                << key << " " << prefix;
+        }
+    }
 }
 
 TEST(DegreeSearch, TheDegreeFreeBoundStopsALosingLinaProbeFirst)

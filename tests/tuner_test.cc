@@ -2,9 +2,11 @@
  * @file
  * Tests for the schedule auto-tuner: Pareto-dominance invariants on
  * hand-built cost sets, byte-determinism of the search (repeat runs,
- * serial == parallel, and pinned demo answers at four DE seeds), the
- * cached-advisor hit path (zero new simulations, byte-identical warm
- * answers, persistence round-trip, impossible entries rejected), an
+ * serial == parallel, pinned demo answers at four DE seeds and pinned
+ * answers across models, testbeds and rMax), the frontier pass's
+ * exact/cut/bounded counts, the cached-advisor hit path (zero new
+ * simulations, byte-identical warm answers, persistence round-trip,
+ * impossible entries rejected), an
  * oracle check that the tuner's pick matches an independent
  * exhaustive grid search, and the peak-memory metric.
  *
@@ -276,11 +278,80 @@ TEST(Tuner, DemoAnswersKeepTheirBytesAtEveryDeSeed)
             << "seed " << seed;
         if (seed == TuneOptions{}.de.seed) {
             // The default-seed query simulated 556,846 tasks when every
-            // DE probe was built and run in full; it now simulates
-            // 235,261, since losing probes stop at their cutoff.
-            EXPECT_LT(tasks.value() - tasks0, 556846u);
+            // DE probe was built and run in full, and 230,322 when every
+            // frontier candidate still was; it now simulates 159,067,
+            // since losing probes and candidates stop at their cutoff.
+            EXPECT_LT(tasks.value() - tasks0, 230322u);
         }
     }
+}
+
+TEST(Tuner, AnswersKeepTheirBytesAcrossModelsTestbedsAndDegrees)
+{
+    // FNV digests of answerJson recorded when the frontier pass still
+    // priced every candidate in full. Both models and both testbeds, at
+    // rMax 16 and 4: the metric set's cutoff moves with rMax, and the
+    // bound-first pass must pick the same set everywhere.
+    struct Pinned
+    {
+        const char *model;
+        const char *cluster;
+        int64_t batch;
+        int rMax;
+        uint64_t digest;
+    };
+    const Pinned kWant[] = {
+        {"gpt2xl-moe", "testbedA", 2, 16, 0x535db644518f63ecull},
+        {"gpt2xl-moe", "testbedB", 1, 16, 0x3a3e9db3b34fbeafull},
+        {"mixtral-7b", "testbedA", 1, 16, 0xd790c9d7e700a1cfull},
+        {"gpt2xl-moe", "testbedA", 1, 4, 0xc166dab32a144073ull},
+        {"gpt2xl-moe", "testbedB", 2, 4, 0x42d6a7eacc8f32e9ull},
+        {"mixtral-7b", "testbedA", 2, 4, 0x52bfad81dc51ea2cull},
+        {"mixtral-7b", "testbedB", 1, 4, 0xafcbda992c641714ull},
+        {"mixtral-7b", "testbedB", 2, 4, 0x7839a6994e11eac1ull},
+    };
+    for (const Pinned &p : kWant) {
+        TuneQuery q;
+        q.model = p.model;
+        q.cluster = p.cluster;
+        q.batch = p.batch;
+        q.rMax = p.rMax;
+        TuneOptions options;
+        options.numThreads = 1;
+        const std::string json = Tuner::answerJson(Tuner(options).tune(q));
+        EXPECT_EQ(audit::Fingerprint().mix(json).digest(), p.digest)
+            << p.model << " " << p.cluster << " b=" << p.batch
+            << " rMax=" << p.rMax << ":\n" << json;
+    }
+}
+
+TEST(Tuner, FrontierPassPricesOnlyCandidatesThatCanReachTheMetricPass)
+{
+    // The demo query's 45 candidates: the 16 that reach the metric set
+    // are priced exactly, one probe stops at its cutoff
+    // (Tutel?degree=2), and the 28 Tutel and Tutel-Improved variants at
+    // degrees 3..16 lose on their bounds alone, unbuilt.
+    stats::Counter &exact = stats::counter("tuner.frontier.exact");
+    stats::Counter &cut = stats::counter("tuner.frontier.cut");
+    stats::Counter &bounded = stats::counter("tuner.frontier.bounded");
+    const uint64_t exact0 = exact.value();
+    const uint64_t cut0 = cut.value();
+    const uint64_t bounded0 = bounded.value();
+    TuneOptions options;
+    options.numThreads = 1;
+    Tuner tuner(options);
+    EXPECT_FALSE(tuner.tune(demoQuery()).fromCache);
+    EXPECT_EQ(exact.value() - exact0, 16u);
+    EXPECT_EQ(cut.value() - cut0, 1u);
+    EXPECT_EQ(bounded.value() - bounded0, 28u);
+    EXPECT_EQ(exact.value() - exact0 + cut.value() - cut0 +
+                  bounded.value() - bounded0,
+              45u);
+
+    // A warm answer touches none of them.
+    const uint64_t seen = exact.value() + cut.value() + bounded.value();
+    EXPECT_TRUE(tuner.tune(demoQuery()).fromCache);
+    EXPECT_EQ(exact.value() + cut.value() + bounded.value(), seen);
 }
 
 // ------------------------------------------------- advisor cache path
