@@ -202,11 +202,23 @@ BM_ScheduleFsMoe(benchmark::State &state)
 }
 BENCHMARK(BM_ScheduleFsMoe);
 
+/** The demo grid's mixtral-7b/testbedB/b2 configuration. */
+runtime::Scenario
+mixtralTestbedBScenario()
+{
+    runtime::Scenario scenario;
+    scenario.model = "mixtral-7b";
+    scenario.cluster = "testbedB";
+    scenario.batch = 2;
+    scenario.seqLen = 256;
+    return scenario;
+}
+
 /**
  * One degree-0 build: the degree search, whose winning graph is the
  * build's result. Row 0 is Tutel on the demo grid's
  * mixtral-7b/testbedB/b2 configuration: it picks r = 2 and has the
- * fewest candidates the link-sum bound skips, so it is the pruned
+ * fewest candidates the release-date bound skips, so it is the pruned
  * search's worst demo case. Row 1 is PipeMoE+Lina on the tuner's
  * gpt2xl-moe/testbedA/b1/L1024 query, the search tune-cold runs most.
  * Items are candidate degrees.
@@ -214,14 +226,9 @@ BENCHMARK(BM_ScheduleFsMoe);
 void
 BM_DegreeSearch(benchmark::State &state)
 {
-    runtime::Scenario scenario;
+    runtime::Scenario scenario = mixtralTestbedBScenario();
     const char *spec = "tutel";
-    if (state.range(0) == 0) {
-        scenario.model = "mixtral-7b";
-        scenario.cluster = "testbedB";
-        scenario.batch = 2;
-        scenario.seqLen = 256;
-    } else {
+    if (state.range(0) != 0) {
         scenario.model = "gpt2xl-moe";
         scenario.cluster = "testbedA";
         scenario.batch = 1;
@@ -238,24 +245,39 @@ BM_DegreeSearch(benchmark::State &state)
 BENCHMARK(BM_DegreeSearch)->ArgName("tuner")->Arg(0)->Arg(1);
 
 /**
+ * One degree-search candidate's release-date bound
+ * (DegreeSchedule::makespanLowerBound): Tutel on mixtral-7b/testbedB/b2
+ * at a fixed r, emitted into a duration tally. A phase tallies in O(1),
+ * so r = 1 and r = 16 should cost the same.
+ */
+void
+BM_DegreeBound(benchmark::State &state)
+{
+    const core::ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(
+            mixtralTestbedBScenario());
+    const auto sched = core::Schedule::create(
+        "tutel?degree=" + std::to_string(state.range(0)));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sched->makespanLowerBound(cost));
+}
+BENCHMARK(BM_DegreeBound)->ArgName("r")->Arg(1)->Arg(16);
+
+/**
  * A losing degree-search candidate: Tutel at r on
  * mixtral-7b/testbedB/b2, built once and run through makespanBelow
  * with the r = 2 winner's makespan as the cutoff, as the search runs
- * it. r = 10 is the largest degree the search simulates there (from
- * r = 11 on, the link-sum bound skips the candidate unbuilt) and stops
- * at the remaining-work bound after 326 of its 3,488 tasks; r = 3, a
- * near tie (1874.4 against 1871.0 ms), after 1,206 of 1,248.
+ * it. r = 5 is the largest degree the search simulates there (from
+ * r = 6 on, the release-date bound skips the candidate unbuilt) and
+ * stops at the remaining-work bound after 1,566 of its 1,888 tasks;
+ * r = 3, a near tie (1874.4 against 1871.0 ms), after 1,206 of 1,248.
  */
 void
 BM_LosingCandidate(benchmark::State &state)
 {
-    runtime::Scenario scenario;
-    scenario.model = "mixtral-7b";
-    scenario.cluster = "testbedB";
-    scenario.batch = 2;
-    scenario.seqLen = 256;
     const core::ModelCost cost =
-        runtime::ScenarioRegistry::instance().makeCost(scenario);
+        runtime::ScenarioRegistry::instance().makeCost(
+            mixtralTestbedBScenario());
     const double cutoff =
         sim::Simulator{}
             .run(core::Schedule::create("tutel?degree=2")->build(cost))
@@ -276,7 +298,7 @@ BM_LosingCandidate(benchmark::State &state)
 BENCHMARK(BM_LosingCandidate)
     ->ArgName("r")
     ->Arg(3)
-    ->Arg(10)
+    ->Arg(5)
     ->Unit(benchmark::kMicrosecond);
 
 /**

@@ -1,6 +1,7 @@
 #include "base/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -285,9 +286,13 @@ asBool(const Value *v, bool *out)
 std::string
 fmtDouble(double v)
 {
+    // The bytes of snprintf's "%.17g" in the C locale, which the
+    // standard defines this call to produce, without printf's format
+    // parsing and locale lookups.
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, v, std::chars_format::general, 17);
+    return std::string(buf, r.ptr);
 }
 
 std::string

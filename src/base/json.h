@@ -73,8 +73,9 @@ bool asBool(const Value *v, bool *out);
 
 /**
  * Shortest printf form that re-parses to the identical bit pattern:
- * "%.17g". 17 significant digits are sufficient (and necessary in the
- * worst case) for IEEE-754 binary64.
+ * the bytes of "%.17g", printed by std::to_chars. 17 significant
+ * digits are sufficient (and necessary in the worst case) for
+ * IEEE-754 binary64.
  */
 std::string fmtDouble(double v);
 

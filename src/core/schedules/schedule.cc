@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "base/logging.h"
 #include "base/stats.h"
@@ -101,6 +102,16 @@ appendAttention(sim::TaskGraph &graph, const LayerCost &lc, Phase phase,
 {
     (void)opts;
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
+    // Into a tally, as in appendMoePhase: the compute chain advances by
+    // the attention, and an invalid task takes the per-task path.
+    if (graph.isDurationTally() && t.attention >= 0.0 &&
+        dep < static_cast<sim::TaskId>(graph.size())) {
+        const double finish = graph.tallyFinish(dep) + t.attention;
+        const sim::TaskId id = graph.tallyTasks(
+            "attention", sim::Link::Compute, kCompute, t.attention, 1);
+        graph.tallyChain(id, finish);
+        return id;
+    }
     return graph.addTaskWithDeps("attention", sim::OpType::Attention,
                                  sim::Link::Compute, kCompute, t.attention,
                                  dep >= 0 ? 1 : 0,
@@ -159,8 +170,35 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
         graph.tallyTasks("e", sim::Link::Compute, s_comp, t_exp, n);
         graph.tallyTasks("s", l_intra, s_rs, t_rs, n);
         graph.tallyTasks("c", l_inter, s_comb, t_a2a, n);
-        return graph.tallyTasks("iorder", sim::Link::Compute, s_comp,
-                                t.order, 1);
+        const sim::TaskId iorder = graph.tallyTasks(
+            "iorder", sim::Link::Compute, s_comp, t.order, 1);
+
+        // Release dates, for the tally's bound. The chunk tasks and
+        // the AllReduce start after `order` ends (`ready`), and each
+        // AllGather and ReduceScatter also after a dispatch. From
+        // `ready` to `iorder` the phase takes at least the largest of:
+        // its inter-node link's work (a link runs one task at a time);
+        // d + g before the first expert, the r experts on the compute
+        // link, and s + c after the last one; and d before the first
+        // intra-node task, the intra-node work, and c after the last
+        // one (a ReduceScatter, whose combine `iorder` waits for).
+        const double a2a = static_cast<double>(n) * t_a2a;
+        const double intra = static_cast<double>(n) * t_ag +
+                             static_cast<double>(n) * t_rs;
+        const double inter =
+            opts.mergeCommLinks ? a2a + a2a + intra : a2a + a2a;
+        const double ready = graph.tallyFinish(dep) + t.routing + t.order;
+        graph.tallyRelease(l_inter, ready, inter);
+        if (gar >= 0)
+            graph.tallyRelease(l_inter, ready, gar_ms);
+        if (!opts.mergeCommLinks)
+            graph.tallyRelease(l_intra, ready + t_a2a, intra);
+        const double body = std::max(
+            {inter,
+             t_a2a + t_ag + static_cast<double>(n) * t_exp + t_rs + t_a2a,
+             t_a2a + intra + t_a2a});
+        graph.tallyChain(iorder, ready + body + t.order);
+        return iorder;
     }
 
     sim::TaskId routing = graph.addTaskWithDeps(
@@ -245,6 +283,18 @@ struct SearchStats
     }
 };
 
+/**
+ * The lower bound Simulator::makespanLowerBound proves for @p emit's
+ * graph at degree @p r from its duration tally, without building it.
+ */
+double
+tallyLowerBound(const DegreeEmitter &emit, int r)
+{
+    sim::TaskGraph tally = sim::TaskGraph::durationTally();
+    emit(tally, r);
+    return sim::Simulator::makespanLowerBound(tally);
+}
+
 } // namespace
 
 DegreeChoice
@@ -253,23 +303,37 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
 {
     FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
     FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
+    const double inf = std::numeric_limits<double>::infinity();
+    // Best bound first, so an early incumbent skips the rest.
+    std::vector<std::pair<double, int>> order;
+    order.reserve(static_cast<size_t>(model.rMax));
+    for (int r = 1; r <= model.rMax; ++r)
+        order.emplace_back(tallyLowerBound(emit, r), r);
+    std::sort(order.begin(), order.end());
+
     DegreeChoice best;
     best.makespanMs = cutoff;
+    int best_r = 0; // 0 until a candidate finishes below the cutoff.
     uint64_t bounded = 0, simulated = 0, cut = 0;
     const sim::Simulator simulator;
-    for (int r = 1; r <= model.rMax; ++r) {
-        sim::TaskGraph tally = sim::TaskGraph::durationTally();
-        emit(tally, r);
-        if (sim::Simulator::makespanLowerBound(tally) >= best.makespanMs) {
+    for (const auto &[bound, r] : order) {
+        // The unpruned ascending loop keeps the least r among equal
+        // makespans, so a candidate below the incumbent's r also wins
+        // a tie, and only one above it must beat the best strictly.
+        const bool wins_ties = r < best_r;
+        if (wins_ties ? bound > best.makespanMs
+                      : bound >= best.makespanMs) {
             ++bounded;
             continue;
         }
         sim::TaskGraph graph;
         emit(graph, r);
         ++simulated;
-        std::optional<sim::SimResult> result =
-            simulator.runBelow(graph, best.makespanMs);
+        std::optional<sim::SimResult> result = simulator.runBelow(
+            graph, wins_ties ? std::nextafter(best.makespanMs, inf)
+                             : best.makespanMs);
         if (result) {
+            best_r = r;
             best.r = r;
             best.makespanMs = result->makespan;
             best.graph = std::move(graph);
@@ -278,11 +342,11 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
             ++cut;
         }
     }
-    if (!(best.makespanMs < cutoff)) {
+    if (best_r == 0) {
         // No candidate finished below the cutoff. Unseeded, that means
         // a graph with an infinite duration: the choice stays r = 1,
         // emitted here.
-        best.makespanMs = std::numeric_limits<double>::infinity();
+        best.makespanMs = inf;
         if (std::isinf(cutoff))
             emit(best.graph, best.r);
     }
@@ -307,8 +371,7 @@ DegreeSchedule::buildSimulated(const ModelCost &model,
 {
     simulated.reset();
     if (degree_ == 0) {
-        DegreeChoice choice = searchDegree(
-            model, [&](sim::TaskGraph &g, int r) { emit(g, model, r); });
+        DegreeChoice choice = searchDegree(model, emitter(model));
         if (choice.makespanMs < std::numeric_limits<double>::infinity())
             simulated = std::move(choice.sim);
         return std::move(choice.graph);
@@ -327,12 +390,8 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff) const
         return std::numeric_limits<double>::infinity();
     }
     if (degree_ == 0)
-        return searchDegree(
-                   model,
-                   [&](sim::TaskGraph &g, int r) { emit(g, model, r); },
-                   cutoff)
-            .makespanMs;
-    if (tallyBound(model, degree_) >= cutoff)
+        return searchDegree(model, emitter(model), cutoff).makespanMs;
+    if (tallyLowerBound(emitter(model), degree_) >= cutoff)
         return std::numeric_limits<double>::infinity();
     sim::TaskGraph graph;
     emit(graph, model, degree_);
@@ -342,23 +401,20 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff) const
 double
 DegreeSchedule::makespanLowerBound(const ModelCost &model) const
 {
+    const DegreeEmitter emit_at = emitter(model);
+    if (degree_ != 0)
+        return tallyLowerBound(emit_at, degree_);
+    FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
     double bound = std::numeric_limits<double>::infinity();
-    if (degree_ != 0) {
-        bound = tallyBound(model, degree_);
-    } else {
-        FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
-        for (int r = 1; r <= model.rMax; ++r)
-            bound = std::min(bound, tallyBound(model, r));
-    }
-    return std::max(bound, degreeFreeBound(model));
+    for (int r = 1; r <= model.rMax; ++r)
+        bound = std::min(bound, tallyLowerBound(emit_at, r));
+    return bound;
 }
 
-double
-DegreeSchedule::tallyBound(const ModelCost &model, int r) const
+DegreeEmitter
+DegreeSchedule::emitter(const ModelCost &model) const
 {
-    sim::TaskGraph tally = sim::TaskGraph::durationTally();
-    emit(tally, model, r);
-    return sim::Simulator::makespanLowerBound(tally);
+    return [this, &model](sim::TaskGraph &g, int r) { emit(g, model, r); };
 }
 
 std::vector<GeneralizedLayer>

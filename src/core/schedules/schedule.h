@@ -266,18 +266,21 @@ struct DegreeChoice
  * 1..model.rMax (which must be >= 1) whose graph, as @p emit appends
  * it, simulates to the smallest makespan, the first such r on ties.
  * Exact but pruned: each candidate is first emitted into a
- * TaskGraph::durationTally(), and is skipped without being built when
- * its link-sum lower bound (Simulator::makespanLowerBound) already
- * reaches the best makespan so far; the rest are built and simulated
- * with that makespan as the cutoff (Simulator::runBelow). A
- * skipped or cut candidate's makespan is >= the best, and the loop
- * keeps a new best only on a strict <, ascending in r, so the choice
- * is the unpruned loop's, bit for bit. Counts into
- * schedule.search.{candidates, bounded, simulated, cut}
- * (docs/OBSERVABILITY.md). The winner's graph and its whole SimResult
- * are the ones the search simulated, returned so the caller need
- * neither emit nor simulate it again; holding them while later
- * candidates build raises peak memory by up to one graph and trace.
+ * TaskGraph::durationTally() for its release-date lower bound
+ * (Simulator::makespanLowerBound), and the candidates are visited in
+ * ascending (bound, r) order. One whose bound already reaches the best
+ * makespan so far is skipped without being built; the rest are built
+ * and simulated with that makespan as the cutoff
+ * (Simulator::runBelow). A candidate below the incumbent's r keeps the
+ * tie: it is skipped only on a bound above the best and runs against
+ * the best's successor, nextafter(best, +inf). So the choice is the
+ * lexicographic least (makespan, r), the unpruned ascending loop's,
+ * bit for bit. Counts into schedule.search.{candidates, bounded,
+ * simulated, cut} (docs/OBSERVABILITY.md). The winner's graph and its
+ * whole SimResult are the ones the search simulated, returned so the
+ * caller need neither emit nor simulate it again; holding them while
+ * later candidates build raises peak memory by up to one graph and
+ * trace.
  *
  * The best makespan starts at @p cutoff. When the minimum is below it,
  * the result is the unseeded search's (same r, makespan bits and
@@ -323,11 +326,11 @@ class DegreeSchedule : public Schedule
                          double cutoff) const override;
 
     /**
-     * The larger of degreeFreeBound() and the link-sum bound
-     * (Simulator::makespanLowerBound) of emit()'s duration tally at
-     * the fixed degree, or at degree 0 the least such tally bound over
-     * 1..rMax: the search picks one of those degrees, so its makespan
-     * is at least the smallest of their bounds.
+     * The release-date bound (Simulator::makespanLowerBound) of
+     * emit()'s duration tally at the fixed degree, or at degree 0 the
+     * least such bound over 1..rMax: the search picks one of those
+     * degrees, so its makespan is at least the smallest of their
+     * bounds.
      */
     double makespanLowerBound(const ModelCost &model) const override;
 
@@ -340,7 +343,8 @@ class DegreeSchedule : public Schedule
 
     /**
      * A lower bound on the makespan of emit()'s graph at every degree,
-     * found without emitting one. The default, 0, never cuts.
+     * found without emitting one: makespanBelow()'s early exit, cheaper
+     * than a tally. The default, 0, never cuts.
      */
     virtual double degreeFreeBound(const ModelCost &model) const
     {
@@ -349,8 +353,8 @@ class DegreeSchedule : public Schedule
     }
 
   private:
-    /** Simulator::makespanLowerBound of emit()'s tally at degree @p r. */
-    double tallyBound(const ModelCost &model, int r) const;
+    /** emit() on @p model as a searchDegree() emitter. */
+    DegreeEmitter emitter(const ModelCost &model) const;
 
     int degree_;
 };

@@ -382,7 +382,7 @@ Simulator::sumLowerBound(double sum, size_t n)
 double
 Simulator::makespanLowerBound(const TaskGraph &graph)
 {
-    double bound = 0.0;
+    double bound = shrunkLinkSum(graph.releaseBound(), graph.size());
     for (size_t li = 0; li < static_cast<size_t>(Link::NumLinks); ++li)
         bound = std::max(
             bound, sumLowerBound(graph.linkDurationSum(static_cast<Link>(li)),

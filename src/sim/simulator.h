@@ -152,10 +152,28 @@ class Simulator
     }
 
     /**
-     * A proven lower bound on run(graph).makespan, computed from the
-     * graph's per-link duration sums alone, so it holds for a
-     * TaskGraph::durationTally() as well as for a built graph: the
-     * largest sumLowerBound(linkDurationSum(link), n) for n tasks.
+     * A proven lower bound on run(graph).makespan for a built graph or
+     * a TaskGraph::durationTally() of n tasks: the largest
+     * sumLowerBound(linkDurationSum(link), n), and
+     * graph.releaseBound() shrunk by shrunkLinkSum's factor
+     * 1 - 8(n+1)2^-53 (0 for a built graph).
+     *
+     * Why the release bound is sound, with u = 2^-53 and gamma_n as
+     * in remainingWorkBound: each chain finish and release the tally
+     * folds is a rounded sum of the durations of distinct tasks that
+     * the simulator runs one after another (each starts at or after
+     * the previous one's finish), so it is at most (1 + gamma_n) times
+     * their exact sum, and the simulated finish is at least
+     * (1 - gamma_n) times it. A link's P + M is, for the release rho
+     * that attains M, at most rho plus the work released at or after
+     * it, up to gamma_n P + 2u(rho + P) for the rounded subtraction and
+     * sums; P and rho are both at most P + M itself. Every task of a
+     * later group starts at or after (1 - gamma_n)/(1 + gamma_n) rho,
+     * since its release is at least rho, and the link runs that work
+     * one task at a time. Together the computed value exceeds the
+     * makespan by less than a factor 1 + (4n + 3)u + O(n^2 u^2), which
+     * the 8(n+1)u shrink covers with room for its own rounding (n well
+     * below 2^40). docs/PERFORMANCE.md gives the argument in full.
      */
     static double makespanLowerBound(const TaskGraph &graph);
 

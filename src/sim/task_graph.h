@@ -20,9 +20,11 @@
 #ifndef FSMOE_SIM_TASK_GRAPH_H
 #define FSMOE_SIM_TASK_GRAPH_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -144,9 +146,12 @@ class TaskGraph
      * takes tallyTasks(), which counts many equal tasks in one step, so
      * its linkDurationSum() sums the built graph's durations grouped
      * differently and may differ from the built graph's in the last
-     * bits; Simulator::makespanLowerBound's margin covers both. The
-     * degree search emits each candidate into one of these to bound its
-     * makespan before building it.
+     * bits; Simulator::makespanLowerBound's margin covers both. A tally
+     * also keeps a release-date bound (releaseBound()): the schedule
+     * builders tell it, per phase, when each link's work can start and
+     * the least time the phase's compute chain takes. The degree search
+     * emits each candidate into one of these to bound its makespan
+     * before building it.
      */
     static TaskGraph durationTally()
     {
@@ -197,9 +202,11 @@ class TaskGraph
      * dep_at must be pure; it may be called more than once per index.
      *
      * The checks are those of the other overloads. A duration tally
-     * stops after them and the count, stream and link-sum updates;
-     * an invalid task goes to the out-of-line rejectTask(), which
-     * reports it.
+     * stops after them and the count, stream and link-sum updates,
+     * and folds the task into its release bound: released at the
+     * largest tallyFinish() of its dependencies, it becomes the last
+     * task whose finish the tally knows. An invalid task goes to the
+     * out-of-line rejectTask(), which reports it.
      */
     template <typename DepAt>
     TaskId addTaskWithDeps(TaskLabel label, OpType op, Link link,
@@ -222,8 +229,14 @@ class TaskGraph
         if (stream >= num_streams_)
             num_streams_ = stream + 1;
         ++count_;
-        if (tally_only_)
+        if (tally_only_) {
+            double release = 0.0;
+            for (size_t i = 0; i < n_deps; ++i)
+                release = std::max(release, tallyFinish(dep_at(i)));
+            tallyRelease(link, release, duration);
+            last_ = {id, release + duration};
             return id;
+        }
         Task t;
         t.id = id;
         t.op = op;
@@ -268,6 +281,73 @@ class TaskGraph
 
     /** True for a durationTally(). */
     bool isDurationTally() const { return tally_only_; }
+
+    /**
+     * In a durationTally(), a lower bound on when task @p id finishes,
+     * as the tally's release-date bookkeeping knows it: the chain
+     * head's (tallyChain()) or the last task added through addTask,
+     * and 0 for any other id or a built graph. Every value is a
+     * rounded sum of the durations of tasks that run one after another
+     * and end with @p id (see releaseBound()).
+     */
+    double tallyFinish(TaskId id) const
+    {
+        if (id < 0)
+            return 0.0;
+        if (id == head_.id)
+            return head_.finish;
+        return id == last_.id ? last_.finish : 0.0;
+    }
+
+    /**
+     * Make @p id, which finishes no earlier than @p finish, the head of
+     * a durationTally()'s compute chain: the next phase appended after
+     * it starts from @p finish.
+     */
+    void tallyChain(TaskId id, double finish)
+    {
+        head_ = {id, finish};
+        bound_ = std::max(bound_, finish);
+    }
+
+    /**
+     * Fold @p work on @p link, none of which can start before
+     * @p release, into a durationTally()'s release bound. Per link the
+     * tally keeps the work folded so far, P, and M, the largest
+     * release minus the P before it: while releases do not decrease,
+     * the link ends no earlier than P + M, the largest over releases
+     * of one release plus the work released at or after it. A release
+     * below the previous one closes that run into the bound and starts
+     * a new one.
+     */
+    void tallyRelease(Link link, double release, double work)
+    {
+        ReleaseRun &run = runs_[static_cast<size_t>(link)];
+        if (release != run.release) {
+            // At an unchanged release, M cannot grow.
+            if (release < run.release) {
+                bound_ = std::max(bound_, run.work + run.slack);
+                run = ReleaseRun{};
+            }
+            run.release = release;
+            run.slack = std::max(run.slack, release - run.work);
+        }
+        run.work += work;
+    }
+
+    /**
+     * A durationTally()'s release-date bound, before any rounding
+     * margin: the largest of its chain finishes and of its links'
+     * P + M (tallyRelease()); 0 for a built graph.
+     * Simulator::makespanLowerBound shrinks it into a proven bound.
+     */
+    double releaseBound() const
+    {
+        double bound = bound_;
+        for (const ReleaseRun &run : runs_)
+            bound = std::max(bound, run.work + run.slack);
+        return bound;
+    }
 
     /**
      * Pre-size the task vector and dependency pool. Call once per
@@ -333,6 +413,26 @@ class TaskGraph
     size_t count_ = 0;
     int num_streams_ = 0;
     bool tally_only_ = false; ///< durationTally(): count, store nothing.
+
+    /** A task id with a lower bound on its finish (tallyFinish()). */
+    struct KnownFinish
+    {
+        TaskId id = -1;
+        double finish = 0.0;
+    };
+    /** One link's run of non-decreasing releases (tallyRelease()). */
+    struct ReleaseRun
+    {
+        static constexpr double kNone =
+            -std::numeric_limits<double>::infinity();
+        double work = 0.0;      ///< P, the work folded so far.
+        double slack = kNone;   ///< M, the largest release minus its P.
+        double release = kNone; ///< The latest release.
+    };
+    KnownFinish head_;  ///< The compute chain's last task.
+    KnownFinish last_;  ///< The last task added through addTask.
+    double bound_ = 0.0; ///< Chain finishes and closed runs.
+    std::array<ReleaseRun, static_cast<size_t>(Link::NumLinks)> runs_{};
 };
 
 /**

@@ -255,6 +255,31 @@ TEST(SweepEngine, CachedSimResultsAreBitIdenticalToRecomputed)
     }
 }
 
+TEST(SweepEngine, DemoGridDegreeSearchesSimulateThePinnedCandidates)
+{
+    // The demo grid's 24 Tutel, Tutel-Improved and PipeMoE+Lina degree
+    // searches, 16 candidates each, on one thread with nothing cached:
+    // the release-date bound skips 347 candidates unbuilt, and 9 of the
+    // 37 it lets through lose and are cut mid-run. A weaker bound or
+    // another visiting order moves these counts.
+    SweepOptions opts;
+    opts.numThreads = 1;
+    opts.enableSimCache = false;
+    SweepEngine engine(opts);
+    const char *const names[] = {
+        "schedule.search.candidates", "schedule.search.bounded",
+        "schedule.search.simulated", "schedule.search.cut",
+        "sim.tasks.executed"};
+    std::vector<uint64_t> before;
+    for (const char *name : names)
+        before.push_back(stats::counter(name).value());
+    engine.run(demoGrid());
+    const std::vector<uint64_t> want = {384, 347, 37, 9, 51145};
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(stats::counter(names[i]).value() - before[i], want[i])
+            << names[i];
+}
+
 TEST(SweepEngine, KeepGraphsBypassesTheSimCache)
 {
     const auto grid = testGrid();

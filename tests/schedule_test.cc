@@ -222,8 +222,8 @@ withDegree(const std::string &name, int r)
 
 /**
  * The unpruned search, kept only as this oracle: build and fully
- * simulate every fixed-degree variant, keeping a new best on a strict
- * <, ascending in r.
+ * simulate every fixed-degree variant, keeping a new best, and its
+ * graph, on a strict <, ascending in r.
  */
 detail::DegreeChoice
 naiveSearch(const std::string &name, const ModelCost &cost)
@@ -231,15 +231,24 @@ naiveSearch(const std::string &name, const ModelCost &cost)
     detail::DegreeChoice best;
     best.makespanMs = std::numeric_limits<double>::infinity();
     for (int r = 1; r <= cost.rMax; ++r) {
-        const sim::TaskGraph g =
-            Schedule::create(withDegree(name, r))->build(cost);
+        sim::TaskGraph g = Schedule::create(withDegree(name, r))->build(cost);
         const double t = sim::Simulator{}.run(g).makespan;
         if (t < best.makespanMs) {
             best.r = r;
             best.makespanMs = t;
+            best.graph = std::move(g);
         }
     }
     return best;
+}
+
+/** @p sched as the degree schedule it is (Tutel, Tutel-Improved, Lina). */
+const detail::DegreeSchedule &
+asDegreeSchedule(const Schedule &sched)
+{
+    const auto *ds = dynamic_cast<const detail::DegreeSchedule *>(&sched);
+    FSMOE_ASSERT(ds != nullptr, sched.name(), " takes no degree");
+    return *ds;
 }
 
 /** Task-by-task equality, deps and label included. */
@@ -267,8 +276,10 @@ expectSameGraph(const sim::TaskGraph &got, const sim::TaskGraph &want,
 
 /**
  * The pruned search against the oracle on @p cost, for every degree-
- * searching schedule: the same r and makespan bits from searchDegree
- * itself, and the same graph from the schedule's public build().
+ * searching schedule: the same r, makespan bits and graph from
+ * searchDegree itself, emitting through the schedule's own emit() (and
+ * so bounding each candidate with its own tally), and the same graph
+ * from the schedule's public build().
  */
 void
 expectPrunedSearchIsExact(const ModelCost &cost, const std::string &what)
@@ -276,21 +287,20 @@ expectPrunedSearchIsExact(const ModelCost &cost, const std::string &what)
     for (const std::string &name : degreeSearchingSchedules()) {
         const std::string where = what + " " + name;
         const detail::DegreeChoice want = naiveSearch(name, cost);
+        const auto sched = Schedule::create(name);
+        const detail::DegreeSchedule &ds = asDegreeSchedule(*sched);
         const detail::DegreeChoice got = detail::searchDegree(
-            cost, [&](sim::TaskGraph &g, int r) {
-                test::replayGraph(
-                    Schedule::create(withDegree(name, r))->build(cost), g);
-            });
+            cost, [&](sim::TaskGraph &g, int r) { ds.emit(g, cost, r); });
         EXPECT_EQ(got.r, want.r) << where;
         EXPECT_TRUE(test::sameBits(got.makespanMs, want.makespanMs))
             << where << ": " << got.makespanMs << " vs "
             << want.makespanMs;
+        expectSameGraph(got.graph, want.graph, where + " (search)");
+        EXPECT_TRUE(test::sameBits(got.sim.makespan, want.makespanMs))
+            << where;
 
-        const sim::TaskGraph built = Schedule::create(name)->build(cost);
-        expectSameGraph(built,
-                        Schedule::create(withDegree(name, want.r))
-                            ->build(cost),
-                        where);
+        const sim::TaskGraph built = sched->build(cost);
+        expectSameGraph(built, want.graph, where + " (build)");
         EXPECT_TRUE(test::sameBits(sim::Simulator{}.run(built).makespan,
                                    want.makespanMs))
             << where;
@@ -338,7 +348,7 @@ randomModel(std::mt19937 &rng, bool zero_latency)
 TEST(DegreeSearch, PrunedSearchEqualsTheNaiveLoopOnRandomModels)
 {
     ASSERT_EQ(degreeSearchingSchedules().size(), 3u);
-    constexpr int kSeeds = 24;
+    constexpr int kSeeds = 50;
     for (int seed = 0; seed < kSeeds; ++seed) {
         std::mt19937 rng(0xde9eeu + static_cast<unsigned>(seed));
         const bool zero_latency = seed % 3 == 0;
@@ -378,7 +388,8 @@ mixtralTestbedBCost()
 TEST(DegreeSearch, PruningSkipsCandidatesEvenInTheWorstDemoConfig)
 {
     // mixtral-7b/testbedB/b2 Tutel picks r = 2 and has the fewest
-    // candidates the link-sum bound skips of any demo configuration.
+    // candidates the release-date bound skips of any demo
+    // configuration.
     const ModelCost cost = mixtralTestbedBCost();
     const auto value = [](const char *name) {
         return stats::counter(name).value();
@@ -398,13 +409,13 @@ TEST(DegreeSearch, PruningSkipsCandidatesEvenInTheWorstDemoConfig)
     EXPECT_EQ(d_candidates, static_cast<uint64_t>(cost.rMax));
     EXPECT_EQ(d_bounded + d_simulated, d_candidates);
     EXPECT_GT(d_bounded, 0u);
-    // Only the simulated candidates run the simulator. r = 1 and
-    // r = 2 each set a new best; every other simulated candidate loses
-    // and is cut short.
+    // Only the simulated candidates run the simulator. r = 2 has the
+    // least bound, so it runs first and sets the best; every other
+    // simulated candidate loses and is cut short.
     EXPECT_EQ(value("sim.runs") - runs, d_simulated);
     EXPECT_EQ(value("sim.runs.cut") - runs_cut,
               value("schedule.search.cut") - cut);
-    EXPECT_EQ(value("schedule.search.cut") - cut, d_simulated - 2);
+    EXPECT_EQ(value("schedule.search.cut") - cut, d_simulated - 1);
 }
 
 TEST(DegreeSearch, TheReturnedWinnerIsTheFixedDegreeGraph)
@@ -786,16 +797,7 @@ TEST(DegreeSearch, ACutoffAboveTheMinimumKeepsTheUnseededChoice)
     }
 }
 
-/** @p sched as the degree schedule it is (Tutel, Tutel-Improved, Lina). */
-const detail::DegreeSchedule &
-asDegreeSchedule(const Schedule &sched)
-{
-    const auto *ds = dynamic_cast<const detail::DegreeSchedule *>(&sched);
-    FSMOE_ASSERT(ds != nullptr, sched.name(), " takes no degree");
-    return *ds;
-}
-
-/** The link-sum bound of @p ds's own tally at degree @p r. */
+/** The release-date bound of @p ds's own tally at degree @p r. */
 double
 ownTallyBound(const detail::DegreeSchedule &ds, const ModelCost &cost, int r)
 {
@@ -1023,6 +1025,103 @@ TEST(Schedules, LinasDegreeFreeBoundIsBelowTheMakespanAtEveryDegree)
               0.0);
 }
 
+/**
+ * Schedule::makespanLowerBound on @p cost against run(build()): at most
+ * the makespan for every builtin schedule, and 0 for one without a
+ * degree; and for each of @p prefixes followed by "degree=r", r in
+ * 0..rMax, where the degree-0 bound is the least of the others, since
+ * the search picks one of their graphs. Where the graph is one chain,
+ * the bound must also reach the makespan.
+ */
+void
+expectLowerBoundsHold(const ModelCost &cost,
+                      const std::vector<std::string> &prefixes,
+                      const std::string &where)
+{
+    const auto makespan = [&](const Schedule &sched) {
+        return sim::Simulator{}.run(sched.build(cost)).makespan;
+    };
+    for (const std::string &name : ScheduleRegistry::instance().names()) {
+        const auto sched = Schedule::create(name);
+        const double bound = sched->makespanLowerBound(cost);
+        if (!dynamic_cast<const detail::DegreeSchedule *>(sched.get())) {
+            EXPECT_EQ(bound, 0.0) << where << " " << name;
+        }
+        EXPECT_LE(bound, makespan(*sched)) << where << " " << name;
+    }
+    // Tutel at r = 1 runs every task one after another, so its compute
+    // chain is the whole graph and the bound is the makespan up to
+    // rounding.
+    const auto chain = Schedule::create("Tutel?degree=1");
+    EXPECT_GE(chain->makespanLowerBound(cost),
+              makespan(*chain) * (1.0 - 1e-9))
+        << where;
+    for (const std::string &prefix : prefixes) {
+        double least = std::numeric_limits<double>::infinity();
+        for (int r = 0; r <= cost.rMax; ++r) {
+            const std::string spec = prefix + "degree=" + std::to_string(r);
+            const auto sched = Schedule::create(spec);
+            const double bound = sched->makespanLowerBound(cost);
+            const double m = makespan(*sched);
+            EXPECT_LE(bound, m) << where << " " << spec;
+            if (r == 0)
+                continue;
+            if (m > 0.0) {
+                EXPECT_GT(bound, 0.0) << where << " " << spec;
+            }
+            least = std::min(least, bound);
+        }
+        EXPECT_EQ(Schedule::create(prefix + "degree=0")
+                      ->makespanLowerBound(cost),
+                  least)
+            << where << " " << prefix;
+    }
+}
+
+/**
+ * A seeded random model for the bound tests: 1-6 layers of small random
+ * shapes (so 1 KB Lina buckets stay affordable), a random rMax, and
+ * each fitted alpha and beta zeroed a quarter of the time, which gives
+ * zero durations, or else scaled by 2^k, k uniform in [-12, 12], so
+ * that durations span many binades and sums grouped differently round
+ * apart.
+ */
+ModelCost
+boundTestModel(std::mt19937 &rng)
+{
+    std::uniform_int_distribution<int> coin(0, 1);
+    std::uniform_int_distribution<int> quarter(0, 3);
+    std::uniform_real_distribution<double> exponent(-12.0, 12.0);
+    const sim::ClusterSpec cluster =
+        coin(rng) ? sim::testbedA() : sim::testbedB();
+    ModelCost cost;
+    cost.models = PerfModelSet::fromCluster(cluster);
+    const auto scaled = [&](double v) {
+        return quarter(rng) == 0 ? 0.0 : v * std::exp2(exponent(rng));
+    };
+    for (LinearModel *m :
+         {&cost.models.alltoall, &cost.models.allgather,
+          &cost.models.reducescatter, &cost.models.allreduce,
+          &cost.models.gemm}) {
+        m->alpha = scaled(m->alpha);
+        m->beta = scaled(m->beta);
+    }
+    const ParallelConfig par = model::paperParallelism(cluster);
+    const int layers = std::uniform_int_distribution<int>(1, 6)(rng);
+    for (int i = 0; i < layers; ++i) {
+        LayerShape shape;
+        shape.batch = 1 << std::uniform_int_distribution<int>(0, 2)(rng);
+        shape.seqLen = 128 << std::uniform_int_distribution<int>(0, 2)(rng);
+        shape.embed = 256 << std::uniform_int_distribution<int>(0, 2)(rng);
+        shape.hidden =
+            shape.embed * std::uniform_int_distribution<int>(2, 4)(rng);
+        shape.numExperts = cluster.numNodes;
+        cost.layers.push_back(makeLayerCost(cost.models, shape, par));
+    }
+    cost.rMax = std::uniform_int_distribution<int>(1, 16)(rng);
+    return cost;
+}
+
 TEST(Schedules, MakespanLowerBoundIsBelowTheMakespan)
 {
     // Every demo configuration (the tuner's query among them) and the
@@ -1032,43 +1131,25 @@ TEST(Schedules, MakespanLowerBoundIsBelowTheMakespan)
     runtime::Scenario small_r = tunerQuery();
     small_r.rMax = 4;
     configs.emplace(small_r.costKey(), small_r);
-    const std::string tuner_key = tunerQuery().costKey();
-    ASSERT_EQ(configs.count(tuner_key), 1u);
+    ASSERT_EQ(configs.count(tunerQuery().costKey()), 1u);
     ASSERT_EQ(configs.size(), 9u);
-    const auto makespan = [](const Schedule &sched, const ModelCost &cost) {
-        return sim::Simulator{}.run(sched.build(cost)).makespan;
-    };
-    for (const auto &[key, s] : configs) {
-        const ModelCost cost =
-            runtime::ScenarioRegistry::instance().makeCost(s);
-        // A schedule without a degree has no bound of its own.
-        for (const std::string &name : ScheduleRegistry::instance().names()) {
-            const auto sched = Schedule::create(name);
-            const double bound = sched->makespanLowerBound(cost);
-            if (!dynamic_cast<const detail::DegreeSchedule *>(sched.get())) {
-                EXPECT_EQ(bound, 0.0) << key << " " << name;
-            }
-            EXPECT_LE(bound, makespan(*sched, cost)) << key << " " << name;
-        }
-        for (const std::string &prefix : boundSpecPrefixes(key, false)) {
-            // Degree 0 searches 1..rMax, so its bound is the least of
-            // theirs, and below the makespan of whichever it picks.
-            double least = std::numeric_limits<double>::infinity();
-            for (int r = 0; r <= cost.rMax; ++r) {
-                const std::string spec = prefix + "degree=" + std::to_string(r);
-                const auto sched = Schedule::create(spec);
-                const double bound = sched->makespanLowerBound(cost);
-                EXPECT_LE(bound, makespan(*sched, cost)) << key << " " << spec;
-                if (r == 0)
-                    continue;
-                EXPECT_GT(bound, 0.0) << key << " " << spec;
-                least = std::min(least, bound);
-            }
-            EXPECT_EQ(Schedule::create(prefix + "degree=0")
-                          ->makespanLowerBound(cost),
-                      least)
-                << key << " " << prefix;
-        }
+    for (const auto &[key, s] : configs)
+        expectLowerBoundsHold(
+            runtime::ScenarioRegistry::instance().makeCost(s),
+            boundSpecPrefixes(key, false), key);
+
+    // Seeded random models: every degree schedule at every degree, Lina
+    // at 1 KB, 30 MB and 1 GB buckets.
+    const std::vector<std::string> prefixes = {
+        "Tutel?", "Tutel-Improved?", "PipeMoE+Lina?chunkMB=0.0009765625&",
+        "PipeMoE+Lina?chunkMB=30&", "PipeMoE+Lina?chunkMB=1024&"};
+    constexpr int kSeeds = 40;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937 rng(0xb0u + static_cast<unsigned>(seed));
+        expectLowerBoundsHold(boundTestModel(rng), prefixes,
+                              "seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            FAIL() << "first failure at seed " << seed;
     }
 }
 

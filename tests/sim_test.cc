@@ -118,6 +118,49 @@ TEST(TaskGraph, TallyTasksCountsLikeThatManyAddTasks)
     EXPECT_TRUE(g.tasks().empty());
 }
 
+TEST(TaskGraph, ReleaseBoundCountsEachLinksWorkFromItsRelease)
+{
+    // b: 100 ms inter-node, no dependencies; x: 10 ms compute; a: 1 ms
+    // inter-node after x. b runs at 0..100 and a, ready at 10, at
+    // 100..101.
+    TaskGraph built;
+    built.addTask("b", OpType::Other, Link::InterNode, 0, 100.0);
+    const TaskId x = built.addTask("x", OpType::Other, Link::Compute, 1, 10.0);
+    built.addTask("a", OpType::Other, Link::InterNode, 2, 1.0, {x});
+    ASSERT_EQ(Simulator{}.run(built).makespan, 101.0);
+    EXPECT_EQ(built.releaseBound(), 0.0);
+
+    // In release order: a is released at x's finish, 10, and the link
+    // still owes b's work before it, so the bound is 0 + 101.
+    TaskGraph tally = TaskGraph::durationTally();
+    test::replayGraph(built, tally);
+    EXPECT_EQ(tally.tallyFinish(2), 11.0);
+    EXPECT_EQ(tally.tallyFinish(x), 0.0); // no longer the last task
+    EXPECT_EQ(tally.releaseBound(), 101.0);
+    EXPECT_LT(Simulator::makespanLowerBound(tally), 101.0);
+    EXPECT_GT(Simulator::makespanLowerBound(tally), 100.0);
+
+    // Out of release order, b (released at 0) follows a (at 10): b's
+    // work may run before a's release, so it starts a new run. Counting
+    // it after a's release would claim 10 + 101.
+    TaskGraph reordered;
+    const TaskId x2 =
+        reordered.addTask("x", OpType::Other, Link::Compute, 1, 10.0);
+    reordered.addTask("a", OpType::Other, Link::InterNode, 2, 1.0, {x2});
+    reordered.addTask("b", OpType::Other, Link::InterNode, 0, 100.0);
+    ASSERT_EQ(Simulator{}.run(reordered).makespan, 101.0);
+    TaskGraph late = TaskGraph::durationTally();
+    test::replayGraph(reordered, late);
+    EXPECT_EQ(late.releaseBound(), 100.0);
+
+    // A chain head's finish is known to the next task and the bound.
+    late.tallyChain(1, 50.0);
+    EXPECT_EQ(late.tallyFinish(1), 50.0);
+    EXPECT_EQ(late.releaseBound(), 100.0);
+    late.tallyChain(1, 150.0);
+    EXPECT_EQ(late.releaseBound(), 150.0);
+}
+
 TEST(TaskGraphDeathTest, TallyTasksChecksLikeAddTask)
 {
     const auto fresh = [] {
