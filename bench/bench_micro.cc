@@ -342,18 +342,22 @@ BENCHMARK(BM_LinaProbe)
     ->Unit(benchmark::kMicrosecond);
 
 /**
- * One cold tuner query: fsmoe_tune's demo query (gpt2xl-moe/testbedA,
- * b1, rMax 16) on a fresh Tuner with one engine thread, so neither
- * the advisor cache nor the engine's caches carry over between
- * iterations. It covers the DE probes, the best-first frontier pass
- * and the metric pass; perfbench's tune-cold runs four such queries
- * per rep at different DE seeds.
+ * One cold tuner query on a fresh Tuner, so no advisor-cache answer
+ * carries over between iterations. It covers the DE probes, the
+ * best-first frontier pass and the metric pass, which reads the
+ * frontier pass's graphs. model:0 is fsmoe_tune's demo query
+ * (gpt2xl-moe/testbedA, b1, rMax 16), where most DE probes take a
+ * chunk of at least the model's gradient bytes and share one graph per
+ * degree; perfbench's tune-cold runs four such queries per rep at
+ * different DE seeds. model:1 is mixtral-7b/testbedA, the control: its
+ * gradient is above chunkMB's 1024 MB top, so no two DE probes share a
+ * graph that way.
  */
 void
 BM_TuneQuery(benchmark::State &state)
 {
     runtime::TuneQuery query;
-    query.model = "gpt2xl-moe";
+    query.model = state.range(0) == 0 ? "gpt2xl-moe" : "mixtral-7b";
     query.cluster = "testbedA";
     runtime::TuneOptions options;
     options.numThreads = 1;
@@ -362,7 +366,11 @@ BM_TuneQuery(benchmark::State &state)
         benchmark::DoNotOptimize(tuner.tune(query));
     }
 }
-BENCHMARK(BM_TuneQuery)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TuneQuery)
+    ->ArgName("model")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * One backward MoE phase (a mixtral-7b layer on testbedB, merged

@@ -4,7 +4,7 @@
  *
  * Answers "which schedule (and parameters) should I run?" for one
  * (model, cluster, batch) configuration by searching every registered
- * schedule's declared parameter space through the cached sweep engine
+ * schedule's declared parameter space through the sweep engine
  * (see docs/TUNING.md). Prints the best canonical spec and the
  * (makespan, comm busy, peak comm memory) Pareto frontier; optionally
  * persists the answer JSON and an advisor cache so repeated queries
@@ -43,7 +43,8 @@ usage(const char *argv0)
         "  --layers N         generalized layers; 0 = preset default\n"
         "  --experts N        experts; 0 = one per node\n"
         "  --rmax N           max pipeline degree (default 16)\n"
-        "  --threads N        engine worker threads; 0 = hardware\n"
+        "  --threads N        accepted and unused: a query runs on\n"
+        "                     the calling thread\n"
         "  --advisor-cache F  load cached answers from F before the\n"
         "                     query and save all answers back after\n"
         "  --out-json F       write the answer JSON to F\n"

@@ -9,6 +9,7 @@
  * oversized chunk collides with AlltoAll on the shared channel.
  */
 #include <cmath>
+#include <string>
 
 #include "core/schedules/builtins.h"
 #include "core/schedules/schedule.h"
@@ -31,6 +32,30 @@ class LinaSchedule : public DegreeSchedule
     LinaSchedule(double chunk_bytes, int degree)
         : DegreeSchedule(degree), chunk_bytes_(chunk_bytes)
     {
+    }
+
+    /**
+     * spec() without chunkMB when one bucket takes the whole gradient:
+     * when no bucket fills before the last backward layer and G, the
+     * total gradient bytes folded in walkBackward()'s order, is at most
+     * the chunk, every such chunk size emits one AllReduce of
+     * predict(G) after the last backward layer (a full bucket at the
+     * chunk G, a partial one above it), so the graph is the degree's
+     * alone. Otherwise spec().
+     */
+    std::string
+    graphKey(const ModelCost &model) const override
+    {
+        double pending = 0.0;
+        for (auto it = model.layers.rbegin(); it != model.layers.rend();
+             ++it) {
+            if (pending >= chunk_bytes_)
+                return spec();
+            pending += it->workload.gradBytes;
+        }
+        if (pending > chunk_bytes_)
+            return spec();
+        return name() + "?chunkMB=whole&degree=" + std::to_string(degree());
     }
 
   private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "base/logging.h"
@@ -47,11 +49,41 @@ Schedule::simulate(const ModelCost &model, sim::TaskGraph *graph_out) const
     return result;
 }
 
+std::string
+Schedule::graphKey(const ModelCost &model) const
+{
+    (void)model;
+    return spec_;
+}
+
+namespace {
+
+/**
+ * Simulator::makespanBelow(graph, cutoff), or with @p kept runBelow,
+ * whose result lands in *kept with the graph when it is below.
+ */
 double
-Schedule::makespanBelow(const ModelCost &model, double cutoff) const
+runGraphBelow(sim::TaskGraph graph, double cutoff, SimulatedGraph *kept)
+{
+    if (kept == nullptr)
+        return sim::Simulator{}.makespanBelow(graph, cutoff);
+    std::optional<sim::SimResult> result =
+        sim::Simulator{}.runBelow(graph, cutoff);
+    if (!result)
+        return std::numeric_limits<double>::infinity();
+    kept->graph = std::move(graph);
+    kept->sim = std::move(*result);
+    return kept->sim.makespan;
+}
+
+} // namespace
+
+double
+Schedule::makespanBelow(const ModelCost &model, double cutoff,
+                        SimulatedGraph *kept) const
 {
     FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
-    return sim::Simulator{}.makespanBelow(build(model), cutoff);
+    return runGraphBelow(build(model), cutoff, kept);
 }
 
 namespace detail {
@@ -382,20 +414,28 @@ DegreeSchedule::buildSimulated(const ModelCost &model,
 }
 
 double
-DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff) const
+DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff,
+                              SimulatedGraph *kept) const
 {
     FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
+    const double inf = std::numeric_limits<double>::infinity();
     if (degreeFreeBound(model) >= cutoff) {
         SearchStats::instance().degreeFreeCut.inc();
-        return std::numeric_limits<double>::infinity();
+        return inf;
     }
-    if (degree_ == 0)
-        return searchDegree(model, emitter(model), cutoff).makespanMs;
+    if (degree_ == 0) {
+        DegreeChoice choice = searchDegree(model, emitter(model), cutoff);
+        if (kept != nullptr && choice.makespanMs < inf) {
+            kept->graph = std::move(choice.graph);
+            kept->sim = std::move(choice.sim);
+        }
+        return choice.makespanMs;
+    }
     if (tallyLowerBound(emitter(model), degree_) >= cutoff)
-        return std::numeric_limits<double>::infinity();
+        return inf;
     sim::TaskGraph graph;
     emit(graph, model, degree_);
-    return sim::Simulator{}.makespanBelow(graph, cutoff);
+    return runGraphBelow(std::move(graph), cutoff, kept);
 }
 
 double

@@ -82,6 +82,13 @@ LayerCost makeLayerCost(const PerfModelSet &models, const LayerShape &shape,
 
 class ScheduleRegistry;
 
+/** A built graph and its `Simulator::run` result, trace included. */
+struct SimulatedGraph
+{
+    sim::TaskGraph graph;
+    sim::SimResult sim;
+};
+
 /**
  * Abstract schedule: builds one iteration's task graph.
  *
@@ -118,6 +125,17 @@ class Schedule
      */
     const std::string &spec() const { return spec_; }
 
+    /**
+     * A name for the graph build(model) makes: two schedules whose
+     * keys are equal on one @p model build identical graphs (the same
+     * tasks, duration bits and dependency lists), so their makespans,
+     * bounds and cutoff decisions are equal too. A caller pricing many
+     * specs on one model (the tuner's DE probes) prices each key once.
+     * The default is spec(); a schedule whose parameters can leave its
+     * graph unchanged overrides it.
+     */
+    virtual std::string graphKey(const ModelCost &model) const;
+
     /** Build the full-iteration (forward + backward) task graph. */
     virtual sim::TaskGraph build(const ModelCost &model) const = 0;
 
@@ -137,11 +155,15 @@ class Schedule
      * +inf: a value below the cutoff has the bits of
      * `Simulator::run(build(model)).makespan`. A schedule may stop as
      * soon as the answer is known to reach the cutoff, before its
-     * graph is built. The default builds and runs
-     * Simulator::makespanBelow. A NaN cutoff is rejected.
+     * graph is built. With @p kept, a value below the cutoff also
+     * leaves in *kept the graph build(model) makes and its
+     * `Simulator::run` result, bit for bit, so a caller that needs the
+     * trace simulates nothing again; otherwise *kept is left as it
+     * was. The default builds and runs Simulator::makespanBelow, or
+     * Simulator::runBelow with @p kept. A NaN cutoff is rejected.
      */
-    virtual double makespanBelow(const ModelCost &model,
-                                 double cutoff) const;
+    virtual double makespanBelow(const ModelCost &model, double cutoff,
+                                 SimulatedGraph *kept = nullptr) const;
 
     /**
      * A proven lower bound on `Simulator::run(build(model)).makespan`
@@ -318,12 +340,12 @@ class DegreeSchedule : public Schedule
     /**
      * +inf at once when degreeFreeBound() reaches @p cutoff (counted in
      * schedule.search.degreeFreeCut). Otherwise, at degree 0, the
-     * search seeded with @p cutoff; at a fixed degree, the graph is
-     * built and simulated only when makespanLowerBound() is below
-     * @p cutoff.
+     * search seeded with @p cutoff, whose winner is what @p kept
+     * receives; at a fixed degree, the graph is built and simulated
+     * only when makespanLowerBound() is below @p cutoff.
      */
-    double makespanBelow(const ModelCost &model,
-                         double cutoff) const override;
+    double makespanBelow(const ModelCost &model, double cutoff,
+                         SimulatedGraph *kept = nullptr) const override;
 
     /**
      * The release-date bound (Simulator::makespanLowerBound) of
@@ -351,6 +373,10 @@ class DegreeSchedule : public Schedule
         (void)model;
         return 0.0;
     }
+
+  protected:
+    /** The fixed pipeline degree, or 0 for the search. */
+    int degree() const { return degree_; }
 
   private:
     /** emit() on @p model as a searchDegree() emitter. */

@@ -272,15 +272,15 @@ SweepEngine::timedSimulate(const Scenario &s, const core::ModelCost &cost,
 }
 
 double
-SweepEngine::makespanBelow(const Scenario &s, double cutoff)
+SweepEngine::makespanBelow(const core::Schedule &schedule,
+                           const core::ModelCost &cost, double cutoff,
+                           core::SimulatedGraph *kept)
 {
-    auto cost = costFor(s);
     const auto t0 = std::chrono::steady_clock::now();
     double makespan;
     {
         SelfSpan span("graphBuild", "stage");
-        makespan =
-            core::Schedule::create(s.schedule)->makespanBelow(*cost, cutoff);
+        makespan = schedule.makespanBelow(cost, cutoff, kept);
     }
     const double build_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t0)

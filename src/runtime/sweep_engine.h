@@ -115,15 +115,17 @@ class SweepEngine
     ScenarioResult evaluate(const Scenario &s);
 
     /**
-     * The makespan of scenario @p s when it is below @p cutoff, else
-     * +inf (core::Schedule::makespanBelow): a losing schedule may stop
-     * before its graph is built or simulated. The cost comes from the
-     * cost cache as in evaluate(); the SimResult cache is neither read
-     * nor filled, since a cut result has no SimResult. The time counts
-     * as graph build (SweepStats::graphBuildMs), like the simulations
-     * an in-build degree search runs. Runs on the calling thread.
+     * @p schedule's makespan on @p cost when it is below @p cutoff,
+     * else +inf, and with @p kept its graph and SimResult
+     * (core::Schedule::makespanBelow): a losing schedule may stop
+     * before its graph is built or simulated. Neither cache is read or
+     * filled, since a cut result has no SimResult. The time counts as
+     * graph build (SweepStats::graphBuildMs), like the simulations an
+     * in-build degree search runs. Runs on the calling thread.
      */
-    double makespanBelow(const Scenario &s, double cutoff);
+    double makespanBelow(const core::Schedule &schedule,
+                         const core::ModelCost &cost, double cutoff,
+                         core::SimulatedGraph *kept = nullptr);
 
     const SweepOptions &options() const { return options_; }
     SweepStats stats() const;

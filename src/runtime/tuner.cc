@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -267,7 +268,7 @@ peakConcurrentCommMB(const sim::TaskGraph &graph, const sim::SimResult &sim,
         double bytes;
     };
     std::vector<Event> events;
-    events.reserve(sim.trace.size());
+    events.reserve(2 * sim.trace.size()); // a start and a finish each
     for (const sim::TaskTrace &tr : sim.trace) {
         const sim::Task &task = graph.task(tr.id);
         if (task.link == sim::Link::Compute)
@@ -337,24 +338,10 @@ struct FrontierStats
     }
 };
 
-/**
- * The tuner's engine: the probes and the frontier pass price through
- * makespanBelow, which keeps no SimResult, and the metric pass needs
- * each graph with its result, so the engine keeps graphs.
- */
-SweepOptions
-engineOptions(const TuneOptions &options)
-{
-    SweepOptions sweep;
-    sweep.numThreads = options.numThreads;
-    sweep.keepGraphs = true;
-    return sweep;
-}
-
 } // namespace
 
 Tuner::Tuner(TuneOptions options)
-    : options_(options), engine_(engineOptions(options_))
+    : options_(options), engine_(SweepOptions{options_.numThreads})
 {
 }
 
@@ -401,22 +388,28 @@ Tuner::search(const TuneQuery &query)
 {
     const core::ScheduleRegistry &registry =
         core::ScheduleRegistry::instance();
-    const Scenario base = query.scenario();
+    const core::ModelCost cost =
+        ScenarioRegistry::instance().makeCost(query.scenario());
 
     // Every distinct spec this search probes (grid candidates and DE
     // probes alike, cut or not), kept sorted so `evaluated` and
     // candidate handling are independent of discovery order.
     std::set<std::string> probedSpecs;
 
-    const auto canonical = [&registry](const std::string &spec) {
-        std::string canon, error;
-        if (!registry.canonicalize(spec, &canon, &error))
+    // The schedule a spec names; its spec() is the canonical spec.
+    const auto create = [&registry](const std::string &spec) {
+        std::string error;
+        std::unique_ptr<core::Schedule> schedule =
+            registry.tryCreate(spec, &error);
+        if (schedule == nullptr)
             FSMOE_PANIC("tuner produced an invalid spec '", spec,
                         "': ", error);
-        return canon;
+        return schedule;
     };
-    // What DE has learnt of each spec it probed: its exact makespan,
-    // or a proven lower bound when a probe stopped at its cutoff.
+    // What DE has learnt of each graph it probed, by
+    // Schedule::graphKey: its exact makespan, or a proven lower bound
+    // when a probe stopped at its cutoff. Specs with one key build one
+    // graph, so a graph is priced once however many specs name it.
     struct Known
     {
         double makespanMs;
@@ -428,16 +421,15 @@ Tuner::search(const TuneQuery &query)
     // --- Candidate generation: per schedule, bare name + its derived
     // search space (small grids exhaustively, continuous spaces via
     // differential evolution seeded deterministically).
-    std::vector<std::pair<std::string, std::string>> candidates;
+    std::vector<std::unique_ptr<core::Schedule>> candidates;
     std::unordered_set<std::string> seen;
-    const auto addCandidate = [&](const std::string &schedule,
-                                  const std::string &spec) {
-        if (seen.insert(spec).second)
-            candidates.emplace_back(schedule, spec);
+    const auto addCandidate = [&](std::unique_ptr<core::Schedule> schedule) {
+        if (seen.insert(schedule->spec()).second)
+            candidates.push_back(std::move(schedule));
     };
 
     for (const core::ScheduleInfo &info : registry.list()) {
-        addCandidate(info.name, info.name);
+        addCandidate(create(info.name));
         core::ParamSpace space = core::deriveParamSpace(
             info, query.rMax, kMaxGridPerAxis);
         if (space.axes.empty())
@@ -446,11 +438,10 @@ Tuner::search(const TuneQuery &query)
             space.gridSize() <= kMaxGridSpecs) {
             for (const std::string &spec :
                  core::enumerateGridSpecs(space, kMaxGridSpecs))
-                addCandidate(info.name, canonical(spec));
+                addCandidate(create(spec));
             continue;
         }
-        // DE over the box; probes run one scenario at a time on this
-        // thread (so the sequence is identical on every thread count).
+        // DE over the box; probes run one at a time on this thread.
         std::vector<double> lo, hi;
         for (const core::ParamAxis &axis : space.axes) {
             lo.push_back(axis.lo);
@@ -463,12 +454,13 @@ Tuner::search(const TuneQuery &query)
         // is built. Every probe still counts towards `evaluated`.
         const auto objective = [&](const std::vector<double> &x,
                                    double cutoff) {
-            const std::string spec =
-                canonical(core::specFromPoint(space, x));
-            probedSpecs.insert(spec);
+            const std::unique_ptr<core::Schedule> schedule =
+                create(core::specFromPoint(space, x));
+            probedSpecs.insert(schedule->spec());
             const double below = std::nextafter(
                 cutoff, std::numeric_limits<double>::infinity());
-            auto it = known.find(spec);
+            std::string key = schedule->graphKey(cost);
+            auto it = known.find(key);
             if (it != known.end() &&
                 (it->second.exact || it->second.makespanMs >= below)) {
                 ++memo;
@@ -476,21 +468,19 @@ Tuner::search(const TuneQuery &query)
                            ? it->second.makespanMs
                            : std::numeric_limits<double>::infinity();
             }
-            Scenario s = base;
-            s.schedule = spec;
             ++evals;
-            const double ms = engine_.makespanBelow(s, below);
+            const double ms = engine_.makespanBelow(*schedule, cost, below);
             if (ms < below) {
-                known[spec] = {ms, true};
+                known[std::move(key)] = {ms, true};
             } else {
                 ++cut;
-                known[spec] = {below, false};
+                known[std::move(key)] = {below, false};
             }
             return ms;
         };
         const solver::DeResult de =
             solver::differentialEvolution(objective, lo, hi, options_.de);
-        addCandidate(info.name, canonical(core::specFromPoint(space, de.x)));
+        addCandidate(create(core::specFromPoint(space, de.x)));
     }
 
     ProbeStats &ps = ProbeStats::instance();
@@ -508,13 +498,10 @@ Tuner::search(const TuneQuery &query)
     // its schedule's final best, and the metric set is the one every
     // candidate priced in full would give. The cutoff's next double up
     // keeps a tie on makespan, which the spec then breaks.
-    const core::ModelCost cost =
-        ScenarioRegistry::instance().makeCost(base);
     std::vector<double> bound(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
-        bound[i] = core::Schedule::create(candidates[i].second)
-                       ->makespanLowerBound(cost);
-        probedSpecs.insert(candidates[i].second);
+        bound[i] = candidates[i]->makespanLowerBound(cost);
+        probedSpecs.insert(candidates[i]->spec());
     }
     std::vector<size_t> visit(candidates.size());
     std::iota(visit.begin(), visit.end(), size_t{0});
@@ -527,6 +514,7 @@ Tuner::search(const TuneQuery &query)
     {
         double makespanMs;
         const std::string *spec;
+        size_t index; ///< Into candidates.
         bool operator<(const Priced &o) const
         {
             return betterProbe(makespanMs, *spec, o.makespanMs, *o.spec);
@@ -534,10 +522,20 @@ Tuner::search(const TuneQuery &query)
     };
     std::vector<Priced> top; // the best N so far, sorted
     std::unordered_map<std::string, Priced> bestOfSchedule;
+    // Each exactly priced candidate's graph and SimResult, held while
+    // it is in top or its schedule's best: the metric pass reads them.
+    std::vector<core::SimulatedGraph> kept(candidates.size());
+    const auto release = [&](size_t j) {
+        const bool in_top =
+            std::any_of(top.begin(), top.end(),
+                        [j](const Priced &p) { return p.index == j; });
+        if (!in_top && bestOfSchedule.at(candidates[j]->name()).index != j)
+            kept[j] = core::SimulatedGraph{};
+    };
     uint64_t exact = 0, frontierCut = 0, bounded = 0;
     for (size_t i : visit) {
-        const auto &[schedule, spec] = candidates[i];
-        auto best = bestOfSchedule.find(schedule);
+        const core::Schedule &schedule = *candidates[i];
+        auto best = bestOfSchedule.find(schedule.name());
         const double cutoff = std::max(
             top.size() < kFrontierCandidates ? kInf : top.back().makespanMs,
             best == bestOfSchedule.end() ? kInf : best->second.makespanMs);
@@ -546,54 +544,52 @@ Tuner::search(const TuneQuery &query)
             ++bounded;
             continue;
         }
-        Scenario s = base;
-        s.schedule = spec;
-        const double ms = engine_.makespanBelow(s, below);
+        const double ms =
+            engine_.makespanBelow(schedule, cost, below, &kept[i]);
         if (!(ms < below)) {
             ++frontierCut;
             continue;
         }
         ++exact;
-        const Priced priced{ms, &spec};
-        if (best == bestOfSchedule.end())
-            bestOfSchedule.emplace(schedule, priced);
-        else if (priced < best->second)
+        const Priced priced{ms, &schedule.spec(), i};
+        std::vector<size_t> evicted;
+        if (best == bestOfSchedule.end()) {
+            bestOfSchedule.emplace(schedule.name(), priced);
+        } else if (priced < best->second) {
+            evicted.push_back(best->second.index);
             best->second = priced;
+        }
         top.insert(std::upper_bound(top.begin(), top.end(), priced),
                    priced);
-        if (top.size() > kFrontierCandidates)
+        if (top.size() > kFrontierCandidates) {
+            evicted.push_back(top.back().index);
             top.pop_back();
+        }
+        for (size_t j : evicted)
+            release(j);
     }
     FrontierStats &fs = FrontierStats::instance();
     fs.exact.inc(exact);
     fs.cut.inc(frontierCut);
     fs.bounded.inc(bounded);
 
-    std::set<std::string> metricSpecs;
+    // --- Metric pass: the comm/memory objectives of the short list,
+    // from the graphs and traces the frontier pass kept.
+    std::set<size_t> metricSet;
     for (const auto &kv : bestOfSchedule)
-        metricSpecs.insert(*kv.second.spec);
+        metricSet.insert(kv.second.index);
     for (const Priced &p : top)
-        metricSpecs.insert(*p.spec);
-
-    // --- Metric pass: simulate the short list with graphs retained and
-    // compute the comm/memory objectives from each trace.
-    std::vector<Scenario> metricScenarios;
-    for (const std::string &spec : metricSpecs) {
-        Scenario s = base;
-        s.schedule = spec;
-        metricScenarios.push_back(std::move(s));
-    }
-    const std::vector<ScenarioResult> metrics = engine_.run(metricScenarios);
-
+        metricSet.insert(p.index);
     std::vector<TuneCandidate> evaluated;
-    evaluated.reserve(metrics.size());
-    for (const ScenarioResult &r : metrics) {
+    evaluated.reserve(metricSet.size());
+    for (size_t i : metricSet) {
+        const core::SimulatedGraph &g = kept[i];
         TuneCandidate c;
-        c.spec = r.scenario.schedule;
-        c.makespanMs = r.makespanMs;
-        c.commBusyMs = r.sim.busyOf(sim::Link::InterNode) +
-                       r.sim.busyOf(sim::Link::IntraNode);
-        c.peakMemMB = peakConcurrentCommMB(r.graph, r.sim, cost.models);
+        c.spec = candidates[i]->spec();
+        c.makespanMs = g.sim.makespan;
+        c.commBusyMs = g.sim.busyOf(sim::Link::InterNode) +
+                       g.sim.busyOf(sim::Link::IntraNode);
+        c.peakMemMB = peakConcurrentCommMB(g.graph, g.sim, cost.models);
         evaluated.push_back(std::move(c));
     }
 

@@ -7,9 +7,9 @@
  * that claim. Given a (model, cluster, batch) query, the tuner
  * enumerates every registered schedule, derives each one's search
  * space from its declared parameters (core/schedules/param_space.h),
- * prices candidates through a SweepEngine, whose cost cache serves
- * every candidate and later queries, and answers with the best
- * canonical spec plus a Pareto frontier over three objectives:
+ * prices candidates through a SweepEngine's makespanBelow on the
+ * query's one ModelCost, and answers with the best canonical spec plus
+ * a Pareto frontier over three objectives:
  *
  *   makespanMs  simulated iteration time (the primary objective);
  *   commBusyMs  total busy time on the two communication links —
@@ -21,11 +21,14 @@
  *
  * Small spaces are searched exhaustively (grid); spaces with a
  * continuous axis fall back to the solver's differential evolution,
- * probing through the same engine. Every schedule's bare canonical
- * name is always a candidate, so the tuner's answer is never worse
- * than the best default configuration. Candidates are priced best
- * lower bound first against a running cutoff (docs/TUNING.md), so
- * only those that can still reach the metric pass are simulated.
+ * probing through the same engine; specs whose Schedule::graphKey is
+ * equal build one graph, which DE prices once. Every schedule's bare
+ * canonical name is always a candidate, so the tuner's answer is never
+ * worse than the best default configuration. Candidates are priced
+ * best lower bound first against a running cutoff (docs/TUNING.md), so
+ * only those that can still reach the metric pass are simulated, and
+ * the metric pass reads the graphs and results that pricing kept: a
+ * cold query simulates each graph at most once.
  *
  * Advisor caching: answers are memoized by a key derived from the
  * query and the tuner configuration, together with a digest of the
@@ -36,15 +39,14 @@
  * simulations, verifiable via the "sim.runs" stats counter. The
  * persisted form round-trips byte-identically (base/json.h fmtDouble).
  *
- * Determinism contract: fixed DE seed, sequential DE probes and
- * frontier pass, and the engine's parallel-equals-serial guarantee
- * for the metric pass make tune() byte-stable:
- * the same query on any thread count, in Debug or Release, produces
- * an identical answer (tuner_test and CI assert this).
+ * Determinism contract: a fixed DE seed, and a query that runs on the
+ * calling thread from its first probe to its metric pass, make tune()
+ * byte-stable: the same query at any TuneOptions::numThreads, in Debug
+ * or Release, produces an identical answer (tuner_test and CI assert
+ * this).
  *
- * Thread-safety: a Tuner is single-threaded (parallelism lives inside
- * its engine); do not share one across threads without external
- * locking.
+ * Thread-safety: a Tuner is single-threaded; do not share one across
+ * threads without external locking.
  */
 #ifndef FSMOE_RUNTIME_TUNER_H
 #define FSMOE_RUNTIME_TUNER_H
@@ -82,11 +84,14 @@ struct TuneQuery
 /** Tuner configuration (all defaults are deterministic). */
 struct TuneOptions
 {
-    /// Engine worker threads for the metric pass; 0 = hardware.
+    /// Worker threads of the tuner's engine; 0 = hardware. Unused: a
+    /// query runs on the calling thread, so this changes no work and
+    /// no answer.
     int numThreads = 0;
     /// DE budget for continuous spaces. A probe stops at its parent's
     /// cutoff (SweepEngine::makespanBelow), and a per-search memo
-    /// makes revisited specs free.
+    /// keyed by Schedule::graphKey prices each graph once: a probe
+    /// whose graph an earlier one built is free.
     solver::DeConfig de{16, 24, 0.7, 0.9, 0xf500e7ULL, 1e-9};
 };
 

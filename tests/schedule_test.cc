@@ -6,11 +6,13 @@
  * baselines), exactness of the pruned Tutel/Lina degree search
  * against the unpruned loop, with and without a cutoff,
  * Schedule::makespanBelow against run()'s makespan,
- * Schedule::makespanLowerBound below it, and Schedule::simulate,
- * which hands back a search's result, against run(build()).
+ * Schedule::makespanLowerBound below it, Schedule::simulate,
+ * which hands back a search's result, against run(build()), and
+ * Schedule::graphKey: specs with one key build one graph.
  */
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -1148,6 +1150,146 @@ TEST(Schedules, MakespanLowerBoundIsBelowTheMakespan)
         std::mt19937 rng(0xb0u + static_cast<unsigned>(seed));
         expectLowerBoundsHold(boundTestModel(rng), prefixes,
                               "seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            FAIL() << "first failure at seed " << seed;
+    }
+}
+
+// ---------------------------------------------------- graph keys
+
+/**
+ * Lina at @p chunk_bytes and degree @p r as a spec, or "" when the
+ * chunk lies outside chunkMB's declared range. %.17g round-trips, and
+ * the factory's scaling by 2^20 is exact, so the schedule's chunk is
+ * @p chunk_bytes bit for bit.
+ */
+std::string
+linaSpec(double chunk_bytes, int r)
+{
+    const double mb = chunk_bytes / (1 << 20);
+    if (!(mb >= 1.0 / 1024.0 && mb <= 1024.0))
+        return "";
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", mb);
+    return std::string("PipeMoE+Lina?chunkMB=") + buf +
+           "&degree=" + std::to_string(r);
+}
+
+/**
+ * Schedule::graphKey's contract on @p cost: every builtin schedule at
+ * its defaults, each degree-taking one at degrees 0..rMax, and Lina at
+ * chunk sizes 1 KB, 30 MB, 1024 MB and around G, the total gradient
+ * bytes folded last layer first, at each degree. Specs with one key
+ * must build identical graphs, with equal bounds and makespan bits;
+ * the chunk just below G must keep a key apart from G's. Returns the
+ * number of keys that more than one spec shares.
+ */
+size_t
+expectEqualKeysBuildOneGraph(const ModelCost &cost, const std::string &where)
+{
+    double grad = 0.0;
+    for (auto it = cost.layers.rbegin(); it != cost.layers.rend(); ++it)
+        grad += it->workload.gradBytes;
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> chunks = {
+        1024.0, 30.0 * (1 << 20), std::nextafter(grad, 0.0), grad,
+        std::nextafter(grad, inf), 2.0 * grad, 1024.0 * (1 << 20)};
+
+    std::vector<std::string> specs = ScheduleRegistry::instance().names();
+    for (const std::string &name : degreeSearchingSchedules()) {
+        for (int r = 0; r <= cost.rMax; ++r) {
+            if (name != "PipeMoE+Lina") {
+                specs.push_back(withDegree(name, r));
+                continue;
+            }
+            for (const double c : chunks) {
+                const std::string spec = linaSpec(c, r);
+                if (!spec.empty())
+                    specs.push_back(spec);
+            }
+        }
+    }
+    // At G one full bucket takes the whole gradient; a chunk one ulp
+    // below fills a bucket and leaves a remainder for a second one.
+    const std::string below = linaSpec(std::nextafter(grad, 0.0), 1);
+    const std::string at = linaSpec(grad, 1);
+    if (!below.empty() && !at.empty()) {
+        EXPECT_NE(Schedule::create(below)->graphKey(cost),
+                  Schedule::create(at)->graphKey(cost))
+            << where;
+    }
+
+    std::map<std::string, std::vector<std::string>> byKey;
+    for (const std::string &spec : specs)
+        byKey[Schedule::create(spec)->graphKey(cost)].push_back(spec);
+    size_t shared = 0;
+    for (const auto &[key, group] : byKey) {
+        if (group.size() < 2)
+            continue;
+        ++shared;
+        const auto first = Schedule::create(group.front());
+        const sim::TaskGraph want = first->build(cost);
+        const double makespan = sim::Simulator{}.run(want).makespan;
+        const double bound = first->makespanLowerBound(cost);
+        for (size_t i = 1; i < group.size(); ++i) {
+            const std::string what =
+                where + " key " + key + ": " + group[i] + " vs " +
+                group.front();
+            const auto sched = Schedule::create(group[i]);
+            const sim::TaskGraph got = sched->build(cost);
+            expectSameGraph(got, want, what);
+            EXPECT_TRUE(test::sameBits(sim::Simulator{}.run(got).makespan,
+                                       makespan))
+                << what;
+            EXPECT_TRUE(
+                test::sameBits(sched->makespanLowerBound(cost), bound))
+                << what;
+        }
+    }
+    return shared;
+}
+
+TEST(Schedules, EqualGraphKeysBuildIdenticalGraphs)
+{
+    // The nine demo and tuner configurations (on mixtral-7b G is above
+    // chunkMB's 1024 MB top, so no chunk size there reaches it) and
+    // the seeded random models of the bound tests.
+    std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    runtime::Scenario small_r = tunerQuery();
+    small_r.rMax = 4;
+    configs.emplace(small_r.costKey(), small_r);
+    ASSERT_EQ(configs.size(), 9u);
+    for (const auto &[key, s] : configs) {
+        const size_t shared = expectEqualKeysBuildOneGraph(
+            runtime::ScenarioRegistry::instance().makeCost(s), key);
+        if (s.model == "gpt2xl-moe") {
+            // Lina's chunks G, G's successor, 2G and 1024 MB share
+            // one key at each degree 0..rMax.
+            EXPECT_EQ(shared, static_cast<size_t>(s.rMax + 1)) << key;
+        } else {
+            EXPECT_EQ(shared, 0u) << key;
+        }
+    }
+
+    // On the tuner's query every chunk of G or more shares one key per
+    // degree; a chunk below G keeps its spec.
+    const ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(tunerQuery());
+    const auto lina = [&](const char *spec) {
+        return Schedule::create(spec)->graphKey(cost);
+    };
+    EXPECT_EQ(lina("lina?chunkMB=200&degree=3"),
+              lina("lina?chunkMB=1024&degree=3"));
+    EXPECT_NE(lina("lina?chunkMB=200&degree=3"),
+              lina("lina?chunkMB=200&degree=4"));
+    EXPECT_EQ(lina("lina?chunkMB=30"),
+              Schedule::create("lina?chunkMB=30")->spec());
+
+    constexpr int kSeeds = 40;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937 rng(0xb0u + static_cast<unsigned>(seed));
+        expectEqualKeysBuildOneGraph(boundTestModel(rng),
+                                     "seed " + std::to_string(seed));
         if (::testing::Test::HasFailure())
             FAIL() << "first failure at seed " << seed;
     }
