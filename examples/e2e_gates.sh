@@ -123,11 +123,21 @@ gate_threads() {
 # ------------------------------------- journal, kill, inject (robustness)
 
 gate_journal() {
-    # Journaling is pure bookkeeping: the bytes of a plain run.
-    "$bin/fsmoe_sweep" --out-csv plain.csv
-    "$bin/fsmoe_sweep" --journal j.txt --out-json j.json --out-csv j.csv
+    # Journaling is pure bookkeeping: the bytes of a plain run. Both
+    # paths re-simulate the scenario --trace/--explain show, so the
+    # trace files and explain sections match too.
+    "$bin/fsmoe_sweep" --out-csv plain.csv --trace a.json \
+        --explain best > plain.log
+    "$bin/fsmoe_sweep" --isolate --journal j.txt --out-json j.json \
+        --out-csv j.csv --trace b.json --explain best > journal.log
     cmp j.json "$grid"
     cmp j.csv plain.csv
+    cmp a.json b.json
+    for log in plain journal; do
+        sed -n '/^explain /,$p' $log.log | grep -v '^wrote' > $log.explain
+    done
+    [ -s plain.explain ] || fail "no explain section"
+    cmp plain.explain journal.explain
 }
 
 gate_kill() {
@@ -160,10 +170,10 @@ gate_inject() {
     "$bin/fsmoe_sweep" --isolate \
         --inject 'seed=7,eval=0.3,crash=0.2,timeout=0.1' \
         --timeout-ms 5000 --max-attempts 2 --journal j.txt \
-        --profile --out-json injected.json > inject.log
+        --profile --explain best --out-json injected.json > inject.log
     grep -q "service.scenarios.quarantined" inject.log
     python3 - "$grid" <<'EOF'
-import json, sys
+import json, re, sys
 def key(r):
     return tuple(r[k] for k in ("model", "cluster", "schedule", "batch",
                                 "seq_len", "num_layers", "num_experts",
@@ -182,6 +192,20 @@ for r in quarantined:
     assert r["makespan_ms"] == 0.0, r
 for r in ok:
     assert r == clean[key(r)], f"survivor drifted: {key(r)}"
+# --explain best shows the fastest survivor, never a quarantined record.
+def label(r):
+    s = "{model}/{cluster}/{schedule}/b{batch}/L{seq_len}".format(**r)
+    if r["num_layers"] > 0:
+        s += "/l%d" % r["num_layers"]
+    if r["num_experts"] > 0:
+        s += "/e%d" % r["num_experts"]
+    if r["r_max"] != 16:
+        s += "/r%d" % r["r_max"]
+    return s
+shown = re.search(r"^explain (.*):$", open("inject.log").read(), re.M)
+assert shown, "no explain section"
+best = min(ok, key=lambda r: r["makespan_ms"])
+assert shown.group(1) == label(best), (shown.group(1), label(best))
 EOF
     "$bin/fsmoe_sweep" --journal j.txt --resume --out-json healed.json
     cmp healed.json "$grid"

@@ -32,7 +32,6 @@
  *   --shard K/N      run only the K-th of N contiguous grid slices;
  *                    persisted shard files merge (fsmoe_diff --merge)
  *                    into a byte-identical unsharded result
- *   --no-sim-cache   disable the (costKey, schedule) SimResult cache
  *   --profile        print a per-stage wall-time breakdown after the
  *                    sweep (cost derivation, graph build, solver,
  *                    simulate, caches) plus registry-backed cache hit
@@ -52,13 +51,20 @@
  *                    stage spans on each worker thread) as Chrome
  *                    trace JSON into F; see docs/OBSERVABILITY.md
  *
+ * --trace and --explain re-simulate the one scenario they show after
+ * the sweep, plain or fault-tolerant: the same build-then-simulate
+ * sequence the sweep priced it with, so its graph and timeline are the
+ * swept record's, bit for bit. They add that one build and simulation
+ * to the --metrics-json registry.
+ *
  * Fault tolerance (docs/ROBUSTNESS.md) — any of these flags (or the
  * FSMOE_FAULT environment variable) runs the grid on the sweep
  * service's supervisor (service/sweep_server.h): forked worker
  * processes under a heartbeat watchdog, so a crash or hang costs only
  * the scenario in flight one attempt, and a scenario that keeps failing
- * is quarantined instead of aborting the sweep; healthy results stay
- * byte-identical to the plain engine's:
+ * is quarantined instead of aborting the sweep (--trace and --explain
+ * never pick it); healthy results stay byte-identical to the plain
+ * engine's:
  *
  *   --journal FILE   append each finished scenario to a checksummed
  *                    journal (fsync'd), so a killed sweep can resume
@@ -231,11 +237,12 @@ printRanked(const std::vector<runtime::SweepResult> &records)
 
 /**
  * --profile: where did the sweep's time go? Stage times are summed
- * across workers (they can exceed wall time on multiple threads) and
- * count only cache-miss work. The two solver lines re-slice part of
- * the graph-build line: Algorithm-1 and gradient-partition solves happen
- * inside Schedule::build, so cold-solve time is included in "graph
- * build" and broken out per solver from the process-wide solver cache.
+ * across workers (they can exceed wall time on multiple threads); cost
+ * derivation counts only cost-cache misses. The two solver lines
+ * re-slice part of the graph-build line: Algorithm-1 and
+ * gradient-partition solves happen inside Schedule::build, so
+ * cold-solve time is included in "graph build" and broken out per
+ * solver from the process-wide solver cache.
  * A Tutel/Lina degree search simulates its winner inside the build and
  * hands the result back, so "simulate (final graphs)" and the cold
  * simulation count cover only graphs that no search simulated.
@@ -248,10 +255,6 @@ printProfile(const runtime::SweepStats &stats)
     std::printf("  %-36s %10.1f ms  (%zu cold, %zu cached)\n",
                 "cost derivation", stats.costDeriveMs,
                 stats.costCacheMisses, stats.costCacheHits);
-    // No cold/cached annotation here: builds are counted by the sim
-    // cache only when it is enabled (keepGraphs and --no-sim-cache
-    // build every scenario without moving those counters, which the
-    // main stats line already reports).
     std::printf("  %-36s %10.1f ms\n", "graph build + in-build sims",
                 stats.graphBuildMs);
     const auto count = [](const char *name) {
@@ -300,8 +303,6 @@ printProfile(const runtime::SweepStats &stats)
     };
     const uint64_t cost_h = stats::counter("sweep.costCache.hits").value();
     const uint64_t cost_m = stats::counter("sweep.costCache.misses").value();
-    const uint64_t sim_h = stats::counter("sweep.simCache.hits").value();
-    const uint64_t sim_m = stats::counter("sweep.simCache.misses").value();
     const uint64_t sol_h = stats::counter("solver.pipeline.hits").value() +
                            stats::counter("solver.partition.hits").value();
     const uint64_t sol_m =
@@ -312,9 +313,6 @@ printProfile(const runtime::SweepStats &stats)
                 pct(cost_h, cost_m),
                 static_cast<unsigned long long>(cost_h),
                 static_cast<unsigned long long>(cost_h + cost_m));
-    std::printf("  %-28s %5.1f%%  (%llu of %llu)\n", "sim cache",
-                pct(sim_h, sim_m), static_cast<unsigned long long>(sim_h),
-                static_cast<unsigned long long>(sim_h + sim_m));
     std::printf("  %-28s %5.1f%%  (%llu of %llu)\n", "solver caches",
                 pct(sol_h, sol_m), static_cast<unsigned long long>(sol_h),
                 static_cast<unsigned long long>(sol_h + sol_m));
@@ -355,6 +353,62 @@ printRobustCounters()
     }
 }
 
+/**
+ * The record @p flag shows: for @p which "best", the least makespan
+ * among Ok records (the first on ties), else the record labelled
+ * @p which. Prints why to stderr and returns nullptr when there is no
+ * such record (a --shard slice can be empty) or it was quarantined.
+ */
+const runtime::SweepResult *
+pickRecord(const std::vector<runtime::SweepResult> &records,
+           const char *flag, const char *which)
+{
+    if (records.empty()) {
+        std::fprintf(stderr, "%s: this grid has no scenarios\n", flag);
+        return nullptr;
+    }
+    const runtime::SweepResult *target = nullptr;
+    if (std::strcmp(which, "best") == 0) {
+        for (const auto &r : records)
+            if (r.status == runtime::ResultStatus::Ok &&
+                (target == nullptr || r.makespanMs < target->makespanMs))
+                target = &r;
+        if (target == nullptr)
+            std::fprintf(stderr, "%s: no scenario of this grid finished\n",
+                         flag);
+        return target;
+    }
+    const auto it = std::find_if(
+        records.begin(), records.end(),
+        [which](const auto &r) { return r.scenario.label() == which; });
+    if (it == records.end()) {
+        std::fprintf(stderr,
+                     "%s: no scenario labelled '%s' in this grid (labels "
+                     "look like '%s'; or use 'best')\n",
+                     flag, which, records.front().scenario.label().c_str());
+        return nullptr;
+    }
+    if (it->status != runtime::ResultStatus::Ok) {
+        std::fprintf(stderr, "%s: scenario '%s' was %s\n", flag, which,
+                     runtime::resultStatusName(it->status));
+        return nullptr;
+    }
+    return &*it;
+}
+
+/**
+ * Build and simulate @p r's scenario again, keeping its graph in
+ * @p graph: the sweep's own build-then-simulate sequence on the same
+ * ModelCost, so the result is the one the sweep priced, bit for bit.
+ */
+sim::SimResult
+resimulate(const runtime::SweepResult &r, sim::TaskGraph *graph)
+{
+    const core::ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(r.scenario);
+    return core::Schedule::create(r.scenario.schedule)->simulate(cost, graph);
+}
+
 /** Atomically write @p text to @p path; stderr + false on failure. */
 bool
 dumpTextFile(const char *path, const std::string &text)
@@ -375,7 +429,7 @@ usage(const char *argv0)
                  "          [--schedules LIST] [--list-schedules]\n"
                  "          [--out-json FILE] [--out-csv FILE]\n"
                  "          [--diff BASELINE] [--tolerance PCT]\n"
-                 "          [--shard K/N] [--no-sim-cache] [--profile]\n"
+                 "          [--shard K/N] [--profile]\n"
                  "          [--explain LABEL|best] [--link-util]\n"
                  "          [--metrics-json FILE] [--self-trace FILE]\n"
                  "          [--journal FILE] [--resume] [--isolate]\n"
@@ -399,7 +453,6 @@ main(int argc, char **argv)
     const char *diff_baseline = nullptr;
     double tolerance_pct = 0.0;
     runtime::ShardSpec shard;
-    bool sim_cache = true;
     bool profile = false;
     bool link_util = false;
     const char *explain = nullptr;
@@ -447,8 +500,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "%s\n", shard_error.c_str());
                 return 2;
             }
-        } else if (std::strcmp(argv[i], "--no-sim-cache") == 0) {
-            sim_cache = false;
         } else if (std::strcmp(argv[i], "--profile") == 0) {
             profile = true;
         } else if (std::strcmp(argv[i], "--explain") == 0 && i + 1 < argc) {
@@ -534,13 +585,6 @@ main(int argc, char **argv)
 
     std::vector<runtime::SweepResult> records;
     if (robust) {
-        if (trace_path != nullptr || explain != nullptr) {
-            std::fprintf(stderr,
-                         "--trace/--explain need retained task graphs and "
-                         "are not supported with the fault-tolerant runner "
-                         "(--journal/--resume/--isolate/--inject)\n");
-            return 2;
-        }
         runtime::Journal journal;
         runtime::Journal *journal_ptr = nullptr;
         if (journal_path != nullptr) {
@@ -597,72 +641,43 @@ main(int argc, char **argv)
             service::printServiceCounters();
         }
     } else {
-        runtime::SweepOptions opts;
-        opts.numThreads = threads;
-        // --explain needs the retained graph of its scenario, same as
-        // the trace exporter.
-        opts.keepGraphs = trace_path != nullptr || explain != nullptr;
-        opts.enableSimCache = sim_cache;
-        runtime::SweepEngine engine(opts);
-        auto results = engine.run(grid);
-        records = runtime::toSweepResults(results);
+        runtime::SweepEngine engine({threads});
+        records = runtime::toSweepResults(engine.run(grid));
 
         printRanked(records);
 
         const runtime::SweepStats stats = engine.stats();
         std::printf("\n%zu scenarios on %d threads in %.1f ms; cost "
-                    "cache: %zu misses, %zu hits; sim cache: %zu misses, "
-                    "%zu hits\n",
+                    "cache: %zu misses, %zu hits\n",
                     stats.scenariosRun, threads, stats.lastSweepWallMs,
-                    stats.costCacheMisses, stats.costCacheHits,
-                    stats.simCacheMisses, stats.simCacheHits);
+                    stats.costCacheMisses, stats.costCacheHits);
         if (profile)
             printProfile(stats);
+    }
 
-        if (explain != nullptr && !results.empty()) {
-            const runtime::ScenarioResult *target = nullptr;
-            if (std::strcmp(explain, "best") == 0) {
-                target = &results.front();
-                for (const auto &r : results)
-                    if (r.makespanMs < target->makespanMs)
-                        target = &r;
-            } else {
-                for (const auto &r : results) {
-                    if (r.scenario.label() == explain) {
-                        target = &r;
-                        break;
-                    }
-                }
-                if (target == nullptr) {
-                    std::fprintf(stderr,
-                                 "--explain: no scenario labelled '%s' in "
-                                 "this grid (labels look like '%s'; or use "
-                                 "'best')\n",
-                                 explain,
-                                 results.front().scenario.label().c_str());
-                    return 2;
-                }
-            }
-            const sim::RunReport report =
-                sim::analyzeRun(target->graph, target->sim);
-            std::printf("\nexplain %s:\n%s",
-                        target->scenario.label().c_str(),
-                        sim::formatRunReport(target->graph, report).c_str());
-        }
-
-        if (trace_path != nullptr) {
-            const runtime::ScenarioResult *best = &results.front();
-            for (const auto &r : results)
-                if (r.makespanMs < best->makespanMs)
-                    best = &r;
-            if (runtime::writeChromeTrace(trace_path, best->graph,
-                                          best->sim,
-                                          best->scenario.label()))
-                std::printf("wrote chrome://tracing JSON for %s to %s\n",
-                            best->scenario.label().c_str(), trace_path);
-            else
-                return 1;
-        }
+    if (explain != nullptr) {
+        const runtime::SweepResult *target =
+            pickRecord(records, "--explain", explain);
+        if (target == nullptr)
+            return 2;
+        sim::TaskGraph graph;
+        const sim::SimResult result = resimulate(*target, &graph);
+        std::printf("\nexplain %s:\n%s", target->scenario.label().c_str(),
+                    sim::formatRunReport(graph, sim::analyzeRun(graph, result))
+                        .c_str());
+    }
+    if (trace_path != nullptr) {
+        const runtime::SweepResult *best =
+            pickRecord(records, "--trace", "best");
+        if (best == nullptr)
+            return 2;
+        sim::TaskGraph graph;
+        const sim::SimResult result = resimulate(*best, &graph);
+        if (!runtime::writeChromeTrace(trace_path, graph, result,
+                                       best->scenario.label()))
+            return 1;
+        std::printf("wrote chrome://tracing JSON for %s to %s\n",
+                    best->scenario.label().c_str(), trace_path);
     }
 
     if (out_json != nullptr) {

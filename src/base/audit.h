@@ -141,7 +141,7 @@ std::string hex16(uint64_t digest);
  *
  * The table is process-wide and bounded (oldest-insertion entries are
  * evicted past a fixed cap); domains in use: "sweep.cost",
- * "sweep.sim", "solver.pipeline", "solver.partition", "tuner.answer".
+ * "solver.pipeline", "solver.partition", "tuner.answer".
  *
  * Counts into audit.cacheKey.checks / audit.cacheKey.recorded.
  */

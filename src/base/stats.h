@@ -4,7 +4,7 @@
  * fixed-bucket histograms, in the spirit of gem5's stats package.
  *
  * Every subsystem that wants to be observable registers metrics under
- * hierarchical dotted names ("sweep.simCache.hits",
+ * hierarchical dotted names ("sweep.costCache.hits",
  * "threadpool.task.ms") and updates them on its hot path; a consumer —
  * `fsmoe_sweep --metrics-json`, the richer `--profile`, CI — takes one
  * JSON snapshot at the end. Registration is a locked map lookup, but

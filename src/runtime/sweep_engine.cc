@@ -27,8 +27,6 @@ struct EngineStats
     stats::Counter &scenarios = stats::counter("sweep.scenarios.completed");
     stats::Counter &costHits = stats::counter("sweep.costCache.hits");
     stats::Counter &costMisses = stats::counter("sweep.costCache.misses");
-    stats::Counter &simHits = stats::counter("sweep.simCache.hits");
-    stats::Counter &simMisses = stats::counter("sweep.simCache.misses");
     stats::Histogram &costDeriveMs = stats::histogram("sweep.costDerive.ms");
     stats::Histogram &graphBuildMs = stats::histogram("sweep.graphBuild.ms");
     stats::Histogram &simulateMs = stats::histogram("sweep.simulate.ms");
@@ -45,9 +43,9 @@ struct EngineStats
 #if FSMOE_AUDIT_ENABLED
 
 /**
- * Field-by-field payload fingerprints for the cache-key collision
+ * Field-by-field payload fingerprint for the cache-key collision
  * audit (base/audit.h): two payloads fingerprint equal iff every field
- * is bit-identical, matching the byte-identity contract the caches
+ * is bit-identical, matching the byte-identity contract the cost cache
  * must preserve.
  */
 void
@@ -81,21 +79,6 @@ fingerprintCost(const core::ModelCost &c)
     return fp.digest();
 }
 
-uint64_t
-fingerprintSim(const sim::SimResult &r)
-{
-    audit::Fingerprint fp;
-    fp.mix(r.makespan);
-    fp.mix(static_cast<uint64_t>(r.trace.size()));
-    for (const sim::TaskTrace &t : r.trace)
-        fp.mix(t.id).mix(t.start).mix(t.finish);
-    for (double v : r.opTime)
-        fp.mix(v);
-    for (double v : r.linkBusyMs)
-        fp.mix(v);
-    return fp.digest();
-}
-
 #endif // FSMOE_AUDIT_ENABLED
 
 } // namespace
@@ -114,13 +97,6 @@ SweepEngine::clearCostCache()
 {
     std::lock_guard<std::mutex> lock(mu_);
     cost_cache_.clear();
-}
-
-void
-SweepEngine::clearSimCache()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    sim_cache_.clear();
 }
 
 std::shared_ptr<const core::ModelCost>
@@ -181,53 +157,8 @@ SweepEngine::costFor(const Scenario &s)
     }
 }
 
-std::shared_ptr<const sim::SimResult>
-SweepEngine::simFor(const Scenario &s,
-                    const std::shared_ptr<const core::ModelCost> &cost)
-{
-    // costKey() never contains the schedule, so appending the spec
-    // yields a unique (configuration, schedule-variant) key;
-    // parameterized variants of one schedule cache separately.
-    const std::string key = s.costKey() + '|' + s.schedule;
-    std::promise<std::shared_ptr<const sim::SimResult>> promise;
-    std::shared_future<std::shared_ptr<const sim::SimResult>> hit;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = sim_cache_.find(key);
-        if (it != sim_cache_.end()) {
-            ++stats_.simCacheHits;
-            hit = it->second;
-        } else {
-            ++stats_.simCacheMisses;
-            sim_cache_.emplace(key, promise.get_future().share());
-        }
-    }
-    EngineStats &es = EngineStats::instance();
-    if (hit.valid()) {
-        es.simHits.inc();
-        return hit.get(); // may wait on the in-flight computing worker
-    }
-    es.simMisses.inc();
-    try {
-        auto result = std::make_shared<const sim::SimResult>(
-            timedSimulate(s, *cost));
-        FSMOE_AUDIT(audit::checkCacheKey("sweep.sim", key,
-                                         fingerprintSim(*result)));
-        promise.set_value(result);
-        return result;
-    } catch (...) {
-        promise.set_exception(std::current_exception());
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            sim_cache_.erase(key);
-        }
-        throw;
-    }
-}
-
 sim::SimResult
-SweepEngine::timedSimulate(const Scenario &s, const core::ModelCost &cost,
-                           sim::TaskGraph *graph_out)
+SweepEngine::timedSimulate(const Scenario &s, const core::ModelCost &cost)
 {
     // Schedule::simulate() with its two stages timed apart. A degree
     // search hands back its winner's result, simulated inside the
@@ -266,8 +197,6 @@ SweepEngine::timedSimulate(const Scenario &s, const core::ModelCost &cost,
         if (!handed_back)
             stats_.simulateMs += simulate_ms;
     }
-    if (graph_out != nullptr)
-        *graph_out = std::move(graph);
     return result;
 }
 
@@ -300,15 +229,7 @@ SweepEngine::evaluate(const Scenario &s)
     auto cost = costFor(s);
     ScenarioResult out;
     out.scenario = s;
-    if (options_.keepGraphs) {
-        // Graphs are not cached; simulate directly so the retained
-        // graph matches the returned timings.
-        out.sim = timedSimulate(s, *cost, &out.graph);
-    } else if (options_.enableSimCache) {
-        out.sim = *simFor(s, cost);
-    } else {
-        out.sim = timedSimulate(s, *cost);
-    }
+    out.sim = timedSimulate(s, *cost);
     out.makespanMs = out.sim.makespan;
     EngineStats::instance().scenarios.inc();
     return out;

@@ -74,8 +74,6 @@ struct WorkerContext
     std::string name;
     int heartbeatMs;
     const std::vector<Scenario> &grid;
-    /// Sim cache off: every scenario is evaluated once per attempt, so
-    /// memoizing SimResults would only grow the worker's RSS.
     runtime::SweepEngine &engine;
 };
 
@@ -144,9 +142,7 @@ workerMain(int fd, int workerId, const ServerOptions &opts,
         ::_exit(1); // supervisor died before the prctl landed
     interrupt::clearStop(); // a stop meant for the daemon, not us
 
-    runtime::SweepOptions engineOpts;
-    engineOpts.enableSimCache = false;
-    runtime::SweepEngine engine(engineOpts);
+    runtime::SweepEngine engine;
     const WorkerContext ctx{fd, "w" + std::to_string(workerId),
                             opts.heartbeatMs, grid, engine};
     sendOrDie(fd, FrameType::Hello, ctx.name);

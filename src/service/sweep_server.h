@@ -12,9 +12,8 @@
  * nothing but scenario assignments and results crosses the wire. One
  * scenario is the unit of both assignment and retry: an Assign names
  * one grid index and that scenario's own attempt number. Each worker
- * evaluates through one runtime::SweepEngine (sim cache off), the same
- * path as a plain sweep, so healthy records carry the plain engine's
- * bytes.
+ * evaluates through one runtime::SweepEngine, the same path as a plain
+ * sweep, so healthy records carry the plain engine's bytes.
  *
  *   worker dies (SIGKILL, crash, injected crash)
  *     -> death is observed via socket EOF or waitpid; either way the

@@ -11,7 +11,7 @@
  * the numbers.
  *
  * The same bytes must come out of a 4-thread engine, cold and then
- * warm (every scenario served from the SimResult cache). In builds
+ * warm (every ModelCost served from the cost cache). In builds
  * that carry the debug-mode audits (base/audit.h) the test also proves
  * they ran over these sweeps, so a pass cannot mean "compiled out".
  *
@@ -56,8 +56,6 @@ TEST(DemoGridBaseline, SweepIsByteIdenticalToBlessedBaseline)
         << "cold 4-thread sweep differs from the baseline";
     EXPECT_TRUE(toJson(toSweepResults(parallel.run(grid))) == baseline)
         << "warm 4-thread sweep differs from the baseline";
-    EXPECT_EQ(parallel.stats().simCacheHits, grid.size())
-        << "the warm sweep was not served from the SimResult cache";
 
     if (audit::compiledIn()) {
         const auto count = [](const char *name) {

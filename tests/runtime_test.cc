@@ -191,50 +191,17 @@ TEST(SweepEngine, CostCacheCountsHitsPerSharedConfiguration)
     EXPECT_EQ(stats.costCacheMisses, 2 * unique_keys.size());
 }
 
-TEST(SweepEngine, SimCacheCountsHitsOnRepeatedScenarios)
+TEST(SweepEngine, WarmRerunIsBitIdenticalToAFreshRun)
 {
+    // The rerun takes every ModelCost from the cost cache; a cache hit
+    // must not move a bit of any result.
     const auto grid = testGrid();
-    SweepEngine engine({/*numThreads=*/4});
+    SweepEngine warmed({/*numThreads=*/2});
+    warmed.run(grid);
+    const auto warm = warmed.run(grid);
+    EXPECT_EQ(warmed.stats().costCacheMisses, 4u);
+    const auto fresh = SweepEngine({/*numThreads=*/2}).run(grid);
 
-    // A cold sweep of all-distinct scenarios: every simulation misses.
-    engine.run(grid);
-    SweepStats stats = engine.stats();
-    EXPECT_EQ(stats.simCacheMisses, grid.size());
-    EXPECT_EQ(stats.simCacheHits, 0u);
-
-    // The same grid again on the warm engine: every simulation hits.
-    engine.run(grid);
-    stats = engine.stats();
-    EXPECT_EQ(stats.simCacheMisses, grid.size());
-    EXPECT_EQ(stats.simCacheHits, grid.size());
-
-    // A grid that repeats (model, testbed, schedule) combinations
-    // within one run: the duplicates hit even concurrently.
-    engine.clearSimCache();
-    engine.clearCostCache();
-    std::vector<Scenario> repeated = grid;
-    repeated.insert(repeated.end(), grid.begin(), grid.end());
-    engine.run(repeated);
-    stats = engine.stats();
-    EXPECT_EQ(stats.simCacheMisses, 2 * grid.size());
-    EXPECT_EQ(stats.simCacheHits, 2 * grid.size());
-}
-
-TEST(SweepEngine, CachedSimResultsAreBitIdenticalToRecomputed)
-{
-    const auto grid = testGrid();
-    SweepEngine cached({/*numThreads=*/2});
-    SweepOptions no_cache_opts;
-    no_cache_opts.numThreads = 2;
-    no_cache_opts.enableSimCache = false;
-    SweepEngine uncached(no_cache_opts);
-
-    cached.run(grid);                      // warm the cache
-    const auto warm = cached.run(grid);    // served from the cache
-    const auto fresh = uncached.run(grid); // simulated every time
-
-    EXPECT_EQ(uncached.stats().simCacheMisses, 0u);
-    EXPECT_EQ(uncached.stats().simCacheHits, 0u);
     ASSERT_EQ(warm.size(), fresh.size());
     for (size_t i = 0; i < warm.size(); ++i) {
         EXPECT_EQ(std::memcmp(&warm[i].makespanMs, &fresh[i].makespanMs,
@@ -243,6 +210,7 @@ TEST(SweepEngine, CachedSimResultsAreBitIdenticalToRecomputed)
             << grid[i].label();
         ASSERT_EQ(warm[i].sim.trace.size(), fresh[i].sim.trace.size());
         for (size_t t = 0; t < warm[i].sim.trace.size(); ++t) {
+            EXPECT_EQ(warm[i].sim.trace[t].id, fresh[i].sim.trace[t].id);
             EXPECT_EQ(std::memcmp(&warm[i].sim.trace[t].start,
                                   &fresh[i].sim.trace[t].start,
                                   sizeof(double)),
@@ -262,10 +230,7 @@ TEST(SweepEngine, DemoGridDegreeSearchesSimulateThePinnedCandidates)
     // the release-date bound skips 347 candidates unbuilt, and 9 of the
     // 37 it lets through lose and are cut mid-run. A weaker bound or
     // another visiting order moves these counts.
-    SweepOptions opts;
-    opts.numThreads = 1;
-    opts.enableSimCache = false;
-    SweepEngine engine(opts);
+    SweepEngine engine({/*numThreads=*/1});
     const char *const names[] = {
         "schedule.search.candidates", "schedule.search.bounded",
         "schedule.search.simulated", "schedule.search.cut",
@@ -273,27 +238,30 @@ TEST(SweepEngine, DemoGridDegreeSearchesSimulateThePinnedCandidates)
     std::vector<uint64_t> before;
     for (const char *name : names)
         before.push_back(stats::counter(name).value());
-    engine.run(demoGrid());
+    const std::vector<ScenarioResult> results = engine.run(demoGrid());
     const std::vector<uint64_t> want = {384, 347, 37, 9, 51145};
     for (size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(stats::counter(names[i]).value() - before[i], want[i])
             << names[i];
-}
 
-TEST(SweepEngine, KeepGraphsBypassesTheSimCache)
-{
-    const auto grid = testGrid();
-    SweepOptions opts;
-    opts.numThreads = 2;
-    opts.keepGraphs = true;
-    SweepEngine engine(opts);
-    engine.run(grid);
-    engine.run(grid);
-    const SweepStats stats = engine.stats();
-    // Graphs must match the returned timings, so nothing is cached —
-    // and the counters must not pretend otherwise.
-    EXPECT_EQ(stats.simCacheMisses, 0u);
-    EXPECT_EQ(stats.simCacheHits, 0u);
+    // `fsmoe_sweep --trace/--explain` re-simulate the scenario they
+    // show from a fresh ModelCost: that must reproduce the swept
+    // record bit for bit.
+    ASSERT_EQ(results.size(), 54u);
+    const auto same_bits = [](const auto &a, const auto &b) {
+        static_assert(sizeof a == sizeof b);
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (const ScenarioResult &r : results) {
+        const Scenario &s = r.scenario;
+        const sim::SimResult again =
+            core::Schedule::create(s.schedule)
+                ->simulate(ScenarioRegistry::instance().makeCost(s));
+        EXPECT_TRUE(same_bits(again.makespan, r.makespanMs)) << s.label();
+        EXPECT_TRUE(same_bits(again.opTime, r.sim.opTime)) << s.label();
+        EXPECT_TRUE(same_bits(again.linkBusyMs, r.sim.linkBusyMs))
+            << s.label();
+    }
 }
 
 TEST(SweepEngine, OneScenarioRunsOnTheCallingThreadWithTheSameStats)
@@ -463,24 +431,20 @@ TEST(TraceExport, ChromeJsonIsWellFormedAndCoversEveryTask)
     s.schedule = "FSMoE";
     s.numLayers = 2;
 
-    SweepOptions opts;
-    opts.numThreads = 1;
-    opts.keepGraphs = true;
-    SweepEngine engine(opts);
-    const auto results = engine.run({s});
-    ASSERT_EQ(results.size(), 1u);
-    const ScenarioResult &r = results[0];
-    ASSERT_GT(r.graph.size(), 0u);
-    ASSERT_EQ(r.sim.trace.size(), r.graph.size());
+    sim::TaskGraph graph;
+    const sim::SimResult r = core::Schedule::create(s.schedule)->simulate(
+        ScenarioRegistry::instance().makeCost(s), &graph);
+    ASSERT_GT(graph.size(), 0u);
+    ASSERT_EQ(r.trace.size(), graph.size());
 
-    const std::string json = chromeTraceJson(r.graph, r.sim, s.label());
+    const std::string json = chromeTraceJson(graph, r, s.label());
     EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
 
     // One complete ("X") event per simulated task, no more, no less.
-    EXPECT_EQ(countOccurrences(json, "\"ph\":\"X\""), r.sim.trace.size());
+    EXPECT_EQ(countOccurrences(json, "\"ph\":\"X\""), r.trace.size());
     // Metadata rows name the process and every stream.
     EXPECT_EQ(countOccurrences(json, "\"thread_name\""),
-              static_cast<size_t>(r.graph.numStreams()));
+              static_cast<size_t>(graph.numStreams()));
     EXPECT_EQ(countOccurrences(json, "\"process_name\""), 1u);
 }
 
@@ -492,24 +456,21 @@ TEST(TraceExport, EventsMatchSimulatedTimeline)
     s.schedule = "Tutel";
     s.numLayers = 1;
 
-    SweepOptions opts;
-    opts.numThreads = 1;
-    opts.keepGraphs = true;
-    SweepEngine engine(opts);
-    const auto results = engine.run({s});
-    const ScenarioResult &r = results[0];
+    sim::TaskGraph graph;
+    const sim::SimResult r = core::Schedule::create(s.schedule)->simulate(
+        ScenarioRegistry::instance().makeCost(s), &graph);
 
-    const auto events = sim::traceEvents(r.graph, r.sim);
-    ASSERT_EQ(events.size(), r.sim.trace.size());
+    const auto events = sim::traceEvents(graph, r);
+    ASSERT_EQ(events.size(), r.trace.size());
     double last_finish = 0.0;
     for (size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].id, r.sim.trace[i].id);
-        EXPECT_DOUBLE_EQ(events[i].startMs, r.sim.trace[i].start);
+        EXPECT_EQ(events[i].id, r.trace[i].id);
+        EXPECT_DOUBLE_EQ(events[i].startMs, r.trace[i].start);
         EXPECT_GE(events[i].durationMs, 0.0);
         last_finish = std::max(last_finish, events[i].startMs +
                                                 events[i].durationMs);
     }
-    EXPECT_DOUBLE_EQ(last_finish, r.sim.makespan);
+    EXPECT_DOUBLE_EQ(last_finish, r.makespan);
 }
 
 } // namespace
