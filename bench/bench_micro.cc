@@ -9,6 +9,7 @@
  * simulator), gate kernels, the GEMM kernel, and the functional
  * AlltoAll algorithms.
  */
+#include <cstring>
 #include <limits>
 #include <random>
 #include <string>
@@ -245,10 +246,13 @@ BM_DegreeSearch(benchmark::State &state)
 BENCHMARK(BM_DegreeSearch)->ArgName("tuner")->Arg(0)->Arg(1);
 
 /**
- * One degree-search candidate's release-date bound
- * (DegreeSchedule::makespanLowerBound): Tutel on mixtral-7b/testbedB/b2
- * at a fixed r, emitted into a duration tally. A phase tallies in O(1),
- * so r = 1 and r = 16 should cost the same.
+ * Release-date bounds (DegreeSchedule::makespanLowerBound) of Tutel on
+ * mixtral-7b/testbedB/b2. At a fixed r, one candidate's: the schedule
+ * emitted into a one-lane duration tally. A phase tallies in O(1), so
+ * r = 1 and r = 16 should cost the same. r = 0 is the degree search's
+ * walk: one emission into a tally with a lane per degree 1..rMax. The
+ * row fails if any lane's bound differs from its degree's one-lane
+ * bound.
  */
 void
 BM_DegreeBound(benchmark::State &state)
@@ -258,10 +262,27 @@ BM_DegreeBound(benchmark::State &state)
             mixtralTestbedBScenario());
     const auto sched = core::Schedule::create(
         "tutel?degree=" + std::to_string(state.range(0)));
+    if (state.range(0) == 0) {
+        sim::TaskGraph walk = sim::TaskGraph::durationTally(
+            static_cast<size_t>(cost.rMax));
+        dynamic_cast<const core::detail::DegreeSchedule &>(*sched).emit(
+            walk, cost, 1);
+        for (int r = 1; r <= cost.rMax; ++r) {
+            const double lane = sim::Simulator::makespanLowerBound(
+                walk, static_cast<size_t>(r - 1));
+            const double alone =
+                core::Schedule::create("tutel?degree=" + std::to_string(r))
+                    ->makespanLowerBound(cost);
+            if (std::memcmp(&lane, &alone, sizeof lane) != 0) {
+                state.SkipWithError("a lane differs from its degree's bound");
+                return;
+            }
+        }
+    }
     for (auto _ : state)
         benchmark::DoNotOptimize(sched->makespanLowerBound(cost));
 }
-BENCHMARK(BM_DegreeBound)->ArgName("r")->Arg(1)->Arg(16);
+BENCHMARK(BM_DegreeBound)->ArgName("r")->Arg(0)->Arg(1)->Arg(16);
 
 /**
  * A losing degree-search candidate: Tutel at r on

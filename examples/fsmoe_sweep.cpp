@@ -274,15 +274,17 @@ printProfile(const runtime::SweepStats &stats)
                 solver.partitionSolveMs, solver.partitionMisses,
                 solver.partitionHits);
     // Tutel/Lina degree searches (core::detail::searchDegree): of the
-    // candidate degrees, how many the link-sum bound skipped unbuilt,
-    // how many were simulated, and how many of those hit the cutoff.
+    // candidate degrees, how many the release-date bound skipped
+    // unbuilt, how many were simulated, and how many of those hit the
+    // cutoff; and how many emitter walks bounded them (one per search).
     std::printf("  %-36s %10llu     (%llu bounded, %llu simulated, "
-                "%llu cut; process-wide)\n",
+                "%llu cut, %llu bound walks; process-wide)\n",
                 "  degree-search candidates",
                 count("schedule.search.candidates"),
                 count("schedule.search.bounded"),
                 count("schedule.search.simulated"),
-                count("schedule.search.cut"));
+                count("schedule.search.cut"),
+                count("schedule.search.boundWalks"));
     // A degree search simulates its winner inside the build and hands
     // the result back, so those scenarios add to the graph-build line.
     std::printf("  %-36s %10.1f ms  (%llu searched winners handed back, "

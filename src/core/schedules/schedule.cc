@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "base/logging.h"
@@ -134,14 +135,17 @@ appendAttention(sim::TaskGraph &graph, const LayerCost &lc, Phase phase,
 {
     (void)opts;
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
-    // Into a tally, as in appendMoePhase: the compute chain advances by
-    // the attention, and an invalid task takes the per-task path.
+    // Into a tally, as in appendMoePhase: each lane's compute chain
+    // advances by the attention, and an invalid task takes the per-task
+    // path.
     if (graph.isDurationTally() && t.attention >= 0.0 &&
         dep < static_cast<sim::TaskId>(graph.size())) {
-        const double finish = graph.tallyFinish(dep) + t.attention;
         const sim::TaskId id = graph.tallyTasks(
             "attention", sim::Link::Compute, kCompute, t.attention, 1);
-        graph.tallyChain(id, finish);
+        for (size_t i = 0; i < graph.numLanes(); ++i) {
+            sim::TaskGraph::Lane &lane = graph.tallyLane(i);
+            lane.chain(id, lane.finish(dep) + t.attention);
+        }
         return id;
     }
     return graph.addTaskWithDeps("attention", sim::OpType::Attention,
@@ -161,11 +165,6 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     const PipelineProblem prob =
         makeProblem(models, lc.workload, phase, 0.0, r);
 
-    const double t_a2a = prob.a2a.chunk(r);
-    const double t_ag = prob.ag.chunk(r);
-    const double t_rs = prob.rs.chunk(r);
-    const double t_exp = prob.exp.chunk(r);
-
     const int s_comp = kCompute;
     const int s_disp = opts.sequential ? kCompute : kDispatch;
     const int s_ag = opts.sequential ? kCompute : kAllGather;
@@ -180,58 +179,106 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     const sim::Link l_inter = sim::Link::InterNode;
     const sim::Link l_intra = commLink(opts.mergeCommLinks);
 
-    // A tally counts each run of equal tasks in one step: the phase
-    // costs O(1), not O(r), with the ids, size() and numStreams() of
-    // the per-task path below. An invalid duration or dep goes down
-    // that path, which rejects it with addTask's message.
+    // A tally's lane i counts the phase at degree r + i, each run of
+    // equal tasks in one step: the phase costs O(1) per lane, not O(r),
+    // with the size() and numStreams() of the per-task path below, and
+    // ids that number the first lane's tasks as that path would. An
+    // invalid duration or dep in the first lane goes down that path,
+    // which rejects it with addTask's message; a chunk time invalid in
+    // a later lane only rejects that lane (TaskGraph::Lane::reject).
     if (graph.isDurationTally() && t.routing >= 0.0 && t.order >= 0.0 &&
-        t_a2a >= 0.0 && t_ag >= 0.0 && t_rs >= 0.0 && t_exp >= 0.0 &&
         dep < static_cast<sim::TaskId>(graph.size())) {
-        const size_t n = static_cast<size_t>(r);
-        graph.tallyTasks("routing", sim::Link::Compute, s_comp, t.routing,
-                         1);
-        graph.tallyTasks("order", sim::Link::Compute, s_comp, t.order, 1);
-        graph.tallyTasks("d", l_inter, s_disp, t_a2a, n);
-        const sim::TaskId gar =
-            gar_ms > 0.0
-                ? graph.tallyTasks("gar", l_inter, s_gar, gar_ms, 1)
-                : -1;
-        if (gar_out)
-            *gar_out = gar;
-        graph.tallyTasks("g", l_intra, s_ag, t_ag, n);
-        graph.tallyTasks("e", sim::Link::Compute, s_comp, t_exp, n);
-        graph.tallyTasks("s", l_intra, s_rs, t_rs, n);
-        graph.tallyTasks("c", l_inter, s_comb, t_a2a, n);
-        const sim::TaskId iorder = graph.tallyTasks(
-            "iorder", sim::Link::Compute, s_comp, t.order, 1);
+        // routing, order, r dispatches, the AllReduce, 4r chunk tasks.
+        const sim::TaskId first = static_cast<sim::TaskId>(graph.size());
+        const sim::TaskId gar = gar_ms > 0.0 ? first + 2 + r : -1;
+        const sim::TaskId iorder = first + 2 + 5 * r + (gar >= 0 ? 1 : 0);
+        const int streams =
+            1 + std::max({s_comp, s_disp, s_ag, s_rs, s_comb,
+                          gar >= 0 ? s_gar : s_comp});
+        // Locals, and one loop per link layout, so that each lane's
+        // sums stay in registers through the phase. The loop returns
+        // false, having counted nothing, when the first lane's phase is
+        // invalid.
+        const double routing = t.routing;
+        const double order = t.order;
+        const auto count_lanes = [&](auto merged) {
+            constexpr sim::Link kInter = sim::Link::InterNode;
+            constexpr sim::Link kIntra =
+                decltype(merged)::value ? kInter : sim::Link::IntraNode;
+            constexpr sim::Link kComp = sim::Link::Compute;
+            for (size_t i = 0; i < graph.numLanes(); ++i) {
+                sim::TaskGraph::Lane &lane = graph.tallyLane(i);
+                const int lane_r = r + static_cast<int>(i);
+                const double c_a2a = prob.a2a.chunk(lane_r);
+                const double c_ag = prob.ag.chunk(lane_r);
+                const double c_rs = prob.rs.chunk(lane_r);
+                const double c_exp = prob.exp.chunk(lane_r);
+                if (!(c_a2a >= 0.0 && c_ag >= 0.0 && c_rs >= 0.0 &&
+                      c_exp >= 0.0)) {
+                    if (i == 0)
+                        return false;
+                    lane.reject();
+                    continue;
+                }
+                const double n = static_cast<double>(lane_r);
+                const double a2a = n * c_a2a;
+                const double ag = n * c_ag;
+                const double rs = n * c_rs;
+                const double exp = n * c_exp;
+                lane.addTasks(3 + 5 * static_cast<size_t>(lane_r) +
+                                  (gar >= 0 ? 1 : 0),
+                              streams);
+                // Each link's terms in the per-task path's id order.
+                lane.addWork(kComp, routing);
+                lane.addWork(kComp, order);
+                lane.addWork(kInter, a2a);
+                if (gar >= 0)
+                    lane.addWork(kInter, gar_ms);
+                lane.addWork(kIntra, ag);
+                lane.addWork(kComp, exp);
+                lane.addWork(kIntra, rs);
+                lane.addWork(kInter, a2a);
+                lane.addWork(kComp, order);
 
-        // Release dates, for the tally's bound. The chunk tasks and
-        // the AllReduce start after `order` ends (`ready`), and each
-        // AllGather and ReduceScatter also after a dispatch. From
-        // `ready` to `iorder` the phase takes at least the largest of:
-        // its inter-node link's work (a link runs one task at a time);
-        // d + g before the first expert, the r experts on the compute
-        // link, and s + c after the last one; and d before the first
-        // intra-node task, the intra-node work, and c after the last
-        // one (a ReduceScatter, whose combine `iorder` waits for).
-        const double a2a = static_cast<double>(n) * t_a2a;
-        const double intra = static_cast<double>(n) * t_ag +
-                             static_cast<double>(n) * t_rs;
-        const double inter =
-            opts.mergeCommLinks ? a2a + a2a + intra : a2a + a2a;
-        const double ready = graph.tallyFinish(dep) + t.routing + t.order;
-        graph.tallyRelease(l_inter, ready, inter);
-        if (gar >= 0)
-            graph.tallyRelease(l_inter, ready, gar_ms);
-        if (!opts.mergeCommLinks)
-            graph.tallyRelease(l_intra, ready + t_a2a, intra);
-        const double body = std::max(
-            {inter,
-             t_a2a + t_ag + static_cast<double>(n) * t_exp + t_rs + t_a2a,
-             t_a2a + intra + t_a2a});
-        graph.tallyChain(iorder, ready + body + t.order);
-        return iorder;
+                // Release dates, for the lane's bound. The chunk tasks
+                // and the AllReduce start after `order` ends (`ready`),
+                // and each AllGather and ReduceScatter also after a
+                // dispatch. From `ready` to `iorder` the phase takes at
+                // least the largest of: its inter-node link's work (a
+                // link runs one task at a time); d + g before the first
+                // expert, the r experts on the compute link, and s + c
+                // after the last one; and d before the first intra-node
+                // task, the intra-node work, and c after the last one
+                // (a ReduceScatter, whose combine `iorder` waits for).
+                const double intra = ag + rs;
+                const double inter = decltype(merged)::value
+                                         ? a2a + a2a + intra
+                                         : a2a + a2a;
+                const double ready = lane.finish(dep) + routing + order;
+                lane.release(kInter, ready, inter);
+                if (gar >= 0)
+                    lane.release(kInter, ready, gar_ms);
+                if (!decltype(merged)::value)
+                    lane.release(kIntra, ready + c_a2a, intra);
+                const double body =
+                    std::max({inter, c_a2a + c_ag + exp + c_rs + c_a2a,
+                              c_a2a + intra + c_a2a});
+                lane.chain(iorder, ready + body + order);
+            }
+            return true;
+        };
+        if (opts.mergeCommLinks ? count_lanes(std::true_type{})
+                                : count_lanes(std::false_type{})) {
+            if (gar_out)
+                *gar_out = gar;
+            return iorder;
+        }
     }
+
+    const double t_a2a = prob.a2a.chunk(r);
+    const double t_ag = prob.ag.chunk(r);
+    const double t_rs = prob.rs.chunk(r);
+    const double t_exp = prob.exp.chunk(r);
 
     sim::TaskId routing = graph.addTaskWithDeps(
         "routing", sim::OpType::Routing, sim::Link::Compute, s_comp,
@@ -307,6 +354,7 @@ struct SearchStats
     stats::Counter &cut = stats::counter("schedule.search.cut");
     stats::Counter &degreeFreeCut =
         stats::counter("schedule.search.degreeFreeCut");
+    stats::Counter &boundWalks = stats::counter("schedule.search.boundWalks");
 
     static SearchStats &instance()
     {
@@ -316,15 +364,30 @@ struct SearchStats
 };
 
 /**
- * The lower bound Simulator::makespanLowerBound proves for @p emit's
- * graph at degree @p r from its duration tally, without building it.
+ * @p emit's graph at degrees @p r .. @p r + @p lanes - 1, counted in one
+ * walk into a duration tally with a lane per degree, whose lane i
+ * Simulator::makespanLowerBound bounds at degree r + i without building
+ * it. Each walk counts in schedule.search.boundWalks. A lane the walk
+ * rejected is emitted again alone, which rejects its degree with
+ * addTask's message: the least such degree's, as one walk per degree
+ * in ascending order would (a fault in the first lane rejects at once).
  */
-double
-tallyLowerBound(const DegreeEmitter &emit, int r)
+sim::TaskGraph
+tallyDegrees(const DegreeEmitter &emit, int r, int lanes)
 {
-    sim::TaskGraph tally = sim::TaskGraph::durationTally();
+    sim::TaskGraph tally =
+        sim::TaskGraph::durationTally(static_cast<size_t>(lanes));
     emit(tally, r);
-    return sim::Simulator::makespanLowerBound(tally);
+    SearchStats::instance().boundWalks.inc();
+    for (size_t i = 0; i < tally.numLanes(); ++i) {
+        if (!tally.lane(i).rejected())
+            continue;
+        const int rejected = r + static_cast<int>(i);
+        sim::TaskGraph alone = sim::TaskGraph::durationTally();
+        emit(alone, rejected);
+        FSMOE_PANIC("degree ", rejected, " was rejected only in a walk");
+    }
+    return tally;
 }
 
 } // namespace
@@ -337,10 +400,13 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
     FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
     const double inf = std::numeric_limits<double>::infinity();
     // Best bound first, so an early incumbent skips the rest.
+    const sim::TaskGraph tally = tallyDegrees(emit, 1, model.rMax);
     std::vector<std::pair<double, int>> order;
     order.reserve(static_cast<size_t>(model.rMax));
     for (int r = 1; r <= model.rMax; ++r)
-        order.emplace_back(tallyLowerBound(emit, r), r);
+        order.emplace_back(sim::Simulator::makespanLowerBound(
+                               tally, static_cast<size_t>(r - 1)),
+                           r);
     std::sort(order.begin(), order.end());
 
     DegreeChoice best;
@@ -431,7 +497,7 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff,
         }
         return choice.makespanMs;
     }
-    if (tallyLowerBound(emitter(model), degree_) >= cutoff)
+    if (makespanLowerBound(model) >= cutoff)
         return inf;
     sim::TaskGraph graph;
     emit(graph, model, degree_);
@@ -441,13 +507,14 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff,
 double
 DegreeSchedule::makespanLowerBound(const ModelCost &model) const
 {
-    const DegreeEmitter emit_at = emitter(model);
     if (degree_ != 0)
-        return tallyLowerBound(emit_at, degree_);
+        return sim::Simulator::makespanLowerBound(
+            tallyDegrees(emitter(model), degree_, 1));
     FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
+    const sim::TaskGraph tally = tallyDegrees(emitter(model), 1, model.rMax);
     double bound = std::numeric_limits<double>::infinity();
-    for (int r = 1; r <= model.rMax; ++r)
-        bound = std::min(bound, tallyLowerBound(emit_at, r));
+    for (size_t i = 0; i < tally.numLanes(); ++i)
+        bound = std::min(bound, sim::Simulator::makespanLowerBound(tally, i));
     return bound;
 }
 

@@ -235,7 +235,8 @@ struct PipelineBuildOptions
  * @param lc          The layer's costs.
  * @param models      Performance models for chunk durations.
  * @param phase       Forward or Backward (doubles expert compute).
- * @param r           Pipeline degree (>= 1).
+ * @param r           Pipeline degree (>= 1); into a duration tally,
+ *                    lane i counts the phase at degree r + i.
  * @param opts        Stream/link emission options.
  * @param dep         Task that must finish before the layer starts
  *                    (-1 for none).
@@ -269,7 +270,13 @@ sim::TaskId appendAttention(sim::TaskGraph &graph, const LayerCost &lc,
 void reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
                       size_t extra_tasks = 0);
 
-/** Appends a schedule's iteration graph at pipeline degree r. */
+/**
+ * Appends a schedule's iteration graph at pipeline degree r. Into a
+ * TaskGraph::durationTally() of k lanes it must count lane i as the
+ * graph at degree r + i. An emitter does so when r reaches the graph
+ * only through appendMoePhase() (and reserveIteration()), as Tutel's
+ * and Lina's do.
+ */
 using DegreeEmitter = std::function<void(sim::TaskGraph &graph, int r)>;
 
 /** The degree a search picked, its simulated makespan and its graph. */
@@ -287,10 +294,11 @@ struct DegreeChoice
  * PipeMoE's adaptive pipeline degree (paper Fig. 3b): the r in
  * 1..model.rMax (which must be >= 1) whose graph, as @p emit appends
  * it, simulates to the smallest makespan, the first such r on ties.
- * Exact but pruned: each candidate is first emitted into a
- * TaskGraph::durationTally() for its release-date lower bound
- * (Simulator::makespanLowerBound), and the candidates are visited in
- * ascending (bound, r) order. One whose bound already reaches the best
+ * Exact but pruned: @p emit is first walked once into a
+ * TaskGraph::durationTally() with one lane per candidate, for each
+ * candidate's release-date lower bound (Simulator::makespanLowerBound
+ * of its lane), and the candidates are visited in ascending (bound, r)
+ * order. One whose bound already reaches the best
  * makespan so far is skipped without being built; the rest are built
  * and simulated with that makespan as the cutoff
  * (Simulator::runBelow). A candidate below the incumbent's r keeps the
@@ -298,7 +306,7 @@ struct DegreeChoice
  * the best's successor, nextafter(best, +inf). So the choice is the
  * lexicographic least (makespan, r), the unpruned ascending loop's,
  * bit for bit. Counts into schedule.search.{candidates, bounded,
- * simulated, cut} (docs/OBSERVABILITY.md). The winner's graph and its
+ * simulated, cut, boundWalks} (docs/OBSERVABILITY.md). The winner's graph and its
  * whole SimResult are the ones the search simulated, returned so the
  * caller need neither emit nor simulate it again; holding them while
  * later candidates build raises peak memory by up to one graph and
@@ -350,15 +358,16 @@ class DegreeSchedule : public Schedule
     /**
      * The release-date bound (Simulator::makespanLowerBound) of
      * emit()'s duration tally at the fixed degree, or at degree 0 the
-     * least such bound over 1..rMax: the search picks one of those
-     * degrees, so its makespan is at least the smallest of their
-     * bounds.
+     * least such bound over 1..rMax, all from one walk of emit(): the
+     * search picks one of those degrees, so its makespan is at least
+     * the smallest of their bounds.
      */
     double makespanLowerBound(const ModelCost &model) const override;
 
     /**
      * Append the iteration graph at pipeline degree @p r; into a
-     * TaskGraph::durationTally(), this is the candidate's bound.
+     * TaskGraph::durationTally(), this counts lane i at degree r + i,
+     * each lane a candidate's bound (see DegreeEmitter).
      */
     virtual void emit(sim::TaskGraph &graph, const ModelCost &model,
                       int r) const = 0;

@@ -241,10 +241,12 @@ SweepEngine::run(const std::vector<Scenario> &scenarios)
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<ScenarioResult> results(scenarios.size());
 
-    if (scenarios.size() == 1) {
-        // A pool's start and join would cost more than many a
-        // scenario; the tuner's probes run one at a time.
-        results[0] = evaluate(scenarios[0]);
+    if (scenarios.size() == 1 || options_.numThreads == 1) {
+        // A pool's start and join, and its handoff of each scenario,
+        // would cost more than many a scenario, and one thread gains
+        // nothing from them; the tuner's probes run one at a time.
+        for (size_t i = 0; i < scenarios.size(); ++i)
+            results[i] = evaluate(scenarios[i]);
     } else {
         ThreadPool pool(options_.numThreads, kQueueCapacity);
         std::vector<std::future<void>> done;

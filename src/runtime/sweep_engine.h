@@ -89,8 +89,9 @@ class SweepEngine
     /**
      * Evaluate every scenario and return results in input order.
      * Reentrant with respect to the cost cache; not safe to call
-     * concurrently from multiple threads. A single scenario is
-     * evaluated on the calling thread, without starting a pool.
+     * concurrently from multiple threads. A single scenario, or any
+     * number with numThreads = 1, is evaluated on the calling thread,
+     * without starting a pool.
      */
     std::vector<ScenarioResult> run(const std::vector<Scenario> &scenarios);
 

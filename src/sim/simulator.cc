@@ -380,13 +380,15 @@ Simulator::sumLowerBound(double sum, size_t n)
 }
 
 double
-Simulator::makespanLowerBound(const TaskGraph &graph)
+Simulator::makespanLowerBound(const TaskGraph &graph, size_t lane)
 {
-    double bound = shrunkLinkSum(graph.releaseBound(), graph.size());
+    const TaskGraph::Lane &counted = graph.lane(lane);
+    const size_t n = counted.size();
+    double bound = shrunkLinkSum(counted.releaseBound(), n);
     for (size_t li = 0; li < static_cast<size_t>(Link::NumLinks); ++li)
         bound = std::max(
-            bound, sumLowerBound(graph.linkDurationSum(static_cast<Link>(li)),
-                                 graph.size()));
+            bound,
+            sumLowerBound(counted.linkDurationSum(static_cast<Link>(li)), n));
     return bound;
 }
 

@@ -152,11 +152,13 @@ class Simulator
     }
 
     /**
-     * A proven lower bound on run(graph).makespan for a built graph or
-     * a TaskGraph::durationTally() of n tasks: the largest
-     * sumLowerBound(linkDurationSum(link), n), and
-     * graph.releaseBound() shrunk by shrunkLinkSum's factor
-     * 1 - 8(n+1)2^-53 (0 for a built graph).
+     * A proven lower bound on run(graph).makespan for a built graph, or
+     * for the graph that lane @p lane of a TaskGraph::durationTally()
+     * counts: with n that lane's size(), the largest
+     * sumLowerBound(linkDurationSum(link), n) over its links, and its
+     * releaseBound() shrunk by shrunkLinkSum's factor 1 - 8(n+1)2^-53
+     * (0 for a built graph). A lane reads only its own counts, so its
+     * bound has the bits a one-lane tally of its degree gives.
      *
      * Why the release bound is sound, with u = 2^-53 and gamma_n as
      * in remainingWorkBound: each chain finish and release the tally
@@ -175,7 +177,8 @@ class Simulator
      * the 8(n+1)u shrink covers with room for its own rounding (n well
      * below 2^40). docs/PERFORMANCE.md gives the argument in full.
      */
-    static double makespanLowerBound(const TaskGraph &graph);
+    static double makespanLowerBound(const TaskGraph &graph,
+                                     size_t lane = 0);
 
     /**
      * @p sum times (1 - 4(n+1) 2^-53): a lower bound on when the last

@@ -31,7 +31,7 @@ TaskGraph::rejectTask(TaskLabel label, int stream, double duration,
     FSMOE_CHECK_ARG(duration >= 0.0, "task '", label.str(),
                     "' has negative duration ", duration);
     FSMOE_CHECK_ARG(stream >= 0, "negative stream index");
-    const TaskId id = static_cast<TaskId>(count_);
+    const TaskId id = static_cast<TaskId>(size());
     for (TaskId d : deps) {
         FSMOE_CHECK_ARG(d >= 0 && d < id, "task '", label.str(),
                         "' depends on unknown task ", d);

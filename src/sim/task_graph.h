@@ -138,25 +138,187 @@ class TaskGraph
 {
   public:
     /**
+     * What a graph counts of the tasks added to it: size(),
+     * numStreams() and each link's duration sum, and in a
+     * durationTally() also a release-date bound (releaseBound()). A
+     * built graph has one lane, which counts its tasks. A tally has one
+     * lane per candidate pipeline degree: lane i of a tally that a
+     * schedule emits at degree r counts its graph at degree r + i, so
+     * one walk of the emitter bounds every candidate. The ids a tally
+     * hands back number its first lane's tasks, one emission-order
+     * sequence that every lane uses.
+     */
+    class Lane
+    {
+      public:
+        /** Number of tasks counted. */
+        size_t size() const { return count_; }
+
+        /** Highest stream index counted plus one. */
+        int numStreams() const { return num_streams_; }
+
+        /** See TaskGraph::linkDurationSum(). */
+        double linkDurationSum(Link link) const
+        {
+            return link_sums_[static_cast<size_t>(link)];
+        }
+
+        /**
+         * Count @p n tasks on streams below @p streams: size() and
+         * numStreams() as n addTask calls would leave them. Unchecked,
+         * like addWork(): TaskGraph::tallyTasks() is the checked form,
+         * and a schedule builder counts into a lane only tasks it
+         * checked.
+         */
+        void addTasks(size_t n, int streams)
+        {
+            count_ += n;
+            num_streams_ = std::max(num_streams_, streams);
+        }
+
+        /**
+         * Add @p work to @p link's duration sum as one term of its
+         * fold: fl(n * duration) for n tasks of one duration, so that
+         * the lane sums as tallyTasks() does.
+         */
+        void addWork(Link link, double work)
+        {
+            link_sums_[static_cast<size_t>(link)] += work;
+        }
+
+        /**
+         * In a durationTally(), a lower bound on when task @p id
+         * finishes, as the lane's release-date bookkeeping knows it:
+         * the chain head's (chain()) or the last task added through
+         * addTask, and 0 for any other id or a built graph. Every value
+         * is a rounded sum of the durations of tasks that run one after
+         * another and end with @p id (see releaseBound()).
+         */
+        double finish(TaskId id) const
+        {
+            if (id < 0)
+                return 0.0;
+            if (id == head_.id)
+                return head_.finish;
+            return id == last_.id ? last_.finish : 0.0;
+        }
+
+        /**
+         * Make @p id, which finishes no earlier than @p finish, the head
+         * of the lane's compute chain: the next phase appended after it
+         * starts from @p finish.
+         */
+        void chain(TaskId id, double finish)
+        {
+            head_ = {id, finish};
+            bound_ = std::max(bound_, finish);
+        }
+
+        /**
+         * Fold @p work on @p link, none of which can start before
+         * @p release, into the lane's release bound. Per link the lane
+         * keeps the work folded so far, P, and M, the largest release
+         * minus the P before it: while releases do not decrease, the
+         * link ends no earlier than P + M, the largest over releases of
+         * one release plus the work released at or after it. A release
+         * below the previous one closes that run into the bound and
+         * starts a new one.
+         */
+        void release(Link link, double release, double work)
+        {
+            ReleaseRun &run = runs_[static_cast<size_t>(link)];
+            if (release != run.release) {
+                // At an unchanged release, M cannot grow.
+                if (release < run.release) {
+                    bound_ = std::max(bound_, run.work + run.slack);
+                    run = ReleaseRun{};
+                }
+                run.release = release;
+                run.slack = std::max(run.slack, release - run.work);
+            }
+            run.work += work;
+        }
+
+        /**
+         * The lane's release-date bound, before any rounding margin:
+         * the largest of its chain finishes and of its links' P + M
+         * (release()); 0 for a built graph.
+         * Simulator::makespanLowerBound shrinks it into a proven bound.
+         */
+        double releaseBound() const
+        {
+            double bound = bound_;
+            for (const ReleaseRun &run : runs_)
+                bound = std::max(bound, run.work + run.slack);
+            return bound;
+        }
+
+        /**
+         * Mark the lane's graph as one addTask would reject at its
+         * degree, for a builder that finds a task invalid in this lane
+         * only. The lane's counts are then meaningless; whoever walked
+         * the tally re-emits that degree alone, which rejects it with
+         * addTask's message.
+         */
+        void reject() { rejected_ = true; }
+
+        /** True once reject() was called. */
+        bool rejected() const { return rejected_; }
+
+      private:
+        friend class TaskGraph;
+
+        /** A task id with a lower bound on its finish (finish()). */
+        struct KnownFinish
+        {
+            TaskId id = -1;
+            double finish = 0.0;
+        };
+        /** One link's run of non-decreasing releases (release()). */
+        struct ReleaseRun
+        {
+            static constexpr double kNone =
+                -std::numeric_limits<double>::infinity();
+            double work = 0.0;      ///< P, the work folded so far.
+            double slack = kNone;   ///< M, the largest release minus its P.
+            double release = kNone; ///< The latest release.
+        };
+
+        size_t count_ = 0;
+        int num_streams_ = 0;
+        bool rejected_ = false;
+        std::array<double, static_cast<size_t>(Link::NumLinks)> link_sums_{};
+        KnownFinish head_;   ///< The compute chain's last task.
+        KnownFinish last_;   ///< The last task added through addTask.
+        double bound_ = 0.0; ///< Chain finishes and closed runs.
+        std::array<ReleaseRun, static_cast<size_t>(Link::NumLinks)> runs_{};
+    };
+
+    /**
      * A graph that validates and counts what is added to it but keeps
-     * no tasks: addTask runs the same checks (duration >= 0, every dep
-     * an earlier id) and keeps size() and numStreams() exactly as a
-     * real graph fed the same calls would, while tasks(), deps() and
+     * no tasks, in @p lanes lanes (Lane): addTask runs the same checks
+     * (duration >= 0, every dep an earlier id) and folds the task into
+     * every lane, so each lane keeps size() and numStreams() exactly as
+     * a real graph fed the same calls would, while tasks(), deps() and
      * the dep pool stay empty and reserve() does nothing. A tally also
      * takes tallyTasks(), which counts many equal tasks in one step, so
      * its linkDurationSum() sums the built graph's durations grouped
      * differently and may differ from the built graph's in the last
-     * bits; Simulator::makespanLowerBound's margin covers both. A tally
-     * also keeps a release-date bound (releaseBound()): the schedule
-     * builders tell it, per phase, when each link's work can start and
-     * the least time the phase's compute chain takes. The degree search
-     * emits each candidate into one of these to bound its makespan
-     * before building it.
+     * bits; Simulator::makespanLowerBound's margin covers both. A lane
+     * also keeps a release-date bound (Lane::releaseBound()): the
+     * schedule builders tell it, per phase, when each link's work can
+     * start and the least time the phase's compute chain takes. The
+     * degree search emits a schedule once into a tally with a lane per
+     * candidate degree to bound every candidate's makespan before
+     * building one. size(), numStreams() and linkDurationSum() read the
+     * first lane.
      */
-    static TaskGraph durationTally()
+    static TaskGraph durationTally(size_t lanes = 1)
     {
+        FSMOE_CHECK_ARG(lanes >= 1, "a duration tally needs a lane");
         TaskGraph g;
         g.tally_only_ = true;
+        g.more_lanes_.resize(lanes - 1);
         return g;
     }
 
@@ -202,18 +364,18 @@ class TaskGraph
      * dep_at must be pure; it may be called more than once per index.
      *
      * The checks are those of the other overloads. A duration tally
-     * stops after them and the count, stream and link-sum updates,
-     * and folds the task into its release bound: released at the
-     * largest tallyFinish() of its dependencies, it becomes the last
-     * task whose finish the tally knows. An invalid task goes to the
-     * out-of-line rejectTask(), which reports it.
+     * stops after them and folds the task into every lane: the count,
+     * stream and link-sum updates, and its release bound: released at
+     * the largest Lane::finish() of its dependencies, it becomes the
+     * last task whose finish the lane knows. An invalid task goes to
+     * the out-of-line rejectTask(), which reports it.
      */
     template <typename DepAt>
     TaskId addTaskWithDeps(TaskLabel label, OpType op, Link link,
                            int stream, double duration, size_t n_deps,
                            DepAt dep_at, int priority = 0)
     {
-        const TaskId id = static_cast<TaskId>(count_);
+        const TaskId id = static_cast<TaskId>(size());
         bool valid = duration >= 0.0 && stream >= 0;
         for (size_t i = 0; valid && i < n_deps; ++i) {
             const TaskId d = dep_at(i);
@@ -225,18 +387,20 @@ class TaskGraph
                 deps[i] = dep_at(i);
             rejectTask(label, stream, duration, deps);
         }
-        link_sums_[static_cast<size_t>(link)] += duration;
-        if (stream >= num_streams_)
-            num_streams_ = stream + 1;
-        ++count_;
         if (tally_only_) {
-            double release = 0.0;
-            for (size_t i = 0; i < n_deps; ++i)
-                release = std::max(release, tallyFinish(dep_at(i)));
-            tallyRelease(link, release, duration);
-            last_ = {id, release + duration};
+            forEachLane([&](Lane &lane) {
+                lane.addTasks(1, stream + 1);
+                lane.addWork(link, duration);
+                double release = 0.0;
+                for (size_t i = 0; i < n_deps; ++i)
+                    release = std::max(release, lane.finish(dep_at(i)));
+                lane.release(link, release, duration);
+                lane.last_ = {id, release + duration};
+            });
             return id;
         }
+        first_lane_.addTasks(1, stream + 1);
+        first_lane_.addWork(link, duration);
         Task t;
         t.id = id;
         t.op = op;
@@ -255,10 +419,11 @@ class TaskGraph
 
     /**
      * Count @p n tasks of one @p duration on @p link and @p stream, none
-     * with dependencies, into a durationTally() in O(1): the checks of
-     * addTask (duration >= 0, stream >= 0, with its messages), then
-     * size() and numStreams() as n addTask calls would leave them, and
-     * fl(n * duration) added to the link's sum in one step.
+     * with dependencies, into every lane of a durationTally() in O(1):
+     * the checks of addTask (duration >= 0, stream >= 0, with its
+     * messages), then size() and numStreams() as n addTask calls would
+     * leave them, and fl(n * duration) added to the link's sum in one
+     * step.
      *
      * @return Id of the first task counted.
      */
@@ -268,85 +433,36 @@ class TaskGraph
         FSMOE_CHECK_ARG(tally_only_, "tallyTasks needs a duration tally");
         if (!(duration >= 0.0 && stream >= 0))
             rejectTask(label, stream, duration, {});
-        const TaskId first = static_cast<TaskId>(count_);
+        const TaskId first = static_cast<TaskId>(size());
         if (n == 0)
             return first;
-        link_sums_[static_cast<size_t>(link)] +=
-            static_cast<double>(n) * duration;
-        if (stream >= num_streams_)
-            num_streams_ = stream + 1;
-        count_ += n;
+        const double work = static_cast<double>(n) * duration;
+        forEachLane([&](Lane &lane) {
+            lane.addTasks(n, stream + 1);
+            lane.addWork(link, work);
+        });
         return first;
     }
 
     /** True for a durationTally(). */
     bool isDurationTally() const { return tally_only_; }
 
-    /**
-     * In a durationTally(), a lower bound on when task @p id finishes,
-     * as the tally's release-date bookkeeping knows it: the chain
-     * head's (tallyChain()) or the last task added through addTask,
-     * and 0 for any other id or a built graph. Every value is a
-     * rounded sum of the durations of tasks that run one after another
-     * and end with @p id (see releaseBound()).
-     */
-    double tallyFinish(TaskId id) const
+    /** Number of lanes: a tally's, or 1 for a built graph. */
+    size_t numLanes() const { return 1 + more_lanes_.size(); }
+
+    /** Lane @p i (< numLanes()). */
+    const Lane &lane(size_t i) const
     {
-        if (id < 0)
-            return 0.0;
-        if (id == head_.id)
-            return head_.finish;
-        return id == last_.id ? last_.finish : 0.0;
+        FSMOE_CHECK_ARG(i < numLanes(), "lane ", i, " of ", numLanes());
+        return i == 0 ? first_lane_ : more_lanes_[i - 1];
     }
 
-    /**
-     * Make @p id, which finishes no earlier than @p finish, the head of
-     * a durationTally()'s compute chain: the next phase appended after
-     * it starts from @p finish.
-     */
-    void tallyChain(TaskId id, double finish)
+    /** Lane @p i of a durationTally(), for a builder to count into. */
+    Lane &tallyLane(size_t i)
     {
-        head_ = {id, finish};
-        bound_ = std::max(bound_, finish);
-    }
-
-    /**
-     * Fold @p work on @p link, none of which can start before
-     * @p release, into a durationTally()'s release bound. Per link the
-     * tally keeps the work folded so far, P, and M, the largest
-     * release minus the P before it: while releases do not decrease,
-     * the link ends no earlier than P + M, the largest over releases
-     * of one release plus the work released at or after it. A release
-     * below the previous one closes that run into the bound and starts
-     * a new one.
-     */
-    void tallyRelease(Link link, double release, double work)
-    {
-        ReleaseRun &run = runs_[static_cast<size_t>(link)];
-        if (release != run.release) {
-            // At an unchanged release, M cannot grow.
-            if (release < run.release) {
-                bound_ = std::max(bound_, run.work + run.slack);
-                run = ReleaseRun{};
-            }
-            run.release = release;
-            run.slack = std::max(run.slack, release - run.work);
-        }
-        run.work += work;
-    }
-
-    /**
-     * A durationTally()'s release-date bound, before any rounding
-     * margin: the largest of its chain finishes and of its links'
-     * P + M (tallyRelease()); 0 for a built graph.
-     * Simulator::makespanLowerBound shrinks it into a proven bound.
-     */
-    double releaseBound() const
-    {
-        double bound = bound_;
-        for (const ReleaseRun &run : runs_)
-            bound = std::max(bound, run.work + run.slack);
-        return bound;
+        FSMOE_CHECK_ARG(tally_only_, "tallyLane needs a duration tally");
+        FSMOE_CHECK_ARG(i < numLanes(), "lane ", i, " of ", numLanes());
+        return i == 0 ? first_lane_ : more_lanes_[i - 1];
     }
 
     /**
@@ -375,9 +491,9 @@ class TaskGraph
     /** Materialised label of @p id (allocates; exporter-only path). */
     std::string taskName(TaskId id) const { return task(id).name(); }
 
-    /** Number of tasks added (also counted by a duration tally). */
-    size_t size() const { return count_; }
-    bool empty() const { return count_ == 0; }
+    /** Number of tasks added (a tally's first lane's count). */
+    size_t size() const { return first_lane_.size(); }
+    bool empty() const { return size() == 0; }
 
     /** Total dependency-edge count across all tasks. */
     size_t numDeps() const { return dep_pool_.size(); }
@@ -385,20 +501,20 @@ class TaskGraph
     /** The flat CSR dependency pool (audit and exporter use). */
     const std::vector<TaskId> &depPool() const { return dep_pool_; }
 
-    /** Highest stream index used plus one. */
-    int numStreams() const { return num_streams_; }
+    /** Highest stream index used plus one (a tally's first lane's). */
+    int numStreams() const { return first_lane_.numStreams(); }
 
     /**
      * Sum of the durations of every task on @p link: in a built graph
-     * the left fold in id order; in a durationTally() a fold in which
-     * each tallyTasks() call is one term. The simulator runs a link's
-     * tasks one after another, which makes this (with a rounding
-     * margin, see Simulator::makespanLowerBound) a lower bound on the
-     * makespan.
+     * the left fold in id order; in a durationTally()'s first lane a
+     * fold in which each tallyTasks() or Lane::addWork() call is one
+     * term. The simulator runs a link's tasks one after another, which
+     * makes this (with a rounding margin, see
+     * Simulator::makespanLowerBound) a lower bound on the makespan.
      */
     double linkDurationSum(Link link) const
     {
-        return link_sums_[static_cast<size_t>(link)];
+        return first_lane_.linkDurationSum(link);
     }
 
   private:
@@ -407,32 +523,20 @@ class TaskGraph
                                  double duration,
                                  const std::vector<TaskId> &deps) const;
 
+    /** Call @p f on every lane, first to last. */
+    template <typename F>
+    void forEachLane(F f)
+    {
+        f(first_lane_);
+        for (Lane &lane : more_lanes_)
+            f(lane);
+    }
+
     std::vector<Task> tasks_;
     std::vector<TaskId> dep_pool_; ///< All tasks' deps, CSR-flattened.
-    std::array<double, static_cast<size_t>(Link::NumLinks)> link_sums_{};
-    size_t count_ = 0;
-    int num_streams_ = 0;
+    Lane first_lane_;              ///< A built graph's counts.
+    std::vector<Lane> more_lanes_; ///< A tally's lanes after the first.
     bool tally_only_ = false; ///< durationTally(): count, store nothing.
-
-    /** A task id with a lower bound on its finish (tallyFinish()). */
-    struct KnownFinish
-    {
-        TaskId id = -1;
-        double finish = 0.0;
-    };
-    /** One link's run of non-decreasing releases (tallyRelease()). */
-    struct ReleaseRun
-    {
-        static constexpr double kNone =
-            -std::numeric_limits<double>::infinity();
-        double work = 0.0;      ///< P, the work folded so far.
-        double slack = kNone;   ///< M, the largest release minus its P.
-        double release = kNone; ///< The latest release.
-    };
-    KnownFinish head_;  ///< The compute chain's last task.
-    KnownFinish last_;  ///< The last task added through addTask.
-    double bound_ = 0.0; ///< Chain finishes and closed runs.
-    std::array<ReleaseRun, static_cast<size_t>(Link::NumLinks)> runs_{};
 };
 
 /**

@@ -229,17 +229,18 @@ TEST(SweepEngine, DemoGridDegreeSearchesSimulateThePinnedCandidates)
     // searches, 16 candidates each, on one thread with nothing cached:
     // the release-date bound skips 347 candidates unbuilt, and 9 of the
     // 37 it lets through lose and are cut mid-run. A weaker bound or
-    // another visiting order moves these counts.
+    // another visiting order moves these counts. Each search bounds
+    // its 16 candidates in one walk of its emitter.
     SweepEngine engine({/*numThreads=*/1});
     const char *const names[] = {
         "schedule.search.candidates", "schedule.search.bounded",
         "schedule.search.simulated", "schedule.search.cut",
-        "sim.tasks.executed"};
+        "sim.tasks.executed", "schedule.search.boundWalks"};
     std::vector<uint64_t> before;
     for (const char *name : names)
         before.push_back(stats::counter(name).value());
     const std::vector<ScenarioResult> results = engine.run(demoGrid());
-    const std::vector<uint64_t> want = {384, 347, 37, 9, 51145};
+    const std::vector<uint64_t> want = {384, 347, 37, 9, 51145, 24};
     for (size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(stats::counter(names[i]).value() - before[i], want[i])
             << names[i];
@@ -290,6 +291,37 @@ TEST(SweepEngine, OneScenarioRunsOnTheCallingThreadWithTheSameStats)
                           sizeof(double)),
               0);
     EXPECT_EQ(pooled.stats().scenariosRun, 2u);
+
+    // So does a one-thread run of many scenarios, with the results of a
+    // four-thread one, bit for bit.
+    const std::vector<Scenario> grid = testGrid();
+    ASSERT_GT(grid.size(), 1u);
+    const uint64_t submitted_before_inline =
+        value("threadpool.tasks.submitted");
+    SweepEngine inline_engine({/*numThreads=*/1});
+    const auto inline_results = inline_engine.run(grid);
+    EXPECT_EQ(value("threadpool.tasks.submitted"), submitted_before_inline);
+    EXPECT_EQ(inline_engine.stats().scenariosRun, grid.size());
+    SweepEngine four({/*numThreads=*/4});
+    const auto four_results = four.run(grid);
+    ASSERT_EQ(inline_results.size(), four_results.size());
+    for (size_t i = 0; i < grid.size(); ++i) {
+        const ScenarioResult &a = inline_results[i];
+        const ScenarioResult &b = four_results[i];
+        EXPECT_EQ(a.scenario.label(), b.scenario.label());
+        EXPECT_EQ(std::memcmp(&a.makespanMs, &b.makespanMs, sizeof(double)),
+                  0)
+            << a.scenario.label();
+        EXPECT_EQ(std::memcmp(a.sim.opTime.data(), b.sim.opTime.data(),
+                              sizeof(double) * a.sim.opTime.size()),
+                  0)
+            << a.scenario.label();
+        EXPECT_EQ(std::memcmp(a.sim.linkBusyMs.data(),
+                              b.sim.linkBusyMs.data(),
+                              sizeof(double) * a.sim.linkBusyMs.size()),
+                  0)
+            << a.scenario.label();
+    }
 }
 
 // ----------------------------------------------------------- traces

@@ -6,9 +6,11 @@
  * baselines), exactness of the pruned Tutel/Lina degree search
  * against the unpruned loop, with and without a cutoff,
  * Schedule::makespanBelow against run()'s makespan,
- * Schedule::makespanLowerBound below it, Schedule::simulate,
- * which hands back a search's result, against run(build()), and
- * Schedule::graphKey: specs with one key build one graph.
+ * Schedule::makespanLowerBound below it, each lane of a search's
+ * one-walk duration tally against a one-degree tally,
+ * Schedule::simulate, which hands back a search's result, against
+ * run(build()), and Schedule::graphKey: specs with one key build one
+ * graph.
  */
 #include <algorithm>
 #include <cmath>
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -253,6 +256,25 @@ asDegreeSchedule(const Schedule &sched)
     return *ds;
 }
 
+/**
+ * A searchDegree() emitter for @p name on @p cost that appends each
+ * candidate graph as a replay of its fixed-degree build. A duration
+ * tally it counts through the schedule's own emit(): a replay is one
+ * degree's graph, and cannot count a lane per degree (DegreeEmitter).
+ */
+detail::DegreeEmitter
+replayingEmitter(const std::string &name, const ModelCost &cost)
+{
+    const std::shared_ptr<const Schedule> sched = Schedule::create(name);
+    return [sched, name, &cost](sim::TaskGraph &g, int r) {
+        if (g.isDurationTally())
+            asDegreeSchedule(*sched).emit(g, cost, r);
+        else
+            test::replayGraph(
+                Schedule::create(withDegree(name, r))->build(cost), g);
+    };
+}
+
 /** Task-by-task equality, deps and label included. */
 void
 expectSameGraph(const sim::TaskGraph &got, const sim::TaskGraph &want,
@@ -433,12 +455,8 @@ TEST(DegreeSearch, TheReturnedWinnerIsTheFixedDegreeGraph)
             runtime::ScenarioRegistry::instance().makeCost(s);
         for (const std::string &name : degreeSearchingSchedules()) {
             const std::string where = key + " " + name;
-            const detail::DegreeChoice choice = detail::searchDegree(
-                cost, [&](sim::TaskGraph &g, int r) {
-                    test::replayGraph(
-                        Schedule::create(withDegree(name, r))->build(cost),
-                        g);
-                });
+            const detail::DegreeChoice choice =
+                detail::searchDegree(cost, replayingEmitter(name, cost));
             const sim::TaskGraph winner =
                 Schedule::create(withDegree(name, choice.r))->build(cost);
             expectSameGraph(choice.graph, winner, where + " (search)");
@@ -776,10 +794,8 @@ TEST(DegreeSearch, ACutoffAboveTheMinimumKeepsTheUnseededChoice)
             runtime::ScenarioRegistry::instance().makeCost(s);
         for (const std::string &name : degreeSearchingSchedules()) {
             const std::string where = key + " " + name;
-            const auto emit = [&](sim::TaskGraph &g, int r) {
-                test::replayGraph(
-                    Schedule::create(withDegree(name, r))->build(cost), g);
-            };
+            const detail::DegreeEmitter emit =
+                replayingEmitter(name, cost);
             const detail::DegreeChoice want =
                 detail::searchDegree(cost, emit);
             const uint64_t want_digest = graphFingerprint(want.graph);
@@ -854,11 +870,8 @@ TEST(DegreeSearchDeathTest, RejectsANanCutoff)
 {
     const ModelCost cost = smallModel(sim::testbedB(), 1);
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    const auto emit = [&](sim::TaskGraph &g, int r) {
-        test::replayGraph(Schedule::create(withDegree("tutel", r))->build(cost),
-                          g);
-    };
-    EXPECT_DEATH(detail::searchDegree(cost, emit, nan),
+    EXPECT_DEATH(detail::searchDegree(cost, replayingEmitter("tutel", cost),
+                                      nan),
                  "makespan cutoff is NaN");
     for (const char *spec : {"fsmoe", "tutel", "lina?degree=2"})
         EXPECT_DEATH(Schedule::create(spec)->makespanBelow(cost, nan),
@@ -1152,6 +1165,139 @@ TEST(Schedules, MakespanLowerBoundIsBelowTheMakespan)
                               "seed " + std::to_string(seed));
         if (::testing::Test::HasFailure())
             FAIL() << "first failure at seed " << seed;
+    }
+}
+
+/**
+ * @p spec's schedule on @p cost emitted once into a tally of rMax lanes
+ * from degree 1, the degree search's walk, against a one-lane tally of
+ * each degree: every lane's bound, release bound, size(), numStreams()
+ * and link sums have that tally's bits.
+ */
+void
+expectLanesAreOneLaneTallies(const ModelCost &cost, const std::string &spec,
+                             const std::string &where)
+{
+    const auto sched = Schedule::create(spec);
+    const detail::DegreeSchedule &ds = asDegreeSchedule(*sched);
+    const size_t lanes = static_cast<size_t>(cost.rMax);
+    sim::TaskGraph walk = sim::TaskGraph::durationTally(lanes);
+    ds.emit(walk, cost, 1);
+    ASSERT_EQ(walk.numLanes(), lanes) << where;
+    for (size_t i = 0; i < lanes; ++i) {
+        const int r = static_cast<int>(i) + 1;
+        const std::string what = where + " " + spec + " r " + std::to_string(r);
+        sim::TaskGraph one = sim::TaskGraph::durationTally();
+        ds.emit(one, cost, r);
+        const sim::TaskGraph::Lane &lane = walk.lane(i);
+        EXPECT_FALSE(lane.rejected()) << what;
+        EXPECT_EQ(lane.size(), one.size()) << what;
+        EXPECT_EQ(lane.numStreams(), one.numStreams()) << what;
+        for (size_t li = 0; li < static_cast<size_t>(sim::Link::NumLinks);
+             ++li) {
+            const sim::Link link = static_cast<sim::Link>(li);
+            EXPECT_TRUE(test::sameBits(lane.linkDurationSum(link),
+                                       one.linkDurationSum(link)))
+                << what << " " << sim::linkName(link);
+        }
+        EXPECT_TRUE(
+            test::sameBits(lane.releaseBound(), one.lane(0).releaseBound()))
+            << what;
+        EXPECT_TRUE(test::sameBits(sim::Simulator::makespanLowerBound(walk, i),
+                                   sim::Simulator::makespanLowerBound(one)))
+            << what;
+    }
+}
+
+TEST(DegreeTally, EveryLaneIsTheOneLaneTallyOfItsDegree)
+{
+    // Tutel, Tutel-Improved and Lina at 30 MB and 1 GB buckets, and on
+    // gpt2xl-moe at 1 KB (on mixtral-7b 1 KB buckets run to millions
+    // of tasks), on the nine demo and tuner configurations and on
+    // seeded random models.
+    std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    runtime::Scenario small_r = tunerQuery();
+    small_r.rMax = 4;
+    configs.emplace(small_r.costKey(), small_r);
+    ASSERT_EQ(configs.size(), 9u);
+    const auto specs = [](bool tiny_chunks) {
+        std::vector<std::string> out;
+        for (const std::string &name : degreeSearchingSchedules())
+            if (name != "PipeMoE+Lina")
+                out.push_back(name);
+        std::vector<std::string> chunks = {"30", "1024"};
+        if (tiny_chunks)
+            chunks.push_back("0.0009765625");
+        for (const std::string &mb : chunks)
+            out.push_back("PipeMoE+Lina?chunkMB=" + mb);
+        return out;
+    };
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        for (const std::string &spec : specs(s.model == "gpt2xl-moe"))
+            expectLanesAreOneLaneTallies(cost, spec, key);
+    }
+    constexpr int kSeeds = 24;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937 rng(0x1a7eu + static_cast<unsigned>(seed));
+        const ModelCost cost = boundTestModel(rng);
+        for (const std::string &spec : specs(true))
+            expectLanesAreOneLaneTallies(cost, spec,
+                                         "seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            FAIL() << "first failure at seed " << seed;
+    }
+}
+
+TEST(DegreeTallyDeathTest, ALaneInvalidAtSomeDegreesRejectsTheLeastOne)
+{
+    // Two layers. Layer 0's AlltoAll chunk is negative from r = 11 on,
+    // layer 1's expert chunk from r = 6 on: the walk meets degree 11's
+    // fault first, in layer 0, but degree 6 is the least invalid one,
+    // so the message is a one-degree tally's at r = 6 (layer 1's
+    // forward experts), not r = 11's.
+    ModelCost cost = smallModel(sim::testbedB(), 2);
+    Workload &w0 = cost.layers[0].workload;
+    Workload &w1 = cost.layers[1].workload;
+    w1.a2aBytes = 100.0 * w0.a2aBytes;
+    w0.expertMacs = 10.0 * w1.expertMacs;
+    LinearModel &a2a = cost.models.alltoall;
+    LinearModel &gemm = cost.models.gemm;
+    a2a.alpha = -a2a.beta * w0.a2aBytes / 10.5;
+    gemm.alpha = -gemm.beta * w1.expertMacs / (5.5 * w1.expertGemms);
+    const auto chunks = [&](const Workload &w, int r) {
+        return makeProblem(cost.models, w, Phase::Forward).exp.chunk(r);
+    };
+    ASSERT_GE(chunks(w1, 5), 0.0);
+    ASSERT_LT(chunks(w1, 6), 0.0);
+    ASSERT_GE(chunks(w0, 16), 0.0);
+    ASSERT_GE(makeProblem(cost.models, w0, Phase::Forward).a2a.chunk(10),
+              0.0);
+    ASSERT_LT(makeProblem(cost.models, w0, Phase::Forward).a2a.chunk(11),
+              0.0);
+    const auto message = [](const char *label, double duration) {
+        std::ostringstream os;
+        os << "task '" << label << "' has negative duration " << duration;
+        std::string escaped;
+        for (const char c : os.str()) {
+            if (c == '.')
+                escaped += '\\';
+            escaped += c;
+        }
+        return escaped;
+    };
+    const std::string at6 = message("e0", chunks(w1, 6));
+    for (const std::string &name : degreeSearchingSchedules()) {
+        const auto sched = Schedule::create(name);
+        EXPECT_DEATH(sched->build(cost), at6) << name;
+        EXPECT_DEATH(sched->makespanLowerBound(cost), at6) << name;
+        // A fixed degree is a one-lane walk, rejected at its own fault.
+        EXPECT_DEATH(
+            Schedule::create(withDegree(name, 11))->makespanLowerBound(cost),
+            message("d0", makeProblem(cost.models, w0, Phase::Forward)
+                              .a2a.chunk(11)))
+            << name;
     }
 }
 

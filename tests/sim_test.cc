@@ -58,7 +58,8 @@ TEST(TaskGraph, DurationTallyMatchesEveryBuiltinSchedulesGraph)
              core::ScheduleRegistry::instance().names()) {
             const TaskGraph built =
                 core::Schedule::create(name)->build(cost);
-            TaskGraph tally = TaskGraph::durationTally();
+            // addTask folds a task into every lane of a tally alike.
+            TaskGraph tally = TaskGraph::durationTally(3);
             tally.reserve(built.size(), built.numDeps());
             test::replayGraph(built, tally);
             const std::string what = cluster.name + " " + name;
@@ -72,12 +73,21 @@ TEST(TaskGraph, DurationTallyMatchesEveryBuiltinSchedulesGraph)
                 fold[static_cast<size_t>(t.link)] += t.duration;
             for (size_t li = 0; li < fold.size(); ++li) {
                 const Link link = static_cast<Link>(li);
-                EXPECT_TRUE(test::sameBits(tally.linkDurationSum(link),
-                                           built.linkDurationSum(link)))
-                    << what << " " << linkName(link);
                 EXPECT_TRUE(
                     test::sameBits(built.linkDurationSum(link), fold[li]))
                     << what << " " << linkName(link);
+                for (size_t lane = 0; lane < tally.numLanes(); ++lane)
+                    EXPECT_TRUE(test::sameBits(
+                        tally.lane(lane).linkDurationSum(link), fold[li]))
+                        << what << " " << linkName(link) << " lane " << lane;
+            }
+            for (size_t lane = 1; lane < tally.numLanes(); ++lane) {
+                EXPECT_EQ(tally.lane(lane).size(), built.size()) << what;
+                EXPECT_EQ(tally.lane(lane).numStreams(), built.numStreams())
+                    << what;
+                EXPECT_TRUE(test::sameBits(tally.lane(lane).releaseBound(),
+                                           tally.lane(0).releaseBound()))
+                    << what;
             }
         }
     }
@@ -128,15 +138,15 @@ TEST(TaskGraph, ReleaseBoundCountsEachLinksWorkFromItsRelease)
     const TaskId x = built.addTask("x", OpType::Other, Link::Compute, 1, 10.0);
     built.addTask("a", OpType::Other, Link::InterNode, 2, 1.0, {x});
     ASSERT_EQ(Simulator{}.run(built).makespan, 101.0);
-    EXPECT_EQ(built.releaseBound(), 0.0);
+    EXPECT_EQ(built.lane(0).releaseBound(), 0.0);
 
     // In release order: a is released at x's finish, 10, and the link
     // still owes b's work before it, so the bound is 0 + 101.
     TaskGraph tally = TaskGraph::durationTally();
     test::replayGraph(built, tally);
-    EXPECT_EQ(tally.tallyFinish(2), 11.0);
-    EXPECT_EQ(tally.tallyFinish(x), 0.0); // no longer the last task
-    EXPECT_EQ(tally.releaseBound(), 101.0);
+    EXPECT_EQ(tally.lane(0).finish(2), 11.0);
+    EXPECT_EQ(tally.lane(0).finish(x), 0.0); // no longer the last task
+    EXPECT_EQ(tally.lane(0).releaseBound(), 101.0);
     EXPECT_LT(Simulator::makespanLowerBound(tally), 101.0);
     EXPECT_GT(Simulator::makespanLowerBound(tally), 100.0);
 
@@ -151,14 +161,14 @@ TEST(TaskGraph, ReleaseBoundCountsEachLinksWorkFromItsRelease)
     ASSERT_EQ(Simulator{}.run(reordered).makespan, 101.0);
     TaskGraph late = TaskGraph::durationTally();
     test::replayGraph(reordered, late);
-    EXPECT_EQ(late.releaseBound(), 100.0);
+    EXPECT_EQ(late.lane(0).releaseBound(), 100.0);
 
     // A chain head's finish is known to the next task and the bound.
-    late.tallyChain(1, 50.0);
-    EXPECT_EQ(late.tallyFinish(1), 50.0);
-    EXPECT_EQ(late.releaseBound(), 100.0);
-    late.tallyChain(1, 150.0);
-    EXPECT_EQ(late.releaseBound(), 150.0);
+    late.tallyLane(0).chain(1, 50.0);
+    EXPECT_EQ(late.lane(0).finish(1), 50.0);
+    EXPECT_EQ(late.lane(0).releaseBound(), 100.0);
+    late.tallyLane(0).chain(1, 150.0);
+    EXPECT_EQ(late.lane(0).releaseBound(), 150.0);
 }
 
 TEST(TaskGraphDeathTest, TallyTasksChecksLikeAddTask)
