@@ -263,8 +263,7 @@ BM_DegreeBound(benchmark::State &state)
     const auto sched = core::Schedule::create(
         "tutel?degree=" + std::to_string(state.range(0)));
     if (state.range(0) == 0) {
-        sim::TaskGraph walk = sim::TaskGraph::durationTally(
-            static_cast<size_t>(cost.rMax));
+        sim::DurationTally walk(static_cast<size_t>(cost.rMax));
         dynamic_cast<const core::detail::DegreeSchedule &>(*sched).emit(
             walk, cost, 1);
         for (int r = 1; r <= cost.rMax; ++r) {
@@ -411,7 +410,7 @@ BM_PhaseTally(benchmark::State &state)
     const int r = static_cast<int>(state.range(0));
     core::detail::PipelineBuildOptions opts;
     opts.mergeCommLinks = true;
-    const auto append = [&](sim::TaskGraph &g) {
+    const auto append = [&](auto &g) {
         return core::detail::appendMoePhase(g, lc, cost.models,
                                             core::Phase::Backward, r, opts,
                                             -1, /*gar_ms=*/1.0);
@@ -420,7 +419,7 @@ BM_PhaseTally(benchmark::State &state)
     append(built);
     std::vector<sim::TaskId> deps;
     for (auto _ : state) {
-        sim::TaskGraph tally = sim::TaskGraph::durationTally();
+        sim::DurationTally tally;
         if (state.range(1) == 0) {
             benchmark::DoNotOptimize(append(tally));
         } else {
@@ -431,7 +430,8 @@ BM_PhaseTally(benchmark::State &state)
                               deps, t.priority);
             }
         }
-        benchmark::DoNotOptimize(tally.linkDurationSum(sim::Link::InterNode));
+        benchmark::DoNotOptimize(
+            tally.lane(0).linkDurationSum(sim::Link::InterNode));
     }
 }
 BENCHMARK(BM_PhaseTally)

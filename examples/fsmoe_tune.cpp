@@ -43,8 +43,6 @@ usage(const char *argv0)
         "  --layers N         generalized layers; 0 = preset default\n"
         "  --experts N        experts; 0 = one per node\n"
         "  --rmax N           max pipeline degree (default 16)\n"
-        "  --threads N        accepted and unused: a query runs on\n"
-        "                     the calling thread\n"
         "  --advisor-cache F  load cached answers from F before the\n"
         "                     query and save all answers back after\n"
         "  --out-json F       write the answer JSON to F\n"
@@ -91,9 +89,6 @@ main(int argc, char **argv)
             ok = parseNumber(v, &query.numExperts) && query.numExperts >= 0;
         } else if (const char *v = flagValue("--rmax")) {
             ok = parseNumber(v, &query.rMax) && query.rMax >= 1;
-        } else if (const char *v = flagValue("--threads")) {
-            ok = parseNumber(v, &options.numThreads) &&
-                 options.numThreads >= 0;
         } else if (const char *v = flagValue("--advisor-cache")) {
             cache_path = v;
         } else if (const char *v = flagValue("--out-json")) {

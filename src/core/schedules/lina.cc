@@ -58,10 +58,21 @@ class LinaSchedule : public DegreeSchedule
         return name() + "?chunkMB=whole&degree=" + std::to_string(degree());
     }
 
+    void emit(sim::TaskGraph &graph, const ModelCost &model,
+              int r) const override
+    {
+        emitInto(graph, model, r);
+    }
+    void emit(sim::DurationTally &tally, const ModelCost &model,
+              int r) const override
+    {
+        emitInto(tally, model, r);
+    }
+
   private:
+    template <typename Sink>
     void
-    emit(sim::TaskGraph &graph, const ModelCost &model,
-         int r) const override
+    emitInto(Sink &graph, const ModelCost &model, int r) const
     {
         // One AllReduce per full bucket plus a partial one, with slack
         // for rounding in `pending` below: reserved up front, so small

@@ -135,23 +135,126 @@ appendAttention(sim::TaskGraph &graph, const LayerCost &lc, Phase phase,
 {
     (void)opts;
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
-    // Into a tally, as in appendMoePhase: each lane's compute chain
-    // advances by the attention, and an invalid task takes the per-task
-    // path.
-    if (graph.isDurationTally() && t.attention >= 0.0 &&
-        dep < static_cast<sim::TaskId>(graph.size())) {
-        const sim::TaskId id = graph.tallyTasks(
-            "attention", sim::Link::Compute, kCompute, t.attention, 1);
-        for (size_t i = 0; i < graph.numLanes(); ++i) {
-            sim::TaskGraph::Lane &lane = graph.tallyLane(i);
-            lane.chain(id, lane.finish(dep) + t.attention);
-        }
-        return id;
-    }
     return graph.addTaskWithDeps("attention", sim::OpType::Attention,
                                  sim::Link::Compute, kCompute, t.attention,
                                  dep >= 0 ? 1 : 0,
                                  [dep](size_t) { return dep; });
+}
+
+sim::TaskId
+appendAttention(sim::DurationTally &tally, const LayerCost &lc, Phase phase,
+                const PipelineBuildOptions &, sim::TaskId dep)
+{
+    const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
+    // As in appendMoePhase, each lane's compute chain advances.
+    const sim::TaskId id = static_cast<sim::TaskId>(tally.size());
+    if (!(t.attention >= 0.0 && dep < id))
+        tally.reject();
+    for (size_t i = 0; i < tally.numLanes(); ++i) {
+        sim::DurationTally::Lane &lane = tally.lane(i);
+        lane.addTasks(1, kCompute + 1);
+        lane.addWork(sim::Link::Compute, t.attention);
+        lane.chain(id, lane.finish(dep) + t.attention);
+    }
+    return id;
+}
+
+sim::TaskId
+appendMoePhase(sim::DurationTally &tally, const LayerCost &lc,
+               const PerfModelSet &models, Phase phase, int r,
+               const PipelineBuildOptions &opts, sim::TaskId dep,
+               double gar_ms, sim::TaskId *gar_out)
+{
+    FSMOE_CHECK_ARG(r >= 1, "pipeline degree must be >= 1");
+    const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
+    const PipelineProblem prob =
+        makeProblem(models, lc.workload, phase, 0.0, r);
+
+    // Lane i counts the phase at degree r + i, each run of equal tasks
+    // in one step (O(1) per lane, not O(r)), with the TaskGraph
+    // overload's size(), numStreams() and ids. What its addTask rejects
+    // at every degree rejects every lane; a chunk time invalid at some
+    // degrees rejects only their lanes.
+    // routing, order, r dispatches, the AllReduce, 4r chunk tasks.
+    const sim::TaskId first = static_cast<sim::TaskId>(tally.size());
+    const sim::TaskId gar = gar_ms > 0.0 ? first + 2 + r : -1;
+    const sim::TaskId iorder = first + 2 + 5 * r + (gar >= 0 ? 1 : 0);
+    const int streams =
+        opts.sequential ? 1 : 1 + (gar >= 0 ? kGradAllReduce : kCombine);
+    if (!(t.routing >= 0.0 && t.order >= 0.0 && dep < first))
+        tally.reject();
+    // Locals, and one loop per link layout, so that each lane's sums
+    // stay in registers through the phase.
+    const double routing = t.routing;
+    const double order = t.order;
+    const auto count_lanes = [&](auto merged) {
+        constexpr sim::Link kInter = sim::Link::InterNode;
+        constexpr sim::Link kIntra =
+            decltype(merged)::value ? kInter : sim::Link::IntraNode;
+        constexpr sim::Link kComp = sim::Link::Compute;
+        for (size_t i = 0; i < tally.numLanes(); ++i) {
+            sim::DurationTally::Lane &lane = tally.lane(i);
+            const int lane_r = r + static_cast<int>(i);
+            const double c_a2a = prob.a2a.chunk(lane_r);
+            const double c_ag = prob.ag.chunk(lane_r);
+            const double c_rs = prob.rs.chunk(lane_r);
+            const double c_exp = prob.exp.chunk(lane_r);
+            if (!(c_a2a >= 0.0 && c_ag >= 0.0 && c_rs >= 0.0 &&
+                  c_exp >= 0.0)) {
+                lane.reject();
+                continue;
+            }
+            const double n = static_cast<double>(lane_r);
+            const double a2a = n * c_a2a;
+            const double ag = n * c_ag;
+            const double rs = n * c_rs;
+            const double exp = n * c_exp;
+            lane.addTasks(3 + 5 * static_cast<size_t>(lane_r) +
+                              (gar >= 0 ? 1 : 0),
+                          streams);
+            // Each link's terms in the TaskGraph overload's id order.
+            lane.addWork(kComp, routing);
+            lane.addWork(kComp, order);
+            lane.addWork(kInter, a2a);
+            if (gar >= 0)
+                lane.addWork(kInter, gar_ms);
+            lane.addWork(kIntra, ag);
+            lane.addWork(kComp, exp);
+            lane.addWork(kIntra, rs);
+            lane.addWork(kInter, a2a);
+            lane.addWork(kComp, order);
+
+            // Release dates, for the lane's bound. The chunk tasks and
+            // the AllReduce start after `order` ends (`ready`), and each
+            // AllGather and ReduceScatter also after a dispatch. From
+            // `ready` to `iorder` the phase takes at least the largest
+            // of: its inter-node link's work (a link runs one task at a
+            // time); d + g before the first expert, the r experts on the
+            // compute link, and s + c after the last one; and d before
+            // the first intra-node task, the intra-node work, and c
+            // after the last one (a ReduceScatter, whose combine
+            // `iorder` waits for).
+            const double intra = ag + rs;
+            const double inter = decltype(merged)::value
+                                     ? a2a + a2a + intra
+                                     : a2a + a2a;
+            const double ready = lane.finish(dep) + routing + order;
+            lane.release(kInter, ready, inter);
+            if (gar >= 0)
+                lane.release(kInter, ready, gar_ms);
+            if (!decltype(merged)::value)
+                lane.release(kIntra, ready + c_a2a, intra);
+            const double body =
+                std::max({inter, c_a2a + c_ag + exp + c_rs + c_a2a,
+                          c_a2a + intra + c_a2a});
+            lane.chain(iorder, ready + body + order);
+        }
+    };
+    opts.mergeCommLinks ? count_lanes(std::true_type{})
+                        : count_lanes(std::false_type{});
+    if (gar_out)
+        *gar_out = gar;
+    return iorder;
 }
 
 sim::TaskId
@@ -178,102 +281,6 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
 
     const sim::Link l_inter = sim::Link::InterNode;
     const sim::Link l_intra = commLink(opts.mergeCommLinks);
-
-    // A tally's lane i counts the phase at degree r + i, each run of
-    // equal tasks in one step: the phase costs O(1) per lane, not O(r),
-    // with the size() and numStreams() of the per-task path below, and
-    // ids that number the first lane's tasks as that path would. An
-    // invalid duration or dep in the first lane goes down that path,
-    // which rejects it with addTask's message; a chunk time invalid in
-    // a later lane only rejects that lane (TaskGraph::Lane::reject).
-    if (graph.isDurationTally() && t.routing >= 0.0 && t.order >= 0.0 &&
-        dep < static_cast<sim::TaskId>(graph.size())) {
-        // routing, order, r dispatches, the AllReduce, 4r chunk tasks.
-        const sim::TaskId first = static_cast<sim::TaskId>(graph.size());
-        const sim::TaskId gar = gar_ms > 0.0 ? first + 2 + r : -1;
-        const sim::TaskId iorder = first + 2 + 5 * r + (gar >= 0 ? 1 : 0);
-        const int streams =
-            1 + std::max({s_comp, s_disp, s_ag, s_rs, s_comb,
-                          gar >= 0 ? s_gar : s_comp});
-        // Locals, and one loop per link layout, so that each lane's
-        // sums stay in registers through the phase. The loop returns
-        // false, having counted nothing, when the first lane's phase is
-        // invalid.
-        const double routing = t.routing;
-        const double order = t.order;
-        const auto count_lanes = [&](auto merged) {
-            constexpr sim::Link kInter = sim::Link::InterNode;
-            constexpr sim::Link kIntra =
-                decltype(merged)::value ? kInter : sim::Link::IntraNode;
-            constexpr sim::Link kComp = sim::Link::Compute;
-            for (size_t i = 0; i < graph.numLanes(); ++i) {
-                sim::TaskGraph::Lane &lane = graph.tallyLane(i);
-                const int lane_r = r + static_cast<int>(i);
-                const double c_a2a = prob.a2a.chunk(lane_r);
-                const double c_ag = prob.ag.chunk(lane_r);
-                const double c_rs = prob.rs.chunk(lane_r);
-                const double c_exp = prob.exp.chunk(lane_r);
-                if (!(c_a2a >= 0.0 && c_ag >= 0.0 && c_rs >= 0.0 &&
-                      c_exp >= 0.0)) {
-                    if (i == 0)
-                        return false;
-                    lane.reject();
-                    continue;
-                }
-                const double n = static_cast<double>(lane_r);
-                const double a2a = n * c_a2a;
-                const double ag = n * c_ag;
-                const double rs = n * c_rs;
-                const double exp = n * c_exp;
-                lane.addTasks(3 + 5 * static_cast<size_t>(lane_r) +
-                                  (gar >= 0 ? 1 : 0),
-                              streams);
-                // Each link's terms in the per-task path's id order.
-                lane.addWork(kComp, routing);
-                lane.addWork(kComp, order);
-                lane.addWork(kInter, a2a);
-                if (gar >= 0)
-                    lane.addWork(kInter, gar_ms);
-                lane.addWork(kIntra, ag);
-                lane.addWork(kComp, exp);
-                lane.addWork(kIntra, rs);
-                lane.addWork(kInter, a2a);
-                lane.addWork(kComp, order);
-
-                // Release dates, for the lane's bound. The chunk tasks
-                // and the AllReduce start after `order` ends (`ready`),
-                // and each AllGather and ReduceScatter also after a
-                // dispatch. From `ready` to `iorder` the phase takes at
-                // least the largest of: its inter-node link's work (a
-                // link runs one task at a time); d + g before the first
-                // expert, the r experts on the compute link, and s + c
-                // after the last one; and d before the first intra-node
-                // task, the intra-node work, and c after the last one
-                // (a ReduceScatter, whose combine `iorder` waits for).
-                const double intra = ag + rs;
-                const double inter = decltype(merged)::value
-                                         ? a2a + a2a + intra
-                                         : a2a + a2a;
-                const double ready = lane.finish(dep) + routing + order;
-                lane.release(kInter, ready, inter);
-                if (gar >= 0)
-                    lane.release(kInter, ready, gar_ms);
-                if (!decltype(merged)::value)
-                    lane.release(kIntra, ready + c_a2a, intra);
-                const double body =
-                    std::max({inter, c_a2a + c_ag + exp + c_rs + c_a2a,
-                              c_a2a + intra + c_a2a});
-                lane.chain(iorder, ready + body + order);
-            }
-            return true;
-        };
-        if (opts.mergeCommLinks ? count_lanes(std::true_type{})
-                                : count_lanes(std::false_type{})) {
-            if (gar_out)
-                *gar_out = gar;
-            return iorder;
-        }
-    }
 
     const double t_a2a = prob.a2a.chunk(r);
     const double t_ag = prob.ag.chunk(r);
@@ -364,27 +371,27 @@ struct SearchStats
 };
 
 /**
- * @p emit's graph at degrees @p r .. @p r + @p lanes - 1, counted in one
- * walk into a duration tally with a lane per degree, whose lane i
- * Simulator::makespanLowerBound bounds at degree r + i without building
- * it. Each walk counts in schedule.search.boundWalks. A lane the walk
- * rejected is emitted again alone, which rejects its degree with
- * addTask's message: the least such degree's, as one walk per degree
- * in ascending order would (a fault in the first lane rejects at once).
+ * @p sched's graph on @p model at degrees @p r .. @p r + @p lanes - 1,
+ * counted in one walk into a duration tally with a lane per degree,
+ * whose lane i Simulator::makespanLowerBound bounds at degree r + i
+ * without building it. Each walk counts in schedule.search.boundWalks.
+ * When the walk rejected a lane, the least such degree is emitted into
+ * a TaskGraph, whose addTask rejects it with its message, as one walk
+ * per degree in ascending order would.
  */
-sim::TaskGraph
-tallyDegrees(const DegreeEmitter &emit, int r, int lanes)
+sim::DurationTally
+tallyDegrees(const DegreeSchedule &sched, const ModelCost &model, int r,
+             int lanes)
 {
-    sim::TaskGraph tally =
-        sim::TaskGraph::durationTally(static_cast<size_t>(lanes));
-    emit(tally, r);
+    sim::DurationTally tally(static_cast<size_t>(lanes));
+    sched.emit(tally, model, r);
     SearchStats::instance().boundWalks.inc();
     for (size_t i = 0; i < tally.numLanes(); ++i) {
         if (!tally.lane(i).rejected())
             continue;
         const int rejected = r + static_cast<int>(i);
-        sim::TaskGraph alone = sim::TaskGraph::durationTally();
-        emit(alone, rejected);
+        sim::TaskGraph alone;
+        sched.emit(alone, model, rejected);
         FSMOE_PANIC("degree ", rejected, " was rejected only in a walk");
     }
     return tally;
@@ -393,14 +400,14 @@ tallyDegrees(const DegreeEmitter &emit, int r, int lanes)
 } // namespace
 
 DegreeChoice
-searchDegree(const ModelCost &model, const DegreeEmitter &emit,
+searchDegree(const DegreeSchedule &sched, const ModelCost &model,
              double cutoff)
 {
     FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
     FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
     const double inf = std::numeric_limits<double>::infinity();
     // Best bound first, so an early incumbent skips the rest.
-    const sim::TaskGraph tally = tallyDegrees(emit, 1, model.rMax);
+    const sim::DurationTally tally = tallyDegrees(sched, model, 1, model.rMax);
     std::vector<std::pair<double, int>> order;
     order.reserve(static_cast<size_t>(model.rMax));
     for (int r = 1; r <= model.rMax; ++r)
@@ -425,7 +432,7 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
             continue;
         }
         sim::TaskGraph graph;
-        emit(graph, r);
+        sched.emit(graph, model, r);
         ++simulated;
         std::optional<sim::SimResult> result = simulator.runBelow(
             graph, wins_ties ? std::nextafter(best.makespanMs, inf)
@@ -446,7 +453,7 @@ searchDegree(const ModelCost &model, const DegreeEmitter &emit,
         // emitted here.
         best.makespanMs = inf;
         if (std::isinf(cutoff))
-            emit(best.graph, best.r);
+            sched.emit(best.graph, model, best.r);
     }
     SearchStats &st = SearchStats::instance();
     st.candidates.inc(bounded + simulated);
@@ -469,7 +476,7 @@ DegreeSchedule::buildSimulated(const ModelCost &model,
 {
     simulated.reset();
     if (degree_ == 0) {
-        DegreeChoice choice = searchDegree(model, emitter(model));
+        DegreeChoice choice = searchDegree(*this, model);
         if (choice.makespanMs < std::numeric_limits<double>::infinity())
             simulated = std::move(choice.sim);
         return std::move(choice.graph);
@@ -490,7 +497,7 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff,
         return inf;
     }
     if (degree_ == 0) {
-        DegreeChoice choice = searchDegree(model, emitter(model), cutoff);
+        DegreeChoice choice = searchDegree(*this, model, cutoff);
         if (kept != nullptr && choice.makespanMs < inf) {
             kept->graph = std::move(choice.graph);
             kept->sim = std::move(choice.sim);
@@ -509,19 +516,13 @@ DegreeSchedule::makespanLowerBound(const ModelCost &model) const
 {
     if (degree_ != 0)
         return sim::Simulator::makespanLowerBound(
-            tallyDegrees(emitter(model), degree_, 1));
+            tallyDegrees(*this, model, degree_, 1));
     FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
-    const sim::TaskGraph tally = tallyDegrees(emitter(model), 1, model.rMax);
+    const sim::DurationTally tally = tallyDegrees(*this, model, 1, model.rMax);
     double bound = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < tally.numLanes(); ++i)
         bound = std::min(bound, sim::Simulator::makespanLowerBound(tally, i));
     return bound;
-}
-
-DegreeEmitter
-DegreeSchedule::emitter(const ModelCost &model) const
-{
-    return [this, &model](sim::TaskGraph &g, int r) { emit(g, model, r); };
 }
 
 std::vector<GeneralizedLayer>

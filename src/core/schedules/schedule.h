@@ -34,7 +34,6 @@
 #ifndef FSMOE_CORE_SCHEDULES_SCHEDULE_H
 #define FSMOE_CORE_SCHEDULES_SCHEDULE_H
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -235,8 +234,7 @@ struct PipelineBuildOptions
  * @param lc          The layer's costs.
  * @param models      Performance models for chunk durations.
  * @param phase       Forward or Backward (doubles expert compute).
- * @param r           Pipeline degree (>= 1); into a duration tally,
- *                    lane i counts the phase at degree r + i.
+ * @param r           Pipeline degree (>= 1).
  * @param opts        Stream/link emission options.
  * @param dep         Task that must finish before the layer starts
  *                    (-1 for none).
@@ -253,8 +251,23 @@ sim::TaskId appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
                            double gar_ms = 0.0,
                            sim::TaskId *gar_out = nullptr);
 
+/**
+ * The same phase counted into @p tally in O(1) per lane, lane i at
+ * degree r + i, with the TaskGraph overload's ids.
+ */
+sim::TaskId appendMoePhase(sim::DurationTally &tally, const LayerCost &lc,
+                           const PerfModelSet &models, Phase phase, int r,
+                           const PipelineBuildOptions &opts, sim::TaskId dep,
+                           double gar_ms = 0.0,
+                           sim::TaskId *gar_out = nullptr);
+
 /** Append the layer's attention (dense) task and return its id. */
 sim::TaskId appendAttention(sim::TaskGraph &graph, const LayerCost &lc,
+                            Phase phase, const PipelineBuildOptions &opts,
+                            sim::TaskId dep);
+
+/** The same task counted into every lane of @p tally. */
+sim::TaskId appendAttention(sim::DurationTally &tally, const LayerCost &lc,
                             Phase phase, const PipelineBuildOptions &opts,
                             sim::TaskId dep);
 
@@ -270,59 +283,22 @@ sim::TaskId appendAttention(sim::TaskGraph &graph, const LayerCost &lc,
 void reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
                       size_t extra_tasks = 0);
 
-/**
- * Appends a schedule's iteration graph at pipeline degree r. Into a
- * TaskGraph::durationTally() of k lanes it must count lane i as the
- * graph at degree r + i. An emitter does so when r reaches the graph
- * only through appendMoePhase() (and reserveIteration()), as Tutel's
- * and Lina's do.
- */
-using DegreeEmitter = std::function<void(sim::TaskGraph &graph, int r)>;
+/** A tally stores no tasks, so it reserves nothing. */
+inline void
+reserveIteration(sim::DurationTally &, size_t, int, size_t = 0)
+{
+}
 
 /** The degree a search picked, its simulated makespan and its graph. */
 struct DegreeChoice
 {
     int r = 1;
     double makespanMs = 0.0;
-    sim::TaskGraph graph; ///< The graph @p emit appended at r.
+    sim::TaskGraph graph; ///< The schedule's graph at r.
     /// Simulator::run(graph), trace included, when makespanMs is
     /// finite; otherwise empty.
     sim::SimResult sim;
 };
-
-/**
- * PipeMoE's adaptive pipeline degree (paper Fig. 3b): the r in
- * 1..model.rMax (which must be >= 1) whose graph, as @p emit appends
- * it, simulates to the smallest makespan, the first such r on ties.
- * Exact but pruned: @p emit is first walked once into a
- * TaskGraph::durationTally() with one lane per candidate, for each
- * candidate's release-date lower bound (Simulator::makespanLowerBound
- * of its lane), and the candidates are visited in ascending (bound, r)
- * order. One whose bound already reaches the best
- * makespan so far is skipped without being built; the rest are built
- * and simulated with that makespan as the cutoff
- * (Simulator::runBelow). A candidate below the incumbent's r keeps the
- * tie: it is skipped only on a bound above the best and runs against
- * the best's successor, nextafter(best, +inf). So the choice is the
- * lexicographic least (makespan, r), the unpruned ascending loop's,
- * bit for bit. Counts into schedule.search.{candidates, bounded,
- * simulated, cut, boundWalks} (docs/OBSERVABILITY.md). The winner's graph and its
- * whole SimResult are the ones the search simulated, returned so the
- * caller need neither emit nor simulate it again; holding them while
- * later candidates build raises peak memory by up to one graph and
- * trace.
- *
- * The best makespan starts at @p cutoff. When the minimum is below it,
- * the result is the unseeded search's (same r, makespan bits and
- * graph). Otherwise makespanMs is +inf, the graph and result are
- * empty, and no candidate whose bound reaches the cutoff was built.
- * Only with cutoff = +inf does a search where nothing finishes below
- * +inf emit the r = 1 graph, which it does not simulate. A NaN cutoff
- * is rejected.
- */
-DegreeChoice searchDegree(
-    const ModelCost &model, const DegreeEmitter &emit,
-    double cutoff = std::numeric_limits<double>::infinity());
 
 /**
  * A schedule emitted at one pipeline degree: a fixed one, or with
@@ -364,12 +340,17 @@ class DegreeSchedule : public Schedule
      */
     double makespanLowerBound(const ModelCost &model) const override;
 
-    /**
-     * Append the iteration graph at pipeline degree @p r; into a
-     * TaskGraph::durationTally(), this counts lane i at degree r + i,
-     * each lane a candidate's bound (see DegreeEmitter).
-     */
+    /** Append the iteration graph at pipeline degree @p r. */
     virtual void emit(sim::TaskGraph &graph, const ModelCost &model,
+                      int r) const = 0;
+
+    /**
+     * Count the same graph into @p tally, lane i at degree r + i, each
+     * lane a candidate's bound. A schedule does so when r reaches its
+     * graph only through appendMoePhase() (and reserveIteration()), as
+     * Tutel's and Lina's do, with one template body for both sinks.
+     */
+    virtual void emit(sim::DurationTally &tally, const ModelCost &model,
                       int r) const = 0;
 
     /**
@@ -388,11 +369,41 @@ class DegreeSchedule : public Schedule
     int degree() const { return degree_; }
 
   private:
-    /** emit() on @p model as a searchDegree() emitter. */
-    DegreeEmitter emitter(const ModelCost &model) const;
-
     int degree_;
 };
+
+/**
+ * PipeMoE's adaptive pipeline degree (paper Fig. 3b): the r in
+ * 1..model.rMax (which must be >= 1) whose graph, as @p sched emits
+ * it, simulates to the smallest makespan, the first such r on ties.
+ * Exact but pruned: @p sched is first emitted once into a
+ * sim::DurationTally with one lane per candidate, for each candidate's
+ * release-date lower bound (Simulator::makespanLowerBound of its
+ * lane), and the candidates are visited in ascending (bound, r) order.
+ * One whose bound already reaches the best makespan so far is skipped
+ * without being built; the rest are built and simulated with that
+ * makespan as the cutoff (Simulator::runBelow). A candidate below the
+ * incumbent's r keeps the tie: it is skipped only on a bound above the
+ * best and runs against the best's successor, nextafter(best, +inf).
+ * So the choice is the lexicographic least (makespan, r), the unpruned
+ * ascending loop's, bit for bit. Counts into schedule.search.{
+ * candidates, bounded, simulated, cut, boundWalks}
+ * (docs/OBSERVABILITY.md). The winner's graph and its whole SimResult
+ * are the ones the search simulated, returned so the caller need
+ * neither emit nor simulate it again; holding them while later
+ * candidates build raises peak memory by up to one graph and trace.
+ *
+ * The best makespan starts at @p cutoff. When the minimum is below it,
+ * the result is the unseeded search's (same r, makespan bits and
+ * graph). Otherwise makespanMs is +inf, the graph and result are
+ * empty, and no candidate whose bound reaches the cutoff was built.
+ * Only with cutoff = +inf does a search where nothing finishes below
+ * +inf emit the r = 1 graph, which it does not simulate. A NaN cutoff
+ * is rejected.
+ */
+DegreeChoice searchDegree(
+    const DegreeSchedule &sched, const ModelCost &model,
+    double cutoff = std::numeric_limits<double>::infinity());
 
 /** Build backward-order generalized layers for the grad partitioner. */
 std::vector<GeneralizedLayer> makeGeneralizedLayers(const ModelCost &model);

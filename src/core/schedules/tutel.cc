@@ -34,10 +34,21 @@ class TutelSchedule : public DegreeSchedule
     {
     }
 
+    void emit(sim::TaskGraph &graph, const ModelCost &model,
+              int r) const override
+    {
+        emitInto(graph, model, r);
+    }
+    void emit(sim::DurationTally &tally, const ModelCost &model,
+              int r) const override
+    {
+        emitInto(tally, model, r);
+    }
+
   private:
+    template <typename Sink>
     void
-    emit(sim::TaskGraph &graph, const ModelCost &model,
-         int r) const override
+    emitInto(Sink &graph, const ModelCost &model, int r) const
     {
         reserveIteration(graph, model.layers.size(), r);
         PipelineBuildOptions opts;

@@ -13,9 +13,9 @@ testbedA()
     spec.gpusPerNode = 8;
     spec.gemm = {4.26e-2, 2.29e-11};
     spec.alltoall = {2.87e-1, 2.21e-7};
-    spec.allgather = {3.37e-1, 2.32e-7};      // caption prints 2.32e-6
+    spec.allgather = {3.37e-1, 2.32e-7}; // caption 2.32e-6: docs/SCHEDULES.md
     spec.reducescatter = {3.95e-1, 2.34e-7};
-    spec.allreduce = {5.11e-1, 4.95e-7};      // caption prints 4.95e-6
+    spec.allreduce = {5.11e-1, 4.95e-7}; // caption 4.95e-6: docs/SCHEDULES.md
     return spec;
 }
 

@@ -57,8 +57,8 @@ struct ClusterSpec
  * Coefficients from Fig. 5(a)/(b) captions. Two caption values
  * (beta_ag = 2.32e-06, beta_ar = 4.95e-06) are inconsistent with the
  * plotted curves and with Table 2's measured times by exactly one
- * order of magnitude; we apply the 1e-1 correction and record the
- * discrepancy in EXPERIMENTS.md.
+ * order of magnitude; we apply the 1e-1 correction, which
+ * docs/SCHEDULES.md ("Inputs that differ from the paper") records.
  */
 ClusterSpec testbedA();
 

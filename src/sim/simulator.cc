@@ -87,7 +87,6 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
 
     const auto &tasks = graph.tasks();
     const size_t n = tasks.size();
-    FSMOE_CHECK_ARG(n == graph.size(), "cannot simulate a duration tally");
     SimStats &sim_stats = SimStats::instance();
     sim_stats.runs.inc();
     const bool can_cut = cutoff < std::numeric_limits<double>::infinity();
@@ -380,15 +379,26 @@ Simulator::sumLowerBound(double sum, size_t n)
 }
 
 double
-Simulator::makespanLowerBound(const TaskGraph &graph, size_t lane)
+Simulator::makespanLowerBound(const DurationTally &tally, size_t lane)
 {
-    const TaskGraph::Lane &counted = graph.lane(lane);
+    const DurationTally::Lane &counted = tally.lane(lane);
     const size_t n = counted.size();
     double bound = shrunkLinkSum(counted.releaseBound(), n);
     for (size_t li = 0; li < static_cast<size_t>(Link::NumLinks); ++li)
         bound = std::max(
             bound,
             sumLowerBound(counted.linkDurationSum(static_cast<Link>(li)), n));
+    return bound;
+}
+
+double
+Simulator::makespanLowerBound(const TaskGraph &graph)
+{
+    double bound = 0.0;
+    for (size_t li = 0; li < static_cast<size_t>(Link::NumLinks); ++li)
+        bound = std::max(bound, sumLowerBound(graph.linkDurationSum(
+                                                  static_cast<Link>(li)),
+                                              graph.size()));
     return bound;
 }
 

@@ -152,13 +152,12 @@ class Simulator
     }
 
     /**
-     * A proven lower bound on run(graph).makespan for a built graph, or
-     * for the graph that lane @p lane of a TaskGraph::durationTally()
-     * counts: with n that lane's size(), the largest
-     * sumLowerBound(linkDurationSum(link), n) over its links, and its
-     * releaseBound() shrunk by shrunkLinkSum's factor 1 - 8(n+1)2^-53
-     * (0 for a built graph). A lane reads only its own counts, so its
-     * bound has the bits a one-lane tally of its degree gives.
+     * A proven lower bound on run(graph).makespan for the graph that
+     * lane @p lane of @p tally counts: with n that lane's size(), the
+     * largest sumLowerBound(linkDurationSum(link), n) over its links,
+     * and its releaseBound() shrunk by shrunkLinkSum's factor
+     * 1 - 8(n+1)2^-53. A lane reads only its own counts, so its bound
+     * has the bits a one-lane tally of its degree gives.
      *
      * Why the release bound is sound, with u = 2^-53 and gamma_n as
      * in remainingWorkBound: each chain finish and release the tally
@@ -177,8 +176,11 @@ class Simulator
      * the 8(n+1)u shrink covers with room for its own rounding (n well
      * below 2^40). docs/PERFORMANCE.md gives the argument in full.
      */
-    static double makespanLowerBound(const TaskGraph &graph,
+    static double makespanLowerBound(const DurationTally &tally,
                                      size_t lane = 0);
+
+    /** The link-sum half of the bound above, for a built graph. */
+    static double makespanLowerBound(const TaskGraph &graph);
 
     /**
      * @p sum times (1 - 4(n+1) 2^-53): a lower bound on when the last

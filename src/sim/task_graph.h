@@ -26,6 +26,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -131,23 +132,178 @@ class DepSpan
 };
 
 /**
- * An append-only DAG of tasks. Issue order *within a stream* is the
- * order of addTask calls, mirroring how a runtime enqueues kernels.
+ * The addTask overloads and checks of both task sinks, TaskGraph and
+ * DurationTally, through @p Sink's addTaskWithDeps.
  */
-class TaskGraph
+template <typename Sink>
+class TaskSink
 {
   public:
     /**
-     * What a graph counts of the tasks added to it: size(),
-     * numStreams() and each link's duration sum, and in a
-     * durationTally() also a release-date bound (releaseBound()). A
-     * built graph has one lane, which counts its tasks. A tally has one
-     * lane per candidate pipeline degree: lane i of a tally that a
-     * schedule emits at degree r counts its graph at degree r + i, so
-     * one walk of the emitter bounds every candidate. The ids a tally
-     * hands back number its first lane's tasks, one emission-order
-     * sequence that every lane uses.
+     * Append a task.
+     *
+     * @param label    Lazy trace label (base must be a static string).
+     * @param op       Operation class (for per-op accounting).
+     * @param link     Physical resource the task occupies.
+     * @param stream   FIFO issue queue.
+     * @param duration Service time in milliseconds (>= 0).
+     * @param deps     Prerequisite task ids (must already exist).
+     * @param priority Arbitration class; tasks with larger values
+     *                 yield the link to concurrently-ready tasks with
+     *                 smaller values.
+     * @return         Id of the new task.
      */
+    TaskId addTask(TaskLabel label, OpType op, Link link, int stream,
+                   double duration, std::initializer_list<TaskId> deps = {},
+                   int priority = 0)
+    {
+        const TaskId *d = deps.begin();
+        return static_cast<Sink *>(this)->addTaskWithDeps(
+            label, op, link, stream, duration, deps.size(),
+            [d](size_t i) { return d[i]; }, priority);
+    }
+
+    /** Overload for dynamically built dependency lists. */
+    TaskId addTask(TaskLabel label, OpType op, Link link, int stream,
+                   double duration, const std::vector<TaskId> &deps,
+                   int priority = 0)
+    {
+        const TaskId *d = deps.data();
+        return static_cast<Sink *>(this)->addTaskWithDeps(
+            label, op, link, stream, duration, deps.size(),
+            [d](size_t i) { return d[i]; }, priority);
+    }
+
+  protected:
+    /** addTask's checks: duration, stream >= 0; deps earlier than @p id. */
+    template <typename DepAt>
+    static bool validTask(TaskId id, int stream, double duration,
+                          size_t n_deps, DepAt dep_at)
+    {
+        bool valid = duration >= 0.0 && stream >= 0;
+        for (size_t i = 0; valid && i < n_deps; ++i) {
+            const TaskId d = dep_at(i);
+            valid = d >= 0 && d < id;
+        }
+        return valid;
+    }
+
+  private:
+    friend Sink; // Only a sink constructs its base.
+    TaskSink() = default;
+};
+
+/**
+ * An append-only DAG of tasks. Issue order *within a stream* is the
+ * order of addTask calls, mirroring how a runtime enqueues kernels.
+ */
+class TaskGraph : public TaskSink<TaskGraph>
+{
+  public:
+    /**
+     * Overload for computed dependency lists: the task's i-th
+     * dependency is dep_at(i), for i < @p n_deps, so a builder can
+     * emit e.g. every fourth id without materialising the list.
+     * dep_at must be pure; it may be called more than once per index.
+     * The checks are those of the other overloads; an invalid task
+     * goes to the out-of-line rejectTask(), which reports it.
+     */
+    template <typename DepAt>
+    TaskId addTaskWithDeps(TaskLabel label, OpType op, Link link,
+                           int stream, double duration, size_t n_deps,
+                           DepAt dep_at, int priority = 0)
+    {
+        const TaskId id = static_cast<TaskId>(size());
+        if (!validTask(id, stream, duration, n_deps, dep_at)) {
+            std::vector<TaskId> deps(n_deps);
+            for (size_t i = 0; i < n_deps; ++i)
+                deps[i] = dep_at(i);
+            rejectTask(label, stream, duration, deps);
+        }
+        num_streams_ = std::max(num_streams_, stream + 1);
+        link_sums_[static_cast<size_t>(link)] += duration;
+        tasks_.push_back({id, op, link, stream, priority, duration, label,
+                          static_cast<uint32_t>(dep_pool_.size()),
+                          static_cast<uint32_t>(n_deps)});
+        for (size_t i = 0; i < n_deps; ++i)
+            dep_pool_.push_back(dep_at(i));
+        return id;
+    }
+
+    /**
+     * Pre-size the task vector and dependency pool. Call once per
+     * build with (over-)estimates; repeated exact-fit reserves would
+     * degrade push_back growth to quadratic copying.
+     */
+    void reserve(size_t tasks, size_t deps)
+    {
+        tasks_.reserve(tasks);
+        dep_pool_.reserve(deps);
+    }
+
+    const std::vector<Task> &tasks() const { return tasks_; }
+    const Task &task(TaskId id) const;
+
+    /** The dependency list of @p id (view into the flat pool). */
+    DepSpan deps(TaskId id) const
+    {
+        const Task &t = task(id);
+        return {dep_pool_.data() + t.depBegin, t.depCount};
+    }
+
+    /** Materialised label of @p id (allocates; exporter-only path). */
+    std::string taskName(TaskId id) const { return task(id).name(); }
+
+    /** Number of tasks added. */
+    size_t size() const { return tasks_.size(); }
+    bool empty() const { return size() == 0; }
+
+    /** Total dependency-edge count across all tasks. */
+    size_t numDeps() const { return dep_pool_.size(); }
+
+    /** The flat CSR dependency pool (audit and exporter use). */
+    const std::vector<TaskId> &depPool() const { return dep_pool_; }
+
+    /** Highest stream index used plus one. */
+    int numStreams() const { return num_streams_; }
+
+    /**
+     * Sum of the durations of every task on @p link, the left fold in
+     * id order. The simulator runs a link's tasks one after another,
+     * which makes this (with a rounding margin, see
+     * Simulator::makespanLowerBound) a lower bound on the makespan.
+     */
+    double linkDurationSum(Link link) const
+    {
+        return link_sums_[static_cast<size_t>(link)];
+    }
+
+  private:
+    /** Fails with the message for the first invalid argument. */
+    [[noreturn]] void rejectTask(TaskLabel label, int stream,
+                                 double duration,
+                                 const std::vector<TaskId> &deps) const;
+
+    std::vector<Task> tasks_;
+    std::vector<TaskId> dep_pool_; ///< All tasks' deps, CSR-flattened.
+    int num_streams_ = 0;
+    std::array<double, static_cast<size_t>(Link::NumLinks)> link_sums_{};
+};
+
+/**
+ * A task sink that keeps no tasks but counts them in lanes, to bound
+ * makespans without building graphs. A lane keeps the size(),
+ * numStreams() and link sums a TaskGraph fed the same calls would, and
+ * a release-date bound (Lane::releaseBound()). A tally that a schedule
+ * emits at degree r has lane i count its graph at degree r + i, so the
+ * degree search bounds every candidate in one walk; the ids it hands
+ * back number the first lane's tasks. A tally never fails: a task that
+ * TaskGraph::addTask rejects marks every lane rejected (reject()).
+ */
+class DurationTally : public TaskSink<DurationTally>
+{
+  public:
+    /** What a tally counts of the graph at one degree (see above). */
     class Lane
     {
       public:
@@ -166,9 +322,8 @@ class TaskGraph
         /**
          * Count @p n tasks on streams below @p streams: size() and
          * numStreams() as n addTask calls would leave them. Unchecked,
-         * like addWork(): TaskGraph::tallyTasks() is the checked form,
-         * and a schedule builder counts into a lane only tasks it
-         * checked.
+         * like addWork(): a schedule builder counts into a lane only
+         * tasks it checked.
          */
         void addTasks(size_t n, int streams)
         {
@@ -178,8 +333,10 @@ class TaskGraph
 
         /**
          * Add @p work to @p link's duration sum as one term of its
-         * fold: fl(n * duration) for n tasks of one duration, so that
-         * the lane sums as tallyTasks() does.
+         * fold: fl(n * duration) for n tasks of one duration. So a
+         * lane's sum may group a graph's durations differently and
+         * differ from TaskGraph::linkDurationSum() in the last bits;
+         * Simulator::makespanLowerBound's margin covers both.
          */
         void addWork(Link link, double work)
         {
@@ -187,12 +344,12 @@ class TaskGraph
         }
 
         /**
-         * In a durationTally(), a lower bound on when task @p id
-         * finishes, as the lane's release-date bookkeeping knows it:
-         * the chain head's (chain()) or the last task added through
-         * addTask, and 0 for any other id or a built graph. Every value
-         * is a rounded sum of the durations of tasks that run one after
-         * another and end with @p id (see releaseBound()).
+         * A lower bound on when task @p id finishes, as the lane's
+         * release-date bookkeeping knows it: the chain head's (chain())
+         * or the last task added through addTask, and 0 for any other
+         * id. Every value is a rounded sum of the durations of tasks
+         * that run one after another and end with @p id (see
+         * releaseBound()).
          */
         double finish(TaskId id) const
         {
@@ -242,8 +399,8 @@ class TaskGraph
         /**
          * The lane's release-date bound, before any rounding margin:
          * the largest of its chain finishes and of its links' P + M
-         * (release()); 0 for a built graph.
-         * Simulator::makespanLowerBound shrinks it into a proven bound.
+         * (release()). Simulator::makespanLowerBound shrinks it into a
+         * proven bound.
          */
         double releaseBound() const
         {
@@ -254,11 +411,11 @@ class TaskGraph
         }
 
         /**
-         * Mark the lane's graph as one addTask would reject at its
-         * degree, for a builder that finds a task invalid in this lane
-         * only. The lane's counts are then meaningless; whoever walked
-         * the tally re-emits that degree alone, which rejects it with
-         * addTask's message.
+         * Mark the lane's graph as one TaskGraph::addTask would reject
+         * at its degree, for a builder that finds a task invalid in this
+         * lane only. The lane's counts are then meaningless; whoever
+         * walked the tally emits that degree into a TaskGraph, which
+         * rejects it with addTask's message.
          */
         void reject() { rejected_ = true; }
 
@@ -266,7 +423,7 @@ class TaskGraph
         bool rejected() const { return rejected_; }
 
       private:
-        friend class TaskGraph;
+        friend class DurationTally;
 
         /** A task id with a lower bound on its finish (finish()). */
         struct KnownFinish
@@ -294,161 +451,48 @@ class TaskGraph
         std::array<ReleaseRun, static_cast<size_t>(Link::NumLinks)> runs_{};
     };
 
-    /**
-     * A graph that validates and counts what is added to it but keeps
-     * no tasks, in @p lanes lanes (Lane): addTask runs the same checks
-     * (duration >= 0, every dep an earlier id) and folds the task into
-     * every lane, so each lane keeps size() and numStreams() exactly as
-     * a real graph fed the same calls would, while tasks(), deps() and
-     * the dep pool stay empty and reserve() does nothing. A tally also
-     * takes tallyTasks(), which counts many equal tasks in one step, so
-     * its linkDurationSum() sums the built graph's durations grouped
-     * differently and may differ from the built graph's in the last
-     * bits; Simulator::makespanLowerBound's margin covers both. A lane
-     * also keeps a release-date bound (Lane::releaseBound()): the
-     * schedule builders tell it, per phase, when each link's work can
-     * start and the least time the phase's compute chain takes. The
-     * degree search emits a schedule once into a tally with a lane per
-     * candidate degree to bound every candidate's makespan before
-     * building one. size(), numStreams() and linkDurationSum() read the
-     * first lane.
-     */
-    static TaskGraph durationTally(size_t lanes = 1)
+    /** A tally of @p lanes (>= 1) lanes. */
+    explicit DurationTally(size_t lanes = 1)
     {
         FSMOE_CHECK_ARG(lanes >= 1, "a duration tally needs a lane");
-        TaskGraph g;
-        g.tally_only_ = true;
-        g.more_lanes_.resize(lanes - 1);
-        return g;
+        more_lanes_.resize(lanes - 1);
     }
 
     /**
-     * Append a task.
-     *
-     * @param label    Lazy trace label (base must be a static string).
-     * @param op       Operation class (for per-op accounting).
-     * @param link     Physical resource the task occupies.
-     * @param stream   FIFO issue queue.
-     * @param duration Service time in milliseconds (>= 0).
-     * @param deps     Prerequisite task ids (must already exist).
-     * @param priority Arbitration class; tasks with larger values
-     *                 yield the link to concurrently-ready tasks with
-     *                 smaller values.
-     * @return         Id of the new task.
-     */
-    TaskId addTask(TaskLabel label, OpType op, Link link, int stream,
-                   double duration, std::initializer_list<TaskId> deps = {},
-                   int priority = 0)
-    {
-        const TaskId *d = deps.begin();
-        return addTaskWithDeps(label, op, link, stream, duration,
-                               deps.size(),
-                               [d](size_t i) { return d[i]; }, priority);
-    }
-
-    /** Overload for dynamically built dependency lists. */
-    TaskId addTask(TaskLabel label, OpType op, Link link, int stream,
-                   double duration, const std::vector<TaskId> &deps,
-                   int priority = 0)
-    {
-        const TaskId *d = deps.data();
-        return addTaskWithDeps(label, op, link, stream, duration,
-                               deps.size(),
-                               [d](size_t i) { return d[i]; }, priority);
-    }
-
-    /**
-     * Overload for computed dependency lists: the task's i-th
-     * dependency is dep_at(i), for i < @p n_deps, so a builder can
-     * emit e.g. every fourth id without materialising the list.
-     * dep_at must be pure; it may be called more than once per index.
-     *
-     * The checks are those of the other overloads. A duration tally
-     * stops after them and folds the task into every lane: the count,
-     * stream and link-sum updates, and its release bound: released at
-     * the largest Lane::finish() of its dependencies, it becomes the
-     * last task whose finish the lane knows. An invalid task goes to
-     * the out-of-line rejectTask(), which reports it.
+     * Fold the task into every lane: its count, stream and link sum,
+     * and, released at its deps' largest Lane::finish(), the release
+     * bound; it becomes the last task whose finish the lane knows.
      */
     template <typename DepAt>
-    TaskId addTaskWithDeps(TaskLabel label, OpType op, Link link,
-                           int stream, double duration, size_t n_deps,
-                           DepAt dep_at, int priority = 0)
+    TaskId addTaskWithDeps(TaskLabel, OpType, Link link, int stream,
+                           double duration, size_t n_deps, DepAt dep_at,
+                           int = 0)
     {
         const TaskId id = static_cast<TaskId>(size());
-        bool valid = duration >= 0.0 && stream >= 0;
-        for (size_t i = 0; valid && i < n_deps; ++i) {
-            const TaskId d = dep_at(i);
-            valid = d >= 0 && d < id;
-        }
-        if (!valid) {
-            std::vector<TaskId> deps(n_deps);
+        if (!validTask(id, stream, duration, n_deps, dep_at))
+            reject();
+        forEachLane([&](Lane &lane) {
+            lane.addTasks(1, stream + 1);
+            lane.addWork(link, duration);
+            double release = 0.0;
             for (size_t i = 0; i < n_deps; ++i)
-                deps[i] = dep_at(i);
-            rejectTask(label, stream, duration, deps);
-        }
-        if (tally_only_) {
-            forEachLane([&](Lane &lane) {
-                lane.addTasks(1, stream + 1);
-                lane.addWork(link, duration);
-                double release = 0.0;
-                for (size_t i = 0; i < n_deps; ++i)
-                    release = std::max(release, lane.finish(dep_at(i)));
-                lane.release(link, release, duration);
-                lane.last_ = {id, release + duration};
-            });
-            return id;
-        }
-        first_lane_.addTasks(1, stream + 1);
-        first_lane_.addWork(link, duration);
-        Task t;
-        t.id = id;
-        t.op = op;
-        t.link = link;
-        t.stream = stream;
-        t.duration = duration;
-        t.priority = priority;
-        t.label = label;
-        t.depBegin = static_cast<uint32_t>(dep_pool_.size());
-        t.depCount = static_cast<uint32_t>(n_deps);
-        for (size_t i = 0; i < n_deps; ++i)
-            dep_pool_.push_back(dep_at(i));
-        tasks_.push_back(t);
+                release = std::max(release, lane.finish(dep_at(i)));
+            lane.release(link, release, duration);
+            lane.last_ = {id, release + duration};
+        });
         return id;
     }
 
-    /**
-     * Count @p n tasks of one @p duration on @p link and @p stream, none
-     * with dependencies, into every lane of a durationTally() in O(1):
-     * the checks of addTask (duration >= 0, stream >= 0, with its
-     * messages), then size() and numStreams() as n addTask calls would
-     * leave them, and fl(n * duration) added to the link's sum in one
-     * step.
-     *
-     * @return Id of the first task counted.
-     */
-    TaskId tallyTasks(TaskLabel label, Link link, int stream,
-                      double duration, size_t n)
+    /** Mark every lane rejected (Lane::reject()). */
+    void reject()
     {
-        FSMOE_CHECK_ARG(tally_only_, "tallyTasks needs a duration tally");
-        if (!(duration >= 0.0 && stream >= 0))
-            rejectTask(label, stream, duration, {});
-        const TaskId first = static_cast<TaskId>(size());
-        if (n == 0)
-            return first;
-        const double work = static_cast<double>(n) * duration;
-        forEachLane([&](Lane &lane) {
-            lane.addTasks(n, stream + 1);
-            lane.addWork(link, work);
-        });
-        return first;
+        forEachLane([](Lane &lane) { lane.reject(); });
     }
 
-    /** True for a durationTally(). */
-    bool isDurationTally() const { return tally_only_; }
-
-    /** Number of lanes: a tally's, or 1 for a built graph. */
     size_t numLanes() const { return 1 + more_lanes_.size(); }
+
+    /** Number of ids handed back: the first lane's size(). */
+    size_t size() const { return first_lane_.size(); }
 
     /** Lane @p i (< numLanes()). */
     const Lane &lane(size_t i) const
@@ -457,72 +501,13 @@ class TaskGraph
         return i == 0 ? first_lane_ : more_lanes_[i - 1];
     }
 
-    /** Lane @p i of a durationTally(), for a builder to count into. */
-    Lane &tallyLane(size_t i)
+    /** Lane @p i, for a builder to count into. */
+    Lane &lane(size_t i)
     {
-        FSMOE_CHECK_ARG(tally_only_, "tallyLane needs a duration tally");
-        FSMOE_CHECK_ARG(i < numLanes(), "lane ", i, " of ", numLanes());
-        return i == 0 ? first_lane_ : more_lanes_[i - 1];
-    }
-
-    /**
-     * Pre-size the task vector and dependency pool. Call once per
-     * build with (over-)estimates; repeated exact-fit reserves would
-     * degrade push_back growth to quadratic copying.
-     */
-    void reserve(size_t tasks, size_t deps)
-    {
-        if (tally_only_)
-            return;
-        tasks_.reserve(tasks);
-        dep_pool_.reserve(deps);
-    }
-
-    const std::vector<Task> &tasks() const { return tasks_; }
-    const Task &task(TaskId id) const;
-
-    /** The dependency list of @p id (view into the flat pool). */
-    DepSpan deps(TaskId id) const
-    {
-        const Task &t = task(id);
-        return {dep_pool_.data() + t.depBegin, t.depCount};
-    }
-
-    /** Materialised label of @p id (allocates; exporter-only path). */
-    std::string taskName(TaskId id) const { return task(id).name(); }
-
-    /** Number of tasks added (a tally's first lane's count). */
-    size_t size() const { return first_lane_.size(); }
-    bool empty() const { return size() == 0; }
-
-    /** Total dependency-edge count across all tasks. */
-    size_t numDeps() const { return dep_pool_.size(); }
-
-    /** The flat CSR dependency pool (audit and exporter use). */
-    const std::vector<TaskId> &depPool() const { return dep_pool_; }
-
-    /** Highest stream index used plus one (a tally's first lane's). */
-    int numStreams() const { return first_lane_.numStreams(); }
-
-    /**
-     * Sum of the durations of every task on @p link: in a built graph
-     * the left fold in id order; in a durationTally()'s first lane a
-     * fold in which each tallyTasks() or Lane::addWork() call is one
-     * term. The simulator runs a link's tasks one after another, which
-     * makes this (with a rounding margin, see
-     * Simulator::makespanLowerBound) a lower bound on the makespan.
-     */
-    double linkDurationSum(Link link) const
-    {
-        return first_lane_.linkDurationSum(link);
+        return const_cast<Lane &>(std::as_const(*this).lane(i));
     }
 
   private:
-    /** Fails with the message for the first invalid argument. */
-    [[noreturn]] void rejectTask(TaskLabel label, int stream,
-                                 double duration,
-                                 const std::vector<TaskId> &deps) const;
-
     /** Call @p f on every lane, first to last. */
     template <typename F>
     void forEachLane(F f)
@@ -532,11 +517,8 @@ class TaskGraph
             f(lane);
     }
 
-    std::vector<Task> tasks_;
-    std::vector<TaskId> dep_pool_; ///< All tasks' deps, CSR-flattened.
-    Lane first_lane_;              ///< A built graph's counts.
-    std::vector<Lane> more_lanes_; ///< A tally's lanes after the first.
-    bool tally_only_ = false; ///< durationTally(): count, store nothing.
+    Lane first_lane_;              ///< Kept inline: most tallies have one.
+    std::vector<Lane> more_lanes_; ///< The lanes after the first.
 };
 
 /**

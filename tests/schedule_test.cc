@@ -256,25 +256,6 @@ asDegreeSchedule(const Schedule &sched)
     return *ds;
 }
 
-/**
- * A searchDegree() emitter for @p name on @p cost that appends each
- * candidate graph as a replay of its fixed-degree build. A duration
- * tally it counts through the schedule's own emit(): a replay is one
- * degree's graph, and cannot count a lane per degree (DegreeEmitter).
- */
-detail::DegreeEmitter
-replayingEmitter(const std::string &name, const ModelCost &cost)
-{
-    const std::shared_ptr<const Schedule> sched = Schedule::create(name);
-    return [sched, name, &cost](sim::TaskGraph &g, int r) {
-        if (g.isDurationTally())
-            asDegreeSchedule(*sched).emit(g, cost, r);
-        else
-            test::replayGraph(
-                Schedule::create(withDegree(name, r))->build(cost), g);
-    };
-}
-
 /** Task-by-task equality, deps and label included. */
 void
 expectSameGraph(const sim::TaskGraph &got, const sim::TaskGraph &want,
@@ -313,8 +294,7 @@ expectPrunedSearchIsExact(const ModelCost &cost, const std::string &what)
         const detail::DegreeChoice want = naiveSearch(name, cost);
         const auto sched = Schedule::create(name);
         const detail::DegreeSchedule &ds = asDegreeSchedule(*sched);
-        const detail::DegreeChoice got = detail::searchDegree(
-            cost, [&](sim::TaskGraph &g, int r) { ds.emit(g, cost, r); });
+        const detail::DegreeChoice got = detail::searchDegree(ds, cost);
         EXPECT_EQ(got.r, want.r) << where;
         EXPECT_TRUE(test::sameBits(got.makespanMs, want.makespanMs))
             << where << ": " << got.makespanMs << " vs "
@@ -455,8 +435,9 @@ TEST(DegreeSearch, TheReturnedWinnerIsTheFixedDegreeGraph)
             runtime::ScenarioRegistry::instance().makeCost(s);
         for (const std::string &name : degreeSearchingSchedules()) {
             const std::string where = key + " " + name;
+            const auto sched = Schedule::create(name);
             const detail::DegreeChoice choice =
-                detail::searchDegree(cost, replayingEmitter(name, cost));
+                detail::searchDegree(asDegreeSchedule(*sched), cost);
             const sim::TaskGraph winner =
                 Schedule::create(withDegree(name, choice.r))->build(cost);
             expectSameGraph(choice.graph, winner, where + " (search)");
@@ -490,8 +471,10 @@ TEST(DegreeSearchDeathTest, RejectsAModelWithoutCandidateDegrees)
 {
     ModelCost cost = smallModel(sim::testbedB(), 1);
     cost.rMax = 0;
-    const auto emit = [](sim::TaskGraph &, int) {};
-    EXPECT_DEATH(detail::searchDegree(cost, emit), "rMax must be at least 1");
+    EXPECT_DEATH(
+        detail::searchDegree(asDegreeSchedule(*Schedule::create("tutel")),
+                             cost),
+        "rMax must be at least 1");
 }
 
 // ------------------------------------------------ builder graph structure
@@ -794,16 +777,15 @@ TEST(DegreeSearch, ACutoffAboveTheMinimumKeepsTheUnseededChoice)
             runtime::ScenarioRegistry::instance().makeCost(s);
         for (const std::string &name : degreeSearchingSchedules()) {
             const std::string where = key + " " + name;
-            const detail::DegreeEmitter emit =
-                replayingEmitter(name, cost);
-            const detail::DegreeChoice want =
-                detail::searchDegree(cost, emit);
+            const auto sched = Schedule::create(name);
+            const detail::DegreeSchedule &ds = asDegreeSchedule(*sched);
+            const detail::DegreeChoice want = detail::searchDegree(ds, cost);
             const uint64_t want_digest = graphFingerprint(want.graph);
             for (const double cutoff :
                  {std::nextafter(want.makespanMs, inf),
                   2 * want.makespanMs}) {
                 const detail::DegreeChoice got =
-                    detail::searchDegree(cost, emit, cutoff);
+                    detail::searchDegree(ds, cost, cutoff);
                 EXPECT_EQ(got.r, want.r) << where;
                 EXPECT_TRUE(test::sameBits(got.makespanMs, want.makespanMs))
                     << where << ": " << got.makespanMs << " vs "
@@ -819,7 +801,7 @@ TEST(DegreeSearch, ACutoffAboveTheMinimumKeepsTheUnseededChoice)
 double
 ownTallyBound(const detail::DegreeSchedule &ds, const ModelCost &cost, int r)
 {
-    sim::TaskGraph tally = sim::TaskGraph::durationTally();
+    sim::DurationTally tally;
     ds.emit(tally, cost, r);
     return sim::Simulator::makespanLowerBound(tally);
 }
@@ -846,9 +828,8 @@ TEST(DegreeSearch, ACutoffAtEveryBoundSimulatesNothing)
         for (int r = 1; r <= cost.rMax; ++r)
             min_bound = std::min(min_bound, ownTallyBound(ds, cost, r));
         const uint64_t simulated0 = simulated.value();
-        const detail::DegreeChoice got = detail::searchDegree(
-            cost, [&](sim::TaskGraph &g, int r) { ds.emit(g, cost, r); },
-            min_bound);
+        const detail::DegreeChoice got =
+            detail::searchDegree(ds, cost, min_bound);
         EXPECT_EQ(simulated.value(), simulated0) << name;
         EXPECT_EQ(got.makespanMs, inf) << name;
         EXPECT_TRUE(got.graph.empty()) << name;
@@ -870,9 +851,10 @@ TEST(DegreeSearchDeathTest, RejectsANanCutoff)
 {
     const ModelCost cost = smallModel(sim::testbedB(), 1);
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_DEATH(detail::searchDegree(cost, replayingEmitter("tutel", cost),
-                                      nan),
-                 "makespan cutoff is NaN");
+    EXPECT_DEATH(
+        detail::searchDegree(asDegreeSchedule(*Schedule::create("tutel")),
+                             cost, nan),
+        "makespan cutoff is NaN");
     for (const char *spec : {"fsmoe", "tutel", "lina?degree=2"})
         EXPECT_DEATH(Schedule::create(spec)->makespanBelow(cost, nan),
                      "makespan cutoff is NaN")
@@ -894,7 +876,7 @@ TEST(PhaseTally, MatchesThePerTaskPhaseOnRandomLayers)
         std::uniform_int_distribution<int> coin(0, 1);
         std::uniform_int_distribution<int> degree(1, 64);
         std::uniform_real_distribution<double> gar(0.0, 10.0);
-        sim::TaskGraph tally = sim::TaskGraph::durationTally();
+        sim::DurationTally tally;
         sim::TaskGraph built;
         sim::TaskId last = -1;
         for (const LayerCost &lc : cost.layers) {
@@ -918,11 +900,11 @@ TEST(PhaseTally, MatchesThePerTaskPhaseOnRandomLayers)
                 ASSERT_EQ(id, last) << where;
                 ASSERT_EQ(tally_gar, built_gar) << where;
                 ASSERT_EQ(tally.size(), built.size()) << where;
-                ASSERT_EQ(tally.numStreams(), built.numStreams()) << where;
+                ASSERT_EQ(tally.lane(0).numStreams(), built.numStreams())
+                    << where;
             }
         }
-        EXPECT_TRUE(tally.tasks().empty());
-        sim::TaskGraph replayed = sim::TaskGraph::durationTally();
+        sim::DurationTally replayed;
         test::replayGraph(built, replayed);
         ASSERT_EQ(replayed.size(), tally.size());
         const double tol =
@@ -930,33 +912,80 @@ TEST(PhaseTally, MatchesThePerTaskPhaseOnRandomLayers)
         for (size_t li = 0; li < static_cast<size_t>(sim::Link::NumLinks);
              ++li) {
             const sim::Link link = static_cast<sim::Link>(li);
-            const double want = replayed.linkDurationSum(link);
-            EXPECT_LE(std::fabs(tally.linkDurationSum(link) - want),
+            const double want = replayed.lane(0).linkDurationSum(link);
+            EXPECT_LE(std::fabs(tally.lane(0).linkDurationSum(link) - want),
                       tol * want)
                 << "seed " << seed << " " << sim::linkName(link);
         }
     }
 }
 
+/**
+ * A degree schedule whose graph is one forward MoE phase of the model's
+ * first layer after task @p dep, which an empty graph does not have
+ * unless it is -1.
+ */
+class OnePhaseSchedule : public detail::DegreeSchedule
+{
+  public:
+    explicit OnePhaseSchedule(sim::TaskId dep) : DegreeSchedule(0), dep_(dep)
+    {
+    }
+
+    void emit(sim::TaskGraph &graph, const ModelCost &model,
+              int r) const override
+    {
+        emitInto(graph, model, r);
+    }
+
+    void emit(sim::DurationTally &tally, const ModelCost &model,
+              int r) const override
+    {
+        emitInto(tally, model, r);
+    }
+
+  private:
+    template <typename Sink>
+    void emitInto(Sink &sink, const ModelCost &model, int r) const
+    {
+        detail::appendMoePhase(sink, model.layers[0], model.models,
+                               Phase::Forward, r, {}, dep_);
+    }
+
+    sim::TaskId dep_;
+};
+
 TEST(PhaseTallyDeathTest, AnInvalidPhaseKeepsAddTasksMessages)
 {
-    LayerCost lc = smallModel(sim::testbedB(), 1).layers[0];
-    const PerfModelSet models = PerfModelSet::fromCluster(sim::testbedB());
-    const detail::PipelineBuildOptions opts;
-    EXPECT_DEATH(
-        {
-            sim::TaskGraph g = sim::TaskGraph::durationTally();
-            detail::appendMoePhase(g, lc, models, Phase::Forward, 4, opts, 7);
-        },
-        "task 'routing' depends on unknown task 7");
-    lc.fwd.order = -1.0;
-    EXPECT_DEATH(
-        {
-            sim::TaskGraph g = sim::TaskGraph::durationTally();
-            detail::appendMoePhase(g, lc, models, Phase::Forward, 4, opts,
-                                   -1);
-        },
-        "task 'order' has negative duration");
+    // Appended to a tally, a phase that TaskGraph::addTask rejects at
+    // every degree rejects every lane; a bound or search over it emits
+    // the least degree into a TaskGraph, which fails with addTask's
+    // message.
+    ModelCost cost = smallModel(sim::testbedB(), 1);
+    const auto every_lane_rejected = [&](sim::TaskId dep) {
+        sim::DurationTally tally(4);
+        detail::appendMoePhase(tally, cost.layers[0], cost.models,
+                               Phase::Forward, 4, {}, dep);
+        for (size_t i = 0; i < tally.numLanes(); ++i)
+            if (!tally.lane(i).rejected())
+                return false;
+        return true;
+    };
+    EXPECT_FALSE(every_lane_rejected(-1));
+    EXPECT_TRUE(every_lane_rejected(7));
+    const std::string unknown = "task 'routing' depends on unknown task 7";
+    EXPECT_DEATH(OnePhaseSchedule(7).makespanLowerBound(cost), unknown);
+    EXPECT_DEATH(detail::searchDegree(OnePhaseSchedule(7), cost), unknown);
+
+    cost.layers[0].fwd.order = -1.0;
+    EXPECT_TRUE(every_lane_rejected(-1));
+    const std::string negative = "task 'order' has negative duration";
+    EXPECT_DEATH(OnePhaseSchedule(-1).makespanLowerBound(cost), negative);
+    EXPECT_DEATH(detail::searchDegree(OnePhaseSchedule(-1), cost), negative);
+    for (const std::string &name : degreeSearchingSchedules())
+        EXPECT_DEATH(Schedule::create(name)->makespanLowerBound(cost),
+                     negative)
+            << name;
 }
 
 /**
@@ -995,7 +1024,7 @@ TEST(Schedules, EveryOwnTallyBoundIsBelowTheMakespan)
             if (dynamic_cast<const detail::DegreeSchedule *>(sched.get()))
                 continue;
             const sim::TaskGraph g = sched->build(cost);
-            sim::TaskGraph tally = sim::TaskGraph::durationTally();
+            sim::DurationTally tally;
             test::replayGraph(g, tally);
             EXPECT_LE(sim::Simulator::makespanLowerBound(tally),
                       sim::Simulator{}.run(g).makespan)
@@ -1181,23 +1210,23 @@ expectLanesAreOneLaneTallies(const ModelCost &cost, const std::string &spec,
     const auto sched = Schedule::create(spec);
     const detail::DegreeSchedule &ds = asDegreeSchedule(*sched);
     const size_t lanes = static_cast<size_t>(cost.rMax);
-    sim::TaskGraph walk = sim::TaskGraph::durationTally(lanes);
+    sim::DurationTally walk(lanes);
     ds.emit(walk, cost, 1);
     ASSERT_EQ(walk.numLanes(), lanes) << where;
     for (size_t i = 0; i < lanes; ++i) {
         const int r = static_cast<int>(i) + 1;
         const std::string what = where + " " + spec + " r " + std::to_string(r);
-        sim::TaskGraph one = sim::TaskGraph::durationTally();
+        sim::DurationTally one;
         ds.emit(one, cost, r);
-        const sim::TaskGraph::Lane &lane = walk.lane(i);
+        const sim::DurationTally::Lane &lane = walk.lane(i);
         EXPECT_FALSE(lane.rejected()) << what;
         EXPECT_EQ(lane.size(), one.size()) << what;
-        EXPECT_EQ(lane.numStreams(), one.numStreams()) << what;
+        EXPECT_EQ(lane.numStreams(), one.lane(0).numStreams()) << what;
         for (size_t li = 0; li < static_cast<size_t>(sim::Link::NumLinks);
              ++li) {
             const sim::Link link = static_cast<sim::Link>(li);
             EXPECT_TRUE(test::sameBits(lane.linkDurationSum(link),
-                                       one.linkDurationSum(link)))
+                                       one.lane(0).linkDurationSum(link)))
                 << what << " " << sim::linkName(link);
         }
         EXPECT_TRUE(
@@ -1248,6 +1277,58 @@ TEST(DegreeTally, EveryLaneIsTheOneLaneTallyOfItsDegree)
         if (::testing::Test::HasFailure())
             FAIL() << "first failure at seed " << seed;
     }
+}
+
+TEST(Schedules, DegreeBoundsKeepTheirBits)
+{
+    // Schedule::makespanLowerBound of Tutel, Tutel-Improved and Lina at
+    // 30, 1024 and 0.5 MB buckets, at degrees 0..16, on the eight demo
+    // configurations: 680 bounds in one digest, and in another every
+    // count of each degree-0 walk's 16 lanes. The lane tests compare a
+    // walk with one-lane tallies; this pins both against a change that
+    // moves every lane alike, such as one that reorders a lane's sums
+    // where the release bound hides them.
+    const std::vector<std::string> prefixes = {
+        "Tutel?", "Tutel-Improved?", "PipeMoE+Lina?chunkMB=30&",
+        "PipeMoE+Lina?chunkMB=1024&", "PipeMoE+Lina?chunkMB=0.5&"};
+    const std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    ASSERT_EQ(configs.size(), 8u);
+    audit::Fingerprint bounds_fp;
+    audit::Fingerprint lanes_fp;
+    size_t bounds = 0;
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        ASSERT_EQ(cost.rMax, 16) << key;
+        for (const std::string &prefix : prefixes) {
+            for (int r = 0; r <= 16; ++r) {
+                const std::string spec = prefix + "degree=" + std::to_string(r);
+                const double bound =
+                    Schedule::create(spec)->makespanLowerBound(cost);
+                EXPECT_GT(bound, 0.0) << key << " " << spec;
+                bounds_fp.mix(key).mix(spec).mix(bound);
+                ++bounds;
+            }
+            const auto sched = Schedule::create(prefix + "degree=0");
+            sim::DurationTally walk(16);
+            asDegreeSchedule(*sched).emit(walk, cost, 1);
+            for (size_t i = 0; i < 16; ++i) {
+                const sim::DurationTally::Lane &lane = walk.lane(i);
+                lanes_fp.mix(static_cast<uint64_t>(lane.size()))
+                    .mix(lane.numStreams())
+                    .mix(lane.releaseBound());
+                for (size_t li = 0;
+                     li < static_cast<size_t>(sim::Link::NumLinks); ++li)
+                    lanes_fp.mix(
+                        lane.linkDurationSum(static_cast<sim::Link>(li)));
+            }
+        }
+    }
+    ASSERT_EQ(bounds, 680u);
+    EXPECT_EQ(bounds_fp.digest(), 0x8b2ba02d6f4646ceull)
+        << std::hex << bounds_fp.digest();
+    EXPECT_EQ(lanes_fp.digest(), 0xa53ed0e9bb8d29bdull)
+        << std::hex << lanes_fp.digest();
 }
 
 TEST(DegreeTallyDeathTest, ALaneInvalidAtSomeDegreesRejectsTheLeastOne)

@@ -59,14 +59,10 @@ TEST(TaskGraph, DurationTallyMatchesEveryBuiltinSchedulesGraph)
             const TaskGraph built =
                 core::Schedule::create(name)->build(cost);
             // addTask folds a task into every lane of a tally alike.
-            TaskGraph tally = TaskGraph::durationTally(3);
-            tally.reserve(built.size(), built.numDeps());
+            DurationTally tally(3);
             test::replayGraph(built, tally);
             const std::string what = cluster.name + " " + name;
             EXPECT_EQ(tally.size(), built.size()) << what;
-            EXPECT_EQ(tally.numStreams(), built.numStreams()) << what;
-            EXPECT_TRUE(tally.tasks().empty()) << what;
-            EXPECT_EQ(tally.numDeps(), 0u) << what;
             // Both keep the id-order left fold of each link's tasks.
             std::array<double, static_cast<size_t>(Link::NumLinks)> fold{};
             for (const Task &t : built.tasks())
@@ -81,7 +77,8 @@ TEST(TaskGraph, DurationTallyMatchesEveryBuiltinSchedulesGraph)
                         tally.lane(lane).linkDurationSum(link), fold[li]))
                         << what << " " << linkName(link) << " lane " << lane;
             }
-            for (size_t lane = 1; lane < tally.numLanes(); ++lane) {
+            for (size_t lane = 0; lane < tally.numLanes(); ++lane) {
+                EXPECT_FALSE(tally.lane(lane).rejected()) << what;
                 EXPECT_EQ(tally.lane(lane).size(), built.size()) << what;
                 EXPECT_EQ(tally.lane(lane).numStreams(), built.numStreams())
                     << what;
@@ -95,37 +92,50 @@ TEST(TaskGraph, DurationTallyMatchesEveryBuiltinSchedulesGraph)
 
 TEST(TaskGraph, DurationTallyRejectsWhatAGraphRejects)
 {
-    for (bool tally_only : {false, true}) {
-        auto fresh = [tally_only] {
-            TaskGraph g = tally_only ? TaskGraph::durationTally()
-                                     : TaskGraph{};
-            g.addTask("a", OpType::Experts, Link::Compute, 0, 1.0);
-            return g;
-        };
-        EXPECT_DEATH(fresh().addTask("neg", OpType::Other, Link::Compute,
-                                     0, -1.0),
-                     "negative duration");
-        EXPECT_DEATH(fresh().addTask("fwd", OpType::Other, Link::Compute,
-                                     0, 1.0, {1}),
-                     "depends on unknown task 1");
-        EXPECT_DEATH(fresh().addTask("self", OpType::Other, Link::Compute,
-                                     0, 1.0, {-1}),
-                     "depends on unknown task -1");
-    }
-}
-
-TEST(TaskGraph, TallyTasksCountsLikeThatManyAddTasks)
-{
-    TaskGraph g = TaskGraph::durationTally();
-    EXPECT_EQ(g.tallyTasks("a", Link::InterNode, 3, 0.5, 4), 0);
-    EXPECT_EQ(g.tallyTasks("b", Link::InterNode, 1, 2.0, 0), 4);
-    EXPECT_EQ(g.tallyTasks("c", Link::Compute, 0, 1.0, 1), 4);
-    EXPECT_EQ(g.size(), 5u);
-    EXPECT_EQ(g.numStreams(), 4);
-    EXPECT_EQ(g.linkDurationSum(Link::InterNode), 2.0);
-    EXPECT_EQ(g.linkDurationSum(Link::Compute), 1.0);
-    EXPECT_EQ(g.linkDurationSum(Link::IntraNode), 0.0);
-    EXPECT_TRUE(g.tasks().empty());
+    // The graph fails with addTask's message; a tally never fails, and
+    // marks every lane rejected instead.
+    const auto fresh = [] {
+        TaskGraph g;
+        g.addTask("a", OpType::Experts, Link::Compute, 0, 1.0);
+        return g;
+    };
+    EXPECT_DEATH(fresh().addTask("neg", OpType::Other, Link::Compute, 0,
+                                 -1.0),
+                 "negative duration");
+    EXPECT_DEATH(fresh().addTask("fwd", OpType::Other, Link::Compute, 0,
+                                 1.0, {1}),
+                 "depends on unknown task 1");
+    EXPECT_DEATH(fresh().addTask("self", OpType::Other, Link::Compute, 0,
+                                 1.0, {-1}),
+                 "depends on unknown task -1");
+    const auto rejects = [](auto add) {
+        DurationTally tally(3);
+        tally.addTask("a", OpType::Experts, Link::Compute, 0, 1.0);
+        add(tally);
+        for (size_t lane = 0; lane < tally.numLanes(); ++lane)
+            if (!tally.lane(lane).rejected())
+                return false;
+        return true;
+    };
+    EXPECT_FALSE(rejects([](DurationTally &t) {
+        t.addTask("ok", OpType::Other, Link::Compute, 0, 1.0, {0});
+    }));
+    EXPECT_TRUE(rejects([](DurationTally &t) {
+        t.addTask("neg", OpType::Other, Link::Compute, 0, -1.0);
+    }));
+    EXPECT_TRUE(rejects([](DurationTally &t) {
+        t.addTask("nan", OpType::Other, Link::Compute, 0,
+                  std::numeric_limits<double>::quiet_NaN());
+    }));
+    EXPECT_TRUE(rejects([](DurationTally &t) {
+        t.addTask("s", OpType::Other, Link::Compute, -1, 1.0);
+    }));
+    EXPECT_TRUE(rejects([](DurationTally &t) {
+        t.addTask("fwd", OpType::Other, Link::Compute, 0, 1.0, {1});
+    }));
+    EXPECT_TRUE(rejects([](DurationTally &t) {
+        t.addTask("self", OpType::Other, Link::Compute, 0, 1.0, {-1});
+    }));
 }
 
 TEST(TaskGraph, ReleaseBoundCountsEachLinksWorkFromItsRelease)
@@ -138,11 +148,10 @@ TEST(TaskGraph, ReleaseBoundCountsEachLinksWorkFromItsRelease)
     const TaskId x = built.addTask("x", OpType::Other, Link::Compute, 1, 10.0);
     built.addTask("a", OpType::Other, Link::InterNode, 2, 1.0, {x});
     ASSERT_EQ(Simulator{}.run(built).makespan, 101.0);
-    EXPECT_EQ(built.lane(0).releaseBound(), 0.0);
 
     // In release order: a is released at x's finish, 10, and the link
     // still owes b's work before it, so the bound is 0 + 101.
-    TaskGraph tally = TaskGraph::durationTally();
+    DurationTally tally;
     test::replayGraph(built, tally);
     EXPECT_EQ(tally.lane(0).finish(2), 11.0);
     EXPECT_EQ(tally.lane(0).finish(x), 0.0); // no longer the last task
@@ -159,36 +168,16 @@ TEST(TaskGraph, ReleaseBoundCountsEachLinksWorkFromItsRelease)
     reordered.addTask("a", OpType::Other, Link::InterNode, 2, 1.0, {x2});
     reordered.addTask("b", OpType::Other, Link::InterNode, 0, 100.0);
     ASSERT_EQ(Simulator{}.run(reordered).makespan, 101.0);
-    TaskGraph late = TaskGraph::durationTally();
+    DurationTally late;
     test::replayGraph(reordered, late);
     EXPECT_EQ(late.lane(0).releaseBound(), 100.0);
 
     // A chain head's finish is known to the next task and the bound.
-    late.tallyLane(0).chain(1, 50.0);
+    late.lane(0).chain(1, 50.0);
     EXPECT_EQ(late.lane(0).finish(1), 50.0);
     EXPECT_EQ(late.lane(0).releaseBound(), 100.0);
-    late.tallyLane(0).chain(1, 150.0);
+    late.lane(0).chain(1, 150.0);
     EXPECT_EQ(late.lane(0).releaseBound(), 150.0);
-}
-
-TEST(TaskGraphDeathTest, TallyTasksChecksLikeAddTask)
-{
-    const auto fresh = [] {
-        TaskGraph g = TaskGraph::durationTally();
-        g.addTask("a", OpType::Experts, Link::Compute, 0, 1.0);
-        return g;
-    };
-    EXPECT_DEATH(fresh().tallyTasks("neg", Link::Compute, 0, -1.0, 4),
-                 "task 'neg' has negative duration");
-    EXPECT_DEATH(fresh().tallyTasks("nan", Link::Compute, 0,
-                                    std::numeric_limits<double>::quiet_NaN(),
-                                    4),
-                 "task 'nan' has negative duration");
-    EXPECT_DEATH(fresh().tallyTasks("s", Link::Compute, -1, 1.0, 4),
-                 "negative stream index");
-    TaskGraph built;
-    EXPECT_DEATH(built.tallyTasks("a", Link::Compute, 0, 1.0, 1),
-                 "tallyTasks needs a duration tally");
 }
 
 TEST(Simulator, CutRunsCountTheWorkTheyDid)

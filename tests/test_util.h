@@ -74,12 +74,13 @@ sameBits(double a, double b)
 }
 
 /**
- * Append every task of @p src to @p dst with the same addTask calls a
- * builder made, e.g. to feed a built graph to a
- * sim::TaskGraph::durationTally().
+ * Append every task of @p src to @p dst, either task sink, with the
+ * same addTask calls a builder made, e.g. to feed a built graph to a
+ * sim::DurationTally.
  */
-inline void
-replayGraph(const sim::TaskGraph &src, sim::TaskGraph &dst)
+template <typename Sink>
+void
+replayGraph(const sim::TaskGraph &src, Sink &dst)
 {
     std::vector<sim::TaskId> deps;
     for (const sim::Task &t : src.tasks()) {
