@@ -11,6 +11,7 @@
  */
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -20,7 +21,9 @@
 #include "core/gate.h"
 #include "core/grad_partition.h"
 #include "core/pipeline_solver.h"
+#include "core/schedules/param_space.h"
 #include "core/schedules/schedule.h"
+#include "core/schedules/schedule_registry.h"
 #include "dist/communicator.h"
 #include "model/models.h"
 #include "runtime/scenario.h"
@@ -360,6 +363,43 @@ BENCHMARK(BM_LinaProbe)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * One tuner probe's schedule construction: PipeMoE+Lina at a DE point
+ * with a full 17-digit chunkMB (rMax 16). typed:0 builds it from its
+ * canonical spec text (parse the name and values, check them, run the
+ * factory: what Schedule::create does); typed:1 decodes the box point
+ * into a ScheduleParams bag and builds from that, as every tuner
+ * candidate is built. Both give the same spec(); the row errors if not.
+ */
+void
+BM_CreateSchedule(benchmark::State &state)
+{
+    const core::ScheduleRegistry &registry =
+        core::ScheduleRegistry::instance();
+    core::ScheduleInfo info;
+    registry.info("lina", &info);
+    const core::ParamSpace space = core::deriveParamSpace(info, 16);
+    const std::vector<double> x = {47.123456789012345, 3.2};
+    std::string error;
+    const std::string spec =
+        registry.tryCreate(space.schedule, core::paramsFromPoint(space, x),
+                           &error)
+            ->spec();
+    for (auto _ : state) {
+        std::unique_ptr<core::Schedule> schedule =
+            state.range(0) == 0
+                ? registry.tryCreate(spec, &error)
+                : registry.tryCreate(space.schedule,
+                                     core::paramsFromPoint(space, x), &error);
+        if (schedule == nullptr || schedule->spec() != spec) {
+            state.SkipWithError("the two paths built different schedules");
+            break;
+        }
+        benchmark::DoNotOptimize(schedule);
+    }
+}
+BENCHMARK(BM_CreateSchedule)->ArgName("typed")->Arg(0)->Arg(1);
 
 /**
  * One cold tuner query on a fresh Tuner, so no advisor-cache answer

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 
 #include "base/logging.h"
 
@@ -24,16 +23,6 @@ isDegreeKey(const std::string &key)
     return true;
 }
 
-/** Bit-exact canonical text of a Double axis value (matches the
- * registry's canonicalValue serialization). */
-std::string
-doubleText(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
 } // namespace
 
 bool
@@ -51,7 +40,7 @@ ParamSpace::gridSize() const
     size_t n = 1;
     for (const ParamAxis &a : axes)
         if (!a.continuous())
-            n *= a.gridValues.size();
+            n *= a.gridPoints;
     return n;
 }
 
@@ -73,7 +62,7 @@ deriveParamSpace(const ScheduleInfo &info, int degree_cap,
           case ScheduleParamType::Bool:
             axis.lo = 0.0;
             axis.hi = 1.0;
-            axis.gridValues = {"false", "true"};
+            axis.gridPoints = 2;
             break;
           case ScheduleParamType::Int: {
             int64_t lo = static_cast<int64_t>(std::ceil(p.minValue));
@@ -86,8 +75,7 @@ deriveParamSpace(const ScheduleInfo &info, int degree_cap,
             axis.hi = static_cast<double>(hi);
             const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
             if (span <= max_grid_per_axis)
-                for (int64_t v = lo; v <= hi; ++v)
-                    axis.gridValues.push_back(std::to_string(v));
+                axis.gridPoints = static_cast<size_t>(span);
             break;
           }
           case ScheduleParamType::Double:
@@ -104,69 +92,57 @@ deriveParamSpace(const ScheduleInfo &info, int degree_cap,
     return space;
 }
 
-std::vector<std::string>
-enumerateGridSpecs(const ParamSpace &space, size_t max_specs)
+std::vector<ScheduleParams>
+enumerateGridParams(const ParamSpace &space, size_t max_count)
 {
-    std::vector<std::string> specs;
-    if (space.axes.empty()) {
-        if (max_specs > 0)
-            specs.push_back(space.schedule);
-        return specs;
-    }
     for (const ParamAxis &a : space.axes)
-        FSMOE_CHECK_ARG(!a.continuous(), "enumerateGridSpecs: axis '",
+        FSMOE_CHECK_ARG(!a.continuous(), "enumerateGridParams: axis '",
                         a.key, "' of schedule '", space.schedule,
                         "' is continuous");
-    // Odometer over the axes, first axis slowest.
+    std::vector<ScheduleParams> bags;
+    // Odometer over the axes' grid points, first axis slowest.
+    std::vector<double> x(space.axes.size());
     std::vector<size_t> idx(space.axes.size(), 0);
-    while (specs.size() < max_specs) {
-        std::string spec = space.schedule;
-        for (size_t i = 0; i < space.axes.size(); ++i) {
-            spec += i == 0 ? '?' : '&';
-            spec += space.axes[i].key;
-            spec += '=';
-            spec += space.axes[i].gridValues[idx[i]];
-        }
-        specs.push_back(std::move(spec));
-        size_t i = space.axes.size();
-        while (i > 0) {
+    while (bags.size() < max_count) {
+        for (size_t i = 0; i < x.size(); ++i)
+            x[i] = space.axes[i].lo + static_cast<double>(idx[i]);
+        bags.push_back(paramsFromPoint(space, x));
+        size_t i = idx.size();
+        for (;;) {
+            if (i == 0)
+                return bags; // odometer wrapped: enumeration complete
             --i;
-            if (++idx[i] < space.axes[i].gridValues.size())
+            if (++idx[i] < space.axes[i].gridPoints)
                 break;
             idx[i] = 0;
-            if (i == 0)
-                return specs; // odometer wrapped: enumeration complete
         }
     }
-    return specs;
+    return bags;
 }
 
-std::string
-specFromPoint(const ParamSpace &space, const std::vector<double> &x)
+ScheduleParams
+paramsFromPoint(const ParamSpace &space, const std::vector<double> &x)
 {
     FSMOE_CHECK_ARG(x.size() == space.axes.size(),
-                    "specFromPoint: point has ", x.size(),
+                    "paramsFromPoint: point has ", x.size(),
                     " coordinates for ", space.axes.size(), " axes");
-    std::string spec = space.schedule;
+    ScheduleParams params;
     for (size_t i = 0; i < space.axes.size(); ++i) {
         const ParamAxis &a = space.axes[i];
         const double v = std::min(a.hi, std::max(a.lo, x[i]));
-        spec += i == 0 ? '?' : '&';
-        spec += a.key;
-        spec += '=';
         switch (a.type) {
           case ScheduleParamType::Int:
-            spec += std::to_string(static_cast<int64_t>(std::llround(v)));
+            params.setInt(a.key, std::llround(v));
             break;
           case ScheduleParamType::Bool:
-            spec += v >= 0.5 ? "true" : "false";
+            params.setBool(a.key, v >= 0.5);
             break;
-          default:
-            spec += doubleText(v);
+          case ScheduleParamType::Double:
+            params.setDouble(a.key, v);
             break;
         }
     }
-    return spec;
+    return params;
 }
 
 } // namespace fsmoe::core

@@ -7,10 +7,12 @@
  * (since the tuner landed) whether an optimiser may search over it.
  * This header turns that declaration into something a search loop can
  * consume — a ParamSpace of axes, each either *enumerable* (a small
- * grid of canonical value texts) or *continuous* (a [lo, hi] interval
- * for the differential-evolution fallback) — plus the two mappings a
- * search needs: grid enumeration to spec strings, and box-point to
- * spec string.
+ * grid of integer values) or *continuous* (a [lo, hi] interval for the
+ * differential-evolution fallback) — plus the two mappings a search
+ * needs: grid enumeration and box point, each to a typed
+ * ScheduleParams bag that ScheduleRegistry::tryCreate(space.schedule,
+ * params, error) turns into a schedule without formatting or parsing
+ * any spec text.
  *
  * Only parameters that are tunable AND carry finite bounds become
  * axes; everything else stays at its default (the bare schedule name
@@ -20,8 +22,8 @@
  *
  * Determinism: derivation and enumeration depend only on the declared
  * metadata and the arguments — no hashing, no randomness — so the
- * same registry yields the same candidate specs in the same order in
- * every process. All functions are pure; everything here is
+ * same registry yields the same candidates in the same order in every
+ * process. All functions are pure; everything here is
  * thread-safe by construction.
  */
 #ifndef FSMOE_CORE_SCHEDULES_PARAM_SPACE_H
@@ -42,11 +44,12 @@ struct ParamAxis
     ScheduleParamType type = ScheduleParamType::Int;
     double lo = 0.0; ///< Inclusive lower bound (Bool: 0).
     double hi = 0.0; ///< Inclusive upper bound (Bool: 1).
-    /// Canonical value texts to enumerate; empty marks the axis
-    /// continuous (searched by DE over [lo, hi] instead).
-    std::vector<std::string> gridValues;
+    /// Number of grid values to enumerate, lo, lo + 1, ..., hi (Bool:
+    /// false, true); 0 marks the axis continuous (searched by DE over
+    /// [lo, hi] instead).
+    size_t gridPoints = 0;
 
-    bool continuous() const { return gridValues.empty(); }
+    bool continuous() const { return gridPoints == 0; }
 };
 
 /** A schedule's derived search space (axes in declared order). */
@@ -59,7 +62,7 @@ struct ParamSpace
     bool continuous() const;
 
     /**
-     * Number of specs a full grid enumeration would produce (product
+     * Number of bags a full grid enumeration would produce (product
      * of axis grid sizes; 1 for an empty space). Continuous axes
      * count as 1 — call continuous() first to pick the search mode.
      */
@@ -79,26 +82,29 @@ ParamSpace deriveParamSpace(const ScheduleInfo &info, int degree_cap,
 
 /**
  * Cartesian-product enumeration of a fully-enumerable space into
- * canonical spec strings ("Tutel?degree=4"), first axis slowest, grid
- * values in derivation order. An empty space yields just the bare
- * schedule name. Returns at most @p max_specs entries (the caller
- * should have checked gridSize(); the cap is a safety stop, and
- * truncation keeps a deterministic prefix). Continuous axes are a
- * programming error (fatal).
+ * parameter bags, first axis slowest, each axis's values ascending;
+ * bag i builds the schedule whose canonical spec is the i-th grid spec
+ * ("Tutel?degree=4"). An empty space yields one empty bag (the bare
+ * schedule name). Returns at most @p max_count bags (the caller should
+ * have checked gridSize(); the cap is a safety stop, and truncation
+ * keeps a deterministic prefix). Continuous axes are a programming
+ * error (fatal).
  */
-std::vector<std::string> enumerateGridSpecs(const ParamSpace &space,
-                                            size_t max_specs);
+std::vector<ScheduleParams> enumerateGridParams(const ParamSpace &space,
+                                                size_t max_count);
 
 /**
  * Map a point of the space's box — one coordinate per axis, in axis
- * order — to a canonical spec string. Coordinates are clamped into
- * [lo, hi]; Int axes round to nearest, Bool axes threshold at 0.5,
- * Double axes keep the exact IEEE value (serialized bit-exactly).
- * This is the DE-candidate decoder: nearby points may decode to the
- * same spec, which is fine — the sweep cache absorbs duplicates.
+ * order — to a parameter bag. Coordinates are clamped into [lo, hi];
+ * Int axes round to nearest (llround), Bool axes threshold at 0.5,
+ * Double axes keep the exact IEEE value (the canonical spec prints it
+ * bit-exactly). This is the DE-candidate decoder: nearby points may
+ * decode to the same parameters, which is fine — the tuner keys what
+ * it has priced by Schedule::graphKey, so a revisit is not priced
+ * again.
  */
-std::string specFromPoint(const ParamSpace &space,
-                          const std::vector<double> &x);
+ScheduleParams paramsFromPoint(const ParamSpace &space,
+                               const std::vector<double> &x);
 
 } // namespace fsmoe::core
 

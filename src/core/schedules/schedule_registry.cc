@@ -3,7 +3,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
+#include "base/json.h"
 #include "base/logging.h"
 #include "base/number.h"
 #include "core/schedules/builtins.h"
@@ -58,21 +60,18 @@ parseBoolValue(const std::string &text, bool *out)
 }
 
 /**
- * Parse @p raw per @p param and re-serialize it canonically
- * ("04" -> "4", "Yes" -> "true", "60.0" -> "60"), so equal values
- * always produce equal spec strings. Returns false on a value that
- * does not parse as the declared type or violates the bound.
+ * Parse @p raw as @p type into @p bag under @p key. Only the grammar
+ * is checked here ("04" -> 4, "Yes" -> true, "60.0" -> 60); the bounds,
+ * the 32-bit Int range and finiteness are validate()'s. Returns false
+ * with *why set on text that does not parse as the type.
  */
 bool
-canonicalValue(const ScheduleParamInfo &param, const std::string &raw,
-               std::string *out, std::string *why)
+parseValue(ScheduleParamType type, const std::string &key,
+           const std::string &raw, ScheduleParams *bag, std::string *why)
 {
-    switch (param.type) {
+    switch (type) {
       case ScheduleParamType::Int: {
-        // Factories consume Int params as 32-bit ints; a wider value
-        // would silently wrap into a different configuration than the
-        // canonical spec claims, so it is out of range here.
-        int v;
+        int64_t v;
         const NumberParse parsed = parseNumber(raw, &v);
         if (!parsed) {
             *why = parsed.outOfRange()
@@ -80,17 +79,7 @@ canonicalValue(const ScheduleParamInfo &param, const std::string &raw,
                        : "expected an integer";
             return false;
         }
-        if (static_cast<double>(v) < param.minValue) {
-            *why = "must be >= " + std::to_string(
-                       static_cast<int64_t>(param.minValue));
-            return false;
-        }
-        if (static_cast<double>(v) > param.maxValue) {
-            *why = "must be <= " + std::to_string(
-                       static_cast<int64_t>(param.maxValue));
-            return false;
-        }
-        *out = std::to_string(v);
+        bag->setInt(key, v);
         return true;
       }
       case ScheduleParamType::Double: {
@@ -99,28 +88,7 @@ canonicalValue(const ScheduleParamInfo &param, const std::string &raw,
             *why = "expected a number";
             return false;
         }
-        // NaN compares false against any bound, and an infinite knob
-        // is never a meaningful configuration: require finiteness
-        // before the bound check.
-        if (!std::isfinite(v)) {
-            *why = "expected a finite number";
-            return false;
-        }
-        if (v < param.minValue) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%g", param.minValue);
-            *why = std::string("must be >= ") + buf;
-            return false;
-        }
-        if (v > param.maxValue) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%g", param.maxValue);
-            *why = std::string("must be <= ") + buf;
-            return false;
-        }
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        *out = buf;
+        bag->setDouble(key, v);
         return true;
       }
       case ScheduleParamType::Bool: {
@@ -129,7 +97,7 @@ canonicalValue(const ScheduleParamInfo &param, const std::string &raw,
             *why = "expected true/false";
             return false;
         }
-        *out = v ? "true" : "false";
+        bag->setBool(key, v);
         return true;
       }
     }
@@ -144,6 +112,36 @@ joinNames(const std::vector<std::string> &names)
     for (const std::string &n : names)
         out += (out.empty() ? "" : ", ") + n;
     return out;
+}
+
+/** Index of the declared parameter whose normalized key is @p norm,
+ *  or keys.size() when none is. */
+size_t
+declIndex(const std::vector<std::string> &keys, const std::string &norm)
+{
+    size_t j = 0;
+    while (j < keys.size() && keys[j] != norm)
+        ++j;
+    return j;
+}
+
+std::string
+noParamError(const ScheduleInfo &info, const std::string &key)
+{
+    std::vector<std::string> declared;
+    for (const ScheduleParamInfo &p : info.params)
+        declared.push_back(p.key);
+    return "schedule '" + info.name + "' has no parameter '" + key + "'" +
+           (declared.empty() ? std::string(" (it declares none)")
+                             : "; declared: " + joinNames(declared));
+}
+
+std::string
+badValueError(const std::string &text, const std::string &key,
+              const std::string &schedule, const std::string &why)
+{
+    return "bad value '" + text + "' for parameter '" + key +
+           "' of schedule '" + schedule + "': " + why;
 }
 
 } // namespace
@@ -161,56 +159,98 @@ scheduleParamTypeName(ScheduleParamType type)
 
 // ------------------------------------------------------ ScheduleParams
 
-const std::string *
-ScheduleParams::findValue(const std::string &key) const
+const ScheduleParams::Value *
+ScheduleParams::find(const std::string &key) const
 {
     const std::string norm = normalizeName(key);
-    for (const auto &kv : values_)
-        if (kv.first == norm)
-            return &kv.second;
+    for (const Value &v : values_)
+        if (v.given && v.norm == norm)
+            return &v;
     return nullptr;
+}
+
+ScheduleParams::Value &
+ScheduleParams::slot(const std::string &key, ScheduleParamType type)
+{
+    std::string norm = normalizeName(key);
+    Value *v = nullptr;
+    for (Value &existing : values_) {
+        if (existing.norm == norm) {
+            v = &existing;
+            break;
+        }
+    }
+    if (v == nullptr) {
+        v = &values_.emplace_back();
+        v->norm = std::move(norm);
+    }
+    v->key = key;
+    v->type = type;
+    v->given = true;
+    return *v;
+}
+
+ScheduleParams &
+ScheduleParams::setInt(const std::string &key, int64_t value)
+{
+    slot(key, ScheduleParamType::Int).intValue = value;
+    return *this;
+}
+
+ScheduleParams &
+ScheduleParams::setDouble(const std::string &key, double value)
+{
+    slot(key, ScheduleParamType::Double).doubleValue = value;
+    return *this;
+}
+
+ScheduleParams &
+ScheduleParams::setBool(const std::string &key, bool value)
+{
+    slot(key, ScheduleParamType::Bool).boolValue = value;
+    return *this;
 }
 
 bool
 ScheduleParams::has(const std::string &key) const
 {
-    return findValue(key) != nullptr;
+    return find(key) != nullptr;
 }
 
 int64_t
 ScheduleParams::getInt(const std::string &key, int64_t fallback) const
 {
-    const std::string *v = findValue(key);
+    const Value *v = find(key);
     if (v == nullptr)
         return fallback;
-    int64_t out = 0;
-    FSMOE_ASSERT(parseNumber(*v, &out), "validated int param '", key,
-                 "' no longer parses: '", *v, "'");
-    return out;
+    FSMOE_ASSERT(v->type == ScheduleParamType::Int, "param '", key,
+                 "' is a ", scheduleParamTypeName(v->type), ", not an int");
+    return v->intValue;
 }
 
 double
 ScheduleParams::getDouble(const std::string &key, double fallback) const
 {
-    const std::string *v = findValue(key);
+    const Value *v = find(key);
     if (v == nullptr)
         return fallback;
-    double out = 0.0;
-    FSMOE_ASSERT(parseNumber(*v, &out), "validated double param '",
-                 key, "' no longer parses: '", *v, "'");
-    return out;
+    if (v->type == ScheduleParamType::Int)
+        return static_cast<double>(v->intValue);
+    FSMOE_ASSERT(v->type == ScheduleParamType::Double, "param '", key,
+                 "' is a ", scheduleParamTypeName(v->type),
+                 ", not a number");
+    return v->doubleValue;
 }
 
 bool
 ScheduleParams::getBool(const std::string &key, bool fallback) const
 {
-    const std::string *v = findValue(key);
+    const Value *v = find(key);
     if (v == nullptr)
         return fallback;
-    bool out = false;
-    FSMOE_ASSERT(parseBoolValue(*v, &out), "validated bool param '", key,
-                 "' no longer parses: '", *v, "'");
-    return out;
+    FSMOE_ASSERT(v->type == ScheduleParamType::Bool, "param '", key,
+                 "' is a ", scheduleParamTypeName(v->type), ", not a bool");
+    return v->boolValue;
 }
 
 // -------------------------------------------------------- ScheduleSpec
@@ -288,47 +328,53 @@ ScheduleRegistry::registerSchedule(ScheduleInfo info, Factory factory)
         return false;
     }
     // Validate the declared params before touching the registry.
-    std::vector<std::string> param_keys;
+    auto entry = std::make_shared<Entry>();
     for (const ScheduleParamInfo &p : info.params) {
-        const std::string norm = normalizeName(p.key);
+        std::string norm = normalizeName(p.key);
         if (norm.empty()) {
             FSMOE_WARN("schedule '", info.name,
                        "': declared parameter with an empty key");
             return false;
         }
-        for (const std::string &seen : param_keys) {
-            if (seen == norm) {
-                FSMOE_WARN("schedule '", info.name,
-                           "': duplicate declared parameter '", p.key, "'");
-                return false;
-            }
+        if (declIndex(entry->paramKeys, norm) < entry->paramKeys.size()) {
+            FSMOE_WARN("schedule '", info.name,
+                       "': duplicate declared parameter '", p.key, "'");
+            return false;
         }
-        param_keys.push_back(norm);
+        entry->paramKeys.push_back(std::move(norm));
         if (p.minValue > p.maxValue) {
             FSMOE_WARN("schedule '", info.name, "': parameter '", p.key,
                        "' declares minValue > maxValue");
             return false;
         }
-        if (!p.defaultValue.empty()) {
-            std::string canon, why;
-            if (!canonicalValue(p, p.defaultValue, &canon, &why)) {
-                FSMOE_WARN("schedule '", info.name, "': default '",
-                           p.defaultValue, "' for parameter '", p.key,
-                           "' ", why);
-                return false;
-            }
-        }
+    }
+    entry->info = std::move(info);
+    entry->factory = std::move(factory);
+    for (const ScheduleParamInfo &p : entry->info.params) {
+        if (p.defaultValue.empty())
+            continue;
+        ScheduleParams bag;
+        const std::vector<std::string> spelled = {p.defaultValue};
+        std::string why;
+        if (parseValue(p.type, p.key, p.defaultValue, &bag, &why) &&
+            validate(*entry, bag, &spelled, nullptr, nullptr, &why))
+            continue;
+        FSMOE_WARN("schedule '", entry->info.name, "': default '",
+                   p.defaultValue, "' for parameter '", p.key,
+                   "' rejected: ", why);
+        return false;
     }
 
+    const ScheduleInfo &added = entry->info;
     std::lock_guard<std::mutex> lock(mu_);
     // Collect the normalized keys this plugin claims; an alias that
     // normalizes to the same key as the name (e.g. "dsmoe" for
     // "DS-MoE") is redundant, not an error, so deduplicate.
-    std::vector<std::string> keys = {normalizeName(info.name)};
-    for (const std::string &alias : info.aliases) {
+    std::vector<std::string> keys = {normalizeName(added.name)};
+    for (const std::string &alias : added.aliases) {
         const std::string norm = normalizeName(alias);
         if (norm.empty()) {
-            FSMOE_WARN("schedule '", info.name, "': empty alias");
+            FSMOE_WARN("schedule '", added.name, "': empty alias");
             return false;
         }
         bool duplicate = false;
@@ -340,14 +386,14 @@ ScheduleRegistry::registerSchedule(ScheduleInfo info, Factory factory)
     for (const std::string &key : keys) {
         auto it = index_.find(key);
         if (it != index_.end()) {
-            FSMOE_WARN("schedule '", info.name, "' collides with '",
-                       entries_[it->second].info.name, "' on name '", key,
+            FSMOE_WARN("schedule '", added.name, "' collides with '",
+                       entries_[it->second]->info.name, "' on name '", key,
                        "'");
             return false;
         }
     }
     const size_t idx = entries_.size();
-    entries_.push_back({std::move(info), std::move(factory)});
+    entries_.push_back(std::move(entry));
     for (const std::string &key : keys)
         index_.emplace(key, idx);
     return true;
@@ -356,8 +402,9 @@ ScheduleRegistry::registerSchedule(ScheduleInfo info, Factory factory)
 bool
 ScheduleRegistry::has(const std::string &name) const
 {
+    const std::string norm = normalizeName(name);
     std::lock_guard<std::mutex> lock(mu_);
-    return index_.count(normalizeName(name)) > 0;
+    return index_.count(norm) > 0;
 }
 
 std::vector<ScheduleInfo>
@@ -366,8 +413,8 @@ ScheduleRegistry::list() const
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<ScheduleInfo> out;
     out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.info);
+    for (const auto &e : entries_)
+        out.push_back(e->info);
     return out;
 }
 
@@ -377,129 +424,205 @@ ScheduleRegistry::names() const
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> out;
     out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.info.name);
+    for (const auto &e : entries_)
+        out.push_back(e->info.name);
     return out;
 }
 
 bool
 ScheduleRegistry::info(const std::string &name, ScheduleInfo *info) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(normalizeName(name));
-    if (it == index_.end())
+    const std::shared_ptr<const Entry> entry = find(name, nullptr);
+    if (entry == nullptr)
         return false;
     if (info)
-        *info = entries_[it->second].info;
+        *info = entry->info;
+    return true;
+}
+
+std::shared_ptr<const ScheduleRegistry::Entry>
+ScheduleRegistry::find(const std::string &name, std::string *error) const
+{
+    const std::string norm = normalizeName(name);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(norm);
+    if (it != index_.end())
+        return entries_[it->second];
+    if (error) {
+        std::vector<std::string> known;
+        known.reserve(entries_.size());
+        for (const auto &e : entries_)
+            known.push_back(e->info.name);
+        *error = "unknown schedule '" + name + "'; known: " +
+                 joinNames(known);
+    }
+    return nullptr;
+}
+
+bool
+ScheduleRegistry::parseParams(const Entry &entry, const ScheduleSpec &spec,
+                              ScheduleParams *given,
+                              std::vector<std::string> *spelled,
+                              std::string *error)
+{
+    for (const auto &kv : spec.params) {
+        const size_t j =
+            declIndex(entry.paramKeys, normalizeName(kv.first));
+        if (j == entry.paramKeys.size()) {
+            if (error)
+                *error = noParamError(entry.info, kv.first);
+            return false;
+        }
+        const ScheduleParamInfo &decl = entry.info.params[j];
+        if (given->has(decl.key)) {
+            if (error)
+                *error = "duplicate parameter '" + decl.key + "' in spec";
+            return false;
+        }
+        std::string why;
+        if (!parseValue(decl.type, kv.first, kv.second, given, &why)) {
+            if (error)
+                *error = badValueError(kv.second, decl.key, entry.info.name,
+                                       why);
+            return false;
+        }
+        spelled->push_back(kv.second);
+    }
     return true;
 }
 
 bool
-ScheduleRegistry::validate(const ScheduleSpec &spec, Entry *entry,
-                           ScheduleParams *params, std::string *canonical,
-                           std::string *error) const
+ScheduleRegistry::validate(const Entry &entry, const ScheduleParams &given,
+                           const std::vector<std::string> *spelled,
+                           ScheduleParams *validated, std::string *canonical,
+                           std::string *error)
 {
-    // Copy the entry out under the lock (entries_ may reallocate as
-    // other threads register), then validate outside it so factories
-    // and parameter checks never hold the registry mutex.
-    Entry snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = index_.find(normalizeName(spec.name));
-        if (it == index_.end()) {
-            if (error) {
-                std::vector<std::string> known;
-                known.reserve(entries_.size());
-                for (const Entry &e : entries_)
-                    known.push_back(e.info.name);
-                *error = "unknown schedule '" + spec.name +
-                         "'; known: " + joinNames(known);
-            }
-            return false;
+    using Value = ScheduleParams::Value;
+    const ScheduleInfo &info = entry.info;
+    // The canonical text of a value: what a spec prints and re-parses.
+    const auto text = [](const Value &v) -> std::string {
+        switch (v.type) {
+          case ScheduleParamType::Int:
+            return std::to_string(v.intValue);
+          case ScheduleParamType::Double:
+            return json::fmtDouble(v.doubleValue);
+          case ScheduleParamType::Bool:
+            return v.boolValue ? "true" : "false";
         }
-        snapshot = entries_[it->second];
-    }
-    const ScheduleInfo &info = snapshot.info;
+        return "?";
+    };
+    // Why @p v cannot be @p decl's value (empty when it can); an Int
+    // given for a Double is converted to one.
+    const auto check = [](const ScheduleParamInfo &decl,
+                          Value &v) -> std::string {
+        switch (decl.type) {
+          case ScheduleParamType::Int:
+            if (v.type != ScheduleParamType::Int)
+                return "expected an integer";
+            // Factories consume Int params as 32-bit ints; a wider
+            // value would silently wrap into a different configuration
+            // than the canonical spec claims, so it is out of range.
+            if (v.intValue < std::numeric_limits<int>::min() ||
+                v.intValue > std::numeric_limits<int>::max())
+                return "out of range (must fit a 32-bit int)";
+            if (static_cast<double>(v.intValue) < decl.minValue)
+                return "must be >= " +
+                       std::to_string(static_cast<int64_t>(decl.minValue));
+            if (static_cast<double>(v.intValue) > decl.maxValue)
+                return "must be <= " +
+                       std::to_string(static_cast<int64_t>(decl.maxValue));
+            return "";
+          case ScheduleParamType::Double: {
+            if (v.type == ScheduleParamType::Int) {
+                v.type = ScheduleParamType::Double;
+                v.doubleValue = static_cast<double>(v.intValue);
+            }
+            if (v.type != ScheduleParamType::Double)
+                return "expected a number";
+            // NaN compares false against any bound, and an infinite
+            // knob is never a meaningful configuration: require
+            // finiteness before the bound check.
+            if (!std::isfinite(v.doubleValue))
+                return "expected a finite number";
+            char buf[32];
+            if (v.doubleValue < decl.minValue) {
+                std::snprintf(buf, sizeof buf, "%g", decl.minValue);
+                return std::string("must be >= ") + buf;
+            }
+            if (v.doubleValue > decl.maxValue) {
+                std::snprintf(buf, sizeof buf, "%g", decl.maxValue);
+                return std::string("must be <= ") + buf;
+            }
+            return "";
+          }
+          case ScheduleParamType::Bool:
+            return v.type == ScheduleParamType::Bool ? ""
+                                                     : "expected true/false";
+        }
+        return "unknown parameter type";
+    };
 
-    // Validate every given parameter against the declaration, keeping
-    // canonical values keyed by normalized key.
-    std::vector<std::pair<std::string, std::string>> given; // norm -> canon
-    for (const auto &kv : spec.params) {
-        const std::string norm = normalizeName(kv.first);
-        const ScheduleParamInfo *decl = nullptr;
-        for (const ScheduleParamInfo &p : info.params) {
-            if (normalizeName(p.key) == norm) {
-                decl = &p;
-                break;
-            }
-        }
-        if (decl == nullptr) {
-            if (error) {
-                std::vector<std::string> declared;
-                for (const ScheduleParamInfo &p : info.params)
-                    declared.push_back(p.key);
-                *error = "schedule '" + info.name + "' has no parameter '" +
-                         kv.first + "'" +
-                         (declared.empty()
-                              ? std::string(" (it declares none)")
-                              : "; declared: " + joinNames(declared));
-            }
-            return false;
-        }
-        for (const auto &seen : given) {
-            if (seen.first == norm) {
-                if (error)
-                    *error = "duplicate parameter '" + decl->key +
-                             "' in spec";
-                return false;
-            }
-        }
-        std::string canon, why;
-        if (!canonicalValue(*decl, kv.second, &canon, &why)) {
+    // One slot per declared parameter, in declared order.
+    std::vector<Value> slots(info.params.size());
+    for (size_t j = 0; j < slots.size(); ++j) {
+        slots[j].key = info.params[j].key;
+        slots[j].norm = entry.paramKeys[j];
+        slots[j].type = info.params[j].type;
+    }
+    for (size_t g = 0; g < given.values_.size(); ++g) {
+        const Value &v = given.values_[g];
+        if (!v.given)
+            continue;
+        const size_t j = declIndex(entry.paramKeys, v.norm);
+        if (j == slots.size()) {
             if (error)
-                *error = "bad value '" + kv.second + "' for parameter '" +
-                         decl->key + "' of schedule '" + info.name + "': " +
-                         why;
+                *error = noParamError(info, v.key);
             return false;
         }
-        given.emplace_back(norm, std::move(canon));
+        Value &slot = slots[j];
+        slot.given = true;
+        slot.type = v.type;
+        slot.intValue = v.intValue;
+        slot.doubleValue = v.doubleValue;
+        slot.boolValue = v.boolValue;
+        const std::string why = check(info.params[j], slot);
+        if (!why.empty()) {
+            if (error)
+                *error = badValueError(spelled ? (*spelled)[g] : text(v),
+                                       info.params[j].key, info.name, why);
+            return false;
+        }
     }
 
     // Canonical spec: canonical name, then the given params in
     // declared order with canonical key spelling and values.
     if (canonical) {
+        canonical->reserve(info.name.size() + 32 * given.values_.size());
         *canonical = info.name;
-        bool first = true;
-        for (const ScheduleParamInfo &p : info.params) {
-            const std::string norm = normalizeName(p.key);
-            for (const auto &kv : given) {
-                if (kv.first == norm) {
-                    *canonical += (first ? "?" : "&") + p.key + "=" +
-                                  kv.second;
-                    first = false;
-                    break;
-                }
-            }
+        char sep = '?';
+        for (const Value &v : slots) {
+            if (!v.given)
+                continue;
+            *canonical += sep;
+            *canonical += v.key;
+            *canonical += '=';
+            *canonical += text(v);
+            sep = '&';
         }
     }
-    if (params)
-        params->values_ = std::move(given);
-    if (entry)
-        *entry = std::move(snapshot);
+    if (validated)
+        validated->values_ = std::move(slots);
     return true;
 }
 
 std::unique_ptr<Schedule>
-ScheduleRegistry::tryCreate(const std::string &spec_text,
-                            std::string *error) const
+ScheduleRegistry::construct(const Entry &entry, const ScheduleParams &given,
+                            const std::vector<std::string> *spelled,
+                            std::string *error)
 {
-    ScheduleSpec spec;
-    if (!ScheduleSpec::parse(spec_text, &spec, error))
-        return nullptr;
-    Entry entry;
     ScheduleParams params;
     std::string canonical;
-    if (!validate(spec, &entry, &params, &canonical, error))
+    if (!validate(entry, given, spelled, &params, &canonical, error))
         return nullptr;
     std::unique_ptr<Schedule> schedule = entry.factory(params);
     if (schedule == nullptr) {
@@ -511,6 +634,33 @@ ScheduleRegistry::tryCreate(const std::string &spec_text,
     schedule->name_ = entry.info.name;
     schedule->spec_ = std::move(canonical);
     return schedule;
+}
+
+std::unique_ptr<Schedule>
+ScheduleRegistry::tryCreate(const std::string &spec_text,
+                            std::string *error) const
+{
+    ScheduleSpec spec;
+    if (!ScheduleSpec::parse(spec_text, &spec, error))
+        return nullptr;
+    const std::shared_ptr<const Entry> entry = find(spec.name, error);
+    ScheduleParams given;
+    std::vector<std::string> spelled;
+    if (entry == nullptr ||
+        !parseParams(*entry, spec, &given, &spelled, error))
+        return nullptr;
+    return construct(*entry, given, &spelled, error);
+}
+
+std::unique_ptr<Schedule>
+ScheduleRegistry::tryCreate(const std::string &name,
+                            const ScheduleParams &params,
+                            std::string *error) const
+{
+    const std::shared_ptr<const Entry> entry = find(name, error);
+    if (entry == nullptr)
+        return nullptr;
+    return construct(*entry, params, nullptr, error);
 }
 
 std::unique_ptr<Schedule>
@@ -530,7 +680,12 @@ ScheduleRegistry::canonicalize(const std::string &spec_text,
     ScheduleSpec spec;
     if (!ScheduleSpec::parse(spec_text, &spec, error))
         return false;
-    return validate(spec, nullptr, nullptr, out, error);
+    const std::shared_ptr<const Entry> entry = find(spec.name, error);
+    ScheduleParams given;
+    std::vector<std::string> spelled;
+    return entry != nullptr &&
+           parseParams(*entry, spec, &given, &spelled, error) &&
+           validate(*entry, given, &spelled, nullptr, out, error);
 }
 
 ScheduleRegistrar::ScheduleRegistrar(ScheduleInfo info,

@@ -18,7 +18,11 @@
  * create/canonicalize time — unknown schedules, unknown parameter
  * keys, malformed values, and out-of-range values are all reported as
  * errors, never silently ignored — so parameterized variants can be
- * first-class sweep axes with stable, diffable persisted keys.
+ * first-class sweep axes with stable, diffable persisted keys. A
+ * caller that already holds typed values (the tuner) skips the text:
+ * tryCreate(name, ScheduleParams) runs the same checks and gives the
+ * same canonical spec, and a spec string is parsed into exactly such
+ * a bag before it takes that path.
  *
  * Registration:
  *  - Built-ins register from their own .cc via the registration hooks
@@ -35,13 +39,15 @@
  *    registrar and sweeping the custom schedule against the built-ins.
  *
  * Thread-safety: ScheduleRegistry is fully thread-safe — every method
- * takes the internal lock, and factories run outside it, so a factory
- * may itself consult the registry. ScheduleInfo, ScheduleParams, and
- * ScheduleSpec are plain value types.
+ * takes the internal lock, and validation and factories run outside
+ * it (a lookup shares the registered entry, which is immutable), so a
+ * factory may itself consult the registry. ScheduleInfo,
+ * ScheduleParams, and ScheduleSpec are plain value types.
  */
 #ifndef FSMOE_CORE_SCHEDULES_SCHEDULE_REGISTRY_H
 #define FSMOE_CORE_SCHEDULES_SCHEDULE_REGISTRY_H
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -107,14 +113,32 @@ struct ScheduleInfo
 };
 
 /**
- * The validated parameter bag handed to a schedule factory: only
- * declared keys, every value already checked against its declared type
- * and bound. Key lookup uses the same normalization as schedule names
+ * A bag of typed schedule parameters (int64, double or bool values).
+ * It comes in two forms:
+ *  - one a caller fills with setInt/setDouble/setBool and hands to
+ *    ScheduleRegistry::tryCreate(name, params, error), the typed way
+ *    to build a schedule (the tuner builds every candidate this way);
+ *  - the validated bag the registry hands a schedule factory: one
+ *    slot per declared parameter, in declared order, each flagged as
+ *    given or not, every given value already checked against its
+ *    declared type and bounds.
+ * Key lookup uses the same normalization as schedule names
  * (case-insensitive, separators ignored).
  */
 class ScheduleParams
 {
   public:
+    /**
+     * Give @p key a value, replacing any value given before under the
+     * same normalized key. Types and bounds are checked when the bag
+     * is validated; an Int value given for a Double parameter is
+     * converted to a double.
+     */
+    ScheduleParams &setInt(const std::string &key, int64_t value);
+    ScheduleParams &setDouble(const std::string &key, double value);
+    ScheduleParams &setBool(const std::string &key, bool value);
+
+    /** Whether @p key was given a value. */
     bool has(const std::string &key) const;
 
     /** Typed getters; @p fallback is returned for absent keys. */
@@ -124,10 +148,23 @@ class ScheduleParams
 
   private:
     friend class ScheduleRegistry;
-    /// (normalized key, canonical value text), declared order.
-    std::vector<std::pair<std::string, std::string>> values_;
 
-    const std::string *findValue(const std::string &key) const;
+    struct Value
+    {
+        std::string key;  ///< As given, or the declared spelling.
+        std::string norm; ///< Normalized key.
+        ScheduleParamType type = ScheduleParamType::Int;
+        bool given = false;
+        int64_t intValue = 0;
+        double doubleValue = 0.0;
+        bool boolValue = false;
+    };
+    std::vector<Value> values_;
+
+    /** The given value under @p key, or nullptr. */
+    const Value *find(const std::string &key) const;
+    /** The slot for @p key (appended when new), marked given. */
+    Value &slot(const std::string &key, ScheduleParamType type);
 };
 
 /**
@@ -163,9 +200,10 @@ class ScheduleRegistry
      * Register a plugin. Fails (returns false and warns) when the
      * canonical name or any alias collides with an already-registered
      * name, when the name is empty, when the factory is null, or when
-     * a declared parameter is malformed (empty key, duplicate key, or
-     * a default that does not parse as its declared type). A failed
-     * registration leaves the registry unchanged.
+     * a declared parameter is malformed (empty key, duplicate key,
+     * min > max, or a default that does not parse as its declared type
+     * or break its bounds). A failed registration leaves the registry
+     * unchanged.
      */
     bool registerSchedule(ScheduleInfo info, Factory factory);
 
@@ -189,9 +227,23 @@ class ScheduleRegistry
      * the instance's name() is the canonical schedule name and its
      * spec() the canonical spec string. On failure returns nullptr and
      * describes the problem in *error (unknown schedule names include
-     * the list of known ones).
+     * the list of known ones). Parsing turns the spec's values into a
+     * typed bag; the rest is the typed tryCreate below.
      */
     std::unique_ptr<Schedule> tryCreate(const std::string &spec,
+                                        std::string *error) const;
+
+    /**
+     * Validate @p params against schedule @p name's declared
+     * parameters and build the schedule, with no spec text to parse.
+     * The checks and error text are the spec path's: an unknown key,
+     * a value of the wrong type, an Int beyond 32 bits, a non-finite
+     * Double or a bound violation is rejected, naming the value as
+     * its canonical spec text would. On success spec() is the
+     * canonical spec the same values give on the spec path.
+     */
+    std::unique_ptr<Schedule> tryCreate(const std::string &name,
+                                        const ScheduleParams &params,
                                         std::string *error) const;
 
     /** tryCreate that is fatal on any error (CLI-driver convenience). */
@@ -212,18 +264,48 @@ class ScheduleRegistry
   private:
     ScheduleRegistry();
 
+    /** Registered once, then shared read-only by every lookup. */
     struct Entry
     {
         ScheduleInfo info;
         Factory factory;
+        /// info.params' keys, normalized, in declared order.
+        std::vector<std::string> paramKeys;
     };
 
-    bool validate(const ScheduleSpec &spec, Entry *entry,
-                  ScheduleParams *params, std::string *canonical,
-                  std::string *error) const;
+    /** The entry @p name names, or nullptr with *error set. */
+    std::shared_ptr<const Entry> find(const std::string &name,
+                                      std::string *error) const;
+
+    /**
+     * Turn @p spec's value texts into a typed bag in written order,
+     * rejecting unknown keys, duplicates and values that do not parse
+     * as their declared type; *spelled keeps each value's text for
+     * validate()'s messages.
+     */
+    static bool parseParams(const Entry &entry, const ScheduleSpec &spec,
+                            ScheduleParams *given,
+                            std::vector<std::string> *spelled,
+                            std::string *error);
+
+    /**
+     * Check @p given against the declaration into the factory's bag
+     * (*validated, optional) and the canonical spec (*canonical,
+     * optional). Messages quote (*spelled)[i] for the i-th given
+     * value when @p spelled is set, else its canonical text.
+     */
+    static bool validate(const Entry &entry, const ScheduleParams &given,
+                         const std::vector<std::string> *spelled,
+                         ScheduleParams *validated, std::string *canonical,
+                         std::string *error);
+
+    /** validate(), then run the factory: the one construction path. */
+    static std::unique_ptr<Schedule>
+    construct(const Entry &entry, const ScheduleParams &given,
+              const std::vector<std::string> *spelled, std::string *error);
 
     mutable std::mutex mu_;
-    std::vector<Entry> entries_;
+    std::vector<std::shared_ptr<const Entry>> entries_;
     /// normalized name/alias -> index into entries_.
     std::unordered_map<std::string, size_t> index_;
 };

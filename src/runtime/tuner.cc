@@ -392,17 +392,19 @@ Tuner::search(const TuneQuery &query)
         ScenarioRegistry::instance().makeCost(query.scenario());
 
     // Every distinct spec this search probes (grid candidates and DE
-    // probes alike, cut or not), kept sorted so `evaluated` and
-    // candidate handling are independent of discovery order.
-    std::set<std::string> probedSpecs;
+    // probes alike, cut or not). Only its size is read, as
+    // `evaluated`, so its order does not matter.
+    std::unordered_set<std::string> probedSpecs;
 
-    // The schedule a spec names; its spec() is the canonical spec.
-    const auto create = [&registry](const std::string &spec) {
+    // The schedule @p name builds from typed @p params; its spec() is
+    // the canonical spec.
+    const auto create = [&registry](const std::string &name,
+                                    const core::ScheduleParams &params) {
         std::string error;
         std::unique_ptr<core::Schedule> schedule =
-            registry.tryCreate(spec, &error);
+            registry.tryCreate(name, params, &error);
         if (schedule == nullptr)
-            FSMOE_PANIC("tuner produced an invalid spec '", spec,
+            FSMOE_PANIC("tuner produced invalid parameters for '", name,
                         "': ", error);
         return schedule;
     };
@@ -429,16 +431,16 @@ Tuner::search(const TuneQuery &query)
     };
 
     for (const core::ScheduleInfo &info : registry.list()) {
-        addCandidate(create(info.name));
+        addCandidate(create(info.name, {}));
         core::ParamSpace space = core::deriveParamSpace(
             info, query.rMax, kMaxGridPerAxis);
         if (space.axes.empty())
             continue;
         if (!space.continuous() &&
             space.gridSize() <= kMaxGridSpecs) {
-            for (const std::string &spec :
-                 core::enumerateGridSpecs(space, kMaxGridSpecs))
-                addCandidate(create(spec));
+            for (const core::ScheduleParams &params :
+                 core::enumerateGridParams(space, kMaxGridSpecs))
+                addCandidate(create(space.schedule, params));
             continue;
         }
         // DE over the box; probes run one at a time on this thread.
@@ -455,7 +457,7 @@ Tuner::search(const TuneQuery &query)
         const auto objective = [&](const std::vector<double> &x,
                                    double cutoff) {
             const std::unique_ptr<core::Schedule> schedule =
-                create(core::specFromPoint(space, x));
+                create(space.schedule, core::paramsFromPoint(space, x));
             probedSpecs.insert(schedule->spec());
             const double below = std::nextafter(
                 cutoff, std::numeric_limits<double>::infinity());
@@ -480,7 +482,8 @@ Tuner::search(const TuneQuery &query)
         };
         const solver::DeResult de =
             solver::differentialEvolution(objective, lo, hi, options_.de);
-        addCandidate(create(core::specFromPoint(space, de.x)));
+        addCandidate(
+            create(space.schedule, core::paramsFromPoint(space, de.x)));
     }
 
     ProbeStats &ps = ProbeStats::instance();

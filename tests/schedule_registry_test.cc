@@ -11,6 +11,7 @@
  */
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -385,6 +386,75 @@ TEST(ScheduleRegistry, UpperBoundsAreEnforcedWithTheParamName)
     EXPECT_FALSE(reg.registerSchedule(info, nullFactory()));
     info.params = {{"k", ScheduleParamType::Int, "4", "", 0.0, 8.0}};
     EXPECT_TRUE(reg.registerSchedule(info, nullFactory()));
+}
+
+// -------------------------------------------------------- typed values
+
+TEST(ScheduleRegistry, TypedValuesAreCheckedAndCanonicalizedLikeSpecText)
+{
+    ScheduleRegistry &reg = ScheduleRegistry::instance();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Case
+    {
+        std::string text; ///< The spec the typed bag spells.
+        std::string name;
+        ScheduleParams params;
+    };
+    // Out of range, beyond 32 bits, non-finite, the wrong type, an
+    // unknown key or schedule: rejected with the spec text's message.
+    const std::vector<Case> rejected = {
+        {"tutel?degree=17", "tutel", ScheduleParams().setInt("degree", 17)},
+        {"tutel?degree=-1", "Tutel", ScheduleParams().setInt("degree", -1)},
+        {"tutel?degree=4294967298", "Tutel",
+         ScheduleParams().setInt("degree", 4294967298)},
+        {"lina?chunkMB=1025", "lina",
+         ScheduleParams().setDouble("chunkMB", 1025.0)},
+        {"lina?chunkMB=0", "lina", ScheduleParams().setInt("chunkMB", 0)},
+        {"lina?chunkMB=nan", "lina",
+         ScheduleParams().setDouble(
+             "chunkMB", std::numeric_limits<double>::quiet_NaN())},
+        {"lina?chunkMB=inf", "lina",
+         ScheduleParams().setDouble("chunkMB", inf)},
+        {"lina?chunkMB=-inf", "lina",
+         ScheduleParams().setDouble("chunkMB", -inf)},
+        {"tutel?degree=4.5", "Tutel",
+         ScheduleParams().setDouble("degree", 4.5)},
+        {"tutel?degree=true", "Tutel",
+         ScheduleParams().setBool("degree", true)},
+        {"fsmoe?step2=1.5", "FSMoE", ScheduleParams().setDouble("step2", 1.5)},
+        {"tutel?chunkMB=30", "Tutel", ScheduleParams().setInt("chunkMB", 30)},
+        {"warp-speed", "warp-speed", ScheduleParams()},
+    };
+    for (const Case &c : rejected) {
+        std::string text_error, typed_error;
+        EXPECT_EQ(reg.tryCreate(c.text, &text_error), nullptr) << c.text;
+        EXPECT_EQ(reg.tryCreate(c.name, c.params, &typed_error), nullptr)
+            << c.text;
+        EXPECT_FALSE(typed_error.empty()) << c.text;
+        EXPECT_EQ(typed_error, text_error) << c.text;
+    }
+
+    // Accepted: the canonical spec is the spec text's, whatever the
+    // key spelling and order; an Int converts to a Double param; a key
+    // given twice keeps its last value.
+    const std::vector<Case> accepted = {
+        {"lina?degree=2&chunkMB=60", "PipeMoE+Lina",
+         ScheduleParams().setInt("DEGREE", 2).setInt("chunk-mb", 60)},
+        {"lina?chunkMB=0.1", "lina",
+         ScheduleParams().setDouble("chunkMB", 0.1)},
+        {"tutel?degree=4", "tutel",
+         ScheduleParams().setInt("degree", 9).setInt("Degree", 4)},
+        {"fsmoe?step2=off", "FSMoE", ScheduleParams().setBool("step2", false)},
+        {"DS-MoE", "dsmoe", ScheduleParams()},
+    };
+    for (const Case &c : accepted) {
+        std::string error;
+        const auto typed = reg.tryCreate(c.name, c.params, &error);
+        ASSERT_NE(typed, nullptr) << c.text << ": " << error;
+        const auto text = Schedule::create(c.text);
+        EXPECT_EQ(typed->spec(), text->spec()) << c.text;
+        EXPECT_EQ(typed->name(), text->name()) << c.text;
+    }
 }
 
 // ------------------------------------------------- fuzz: canonical specs
