@@ -541,19 +541,46 @@ makeSynthetic(int num_tasks, int num_streams)
 }
 
 /**
- * The production heap engine against the naive reference simulator
+ * @p num_tasks independent tasks on @p num_streams streams, all on the
+ * inter-node link: every stream head is a candidate for that one link
+ * at once, the widest candidate set a graph of this size can hold.
+ * Quantised durations (~10% zero) and ~20% background priority.
+ */
+sim::TaskGraph
+makeFlat(int num_tasks, int num_streams)
+{
+    std::mt19937 rng(0xf1a7u);
+    std::uniform_int_distribution<int> pct(0, 99);
+    std::uniform_int_distribution<int> quantum(1, 20);
+
+    sim::TaskGraph g;
+    g.reserve(num_tasks, 0);
+    for (int i = 0; i < num_tasks; ++i) {
+        const double duration = pct(rng) < 10 ? 0.0 : 0.05 * quantum(rng);
+        const int priority = pct(rng) < 20 ? 1 : 0;
+        g.addTask({"t", i}, sim::OpType::AlltoAll, sim::Link::InterNode,
+                  i % num_streams, duration, {}, priority);
+    }
+    return g;
+}
+
+/**
+ * The production engine against the naive reference simulator
  * (tests/sim_reference.h) on a 16,384-task synthetic graph: 512
  * streams ("wide", where the reference's per-event stream rescan
- * hurts most) or 6 streams (the shape real schedules simulate).
- * Items are tasks, so items/s reads as the inverse of ns/task. The
- * two engines must agree on the makespan.
+ * hurts most), 6 streams (the shape real schedules simulate), or, with
+ * flat:1, makeFlat's 512 streams on one link, the worst case of the
+ * engine's candidate sets. Items are tasks, so items/s reads as the
+ * inverse of ns/task. The two engines must agree on the makespan.
  */
 void
 BM_SimulatorVsReference(benchmark::State &state)
 {
     const int streams = static_cast<int>(state.range(0));
     const bool reference = state.range(1) != 0;
-    const sim::TaskGraph graph = makeSynthetic(16384, streams);
+    const sim::TaskGraph graph = state.range(2) != 0
+                                     ? makeFlat(16384, streams)
+                                     : makeSynthetic(16384, streams);
     const double expected = sim::referenceRun(graph).makespan;
     double makespan = 0.0;
     for (auto _ : state) {
@@ -567,11 +594,38 @@ BM_SimulatorVsReference(benchmark::State &state)
                             static_cast<int64_t>(graph.size()));
 }
 BENCHMARK(BM_SimulatorVsReference)
-    ->ArgNames({"streams", "reference"})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({6, 0})
-    ->Args({6, 1});
+    ->ArgNames({"streams", "reference", "flat"})
+    ->Args({512, 0, 0})
+    ->Args({512, 1, 0})
+    ->Args({6, 0, 0})
+    ->Args({6, 1, 0})
+    ->Args({512, 0, 1})
+    ->Args({512, 1, 1});
+
+/**
+ * Simulator::run over the demo grid's 54 final graphs, each built
+ * once before timing. Unlike BM_Simulator, which re-runs one
+ * cache-hot graph, this row pays each run's set-up on graphs of the
+ * sizes a sweep simulates. Items are tasks.
+ */
+void
+BM_SimulateDemoGraphs(benchmark::State &state)
+{
+    std::vector<sim::TaskGraph> graphs;
+    int64_t tasks = 0;
+    for (const runtime::Scenario &scenario : runtime::demoGrid()) {
+        graphs.push_back(core::Schedule::create(scenario.schedule)
+                             ->build(runtime::ScenarioRegistry::instance()
+                                         .makeCost(scenario)));
+        tasks += static_cast<int64_t>(graphs.back().size());
+    }
+    const sim::Simulator simulator;
+    for (auto _ : state)
+        for (const sim::TaskGraph &graph : graphs)
+            benchmark::DoNotOptimize(simulator.run(graph));
+    state.SetItemsProcessed(state.iterations() * tasks);
+}
+BENCHMARK(BM_SimulateDemoGraphs);
 
 void
 BM_GateForward(benchmark::State &state)

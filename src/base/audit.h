@@ -8,7 +8,7 @@
  * guards cheap local conditions in every build type, an *audit* is an
  * O(n)-ish structural validation that would be too expensive on the
  * Release hot path — full TaskGraph CSR/acyclicity verification after
- * every build, simulator ready-heap invariants on every pop,
+ * every build, simulator ready-set invariants on every pop,
  * cache-key collision detection (same key, different payload) across
  * the sim/solver/advisor caches.
  *
@@ -159,7 +159,7 @@ void clearCacheKeyTable();
  * test asserts each is live after a real sweep.
  *
  *   audit.taskGraph.verified   graphs structurally validated
- *   audit.heap.popChecks       simulator heap pops validated
+ *   audit.heap.popChecks       simulator candidate pops validated
  *   audit.cacheKey.checks      payload fingerprints checked
  *   audit.cacheKey.recorded    first-seen keys recorded
  */

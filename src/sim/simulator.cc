@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
+#include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "base/audit.h"
 #include "base/stats.h"
@@ -48,27 +50,194 @@ struct SimStats
 } // namespace
 
 /*
- * The inner loop maintains per-link binary heaps of *issuable*
- * candidates — stream heads whose dependencies have all finished —
- * ordered by the arbitration key (priority, readyTime, issue id).
- * When a task finishes, only its dependents are examined; when a task
- * starts, only the new head of its stream is. That replaces the naive
- * O(links x streams) rescan per event with O(log n) heap maintenance
- * while reproducing the naive scan's choices bit-exactly (the fuzz
- * test in tests/sim_fuzz_test.cc checks this against the retained
- * reference implementation in tests/sim_reference.h).
+ * The inner loop keeps, per link, the set of *issuable* candidates:
+ * stream heads whose dependencies have all finished. A free link
+ * starts the candidate with the smallest arbitration key (priority,
+ * readyTime, issue id). When a task finishes, only its dependents are
+ * examined; when a task starts, only the next task on its stream is.
+ * That replaces the naive O(links x streams) rescan per event while
+ * reproducing the naive scan's choices bit-exactly (the fuzz test in
+ * tests/sim_fuzz_test.cc checks this against the retained reference
+ * implementation in tests/sim_reference.h).
  *
- * Why every heap entry is eligible *now*: a task's readyTime is the
+ * Why every candidate is eligible *now*: a task's readyTime is the
  * max finish time over its dependencies, which is fixed by the time
  * the last dependency completes — an event at or before the current
- * clock. A task enters a heap only once it is the head of its stream
- * with zero pending dependencies, so readyTime <= now holds at
+ * clock. A task becomes a candidate only once it is the head of its
+ * stream with zero pending dependencies, so readyTime <= now holds at
  * insertion and forever after (the clock never rewinds). The naive
- * scan's `readyTime > now` filter is therefore vacuous, and the heap
- * minimum *is* the task the scan would have picked.
+ * scan's `readyTime > now` filter is therefore vacuous, and the
+ * set's minimum *is* the task the scan would have picked.
+ *
+ * Both conditions are one counter: a task's pending count is its
+ * dependency count, plus one while its stream predecessor has not
+ * started. It drops when a dependency finishes or the predecessor
+ * starts, and the task becomes a candidate when it reaches zero.
  */
 
 namespace {
+
+/// A link's candidate set is an unordered array, scanned on pop, while
+/// it holds at most this many tasks (schedule graphs hold 1-3); beyond
+/// it, the set is a binary heap until it empties.
+constexpr size_t kScanLimit = 8;
+
+/// End of a dependents list.
+constexpr uint32_t kNoEdge = std::numeric_limits<uint32_t>::max();
+
+/** The per-task state the event loop reads and writes. */
+struct HotTask
+{
+    double duration;
+    double ready;        ///< Latest finish among finished dependencies.
+    uint32_t firstEdge;  ///< First of its dependents' edges, or kNoEdge.
+    TaskId nextOnStream; ///< The task after it on its stream, or -1.
+    int32_t pending;     ///< See the comment above.
+    int32_t priority;
+};
+static_assert(sizeof(HotTask) == 32, "one hot record is 32 bytes");
+
+/** A task's link and op class, read when it is pushed or finishes. */
+struct LinkOp
+{
+    uint8_t link;
+    uint8_t op;
+};
+
+/** One dependency edge, in its dependency's list of dependents. */
+struct Edge
+{
+    TaskId dependent;
+    uint32_t next; ///< The next edge of the same list, or kNoEdge.
+};
+
+/** An issuable task with its arbitration key. */
+struct Cand
+{
+    double ready;
+    int32_t priority;
+    TaskId id;
+};
+
+/** Whether @p a wins a link over @p b: the smaller key. */
+bool
+winsOver(const Cand &a, const Cand &b)
+{
+    if (a.priority != b.priority)
+        return a.priority < b.priority;
+    if (a.ready != b.ready)
+        return a.ready < b.ready;
+    return a.id < b.id;
+}
+
+/** One link's issuable tasks: scanned up to kScanLimit, else a heap. */
+class CandidateSet
+{
+  public:
+    bool empty() const { return size_ == 0; }
+
+    void push(const Cand &c)
+    {
+        if (in_heap_) {
+            heap_.push_back(c);
+            std::push_heap(heap_.begin(), heap_.end(), HeapAfter{});
+        } else if (size_ < kScanLimit) {
+            scan_[size_] = c;
+        } else {
+            heap_.assign(scan_.begin(), scan_.end());
+            heap_.push_back(c);
+            std::make_heap(heap_.begin(), heap_.end(), HeapAfter{});
+            in_heap_ = true;
+        }
+        ++size_;
+    }
+
+    /** Remove and return the winner. The set must not be empty. */
+    TaskId pop()
+    {
+        if (in_heap_) {
+            std::pop_heap(heap_.begin(), heap_.end(), HeapAfter{});
+            const TaskId id = heap_.back().id;
+            heap_.pop_back();
+            in_heap_ = --size_ != 0;
+            return id;
+        }
+        size_t best = 0;
+        for (size_t i = 1; i < size_; ++i)
+            if (winsOver(scan_[i], scan_[best]))
+                best = i;
+        const TaskId id = scan_[best].id;
+        scan_[best] = scan_[--size_];
+        return id;
+    }
+
+  private:
+    // std::push_heap keeps the largest element at the front, so the
+    // heap orders by the inverted key.
+    struct HeapAfter
+    {
+        bool operator()(const Cand &a, const Cand &b) const
+        {
+            return winsOver(b, a);
+        }
+    };
+
+    std::array<Cand, kScanLimit> scan_{};
+    size_t size_ = 0;      ///< Tasks in the set, in scan_ or in heap_.
+    bool in_heap_ = false; ///< Whether heap_ holds them.
+    std::vector<Cand> heap_;
+};
+
+/**
+ * Completion events: a binary min-heap on (finish time, task id), a
+ * total order. Schedule graphs keep 1-3 events pending; on them this
+ * plain sift-up/sift-down heap beat std::priority_queue by about 10%
+ * of a run.
+ */
+class EventQueue
+{
+  public:
+    using Event = std::pair<double, TaskId>;
+
+    bool empty() const { return heap_.empty(); }
+
+    void push(double finish, TaskId id)
+    {
+        const Event e{finish, id};
+        size_t k = heap_.size();
+        heap_.emplace_back();
+        while (k > 0 && e < heap_[(k - 1) / 2]) {
+            heap_[k] = heap_[(k - 1) / 2];
+            k = (k - 1) / 2;
+        }
+        heap_[k] = e;
+    }
+
+    /** Remove and return the earliest event. The queue must not be empty. */
+    Event pop()
+    {
+        const Event top = heap_.front();
+        const Event last = heap_.back();
+        heap_.pop_back();
+        const size_t m = heap_.size();
+        if (m == 0)
+            return top;
+        size_t k = 0;
+        for (size_t c = 1; c < m; c = 2 * k + 1) {
+            if (c + 1 < m && heap_[c + 1] < heap_[c])
+                ++c;
+            if (!(heap_[c] < last))
+                break;
+            heap_[k] = heap_[c];
+            k = c;
+        }
+        heap_[k] = last;
+        return top;
+    }
+
+  private:
+    std::vector<Event> heap_;
+};
 
 /**
  * The event loop behind run(), makespanBelow() and runBelow().
@@ -85,8 +254,8 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
     // graph (compiled out of Release; see base/audit.h).
     FSMOE_AUDIT(auditTaskGraph(graph));
 
-    const auto &tasks = graph.tasks();
-    const size_t n = tasks.size();
+    const Task *tasks = graph.tasks().data();
+    const size_t n = graph.size();
     SimStats &sim_stats = SimStats::instance();
     sim_stats.runs.inc();
     const bool can_cut = cutoff < std::numeric_limits<double>::infinity();
@@ -101,94 +270,68 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
     uint64_t heap_pushes = 0;
     uint64_t heap_pops = 0;
     uint64_t events_processed = 0;
-#if FSMOE_AUDIT_ENABLED
-    uint64_t audit_pop_checks = 0;
-    const bool audit_on = audit::enabled();
-#endif
 
-    // Mutable per-task state, flat (one allocation each, not per task).
-    std::vector<int32_t> pending(n);
-    std::vector<double> ready(n, 0.0);
-    std::vector<uint8_t> finished(n, 0);
-
-    // Reverse CSR (the dependents of each task) and stream CSR (each
-    // stream's FIFO issue queue, in addTask order), built by one
-    // counting pass and one fill pass over the tasks and the flat
-    // dependency pool; head[s] is an absolute cursor into str_tasks.
-    const TaskId *dep_pool = graph.depPool().data();
-    const int num_streams = graph.numStreams();
-    std::vector<uint32_t> rev_off(n + 1, 0);
-    std::vector<uint32_t> str_off(num_streams + 1, 0);
-    for (const Task &t : tasks) {
-        pending[t.id] = static_cast<int32_t>(t.depCount);
-        for (uint32_t j = t.depBegin; j < t.depBegin + t.depCount; ++j)
-            rev_off[static_cast<size_t>(dep_pool[j]) + 1]++;
-        str_off[t.stream + 1]++;
-    }
-    for (size_t i = 0; i < n; ++i)
-        rev_off[i + 1] += rev_off[i];
-    for (int s = 0; s < num_streams; ++s)
-        str_off[s + 1] += str_off[s];
-    std::vector<TaskId> rev(graph.numDeps());
-    std::vector<TaskId> str_tasks(n);
-    std::vector<uint32_t> head(str_off.begin(), str_off.end() - 1);
-    {
-        std::vector<uint32_t> cursor(rev_off.begin(), rev_off.end() - 1);
-        for (const Task &t : tasks) {
-            for (uint32_t j = t.depBegin; j < t.depBegin + t.depCount; ++j)
-                rev[cursor[dep_pool[j]]++] = t.id;
-            str_tasks[head[t.stream]++] = t.id;
-        }
-    }
-    std::copy(str_off.begin(), str_off.end() - 1, head.begin());
-
-    // Per-link candidate heaps. Entries carry their full arbitration
-    // key so comparisons never chase back into the task array, and
-    // std::push_heap keeps the *largest* element at the front, so the
-    // comparator inverts the key: smallest (priority, readyTime, id)
-    // wins the link.
-    struct Cand
-    {
-        double ready;
-        int32_t priority;
-        TaskId id;
-    };
-    auto heap_after = [](const Cand &a, const Cand &b) {
-        if (a.priority != b.priority)
-            return a.priority > b.priority;
-        if (a.ready != b.ready)
-            return a.ready > b.ready;
-        return a.id > b.id;
-    };
-    std::array<std::vector<Cand>, static_cast<size_t>(Link::NumLinks)>
-        cands;
+    // The run's index, in one pass over the tasks and the dependency
+    // pool: each task's hot record and {link, op}, and its dependents
+    // as a list of edges (edge j is dependency j of the pool),
+    // prepended, so they are visited latest first. Their order cannot
+    // change a choice: the arbitration key is a total order. A task's
+    // pending count is final once the pass reaches it, so the pass
+    // also fills the candidate sets. The blocks start uninitialized:
+    // the pass writes every field before anything reads it.
+    const std::unique_ptr<HotTask[]> hot(new HotTask[n]);
+    const std::unique_ptr<LinkOp[]> link_op(new LinkOp[n]);
+    const std::unique_ptr<Edge[]> edges(new Edge[graph.numDeps()]);
+    std::array<CandidateSet, static_cast<size_t>(Link::NumLinks)> cands;
     auto push_cand = [&](TaskId id) {
-        const Task &t = tasks[id];
-        auto &h = cands[static_cast<size_t>(t.link)];
-        h.push_back({ready[id], t.priority, id});
-        std::push_heap(h.begin(), h.end(), heap_after);
+        cands[link_op[id].link].push({hot[id].ready, hot[id].priority, id});
         ++heap_pushes;
     };
-
-    // A task is issuable iff it is its stream's current head and has
-    // no pending dependencies; it enters its link's heap exactly once,
-    // at whichever of the two conditions becomes true last.
-    auto push_if_issuable_head = [&](int s) {
-        if (head[s] < str_off[s + 1]) {
-            TaskId id = str_tasks[head[s]];
-            if (pending[id] == 0)
+    {
+        const TaskId *dep_pool = graph.depPool().data();
+        std::vector<TaskId> stream_tail(graph.numStreams(), -1);
+        for (size_t i = 0; i < n; ++i) {
+            const Task &t = tasks[i];
+            const auto id = static_cast<TaskId>(i);
+            int32_t pending = static_cast<int32_t>(t.depCount);
+            for (uint32_t j = t.depBegin; j < t.depBegin + t.depCount; ++j) {
+                HotTask &dep = hot[dep_pool[j]];
+                edges[j] = {id, dep.firstEdge};
+                dep.firstEdge = j;
+            }
+            TaskId &tail = stream_tail[t.stream];
+            if (tail >= 0) {
+                hot[tail].nextOnStream = id;
+                ++pending;
+            }
+            tail = id;
+            hot[i] = {t.duration, 0.0, kNoEdge, -1, pending, t.priority};
+            link_op[i] = {static_cast<uint8_t>(t.link),
+                          static_cast<uint8_t>(t.op)};
+            if (pending == 0)
                 push_cand(id);
         }
-    };
-    for (int s = 0; s < num_streams; ++s)
-        push_if_issuable_head(s);
+    }
+
+#if FSMOE_AUDIT_ENABLED
+    // The pop checks' own state, so they do not trust the index: each
+    // stream's head in issue order, and which tasks finished.
+    uint64_t audit_pop_checks = 0;
+    const bool audit_on = audit::enabled();
+    std::vector<TaskId> audit_head;
+    std::vector<uint8_t> audit_finished;
+    if (audit_on) {
+        audit_head.assign(graph.numStreams(), -1);
+        for (size_t i = n; i-- > 0;)
+            audit_head[tasks[i].stream] = static_cast<TaskId>(i);
+        audit_finished.assign(n, 0);
+    }
+#endif
 
     std::array<double, static_cast<size_t>(Link::NumLinks)> link_free{};
     link_free.fill(0.0);
 
-    // Completion events ordered by (time, issue id).
-    using Event = std::pair<double, TaskId>;
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+    EventQueue events;
 
     size_t finished_count = 0;
     double now = 0.0;
@@ -211,53 +354,48 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
     };
 
     auto start_best = [&](size_t li) {
-        auto &h = cands[li];
-        if (h.empty())
-            return false;
-        std::pop_heap(h.begin(), h.end(), heap_after);
-        TaskId id = h.back().id;
-        h.pop_back();
+        const TaskId id = cands[li].pop();
         ++heap_pops;
-        const Task &t = tasks[id];
+        const HotTask &h = hot[id];
 #if FSMOE_AUDIT_ENABLED
-        // Ready-heap invariants: whatever wins a link must be an
+        // Ready-set invariants: whatever wins a link must be an
         // unfinished stream head with no pending deps, eligible *now*,
         // on a link that is actually free (the header comment's "every
-        // heap entry is eligible now" argument, checked live).
+        // candidate is eligible now" argument, checked live).
         if (audit_on) {
-            if (finished[id])
-                FSMOE_PANIC("heap audit: popped finished task ", id);
-            if (pending[id] != 0)
-                FSMOE_PANIC("heap audit: popped task ", id, " with ",
-                            pending[id], " pending dependencies");
+            const Task &t = tasks[id];
+            if (audit_finished[id])
+                FSMOE_PANIC("ready-set audit: popped finished task ", id);
+            if (h.pending != 0)
+                FSMOE_PANIC("ready-set audit: popped task ", id, " with ",
+                            h.pending, " pending dependencies");
             if (static_cast<size_t>(t.link) != li)
-                FSMOE_PANIC("heap audit: task ", id, " on link ",
+                FSMOE_PANIC("ready-set audit: task ", id, " on link ",
                             linkName(t.link),
-                            " surfaced in another link's heap");
-            if (head[t.stream] >= str_off[t.stream + 1] ||
-                str_tasks[head[t.stream]] != id)
-                FSMOE_PANIC("heap audit: popped task ", id,
+                            " surfaced in another link's set");
+            if (audit_head[t.stream] != id)
+                FSMOE_PANIC("ready-set audit: popped task ", id,
                             " is not the head of stream ", t.stream);
-            if (ready[id] > now)
-                FSMOE_PANIC("heap audit: popped task ", id,
-                            " ready at ", ready[id],
+            if (h.ready > now)
+                FSMOE_PANIC("ready-set audit: popped task ", id,
+                            " ready at ", h.ready,
                             " which is after now=", now);
             if (link_free[li] > now)
-                FSMOE_PANIC("heap audit: link ", linkName(t.link),
+                FSMOE_PANIC("ready-set audit: link ", linkName(t.link),
                             " busy until ", link_free[li],
                             " issued a task at now=", now);
+            audit_head[t.stream] = h.nextOnStream;
             ++audit_pop_checks;
         }
 #endif
-        double finish = now + t.duration;
+        const double finish = now + h.duration;
         if (record_trace)
             result.trace[id] = {id, now, finish};
         link_free[li] = finish;
-        started[li] += t.duration;
-        events.emplace(finish, id);
-        head[t.stream]++;
-        push_if_issuable_head(t.stream);
-        return true;
+        started[li] += h.duration;
+        events.push(finish, id);
+        if (h.nextOnStream >= 0 && --hot[h.nextOnStream].pending == 0)
+            push_cand(h.nextOnStream);
     };
 
     auto try_start = [&]() {
@@ -269,45 +407,44 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
         while (progressed) {
             progressed = false;
             for (size_t li = 0; li < link_free.size(); ++li) {
-                if (link_free[li] > now)
+                if (cands[li].empty() || link_free[li] > now)
                     continue;
-                if (start_best(li))
-                    progressed = true;
+                start_best(li);
+                progressed = true;
             }
         }
     };
 
+    // Each started task has one completion event, so every popped
+    // event finishes a task.
     bool cut = false;
     try_start();
     while (finished_count < n) {
         FSMOE_ASSERT(!events.empty(),
                      "simulator deadlock: no runnable task; check for "
                      "dependency cycles or stream-order inversions");
-        auto [t_now, id] = events.top();
-        events.pop();
+        const auto [t_now, id] = events.pop();
         ++events_processed;
         if (can_cut && t_now >= cutoff) {
             cut = true;
             break;
         }
         now = t_now;
-        if (finished[id])
-            continue;
-        finished[id] = 1;
+#if FSMOE_AUDIT_ENABLED
+        if (audit_on)
+            audit_finished[id] = 1;
+#endif
         finished_count++;
-        result.opTime[static_cast<size_t>(tasks[id].op)] +=
-            tasks[id].duration;
-        result.linkBusyMs[static_cast<size_t>(tasks[id].link)] +=
-            tasks[id].duration;
+        const HotTask &h = hot[id];
+        result.opTime[link_op[id].op] += h.duration;
+        result.linkBusyMs[link_op[id].link] += h.duration;
         result.makespan = std::max(result.makespan, t_now);
-        for (uint32_t e = rev_off[id]; e < rev_off[id + 1]; ++e) {
-            TaskId dep = rev[e];
-            ready[dep] = std::max(ready[dep], t_now);
-            if (--pending[dep] == 0) {
-                int s = tasks[dep].stream;
-                if (head[s] < str_off[s + 1] && str_tasks[head[s]] == dep)
-                    push_cand(dep);
-            }
+        for (uint32_t e = h.firstEdge; e != kNoEdge; e = edges[e].next) {
+            const TaskId dependent = edges[e].dependent;
+            HotTask &d = hot[dependent];
+            d.ready = std::max(d.ready, t_now);
+            if (--d.pending == 0)
+                push_cand(dependent);
         }
         try_start();
         if (can_cut && remaining_work_reaches_cutoff()) {

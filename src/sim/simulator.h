@@ -21,12 +21,15 @@
  *      determinism contract).
  *
  * Complexity: O((n + e) log n) for n tasks and e dependency edges.
- * Eligibility is maintained incrementally in per-link heaps ordered by
- * the arbitration key — a completion event touches only the finished
- * task's dependents and the freed streams' new heads, never the whole
- * stream set (the pre-optimisation loop rescanned every stream for
- * every link on every event, O(events x links x streams); it survives
- * as the reference implementation in tests/sim_reference.h and is the
+ * Each run first indexes the graph in one pass (each task's dependents
+ * and the next task on its stream). Eligibility is then maintained
+ * incrementally in per-link candidate sets: an unordered array scanned
+ * on pop while small, a heap ordered by the arbitration key beyond
+ * that. A completion event touches only the finished task's dependents
+ * and the started tasks' stream successors, never the whole stream set
+ * (the pre-optimisation loop rescanned every stream for every link on
+ * every event, O(events x links x streams); it survives as the
+ * reference implementation in tests/sim_reference.h and is the
  * baseline bench_micro's BM_SimulatorVsReference measures against).
  */
 #ifndef FSMOE_SIM_SIMULATOR_H

@@ -1,16 +1,18 @@
 /**
  * @file
- * Equivalence fuzzing of the heap-based simulator against the retained
- * naive reference (tests/sim_reference.h).
+ * Equivalence fuzzing of the simulator against the retained naive
+ * reference (tests/sim_reference.h).
  *
- * The production inner loop maintains per-link ready heaps
+ * The production inner loop maintains per-link candidate sets
  * incrementally; the reference rescans every stream per link per
  * event. Both implement the same machine model, so on ANY graph they
- * must agree *bit-exactly* — makespan, per-op busy times, and the full
- * per-task trace. The fuzzer exercises the corners that matter for
- * that claim: zero-duration barriers, priority classes, deep FIFO
- * streams, wide fan-in, and simultaneous completions; a second test
- * runs every registered schedule's real graph through both engines.
+ * must agree *bit-exactly* — makespan, per-op and per-link busy times,
+ * and the full per-task trace. The fuzzer exercises the corners that
+ * matter for that claim: zero-duration barriers, priority classes,
+ * deep FIFO streams, wide fan-in, and simultaneous completions; wide
+ * graphs (9-64 streams) push a link's candidate set past the size the
+ * simulator scans, into its heap; a further test runs every registered
+ * schedule's real graph through both engines.
  * The cutoff tests hold Simulator::makespanBelow and runBelow to run()
  * on the same graphs, and the link-sum and remaining-work lower bounds
  * to the makespan under rounding, on random DAGs and on adversarial
@@ -32,6 +34,7 @@
 #include "model/models.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
+#include "sim/trace.h"
 #include "sim_reference.h"
 #include "test_util.h"
 
@@ -42,13 +45,15 @@ namespace {
  * A random DAG shaped to stress the arbitration paths: random streams
  * and links, ~10% zero-duration tasks, ~25% background-priority tasks,
  * up to 3 backward dependencies each, and quantised durations so that
- * equal readiness times (the id tie-break) actually occur.
+ * equal readiness times (the id tie-break) actually occur. The stream
+ * count is drawn from [@p min_streams, @p max_streams].
  */
 TaskGraph
-randomDag(std::mt19937 &rng)
+randomDag(std::mt19937 &rng, int min_streams = 1, int max_streams = 8)
 {
     std::uniform_int_distribution<int> n_dist(2, 160);
-    std::uniform_int_distribution<int> stream_count_dist(1, 8);
+    std::uniform_int_distribution<int> stream_count_dist(min_streams,
+                                                         max_streams);
     const int n = n_dist(rng);
     const int num_streams = stream_count_dist(rng);
 
@@ -86,21 +91,28 @@ randomDag(std::mt19937 &rng)
     return g;
 }
 
-/** Bitwise agreement of two runs over one graph. */
+/** Bitwise agreement of two runs over one graph, field by field. */
 void
 expectIdentical(const TaskGraph &g, const SimResult &got,
                 const SimResult &want, const std::string &what)
 {
     ASSERT_EQ(got.trace.size(), want.trace.size()) << what;
-    EXPECT_EQ(got.makespan, want.makespan) << what;
+    EXPECT_TRUE(test::sameBits(got.makespan, want.makespan))
+        << what << ": makespan " << got.makespan << " vs "
+        << want.makespan;
     for (size_t op = 0; op < want.opTime.size(); ++op)
-        EXPECT_EQ(got.opTime[op], want.opTime[op])
+        EXPECT_TRUE(test::sameBits(got.opTime[op], want.opTime[op]))
             << what << ": op " << opTypeName(static_cast<OpType>(op));
+    for (size_t li = 0; li < want.linkBusyMs.size(); ++li)
+        EXPECT_TRUE(
+            test::sameBits(got.linkBusyMs[li], want.linkBusyMs[li]))
+            << what << ": link " << linkName(static_cast<Link>(li));
     for (size_t i = 0; i < want.trace.size(); ++i) {
         EXPECT_EQ(got.trace[i].id, want.trace[i].id) << what << " #" << i;
-        EXPECT_EQ(got.trace[i].start, want.trace[i].start)
+        EXPECT_TRUE(test::sameBits(got.trace[i].start, want.trace[i].start))
             << what << ": " << g.taskName(static_cast<TaskId>(i));
-        EXPECT_EQ(got.trace[i].finish, want.trace[i].finish)
+        EXPECT_TRUE(
+            test::sameBits(got.trace[i].finish, want.trace[i].finish))
             << what << ": " << g.taskName(static_cast<TaskId>(i));
     }
 }
@@ -217,11 +229,12 @@ replayRemainingWork(const TaskGraph &g, const SimResult &result)
 }
 
 /**
- * makespanBelow(g, c) is run(g).makespan, bit for bit, when that is
- * below c and +inf otherwise, and runBelow(g, c) is run(g) whole or
- * nothing; checked at the makespan m, at both of its nextafter
- * neighbours, at m (1 +- 2^-k) for k from 1 to 53, at 0 and +inf, and
- * at random cutoffs. Neither lower bound may exceed m, so neither can
+ * run(g) is referenceRun(g), bit for bit; makespanBelow(g, c) is
+ * run(g).makespan, bit for bit, when that is below c and +inf
+ * otherwise, and runBelow(g, c) is run(g) whole or nothing; checked
+ * at the makespan m, at both of its nextafter neighbours, at
+ * m (1 +- 2^-k) for k from 1 to 53, at 0 and +inf, and at random
+ * cutoffs. Neither lower bound may exceed m, so neither can
  * fire for a cutoff above it.
  */
 void
@@ -230,6 +243,7 @@ expectCutoffContract(const TaskGraph &g, std::mt19937 &rng,
 {
     const Simulator simulator;
     const SimResult run = simulator.run(g);
+    expectIdentical(g, run, referenceRun(g), what + " reference");
     const double m = run.makespan;
     EXPECT_LE(Simulator::makespanLowerBound(g), m) << what;
     EXPECT_LE(replayRemainingWork(g, run).bound, m) << what;
@@ -250,13 +264,8 @@ expectCutoffContract(const TaskGraph &g, std::mt19937 &rng,
             << want;
         const std::optional<SimResult> whole = simulator.runBelow(g, c);
         ASSERT_EQ(whole.has_value(), m < c) << what << ": cutoff " << c;
-        if (whole) {
+        if (whole)
             expectIdentical(g, *whole, run, what + " runBelow");
-            for (size_t li = 0; li < run.linkBusyMs.size(); ++li)
-                EXPECT_TRUE(test::sameBits(whole->linkBusyMs[li],
-                                           run.linkBusyMs[li]))
-                    << what;
-        }
     }
 }
 
@@ -303,6 +312,74 @@ TEST(SimFuzz, MakespanBelowAgreesWithRunOnRandomDags)
         expectCutoffContract(g, rng, "seed " + std::to_string(seed));
         if (::testing::Test::HasFailure())
             FAIL() << "first divergence at seed " << seed;
+    }
+}
+
+/**
+ * A wide, flat DAG: 9-64 streams whose first tasks all sit on the
+ * inter-node link with no dependencies, so at t = 0 every stream head
+ * is issuable on that one link, more than the simulator's candidate
+ * scan holds. Later rows take random links, up to 2 dependencies on
+ * earlier tasks, quantised durations (~10% zero) and ~25% background
+ * priority, so the set leaves its heap, refills and ties on readiness.
+ */
+TaskGraph
+flatDag(std::mt19937 &rng)
+{
+    const int streams = std::uniform_int_distribution<int>(9, 64)(rng);
+    const int rows = std::uniform_int_distribution<int>(1, 6)(rng);
+    std::uniform_int_distribution<int> link_dist(
+        0, static_cast<int>(Link::NumLinks) - 1);
+    std::uniform_int_distribution<int> op_dist(
+        0, static_cast<int>(OpType::NumOpTypes) - 1);
+    std::uniform_int_distribution<int> pct(0, 99);
+    std::uniform_int_distribution<int> quantum(1, 40);
+    std::uniform_int_distribution<int> dep_count_dist(0, 2);
+    TaskGraph g;
+    std::vector<TaskId> deps;
+    for (int row = 0; row < rows; ++row) {
+        for (int s = 0; s < streams; ++s) {
+            const auto id = static_cast<TaskId>(g.size());
+            deps.clear();
+            if (row > 0) {
+                std::uniform_int_distribution<TaskId> dep_dist(0, id - 1);
+                for (int d = dep_count_dist(rng); d > 0; --d) {
+                    const TaskId cand = dep_dist(rng);
+                    if (std::find(deps.begin(), deps.end(), cand) ==
+                        deps.end())
+                        deps.push_back(cand);
+                }
+            }
+            const Link link = row == 0 ? Link::InterNode
+                                       : static_cast<Link>(link_dist(rng));
+            const double duration =
+                pct(rng) < 10 ? 0.0 : 0.25 * quantum(rng);
+            g.addTask({"t", id}, static_cast<OpType>(op_dist(rng)), link, s,
+                      duration, deps, pct(rng) < 25 ? 1 : 0);
+        }
+    }
+    return g;
+}
+
+TEST(SimFuzz, MatchesNaiveReferenceOnWideDags)
+{
+    // Random DAGs with 9-64 streams, and flat ones whose stream heads
+    // all compete for one link at t = 0: both must match the
+    // reference bit for bit and keep the cutoff contract (which checks
+    // both) while a link's candidate set holds more tasks than the
+    // simulator scans.
+    constexpr int kSeeds = 60;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937 rng(0x51de5u + static_cast<unsigned>(seed));
+        for (const bool flat : {false, true}) {
+            const TaskGraph g = flat ? flatDag(rng) : randomDag(rng, 9, 64);
+            const std::string what = std::string(flat ? "flat" : "random") +
+                                     " seed " + std::to_string(seed);
+            expectCutoffContract(g, rng, what);
+            if (::testing::Test::HasFailure())
+                FAIL() << "first divergence: " << what << " (" << g.size()
+                       << " tasks, " << g.numStreams() << " streams)";
+        }
     }
 }
 

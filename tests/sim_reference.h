@@ -7,11 +7,11 @@
  * every link — O(events x links x streams) — picking, per free link,
  * the eligible stream head with the smallest (priority, readyTime,
  * issue id) key. The production simulator (src/sim/simulator.cc)
- * replaced the rescan with incrementally maintained per-link heaps and
- * must stay *bit-identical* to this loop: tests/sim_fuzz_test.cc
- * checks makespan, per-op times, and full traces on randomized DAGs,
- * and bench_micro's BM_SimulatorVsReference measures the speedup
- * against it.
+ * replaced the rescan with incrementally maintained per-link candidate
+ * sets and must stay *bit-identical* to this loop: tests/sim_fuzz_test.cc
+ * checks makespan, per-op and per-link busy times, and full traces on
+ * randomized DAGs, and bench_micro's BM_SimulatorVsReference measures
+ * the speedup against it.
  *
  * Keep this file dumb and obviously correct; it is the oracle.
  */
@@ -131,6 +131,8 @@ referenceRun(const TaskGraph &graph)
         state[id].finished = true;
         finished_count++;
         result.opTime[static_cast<size_t>(tasks[id].op)] +=
+            tasks[id].duration;
+        result.linkBusyMs[static_cast<size_t>(tasks[id].link)] +=
             tasks[id].duration;
         result.makespan = std::max(result.makespan, t_now);
         for (TaskId dep : dependents[id]) {
