@@ -9,6 +9,7 @@
  * simulator), gate kernels, the GEMM kernel, and the functional
  * AlltoAll algorithms.
  */
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -363,6 +364,40 @@ BENCHMARK(BM_LinaProbe)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * PipeMoE+Lina's degree-free bound (its bucket AllReduces' least
+ * total) on the tuner's gpt2xl-moe/testbedA/b1/L1024 query, at 1 KB
+ * buckets (chunkKB:1, the chunkMB clamp bound DE's losing probes sit
+ * at) and at the 30 MB default (chunkKB:30720). Items are the buckets
+ * the schedule emits, which the bound counts in closed form.
+ */
+void
+BM_LinaDegreeFreeBound(benchmark::State &state)
+{
+    runtime::Scenario scenario;
+    scenario.model = "gpt2xl-moe";
+    scenario.cluster = "testbedA";
+    scenario.batch = 1;
+    scenario.seqLen = 1024;
+    const core::ModelCost cost =
+        runtime::ScenarioRegistry::instance().makeCost(scenario);
+    char mb[32];
+    std::snprintf(mb, sizeof mb, "%.17g",
+                  static_cast<double>(state.range(0)) / 1024.0);
+    const auto sched = core::Schedule::create(
+        std::string("lina?chunkMB=") + mb + "&degree=1");
+    const auto &lina = dynamic_cast<const core::detail::DegreeSchedule &>(
+        *sched);
+    const sim::TaskGraph graph = sched->build(cost);
+    int64_t buckets = 0;
+    for (const sim::Task &task : graph.tasks())
+        buckets += task.op == sim::OpType::GradAllReduce ? 1 : 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(lina.degreeFreeBound(cost));
+    state.SetItemsProcessed(state.iterations() * buckets);
+}
+BENCHMARK(BM_LinaDegreeFreeBound)->ArgName("chunkKB")->Arg(1)->Arg(30720);
 
 /**
  * One tuner probe's schedule construction: PipeMoE+Lina at a DE point

@@ -35,13 +35,13 @@ class LinaSchedule : public DegreeSchedule
     }
 
     /**
-     * spec() without chunkMB when one bucket takes the whole gradient:
-     * when no bucket fills before the last backward layer and G, the
-     * total gradient bytes folded in walkBackward()'s order, is at most
-     * the chunk, every such chunk size emits one AllReduce of
-     * predict(G) after the last backward layer (a full bucket at the
+     * The degree's key without chunkMB when one bucket takes the whole
+     * gradient: when no bucket fills before the last backward layer
+     * and G, the total gradient bytes folded in walkBackward()'s order,
+     * is at most the chunk, every such chunk size emits one AllReduce
+     * of predict(G) after the last backward layer (a full bucket at the
      * chunk G, a partial one above it), so the graph is the degree's
-     * alone. Otherwise spec().
+     * alone. Otherwise the default key.
      */
     std::string
     graphKey(const ModelCost &model) const override
@@ -50,11 +50,11 @@ class LinaSchedule : public DegreeSchedule
         for (auto it = model.layers.rbegin(); it != model.layers.rend();
              ++it) {
             if (pending >= chunk_bytes_)
-                return spec();
+                return Schedule::graphKey(model);
             pending += it->workload.gradBytes;
         }
         if (pending > chunk_bytes_)
-            return spec();
+            return Schedule::graphKey(model);
         return name() + "?chunkMB=whole&degree=" + std::to_string(degree());
     }
 
@@ -112,24 +112,84 @@ class LinaSchedule : public DegreeSchedule
     }
 
     /**
-     * The bucket AllReduces run one at a time on the inter-node link
-     * at every degree, so the last one finishes no earlier than the
-     * rounded fold of their durations in start order: the sum of the
-     * buckets emit() adds, within sim::Simulator::sumLowerBound's
-     * margin.
+     * A bound on every degree's makespan from the bucket AllReduces
+     * alone, in O(layers) whatever the bucket count. They run one at a
+     * time, in emit() order, on one stream at every degree, so the last
+     * one finishes no earlier than W, the rounded left fold of their
+     * durations in that order.
+     *
+     * Why it is at most W, with u = 2^-53 and c the chunk:
+     * walkBackward() emits N full buckets of f = predict(c), then, when
+     * its final pending p is positive, one of predict(p); with
+     * T = N c + p (exact), 0 <= p < c gives N = floor(T / c). T is the
+     * gradient total up to the walk's roundings: its `pending += bytes`
+     * and its `pending -= chunk`, which round for a 17-digit chunk
+     * (not for 1 KB buckets of whole bytes). G, the gradient bytes
+     * folded last layer first, stands in for T. Each rounding is at
+     * most u times its result: the walk's results in layer k stay
+     * below M = (c + g_k)(1 + u), and there it subtracts at most
+     * 2M / c times when c + g_k <= 2^51 c; G's k-th addition rounds by
+     * at most u G_k, its k-th partial sum. So |T - G| is at most
+     * u sum_k (M (1 + 2M / c) + G_k), which e's factor 2u covers with
+     * the rounding of computing it; e's 4uc covers the roundings of
+     * p' below.
+     *
+     * With T' = G - e <= T, N' = floor(T' / c) and p' = T' - N' c
+     * (fmod is exact), the exact N' f + predict(p') is at most the
+     * walk's exact N f + [p > 0] predict(p) when the graph builds
+     * (every duration >= 0) and beta >= 0 (predict, rounding included,
+     * is nondecreasing): N >= N' since T >= T'; when N > N', one of the
+     * walk's full buckets, f >= predict(p') as p' <= c, covers the
+     * partial term; when N = N', p >= p' > 0. W, a fold of at most
+     * N + 1 such terms, is at least (1 - u)^N times their exact sum;
+     * N <= N' + 2 since e < c / 2; and the computed
+     * N' f + predict(p') is at most (1 + u)^2 times the larger of its
+     * exact value and N' f. sumLowerBound's factor at N' + 2 terms,
+     * 1 - 4(N' + 3)u, covers all three and its own rounding.
+     *
+     * So it stays below W by about that factor, the fold's rounding and
+     * beta e, except when the walk's partial bucket holds at most about
+     * 2e bytes, whose predict() it then drops. A layer of negative or
+     * non-finite bytes, a negative beta, or a chunk below 2^-51 of a
+     * layer gives 0.
      */
     double
     degreeFreeBound(const ModelCost &model) const override
     {
-        double sum = 0.0;
-        size_t buckets = 0;
-        walkBackward(
-            model, [](const LayerCost &) {},
-            [&](double ms) {
-                sum += ms;
-                ++buckets;
-            });
-        return sim::Simulator::sumLowerBound(sum, buckets);
+        constexpr double u = 0x1p-53;
+        const double c = chunk_bytes_;
+        const LinearModel &allreduce = model.models.allreduce;
+        if (!(allreduce.beta >= 0.0))
+            return 0.0;
+        double grad = 0.0;
+        double slack = 0.0;
+        for (auto it = model.layers.rbegin(); it != model.layers.rend();
+             ++it) {
+            const double g = it->workload.gradBytes;
+            const double m = c + g;
+            if (!(g >= 0.0 && m <= 0x1p51 * c))
+                return 0.0;
+            grad += g;
+            slack += m * (1.0 + 2.0 * m / c) + grad;
+        }
+        const double e = 2.0 * u * slack + 4.0 * u * c;
+        if (!(e < 0.5 * c && grad < 0x1p50 * c))
+            return 0.0;
+        // G's full buckets (exact below 2^50) and remainder, then
+        // T' = G - e's.
+        const double rem = std::fmod(grad, c);
+        double full = std::nearbyint((grad - rem) / c);
+        double partial = rem - e;
+        if (rem <= e) {
+            if (full < 1.0)
+                return 0.0;
+            full -= 1.0;
+            partial = c - (e - rem);
+        }
+        const double sum =
+            full * allreduce.predict(c) + allreduce.predict(partial);
+        return sim::Simulator::sumLowerBound(
+            sum, static_cast<size_t>(full) + 2);
     }
 
     /**

@@ -54,7 +54,7 @@ std::string
 Schedule::graphKey(const ModelCost &model) const
 {
     (void)model;
-    return spec_;
+    return graph_key_;
 }
 
 namespace {
@@ -72,8 +72,7 @@ runGraphBelow(sim::TaskGraph graph, double cutoff, SimulatedGraph *kept)
         sim::Simulator{}.runBelow(graph, cutoff);
     if (!result)
         return std::numeric_limits<double>::infinity();
-    kept->graph = std::move(graph);
-    kept->sim = std::move(*result);
+    *kept = {std::move(graph), std::move(*result)};
     return kept->sim.makespan;
 }
 
@@ -498,10 +497,9 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff,
     }
     if (degree_ == 0) {
         DegreeChoice choice = searchDegree(*this, model, cutoff);
-        if (kept != nullptr && choice.makespanMs < inf) {
-            kept->graph = std::move(choice.graph);
-            kept->sim = std::move(choice.sim);
-        }
+        if (kept != nullptr && choice.makespanMs < inf)
+            *kept = {std::move(choice.graph), std::move(choice.sim),
+                     choice.r};
         return choice.makespanMs;
     }
     if (makespanLowerBound(model) >= cutoff)

@@ -86,6 +86,10 @@ struct SimulatedGraph
 {
     sim::TaskGraph graph;
     sim::SimResult sim;
+    /// The pipeline degree a degree search (a schedule's `degree=0`)
+    /// picked for this graph, which the same spec at that fixed
+    /// `degree` builds too; 0 when no search picked it.
+    int degree = 0;
 };
 
 /**
@@ -129,9 +133,15 @@ class Schedule
      * keys are equal on one @p model build identical graphs (the same
      * tasks, duration bits and dependency lists), so their makespans,
      * bounds and cutoff decisions are equal too. A caller pricing many
-     * specs on one model (the tuner's DE probes) prices each key once.
-     * The default is spec(); a schedule whose parameters can leave its
-     * graph unchanged overrides it.
+     * specs on one model (the tuner's DE probes and frontier pass)
+     * prices each key once. The default is the canonical spec with
+     * every declared parameter filled in, given or defaulted ("Tutel"
+     * and "Tutel?degree=0" both give "Tutel?degree=0"), since a
+     * factory reads an absent parameter as its declared default; a
+     * fully given spec is its own key. A schedule whose parameters can
+     * leave its graph unchanged overrides it. Empty for an instance
+     * constructed without the registry: an empty key never names a
+     * shared graph, so a caller prices such a schedule on its own.
      */
     virtual std::string graphKey(const ModelCost &model) const;
 
@@ -192,6 +202,7 @@ class Schedule
     friend class ScheduleRegistry;
     std::string name_;
     std::string spec_;
+    std::string graph_key_; ///< graphKey()'s default.
 };
 
 namespace detail {
@@ -325,8 +336,9 @@ class DegreeSchedule : public Schedule
      * +inf at once when degreeFreeBound() reaches @p cutoff (counted in
      * schedule.search.degreeFreeCut). Otherwise, at degree 0, the
      * search seeded with @p cutoff, whose winner is what @p kept
-     * receives; at a fixed degree, the graph is built and simulated
-     * only when makespanLowerBound() is below @p cutoff.
+     * receives, with the degree it picked; at a fixed degree, the
+     * graph is built and simulated only when makespanLowerBound() is
+     * below @p cutoff.
      */
     double makespanBelow(const ModelCost &model, double cutoff,
                          SimulatedGraph *kept = nullptr) const override;

@@ -350,6 +350,7 @@ ScheduleRegistry::registerSchedule(ScheduleInfo info, Factory factory)
     }
     entry->info = std::move(info);
     entry->factory = std::move(factory);
+    ScheduleParams defaults;
     for (const ScheduleParamInfo &p : entry->info.params) {
         if (p.defaultValue.empty())
             continue;
@@ -357,13 +358,17 @@ ScheduleRegistry::registerSchedule(ScheduleInfo info, Factory factory)
         const std::vector<std::string> spelled = {p.defaultValue};
         std::string why;
         if (parseValue(p.type, p.key, p.defaultValue, &bag, &why) &&
-            validate(*entry, bag, &spelled, nullptr, nullptr, &why))
+            validate(*entry, bag, &spelled, nullptr, nullptr, &why)) {
+            parseValue(p.type, p.key, p.defaultValue, &defaults, &why);
             continue;
+        }
         FSMOE_WARN("schedule '", entry->info.name, "': default '",
                    p.defaultValue, "' for parameter '", p.key,
                    "' rejected: ", why);
         return false;
     }
+    // Every default at once, now that each alone passed.
+    validate(*entry, defaults, nullptr, &entry->defaults, nullptr, nullptr);
 
     const ScheduleInfo &added = entry->info;
     std::lock_guard<std::mutex> lock(mu_);
@@ -491,6 +496,20 @@ ScheduleRegistry::parseParams(const Entry &entry, const ScheduleSpec &spec,
     return true;
 }
 
+std::string
+ScheduleRegistry::valueText(const ScheduleParams::Value &v)
+{
+    switch (v.type) {
+      case ScheduleParamType::Int:
+        return std::to_string(v.intValue);
+      case ScheduleParamType::Double:
+        return json::fmtDouble(v.doubleValue);
+      case ScheduleParamType::Bool:
+        return v.boolValue ? "true" : "false";
+    }
+    return "?";
+}
+
 bool
 ScheduleRegistry::validate(const Entry &entry, const ScheduleParams &given,
                            const std::vector<std::string> *spelled,
@@ -499,18 +518,6 @@ ScheduleRegistry::validate(const Entry &entry, const ScheduleParams &given,
 {
     using Value = ScheduleParams::Value;
     const ScheduleInfo &info = entry.info;
-    // The canonical text of a value: what a spec prints and re-parses.
-    const auto text = [](const Value &v) -> std::string {
-        switch (v.type) {
-          case ScheduleParamType::Int:
-            return std::to_string(v.intValue);
-          case ScheduleParamType::Double:
-            return json::fmtDouble(v.doubleValue);
-          case ScheduleParamType::Bool:
-            return v.boolValue ? "true" : "false";
-        }
-        return "?";
-    };
     // Why @p v cannot be @p decl's value (empty when it can); an Int
     // given for a Double is converted to one.
     const auto check = [](const ScheduleParamInfo &decl,
@@ -588,31 +595,40 @@ ScheduleRegistry::validate(const Entry &entry, const ScheduleParams &given,
         const std::string why = check(info.params[j], slot);
         if (!why.empty()) {
             if (error)
-                *error = badValueError(spelled ? (*spelled)[g] : text(v),
+                *error = badValueError(spelled ? (*spelled)[g] : valueText(v),
                                        info.params[j].key, info.name, why);
             return false;
         }
     }
 
-    // Canonical spec: canonical name, then the given params in
-    // declared order with canonical key spelling and values.
-    if (canonical) {
-        canonical->reserve(info.name.size() + 32 * given.values_.size());
-        *canonical = info.name;
-        char sep = '?';
-        for (const Value &v : slots) {
-            if (!v.given)
-                continue;
-            *canonical += sep;
-            *canonical += v.key;
-            *canonical += '=';
-            *canonical += text(v);
-            sep = '&';
-        }
-    }
+    if (canonical)
+        *canonical = formatSpec(entry, slots, /*fill_defaults=*/false);
     if (validated)
         validated->values_ = std::move(slots);
     return true;
+}
+
+std::string
+ScheduleRegistry::formatSpec(const Entry &entry,
+                             const std::vector<ScheduleParams::Value> &slots,
+                             bool fill_defaults)
+{
+    std::string out = entry.info.name;
+    out.reserve(out.size() + 32 * slots.size());
+    char sep = '?';
+    for (size_t j = 0; j < slots.size(); ++j) {
+        const ScheduleParams::Value *v = &slots[j];
+        if (!v->given && fill_defaults)
+            v = &entry.defaults.values_[j];
+        if (!v->given)
+            continue;
+        out += sep;
+        out += v->key;
+        out += '=';
+        out += valueText(*v);
+        sep = '&';
+    }
+    return out;
 }
 
 std::unique_ptr<Schedule>
@@ -632,6 +648,14 @@ ScheduleRegistry::construct(const Entry &entry, const ScheduleParams &given,
         return nullptr;
     }
     schedule->name_ = entry.info.name;
+    // A spec that gives every defaulted parameter is its own key.
+    bool filled = true;
+    for (size_t j = 0; j < params.values_.size(); ++j)
+        filled = filled && (params.values_[j].given ||
+                            !entry.defaults.values_[j].given);
+    schedule->graph_key_ =
+        filled ? canonical
+               : formatSpec(entry, params.values_, /*fill_defaults=*/true);
     schedule->spec_ = std::move(canonical);
     return schedule;
 }

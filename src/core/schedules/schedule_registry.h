@@ -271,6 +271,9 @@ class ScheduleRegistry
         Factory factory;
         /// info.params' keys, normalized, in declared order.
         std::vector<std::string> paramKeys;
+        /// One slot per declared parameter, given when it declares a
+        /// default, holding that default's value.
+        ScheduleParams defaults;
     };
 
     /** The entry @p name names, or nullptr with *error set. */
@@ -299,7 +302,24 @@ class ScheduleRegistry
                          ScheduleParams *validated, std::string *canonical,
                          std::string *error);
 
-    /** validate(), then run the factory: the one construction path. */
+    /** The canonical text of a value: what a spec prints and re-parses. */
+    static std::string valueText(const ScheduleParams::Value &v);
+
+    /**
+     * The canonical spec of a validated bag's @p slots: the canonical
+     * name, then each given slot in declared order with canonical key
+     * spelling and value, and with @p fill_defaults also each slot
+     * that was not given but declares a default (its graph key).
+     */
+    static std::string
+    formatSpec(const Entry &entry,
+               const std::vector<ScheduleParams::Value> &slots,
+               bool fill_defaults);
+
+    /**
+     * validate(), then run the factory: the one construction path,
+     * which also sets the instance's spec and default graph key.
+     */
     static std::unique_ptr<Schedule>
     construct(const Entry &entry, const ScheduleParams &given,
               const std::vector<std::string> *spelled, std::string *error);

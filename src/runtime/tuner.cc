@@ -330,6 +330,7 @@ struct FrontierStats
     stats::Counter &exact = stats::counter("tuner.frontier.exact");
     stats::Counter &cut = stats::counter("tuner.frontier.cut");
     stats::Counter &bounded = stats::counter("tuner.frontier.bounded");
+    stats::Counter &memo = stats::counter("tuner.frontier.memo");
 
     static FrontierStats &instance()
     {
@@ -424,23 +425,28 @@ Tuner::search(const TuneQuery &query)
     // search space (small grids exhaustively, continuous spaces via
     // differential evolution seeded deterministically).
     std::vector<std::unique_ptr<core::Schedule>> candidates;
+    std::vector<core::ScheduleParams> candidateParams; // what each took
     std::unordered_set<std::string> seen;
-    const auto addCandidate = [&](std::unique_ptr<core::Schedule> schedule) {
-        if (seen.insert(schedule->spec()).second)
+    const auto addCandidate = [&](const std::string &name,
+                                  core::ScheduleParams params) {
+        std::unique_ptr<core::Schedule> schedule = create(name, params);
+        if (seen.insert(schedule->spec()).second) {
             candidates.push_back(std::move(schedule));
+            candidateParams.push_back(std::move(params));
+        }
     };
 
     for (const core::ScheduleInfo &info : registry.list()) {
-        addCandidate(create(info.name, {}));
+        addCandidate(info.name, {});
         core::ParamSpace space = core::deriveParamSpace(
             info, query.rMax, kMaxGridPerAxis);
         if (space.axes.empty())
             continue;
         if (!space.continuous() &&
             space.gridSize() <= kMaxGridSpecs) {
-            for (const core::ScheduleParams &params :
+            for (core::ScheduleParams &params :
                  core::enumerateGridParams(space, kMaxGridSpecs))
-                addCandidate(create(space.schedule, params));
+                addCandidate(space.schedule, std::move(params));
             continue;
         }
         // DE over the box; probes run one at a time on this thread.
@@ -482,8 +488,7 @@ Tuner::search(const TuneQuery &query)
         };
         const solver::DeResult de =
             solver::differentialEvolution(objective, lo, hi, options_.de);
-        addCandidate(
-            create(space.schedule, core::paramsFromPoint(space, de.x)));
+        addCandidate(space.schedule, core::paramsFromPoint(space, de.x));
     }
 
     ProbeStats &ps = ProbeStats::instance();
@@ -497,14 +502,41 @@ Tuner::search(const TuneQuery &query)
     // first, each priced only below the larger of the N-th best so far
     // and its schedule's best so far: both only fall as the pass goes
     // on, so a candidate whose bound reaches that cutoff, or whose
-    // probe stops at it, is worse than the final N-th best and than
+    // price stops at it, is worse than the final N-th best and than
     // its schedule's final best, and the metric set is the one every
     // candidate priced in full would give. The cutoff's next double up
     // keeps a tie on makespan, which the spec then breaks.
+    //
+    // One entry per distinct Schedule::graphKey among the candidates:
+    // specs with equal keys build one graph, so its bound is computed
+    // once and it is priced once. An empty key names no shared graph.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    struct Graph
+    {
+        double bound = 0.0;
+        /// Once priced, its exact makespan when `exact`, else the
+        /// cutoff it was cut at, which its makespan reaches; NaN before.
+        double makespanMs = std::numeric_limits<double>::quiet_NaN();
+        bool exact = false;
+        /// An exact price's graph and result, while a candidate holds
+        /// them.
+        std::weak_ptr<const core::SimulatedGraph> kept;
+    };
+    std::unordered_map<std::string, Graph> graphs;
+    std::vector<Graph *> graphOf(candidates.size(), nullptr);
     std::vector<double> bound(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
-        bound[i] = candidates[i]->makespanLowerBound(cost);
         probedSpecs.insert(candidates[i]->spec());
+        std::string key = candidates[i]->graphKey(cost);
+        if (key.empty()) {
+            bound[i] = candidates[i]->makespanLowerBound(cost);
+            continue;
+        }
+        auto [it, fresh] = graphs.try_emplace(std::move(key));
+        if (fresh)
+            it->second.bound = candidates[i]->makespanLowerBound(cost);
+        graphOf[i] = &it->second;
+        bound[i] = it->second.bound;
     }
     std::vector<size_t> visit(candidates.size());
     std::iota(visit.begin(), visit.end(), size_t{0});
@@ -512,7 +544,50 @@ Tuner::search(const TuneQuery &query)
         return bound[a] < bound[b];
     });
 
-    constexpr double kInf = std::numeric_limits<double>::infinity();
+    // Each exactly priced candidate's graph and SimResult, shared by
+    // the candidates of one key and held while one of them is in top
+    // or its schedule's best: the metric pass reads them.
+    std::vector<std::shared_ptr<const core::SimulatedGraph>> kept(
+        candidates.size());
+    uint64_t exact = 0, frontierCut = 0, bounded = 0, frontierMemo = 0;
+    // The makespan of candidate i when below @p below, else +inf, with
+    // its graph in kept[i]: from its key's entry when that already
+    // decides it (counted in `frontierMemo`), else from the engine. A
+    // degree search's winner also prices its fixed-degree twin, whose
+    // graph it is: the same spec at the degree the search picked.
+    const auto price = [&](size_t i, double below) {
+        Graph *known = graphOf[i];
+        if (known != nullptr && known->makespanMs >= below) {
+            ++frontierMemo;
+            return kInf;
+        }
+        if (known != nullptr && known->exact &&
+            (kept[i] = known->kept.lock()) != nullptr) {
+            ++frontierMemo;
+            return known->makespanMs;
+        }
+        auto simulated = std::make_shared<core::SimulatedGraph>();
+        const double ms = engine_.makespanBelow(*candidates[i], cost, below,
+                                                simulated.get());
+        const bool below_cutoff = ms < below;
+        if (below_cutoff)
+            kept[i] = simulated;
+        if (known != nullptr)
+            *known = {known->bound, below_cutoff ? ms : below, below_cutoff,
+                      kept[i]};
+        if (!below_cutoff || simulated->degree == 0)
+            return ms;
+        core::ScheduleParams params = candidateParams[i];
+        params.setInt("degree", simulated->degree);
+        const std::unique_ptr<core::Schedule> twin =
+            registry.tryCreate(candidates[i]->name(), params, nullptr);
+        auto entry = twin == nullptr ? graphs.end()
+                                     : graphs.find(twin->graphKey(cost));
+        if (entry != graphs.end() && std::isnan(entry->second.makespanMs))
+            entry->second = {entry->second.bound, ms, true, kept[i]};
+        return ms;
+    };
+
     struct Priced
     {
         double makespanMs;
@@ -525,17 +600,13 @@ Tuner::search(const TuneQuery &query)
     };
     std::vector<Priced> top; // the best N so far, sorted
     std::unordered_map<std::string, Priced> bestOfSchedule;
-    // Each exactly priced candidate's graph and SimResult, held while
-    // it is in top or its schedule's best: the metric pass reads them.
-    std::vector<core::SimulatedGraph> kept(candidates.size());
     const auto release = [&](size_t j) {
         const bool in_top =
             std::any_of(top.begin(), top.end(),
                         [j](const Priced &p) { return p.index == j; });
         if (!in_top && bestOfSchedule.at(candidates[j]->name()).index != j)
-            kept[j] = core::SimulatedGraph{};
+            kept[j] = nullptr;
     };
-    uint64_t exact = 0, frontierCut = 0, bounded = 0;
     for (size_t i : visit) {
         const core::Schedule &schedule = *candidates[i];
         auto best = bestOfSchedule.find(schedule.name());
@@ -547,8 +618,7 @@ Tuner::search(const TuneQuery &query)
             ++bounded;
             continue;
         }
-        const double ms =
-            engine_.makespanBelow(schedule, cost, below, &kept[i]);
+        const double ms = price(i, below);
         if (!(ms < below)) {
             ++frontierCut;
             continue;
@@ -575,9 +645,11 @@ Tuner::search(const TuneQuery &query)
     fs.exact.inc(exact);
     fs.cut.inc(frontierCut);
     fs.bounded.inc(bounded);
+    fs.memo.inc(frontierMemo);
 
     // --- Metric pass: the comm/memory objectives of the short list,
-    // from the graphs and traces the frontier pass kept.
+    // from the graphs and traces the frontier pass kept, each shared
+    // graph's peak computed once.
     std::set<size_t> metricSet;
     for (const auto &kv : bestOfSchedule)
         metricSet.insert(kv.second.index);
@@ -585,14 +657,18 @@ Tuner::search(const TuneQuery &query)
         metricSet.insert(p.index);
     std::vector<TuneCandidate> evaluated;
     evaluated.reserve(metricSet.size());
+    std::unordered_map<const core::SimulatedGraph *, double> peakOf;
     for (size_t i : metricSet) {
-        const core::SimulatedGraph &g = kept[i];
+        const core::SimulatedGraph &g = *kept[i];
+        auto [peak, fresh] = peakOf.try_emplace(&g, 0.0);
+        if (fresh)
+            peak->second = peakConcurrentCommMB(g.graph, g.sim, cost.models);
         TuneCandidate c;
         c.spec = candidates[i]->spec();
         c.makespanMs = g.sim.makespan;
         c.commBusyMs = g.sim.busyOf(sim::Link::InterNode) +
                        g.sim.busyOf(sim::Link::IntraNode);
-        c.peakMemMB = peakConcurrentCommMB(g.graph, g.sim, cost.models);
+        c.peakMemMB = peak->second;
         evaluated.push_back(std::move(c));
     }
 

@@ -22,13 +22,14 @@
  * Small spaces are searched exhaustively (grid); spaces with a
  * continuous axis fall back to the solver's differential evolution,
  * probing through the same engine; specs whose Schedule::graphKey is
- * equal build one graph, which DE prices once. Every schedule's bare
- * canonical name is always a candidate, so the tuner's answer is never
- * worse than the best default configuration. Candidates are priced
- * best lower bound first against a running cutoff (docs/TUNING.md), so
- * only those that can still reach the metric pass are simulated, and
- * the metric pass reads the graphs and results that pricing kept: a
- * cold query simulates each graph at most once.
+ * equal build one graph, which DE, and then the frontier pass, price
+ * once. Every schedule's bare canonical name is always a candidate, so
+ * the tuner's answer is never worse than the best default
+ * configuration. Candidates are priced best lower bound first against
+ * a running cutoff (docs/TUNING.md), so only those that can still
+ * reach the metric pass are simulated, and the metric pass reads the
+ * graphs and results that pricing kept: a cold query simulates each
+ * graph at most once per pass.
  *
  * Advisor caching: answers are memoized by a key derived from the
  * query and the tuner configuration, together with a digest of the

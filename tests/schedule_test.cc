@@ -1489,17 +1489,20 @@ TEST(Schedules, EqualGraphKeysBuildIdenticalGraphs)
     for (const auto &[key, s] : configs) {
         const size_t shared = expectEqualKeysBuildOneGraph(
             runtime::ScenarioRegistry::instance().makeCost(s), key);
+        // Tutel, Tutel-Improved and Lina share their default key with
+        // degree=0 and, for Lina, chunkMB=30&degree=0.
         if (s.model == "gpt2xl-moe") {
-            // Lina's chunks G, G's successor, 2G and 1024 MB share
+            // Lina's chunks G, G's successor, 2G and 1024 MB also share
             // one key at each degree 0..rMax.
-            EXPECT_EQ(shared, static_cast<size_t>(s.rMax + 1)) << key;
+            EXPECT_EQ(shared, static_cast<size_t>(s.rMax + 1) + 3) << key;
         } else {
-            EXPECT_EQ(shared, 0u) << key;
+            EXPECT_EQ(shared, 3u) << key;
         }
     }
 
     // On the tuner's query every chunk of G or more shares one key per
-    // degree; a chunk below G keeps its spec.
+    // degree; a chunk below G keeps its default key, which fills in
+    // the default degree.
     const ModelCost cost =
         runtime::ScenarioRegistry::instance().makeCost(tunerQuery());
     const auto lina = [&](const char *spec) {
@@ -1509,8 +1512,7 @@ TEST(Schedules, EqualGraphKeysBuildIdenticalGraphs)
               lina("lina?chunkMB=1024&degree=3"));
     EXPECT_NE(lina("lina?chunkMB=200&degree=3"),
               lina("lina?chunkMB=200&degree=4"));
-    EXPECT_EQ(lina("lina?chunkMB=30"),
-              Schedule::create("lina?chunkMB=30")->spec());
+    EXPECT_EQ(lina("lina?chunkMB=30"), "PipeMoE+Lina?chunkMB=30&degree=0");
 
     constexpr int kSeeds = 40;
     for (int seed = 0; seed < kSeeds; ++seed) {
@@ -1520,6 +1522,211 @@ TEST(Schedules, EqualGraphKeysBuildIdenticalGraphs)
         if (::testing::Test::HasFailure())
             FAIL() << "first failure at seed " << seed;
     }
+}
+
+/**
+ * @p info's bare name, every spec that spells out some of its declared
+ * defaults (each nonempty subset, at the default's text), and each
+ * defaulted parameter alone at another value. Returns the bare name
+ * and the specs spelling defaults in *same, the others in *other.
+ */
+void
+defaultSpellings(const ScheduleInfo &info, std::vector<std::string> *same,
+                 std::vector<std::string> *other)
+{
+    std::vector<const ScheduleParamInfo *> defaulted;
+    for (const ScheduleParamInfo &p : info.params)
+        if (!p.defaultValue.empty())
+            defaulted.push_back(&p);
+    *same = {info.name};
+    for (size_t mask = 1; mask < (size_t{1} << defaulted.size()); ++mask) {
+        std::string spec = info.name;
+        char sep = '?';
+        for (size_t j = 0; j < defaulted.size(); ++j) {
+            if ((mask >> j & 1) == 0)
+                continue;
+            spec += sep + defaulted[j]->key + "=" + defaulted[j]->defaultValue;
+            sep = '&';
+        }
+        same->push_back(spec);
+    }
+    other->clear();
+    for (const ScheduleParamInfo *p : defaulted) {
+        std::string value;
+        switch (p->type) {
+          case ScheduleParamType::Int:
+            value = std::to_string(std::stoll(p->defaultValue) + 1);
+            break;
+          case ScheduleParamType::Double:
+            value = std::to_string(std::stod(p->defaultValue) + 1.0);
+            break;
+          case ScheduleParamType::Bool:
+            value = p->defaultValue == "true" ? "false" : "true";
+            break;
+        }
+        other->push_back(info.name + "?" + p->key + "=" + value);
+    }
+}
+
+TEST(Schedules, EqualGraphKeysBuildEqualGraphs)
+{
+    // On the eight demo configurations, two kinds of pair the tuner's
+    // frontier pass prices once:
+    //  - each builtin's bare spec and every spec spelling out some of
+    //    its defaults, which the default graph key fills in alike,
+    //    while a non-default value keeps a key of its own;
+    //  - each degree search's winner and its fixed-degree twin, the
+    //    same spec at the degree the search picked, built from typed
+    //    values as the tuner builds it.
+    // Equal keys must mean task-by-task equal graphs and bitwise-equal
+    // runs.
+    const ScheduleRegistry &reg = ScheduleRegistry::instance();
+    const std::map<std::string, runtime::Scenario> configs = demoConfigs();
+    ASSERT_EQ(configs.size(), 8u);
+    const double inf = std::numeric_limits<double>::infinity();
+    size_t pairs = 0;
+    for (const auto &[key, s] : configs) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        for (const ScheduleInfo &info : reg.list()) {
+            std::vector<std::string> same, other;
+            defaultSpellings(info, &same, &other);
+            const auto bare = Schedule::create(info.name);
+            const std::string bare_key = bare->graphKey(cost);
+            const sim::TaskGraph want = bare->build(cost);
+            const sim::SimResult want_run = sim::Simulator{}.run(want);
+            for (size_t i = 1; i < same.size(); ++i) {
+                const std::string what = key + " " + same[i];
+                const auto sched = Schedule::create(same[i]);
+                EXPECT_EQ(sched->graphKey(cost), bare_key) << what;
+                const sim::TaskGraph got = sched->build(cost);
+                expectSameGraph(got, want, what);
+                test::expectIdentical(got, sim::Simulator{}.run(got),
+                                      want_run, what);
+                ++pairs;
+            }
+            for (const std::string &spec : other)
+                EXPECT_NE(Schedule::create(spec)->graphKey(cost), bare_key)
+                    << key << " " << spec;
+        }
+
+        const std::pair<const char *, double> searches[] = {
+            {"Tutel", 0.0},
+            {"Tutel-Improved", 0.0},
+            {"PipeMoE+Lina", 0.0},
+            {"PipeMoE+Lina", 1024.0}};
+        for (const auto &[name, chunk_mb] : searches) {
+            ScheduleParams params;
+            if (chunk_mb > 0.0)
+                params.setDouble("chunkMB", chunk_mb);
+            std::string error;
+            const auto search = reg.tryCreate(name, params, &error);
+            ASSERT_NE(search, nullptr) << error;
+            const std::string what = key + " " + search->spec();
+            SimulatedGraph winner;
+            ASSERT_LT(search->makespanBelow(cost, inf, &winner), inf) << what;
+            ASSERT_GE(winner.degree, 1) << what;
+            params.setInt("degree", winner.degree);
+            const auto twin = reg.tryCreate(name, params, &error);
+            ASSERT_NE(twin, nullptr) << error;
+            EXPECT_EQ(twin->graphKey(cost),
+                      Schedule::create(twin->spec())->graphKey(cost))
+                << what;
+            const sim::TaskGraph got = twin->build(cost);
+            expectSameGraph(got, winner.graph, what + " twin");
+            test::expectIdentical(got, sim::Simulator{}.run(got),
+                                  winner.sim, what + " twin");
+            ++pairs;
+        }
+    }
+    // Per configuration: DS-MoE 3, Tutel and Tutel-Improved 1 each,
+    // Lina 3, the two FSMoEs 1 each, and 4 twins.
+    EXPECT_EQ(pairs, 8u * (3 + 1 + 1 + 3 + 1 + 1 + 4));
+}
+
+/**
+ * The per-bucket walk Lina's degree-free bound took before it became
+ * closed-form, kept as this oracle: the rounded fold, in emit() order,
+ * of Lina's bucket AllReduce durations at @p chunk_bytes, with their
+ * count in *buckets.
+ */
+double
+linaBucketFold(const ModelCost &cost, double chunk_bytes, size_t *buckets)
+{
+    const LinearModel &allreduce = cost.models.allreduce;
+    const double full_ms = allreduce.predict(chunk_bytes);
+    double pending = 0.0;
+    double sum = 0.0;
+    *buckets = 0;
+    for (auto it = cost.layers.rbegin(); it != cost.layers.rend(); ++it) {
+        pending += it->workload.gradBytes;
+        while (pending >= chunk_bytes) {
+            sum += full_ms;
+            ++*buckets;
+            pending -= chunk_bytes;
+        }
+    }
+    if (pending > 0.0) {
+        sum += allreduce.predict(pending);
+        ++*buckets;
+    }
+    return sum;
+}
+
+TEST(Schedules, LinasBucketBoundStaysJustBelowTheBucketWalk)
+{
+    // Lina's degree-free bound finds its bucket count in closed form.
+    // Against the per-bucket walk's fold W, which the last bucket's
+    // finish reaches: on the eight demo configurations at chunkMB
+    // 1/1024, 0.5, 1, 30, G (the gradient total, where it lies in
+    // chunkMB's range) and 1024, and at 500 seeded log-uniform chunks
+    // over that range dealt round the configurations, the bound is
+    // never above W and at most 8(n + 3) 2^-53 + 1e-12 of it below, n
+    // the walk's bucket count: twice sumLowerBound's shrink, which
+    // also covers the fold's rounding, plus far more than the rounding
+    // allowance's share. So DE's probes are cut as the walk cut them,
+    // but for cutoffs that close to a bound.
+    std::vector<ModelCost> costs;
+    std::vector<std::string> keys;
+    for (const auto &[key, s] : demoConfigs()) {
+        costs.push_back(runtime::ScenarioRegistry::instance().makeCost(s));
+        keys.push_back(key);
+    }
+    ASSERT_EQ(costs.size(), 8u);
+    size_t checked = 0;
+    const auto expectNearWalk = [&](size_t c, double chunk_mb) {
+        char mb[32];
+        std::snprintf(mb, sizeof mb, "%.17g", chunk_mb);
+        const std::string spec =
+            std::string("PipeMoE+Lina?chunkMB=") + mb + "&degree=0";
+        const double bound = asDegreeSchedule(*Schedule::create(spec))
+                                 .degreeFreeBound(costs[c]);
+        size_t n = 0;
+        const double walk = linaBucketFold(costs[c], chunk_mb * (1 << 20), &n);
+        const double margin =
+            8.0 * (static_cast<double>(n) + 3.0) * 0x1p-53 + 1e-12;
+        EXPECT_LE(bound, walk) << keys[c] << " " << spec;
+        EXPECT_GE(bound, walk * (1.0 - margin))
+            << keys[c] << " " << spec << ": " << n << " buckets, "
+            << (walk - bound) / walk << " below";
+        ++checked;
+    };
+    for (size_t c = 0; c < costs.size(); ++c) {
+        double grad = 0.0;
+        for (auto it = costs[c].layers.rbegin(); it != costs[c].layers.rend();
+             ++it)
+            grad += it->workload.gradBytes;
+        for (const double mb :
+             {1.0 / 1024.0, 0.5, 1.0, 30.0, grad / (1 << 20), 1024.0})
+            if (mb <= 1024.0)
+                expectNearWalk(c, mb);
+    }
+    std::mt19937_64 rng(0x11aab0u);
+    std::uniform_real_distribution<double> exponent(-10.0, 10.0);
+    for (size_t k = 0; k < 500; ++k)
+        expectNearWalk(k % costs.size(), std::exp2(exponent(rng)));
+    // G is above 1024 MB on the four mixtral-7b configurations.
+    EXPECT_EQ(checked, 8u * 5 + 4 + 500);
 }
 
 TEST(DegreeSearch, TheDegreeFreeBoundStopsALosingLinaProbeFirst)

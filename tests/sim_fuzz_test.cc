@@ -91,32 +91,6 @@ randomDag(std::mt19937 &rng, int min_streams = 1, int max_streams = 8)
     return g;
 }
 
-/** Bitwise agreement of two runs over one graph, field by field. */
-void
-expectIdentical(const TaskGraph &g, const SimResult &got,
-                const SimResult &want, const std::string &what)
-{
-    ASSERT_EQ(got.trace.size(), want.trace.size()) << what;
-    EXPECT_TRUE(test::sameBits(got.makespan, want.makespan))
-        << what << ": makespan " << got.makespan << " vs "
-        << want.makespan;
-    for (size_t op = 0; op < want.opTime.size(); ++op)
-        EXPECT_TRUE(test::sameBits(got.opTime[op], want.opTime[op]))
-            << what << ": op " << opTypeName(static_cast<OpType>(op));
-    for (size_t li = 0; li < want.linkBusyMs.size(); ++li)
-        EXPECT_TRUE(
-            test::sameBits(got.linkBusyMs[li], want.linkBusyMs[li]))
-            << what << ": link " << linkName(static_cast<Link>(li));
-    for (size_t i = 0; i < want.trace.size(); ++i) {
-        EXPECT_EQ(got.trace[i].id, want.trace[i].id) << what << " #" << i;
-        EXPECT_TRUE(test::sameBits(got.trace[i].start, want.trace[i].start))
-            << what << ": " << g.taskName(static_cast<TaskId>(i));
-        EXPECT_TRUE(
-            test::sameBits(got.trace[i].finish, want.trace[i].finish))
-            << what << ": " << g.taskName(static_cast<TaskId>(i));
-    }
-}
-
 /** Three identical layers on @p cluster: the sweep's graph shapes. */
 core::ModelCost
 scheduleCost(const sim::ClusterSpec &cluster)
@@ -144,7 +118,7 @@ TEST(SimFuzz, MatchesNaiveReferenceOnRandomDags)
         TaskGraph g = randomDag(rng);
         SimResult fast = simulator.run(g);
         SimResult ref = referenceRun(g);
-        expectIdentical(g, fast, ref, "seed " + std::to_string(seed));
+        test::expectIdentical(g, fast, ref, "seed " + std::to_string(seed));
         if (::testing::Test::HasFailure())
             FAIL() << "first divergence at seed " << seed << " ("
                    << g.size() << " tasks, " << g.numStreams()
@@ -164,7 +138,7 @@ TEST(SimFuzz, MatchesNaiveReferenceOnScheduleGraphs)
             TaskGraph graph = core::Schedule::create(name)->build(cost);
             SimResult fast = Simulator{}.run(graph);
             SimResult ref = referenceRun(graph);
-            expectIdentical(graph, fast, ref, name);
+            test::expectIdentical(graph, fast, ref, name);
         }
     }
 }
@@ -243,7 +217,7 @@ expectCutoffContract(const TaskGraph &g, std::mt19937 &rng,
 {
     const Simulator simulator;
     const SimResult run = simulator.run(g);
-    expectIdentical(g, run, referenceRun(g), what + " reference");
+    test::expectIdentical(g, run, referenceRun(g), what + " reference");
     const double m = run.makespan;
     EXPECT_LE(Simulator::makespanLowerBound(g), m) << what;
     EXPECT_LE(replayRemainingWork(g, run).bound, m) << what;
@@ -265,7 +239,7 @@ expectCutoffContract(const TaskGraph &g, std::mt19937 &rng,
         const std::optional<SimResult> whole = simulator.runBelow(g, c);
         ASSERT_EQ(whole.has_value(), m < c) << what << ": cutoff " << c;
         if (whole)
-            expectIdentical(g, *whole, run, what + " runBelow");
+            test::expectIdentical(g, *whole, run, what + " runBelow");
     }
 }
 

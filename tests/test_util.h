@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the FSMoE test suite: finite-difference gradient
- * checking, tensor comparison utilities, and task-graph replay.
+ * checking, tensor comparison utilities, task-graph replay and
+ * bitwise comparison of simulated runs.
  */
 #ifndef FSMOE_TESTS_TEST_UTIL_H
 #define FSMOE_TESTS_TEST_UTIL_H
@@ -9,11 +10,14 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/simulator.h"
 #include "sim/task_graph.h"
+#include "sim/trace.h"
 #include "tensor/tensor.h"
 
 namespace fsmoe::test {
@@ -88,6 +92,32 @@ replayGraph(const sim::TaskGraph &src, Sink &dst)
         deps.assign(span.begin(), span.end());
         dst.addTask(t.label, t.op, t.link, t.stream, t.duration, deps,
                     t.priority);
+    }
+}
+
+/** Bitwise agreement of two runs over graph @p g, field by field. */
+inline void
+expectIdentical(const sim::TaskGraph &g, const sim::SimResult &got,
+                const sim::SimResult &want, const std::string &what)
+{
+    ASSERT_EQ(got.trace.size(), want.trace.size()) << what;
+    EXPECT_TRUE(sameBits(got.makespan, want.makespan))
+        << what << ": makespan " << got.makespan << " vs "
+        << want.makespan;
+    for (size_t op = 0; op < want.opTime.size(); ++op)
+        EXPECT_TRUE(sameBits(got.opTime[op], want.opTime[op]))
+            << what << ": op "
+            << sim::opTypeName(static_cast<sim::OpType>(op));
+    for (size_t li = 0; li < want.linkBusyMs.size(); ++li)
+        EXPECT_TRUE(sameBits(got.linkBusyMs[li], want.linkBusyMs[li]))
+            << what << ": link "
+            << sim::linkName(static_cast<sim::Link>(li));
+    for (size_t i = 0; i < want.trace.size(); ++i) {
+        EXPECT_EQ(got.trace[i].id, want.trace[i].id) << what << " #" << i;
+        EXPECT_TRUE(sameBits(got.trace[i].start, want.trace[i].start))
+            << what << ": " << g.taskName(static_cast<sim::TaskId>(i));
+        EXPECT_TRUE(sameBits(got.trace[i].finish, want.trace[i].finish))
+            << what << ": " << g.taskName(static_cast<sim::TaskId>(i));
     }
 }
 

@@ -4,7 +4,7 @@
  * hand-built cost sets, byte-determinism of the search (repeat runs,
  * serial == parallel, pinned demo answers at four DE seeds and pinned
  * answers across models, testbeds and rMax), the frontier pass's
- * exact/cut/bounded counts, the cached-advisor hit path (zero new
+ * exact/cut/bounded/memo counts, the cached-advisor hit path (zero new
  * simulations, byte-identical warm answers, persistence round-trip,
  * impossible entries rejected), an
  * oracle check that the tuner's pick matches an independent
@@ -302,16 +302,19 @@ TEST(Tuner, AColdQuerysMetricPassSimulatesNothing)
 {
     // The metric pass reads the graphs and results the frontier pass
     // kept, so a cold query's simulations are its DE probes' and its
-    // frontier pass's: 32 on the demo query, which ran 266 when the
-    // metric pass simulated its 16 specs again. The engine evaluates
-    // no scenario and simulates no built graph.
+    // frontier pass's: 26 on the demo query, which ran 266 when the
+    // metric pass simulated its 16 specs again, and 32 when the
+    // frontier pass still priced a spec spelling out its defaults, or
+    // a degree search's fixed-degree twin, apart from the graph it
+    // shares (6 of its 16 exact candidates). The engine evaluates no
+    // scenario and simulates no built graph.
     stats::Counter &runs = stats::counter("sim.runs");
     TuneOptions options;
     options.numThreads = 1;
     Tuner tuner(options);
     const uint64_t runs0 = runs.value();
     const TuneAnswer answer = tuner.tune(demoQuery());
-    EXPECT_EQ(runs.value() - runs0, 32u);
+    EXPECT_EQ(runs.value() - runs0, 26u);
     const SweepStats st = tuner.engine().stats();
     EXPECT_EQ(st.scenariosRun, 0u);
     EXPECT_EQ(st.simulateMs, 0.0);
@@ -363,13 +366,19 @@ TEST(Tuner, FrontierPassPricesOnlyCandidatesThatCanReachTheMetricPass)
     // The demo query's 45 candidates: the 16 that reach the metric set
     // are priced exactly, and the 29 others, Tutel and Tutel-Improved
     // variants, lose on their release-date bounds alone, unbuilt, so no
-    // probe is cut mid-run.
+    // probe is cut mid-run. 6 of the 16 are served from a graph the
+    // pass already priced: FSMoE?step2=true, FSMoE-No-IIO?step2=true,
+    // Tutel?degree=0 and Tutel-Improved?degree=0 share their bare
+    // names' keys, and Tutel?degree=1 and Tutel-Improved?degree=1 are
+    // the graphs their bare names' searches picked.
     stats::Counter &exact = stats::counter("tuner.frontier.exact");
     stats::Counter &cut = stats::counter("tuner.frontier.cut");
     stats::Counter &bounded = stats::counter("tuner.frontier.bounded");
+    stats::Counter &memo = stats::counter("tuner.frontier.memo");
     const uint64_t exact0 = exact.value();
     const uint64_t cut0 = cut.value();
     const uint64_t bounded0 = bounded.value();
+    const uint64_t memo0 = memo.value();
     TuneOptions options;
     options.numThreads = 1;
     Tuner tuner(options);
@@ -377,14 +386,17 @@ TEST(Tuner, FrontierPassPricesOnlyCandidatesThatCanReachTheMetricPass)
     EXPECT_EQ(exact.value() - exact0, 16u);
     EXPECT_EQ(cut.value() - cut0, 0u);
     EXPECT_EQ(bounded.value() - bounded0, 29u);
+    EXPECT_EQ(memo.value() - memo0, 6u);
     EXPECT_EQ(exact.value() - exact0 + cut.value() - cut0 +
                   bounded.value() - bounded0,
               45u);
 
     // A warm answer touches none of them.
-    const uint64_t seen = exact.value() + cut.value() + bounded.value();
+    const uint64_t seen =
+        exact.value() + cut.value() + bounded.value() + memo.value();
     EXPECT_TRUE(tuner.tune(demoQuery()).fromCache);
-    EXPECT_EQ(exact.value() + cut.value() + bounded.value(), seen);
+    EXPECT_EQ(exact.value() + cut.value() + bounded.value() + memo.value(),
+              seen);
 }
 
 // ------------------------------------------------- advisor cache path
