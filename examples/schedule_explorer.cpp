@@ -57,8 +57,7 @@ class EagerSchedule : public core::Schedule
         PipelineBuildOptions opts; // separate intra/inter channels
         sim::TaskId dep = -1;
         for (const core::LayerCost &lc : model.layers) {
-            dep = appendAttention(graph, lc, core::Phase::Forward, opts,
-                                  dep);
+            dep = appendAttention(graph, lc, core::Phase::Forward, dep);
             dep = appendMoePhase(graph, lc, model.models,
                                  core::Phase::Forward, degree_, opts, dep);
         }
@@ -66,8 +65,7 @@ class EagerSchedule : public core::Schedule
              ++it) {
             dep = appendMoePhase(graph, *it, model.models,
                                  core::Phase::Backward, degree_, opts, dep);
-            dep = appendAttention(graph, *it, core::Phase::Backward, opts,
-                                  dep);
+            dep = appendAttention(graph, *it, core::Phase::Backward, dep);
         }
         for (const core::LayerCost &lc : model.layers) {
             double t = model.models.allreduce.predict(lc.workload.gradBytes);

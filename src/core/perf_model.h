@@ -11,6 +11,7 @@
 #ifndef FSMOE_CORE_PERF_MODEL_H
 #define FSMOE_CORE_PERF_MODEL_H
 
+#include "base/fp_contract.h"
 #include "core/moe_config.h"
 #include "sim/cluster.h"
 

@@ -22,7 +22,6 @@ class ScheduleRegistry;
 
 namespace detail {
 
-void registerSequentialSchedules(ScheduleRegistry &registry);
 void registerTutelSchedules(ScheduleRegistry &registry);
 void registerLinaSchedules(ScheduleRegistry &registry);
 void registerFsMoeSchedules(ScheduleRegistry &registry);

@@ -58,7 +58,7 @@ class FsMoeSchedule : public Schedule
                                                model.rMax);
             int r = iio_ ? cachedSolvePipeline(prob).r
                          : cachedSolvePipelineMerged(prob).r;
-            dep = appendAttention(graph, lc, Phase::Forward, opts, dep);
+            dep = appendAttention(graph, lc, Phase::Forward, dep);
             dep = appendMoePhase(graph, lc, model.models, Phase::Forward,
                                  r, opts, dep);
         }
@@ -90,7 +90,7 @@ class FsMoeSchedule : public Schedule
                     "gar", sim::OpType::GradAllReduce, sim::Link::InterNode,
                     kGradAllReduce, t, {dep}, /*priority=*/1));
             }
-            dep = appendAttention(graph, *it, Phase::Backward, opts, dep);
+            dep = appendAttention(graph, *it, Phase::Backward, dep);
         }
         if (plan.exposedBytes > 0.0) {
             double t = model.models.allreduce.predict(plan.exposedBytes);

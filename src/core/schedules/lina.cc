@@ -88,7 +88,7 @@ class LinaSchedule : public DegreeSchedule
 
         sim::TaskId dep = -1;
         for (const LayerCost &lc : model.layers) {
-            dep = appendAttention(graph, lc, Phase::Forward, opts, dep);
+            dep = appendAttention(graph, lc, Phase::Forward, dep);
             dep = appendMoePhase(graph, lc, model.models, Phase::Forward,
                                  r, opts, dep);
         }
@@ -99,7 +99,7 @@ class LinaSchedule : public DegreeSchedule
             [&](const LayerCost &lc) {
                 dep = appendMoePhase(graph, lc, model.models,
                                      Phase::Backward, r, opts, dep);
-                dep = appendAttention(graph, lc, Phase::Backward, opts, dep);
+                dep = appendAttention(graph, lc, Phase::Backward, dep);
             },
             [&](double ms) {
                 barrier_deps.push_back(graph.addTask(

@@ -130,9 +130,8 @@ reserveIteration(sim::TaskGraph &graph, size_t num_layers, int r_max,
 
 sim::TaskId
 appendAttention(sim::TaskGraph &graph, const LayerCost &lc, Phase phase,
-                const PipelineBuildOptions &opts, sim::TaskId dep)
+                sim::TaskId dep)
 {
-    (void)opts;
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
     return graph.addTaskWithDeps("attention", sim::OpType::Attention,
                                  sim::Link::Compute, kCompute, t.attention,
@@ -142,7 +141,7 @@ appendAttention(sim::TaskGraph &graph, const LayerCost &lc, Phase phase,
 
 sim::TaskId
 appendAttention(sim::DurationTally &tally, const LayerCost &lc, Phase phase,
-                const PipelineBuildOptions &, sim::TaskId dep)
+                sim::TaskId dep)
 {
     const PhaseTimes &t = phase == Phase::Forward ? lc.fwd : lc.bwd;
     // As in appendMoePhase, each lane's compute chain advances.
@@ -178,8 +177,7 @@ appendMoePhase(sim::DurationTally &tally, const LayerCost &lc,
     const sim::TaskId first = static_cast<sim::TaskId>(tally.size());
     const sim::TaskId gar = gar_ms > 0.0 ? first + 2 + r : -1;
     const sim::TaskId iorder = first + 2 + 5 * r + (gar >= 0 ? 1 : 0);
-    const int streams =
-        opts.sequential ? 1 : 1 + (gar >= 0 ? kGradAllReduce : kCombine);
+    const int streams = 1 + (gar >= 0 ? kGradAllReduce : kCombine);
     if (!(t.routing >= 0.0 && t.order >= 0.0 && dep < first))
         tally.reject();
     // Locals, and one loop per link layout, so that each lane's sums
@@ -267,17 +265,6 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     const PipelineProblem prob =
         makeProblem(models, lc.workload, phase, 0.0, r);
 
-    const int s_comp = kCompute;
-    const int s_disp = opts.sequential ? kCompute : kDispatch;
-    const int s_ag = opts.sequential ? kCompute : kAllGather;
-    const int s_rs = opts.sequential ? kCompute : kReduceScatter;
-    const int s_comb = opts.sequential ? kCompute : kCombine;
-    // Gradient-AllReduce gets its own queue; the Fig. 3d placement
-    // (after the last dispatch chunk) is enforced by its dependency,
-    // and a separate queue keeps later layers' dispatches from
-    // queueing behind it.
-    const int s_gar = opts.sequential ? kCompute : kGradAllReduce;
-
     const sim::Link l_inter = sim::Link::InterNode;
     const sim::Link l_intra = commLink(opts.mergeCommLinks);
 
@@ -287,10 +274,10 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     const double t_exp = prob.exp.chunk(r);
 
     sim::TaskId routing = graph.addTaskWithDeps(
-        "routing", sim::OpType::Routing, sim::Link::Compute, s_comp,
+        "routing", sim::OpType::Routing, sim::Link::Compute, kCompute,
         t.routing, dep >= 0 ? 1 : 0, [dep](size_t) { return dep; });
     sim::TaskId order = graph.addTask("order", sim::OpType::Order,
-                                      sim::Link::Compute, s_comp, t.order,
+                                      sim::Link::Compute, kCompute, t.order,
                                       {routing});
 
     // Pipelined body: dispatch_i -> allgather_i -> experts_i ->
@@ -303,7 +290,7 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     constexpr sim::TaskId kChunkTasks = 4;
     const sim::TaskId first_dispatch = static_cast<sim::TaskId>(graph.size());
     for (int i = 0; i < r; ++i) {
-        graph.addTask({"d", i}, sim::OpType::AlltoAll, l_inter, s_disp,
+        graph.addTask({"d", i}, sim::OpType::AlltoAll, l_inter, kDispatch,
                       t_a2a, {order});
     }
     sim::TaskId gar = -1;
@@ -311,25 +298,27 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
         // Background priority: the partitioner sized this AllReduce to
         // fit the pipeline's slack, and yielding the channel to
         // AlltoAll chunks keeps it from stretching the pipeline when
-        // the estimate is tight.
+        // the estimate is tight. Its own queue keeps later layers'
+        // dispatches from queueing behind it; the Fig. 3d placement
+        // (after the last dispatch chunk) is its dependency.
         gar = graph.addTask("gar", sim::OpType::GradAllReduce, l_inter,
-                            s_gar, gar_ms, {first_dispatch + r - 1},
-                            /*priority=*/1);
+                            kGradAllReduce, gar_ms,
+                            {first_dispatch + r - 1}, /*priority=*/1);
     }
     if (gar_out)
         *gar_out = gar;
     sim::TaskId first_combine = -1;
     for (int i = 0; i < r; ++i) {
         sim::TaskId ag = graph.addTask({"g", i}, sim::OpType::AllGather,
-                                       l_intra, s_ag, t_ag,
+                                       l_intra, kAllGather, t_ag,
                                        {first_dispatch + i});
         sim::TaskId exp = graph.addTask({"e", i}, sim::OpType::Experts,
-                                        sim::Link::Compute, s_comp, t_exp,
+                                        sim::Link::Compute, kCompute, t_exp,
                                         {ag});
         sim::TaskId rs = graph.addTask({"s", i}, sim::OpType::ReduceScatter,
-                                       l_intra, s_rs, t_rs, {exp});
+                                       l_intra, kReduceScatter, t_rs, {exp});
         sim::TaskId comb = graph.addTask({"c", i}, sim::OpType::AlltoAll,
-                                         l_inter, s_comb, t_a2a, {rs});
+                                         l_inter, kCombine, t_a2a, {rs});
         if (i == 0)
             first_combine = comb;
     }
@@ -340,7 +329,7 @@ appendMoePhase(sim::TaskGraph &graph, const LayerCost &lc,
     // into later dense work).
     const sim::TaskId last_combine = first_combine + kChunkTasks * (r - 1);
     return graph.addTaskWithDeps(
-        "iorder", sim::OpType::Order, sim::Link::Compute, s_comp, t.order,
+        "iorder", sim::OpType::Order, sim::Link::Compute, kCompute, t.order,
         static_cast<size_t>(r), [=](size_t i) {
             return i == 0 ? last_combine
                           : first_combine +

@@ -6,8 +6,9 @@
  * evaluates (registry names in quotes):
  *
  *  - "DS-MoE": DeepSpeed-MoE's default execution (Fig. 3a) —
- *    every task runs back-to-back on one stream, Gradient-AllReduce
- *    after the whole backward pass.
+ *    every task runs back to back, Gradient-AllReduce after the whole
+ *    backward pass: Tutel at degree 1, priced with DeepSpeed-MoE's
+ *    AlltoAll and kernel overheads.
  *  - "Tutel": Tutel with PipeMoE's adaptive pipelining of AlltoAll and
  *    expert computation (Fig. 3b), one communication channel (no
  *    intra/inter overlap), a single pipeline degree shared by forward
@@ -232,8 +233,6 @@ struct PipelineBuildOptions
     /// Serialise intra-node collectives on the inter-node channel
     /// (models systems without intra/inter overlap).
     bool mergeCommLinks = false;
-    /// Place every task on the compute stream (fully sequential).
-    bool sequential = false;
 };
 
 /**
@@ -274,13 +273,11 @@ sim::TaskId appendMoePhase(sim::DurationTally &tally, const LayerCost &lc,
 
 /** Append the layer's attention (dense) task and return its id. */
 sim::TaskId appendAttention(sim::TaskGraph &graph, const LayerCost &lc,
-                            Phase phase, const PipelineBuildOptions &opts,
-                            sim::TaskId dep);
+                            Phase phase, sim::TaskId dep);
 
 /** The same task counted into every lane of @p tally. */
 sim::TaskId appendAttention(sim::DurationTally &tally, const LayerCost &lc,
-                            Phase phase, const PipelineBuildOptions &opts,
-                            sim::TaskId dep);
+                            Phase phase, sim::TaskId dep);
 
 /**
  * Reserve @p graph's task vector and dependency pool for one full

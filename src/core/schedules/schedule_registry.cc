@@ -310,7 +310,6 @@ ScheduleRegistry::ScheduleRegistry()
 {
     // Paper figure order; also the default schedule axis order of
     // runtime::ScenarioGrid.
-    detail::registerSequentialSchedules(*this);
     detail::registerTutelSchedules(*this);
     detail::registerLinaSchedules(*this);
     detail::registerFsMoeSchedules(*this);

@@ -2,7 +2,9 @@
  * @file
  * Tutel with PipeMoE's adaptive pipelining (paper Fig. 3b), plus the
  * strengthened Tutel-Improved baseline that overlaps Gradient-AllReduce
- * with the dense (non-MoE) parts of backpropagation.
+ * with the dense (non-MoE) parts of backpropagation, and DeepSpeed-MoE's
+ * default execution (Fig. 3a), which is Tutel at degree 1 priced with
+ * DeepSpeed-MoE's implementation overheads.
  *
  * Modelled limitations of these systems, per the paper:
  *  - one communication channel: intra-node collectives serialise with
@@ -56,7 +58,7 @@ class TutelSchedule : public DegreeSchedule
 
         sim::TaskId dep = -1;
         for (const LayerCost &lc : model.layers) {
-            dep = appendAttention(graph, lc, Phase::Forward, opts, dep);
+            dep = appendAttention(graph, lc, Phase::Forward, dep);
             dep = appendMoePhase(graph, lc, model.models, Phase::Forward,
                                  r, opts, dep);
         }
@@ -66,7 +68,7 @@ class TutelSchedule : public DegreeSchedule
              ++it) {
             dep = appendMoePhase(graph, *it, model.models, Phase::Backward,
                                  r, opts, dep);
-            dep = appendAttention(graph, *it, Phase::Backward, opts, dep);
+            dep = appendAttention(graph, *it, Phase::Backward, dep);
             if (improved_) {
                 // The layer's gradients are ready; AllReduce them as
                 // background (low-priority) traffic, streamed in a few
@@ -105,6 +107,56 @@ class TutelSchedule : public DegreeSchedule
     bool improved_;
 };
 
+/**
+ * DeepSpeed-MoE's default execution (paper Fig. 3a): Tutel at degree 1,
+ * every task back to back and the gradient AllReduces after the
+ * backward pass, on a copy of the model priced with DeepSpeed-MoE's
+ * staged 2DH AlltoAll and unfused gate and order kernels. An overhead
+ * of 0 keeps the ModelCost's (dsA2aOverhead, dsKernelOverhead).
+ */
+class DsMoeSchedule : public TutelSchedule
+{
+  public:
+    DsMoeSchedule(double a2a_overhead, double kernel_overhead)
+        : TutelSchedule(false, 1), a2aOverhead_(a2a_overhead),
+          kernelOverhead_(kernel_overhead)
+    {
+    }
+
+    void emit(sim::TaskGraph &graph, const ModelCost &model,
+              int r) const override
+    {
+        TutelSchedule::emit(graph, priced(model), r);
+    }
+    void emit(sim::DurationTally &tally, const ModelCost &model,
+              int r) const override
+    {
+        TutelSchedule::emit(tally, priced(model), r);
+    }
+
+  private:
+    /** The builder times AlltoAll chunks from the workload's bytes. */
+    ModelCost
+    priced(ModelCost model) const
+    {
+        const double a2a =
+            a2aOverhead_ > 0.0 ? a2aOverhead_ : model.dsA2aOverhead;
+        const double kernel =
+            kernelOverhead_ > 0.0 ? kernelOverhead_ : model.dsKernelOverhead;
+        for (LayerCost &lc : model.layers) {
+            lc.workload.a2aBytes *= a2a;
+            for (PhaseTimes *t : {&lc.fwd, &lc.bwd}) {
+                t->routing *= kernel;
+                t->order *= kernel;
+            }
+        }
+        return model;
+    }
+
+    double a2aOverhead_;
+    double kernelOverhead_;
+};
+
 ScheduleParamInfo
 degreeParam()
 {
@@ -120,6 +172,28 @@ namespace detail {
 void
 registerTutelSchedules(ScheduleRegistry &registry)
 {
+    ScheduleInfo ds;
+    ds.name = "DS-MoE";
+    ds.aliases = {"dsmoe", "deepspeed", "sequential"};
+    ds.description =
+        "DeepSpeed-MoE's default execution (Fig. 3a): every task "
+        "back to back, Gradient-AllReduce unoverlapped";
+    ds.params = {
+        {"a2aOverhead", ScheduleParamType::Double, "0",
+         "override for the modelled 2DH AlltoAll overhead factor; "
+         "0 uses ModelCost::dsA2aOverhead",
+         0.0, std::numeric_limits<double>::max(), false},
+        {"kernelOverhead", ScheduleParamType::Double, "0",
+         "override for the modelled unfused-kernel overhead factor; "
+         "0 uses ModelCost::dsKernelOverhead",
+         0.0, std::numeric_limits<double>::max(), false},
+    };
+    registry.registerSchedule(ds, [](const ScheduleParams &p) {
+        return std::make_unique<DsMoeSchedule>(
+            p.getDouble("a2aOverhead", 0.0),
+            p.getDouble("kernelOverhead", 0.0));
+    });
+
     ScheduleInfo tutel;
     tutel.name = "Tutel";
     tutel.aliases = {"pipemoe"};

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/fp_contract.h"
 #include "base/logging.h"
 
 namespace fsmoe::sim {
