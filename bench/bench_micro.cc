@@ -6,19 +6,24 @@
  * gradient-partitioning cost (and its degree-table part), the tuner's
  * DE loop and one cold tuner query, simulator throughput (also
  * against the naive reference
- * simulator), gate kernels, the GEMM kernel, and the functional
- * AlltoAll algorithms.
+ * simulator), journal group commit, gate kernels, the GEMM kernel, and
+ * the functional AlltoAll algorithms.
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <benchmark/benchmark.h>
 
+#include "base/stats.h"
 #include "core/gate.h"
 #include "core/grad_partition.h"
 #include "core/pipeline_solver.h"
@@ -27,7 +32,10 @@
 #include "core/schedules/schedule_registry.h"
 #include "dist/communicator.h"
 #include "model/models.h"
+#include "runtime/journal.h"
+#include "runtime/result_store.h"
 #include "runtime/scenario.h"
+#include "runtime/sweep_engine.h"
 #include "runtime/tuner.h"
 #include "sim/simulator.h"
 #include "sim_reference.h"
@@ -661,6 +669,74 @@ BM_SimulateDemoGraphs(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * tasks);
 }
 BENCHMARK(BM_SimulateDemoGraphs);
+
+/**
+ * The demo grid's 54 records appended to a fresh journal, committed in
+ * batches of `batch` records with one fsync each: 1 is a sync per
+ * record, 3 one per poll round of a 3-worker service job that finishes
+ * a scenario on every worker, 54 one sync in total. It counts the
+ * group commit's fsyncs without the noise of worker scheduling. Items
+ * are records; the journal's open (its header's atomic write) is not
+ * timed.
+ */
+void
+BM_JournalAppend(benchmark::State &state)
+{
+    static const std::vector<runtime::JournalRecord> records = [] {
+        std::vector<runtime::JournalRecord> out;
+        runtime::SweepEngine engine;
+        const std::vector<runtime::Scenario> grid = runtime::demoGrid();
+        for (size_t i = 0; i < grid.size(); ++i)
+            out.push_back({i, runtime::SweepResult::fromScenarioResult(
+                                  engine.evaluate(grid[i]))});
+        return out;
+    }();
+    std::vector<runtime::Scenario> grid;
+    for (const runtime::JournalRecord &rec : records)
+        grid.push_back(rec.result.scenario);
+    const size_t batch = static_cast<size_t>(state.range(0));
+    std::vector<std::vector<runtime::JournalRecord>> rounds;
+    for (size_t i = 0; i < records.size(); i += batch)
+        rounds.emplace_back(records.begin() + i,
+                            records.begin() +
+                                std::min(i + batch, records.size()));
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("bench_micro_journal_" + std::to_string(::getpid()) + ".txt"))
+            .string();
+    std::string error;
+    stats::Counter &syncs = stats::counter("robust.journal.syncs");
+    const uint64_t syncs0 = syncs.value();
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::remove(path.c_str());
+        runtime::Journal journal;
+        if (!journal.open(path, grid, /*resume=*/false, &error)) {
+            state.SkipWithError(error.c_str());
+            break;
+        }
+        state.ResumeTiming();
+        for (const std::vector<runtime::JournalRecord> &round : rounds) {
+            if (!journal.appendAll(round, &error)) {
+                state.SkipWithError(error.c_str());
+                break;
+            }
+        }
+    }
+    std::remove(path.c_str());
+    state.counters["syncs"] = benchmark::Counter(
+        static_cast<double>(syncs.value() - syncs0),
+        benchmark::Counter::kAvgIterations);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(records.size()));
+}
+BENCHMARK(BM_JournalAppend)
+    ->ArgName("batch")
+    ->Arg(1)
+    ->Arg(3)
+    ->Arg(54)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_GateForward(benchmark::State &state)

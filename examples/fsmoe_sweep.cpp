@@ -338,6 +338,7 @@ printRobustCounters()
 {
     static const char *const kNames[] = {
         "robust.journal.appends",
+        "robust.journal.syncs",
         "robust.journal.recovered",
         "robust.journal.tornRecords",
     };

@@ -7,10 +7,11 @@
  * supervised worker processes (service/sweep_server.h), and writes
  * every job's merged result file. The daemon heals worker deaths,
  * stalls, and disconnects by retrying scenarios, and survives its own
- * death: every streamed result is journalled (fsync'd) before it is
- * acknowledged, so a restarted daemon resumes in-flight jobs and the
- * final output is byte-identical to an uninterrupted run (see
- * docs/SERVICE.md for the full protocol and determinism contract).
+ * death: every streamed result is journalled (one fsync per poll
+ * round) before it counts as finished, so a restarted daemon resumes
+ * in-flight jobs and the final output is byte-identical to an
+ * uninterrupted run (see docs/SERVICE.md for the full protocol and
+ * determinism contract).
  *
  * Options:
  *

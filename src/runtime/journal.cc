@@ -43,6 +43,15 @@ fileExists(const std::string &path)
     return true;
 }
 
+/** "<index> <16-hex checksum> <payload>\n" for @p rec. */
+std::string
+recordLine(const JournalRecord &rec)
+{
+    const std::string payload = toJsonRecord(rec.result);
+    return std::to_string(rec.index) + " " + audit::hex16(checksum(payload)) +
+           " " + payload + "\n";
+}
+
 /**
  * Parse "<index> <16-hex checksum> <payload>"; checksum-verify and
  * JSON-parse the payload, and require the record to describe the
@@ -162,8 +171,8 @@ Journal::open(const std::string &path, const std::vector<Scenario> &grid,
     }
 
     // allowlisted nonatomic-write: the journal is an append-only log;
-    // each record is fsync'd and checksummed, torn tails are truncated
-    // on recovery (see file comment).
+    // each batch is fsync'd, each record checksummed, and torn tails
+    // are truncated on recovery (see file comment).
     file_ = std::fopen(path.c_str(), "ab");
     if (file_ == nullptr) {
         if (error != nullptr)
@@ -175,41 +184,59 @@ Journal::open(const std::string &path, const std::vector<Scenario> &grid,
 }
 
 bool
-Journal::append(size_t index, const SweepResult &r, std::string *error)
+Journal::appendAll(const std::vector<JournalRecord> &batch,
+                   std::string *error)
 {
+    if (batch.empty())
+        return true;
     std::lock_guard<std::mutex> lock(mu_);
     FSMOE_ASSERT(file_ != nullptr, "journal not open");
-    FSMOE_ASSERT(index < gridSize_, "journal index out of range");
-    const std::string payload = toJsonRecord(r);
-    const std::string line =
-        std::to_string(index) + " " + audit::hex16(checksum(payload)) + " " +
-        payload + "\n";
-
-    if (fault::shouldInject(fault::Site::TornJournalWrite,
-                            r.scenario.label(), 0)) {
-        // A torn write only exists because the process died mid-append;
-        // manufacture exactly that: half the record, then gone.
-        std::fwrite(line.data(), 1, line.size() / 2, file_);
-        std::fflush(file_);
-        ::fsync(::fileno(file_));
-        ::_exit(137);
+    // The batch's bytes, cut short where a fault site ends the process.
+    std::string text;
+    size_t records = 0;
+    bool die = false;
+    for (const JournalRecord &rec : batch) {
+        FSMOE_ASSERT(rec.index < gridSize_, "journal index out of range");
+        const std::string line = recordLine(rec);
+        if (fault::shouldInject(fault::Site::TornJournalWrite,
+                                rec.result.scenario.label(), 0)) {
+            // A torn write only exists because the process died
+            // mid-append; manufacture exactly that: the records before
+            // it, half of this one, then gone.
+            text.append(line, 0, line.size() / 2);
+            die = true;
+            break;
+        }
+        text += line;
+        ++records;
+        if (fault::shouldKillAfterAppend()) {
+            die = true; // this record is durable; nothing after it is
+            break;
+        }
     }
 
     const bool ok =
-        std::fwrite(line.data(), 1, line.size(), file_) == line.size() &&
+        std::fwrite(text.data(), 1, text.size(), file_) == text.size() &&
         std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
+    if (die)
+        ::_exit(137);
     if (!ok) {
         if (error != nullptr)
             *error = "short write to journal '" + path_ +
                      "': " + std::strerror(errno);
         return false;
     }
-    stats::counter("robust.journal.appends").inc();
-
-    if (fault::shouldKillAfterAppend())
-        ::_exit(137); // the record above is durable; nothing after is
-
+    stats::counter("robust.journal.appends").inc(records);
+    stats::counter("robust.journal.syncs").inc();
     return true;
+}
+
+bool
+Journal::append(size_t index, const SweepResult &r, std::string *error)
+{
+    std::vector<JournalRecord> batch;
+    batch.push_back({index, r});
+    return appendAll(batch, error);
 }
 
 void

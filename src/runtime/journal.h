@@ -3,11 +3,16 @@
  * Append-only checkpoint journal for fault-tolerant sweeps.
  *
  * A journaled sweep (`fsmoe_sweep --journal FILE`) appends one record
- * per finished scenario, fsync'd, so a SIGKILL at any instant loses at
- * most the in-flight scenario. `--resume` replays the journal and
- * re-simulates only what is missing; because every scenario's result
- * is a pure function of its Scenario, the resumed sweep's final
- * `--out-json/--out-csv` is byte-identical to an uninterrupted run.
+ * per finished scenario. Records are group-committed: appendAll()
+ * writes a batch (the supervisor's one poll round) and fsyncs it once,
+ * and the supervisor counts none of them finished before that. A
+ * SIGKILL at any instant loses nothing already written; a power loss
+ * can lose at most the last batch's records, and a resume re-runs
+ * them. The fault sites still act per record (see appendAll()).
+ * `--resume` replays the journal and re-simulates only what is
+ * missing; because every scenario's result is a pure function of its
+ * Scenario, the resumed sweep's final `--out-json/--out-csv` is
+ * byte-identical to an uninterrupted run.
  *
  * On-disk format (plain text, one record per line):
  *
@@ -32,7 +37,7 @@
  * converges to the clean run's bytes. For an index appended more than
  * once, the last record wins.
  *
- * Thread-safety: append() is internally locked, so concurrent workers
+ * Thread-safety: appends are internally locked, so concurrent workers
  * of one process may share a Journal. One journal file belongs to one
  * process at a time (the supervisor; isolated workers report results
  * over a pipe and never touch the file).
@@ -51,6 +56,13 @@
 #include "runtime/scenario.h"
 
 namespace fsmoe::runtime {
+
+/** One finished scenario as the journal records it. */
+struct JournalRecord
+{
+    size_t index = 0; ///< Grid index.
+    SweepResult result;
+};
 
 class Journal
 {
@@ -86,10 +98,19 @@ class Journal
     }
 
     /**
-     * Append one finished scenario, flushed and fsync'd before
-     * returning. Honours the `torn` and `kill-after` fault-injection
-     * sites, each of which terminates the process by design.
+     * Append @p batch in order with one write and one fsync; every
+     * record is durable when this returns true, and an empty batch
+     * writes nothing. The fault-injection sites still act per record,
+     * each terminating the process by design: a `torn` record is
+     * written in half after the records before it, and `kill-after=K`
+     * exits once the K-th record is synced, leaving the rest of the
+     * batch unwritten. Bumps robust.journal.appends by the records
+     * written and robust.journal.syncs by one.
      */
+    bool appendAll(const std::vector<JournalRecord> &batch,
+                   std::string *error);
+
+    /** Append one finished scenario: appendAll() of a batch of one. */
     bool append(size_t index, const SweepResult &r, std::string *error);
 
     /** Close the underlying file (idempotent; also run by ~Journal). */

@@ -244,7 +244,8 @@ class GridRun
     void pollSockets(int timeoutMs);
     void processFrames(WorkerSlot &slot);
     void handleFrame(WorkerSlot &slot, const Frame &f);
-    void appendResult(size_t idx, const SweepResult &r);
+    void appendResult(size_t idx, SweepResult r);
+    void commitResults();
     void charge(size_t idx, const std::string &error);
     void workerGone(WorkerSlot &slot, const char *loss);
     void killWorker(WorkerSlot &slot, const char *loss);
@@ -254,6 +255,8 @@ class GridRun
     const std::vector<Scenario> &grid_;
     runtime::Journal *journal_; ///< Null: results are not journalled.
     std::vector<SweepResult> results_;
+    /// This poll round's finished records, not yet durable or counted.
+    std::vector<runtime::JournalRecord> batch_;
     std::vector<int> attempts_; ///< Assignment attempts, by grid index.
     std::vector<Clock::time_point> notBefore_; ///< Backoff gate, by index.
     std::deque<size_t> pending_; ///< Grid order; retries join the back.
@@ -364,23 +367,43 @@ GridRun::assign(WorkerSlot &slot)
     stats::counter("service.scenarios.assigned").inc();
 }
 
+/**
+ * Queue scenario @p idx's finished record for this poll round's
+ * commitResults(); until then it is neither durable nor counted.
+ */
 void
-GridRun::appendResult(size_t idx, const SweepResult &r)
+GridRun::appendResult(size_t idx, SweepResult r)
 {
-    // The append is fsync'd (and honours the torn / kill-after
-    // injection sites — the latter is how CI kills the daemon itself
-    // mid-sweep); only then does the in-memory state advance, so a
-    // daemon death never loses an acknowledged result.
+    batch_.push_back({idx, std::move(r)});
+}
+
+/**
+ * Journal the round's queued records with one fsync (the append
+ * honours the torn / kill-after injection sites per record — the
+ * latter is how CI kills the daemon itself mid-sweep); only then does
+ * the in-memory state advance, so a daemon death never loses a result
+ * counted as finished.
+ */
+void
+GridRun::commitResults()
+{
+    if (batch_.empty())
+        return;
     std::string error;
-    if (journal_ != nullptr && !journal_->append(idx, r, &error))
+    if (journal_ != nullptr && !journal_->appendAll(batch_, &error))
         FSMOE_WARN(error);
-    results_[idx] = r;
-    --unfinished_;
-    ++(r.status == runtime::ResultStatus::Ok ? okResults_ : quarantined_);
-    // stop-after=K: the deterministic stand-in for a SIGTERM arriving
-    // once K results have finished; run() then drains gracefully.
-    if (fault::shouldStopAfterResult())
-        interrupt::requestStop(SIGTERM);
+    for (runtime::JournalRecord &rec : batch_) {
+        ++(rec.result.status == runtime::ResultStatus::Ok ? okResults_
+                                                          : quarantined_);
+        results_[rec.index] = std::move(rec.result);
+        --unfinished_;
+        // stop-after=K: the deterministic stand-in for a SIGTERM
+        // arriving once K results have finished; run() then drains
+        // gracefully.
+        if (fault::shouldStopAfterResult())
+            interrupt::requestStop(SIGTERM);
+    }
+    batch_.clear();
 }
 
 /**
@@ -431,10 +454,10 @@ GridRun::handleFrame(WorkerSlot &slot, const Frame &f)
             killWorker(slot, kWorkerLost);
             break;
         }
-        // Keep the worker busy through the fsync'd append below.
+        // Keep the worker busy through the round's fsync'd commit.
         slot.idx = kIdle;
         assign(slot);
-        appendResult(idx, r);
+        appendResult(idx, std::move(r));
         stats::counter("service.results.streamed").inc();
         break;
     }
@@ -566,10 +589,8 @@ GridRun::pollSockets(int timeoutMs)
         pfds.push_back({workers_[i].fd, POLLIN, 0});
         slotOf.push_back(i);
     }
-    if (pfds.empty()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(timeoutMs));
-        return;
-    }
+    if (pfds.empty())
+        return; // nothing to wait for: a poll() would just sleep
     const int pr = ::poll(pfds.data(), pfds.size(), timeoutMs);
     if (pr <= 0)
         return; // timeout, or EINTR (the stop flag is checked upstream)
@@ -610,10 +631,12 @@ GridRun::shutdownWorkers(bool graceful)
                 break;
             reapWorkers();
             pollSockets(20);
+            commitResults();
         }
     }
     for (WorkerSlot &slot : workers_)
         killWorker(slot, kWorkerLost);
+    commitResults();
 }
 
 std::vector<SweepResult>
@@ -659,6 +682,7 @@ GridRun::run(JobOutcome *outcome)
             for (WorkerSlot &slot : workers_)
                 assign(slot);
             pollSockets(std::max(1, opts_.heartbeatMs / 2));
+            commitResults();
         }
         shutdownWorkers(/*graceful=*/failed_.empty());
     }

@@ -31,9 +31,11 @@
  *     -> the worker reports EvalError and stays up; the scenario is
  *        charged one attempt
  *   the daemon itself dies (SIGKILL, injected kill-after)
- *     -> every streamed result was already journalled (fsync'd);
- *        workers die with it via PR_SET_PDEATHSIG; a restarted daemon
- *        resumes the job from the journal
+ *     -> every result counted as finished was already journalled
+ *        (one fsync per poll round; the round's uncommitted results
+ *        are re-run on resume); workers die with it via
+ *        PR_SET_PDEATHSIG; a restarted daemon resumes the job from the
+ *        journal
  *
  * Retries follow RetryPolicy: a charged scenario rejoins the back of
  * the pending queue after a deterministic exponential backoff, and a

@@ -3,20 +3,24 @@
  * Tests for the append-only checkpoint journal: round-trip recovery,
  * torn-tail truncation, corrupt-record handling, grid-mismatch
  * rejection, and the last-record-wins / only-Ok-counts-as-done resume
- * semantics. The torn-write fault site gets an end-to-end test via
- * fork: the child dies mid-append and the parent recovers.
+ * semantics, and group commit: a batch is one sync, and its torn and
+ * kill-after sites still act per record. The fault sites get
+ * end-to-end tests via fork: the child dies mid-append and the parent
+ * recovers.
  */
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/fileio.h"
+#include "base/stats.h"
 #include "runtime/fault.h"
 #include "runtime/journal.h"
 #include "runtime/result_store.h"
@@ -481,6 +485,153 @@ TEST(Journal, InjectedTornWriteIsRecoveredAfterProcessDeath)
     ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
     EXPECT_TRUE(back.recovered().empty())
         << "a half-written record must not be recovered";
+    std::remove(path.c_str());
+}
+
+TEST(Journal, AppendAllWritesABatchWithOneSync)
+{
+    const auto grid = smallGrid();
+    ASSERT_GE(grid.size(), 3u);
+    const std::string path = scratchPath("journal_batch.txt");
+
+    Journal j;
+    std::string error;
+    ASSERT_TRUE(j.open(path, grid, /*resume=*/false, &error)) << error;
+    const uint64_t appends0 =
+        stats::counter("robust.journal.appends").value();
+    const uint64_t syncs0 = stats::counter("robust.journal.syncs").value();
+    // Out of grid order, as a poll round's results arrive.
+    const std::vector<JournalRecord> batch = {
+        {2, recordFor(grid, 2, 12.0)},
+        {0, recordFor(grid, 0, 10.0)},
+        {1, recordFor(grid, 1, 11.0)},
+    };
+    ASSERT_TRUE(j.appendAll(batch, &error)) << error;
+    EXPECT_EQ(stats::counter("robust.journal.appends").value() - appends0,
+              3u);
+    EXPECT_EQ(stats::counter("robust.journal.syncs").value() - syncs0, 1u);
+    ASSERT_TRUE(j.appendAll({}, &error)) << error;
+    EXPECT_EQ(stats::counter("robust.journal.syncs").value() - syncs0, 1u)
+        << "an empty batch must not sync";
+    j.close();
+
+    // The records land in batch order, one line each after the header.
+    std::istringstream text(readAll(path));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(text, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 4u);
+    for (size_t k = 0; k < batch.size(); ++k)
+        EXPECT_EQ(lines[k + 1].substr(0, 2),
+                  std::to_string(batch[k].index) + " ");
+
+    Journal back;
+    ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
+    ASSERT_EQ(back.recovered().size(), 3u);
+    for (const JournalRecord &rec : batch) {
+        const auto it = back.recovered().find(rec.index);
+        ASSERT_NE(it, back.recovered().end()) << "missing " << rec.index;
+        EXPECT_EQ(toJsonRecord(it->second), toJsonRecord(rec.result));
+    }
+    std::remove(path.c_str());
+}
+
+/**
+ * Run appendAll(@p batch) in a forked child under fault spec @p spec
+ * and return the child's exit status; the fault sites end it.
+ */
+int
+appendAllInChild(const std::string &path, const std::vector<Scenario> &grid,
+                 const std::vector<JournalRecord> &batch,
+                 const std::string &spec)
+{
+    const pid_t pid = fork();
+    if (pid == 0) {
+        fault::FaultConfig cfg;
+        std::string error;
+        if (!fault::parseSpec(spec, &cfg, &error))
+            ::_exit(3);
+        fault::configure(cfg);
+        Journal j;
+        if (!j.open(path, grid, /*resume=*/false, &error))
+            ::_exit(4);
+        j.appendAll(batch, &error); // must not return
+        ::_exit(5);
+    }
+    int status = 0;
+    if (pid < 0 || waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+TEST(Journal, KillAfterInsideABatchLeavesExactlyKRecords)
+{
+    const auto grid = smallGrid();
+    ASSERT_GE(grid.size(), 4u);
+    const std::string path = scratchPath("journal_batch_kill.txt");
+    std::vector<JournalRecord> batch;
+    for (size_t i = 0; i < 4; ++i)
+        batch.push_back({i, recordFor(grid, i, 1.0 + i)});
+    ASSERT_EQ(appendAllInChild(path, grid, batch, "kill-after=2"), 137)
+        << "child survived the append it was told to die in";
+
+    stats::Counter &torn = stats::counter("robust.journal.tornRecords");
+    const uint64_t torn0 = torn.value();
+    Journal back;
+    std::string error;
+    ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
+    EXPECT_EQ(back.recovered().size(), 2u);
+    EXPECT_EQ(back.recovered().count(0), 1u);
+    EXPECT_EQ(back.recovered().count(1), 1u);
+    EXPECT_EQ(torn.value(), torn0)
+        << "the records after the kill point must not be written at all";
+    std::remove(path.c_str());
+}
+
+TEST(Journal, TornRecordInsideABatchKeepsTheRecordsBeforeIt)
+{
+    const auto grid = smallGrid();
+    const std::string path = scratchPath("journal_batch_torn.txt");
+    // The torn site is a pure function of the label: pick two records
+    // it spares and one it tears, and put the torn one third.
+    const std::string spec = "seed=1,torn=0.5";
+    fault::FaultConfig cfg;
+    std::string error;
+    ASSERT_TRUE(fault::parseSpec(spec, &cfg, &error)) << error;
+    fault::configure(cfg);
+    std::vector<JournalRecord> spared;
+    std::vector<JournalRecord> torn;
+    for (size_t i = 0; i < grid.size(); ++i)
+        (fault::shouldInject(fault::Site::TornJournalWrite, grid[i].label(),
+                             0)
+             ? torn
+             : spared)
+            .push_back({i, recordFor(grid, i, 1.0 + i)});
+    fault::reset();
+    ASSERT_GE(spared.size(), 2u);
+    ASSERT_GE(torn.size(), 1u);
+    const std::vector<JournalRecord> batch = {spared[0], spared[1], torn[0],
+                                              spared.back()};
+    ASSERT_EQ(appendAllInChild(path, grid, batch, spec), 137)
+        << "child survived the torn write it was told to die in";
+
+    stats::Counter &dropped = stats::counter("robust.journal.tornRecords");
+    const uint64_t dropped0 = dropped.value();
+    Journal back;
+    ASSERT_TRUE(back.open(path, grid, /*resume=*/true, &error)) << error;
+    EXPECT_EQ(back.recovered().size(), 2u);
+    EXPECT_EQ(back.recovered().count(spared[0].index), 1u);
+    EXPECT_EQ(back.recovered().count(spared[1].index), 1u);
+    EXPECT_EQ(dropped.value() - dropped0, 1u)
+        << "exactly the half-written record is the torn tail";
+    back.close();
+
+    // Resume rewrote the file to its valid prefix: a second resume sees
+    // the same two records and no torn tail.
+    Journal again;
+    ASSERT_TRUE(again.open(path, grid, /*resume=*/true, &error)) << error;
+    EXPECT_EQ(again.recovered().size(), 2u);
+    EXPECT_EQ(dropped.value() - dropped0, 1u);
     std::remove(path.c_str());
 }
 

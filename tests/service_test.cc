@@ -12,6 +12,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include "base/fileio.h"
 #include "base/interrupt.h"
+#include "base/sanitizers.h"
 #include "base/stats.h"
 #include "runtime/fault.h"
 #include "runtime/journal.h"
@@ -555,6 +558,77 @@ TEST(ServiceRunGrid, JournaledCleanRunIsByteIdenticalToThePlainEngine)
     for (const auto &[idx, r] : back.recovered())
         EXPECT_EQ(runtime::toJsonRecord(r), clean[idx]) << "index " << idx;
     std::remove(path.c_str());
+}
+
+TEST(ServiceRunGrid, JournalGroupCommitsEachPollRound)
+{
+    // At 3 workers the supervisor commits each poll round's records
+    // with one fsync: never more syncs than records, and every record
+    // is still durable and recovered.
+    FaultGuard guard;
+    const auto grid = smallGrid();
+    const std::string path = scratchPath("svc_rungrid_group_commit.txt");
+    ServerOptions opts = fastServerOpts();
+    opts.numWorkers = 3;
+    const uint64_t appends0 =
+        stats::counter("robust.journal.appends").value();
+    const uint64_t syncs0 = stats::counter("robust.journal.syncs").value();
+    {
+        runtime::Journal j;
+        openJournal(&j, path, grid, /*resume=*/false);
+        JobOutcome outcome;
+        SweepServer(opts).runGrid(grid, &j, &outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+    }
+    const uint64_t appends =
+        stats::counter("robust.journal.appends").value() - appends0;
+    const uint64_t syncs =
+        stats::counter("robust.journal.syncs").value() - syncs0;
+    EXPECT_EQ(appends, grid.size());
+    EXPECT_GE(syncs, 1u);
+    EXPECT_LE(syncs, appends);
+
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    EXPECT_EQ(back.recovered().size(), grid.size());
+    std::remove(path.c_str());
+}
+
+TEST(ServiceRunGrid, ShutdownDoesNotSleepOutAPollTimeout)
+{
+#if FSMOE_SANITIZERS_ENABLED
+    GTEST_SKIP() << "a wall-clock bound; sanitizer builds fork and "
+                    "evaluate too slowly to judge it";
+#endif
+    // A graceful shutdown whose reapWorkers() has reaped the last
+    // worker must not then poll() an empty socket set, which sleeps
+    // out its whole 20 ms timeout (in a third to nine tenths of the
+    // jobs, by the host). A one-scenario grid at 3 workers otherwise
+    // takes about 1.3 ms a job: a job past 15 ms is a stall or a
+    // scheduling hiccup, and 3 such jobs in 20 fail the test.
+    FaultGuard guard;
+    const auto grid = runtime::ScenarioGrid()
+                          .schedules({"FSMoE"})
+                          .numLayers({1})
+                          .build();
+    ASSERT_EQ(grid.size(), 1u);
+    ServerOptions opts = fastServerOpts();
+    opts.numWorkers = 3;
+    std::vector<double> ms;
+    for (int i = 0; i < 20; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        JobOutcome outcome;
+        SweepServer(opts).runGrid(grid, nullptr, &outcome);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    std::sort(ms.begin(), ms.end());
+    const auto slow = std::count_if(ms.begin(), ms.end(),
+                                    [](double v) { return v >= 15.0; });
+    EXPECT_LE(slow, 2) << "median job " << ms[ms.size() / 2]
+                       << " ms, slowest " << ms.back() << " ms";
 }
 
 TEST(ServiceRunGrid, EvalFaultsRetryDeterministicallyAndSpareSurvivors)
