@@ -45,7 +45,8 @@ gate_profile() {
 
 gate_telemetry() {
     # Every observability surface on, and still the blessed bytes; the
-    # metrics snapshot and the self-trace hold real work.
+    # metrics snapshot and the self-trace hold real work: one scenario
+    # span per swept scenario, the calling thread's included.
     "$bin/fsmoe_sweep" --out-json sweep.json --metrics-json metrics.json \
         --self-trace self_trace.json --explain best > /dev/null
     cmp sweep.json "$grid"
@@ -56,6 +57,10 @@ assert m["schema"] == "fsmoe-stats", m.get("schema")
 assert m["counters"]["sweep.scenarios.completed"] > 0, "no scenarios"
 t = json.load(open("self_trace.json"))
 assert any(e.get("ph") == "X" for e in t["traceEvents"]), "no spans"
+spans = sum(e.get("ph") == "X" and e.get("cat") == "scenario"
+            for e in t["traceEvents"])
+swept = len(json.load(open("sweep.json"))["results"])
+assert spans == swept, f"{spans} scenario spans for {swept} scenarios"
 EOF
 }
 
@@ -110,7 +115,7 @@ gate_tune() {
 }
 
 gate_threads() {
-    # 8 pool threads give the bytes of 1; under TSan, race-free too.
+    # 8 sweep threads give the bytes of 1; under TSan, race-free too.
     "$bin/fsmoe_sweep" --threads 8 --out-json t8.json 2> t8.err
     "$bin/fsmoe_sweep" --threads 1 --out-json t1.json 2> t1.err
     cmp t8.json t1.json

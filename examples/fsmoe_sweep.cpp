@@ -3,7 +3,7 @@
  * fsmoe_sweep — the parallel scenario-sweep driver.
  *
  * Evaluates a (model x cluster x batch) grid across a schedule-spec
- * axis on the sweep runtime's thread pool and prints, per
+ * axis on the sweep engine's threads and prints, per
  * configuration, a makespan-ranked table of the schedules. The demo
  * grid covers every registered schedule plus a parameterized
  * tutel?degree={2,4,8} axis; --schedules replaces that axis with

@@ -5,7 +5,7 @@
  *
  * Every subsystem that wants to be observable registers metrics under
  * hierarchical dotted names ("sweep.costCache.hits",
- * "threadpool.task.ms") and updates them on its hot path; a consumer —
+ * "sweep.graphBuild.ms") and updates them on its hot path; a consumer —
  * `fsmoe_sweep --metrics-json`, the richer `--profile`, CI — takes one
  * JSON snapshot at the end. Registration is a locked map lookup, but
  * call sites cache the returned reference (metrics are never

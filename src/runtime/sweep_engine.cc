@@ -1,7 +1,11 @@
 #include "runtime/sweep_engine.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "base/audit.h"
@@ -12,9 +16,6 @@
 namespace fsmoe::runtime {
 
 namespace {
-
-/// Bounded work-queue depth (backpressure for huge grids).
-constexpr size_t kQueueCapacity = 256;
 
 /**
  * Registry handles for the engine's telemetry, resolved once. The
@@ -241,24 +242,43 @@ SweepEngine::run(const std::vector<Scenario> &scenarios)
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<ScenarioResult> results(scenarios.size());
 
-    if (scenarios.size() == 1 || options_.numThreads == 1) {
-        // A pool's start and join, and its handoff of each scenario,
-        // would cost more than many a scenario, and one thread gains
-        // nothing from them; the tuner's probes run one at a time.
-        for (size_t i = 0; i < scenarios.size(); ++i)
-            results[i] = evaluate(scenarios[i]);
-    } else {
-        ThreadPool pool(options_.numThreads, kQueueCapacity);
-        std::vector<std::future<void>> done;
-        done.reserve(scenarios.size());
-        for (size_t i = 0; i < scenarios.size(); ++i) {
-            done.push_back(pool.submit([this, &scenarios, &results, i]() {
+    // Workers claim indices in ascending order from one counter, and
+    // the calling thread is one of them: a one-scenario or one-thread
+    // sweep starts no thread. A throw stops further claims; every
+    // index below a claimed one was claimed too, so the lowest failing
+    // index is the one a serial loop would have thrown first.
+    const size_t n = scenarios.size();
+    std::atomic<size_t> next{0};
+    std::mutex error_mu;
+    size_t error_index = n;
+    std::exception_ptr error;
+    const auto work = [&] {
+        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+            try {
                 results[i] = evaluate(scenarios[i]);
-            }));
+            } catch (...) {
+                next.store(n); // no further claims
+                std::lock_guard<std::mutex> lock(error_mu);
+                if (i < error_index) {
+                    error_index = i;
+                    error = std::current_exception();
+                }
+                return;
+            }
         }
-        for (auto &f : done)
-            f.get(); // rethrows worker exceptions
-    }
+    };
+    const unsigned threads =
+        options_.numThreads > 0
+            ? static_cast<unsigned>(options_.numThreads)
+            : std::max(1u, std::thread::hardware_concurrency());
+    std::vector<std::thread> helpers;
+    for (size_t t = 1; t < std::min<size_t>(threads, n); ++t)
+        helpers.emplace_back(work);
+    work();
+    for (std::thread &t : helpers)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
 
     const auto t1 = std::chrono::steady_clock::now();
     const double wall_ms =

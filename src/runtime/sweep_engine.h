@@ -1,8 +1,10 @@
 /**
  * @file
- * The scenario-sweep engine: fans Scenario evaluations across a
- * ThreadPool. An evaluation derives the scenario's ModelCost, then
- * builds and simulates its schedule's graph. Only the ModelCost is
+ * The scenario-sweep engine: fans Scenario evaluations across the
+ * calling thread and up to numThreads - 1 helper threads, each
+ * claiming the next scenario index from one shared counter. An
+ * evaluation derives the scenario's ModelCost, then builds and
+ * simulates its schedule's graph. Only the ModelCost is
  * memoized, keyed by Scenario::costKey() (every field except the
  * schedule), so all schedule variants of one configuration price the
  * workload once; every evaluation builds and simulates its graph.
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "runtime/scenario.h"
-#include "runtime/thread_pool.h"
 #include "sim/simulator.h"
 
 namespace fsmoe::runtime {
@@ -40,7 +41,8 @@ namespace fsmoe::runtime {
 /** Engine configuration. */
 struct SweepOptions
 {
-    /// Worker threads; 0 picks the hardware concurrency.
+    /// Worker threads, the calling thread included; 0 picks the
+    /// hardware concurrency.
     int numThreads = 0;
     /// No effect; perfbench still names it.
     bool enableSimCache = true;
@@ -89,9 +91,12 @@ class SweepEngine
     /**
      * Evaluate every scenario and return results in input order.
      * Reentrant with respect to the cost cache; not safe to call
-     * concurrently from multiple threads. A single scenario, or any
-     * number with numThreads = 1, is evaluated on the calling thread,
-     * without starting a pool.
+     * concurrently from multiple threads. min(numThreads, size)
+     * workers claim indices in ascending order; the calling thread is
+     * one of them, so a single scenario, or any number with
+     * numThreads = 1, starts no thread. A throw stops further claims,
+     * and after the join run() rethrows the exception of the lowest
+     * failing index, the one a serial loop would throw.
      */
     std::vector<ScenarioResult> run(const std::vector<Scenario> &scenarios);
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the scenario-sweep runtime: thread-pool semantics, grid
- * enumeration, parallel-equals-serial determinism, ModelCost cache
- * accounting, and Chrome-trace export well-formedness.
+ * Tests for the scenario-sweep runtime: grid enumeration,
+ * parallel-equals-serial determinism, ModelCost cache accounting, and
+ * Chrome-trace export well-formedness.
  */
-#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <set>
@@ -18,47 +17,11 @@
 #include "core/schedules/schedule_registry.h"
 #include "runtime/scenario.h"
 #include "runtime/sweep_engine.h"
-#include "runtime/thread_pool.h"
 #include "runtime/trace_export.h"
 #include "sim/trace.h"
 
 namespace fsmoe::runtime {
 namespace {
-
-// ---------------------------------------------------------------- pool
-
-TEST(ThreadPool, RunsSubmittedTasksAndReturnsValues)
-{
-    ThreadPool pool(4);
-    std::vector<std::future<int>> futs;
-    for (int i = 0; i < 64; ++i)
-        futs.push_back(pool.submit([i]() { return i * i; }));
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futs[i].get(), i * i);
-    EXPECT_EQ(pool.submitted(), 64u);
-}
-
-TEST(ThreadPool, BoundedQueueCompletesEverything)
-{
-    // Capacity 2 with many more tasks than workers: submit() must
-    // block-and-release rather than drop or deadlock.
-    ThreadPool pool(2, /*queue_capacity=*/2);
-    std::atomic<int> ran{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 100; ++i)
-        futs.push_back(pool.submit([&ran]() { ran++; }));
-    for (auto &f : futs)
-        f.get();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFutures)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-}
 
 // ---------------------------------------------------------- scenarios
 
@@ -268,39 +231,31 @@ TEST(SweepEngine, DemoGridDegreeSearchesSimulateThePinnedCandidates)
 TEST(SweepEngine, OneScenarioRunsOnTheCallingThreadWithTheSameStats)
 {
     const Scenario s = testGrid().front();
-    const auto value = [](const char *name) {
-        return stats::counter(name).value();
-    };
     stats::Histogram &wall = stats::histogram("sweep.wall.ms");
-    const uint64_t submitted = value("threadpool.tasks.submitted");
     const uint64_t walls = wall.count();
 
     SweepEngine engine({/*numThreads=*/4});
     const auto one = engine.run({s});
     ASSERT_EQ(one.size(), 1u);
-    EXPECT_EQ(value("threadpool.tasks.submitted"), submitted);
     EXPECT_EQ(wall.count(), walls + 1);
     SweepStats stats = engine.stats();
     EXPECT_EQ(stats.scenariosRun, 1u);
     EXPECT_GT(stats.lastSweepWallMs, 0.0);
 
-    // The result is the pooled run's, bit for bit.
-    SweepEngine pooled({/*numThreads=*/4});
-    const auto both = pooled.run({s, s});
+    // The result is a two-thread run's, bit for bit.
+    SweepEngine two({/*numThreads=*/4});
+    const auto both = two.run({s, s});
     EXPECT_EQ(std::memcmp(&one[0].makespanMs, &both[0].makespanMs,
                           sizeof(double)),
               0);
-    EXPECT_EQ(pooled.stats().scenariosRun, 2u);
+    EXPECT_EQ(two.stats().scenariosRun, 2u);
 
     // So does a one-thread run of many scenarios, with the results of a
     // four-thread one, bit for bit.
     const std::vector<Scenario> grid = testGrid();
     ASSERT_GT(grid.size(), 1u);
-    const uint64_t submitted_before_inline =
-        value("threadpool.tasks.submitted");
     SweepEngine inline_engine({/*numThreads=*/1});
     const auto inline_results = inline_engine.run(grid);
-    EXPECT_EQ(value("threadpool.tasks.submitted"), submitted_before_inline);
     EXPECT_EQ(inline_engine.stats().scenariosRun, grid.size());
     SweepEngine four({/*numThreads=*/4});
     const auto four_results = four.run(grid);
