@@ -61,7 +61,7 @@
  * FSMOE_FAULT environment variable) runs the grid on the sweep
  * service's supervisor (service/sweep_server.h): forked worker
  * processes under a heartbeat watchdog, so a crash or hang costs only
- * the scenario in flight one attempt, and a scenario that keeps failing
+ * the scenario the worker was running one attempt, and a scenario that keeps failing
  * is quarantined instead of aborting the sweep (--trace and --explain
  * never pick it); healthy results stay byte-identical to the plain
  * engine's:

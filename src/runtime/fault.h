@@ -35,9 +35,10 @@
  *   `kill-after=K`   the process exits after the K-th successful
  *                    journal append — a precise, scheduler-independent
  *                    way to kill a sweep (or the daemon) mid-run
- *   `stop-after=K`   a SIGTERM is simulated (base/interrupt) once K
- *                    results have finished — the deterministic way to
- *                    exercise the graceful-stop drain
+ *   `stop-after=K`   a SIGTERM is simulated (base/interrupt) when the
+ *                    supervisor receives the K-th result — the
+ *                    deterministic way to exercise the graceful-stop
+ *                    drain
  *
  * Configuration comes from `--inject SPEC` (fsmoe_sweep, fsmoe_sweepd)
  * or the FSMOE_FAULT environment variable (same spec syntax, read
@@ -145,8 +146,8 @@ bool shouldInject(Site site, const std::string &key, int attempt);
 bool shouldKillAfterAppend();
 
 /**
- * Finished-result hook for stop-after: returns true exactly once, when
- * the K-th result finishes (the caller requests the stop). Counts
+ * Received-result hook for stop-after: returns true exactly once, when
+ * the K-th result arrives (the caller requests the stop). Counts
  * results internally; false when disabled.
  */
 bool shouldStopAfterResult();

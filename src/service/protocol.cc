@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace fsmoe::service {
@@ -14,7 +15,9 @@ writeAll(int fd, const char *data, size_t n)
 {
     size_t off = 0;
     while (off < n) {
-        const ssize_t w = ::write(fd, data + off, n - off);
+        // MSG_NOSIGNAL: a peer that already died yields EPIPE, not a
+        // SIGPIPE that would kill the sender before it can heal.
+        const ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
         if (w < 0) {
             if (errno == EINTR)
                 continue;

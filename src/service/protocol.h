@@ -11,7 +11,7 @@
  *
  * The format is transport-agnostic — the daemon uses AF_UNIX
  * socketpairs to its forked workers today, but nothing here assumes
- * more than a reliable byte stream, so the same framing works over
+ * more than a reliable stream socket, so the same framing works over
  * TCP for cross-host workers later.
  *
  * Frames (direction, body):
@@ -66,9 +66,10 @@ struct Frame
 std::string encodeFrame(const Frame &f);
 
 /**
- * Blocking write of @p f to @p fd (retrying short writes / EINTR).
- * Returns false on any write error — for a worker socket that means
- * the peer is gone and the connection should be torn down.
+ * Blocking send of @p f on socket @p fd (retrying short writes /
+ * EINTR). Returns false on any send error — for a worker socket that
+ * means the peer is gone and the connection should be torn down. A
+ * closed peer never raises SIGPIPE (MSG_NOSIGNAL).
  */
 bool sendFrame(int fd, const Frame &f);
 

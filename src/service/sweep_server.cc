@@ -200,8 +200,11 @@ quarantineRecord(const Scenario &s, int attempts, const std::string &error)
     return r;
 }
 
-/// WorkerSlot::idx of a worker with no scenario in flight.
-constexpr size_t kIdle = static_cast<size_t>(-1);
+/// Assignments a worker holds: the scenario it is running plus the next
+/// one, waiting in its socket, so a worker never idles while the
+/// supervisor is inside a commit's fsync. Deeper queues unbalance the
+/// tail of a grid.
+constexpr size_t kWorkerDepth = 2;
 
 struct WorkerSlot
 {
@@ -210,8 +213,10 @@ struct WorkerSlot
     int workerId = -1;
     FrameReader reader;
     bool alive = false;
-    bool ready = false;  ///< Hello received; eligible for assignment.
-    size_t idx = kIdle;  ///< Grid index in flight, kIdle when idle.
+    bool ready = false; ///< Hello received; eligible for assignment.
+    /// Grid indices assigned, in order: the front is running, the rest
+    /// wait in the socket. Empty when idle.
+    std::deque<size_t> held;
     Clock::time_point lastBeat;
 };
 
@@ -247,6 +252,7 @@ class GridRun
     void appendResult(size_t idx, SweepResult r);
     void commitResults();
     void charge(size_t idx, const std::string &error);
+    void requeue(size_t idx);
     void workerGone(WorkerSlot &slot, const char *loss);
     void killWorker(WorkerSlot &slot, const char *loss);
     void shutdownWorkers(bool graceful);
@@ -312,7 +318,7 @@ GridRun::spawnWorker(WorkerSlot &slot)
     slot.reader = FrameReader{};
     slot.alive = true;
     slot.ready = false;
-    slot.idx = kIdle;
+    slot.held.clear();
     slot.lastBeat = Clock::now();
     stats::counter("service.workers.spawned").inc();
 }
@@ -337,34 +343,35 @@ GridRun::respawnWorkers()
     }
 }
 
-/** Hand an idle worker the first pending scenario past its backoff. */
+/**
+ * Top a ready worker up to kWorkerDepth assignments, each the first
+ * pending scenario past its backoff.
+ */
 void
 GridRun::assign(WorkerSlot &slot)
 {
-    if (!slot.alive || !slot.ready || slot.idx != kIdle || draining())
-        return;
-    const auto now = Clock::now();
-    const auto it =
-        std::find_if(pending_.begin(), pending_.end(),
-                     [&](size_t i) { return notBefore_[i] <= now; });
-    if (it == pending_.end())
-        return;
-    const size_t idx = *it;
-    pending_.erase(it);
-    attempts_[idx] += 1;
-    slot.idx = idx;
-    if (!sendFrame(slot.fd, Frame{FrameType::Assign,
-                                  std::to_string(idx) + " " +
-                                      std::to_string(attempts_[idx])})) {
-        // The worker died between frames; the attempt never ran, so
-        // hand it back without burning retry budget.
-        attempts_[idx] -= 1;
-        slot.idx = kIdle;
-        pending_.push_front(idx);
-        killWorker(slot, kWorkerLost);
-        return;
+    while (slot.alive && slot.ready && slot.held.size() < kWorkerDepth &&
+           !draining()) {
+        const auto now = Clock::now();
+        const auto it =
+            std::find_if(pending_.begin(), pending_.end(),
+                         [&](size_t i) { return notBefore_[i] <= now; });
+        if (it == pending_.end())
+            return;
+        const size_t idx = *it;
+        pending_.erase(it);
+        attempts_[idx] += 1;
+        if (!sendFrame(slot.fd, Frame{FrameType::Assign,
+                                      std::to_string(idx) + " " +
+                                          std::to_string(attempts_[idx])})) {
+            // The worker died between frames; this attempt never ran.
+            requeue(idx);
+            killWorker(slot, kWorkerLost);
+            return;
+        }
+        slot.held.push_back(idx);
+        stats::counter("service.scenarios.assigned").inc();
     }
-    stats::counter("service.scenarios.assigned").inc();
 }
 
 /**
@@ -375,6 +382,12 @@ void
 GridRun::appendResult(size_t idx, SweepResult r)
 {
     batch_.push_back({idx, std::move(r)});
+    // stop-after=K: the deterministic stand-in for a SIGTERM arriving
+    // with the K-th result. It fires before the sender is topped up, so
+    // the drain starts with at most kWorkerDepth scenarios per worker in
+    // hand; the round's commit still journals and counts all K.
+    if (fault::shouldStopAfterResult())
+        interrupt::requestStop(SIGTERM);
 }
 
 /**
@@ -397,11 +410,6 @@ GridRun::commitResults()
                                                           : quarantined_);
         results_[rec.index] = std::move(rec.result);
         --unfinished_;
-        // stop-after=K: the deterministic stand-in for a SIGTERM
-        // arriving once K results have finished; run() then drains
-        // gracefully.
-        if (fault::shouldStopAfterResult())
-            interrupt::requestStop(SIGTERM);
     }
     batch_.clear();
 }
@@ -430,6 +438,15 @@ GridRun::charge(size_t idx, const std::string &error)
                   " failed: ", error, ")");
 }
 
+/** Hand back scenario @p idx, assigned but never started, uncharged. */
+void
+GridRun::requeue(size_t idx)
+{
+    attempts_[idx] -= 1;
+    pending_.push_front(idx);
+    stats::counter("service.scenarios.requeued").inc();
+}
+
 void
 GridRun::handleFrame(WorkerSlot &slot, const Frame &f)
 {
@@ -446,7 +463,7 @@ GridRun::handleFrame(WorkerSlot &slot, const Frame &f)
         SweepResult r;
         std::string error;
         if (!decodeResultFrame(f.body, grid_, &idx, &r, &error) ||
-            idx != slot.idx) {
+            slot.held.empty() || idx != slot.held.front()) {
             FSMOE_WARN("worker w", slot.workerId, ": ",
                        error.empty() ? "Result frame names a scenario it "
                                        "was not assigned"
@@ -454,27 +471,26 @@ GridRun::handleFrame(WorkerSlot &slot, const Frame &f)
             killWorker(slot, kWorkerLost);
             break;
         }
-        // Keep the worker busy through the round's fsync'd commit.
-        slot.idx = kIdle;
-        assign(slot);
+        slot.held.pop_front();
         appendResult(idx, std::move(r));
         stats::counter("service.results.streamed").inc();
+        assign(slot);
         break;
     }
     case FrameType::EvalError: {
         size_t idx = 0;
         std::string message;
         if (!splitIndexedBody(f.body, grid_.size(), &idx, &message) ||
-            idx != slot.idx) {
+            slot.held.empty() || idx != slot.held.front()) {
             FSMOE_WARN("worker w", slot.workerId,
                        ": EvalError frame does not name its scenario");
             killWorker(slot, kWorkerLost);
             break;
         }
         stats::counter("service.scenario.evalErrors").inc();
-        slot.idx = kIdle;
-        assign(slot);
+        slot.held.pop_front();
         charge(idx, message);
+        assign(slot);
         break;
     }
     default:
@@ -507,13 +523,20 @@ GridRun::workerGone(WorkerSlot &slot, const char *loss)
     if (slot.fd >= 0)
         ::close(slot.fd);
     slot.fd = -1;
-    const size_t idx = slot.idx;
-    slot.idx = kIdle;
-    if (idx != kIdle) {
-        FSMOE_VERBOSE("worker w", slot.workerId, " gone (", loss,
-                      ") holding scenario ", idx);
-        charge(idx, loss);
+    if (slot.held.empty())
+        return;
+    // Only the front was running; the scenarios queued behind it never
+    // started, so they go back first in line with their attempts
+    // refunded.
+    while (slot.held.size() > 1) {
+        requeue(slot.held.back());
+        slot.held.pop_back();
     }
+    const size_t idx = slot.held.front();
+    slot.held.clear();
+    FSMOE_VERBOSE("worker w", slot.workerId, " gone (", loss,
+                  ") running scenario ", idx);
+    charge(idx, loss);
 }
 
 void
@@ -533,14 +556,15 @@ GridRun::checkWatchdogs()
 {
     const auto now = Clock::now();
     for (WorkerSlot &slot : workers_) {
-        if (!slot.alive || slot.idx == kIdle)
+        if (!slot.alive || slot.held.empty())
             continue;
         if (now - slot.lastBeat >
             std::chrono::milliseconds(opts_.heartbeatTimeoutMs)) {
             stats::counter("service.heartbeats.missed").inc();
             FSMOE_WARN("worker w", slot.workerId, " missed its heartbeat "
                        "deadline (", opts_.heartbeatTimeoutMs,
-                       " ms); killing it and charging scenario ", slot.idx);
+                       " ms); killing it and charging scenario ",
+                       slot.held.front());
             killWorker(slot, kMissedHeartbeat);
         }
     }
@@ -863,6 +887,7 @@ printServiceCounters()
         "service.heartbeats.missed",
         "service.scenarios.assigned",
         "service.scenarios.retried",
+        "service.scenarios.requeued",
         "service.scenarios.quarantined",
         "service.results.streamed",
         "service.results.resumed",

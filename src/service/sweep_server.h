@@ -11,15 +11,19 @@
  * forked, never exec'd, so each one inherits the grid and options and
  * nothing but scenario assignments and results crosses the wire. One
  * scenario is the unit of both assignment and retry: an Assign names
- * one grid index and that scenario's own attempt number. Each worker
- * evaluates through one runtime::SweepEngine, the same path as a plain
- * sweep, so healthy records carry the plain engine's bytes.
+ * one grid index and that scenario's own attempt number. A worker
+ * holds at most two: the one it is running and the next, queued in
+ * its socket so it keeps working while the supervisor fsyncs the
+ * journal. Each worker evaluates through one runtime::SweepEngine, the
+ * same path as a plain sweep, so healthy records carry the plain
+ * engine's bytes.
  *
  *   worker dies (SIGKILL, crash, injected crash)
  *     -> death is observed via socket EOF or waitpid; either way the
- *        socket is drained to EOF, the scenario in flight (if its
- *        result did not arrive) is charged one attempt, and a fresh
- *        worker is forked into the slot
+ *        socket is drained to EOF, the scenario it was running (if its
+ *        result did not arrive) is charged one attempt, the one queued
+ *        behind it goes back uncharged, and a fresh worker is forked
+ *        into the slot
  *   worker stalls (hang, injected timeout)
  *     -> a per-worker heartbeat watchdog on std::chrono::steady_clock
  *        (wall-clock time is banned in deadline arithmetic — see
@@ -129,8 +133,9 @@ class SweepServer
      * workers, heal failures, and append every finished record to the
      * journal. Returns one record per scenario in grid order and fills
      * @p outcome. On graceful stop (base/interrupt, or the stop-after
-     * fault key counting finished results) the grid is drained —
-     * streamed results are journalled, unstarted scenarios come back
+     * fault key counting received results) the grid is drained —
+     * workers finish the at most two scenarios they hold, streamed
+     * results are journalled, unstarted scenarios come back
      * as default records, which outcome's okResults and quarantined
      * leave out — and outcome.interrupted is set. The calling process
      * must be single-threaded.

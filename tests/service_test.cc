@@ -9,11 +9,13 @@
  * graceful-stop and healing paths (eval error, worker crash, hang,
  * disconnect, supervisor death) under deterministic fault injection.
  */
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -163,6 +165,19 @@ TEST(ServiceProtocol, ValidFrameTypeMatchesTheEnum)
     EXPECT_FALSE(validFrameType('D'));
     EXPECT_FALSE(validFrameType('Z'));
     EXPECT_FALSE(validFrameType('\0'));
+}
+
+TEST(ServiceProtocol, SendToAClosedPeerFailsWithoutSigpipe)
+{
+    // A frame to a worker that already died must come back as a failed
+    // send the supervisor can heal, not a SIGPIPE that kills it.
+    std::signal(SIGPIPE, SIG_DFL);
+    int sv[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    close(sv[1]);
+    EXPECT_FALSE(sendFrame(sv[0], Frame{FrameType::Assign, "0 1"}));
+    EXPECT_FALSE(sendFrame(sv[0], Frame{FrameType::Shutdown, ""}));
+    close(sv[0]);
 }
 
 // ---- job specs -----------------------------------------------------
@@ -886,6 +901,46 @@ TEST(ServiceRunGrid, GracefulStopChargesNoAttempt)
     std::remove(path.c_str());
 }
 
+TEST(ServiceRunGrid, StopAfterDrainFinishesAtMostTwoPerWorker)
+{
+    // The stop fires as the K-th result is queued, before its worker is
+    // topped up: K - 1 results came before it, and each worker holds at
+    // most two scenarios, all of which the drain finishes. A resume
+    // converges to the blessed bytes.
+    FaultGuard guard;
+    interrupt::clearStop();
+    const auto grid = runtime::demoGrid();
+    const std::string path = scratchPath("svc_rungrid_stop_bound.txt");
+    ServerOptions opts = fastServerOpts();
+    opts.numWorkers = 3;
+    const size_t k = 10;
+    configureFaults("stop-after=" + std::to_string(k));
+    size_t finished = 0;
+    {
+        runtime::Journal j;
+        openJournal(&j, path, grid, /*resume=*/false);
+        JobOutcome outcome;
+        SweepServer(opts).runGrid(grid, &j, &outcome);
+        EXPECT_TRUE(outcome.interrupted);
+        finished = outcome.okResults + outcome.quarantined;
+    }
+    EXPECT_GE(finished, k);
+    EXPECT_LE(finished, k - 1 + 2 * static_cast<size_t>(opts.numWorkers));
+    interrupt::clearStop();
+    runtime::fault::reset();
+
+    runtime::Journal back;
+    openJournal(&back, path, grid, /*resume=*/true);
+    EXPECT_EQ(back.recovered().size(), finished);
+    JobOutcome outcome;
+    const auto resumed = SweepServer(opts).runGrid(grid, &back, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.resumed, finished);
+    EXPECT_TRUE(runtime::toJson(resumed) == readAll(FSMOE_DEMO_BASELINE))
+        << "resumed sweep differs from " FSMOE_DEMO_BASELINE;
+    std::remove(path.c_str());
+}
+
 TEST(ServiceRunGrid, WorkerCrashesQuarantineAfterMaxAttempts)
 {
     FaultGuard guard;
@@ -906,6 +961,57 @@ TEST(ServiceRunGrid, WorkerCrashesQuarantineAfterMaxAttempts)
     EXPECT_EQ(results[0].error, kWorkerLost);
     EXPECT_EQ(results[0].scenario.label(), grid[0].label());
     EXPECT_GE(stats::counter("service.workers.restarted").value(), 1u);
+}
+
+TEST(ServiceRunGrid, WorkerDeathHoldingTwoScenariosCostsOneAttempt)
+{
+    // A worker holds the scenario it runs and the next one. When it
+    // dies, only the one it was running is charged: the queued one is
+    // handed back with its attempt refunded. At maxAttempts 1 a second
+    // charge would quarantine it. The crash hits grid index 0 alone,
+    // the first scenario assigned, so its worker has index 1 queued
+    // behind it (or its send fails on the dead worker).
+    FaultGuard guard;
+    const auto grid = runtime::demoGrid();
+    runtime::fault::FaultConfig cfg;
+    cfg.rate[static_cast<int>(runtime::fault::Site::WorkerCrash)] = 0.05;
+    const auto crashes = [&] {
+        std::vector<size_t> out;
+        for (size_t i = 0; i < grid.size(); ++i)
+            if (runtime::fault::shouldInject(
+                    runtime::fault::Site::WorkerCrash, grid[i].label(),
+                    /*attempt=*/1))
+                out.push_back(i);
+        return out;
+    };
+    for (cfg.seed = 1; cfg.seed < 10000; ++cfg.seed) {
+        runtime::fault::configure(cfg);
+        if (crashes() == std::vector<size_t>{0})
+            break;
+    }
+    ASSERT_EQ(crashes(), std::vector<size_t>{0})
+        << "no seed below 10000 crashes index 0 alone";
+
+    ServerOptions opts = fastServerOpts();
+    opts.numWorkers = 3;
+    opts.retry.maxAttempts = 1;
+    const uint64_t requeued0 =
+        stats::counter("service.scenarios.requeued").value();
+    JobOutcome outcome;
+    const auto results = SweepServer(opts).runGrid(grid, nullptr, &outcome);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.quarantined, 1u);
+    EXPECT_GE(stats::counter("service.scenarios.requeued").value() - requeued0,
+              1u);
+
+    runtime::fault::reset();
+    const auto clean = cleanBytes(grid);
+    ASSERT_EQ(results.size(), grid.size());
+    EXPECT_EQ(results[0].status, runtime::ResultStatus::Quarantined);
+    EXPECT_EQ(results[0].attempts, 1);
+    EXPECT_EQ(results[0].error, kWorkerLost);
+    for (size_t i = 1; i < results.size(); ++i)
+        EXPECT_EQ(runtime::toJsonRecord(results[i]), clean[i]) << i;
 }
 
 TEST(ServiceRunGrid, WatchdogKillsHungWorkers)
