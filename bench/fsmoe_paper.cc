@@ -26,12 +26,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "core/gate.h"
 #include "core/pipeline_solver.h"
 #include "core/profiler.h"
@@ -39,6 +39,7 @@
 #include "model/gpipe.h"
 #include "model/models.h"
 #include "runtime/scenario.h"
+#include "runtime/sweep_engine.h"
 
 namespace {
 
@@ -67,45 +68,82 @@ padded(const std::string &s, size_t width)
     return s.size() >= width ? s : s + std::string(width - s.size(), ' ');
 }
 
+/** A batch-1 scenario of @p model on @p cluster, schedule unset. */
+runtime::Scenario
+scenario(const std::string &model, const std::string &cluster,
+         int64_t seq_len, int num_layers)
+{
+    runtime::Scenario s;
+    s.model = model;
+    s.cluster = cluster;
+    s.seqLen = seq_len;
+    s.numLayers = num_layers; // 0 = the preset's depth
+    return s;
+}
+
 /**
- * The paper's Table 4 grid: 3 (B) x 3 (heads) x 3 (L) x 3 (M) x
- * 3 (H/M) x 3 (f) x 2 (ffn) = 1458 configured layers. L depends on
- * the testbed (Testbed B uses halved sequence lengths, §6.1).
+ * The makespan of each of @p schedules on each of @p cases (whose own
+ * schedule is ignored), priced by one sweep: times[i][j] is
+ * schedules[j] on cases[i].
  */
-std::vector<core::LayerShape>
-table4Grid(bool testbed_b, int num_experts)
+std::vector<std::vector<double>>
+price(const std::vector<runtime::Scenario> &cases,
+      const std::vector<std::string> &schedules)
+{
+    std::vector<runtime::Scenario> scenarios;
+    for (const runtime::Scenario &c : cases)
+        for (const std::string &name : schedules) {
+            scenarios.push_back(c);
+            scenarios.back().schedule = name;
+        }
+    const auto results = runtime::SweepEngine().run(scenarios);
+    std::vector<std::vector<double>> times(cases.size());
+    for (size_t k = 0; k < results.size(); ++k)
+        times[k / schedules.size()].push_back(results[k].makespanMs);
+    return times;
+}
+
+/**
+ * The paper's Table 4 grid on cluster preset @p cluster: 3 (B) x
+ * 3 (heads) x 3 (L) x 3 (M) x 3 (H/M) x 3 (f) x 2 (ffn) = 1458
+ * configured layers, one two-layer scenario each (a two-deep stack
+ * gives the configured layer's gradient traffic the dense windows of
+ * the preceding layer to hide in, as in a real model's steady state).
+ * L depends on the testbed (Testbed B uses halved sequence lengths,
+ * §6.1); the schedule is left unset.
+ */
+std::vector<runtime::Scenario>
+table4Layers(const std::string &cluster)
 {
     const int64_t batches[] = {1, 2, 4};
     const int heads[] = {8, 16, 32};
     const int64_t lens_a[] = {512, 1024, 2048};
     const int64_t lens_b[] = {256, 512, 1024};
     const int64_t embeds[] = {1024, 2048, 4096};
-    const double hscales[] = {2.0, 3.0, 4.0};
-    const double factors[] = {1.2, 2.4, -1.0}; // -1 encodes "*"
-    const core::FfnType ffns[] = {core::FfnType::Simple,
-                                  core::FfnType::Mixtral};
+    const int64_t hscales[] = {2, 3, 4};
+    const double factors[] = {1.2, 2.4, 0.0}; // 0 is Table 4's "*"
+    const char *swiglus[] = {"false", "true"};
 
-    std::vector<core::LayerShape> grid;
+    std::vector<runtime::Scenario> layers;
     for (int64_t b : batches)
         for (int h : heads)
-            for (int64_t l : testbed_b ? lens_b : lens_a)
+            for (int64_t l : cluster == "testbedB" ? lens_b : lens_a)
                 for (int64_t m : embeds)
-                    for (double hs : hscales)
+                    for (int64_t hs : hscales)
                         for (double f : factors)
-                            for (core::FfnType ffn : ffns) {
-                                core::LayerShape s;
-                                s.batch = b;
-                                s.numHeads = h;
-                                s.seqLen = l;
-                                s.embed = m;
-                                s.hidden = static_cast<int64_t>(m * hs);
-                                s.capacityFactor = f;
-                                s.ffn = ffn;
-                                s.topK = 2;
-                                s.numExperts = num_experts;
-                                grid.push_back(s);
+                            for (const char *swiglu : swiglus) {
+                                // Canonical spelling: declared key order,
+                                // doubles as json::fmtDouble prints them.
+                                layers.push_back(scenario(
+                                    "table4?heads=" + std::to_string(h) +
+                                        "&embed=" + std::to_string(m) +
+                                        "&hidden=" + std::to_string(m * hs) +
+                                        "&cf=" + json::fmtDouble(f) +
+                                        "&swiglu=" + swiglu,
+                                    cluster, l, 2));
+                                layers.back().batch = b;
                             }
-    return grid;
+    return layers;
 }
 
 /**
@@ -173,15 +211,18 @@ table2(Gates &gates)
 void
 motivation(Gates &)
 {
-    const sim::ClusterSpec cluster = sim::testbedB();
+    const runtime::ScenarioRegistry &reg =
+        runtime::ScenarioRegistry::instance();
+    const sim::ClusterSpec cluster = reg.makeCluster("testbedB");
     const core::ParallelConfig par = model::paperParallelism(cluster);
     const core::PerfModelSet models = core::PerfModelSet::fromCluster(cluster);
-    const auto grid = table4Grid(true, cluster.numNodes);
+    const auto grid = table4Layers("testbedB");
 
     int differ = 0;
     std::map<std::pair<int, int>, int> degree_pairs;
-    for (const core::LayerShape &shape : grid) {
-        const core::Workload w = core::deriveWorkload(shape, par);
+    for (const runtime::Scenario &s : grid) {
+        const core::Workload w =
+            core::deriveWorkload(reg.makeModel(s, cluster).layer, par);
         const int rf = core::solvePipeline(core::makeProblem(
                            models, w, core::Phase::Forward)).r;
         const int rb = core::solvePipeline(core::makeProblem(
@@ -260,55 +301,37 @@ fig5(Gates &gates)
 void
 table5(Gates &gates)
 {
-    for (bool testbed_b : {false, true}) {
-        const sim::ClusterSpec cluster =
-            testbed_b ? sim::testbedB() : sim::testbedA();
-        const auto grid = table4Grid(testbed_b, cluster.numNodes);
-        const core::ParallelConfig par = model::paperParallelism(cluster);
-        const core::PerfModelSet models =
-            core::PerfModelSet::fromCluster(cluster);
-        std::vector<std::unique_ptr<core::Schedule>> schedules;
-        for (const char *name :
-             {"Tutel", "Tutel-Improved", "FSMoE-No-IIO", "FSMoE"})
-            schedules.push_back(core::Schedule::create(name));
+    const std::vector<std::string> schedules = {"Tutel", "Tutel-Improved",
+                                                "FSMoE-No-IIO", "FSMoE"};
+    for (const char *cluster : {"testbedA", "testbedB"}) {
+        const auto times = price(table4Layers(cluster), schedules);
+        const size_t layers = times.size();
+        const std::string testbed =
+            runtime::ScenarioRegistry::instance().makeCluster(cluster).name;
 
         std::vector<double> speedup_sum(schedules.size(), 0.0);
         std::vector<size_t> wins(schedules.size(), 0);
-        for (const core::LayerShape &shape : grid) {
-            // A two-deep stack gives the configured layer's gradient
-            // traffic the dense windows of the preceding layer to hide
-            // in, as in a real model's steady state.
-            core::ModelCost cost;
-            cost.models = models;
-            cost.layers.push_back(core::makeLayerCost(models, shape, par));
-            cost.layers.push_back(cost.layers.back());
-            double tutel = 0.0;
+        for (const std::vector<double> &t : times)
             for (size_t i = 0; i < schedules.size(); ++i) {
-                const double t = schedules[i]->iterationTimeMs(cost);
-                if (i == 0)
-                    tutel = t;
-                speedup_sum[i] += tutel / t;
-                wins[i] += t <= tutel * 1.0001;
+                speedup_sum[i] += t[0] / t[i];
+                wins[i] += t[i] <= t[0] * 1.0001;
             }
-        }
 
         header("Table 5: average speedup over Tutel(+PipeMoE) on " +
-               std::to_string(grid.size()) + " configured layers, " +
-               cluster.name);
+               std::to_string(layers) + " configured layers, " + testbed);
         std::printf("%-18s %10s %14s\n", "Schedule", "Speedup",
                     ">=Tutel cases");
         for (size_t i = 0; i < schedules.size(); ++i) {
-            const std::string &name = schedules[i]->name();
+            const std::string &name = schedules[i];
             std::printf("%-18s %9.2fx %13.1f%%\n", name.c_str(),
-                        speedup_sum[i] / grid.size(),
-                        100.0 * wins[i] / grid.size());
-            gate(gates, wins[i] == grid.size(),
+                        speedup_sum[i] / layers, 100.0 * wins[i] / layers);
+            gate(gates, wins[i] == layers,
                  "table5: " + name + " >= Tutel on every layer of " +
-                     cluster.name);
+                     testbed);
             gate(gates, i + 1 == schedules.size() ||
                             speedup_sum[i] < speedup_sum.back(),
                  "table5: FSMoE's mean speedup above " + name +
-                     "'s on " + cluster.name);
+                     "'s on " + testbed);
         }
         std::printf("\nPaper reference: Tutel-Improved 1.08-1.09x, "
                     "FSMoE-No-IIO 1.12-1.16x, FSMoE 1.18-1.22x.\n\n");
@@ -324,8 +347,6 @@ table5(Gates &gates)
 class SpeedupTable
 {
   public:
-    using Price = std::function<double(const core::Schedule &)>;
-
     SpeedupTable(const std::string &figure, const std::string &label_header,
                  int label_width)
         : figure_(figure), label_width_(label_width),
@@ -349,18 +370,15 @@ class SpeedupTable
         std::printf("\n");
     }
 
-    void row(Gates &gates, const std::string &label, const Price &price) const
+    /** Print the row of @p ms, one time per column. */
+    void row(Gates &gates, const std::string &label,
+             const std::vector<double> &ms) const
     {
         std::vector<double> speedup;
-        double base = 0.0;
-        for (const std::string &name : names_) {
-            const double ms = price(*core::Schedule::create(name));
-            if (speedup.empty())
-                base = ms;
-            speedup.push_back(base / ms);
-        }
+        for (double t : ms)
+            speedup.push_back(ms[0] / t);
         std::printf("%-*s %*.1f", label_width_, label.c_str(), widths_[0],
-                    base);
+                    ms[0]);
         for (size_t i = 1; i < names_.size(); ++i)
             std::printf(" %*.2fx", widths_[i] - 1, speedup[i]);
         std::printf("\n");
@@ -392,33 +410,21 @@ fig6(Gates &gates)
     header("Fig. 6: speedup over DeepSpeed-MoE (DS-MoE) on real-world "
            "MoE models");
     const SpeedupTable table("fig6", padded("Model", 14) + " Testbed", 49);
-    struct Case
-    {
-        const char *model;
-        const char *cluster;
-        int64_t seqLen;
-        int numLayers; // 0 = the preset's depth
-    };
-    const Case cases[] = {{"gpt2xl-moe", "testbedA", 1024, 0},
-                          {"mixtral-7b", "testbedA", 1024, 0},
-                          {"mixtral-22b", "testbedA", 1024, 0},
-                          {"gpt2xl-moe", "testbedB", 256, 0},
-                          {"mixtral-7b", "testbedB", 256, 7}};
-    const runtime::ScenarioRegistry &reg =
-        runtime::ScenarioRegistry::instance();
-    for (const Case &c : cases) {
-        runtime::Scenario s;
-        s.model = c.model;
-        s.cluster = c.cluster;
-        s.seqLen = c.seqLen;
-        s.numLayers = c.numLayers;
-        const core::ModelCost cost = reg.makeCost(s);
+    const std::vector<runtime::Scenario> cases = {
+        scenario("gpt2xl-moe", "testbedA", 1024, 0),
+        scenario("mixtral-7b", "testbedA", 1024, 0),
+        scenario("mixtral-22b", "testbedA", 1024, 0),
+        scenario("gpt2xl-moe", "testbedB", 256, 0),
+        scenario("mixtral-7b", "testbedB", 256, 7)};
+    const auto times =
+        price(cases, core::ScheduleRegistry::instance().names());
+    for (size_t i = 0; i < cases.size(); ++i)
         table.row(gates,
-                  padded(c.model, 14) + " " + reg.makeCluster(c.cluster).name,
-                  [&](const core::Schedule &sched) {
-                      return sched.iterationTimeMs(cost);
-                  });
-    }
+                  padded(cases[i].model, 14) + " " +
+                      runtime::ScenarioRegistry::instance()
+                          .makeCluster(cases[i].cluster)
+                          .name,
+                  times[i]);
     std::printf("\nPaper reference: FSMoE 1.28-3.01x over DS-MoE, Tutel "
                 "1.16-2.59x; FSMoE averages 1.19x over Tutel,\n1.12x over "
                 "Tutel-Improved, 1.14x over PipeMoE+Lina, 1.07x over "
@@ -428,7 +434,8 @@ fig6(Gates &gates)
 /**
  * Fig. 7: Testbed A with varied sequence length L in {512, 1024, 2048}
  * at P = 48, and varied GPU count P in {16, 32, 48} at L = 1024 (P
- * varies with the node count, at 8 GPUs per node).
+ * varies with the node count, at 8 GPUs per node), 16 Mixtral-7B
+ * layers each.
  */
 void
 fig7(Gates &gates)
@@ -436,23 +443,24 @@ fig7(Gates &gates)
     header("Fig. 7: speedups over DS-MoE on Testbed A (Mixtral-7B-style "
            "layers)");
     const SpeedupTable table("fig7", "Configuration", 22);
-    auto row = [&](const std::string &label, const sim::ClusterSpec &cluster,
-                   int64_t seq_len) {
-        const core::ModelCost cost = model::makeModelCost(
-            model::mixtral7B(cluster.numNodes, 1, seq_len, 16), cluster,
-            model::paperParallelism(cluster));
-        table.row(gates, label, [&](const core::Schedule &sched) {
-            return sched.iterationTimeMs(cost);
-        });
-    };
-    std::printf("-- varied L at P = 48 --\n");
+    std::vector<runtime::Scenario> cases;
     for (int64_t l : {512, 1024, 2048})
-        row("L=" + std::to_string(l) + ", P=48", sim::testbedA(), l);
-    std::printf("-- varied P at L = 1024 --\n");
-    for (int nodes : {2, 4, 6}) {
-        const sim::ClusterSpec cluster = sim::scaledTestbedA(nodes);
-        row("P=" + std::to_string(nodes * cluster.gpusPerNode) + ", L=1024",
-            cluster, 1024);
+        cases.push_back(scenario("mixtral-7b", "testbedA", l, 16));
+    for (int nodes : {2, 4, 6})
+        cases.push_back(scenario(
+            "mixtral-7b", "testbedA?nodes=" + std::to_string(nodes), 1024, 16));
+    const auto times =
+        price(cases, core::ScheduleRegistry::instance().names());
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const std::string l = "L=" + std::to_string(cases[i].seqLen);
+        const std::string p = "P=" + std::to_string(
+                                         runtime::ScenarioRegistry::instance()
+                                             .makeCluster(cases[i].cluster)
+                                             .totalGpus());
+        if (i == 0 || i == 3)
+            std::printf(i == 0 ? "-- varied L at P = 48 --\n"
+                               : "-- varied P at L = 1024 --\n");
+        table.row(gates, i < 3 ? l + ", " + p : p + ", " + l, times[i]);
     }
     std::printf("\nPaper reference: FSMoE 2.17-3.14x over DS-MoE and "
                 "1.16-1.20x over Tutel across these sweeps.\n");
@@ -470,11 +478,15 @@ fig8(Gates &gates)
     for (const model::ModelSpec &spec :
          {model::gpt2XlMoe(a.numNodes / 2, 4, 1024, 24),
           model::mixtral7B(a.numNodes / 2, 4, 1024, 32),
-          model::mixtral22B(a.numNodes / 2, 4, 1024, 33)})
-        table.row(gates, spec.name, [&](const core::Schedule &sched) {
-            return model::gpipeIteration(sched, spec, a, 2, micro_batches)
-                .iterationMs;
-        });
+          model::mixtral22B(a.numNodes / 2, 4, 1024, 33)}) {
+        std::vector<double> ms;
+        for (const std::string &name :
+             core::ScheduleRegistry::instance().names())
+            ms.push_back(model::gpipeIteration(*core::Schedule::create(name),
+                                               spec, a, 2, micro_batches)
+                             .iterationMs);
+        table.row(gates, spec.name, ms);
+    }
     std::printf("\nPaper reference: with PP enabled FSMoE averages 2.46x "
                 "over DS-MoE, 1.16x over Tutel, 1.10x over\n"
                 "Tutel-Improved, 1.12x over PipeMoE+Lina and 1.05x over "

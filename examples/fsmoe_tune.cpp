@@ -22,6 +22,7 @@
 #include "base/fileio.h"
 #include "base/json.h"
 #include "base/number.h"
+#include "runtime/scenario.h"
 #include "runtime/tuner.h"
 
 using namespace fsmoe;
@@ -36,8 +37,10 @@ usage(const char *argv0)
         "\n"
         "Recommend a schedule for one workload configuration.\n"
         "\n"
-        "  --model NAME       model preset (default gpt2xl-moe)\n"
-        "  --cluster NAME     cluster preset (default testbedA)\n"
+        "  --model SPEC       model preset spec, e.g. table4?heads=8\n"
+        "                     (default gpt2xl-moe)\n"
+        "  --cluster SPEC     cluster preset spec, e.g. testbedA?nodes=4\n"
+        "                     (default testbedA)\n"
         "  --batch N          samples per GPU (default 1)\n"
         "  --seq-len N        tokens per sample (default 1024)\n"
         "  --layers N         generalized layers; 0 = preset default\n"
@@ -72,13 +75,16 @@ main(int argc, char **argv)
             return isFlag(name) && i + 1 < argc ? argv[++i] : nullptr;
         };
         bool ok = true;
+        std::string why;
         if (isFlag("--help") || isFlag("-h")) {
             usage(argv[0]);
             return 0;
         } else if (const char *v = flagValue("--model")) {
-            query.model = v;
+            ok = runtime::ScenarioRegistry::instance().canonicalizeModel(
+                v, &query.model, &why);
         } else if (const char *v = flagValue("--cluster")) {
-            query.cluster = v;
+            ok = runtime::ScenarioRegistry::instance().canonicalizeCluster(
+                v, &query.cluster, &why);
         } else if (const char *v = flagValue("--batch")) {
             ok = parseNumber(v, &query.batch) && query.batch > 0;
         } else if (const char *v = flagValue("--seq-len")) {
@@ -102,7 +108,8 @@ main(int argc, char **argv)
             return 2;
         }
         if (!ok) {
-            std::fprintf(stderr, "bad value for '%s'\n", argv[i - 1]);
+            std::fprintf(stderr, "bad value for '%s'%s%s\n", argv[i - 1],
+                         why.empty() ? "" : ": ", why.c_str());
             return 2;
         }
     }

@@ -126,22 +126,24 @@ declIndex(const std::vector<std::string> &keys, const std::string &norm)
 }
 
 std::string
-noParamError(const ScheduleInfo &info, const std::string &key)
+noParamError(const std::string &kind, const ScheduleInfo &info,
+             const std::string &key)
 {
     std::vector<std::string> declared;
     for (const ScheduleParamInfo &p : info.params)
         declared.push_back(p.key);
-    return "schedule '" + info.name + "' has no parameter '" + key + "'" +
+    return kind + " '" + info.name + "' has no parameter '" + key + "'" +
            (declared.empty() ? std::string(" (it declares none)")
                              : "; declared: " + joinNames(declared));
 }
 
 std::string
 badValueError(const std::string &text, const std::string &key,
-              const std::string &schedule, const std::string &why)
+              const std::string &kind, const std::string &name,
+              const std::string &why)
 {
-    return "bad value '" + text + "' for parameter '" + key +
-           "' of schedule '" + schedule + "': " + why;
+    return "bad value '" + text + "' for parameter '" + key + "' of " +
+           kind + " '" + name + "': " + why;
 }
 
 } // namespace
@@ -266,7 +268,7 @@ ScheduleSpec::parse(const std::string &text, ScheduleSpec *out,
     out->name = trim(spec.substr(0, qmark));
     if (out->name.empty()) {
         if (error)
-            *error = "empty schedule name in spec '" + text + "'";
+            *error = "empty name in spec '" + text + "'";
         return false;
     }
     if (qmark == std::string::npos)
@@ -297,206 +299,54 @@ ScheduleSpec::parse(const std::string &text, ScheduleSpec *out,
     return true;
 }
 
-// ---------------------------------------------------- ScheduleRegistry
-
-ScheduleRegistry &
-ScheduleRegistry::instance()
-{
-    static ScheduleRegistry registry;
-    return registry;
-}
-
-ScheduleRegistry::ScheduleRegistry()
-{
-    // Paper figure order; also the default schedule axis order of
-    // runtime::ScenarioGrid.
-    detail::registerTutelSchedules(*this);
-    detail::registerLinaSchedules(*this);
-    detail::registerFsMoeSchedules(*this);
-}
+// ----------------------------------------------------------- ParamDecl
 
 bool
-ScheduleRegistry::registerSchedule(ScheduleInfo info, Factory factory)
+ParamDecl::make(std::string kind, ScheduleInfo info, ParamDecl *out,
+                std::string *error)
 {
-    if (factory == nullptr) {
-        FSMOE_WARN("schedule '", info.name, "': null factory");
+    ParamDecl decl;
+    decl.kind_ = std::move(kind);
+    decl.info_ = std::move(info);
+    const auto fail = [&](const std::string &why) {
+        if (error)
+            *error = decl.kind_ + " '" + decl.info_.name + "': " + why;
         return false;
-    }
-    if (normalizeName(info.name).empty()) {
-        FSMOE_WARN("schedule registration with an empty name");
-        return false;
-    }
-    // Validate the declared params before touching the registry.
-    auto entry = std::make_shared<Entry>();
-    for (const ScheduleParamInfo &p : info.params) {
+    };
+    if (normalizeName(decl.info_.name).empty())
+        return fail("empty name");
+    for (const ScheduleParamInfo &p : decl.info_.params) {
         std::string norm = normalizeName(p.key);
-        if (norm.empty()) {
-            FSMOE_WARN("schedule '", info.name,
-                       "': declared parameter with an empty key");
-            return false;
-        }
-        if (declIndex(entry->paramKeys, norm) < entry->paramKeys.size()) {
-            FSMOE_WARN("schedule '", info.name,
-                       "': duplicate declared parameter '", p.key, "'");
-            return false;
-        }
-        entry->paramKeys.push_back(std::move(norm));
-        if (p.minValue > p.maxValue) {
-            FSMOE_WARN("schedule '", info.name, "': parameter '", p.key,
-                       "' declares minValue > maxValue");
-            return false;
-        }
+        if (norm.empty())
+            return fail("declared parameter with an empty key");
+        if (declIndex(decl.paramKeys_, norm) < decl.paramKeys_.size())
+            return fail("duplicate declared parameter '" + p.key + "'");
+        if (p.minValue > p.maxValue)
+            return fail("parameter '" + p.key +
+                        "' declares minValue > maxValue");
+        decl.paramKeys_.push_back(std::move(norm));
     }
-    entry->info = std::move(info);
-    entry->factory = std::move(factory);
     ScheduleParams defaults;
-    for (const ScheduleParamInfo &p : entry->info.params) {
+    for (const ScheduleParamInfo &p : decl.info_.params) {
         if (p.defaultValue.empty())
             continue;
         ScheduleParams bag;
         const std::vector<std::string> spelled = {p.defaultValue};
         std::string why;
-        if (parseValue(p.type, p.key, p.defaultValue, &bag, &why) &&
-            validate(*entry, bag, &spelled, nullptr, nullptr, &why)) {
-            parseValue(p.type, p.key, p.defaultValue, &defaults, &why);
-            continue;
-        }
-        FSMOE_WARN("schedule '", entry->info.name, "': default '",
-                   p.defaultValue, "' for parameter '", p.key,
-                   "' rejected: ", why);
-        return false;
+        if (!parseValue(p.type, p.key, p.defaultValue, &bag, &why) ||
+            !decl.validate(bag, &spelled, nullptr, nullptr, &why))
+            return fail("default '" + p.defaultValue + "' for parameter '" +
+                        p.key + "' rejected: " + why);
+        parseValue(p.type, p.key, p.defaultValue, &defaults, &why);
     }
     // Every default at once, now that each alone passed.
-    validate(*entry, defaults, nullptr, &entry->defaults, nullptr, nullptr);
-
-    const ScheduleInfo &added = entry->info;
-    std::lock_guard<std::mutex> lock(mu_);
-    // Collect the normalized keys this plugin claims; an alias that
-    // normalizes to the same key as the name (e.g. "dsmoe" for
-    // "DS-MoE") is redundant, not an error, so deduplicate.
-    std::vector<std::string> keys = {normalizeName(added.name)};
-    for (const std::string &alias : added.aliases) {
-        const std::string norm = normalizeName(alias);
-        if (norm.empty()) {
-            FSMOE_WARN("schedule '", added.name, "': empty alias");
-            return false;
-        }
-        bool duplicate = false;
-        for (const std::string &seen : keys)
-            duplicate = duplicate || seen == norm;
-        if (!duplicate)
-            keys.push_back(norm);
-    }
-    for (const std::string &key : keys) {
-        auto it = index_.find(key);
-        if (it != index_.end()) {
-            FSMOE_WARN("schedule '", added.name, "' collides with '",
-                       entries_[it->second]->info.name, "' on name '", key,
-                       "'");
-            return false;
-        }
-    }
-    const size_t idx = entries_.size();
-    entries_.push_back(std::move(entry));
-    for (const std::string &key : keys)
-        index_.emplace(key, idx);
-    return true;
-}
-
-bool
-ScheduleRegistry::has(const std::string &name) const
-{
-    const std::string norm = normalizeName(name);
-    std::lock_guard<std::mutex> lock(mu_);
-    return index_.count(norm) > 0;
-}
-
-std::vector<ScheduleInfo>
-ScheduleRegistry::list() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<ScheduleInfo> out;
-    out.reserve(entries_.size());
-    for (const auto &e : entries_)
-        out.push_back(e->info);
-    return out;
-}
-
-std::vector<std::string>
-ScheduleRegistry::names() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto &e : entries_)
-        out.push_back(e->info.name);
-    return out;
-}
-
-bool
-ScheduleRegistry::info(const std::string &name, ScheduleInfo *info) const
-{
-    const std::shared_ptr<const Entry> entry = find(name, nullptr);
-    if (entry == nullptr)
-        return false;
-    if (info)
-        *info = entry->info;
-    return true;
-}
-
-std::shared_ptr<const ScheduleRegistry::Entry>
-ScheduleRegistry::find(const std::string &name, std::string *error) const
-{
-    const std::string norm = normalizeName(name);
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(norm);
-    if (it != index_.end())
-        return entries_[it->second];
-    if (error) {
-        std::vector<std::string> known;
-        known.reserve(entries_.size());
-        for (const auto &e : entries_)
-            known.push_back(e->info.name);
-        *error = "unknown schedule '" + name + "'; known: " +
-                 joinNames(known);
-    }
-    return nullptr;
-}
-
-bool
-ScheduleRegistry::parseParams(const Entry &entry, const ScheduleSpec &spec,
-                              ScheduleParams *given,
-                              std::vector<std::string> *spelled,
-                              std::string *error)
-{
-    for (const auto &kv : spec.params) {
-        const size_t j =
-            declIndex(entry.paramKeys, normalizeName(kv.first));
-        if (j == entry.paramKeys.size()) {
-            if (error)
-                *error = noParamError(entry.info, kv.first);
-            return false;
-        }
-        const ScheduleParamInfo &decl = entry.info.params[j];
-        if (given->has(decl.key)) {
-            if (error)
-                *error = "duplicate parameter '" + decl.key + "' in spec";
-            return false;
-        }
-        std::string why;
-        if (!parseValue(decl.type, kv.first, kv.second, given, &why)) {
-            if (error)
-                *error = badValueError(kv.second, decl.key, entry.info.name,
-                                       why);
-            return false;
-        }
-        spelled->push_back(kv.second);
-    }
+    decl.validate(defaults, nullptr, &decl.defaults_, nullptr, nullptr);
+    *out = std::move(decl);
     return true;
 }
 
 std::string
-ScheduleRegistry::valueText(const ScheduleParams::Value &v)
+ParamDecl::valueText(const ScheduleParams::Value &v)
 {
     switch (v.type) {
       case ScheduleParamType::Int:
@@ -510,13 +360,12 @@ ScheduleRegistry::valueText(const ScheduleParams::Value &v)
 }
 
 bool
-ScheduleRegistry::validate(const Entry &entry, const ScheduleParams &given,
-                           const std::vector<std::string> *spelled,
-                           ScheduleParams *validated, std::string *canonical,
-                           std::string *error)
+ParamDecl::validate(const ScheduleParams &given,
+                    const std::vector<std::string> *spelled,
+                    ScheduleParams *validated, std::string *canonical,
+                    std::string *error) const
 {
     using Value = ScheduleParams::Value;
-    const ScheduleInfo &info = entry.info;
     // Why @p v cannot be @p decl's value (empty when it can); an Int
     // given for a Double is converted to one.
     const auto check = [](const ScheduleParamInfo &decl,
@@ -569,20 +418,20 @@ ScheduleRegistry::validate(const Entry &entry, const ScheduleParams &given,
     };
 
     // One slot per declared parameter, in declared order.
-    std::vector<Value> slots(info.params.size());
+    std::vector<Value> slots(info_.params.size());
     for (size_t j = 0; j < slots.size(); ++j) {
-        slots[j].key = info.params[j].key;
-        slots[j].norm = entry.paramKeys[j];
-        slots[j].type = info.params[j].type;
+        slots[j].key = info_.params[j].key;
+        slots[j].norm = paramKeys_[j];
+        slots[j].type = info_.params[j].type;
     }
     for (size_t g = 0; g < given.values_.size(); ++g) {
         const Value &v = given.values_[g];
         if (!v.given)
             continue;
-        const size_t j = declIndex(entry.paramKeys, v.norm);
+        const size_t j = declIndex(paramKeys_, v.norm);
         if (j == slots.size()) {
             if (error)
-                *error = noParamError(info, v.key);
+                *error = noParamError(kind_, info_, v.key);
             return false;
         }
         Value &slot = slots[j];
@@ -591,34 +440,65 @@ ScheduleRegistry::validate(const Entry &entry, const ScheduleParams &given,
         slot.intValue = v.intValue;
         slot.doubleValue = v.doubleValue;
         slot.boolValue = v.boolValue;
-        const std::string why = check(info.params[j], slot);
+        const std::string why = check(info_.params[j], slot);
         if (!why.empty()) {
             if (error)
                 *error = badValueError(spelled ? (*spelled)[g] : valueText(v),
-                                       info.params[j].key, info.name, why);
+                                       info_.params[j].key, kind_,
+                                       info_.name, why);
             return false;
         }
     }
 
     if (canonical)
-        *canonical = formatSpec(entry, slots, /*fill_defaults=*/false);
+        *canonical = formatSpec(slots, /*fill_defaults=*/false);
     if (validated)
         validated->values_ = std::move(slots);
     return true;
 }
 
-std::string
-ScheduleRegistry::formatSpec(const Entry &entry,
-                             const std::vector<ScheduleParams::Value> &slots,
-                             bool fill_defaults)
+bool
+ParamDecl::resolve(const ScheduleSpec &spec, ScheduleParams *validated,
+                   std::string *canonical, std::string *error) const
 {
-    std::string out = entry.info.name;
+    ScheduleParams given;
+    std::vector<std::string> spelled;
+    for (const auto &kv : spec.params) {
+        const size_t j = declIndex(paramKeys_, normalizeName(kv.first));
+        if (j == paramKeys_.size()) {
+            if (error)
+                *error = noParamError(kind_, info_, kv.first);
+            return false;
+        }
+        const ScheduleParamInfo &decl = info_.params[j];
+        if (given.has(decl.key)) {
+            if (error)
+                *error = "duplicate parameter '" + decl.key + "' in spec";
+            return false;
+        }
+        std::string why;
+        if (!parseValue(decl.type, kv.first, kv.second, &given, &why)) {
+            if (error)
+                *error =
+                    badValueError(kv.second, decl.key, kind_, info_.name, why);
+            return false;
+        }
+        spelled.push_back(kv.second);
+    }
+    return validate(given, &spelled, validated, canonical, error);
+}
+
+std::string
+ParamDecl::formatSpec(const std::vector<ScheduleParams::Value> &slots,
+                      bool fill_defaults) const
+{
+    std::string out = info_.name;
     out.reserve(out.size() + 32 * slots.size());
     char sep = '?';
     for (size_t j = 0; j < slots.size(); ++j) {
         const ScheduleParams::Value *v = &slots[j];
         if (!v->given && fill_defaults)
-            v = &entry.defaults.values_[j];
+            v = &defaults_.values_[j];
         if (!v->given)
             continue;
         out += sep;
@@ -630,31 +510,160 @@ ScheduleRegistry::formatSpec(const Entry &entry,
     return out;
 }
 
-std::unique_ptr<Schedule>
-ScheduleRegistry::construct(const Entry &entry, const ScheduleParams &given,
-                            const std::vector<std::string> *spelled,
-                            std::string *error)
+std::string
+ParamDecl::defaultedSpec(const ScheduleParams &validated,
+                         const std::string &canonical) const
 {
-    ScheduleParams params;
-    std::string canonical;
-    if (!validate(entry, given, spelled, &params, &canonical, error))
-        return nullptr;
+    // A spec that gives every defaulted parameter is its own key.
+    bool filled = true;
+    for (size_t j = 0; j < validated.values_.size(); ++j)
+        filled = filled && (validated.values_[j].given ||
+                            !defaults_.values_[j].given);
+    return filled ? canonical
+                  : formatSpec(validated.values_, /*fill_defaults=*/true);
+}
+
+// ---------------------------------------------------- ScheduleRegistry
+
+ScheduleRegistry &
+ScheduleRegistry::instance()
+{
+    static ScheduleRegistry registry;
+    return registry;
+}
+
+ScheduleRegistry::ScheduleRegistry()
+{
+    // Paper figure order; also the default schedule axis order of
+    // runtime::ScenarioGrid.
+    detail::registerTutelSchedules(*this);
+    detail::registerLinaSchedules(*this);
+    detail::registerFsMoeSchedules(*this);
+}
+
+bool
+ScheduleRegistry::registerSchedule(ScheduleInfo info, Factory factory)
+{
+    if (factory == nullptr) {
+        FSMOE_WARN("schedule '", info.name, "': null factory");
+        return false;
+    }
+    // Validate the declaration before touching the registry.
+    auto entry = std::make_shared<Entry>();
+    std::string why;
+    if (!ParamDecl::make("schedule", std::move(info), &entry->decl, &why)) {
+        FSMOE_WARN(why);
+        return false;
+    }
+    entry->factory = std::move(factory);
+
+    const ScheduleInfo &added = entry->decl.info();
+    std::lock_guard<std::mutex> lock(mu_);
+    // Collect the normalized keys this plugin claims; an alias that
+    // normalizes to the same key as the name (e.g. "dsmoe" for
+    // "DS-MoE") is redundant, not an error, so deduplicate.
+    std::vector<std::string> keys = {normalizeName(added.name)};
+    for (const std::string &alias : added.aliases) {
+        const std::string norm = normalizeName(alias);
+        if (norm.empty()) {
+            FSMOE_WARN("schedule '", added.name, "': empty alias");
+            return false;
+        }
+        bool duplicate = false;
+        for (const std::string &seen : keys)
+            duplicate = duplicate || seen == norm;
+        if (!duplicate)
+            keys.push_back(norm);
+    }
+    for (const std::string &key : keys) {
+        auto it = index_.find(key);
+        if (it != index_.end()) {
+            FSMOE_WARN("schedule '", added.name, "' collides with '",
+                       entries_[it->second]->decl.info().name, "' on name '",
+                       key, "'");
+            return false;
+        }
+    }
+    const size_t idx = entries_.size();
+    entries_.push_back(std::move(entry));
+    for (const std::string &key : keys)
+        index_.emplace(key, idx);
+    return true;
+}
+
+bool
+ScheduleRegistry::has(const std::string &name) const
+{
+    const std::string norm = normalizeName(name);
+    std::lock_guard<std::mutex> lock(mu_);
+    return index_.count(norm) > 0;
+}
+
+std::vector<ScheduleInfo>
+ScheduleRegistry::list() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<ScheduleInfo> out;
+    out.reserve(entries_.size());
+    for (const auto &e : entries_)
+        out.push_back(e->decl.info());
+    return out;
+}
+
+std::vector<std::string>
+ScheduleRegistry::names() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::string> out;
+    out.reserve(entries_.size());
+    for (const auto &e : entries_)
+        out.push_back(e->decl.info().name);
+    return out;
+}
+
+bool
+ScheduleRegistry::info(const std::string &name, ScheduleInfo *info) const
+{
+    const std::shared_ptr<const Entry> entry = find(name, nullptr);
+    if (entry == nullptr)
+        return false;
+    if (info)
+        *info = entry->decl.info();
+    return true;
+}
+
+std::shared_ptr<const ScheduleRegistry::Entry>
+ScheduleRegistry::find(const std::string &name, std::string *error) const
+{
+    const std::string norm = normalizeName(name);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(norm);
+    if (it != index_.end())
+        return entries_[it->second];
+    if (error) {
+        std::vector<std::string> known;
+        known.reserve(entries_.size());
+        for (const auto &e : entries_)
+            known.push_back(e->decl.info().name);
+        *error = "unknown schedule '" + name + "'; known: " +
+                 joinNames(known);
+    }
+    return nullptr;
+}
+
+std::unique_ptr<Schedule>
+ScheduleRegistry::construct(const Entry &entry, const ScheduleParams &params,
+                            std::string canonical, std::string *error)
+{
     std::unique_ptr<Schedule> schedule = entry.factory(params);
     if (schedule == nullptr) {
         if (error)
-            *error = "factory for schedule '" + entry.info.name +
+            *error = "factory for schedule '" + entry.decl.info().name +
                      "' returned null";
         return nullptr;
     }
-    schedule->name_ = entry.info.name;
-    // A spec that gives every defaulted parameter is its own key.
-    bool filled = true;
-    for (size_t j = 0; j < params.values_.size(); ++j)
-        filled = filled && (params.values_[j].given ||
-                            !entry.defaults.values_[j].given);
-    schedule->graph_key_ =
-        filled ? canonical
-               : formatSpec(entry, params.values_, /*fill_defaults=*/true);
+    schedule->name_ = entry.decl.info().name;
+    schedule->graph_key_ = entry.decl.defaultedSpec(params, canonical);
     schedule->spec_ = std::move(canonical);
     return schedule;
 }
@@ -667,12 +676,12 @@ ScheduleRegistry::tryCreate(const std::string &spec_text,
     if (!ScheduleSpec::parse(spec_text, &spec, error))
         return nullptr;
     const std::shared_ptr<const Entry> entry = find(spec.name, error);
-    ScheduleParams given;
-    std::vector<std::string> spelled;
+    ScheduleParams params;
+    std::string canonical;
     if (entry == nullptr ||
-        !parseParams(*entry, spec, &given, &spelled, error))
+        !entry->decl.resolve(spec, &params, &canonical, error))
         return nullptr;
-    return construct(*entry, given, &spelled, error);
+    return construct(*entry, params, std::move(canonical), error);
 }
 
 std::unique_ptr<Schedule>
@@ -681,9 +690,12 @@ ScheduleRegistry::tryCreate(const std::string &name,
                             std::string *error) const
 {
     const std::shared_ptr<const Entry> entry = find(name, error);
-    if (entry == nullptr)
+    ScheduleParams validated;
+    std::string canonical;
+    if (entry == nullptr || !entry->decl.validate(params, nullptr, &validated,
+                                                  &canonical, error))
         return nullptr;
-    return construct(*entry, params, nullptr, error);
+    return construct(*entry, validated, std::move(canonical), error);
 }
 
 std::unique_ptr<Schedule>
@@ -704,11 +716,7 @@ ScheduleRegistry::canonicalize(const std::string &spec_text,
     if (!ScheduleSpec::parse(spec_text, &spec, error))
         return false;
     const std::shared_ptr<const Entry> entry = find(spec.name, error);
-    ScheduleParams given;
-    std::vector<std::string> spelled;
-    return entry != nullptr &&
-           parseParams(*entry, spec, &given, &spelled, error) &&
-           validate(*entry, given, &spelled, nullptr, out, error);
+    return entry != nullptr && entry->decl.resolve(spec, nullptr, out, error);
 }
 
 ScheduleRegistrar::ScheduleRegistrar(ScheduleInfo info,

@@ -18,7 +18,8 @@
  * create/canonicalize time — unknown schedules, unknown parameter
  * keys, malformed values, and out-of-range values are all reported as
  * errors, never silently ignored — so parameterized variants can be
- * first-class sweep axes with stable, diffable persisted keys. A
+ * first-class sweep axes with stable, diffable persisted keys (model
+ * and cluster presets take the same grammar through ParamDecl). A
  * caller that already holds typed values (the tuner) skips the text:
  * tryCreate(name, ScheduleParams) runs the same checks and gives the
  * same canonical spec, and a spec string is parsed into exactly such
@@ -147,7 +148,7 @@ class ScheduleParams
     bool getBool(const std::string &key, bool fallback) const;
 
   private:
-    friend class ScheduleRegistry;
+    friend class ParamDecl;
 
     struct Value
     {
@@ -184,6 +185,65 @@ struct ScheduleSpec
      */
     static bool parse(const std::string &text, ScheduleSpec *out,
                       std::string *error);
+};
+
+/**
+ * A spec's name and declared parameters, with the one parse, validate
+ * and format path every spec takes: ScheduleRegistry holds one per
+ * schedule, runtime::ScenarioRegistry one per model and cluster
+ * preset. Immutable once made.
+ */
+class ParamDecl
+{
+  public:
+    /**
+     * Declare @p info's parameters; false, with *error set, on an empty
+     * name, an empty or repeated key, min > max, or a default that does
+     * not parse or validate. @p kind names the declared thing in
+     * messages ("schedule", "model preset", ...).
+     */
+    static bool make(std::string kind, ScheduleInfo info, ParamDecl *out,
+                     std::string *error);
+
+    const ScheduleInfo &info() const { return info_; }
+
+    /**
+     * Check @p given into the validated bag (*validated: one slot per
+     * declared parameter, in declared order) and the canonical spec
+     * (*canonical); both optional. Messages quote (*spelled)[i] for the
+     * i-th given value when @p spelled is set, else its canonical text.
+     */
+    bool validate(const ScheduleParams &given,
+                  const std::vector<std::string> *spelled,
+                  ScheduleParams *validated, std::string *canonical,
+                  std::string *error) const;
+
+    /**
+     * Parse @p spec's values as their declared types, rejecting unknown
+     * and repeated keys, then validate() them.
+     */
+    bool resolve(const ScheduleSpec &spec, ScheduleParams *validated,
+                 std::string *canonical, std::string *error) const;
+
+    /**
+     * @p canonical, validate()'s spec of bag @p validated, with each
+     * parameter it leaves out but that declares a default filled in.
+     */
+    std::string defaultedSpec(const ScheduleParams &validated,
+                              const std::string &canonical) const;
+
+  private:
+    /** Format @p slots; @p fill_defaults adds ungiven defaulted ones. */
+    std::string formatSpec(const std::vector<ScheduleParams::Value> &slots,
+                           bool fill_defaults) const;
+    /** The canonical text of a value: what a spec prints and re-parses. */
+    static std::string valueText(const ScheduleParams::Value &v);
+
+    std::string kind_;
+    ScheduleInfo info_;
+    std::vector<std::string> paramKeys_; ///< Normalized, declared order.
+    /// One slot per declared parameter, given at its declared default.
+    ScheduleParams defaults_;
 };
 
 class ScheduleRegistry
@@ -267,13 +327,8 @@ class ScheduleRegistry
     /** Registered once, then shared read-only by every lookup. */
     struct Entry
     {
-        ScheduleInfo info;
+        ParamDecl decl;
         Factory factory;
-        /// info.params' keys, normalized, in declared order.
-        std::vector<std::string> paramKeys;
-        /// One slot per declared parameter, given when it declares a
-        /// default, holding that default's value.
-        ScheduleParams defaults;
     };
 
     /** The entry @p name names, or nullptr with *error set. */
@@ -281,48 +336,13 @@ class ScheduleRegistry
                                       std::string *error) const;
 
     /**
-     * Turn @p spec's value texts into a typed bag in written order,
-     * rejecting unknown keys, duplicates and values that do not parse
-     * as their declared type; *spelled keeps each value's text for
-     * validate()'s messages.
-     */
-    static bool parseParams(const Entry &entry, const ScheduleSpec &spec,
-                            ScheduleParams *given,
-                            std::vector<std::string> *spelled,
-                            std::string *error);
-
-    /**
-     * Check @p given against the declaration into the factory's bag
-     * (*validated, optional) and the canonical spec (*canonical,
-     * optional). Messages quote (*spelled)[i] for the i-th given
-     * value when @p spelled is set, else its canonical text.
-     */
-    static bool validate(const Entry &entry, const ScheduleParams &given,
-                         const std::vector<std::string> *spelled,
-                         ScheduleParams *validated, std::string *canonical,
-                         std::string *error);
-
-    /** The canonical text of a value: what a spec prints and re-parses. */
-    static std::string valueText(const ScheduleParams::Value &v);
-
-    /**
-     * The canonical spec of a validated bag's @p slots: the canonical
-     * name, then each given slot in declared order with canonical key
-     * spelling and value, and with @p fill_defaults also each slot
-     * that was not given but declares a default (its graph key).
-     */
-    static std::string
-    formatSpec(const Entry &entry,
-               const std::vector<ScheduleParams::Value> &slots,
-               bool fill_defaults);
-
-    /**
-     * validate(), then run the factory: the one construction path,
-     * which also sets the instance's spec and default graph key.
+     * Run the factory on validated bag @p params with canonical spec
+     * @p canonical: the one construction path, which also sets the
+     * instance's spec and default graph key.
      */
     static std::unique_ptr<Schedule>
-    construct(const Entry &entry, const ScheduleParams &given,
-              const std::vector<std::string> *spelled, std::string *error);
+    construct(const Entry &entry, const ScheduleParams &params,
+              std::string canonical, std::string *error);
 
     mutable std::mutex mu_;
     std::vector<std::shared_ptr<const Entry>> entries_;

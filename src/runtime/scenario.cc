@@ -1,6 +1,6 @@
 #include "runtime/scenario.h"
 
-#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "base/logging.h"
@@ -33,6 +33,58 @@ Scenario::costKey() const
     return oss.str();
 }
 
+namespace {
+
+const char *const kModelPreset = "model preset";
+const char *const kClusterPreset = "cluster preset";
+
+/** Add preset @p name to @p presets (a malformed declaration is a bug). */
+template <typename Preset>
+void
+addPreset(std::map<std::string, Preset> &presets, const char *kind,
+          const char *name, decltype(Preset::build) build,
+          std::vector<core::ScheduleParamInfo> params = {})
+{
+    Preset &preset = presets[name];
+    std::string error;
+    if (!core::ParamDecl::make(kind, {name, {}, "", std::move(params)},
+                               &preset.decl, &error))
+        FSMOE_PANIC(error);
+    preset.build = std::move(build);
+}
+
+/**
+ * Parse @p text and validate it against its preset in @p presets: the
+ * preset, with its validated bag in *params and its canonical spec in
+ * *canonical (each optional), or nullptr with *error set. An unknown
+ * name's error lists the known ones, sorted (the map's order).
+ */
+template <typename Preset>
+const Preset *
+resolvePreset(const std::map<std::string, Preset> &presets,
+              const char *kind, const std::string &text,
+              core::ScheduleParams *params, std::string *canonical,
+              std::string *error)
+{
+    core::ScheduleSpec spec;
+    if (!core::ScheduleSpec::parse(text, &spec, error))
+        return nullptr;
+    const auto it = presets.find(spec.name);
+    if (it == presets.end()) {
+        *error = std::string("unknown ") + kind + " '" + spec.name +
+                 "'; known:";
+        for (const auto &kv : presets)
+            error->append(&kv == &*presets.begin() ? " " : ", ")
+                .append(kv.first);
+        return nullptr;
+    }
+    return it->second.decl.resolve(spec, params, canonical, error)
+               ? &it->second
+               : nullptr;
+}
+
+} // namespace
+
 ScenarioRegistry &
 ScenarioRegistry::instance()
 {
@@ -42,76 +94,112 @@ ScenarioRegistry::instance()
 
 ScenarioRegistry::ScenarioRegistry()
 {
-    models_["gpt2xl-moe"] = [](int e, int64_t b, int64_t l, int layers) {
-        return model::gpt2XlMoe(e, b, l, layers > 0 ? layers : 24);
-    };
-    models_["mixtral-7b"] = [](int e, int64_t b, int64_t l, int layers) {
-        return model::mixtral7B(e, b, l, layers > 0 ? layers : 32);
-    };
-    models_["mixtral-22b"] = [](int e, int64_t b, int64_t l, int layers) {
-        return model::mixtral22B(e, b, l, layers > 0 ? layers : 33);
-    };
-    clusters_["testbedA"] = []() { return sim::testbedA(); };
-    clusters_["testbedB"] = []() { return sim::testbedB(); };
+    const auto kInt = core::ScheduleParamType::Int;
+    const double none = std::numeric_limits<double>::max();
+    // Each builder fixes the shape; makeModel() sets B, L, E and depth.
+    addPreset(models_, kModelPreset, "gpt2xl-moe",
+              [](auto &) { return model::gpt2XlMoe(0); });
+    addPreset(models_, kModelPreset, "mixtral-7b",
+              [](auto &) { return model::mixtral7B(0); });
+    addPreset(models_, kModelPreset, "mixtral-22b",
+              [](auto &) { return model::mixtral22B(0); });
+    // One configured layer of the paper's Table 4 grid.
+    addPreset(
+        models_, kModelPreset, "table4",
+        [](const core::ScheduleParams &p) {
+            model::ModelSpec spec;
+            spec.name = "Table-4 layer";
+            spec.layer.numHeads = static_cast<int>(p.getInt("heads", 16));
+            spec.layer.embed = p.getInt("embed", 2048);
+            spec.layer.hidden = p.getInt("hidden", 6144);
+            spec.layer.capacityFactor = p.getDouble("cf", 1.2);
+            spec.layer.ffn = p.getBool("swiglu", false)
+                                 ? core::FfnType::Mixtral
+                                 : core::FfnType::Simple;
+            return spec;
+        },
+        {{"heads", kInt, "16", "attention heads", 1, none, false},
+         {"embed", kInt, "2048", "embedding size M", 1, none, false},
+         {"hidden", kInt, "6144", "expert hidden size H", 1, none, false},
+         {"cf", core::ScheduleParamType::Double, "1.2",
+          "capacity factor f; 0 is Table 4's '*'", 0, none, false},
+         {"swiglu", core::ScheduleParamType::Bool, "false",
+          "SwiGLU (Mixtral-style) experts", 0, 1, false}});
+
+    addPreset(
+        clusters_, kClusterPreset, "testbedA",
+        [](const core::ScheduleParams &p) {
+            sim::ClusterSpec spec = sim::testbedA();
+            if (!p.has("nodes"))
+                return spec;
+            // Ring-based inter-node collectives move (P-1)/P of the data
+            // per link; rescale the per-byte terms from the 6-node fit.
+            const auto ring = [](int n) {
+                return n > 1 ? static_cast<double>(n - 1) / n : 0.5;
+            };
+            const int nodes = static_cast<int>(p.getInt("nodes", 6));
+            const double factor = ring(nodes) / ring(spec.numNodes);
+            spec.numNodes = nodes;
+            spec.name =
+                "Testbed-A scaled to " + std::to_string(nodes) + " nodes";
+            spec.alltoall.beta *= factor;
+            spec.allreduce.beta *= factor;
+            return spec;
+        },
+        {{"nodes", kInt, "6", "node count, 8 GPUs each", 1, none, false}});
+    addPreset(clusters_, kClusterPreset, "testbedB",
+              [](auto &) { return sim::testbedB(); });
 }
 
 bool
-ScenarioRegistry::hasModel(const std::string &name) const
+ScenarioRegistry::canonicalizeModel(const std::string &spec,
+                                    std::string *out,
+                                    std::string *error) const
 {
-    return models_.count(name) > 0;
+    return resolvePreset(models_, kModelPreset, spec, nullptr, out,
+                         error) != nullptr;
 }
 
 bool
-ScenarioRegistry::hasCluster(const std::string &name) const
+ScenarioRegistry::canonicalizeCluster(const std::string &spec,
+                                      std::string *out,
+                                      std::string *error) const
 {
-    return clusters_.count(name) > 0;
-}
-
-std::vector<std::string>
-ScenarioRegistry::modelNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(models_.size());
-    for (const auto &kv : models_)
-        names.push_back(kv.first);
-    // The registry map is unordered; without this sort the list would
-    // come back in hash order, which varies with insertion history.
-    std::sort(names.begin(), names.end());
-    return names;
-}
-
-std::vector<std::string>
-ScenarioRegistry::clusterNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(clusters_.size());
-    for (const auto &kv : clusters_)
-        names.push_back(kv.first);
-    // See modelNames(): sorted so callers never observe hash order.
-    std::sort(names.begin(), names.end());
-    return names;
+    return resolvePreset(clusters_, kClusterPreset, spec, nullptr, out,
+                         error) != nullptr;
 }
 
 sim::ClusterSpec
-ScenarioRegistry::makeCluster(const std::string &name) const
+ScenarioRegistry::makeCluster(const std::string &spec) const
 {
-    auto it = clusters_.find(name);
-    FSMOE_CHECK_ARG(it != clusters_.end(), "unknown cluster preset '", name,
-                    "'");
-    return it->second();
+    core::ScheduleParams params;
+    std::string error;
+    const auto *preset = resolvePreset(clusters_, kClusterPreset, spec,
+                                       &params, nullptr, &error);
+    if (preset == nullptr)
+        FSMOE_FATAL(error);
+    return preset->build(params);
 }
 
 model::ModelSpec
 ScenarioRegistry::makeModel(const Scenario &scenario,
                             const sim::ClusterSpec &cluster) const
 {
-    auto it = models_.find(scenario.model);
-    FSMOE_CHECK_ARG(it != models_.end(), "unknown model preset '",
-                    scenario.model, "'");
-    const int experts = scenario.numExperts > 0 ? scenario.numExperts
-                                                : cluster.numNodes;
-    return it->second(experts, scenario.batch, scenario.seqLen,
-                      scenario.numLayers);
+    core::ScheduleParams params;
+    std::string error;
+    const auto *preset = resolvePreset(models_, kModelPreset,
+                                       scenario.model, &params, nullptr,
+                                       &error);
+    if (preset == nullptr)
+        FSMOE_FATAL(error);
+    model::ModelSpec spec = preset->build(params);
+    spec.layer.batch = scenario.batch;
+    spec.layer.seqLen = scenario.seqLen;
+    spec.layer.numExperts = scenario.numExperts > 0 ? scenario.numExperts
+                                                    : cluster.numNodes;
+    if (scenario.numLayers > 0)
+        spec.numLayers = scenario.numLayers;
+    return spec;
 }
 
 core::ModelCost
@@ -177,28 +265,30 @@ ScenarioGrid::rMax(int r)
 std::vector<Scenario>
 ScenarioGrid::build() const
 {
-    // Canonicalize the schedule axis up front: unknown schedules and
-    // invalid parameters fail here, once, instead of mid-sweep, and
-    // every emitted scenario carries the canonical spec so labels and
-    // persisted keys are stable regardless of the caller's spelling.
-    std::vector<std::string> specs;
-    if (schedules_.empty()) {
-        specs = core::ScheduleRegistry::instance().names();
-    } else {
-        specs.reserve(schedules_.size());
-        for (const std::string &spec : schedules_) {
-            std::string canonical, error;
-            if (!core::ScheduleRegistry::instance().canonicalize(
-                    spec, &canonical, &error))
-                FSMOE_FATAL("bad schedule axis: ", error);
-            specs.push_back(std::move(canonical));
-        }
-    }
+    // Canonicalize every spec axis up front: unknown names and invalid
+    // parameters fail here, once, instead of mid-sweep, and every
+    // emitted scenario carries canonical specs so labels and persisted
+    // keys are stable regardless of the caller's spelling.
+    const ScenarioRegistry &presets = ScenarioRegistry::instance();
+    const core::ScheduleRegistry &registry = core::ScheduleRegistry::instance();
+    std::vector<std::string> models, clusters, specs;
+    std::string error;
+    for (const std::string &m : models_)
+        if (!presets.canonicalizeModel(m, &models.emplace_back(), &error))
+            FSMOE_FATAL("bad model axis: ", error);
+    for (const std::string &c : clusters_)
+        if (!presets.canonicalizeCluster(c, &clusters.emplace_back(), &error))
+            FSMOE_FATAL("bad cluster axis: ", error);
+    if (schedules_.empty())
+        specs = registry.names();
+    for (const std::string &spec : schedules_)
+        if (!registry.canonicalize(spec, &specs.emplace_back(), &error))
+            FSMOE_FATAL("bad schedule axis: ", error);
     std::vector<Scenario> out;
     out.reserve(models_.size() * clusters_.size() * batches_.size() *
                 seq_lens_.size() * num_layers_.size() * specs.size());
-    for (const std::string &m : models_) {
-        for (const std::string &c : clusters_) {
+    for (const std::string &m : models) {
+        for (const std::string &c : clusters) {
             for (int64_t b : batches_) {
                 for (int64_t l : seq_lens_) {
                     for (int layers : num_layers_) {

@@ -8,6 +8,18 @@
  * through a ScenarioRegistry, and ScenarioGrid enumerates
  * cartesian-product sweeps in a deterministic order.
  *
+ * Preset specs take the schedule grammar ("name?key=value&key=value",
+ * core/schedules/schedule_registry.h) through its parser and
+ * validator, core::ParamDecl. Names match exactly, keys in any case:
+ *
+ *     table4    one Table 4 layer (1 deep unless numLayers says):
+ *               heads=16, embed=2048, hidden=6144 (ints >= 1),
+ *               cf=1.2 (>= 0; 0 is the paper's "*"), swiglu=false
+ *     testbedA  nodes=6 (>= 1): inter-node betas rescaled by ring steps
+ *
+ * (defaults shown); gpt2xl-moe, mixtral-7b, mixtral-22b and testbedB
+ * declare no keys. A bare name keeps its label, cost key and bytes.
+ *
  * Thread-safety: ScenarioRegistry's presets are fixed when its
  * instance is built and never change, so its const methods are safe to
  * call from any thread without a lock. Scenario and ScenarioGrid
@@ -24,11 +36,12 @@
 #define FSMOE_RUNTIME_SCENARIO_H
 
 #include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/schedules/schedule.h"
+#include "core/schedules/schedule_registry.h"
 #include "model/models.h"
 #include "sim/cluster.h"
 
@@ -37,8 +50,11 @@ namespace fsmoe::runtime {
 /** One (model, cluster, schedule, knobs) evaluation point. */
 struct Scenario
 {
-    std::string model;   ///< Model preset name (see ScenarioRegistry).
-    std::string cluster; ///< Cluster preset name.
+    /// Model preset spec ("mixtral-7b", "table4?heads=8&cf=2.5"), in
+    /// canonical spelling as for schedule (ScenarioRegistry).
+    std::string model;
+    /// Cluster preset spec ("testbedB", "testbedA?nodes=4"), likewise.
+    std::string cluster;
     /// Schedule spec resolved through core::ScheduleRegistry — a
     /// canonical name, alias, or parameterized variant such as
     /// "Tutel?degree=4". Use the canonical spelling (what
@@ -64,9 +80,8 @@ struct Scenario
 };
 
 /**
- * Name-indexed model and cluster presets: the paper's models
- * "gpt2xl-moe", "mixtral-7b", "mixtral-22b" and clusters "testbedA",
- * "testbedB". Immutable, so thread-safe.
+ * The model and cluster presets of the file comment, selected by spec.
+ * Immutable, so thread-safe.
  */
 class ScenarioRegistry
 {
@@ -74,17 +89,24 @@ class ScenarioRegistry
     /** The process-wide registry. */
     static ScenarioRegistry &instance();
 
-    bool hasModel(const std::string &name) const;
-    bool hasCluster(const std::string &name) const;
-    std::vector<std::string> modelNames() const;
-    std::vector<std::string> clusterNames() const;
+    /**
+     * core::ScheduleRegistry::canonicalize for a model preset spec
+     * ("table4?HEADS=08" -> "table4?heads=8"); an unknown name's error
+     * lists the known presets, sorted.
+     */
+    bool canonicalizeModel(const std::string &spec, std::string *out,
+                           std::string *error) const;
+    /** canonicalizeModel() for a cluster preset spec. */
+    bool canonicalizeCluster(const std::string &spec, std::string *out,
+                             std::string *error) const;
 
-    /** Instantiate the cluster preset @p name (fatal if unknown). */
-    sim::ClusterSpec makeCluster(const std::string &name) const;
+    /** Instantiate cluster preset spec @p spec (fatal if invalid). */
+    sim::ClusterSpec makeCluster(const std::string &spec) const;
 
     /**
      * Resolve @p scenario to a ModelSpec on @p cluster, applying the
-     * paper's defaults (E = cluster nodes when numExperts == 0).
+     * paper's defaults (E = cluster nodes when numExperts == 0); fatal
+     * if its model spec is invalid.
      */
     model::ModelSpec makeModel(const Scenario &scenario,
                                const sim::ClusterSpec &cluster) const;
@@ -93,15 +115,19 @@ class ScenarioRegistry
     core::ModelCost makeCost(const Scenario &scenario) const;
 
   private:
-    /// Builds a ModelSpec; @p num_layers <= 0 selects the preset default.
-    using ModelBuilder = std::function<model::ModelSpec(
-        int num_experts, int64_t batch, int64_t seq_len, int num_layers)>;
-    using ClusterBuilder = std::function<sim::ClusterSpec()>;
+    /// A preset's declaration, and its builder from validated params.
+    template <typename Spec>
+    struct Preset
+    {
+        core::ParamDecl decl;
+        std::function<Spec(const core::ScheduleParams &)> build;
+    };
 
     ScenarioRegistry();
 
-    std::unordered_map<std::string, ModelBuilder> models_;
-    std::unordered_map<std::string, ClusterBuilder> clusters_;
+    /// Keyed by name, so an unknown name's error lists them sorted.
+    std::map<std::string, Preset<model::ModelSpec>> models_;
+    std::map<std::string, Preset<sim::ClusterSpec>> clusters_;
 };
 
 /**
@@ -109,8 +135,8 @@ class ScenarioRegistry
  * value; the schedule axis defaults to every registered schedule, in
  * registration (paper-figure) order. Schedule specs may be
  * parameterized variants ("tutel?degree=4"), making tuning knobs
- * first-class sweep axes; build() canonicalizes each spec through
- * core::ScheduleRegistry (fatal on unknown schedules or invalid
+ * first-class sweep axes; build() canonicalizes every model, cluster
+ * and schedule spec first (fatal on unknown names or invalid
  * parameters) and emits scenarios in nested-loop order (model,
  * cluster, batch, seqLen, layers, schedule), which fixes the result
  * order of a sweep.

@@ -70,8 +70,8 @@ namespace fsmoe::runtime {
 /** The question: one workload configuration, schedule left open. */
 struct TuneQuery
 {
-    std::string model;   ///< Model preset name (ScenarioRegistry).
-    std::string cluster; ///< Cluster preset name.
+    std::string model;   ///< Model preset spec (ScenarioRegistry).
+    std::string cluster; ///< Cluster preset spec.
     int64_t batch = 1;
     int64_t seqLen = 1024;
     int numLayers = 0;  ///< 0 = preset default.

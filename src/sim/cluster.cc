@@ -1,7 +1,5 @@
 #include "sim/cluster.h"
 
-#include "base/logging.h"
-
 namespace fsmoe::sim {
 
 ClusterSpec
@@ -31,26 +29,6 @@ testbedB()
     spec.allgather = {3.20e-2, 1.68e-7};
     spec.reducescatter = {3.91e-2, 1.67e-7};
     spec.allreduce = {8.37e-2, 5.99e-7};
-    return spec;
-}
-
-ClusterSpec
-scaledTestbedA(int num_nodes)
-{
-    FSMOE_CHECK_ARG(num_nodes >= 1, "cluster needs at least one node");
-    ClusterSpec spec = testbedA();
-    int base_nodes = spec.numNodes;
-    spec.numNodes = num_nodes;
-    spec.name = "Testbed-A scaled to " + std::to_string(num_nodes) +
-                " nodes";
-    // Ring-based inter-node collectives move (P-1)/P of the data per
-    // link; rescale the per-byte terms from the 6-node fit.
-    auto ring = [](int p) {
-        return p > 1 ? static_cast<double>(p - 1) / p : 0.5;
-    };
-    double factor = ring(num_nodes) / ring(base_nodes);
-    spec.alltoall.beta *= factor;
-    spec.allreduce.beta *= factor;
     return spec;
 }
 

@@ -68,13 +68,6 @@ ClusterSpec testbedA();
  */
 ClusterSpec testbedB();
 
-/**
- * A testbed scaled to @p num_nodes nodes (for the Fig. 7 varied-P
- * sweep): inter-node betas scale with the collective's node count as
- * (P'-1)/P' ring steps; intra-node and compute are unchanged.
- */
-ClusterSpec scaledTestbedA(int num_nodes);
-
 } // namespace fsmoe::sim
 
 #endif // FSMOE_SIM_CLUSTER_H

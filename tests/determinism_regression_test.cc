@@ -8,7 +8,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -20,17 +19,20 @@ namespace {
 
 TEST(DeterminismRegression, RegistryNameListingsAreSorted)
 {
+    // The known presets an unknown name's error lists come out sorted,
+    // never in hash or insertion order, and the same on every call.
     const runtime::ScenarioRegistry &reg =
         runtime::ScenarioRegistry::instance();
-    std::vector<std::string> models = reg.modelNames();
-    std::vector<std::string> clusters = reg.clusterNames();
-    ASSERT_FALSE(models.empty());
-    ASSERT_FALSE(clusters.empty());
-    EXPECT_TRUE(std::is_sorted(models.begin(), models.end()));
-    EXPECT_TRUE(std::is_sorted(clusters.begin(), clusters.end()));
-    // Stability across calls, not just sortedness of one call.
-    EXPECT_EQ(models, reg.modelNames());
-    EXPECT_EQ(clusters, reg.clusterNames());
+    std::string canonical, models, clusters;
+    EXPECT_FALSE(reg.canonicalizeModel("bogus", &canonical, &models));
+    EXPECT_FALSE(reg.canonicalizeCluster("bogus", &canonical, &clusters));
+    EXPECT_EQ(models, "unknown model preset 'bogus'; known: gpt2xl-moe, "
+                      "mixtral-22b, mixtral-7b, table4");
+    EXPECT_EQ(clusters,
+              "unknown cluster preset 'bogus'; known: testbedA, testbedB");
+    std::string again;
+    EXPECT_FALSE(reg.canonicalizeModel("bogus", &canonical, &again));
+    EXPECT_EQ(again, models);
 }
 
 TEST(DeterminismRegression, RepeatedWarningSummaryIsSorted)

@@ -61,9 +61,105 @@ TEST(Scenario, CostKeyIgnoresScheduleOnly)
 TEST(Scenario, RegistryKnowsBuiltinPresets)
 {
     const ScenarioRegistry &reg = ScenarioRegistry::instance();
-    EXPECT_TRUE(reg.hasModel("mixtral-7b"));
-    EXPECT_TRUE(reg.hasCluster("testbedB"));
-    EXPECT_FALSE(reg.hasModel("no-such-model"));
+    std::string canonical, error;
+    for (const char *name :
+         {"gpt2xl-moe", "mixtral-7b", "mixtral-22b", "table4"}) {
+        EXPECT_TRUE(reg.canonicalizeModel(name, &canonical, &error)) << error;
+        EXPECT_EQ(canonical, name);
+    }
+    for (const char *name : {"testbedA", "testbedB"}) {
+        EXPECT_TRUE(reg.canonicalizeCluster(name, &canonical, &error))
+            << error;
+        EXPECT_EQ(canonical, name);
+    }
+    EXPECT_FALSE(reg.canonicalizeModel("no-such-model", &canonical, &error));
+    EXPECT_NE(error.find("unknown model preset 'no-such-model'"),
+              std::string::npos)
+        << error;
+}
+
+TEST(Scenario, PresetSpecsTakeTheScheduleGrammar)
+{
+    const ScenarioRegistry &reg = ScenarioRegistry::instance();
+    std::string canonical, error;
+    // Keys in declared order with canonical spelling and values; a
+    // key given at its default stays, as for schedules.
+    EXPECT_TRUE(reg.canonicalizeModel(
+        " table4 ? SwiGLU=1 & cf=2.50 & Heads=08 & embed=2048 & hidden=6144 ",
+        &canonical, &error))
+        << error;
+    EXPECT_EQ(canonical,
+              "table4?heads=8&embed=2048&hidden=6144&cf=2.5&swiglu=true");
+    EXPECT_TRUE(reg.canonicalizeCluster("testbedA?NODES=04", &canonical,
+                                        &error))
+        << error;
+    EXPECT_EQ(canonical, "testbedA?nodes=4");
+
+    // The table4 spec prices the layer its keys describe.
+    Scenario s;
+    s.model = "table4?heads=8&cf=0&swiglu=true";
+    s.cluster = "testbedB";
+    s.numLayers = 2;
+    const sim::ClusterSpec cluster = reg.makeCluster(s.cluster);
+    const model::ModelSpec spec = reg.makeModel(s, cluster);
+    EXPECT_EQ(spec.numLayers, 2);
+    EXPECT_EQ(spec.layer.numHeads, 8);
+    EXPECT_EQ(spec.layer.embed, 2048);
+    EXPECT_EQ(spec.layer.hidden, 6144);
+    EXPECT_EQ(spec.layer.capacityFactor, 0.0);
+    EXPECT_EQ(spec.layer.ffn, core::FfnType::Mixtral);
+    EXPECT_EQ(spec.layer.numExperts, cluster.numNodes);
+
+    // Rejected specs name the problem; schedules and presets share the
+    // validator's texts.
+    const struct
+    {
+        const char *spec;
+        bool model;
+        const char *why;
+    } bad[] = {
+        {"table4?depth=3", true,
+         "model preset 'table4' has no parameter 'depth'; declared: heads, "
+         "embed, hidden, cf, swiglu"},
+        {"testbedA?nodes=0", false,
+         "bad value '0' for parameter 'nodes' of cluster preset 'testbedA': "
+         "must be >= 1"},
+        {"table4?heads=1.5", true,
+         "bad value '1.5' for parameter 'heads' of model preset 'table4': "
+         "expected an integer"},
+        {"table4?heads=8&HEADS=16", true, "duplicate parameter 'heads'"},
+        {"testbedB?nodes=4", false,
+         "cluster preset 'testbedB' has no parameter 'nodes' (it declares "
+         "none)"},
+        {"testbedA?", false, "malformed parameter ''"},
+    };
+    for (const auto &b : bad) {
+        error.clear();
+        EXPECT_FALSE(b.model
+                         ? reg.canonicalizeModel(b.spec, &canonical, &error)
+                         : reg.canonicalizeCluster(b.spec, &canonical,
+                                                   &error))
+            << b.spec;
+        EXPECT_NE(error.find(b.why), std::string::npos)
+            << b.spec << ": " << error;
+    }
+}
+
+TEST(Scenario, GridRejectsBadPresetAxesBeforeBuilding)
+{
+    EXPECT_DEATH(ScenarioGrid().models({"bogus"}).build(),
+                 "bad model axis: unknown model preset 'bogus'");
+    EXPECT_DEATH(ScenarioGrid().clusters({"testbedA?nodes=0"}).build(),
+                 "bad cluster axis: bad value '0' for parameter 'nodes'");
+    // Valid axes come out in canonical spelling.
+    const auto grid = ScenarioGrid()
+                          .models({"table4?HEADS=8"})
+                          .clusters({"testbedA?nodes=02"})
+                          .schedules({"fsmoe"})
+                          .build();
+    ASSERT_EQ(grid.size(), 1u);
+    EXPECT_EQ(grid[0].model, "table4?heads=8");
+    EXPECT_EQ(grid[0].cluster, "testbedA?nodes=2");
 }
 
 TEST(Schedule, FactoryBySpecResolvesCanonicalNamesAndAliases)
@@ -88,12 +184,26 @@ TEST(Schedule, FactoryBySpecResolvesCanonicalNamesAndAliases)
 std::vector<Scenario>
 testGrid()
 {
-    return ScenarioGrid()
-        .models({"gpt2xl-moe"})
-        .clusters({"testbedA", "testbedB"})
-        .batches({1, 2})
-        .numLayers({3})
-        .build();
+    auto grid = ScenarioGrid()
+                    .models({"gpt2xl-moe"})
+                    .clusters({"testbedA", "testbedB"})
+                    .batches({1, 2})
+                    .numLayers({3})
+                    .build();
+    // Parameterized presets: a Table 4 layer and a rescaled testbed.
+    Scenario layer;
+    layer.model = "table4?heads=8&embed=1024&hidden=4096&cf=0&swiglu=true";
+    layer.cluster = "testbedB";
+    layer.numLayers = 2;
+    layer.schedule = "FSMoE";
+    grid.push_back(layer);
+    Scenario scaled;
+    scaled.model = "mixtral-7b";
+    scaled.cluster = "testbedA?nodes=2";
+    scaled.numLayers = 3;
+    scaled.schedule = "Tutel";
+    grid.push_back(scaled);
+    return grid;
 }
 
 TEST(SweepEngine, ParallelResultsAreBitIdenticalToSerial)
@@ -134,7 +244,7 @@ TEST(SweepEngine, CostCacheCountsHitsPerSharedConfiguration)
     std::set<std::string> unique_keys;
     for (const Scenario &s : grid)
         unique_keys.insert(s.costKey());
-    ASSERT_EQ(unique_keys.size(), 4u);
+    ASSERT_EQ(unique_keys.size(), 6u);
 
     SweepEngine engine({/*numThreads=*/4});
     engine.run(grid);
@@ -162,7 +272,7 @@ TEST(SweepEngine, WarmRerunIsBitIdenticalToAFreshRun)
     SweepEngine warmed({/*numThreads=*/2});
     warmed.run(grid);
     const auto warm = warmed.run(grid);
-    EXPECT_EQ(warmed.stats().costCacheMisses, 4u);
+    EXPECT_EQ(warmed.stats().costCacheMisses, 6u);
     const auto fresh = SweepEngine({/*numThreads=*/2}).run(grid);
 
     ASSERT_EQ(warm.size(), fresh.size());

@@ -6,6 +6,7 @@
  * specifications.
  */
 #include <array>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
 #include "model/models.h"
+#include "runtime/scenario.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
 #include "sim/task_graph.h"
@@ -461,15 +463,26 @@ TEST(Cluster, CostCoeffsEvaluateLinearly)
 
 TEST(Cluster, ScaledTestbedAdjustsInterNodeOnly)
 {
+    const runtime::ScenarioRegistry &reg =
+        runtime::ScenarioRegistry::instance();
     ClusterSpec base = testbedA();
-    ClusterSpec scaled = scaledTestbedA(2);
+    ClusterSpec scaled = reg.makeCluster("testbedA?nodes=2");
     EXPECT_EQ(scaled.numNodes, 2);
     EXPECT_LT(scaled.alltoall.beta, base.alltoall.beta);
+    EXPECT_LT(scaled.allreduce.beta, base.allreduce.beta);
     EXPECT_DOUBLE_EQ(scaled.allgather.beta, base.allgather.beta);
     EXPECT_DOUBLE_EQ(scaled.gemm.beta, base.gemm.beta);
-    // Scaling back to 6 nodes is the identity.
-    ClusterSpec same = scaledTestbedA(6);
-    EXPECT_DOUBLE_EQ(same.alltoall.beta, base.alltoall.beta);
+    // Scaling back to 6 nodes is the identity, bit for bit.
+    ClusterSpec same = reg.makeCluster("testbedA?nodes=6");
+    EXPECT_EQ(same.numNodes, base.numNodes);
+    EXPECT_EQ(same.gpusPerNode, base.gpusPerNode);
+    for (const auto member :
+         {&ClusterSpec::gemm, &ClusterSpec::alltoall, &ClusterSpec::allgather,
+          &ClusterSpec::reducescatter, &ClusterSpec::allreduce}) {
+        EXPECT_EQ(std::memcmp(&(same.*member), &(base.*member),
+                              sizeof(CostCoeffs)),
+                  0);
+    }
 }
 
 } // namespace
