@@ -32,6 +32,7 @@
 #include "core/schedules/schedule_registry.h"
 #include "dist/communicator.h"
 #include "model/models.h"
+#include "place_remainder_reference.h"
 #include "runtime/journal.h"
 #include "runtime/result_store.h"
 #include "runtime/scenario.h"
@@ -108,18 +109,90 @@ BM_GradPartition(benchmark::State &state)
         benchmark::DoNotOptimize(
             core::partitionGradients(gls, ar, true, merged));
 }
-// The 24-layer, rMax 16 rows are the shape a demo-grid sweep pays per
-// FSMoE / FSMoE-No-IIO build. Step 2 is a DP over the layers' envelope
-// flats; the rows differ mostly in the final plans: FSMoE's solves
-// Algorithm 1 for each distinct t_gar (see BM_SolvePipelineAlgorithm1),
-// FSMoE-No-IIO's scans the merged model's 16 degrees.
+// The demo grid's partitions are stacks of 24 (gpt2xl-moe) and 32
+// (mixtral-7b) identical layers, and most of their cost is step 2's DP
+// (BM_PlaceRemainderDemoGrid times it on their own inputs). These rows
+// use one sample layer at rMax 16 or 64: the final plans solve
+// Algorithm 1 for each distinct t_gar (see BM_SolvePipelineAlgorithm1)
+// on FSMoE, and scan the merged model's degrees on FSMoE-No-IIO. The
+// 48-layer rows are where the DP's carried prefixes pay most: without
+// them its sweep grows with the square of the layers.
 BENCHMARK(BM_GradPartition)
     ->ArgNames({"layers", "rmax", "merged", "binding"})
     ->Args({4, 64, 0, 0})
     ->Args({12, 64, 0, 0})
     ->Args({24, 16, 0, 0})
     ->Args({24, 16, 1, 0})
-    ->Args({24, 16, 1, 1});
+    ->Args({24, 16, 1, 1})
+    ->Args({48, 16, 0, 0})
+    ->Args({48, 16, 1, 1});
+
+/**
+ * placeRemainder on the step-2 inputs of the demo grid's 16 gradient
+ * partitions (FSMoE and FSMoE-No-IIO on its 8 configurations), built
+ * once before timing as partitionGradients poses them after step 1.
+ * Items are partitions; `steps` is solver.partition.dp.steps per
+ * iteration. The row errors if a plan differs in any bit from the
+ * full-raise reference DP (tests/place_remainder_reference.h).
+ */
+void
+BM_PlaceRemainderDemoGrid(benchmark::State &state)
+{
+    struct Input
+    {
+        std::vector<std::vector<core::DegreeTable::Interval>> flats;
+        std::vector<double> filled, available;
+        core::LinearModel ar;
+    };
+    std::vector<Input> inputs;
+    for (const runtime::Scenario &s : runtime::demoGrid({1, 2}, {"FSMoE"})) {
+        const core::ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        const std::vector<core::GeneralizedLayer> layers =
+            core::detail::makeGeneralizedLayers(cost);
+        for (bool merged : {false, true}) {
+            const core::GradPartitionPlan step1 = core::partitionGradients(
+                layers, cost.models.allreduce, false, merged);
+            Input in;
+            in.ar = cost.models.allreduce;
+            in.filled = step1.moeBytes;
+            // The same subtractions step 1 makes, so the same bits.
+            double pending = 0.0;
+            for (size_t i = 0; i < layers.size(); ++i) {
+                in.flats.push_back(
+                    core::DegreeTable(layers[i].moe).flats(merged));
+                pending += layers[i].gradBytes;
+                pending -= step1.denseBytes[i];
+                pending -= step1.moeBytes[i];
+                in.available.push_back(pending);
+            }
+            inputs.push_back(std::move(in));
+        }
+    }
+    for (const Input &in : inputs) {
+        const std::vector<double> got =
+            core::placeRemainder(in.flats, in.filled, in.available, in.ar);
+        const std::vector<double> want = core::reference::placeRemainder(
+            in.flats, in.filled, in.available, in.ar);
+        if (std::memcmp(got.data(), want.data(),
+                        got.size() * sizeof(double)) != 0) {
+            state.SkipWithError("a plan differs from the reference DP");
+            return;
+        }
+    }
+    stats::Counter &steps = stats::counter("solver.partition.dp.steps");
+    const uint64_t steps0 = steps.value();
+    for (auto _ : state)
+        for (const Input &in : inputs)
+            benchmark::DoNotOptimize(core::placeRemainder(
+                in.flats, in.filled, in.available, in.ar));
+    state.counters["steps"] =
+        benchmark::Counter(static_cast<double>(steps.value() - steps0),
+                           benchmark::Counter::kAvgIterations);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(inputs.size()));
+}
+BENCHMARK(BM_PlaceRemainderDemoGrid);
 
 /**
  * The tuner's DE loop (d = 24, population 24, 80 generations, never

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "base/logging.h"
+#include "base/stats.h"
 
 namespace fsmoe::core {
 
@@ -57,9 +59,10 @@ sameShape(const PipelineProblem &a, const PipelineProblem &b)
 /**
  * The per-layer pipeline solves of one partition. Layers whose
  * problems are bitwise-identical (within one model, all of them) share
- * one group: one set of envelope flats for step 2, and one memo of
- * Algorithm-1 (or merged-channel) solutions keyed by the bit pattern
- * of tGar, so identical (problem, tGar) inputs solve once.
+ * one group: one set of envelope flats for step 2, one Algorithm-1
+ * grid, and one memo of Algorithm-1 (or merged-channel) solutions
+ * keyed by the bit pattern of tGar, so identical (problem, tGar)
+ * inputs solve once.
  */
 class LayerSolver
 {
@@ -75,7 +78,7 @@ class LayerSolver
                 ++g;
             if (g == groups_.size())
                 groups_.push_back(
-                    {gl.moe, DegreeTable(gl.moe).flats(merged), {}});
+                    {gl.moe, DegreeTable(gl.moe).flats(merged), {}, {}});
             groupOf_.push_back(g);
         }
     }
@@ -98,8 +101,13 @@ class LayerSolver
                 return sol;
         PipelineProblem prob = group.problem;
         prob.tGar = t_gar;
-        group.solved.emplace_back(
-            key, merged_ ? solvePipelineMerged(prob) : solvePipeline(prob));
+        if (merged_) {
+            group.solved.emplace_back(key, solvePipelineMerged(prob));
+        } else {
+            if (!group.grid)
+                group.grid.emplace(group.problem);
+            group.solved.emplace_back(key, solvePipeline(prob, *group.grid));
+        }
         return group.solved.back().second;
     }
 
@@ -109,6 +117,8 @@ class LayerSolver
         PipelineProblem problem;
         std::vector<DegreeTable::Interval> flats;
         std::vector<std::pair<uint64_t, PipelineSolution>> solved;
+        /// Algorithm 1's grid, built at the group's first solve.
+        std::optional<PipelineGrid> grid;
     };
     bool merged_;
     std::vector<Group> groups_;
@@ -141,6 +151,23 @@ struct Piece
     bool rise; ///< Slope 1, else 0.
 };
 
+bool
+samePiece(const Piece &a, const Piece &b)
+{
+    return bitsOf(a.s) == bitsOf(b.s) && bitsOf(a.v) == bitsOf(b.v) &&
+           a.rise == b.rise;
+}
+
+/** Index of the last of @p n pieces starting at or before @p x. */
+size_t
+pieceAt(const Piece *p, size_t n, double x)
+{
+    return static_cast<size_t>(
+        std::upper_bound(p + 1, p + n, x,
+                         [](double v, const Piece &q) { return v < q.s; }) -
+        p - 1);
+}
+
 /**
  * A piecewise-linear gain function of bytes on (0, end], slopes 0
  * and 1 only: piece k spans (s_k, s_{k+1}]. No pieces: only x = 0.
@@ -150,9 +177,11 @@ struct Gain
 {
     std::vector<Piece> pieces;
     double end = 0.0;
-    /// Where a rising piece ends: the best byte counts of a layer.
+    /// Where a rising piece ends: the best byte counts of a layer
+    /// (layer gains only).
     std::vector<double> ends;
-    /// Where the gain drops, and end: the best byte counts of a prefix.
+    /// Where the gain drops, and end: the best byte counts of a prefix
+    /// (prefix envelopes only).
     std::vector<double> drops;
 
     /** Gain at @p x in (0, end]; at a drop, the piece ending there. */
@@ -166,22 +195,31 @@ struct Gain
         return p.v + (p.rise ? x - p.s : 0.0);
     }
 
-    /** Record ends, and drops by more than @p eps, from the pieces. */
+    /** Record the ends from the pieces. */
     void
-    findBreaks(double eps)
+    findEnds()
     {
-        ends.clear();
-        drops.clear();
-        for (size_t k = 0; k < pieces.size(); ++k) {
-            const Piece &p = pieces[k];
-            const bool last = k + 1 == pieces.size();
-            const double to = last ? end : pieces[k + 1].s;
-            if (p.rise && (last || !pieces[k + 1].rise))
-                ends.push_back(to);
-            const double left = p.v + (p.rise ? to - p.s : 0.0);
-            if (last || left > pieces[k + 1].v + eps)
-                drops.push_back(to);
-        }
+        const size_t n = pieces.size();
+        for (size_t k = 0; k < n; ++k)
+            if (pieces[k].rise && (k + 1 == n || !pieces[k + 1].rise))
+                ends.push_back(k + 1 == n ? end : pieces[k + 1].s);
+    }
+
+    /**
+     * Record the drops by more than @p eps of pieces @p from on; those
+     * of the pieces before it are already recorded.
+     */
+    void
+    findDrops(double eps, size_t from = 0)
+    {
+        const Piece *p = pieces.data();
+        const size_t n = pieces.size();
+        for (size_t k = from; k + 1 < n; ++k)
+            if (p[k].v + (p[k].rise ? p[k + 1].s - p[k].s : 0.0) >
+                p[k + 1].v + eps)
+                drops.push_back(p[k + 1].s);
+        if (n > 0)
+            drops.push_back(end);
     }
 };
 
@@ -209,66 +247,67 @@ push(std::vector<Piece> &out, double eps, double s, double v, bool rise)
 
 /**
  * env := max(env, f(x - dx) + dv) on (lo, hi], the shifted copy being
- * -inf elsewhere, with lo >= dx. Pieces outside (lo, hi] are copied;
- * inside, one sweep over both piece lists, and where the two slopes
- * differ by one, a crossing is exactly |difference| away.
+ * -inf elsewhere, with lo >= dx and lo at or after env's first piece.
+ * Pieces outside (lo, hi] are copied; inside, one sweep over both
+ * piece lists, and where the two slopes differ by one, a crossing is
+ * exactly |difference| away. Returns the sweep's steps.
  */
-void
+uint64_t
 raise(Gain &env, const Gain &f, double dx, double dv, double lo, double hi,
       double eps, std::vector<Piece> &scratch)
 {
     hi = std::min(hi, env.end);
     if (f.pieces.empty() || !(lo < hi))
-        return;
-    const std::vector<Piece> &ep = env.pieces;
-    const auto after = [](double v, const Piece &p) { return v < p.s; };
-    size_t e = static_cast<size_t>(
-        std::upper_bound(ep.begin() + 1, ep.end(), lo, after) - ep.begin() -
-        1);
-    scratch.assign(ep.begin(), ep.begin() + static_cast<long>(e));
+        return 0;
+    const Piece *const ep = env.pieces.data();
+    const size_t en = env.pieces.size();
+    const Piece *const fp = f.pieces.data();
+    const size_t fn = f.pieces.size();
+    size_t e = pieceAt(ep, en, lo);
+    scratch.assign(ep, ep + e);
     const auto out = [&](double s, double v, bool rise) {
         push(scratch, eps, s, v, rise);
     };
-    const auto env_at = [&](double x) {
-        return ep[e].v + (ep[e].rise ? x - ep[e].s : 0.0);
-    };
     if (ep[e].s < lo)
         out(ep[e].s, ep[e].v, ep[e].rise);
-    size_t c = 0;
-    for (double x = lo; x < hi;) {
-        while (e + 1 < ep.size() && ep[e + 1].s <= x)
+    uint64_t steps = 0;
+    size_t c = static_cast<size_t>(
+        std::partition_point(fp + 1, fp + fn,
+                             [&](const Piece &p) { return p.s + dx <= lo; }) -
+        fp - 1);
+    for (double x = lo; x < hi; ++steps) {
+        while (e + 1 < en && ep[e + 1].s <= x)
             ++e;
-        while (c + 1 < f.pieces.size() && f.pieces[c + 1].s + dx <= x)
+        while (c + 1 < fn && fp[c + 1].s + dx <= x)
             ++c;
-        double next = e + 1 < ep.size() ? std::min(hi, ep[e + 1].s) : hi;
-        if (c + 1 < f.pieces.size())
-            next = std::min(next, f.pieces[c + 1].s + dx);
-        const Piece &fp = f.pieces[c];
-        const bool er = ep[e].rise;
-        const double ev = env_at(x);
-        const double fv = fp.v + dv + (fp.rise ? x - (fp.s + dx) : 0.0);
+        double next = e + 1 < en ? std::min(hi, ep[e + 1].s) : hi;
+        if (c + 1 < fn)
+            next = std::min(next, fp[c + 1].s + dx);
+        const bool er = ep[e].rise, fr = fp[c].rise;
+        const double ev = ep[e].v + (er ? x - ep[e].s : 0.0);
+        const double fv = fp[c].v + dv + (fr ? x - (fp[c].s + dx) : 0.0);
         const double d0 = fv - ev;
         const double d1 =
-            d0 + ((fp.rise ? 1.0 : 0.0) - (er ? 1.0 : 0.0)) * (next - x);
+            d0 + ((fr ? 1.0 : 0.0) - (er ? 1.0 : 0.0)) * (next - x);
         if (d0 > 0.0) {
-            out(x, fv, fp.rise);
+            out(x, fv, fr);
             if (d1 < 0.0) // env rises through f at x + d0
                 out(x + d0, fv, er);
         } else {
             out(x, ev, er);
             if (d1 > 0.0) // f rises through env at x - d0
-                out(x - d0, ev, fp.rise);
+                out(x - d0, ev, fr);
         }
         x = next;
     }
     if (hi < env.end) {
-        while (e + 1 < ep.size() && ep[e + 1].s <= hi)
+        while (e + 1 < en && ep[e + 1].s <= hi)
             ++e;
-        out(hi, env_at(hi), ep[e].rise);
-        scratch.insert(scratch.end(), ep.begin() + static_cast<long>(e) + 1,
-                       ep.end());
+        out(hi, ep[e].v + (ep[e].rise ? hi - ep[e].s : 0.0), ep[e].rise);
+        scratch.insert(scratch.end(), ep + e + 1, ep + en);
     }
     env.pieces.swap(scratch);
+    return steps;
 }
 
 /**
@@ -303,8 +342,35 @@ layerGain(const std::vector<DegreeTable::Interval> &flats, double t0,
     if (x < end)
         out(x, v, false);
     g.pieces.swap(scratch);
-    g.findBreaks(eps);
+    g.findEnds();
     return g;
+}
+
+bool
+sameFlats(const std::vector<DegreeTable::Interval> &a,
+          const std::vector<DegreeTable::Interval> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t k = 0; k < a.size(); ++k)
+        if (bitsOf(a[k].lo) != bitsOf(b[k].lo) ||
+            bitsOf(a[k].hi) != bitsOf(b[k].hi))
+            return false;
+    return true;
+}
+
+/**
+ * How far B_{i-1} = @p prev agrees with B_{i-2} = @p older, given
+ * their first @p keep pieces are equal: up to the first start or end
+ * either has after those pieces.
+ */
+double
+settledEnd(const Gain &prev, const Gain &older, size_t keep)
+{
+    return std::min(keep < prev.pieces.size() ? prev.pieces[keep].s
+                                              : prev.end,
+                    keep < older.pieces.size() ? older.pieces[keep].s
+                                               : older.end);
 }
 
 } // namespace
@@ -333,9 +399,14 @@ placeRemainder(const std::vector<std::vector<DegreeTable::Interval>> &flats,
         cap[i] = c = std::max(0.0, std::min(c, available[i]));
 
     // Forward: gain[i] is layer i's gain, best[i](S) the most gain of
-    // layers 0..i carrying exactly S bytes (best(0) = 0 always).
+    // layers 0..i carrying exactly S bytes (best(0) = 0 always), and
+    // settled[i] how many leading pieces best[i] shares, bit for bit,
+    // with best[i - 1].
+    uint64_t steps = 0;
     std::vector<Piece> scratch;
     std::vector<Gain> gain(n), best(n);
+    std::vector<size_t> settled(n, 0);
+    Gain tail;
     for (size_t i = 0; i < n; ++i) {
         const double t0 = alpha + beta * filled[i];
         double jump = 0.0;
@@ -349,19 +420,76 @@ placeRemainder(const std::vector<std::vector<DegreeTable::Interval>> &flats,
             jump = (alpha - flat) / beta;
         }
         gain[i] = layerGain(flats[i], t0, beta, jump, cap[i], eps, scratch);
+        const Gain &g = gain[i];
         Gain &env = best[i];
-        env = gain[i]; // x_i = S: nothing before layer i
-        if (i == 0 || best[i - 1].pieces.empty())
+        if (i == 0 || best[i - 1].pieces.empty()) {
+            env.pieces = g.pieces; // x_i = S: nothing before layer i
+            env.end = g.end;
+            env.findDrops(eps);
             continue;
+        }
         const Gain &prev = best[i - 1];
-        raise(env, prev, 0.0, 0.0, 0.0, prev.end, eps, scratch); // x_i = 0
-        for (double e : gain[i].ends)
-            raise(env, prev, e, gain[i].at(e), e, e + prev.end, eps,
-                  scratch);
+        // Carry-over (grad_partition.h): when layer i's gain is layer
+        // i-1's, B_i = B_{i-1} on the prefix (0, from] on which B_{i-1}
+        // = B_{i-2}, so B_i keeps those pieces and the raises sweep
+        // only (from, end]. Their list starts two kept pieces early: a
+        // push may pop the last kept piece as a sliver, and then merges
+        // into or stops at the one before, as on the whole list.
+        size_t keep = 0, base = 0;
+        double from = 0.0;
+        if (i >= 2 && settled[i - 1] > 0 &&
+            bitsOf(filled[i]) == bitsOf(filled[i - 1]) &&
+            sameFlats(flats[i], flats[i - 1])) {
+            keep = settled[i - 1];
+            base = keep >= 2 ? keep - 2 : 0;
+            from = settledEnd(prev, best[i - 2], keep);
+        }
+        tail.end = g.end;
+        if (keep == 0) {
+            tail.pieces = g.pieces; // x_i = S
+        } else {
+            tail.pieces.assign(prev.pieces.begin() + static_cast<long>(base),
+                               prev.pieces.begin() + static_cast<long>(keep));
+            if (from < g.end) {
+                const Piece *gp = g.pieces.data();
+                const size_t gn = g.pieces.size();
+                size_t k = pieceAt(gp, gn, from);
+                push(tail.pieces, eps, from,
+                     gp[k].v + (gp[k].rise ? from - gp[k].s : 0.0),
+                     gp[k].rise);
+                for (++k; k < gn; ++k)
+                    push(tail.pieces, eps, gp[k].s, gp[k].v, gp[k].rise);
+            }
+        }
+        steps += raise(tail, prev, 0.0, 0.0, from, prev.end, eps,
+                       scratch); // x_i = 0
+        for (double e : g.ends)
+            steps += raise(tail, prev, e, g.at(e), std::max(e, from),
+                           e + prev.end, eps, scratch);
         for (double d : prev.drops) // x_i = S - d
-            raise(env, gain[i], d, prev.at(d), d, env.end, eps, scratch);
-        env.findBreaks(eps);
+            steps += raise(tail, g, d, prev.at(d), std::max(d, from),
+                           tail.end, eps, scratch);
+        env.end = tail.end;
+        env.pieces.reserve(base + tail.pieces.size());
+        env.pieces.assign(prev.pieces.begin(),
+                          prev.pieces.begin() + static_cast<long>(base));
+        env.pieces.insert(env.pieces.end(), tail.pieces.begin(),
+                          tail.pieces.end());
+        // The kept pieces before base drop where they did in B_{i-1}.
+        const double kept_to = base > 0 ? env.pieces[base].s : 0.0;
+        for (double d : prev.drops)
+            if (d <= kept_to)
+                env.drops.push_back(d);
+        env.findDrops(eps, base);
+        size_t m = base;
+        while (m < env.pieces.size() && m < prev.pieces.size() &&
+               samePiece(env.pieces[m], prev.pieces[m]))
+            ++m;
+        settled[i] = m;
     }
+    static stats::Counter &dp_steps =
+        stats::counter("solver.partition.dp.steps");
+    dp_steps.inc(steps);
 
     // Backward: the same candidates at the one S each layer ends at.
     // Ties go to the largest x_i, so the earliest layers carry the

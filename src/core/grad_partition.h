@@ -109,6 +109,21 @@ struct GradPartitionPlan
  *  - The G_i are not concave, so no greedy is exact: a layer may have
  *    to skip a near flat and leave its bytes to a later layer when the
  *    prefix bounds bind.
+ *  - Carry-over. When layer i has layer i-1's flats and step-1 fill
+ *    (hence its jump), G_i = G_{i-1} on G_{i-1}'s domain, since the
+ *    caps never decrease. Then B_i = B_{i-1} on any prefix (0, L] on
+ *    which B_{i-1} = B_{i-2}: for S <= L, a split z + y + x = S over
+ *    layers 0..i-2, i-1 and i has B_{i-2}(z) + G(y) <= B_{i-1}(z + y)
+ *    = B_{i-2}(z + y), and B_{i-2}(z + y) + G(x) <= B_{i-1}(S) with
+ *    layer i-1 carrying x; and x = 0 gives B_i >= B_{i-1}. So B_i
+ *    keeps the leading pieces B_{i-1} shares bit for bit with
+ *    B_{i-2}, and its raises sweep only the rest. Any other layer
+ *    raises its whole domain. That the kept pieces are also those the
+ *    full raises rebuild in floating point is tested, not proven:
+ *    tests/grad_partition_test.cc compares the plans with the
+ *    full-raise DP's (tests/place_remainder_reference.h) bit for bit.
+ *    On identical layers the settled prefix grows layer by layer; on
+ *    the demo grid's partitions the sweep shrinks by 46%.
  *
  * Ties break to the largest x_i from the last layer back, so the
  * earliest layers carry the fewest bytes and the remainder rides the

@@ -149,17 +149,42 @@ overlappableMoeTime(const PipelineProblem &p, double r)
     }
 }
 
+namespace {
+
+/** Algorithm 1's grid: 512 samples of [1, rMax], none at rMax = 1. */
+constexpr int kGridSamples = 512;
+
+bool
+hasGrid(const PipelineProblem &p)
+{
+    return static_cast<double>(p.rMax) - 1.0 >= 1e-12;
+}
+
+double
+gridStep(const PipelineProblem &p)
+{
+    return (static_cast<double>(p.rMax) - 1.0) / (kGridSamples - 1);
+}
+
+/** A grid sample's case and makespan at the problem's t_gar. */
+struct Classified
+{
+    int caseId;
+    double t;
+};
+
+/**
+ * Algorithm 1 with its grid pass classifying sample i, at degree r,
+ * by @p classify(i, r).
+ */
+template <class Classify>
 PipelineSolution
-solvePipeline(const PipelineProblem &p)
+solveAlgorithm1(const PipelineProblem &p, Classify classify)
 {
     FSMOE_CHECK_ARG(p.rMax >= 1, "rMax must be at least 1");
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    const auto case_of = [&](const Chunks &c, double r) {
-        const CaseSplit split = caseSplitOf(c, r);
-        return split.case1(p.tGar) ? 1 : split.otherCase;
-    };
     const auto feasible = [&](int case_id, double r) {
-        return case_of(chunksAt(p, r), r) == case_id;
+        return caseAt(p, r) == case_id;
     };
 
     // Lines 1-6 of Algorithm 1: minimise each case's formula t1..t4
@@ -173,16 +198,13 @@ solvePipeline(const PipelineProblem &p)
     double best_cont_t = kInf;
     const double r_lo = 1.0, r_hi = static_cast<double>(p.rMax);
     // At rMax = 1 the one candidate is r = 1.
-    if (r_hi - r_lo >= 1e-12) {
-        constexpr int kSamples = 512;
-        const double step = (r_hi - r_lo) / (kSamples - 1);
+    if (hasGrid(p)) {
+        const double step = gridStep(p);
         double grid_r[5] = {};
         double grid_t[5] = {kInf, kInf, kInf, kInf, kInf};
-        for (int i = 0; i < kSamples; ++i) {
+        for (int i = 0; i < kGridSamples; ++i) {
             const double r = r_lo + step * i;
-            const Chunks c = chunksAt(p, r);
-            const int k = case_of(c, r);
-            const double t = caseTimeOf(c, k, r, p.tGar);
+            const auto [k, t] = classify(i, r);
             if (t < grid_t[k]) {
                 grid_t[k] = t;
                 grid_r[k] = r;
@@ -235,6 +257,53 @@ solvePipeline(const PipelineProblem &p)
     sol.caseId = caseAt(p, sol.r);
     sol.tOlpMoe = overlappableMoeTime(p, sol.r);
     return sol;
+}
+
+} // namespace
+
+PipelineSolution
+solvePipeline(const PipelineProblem &p)
+{
+    return solveAlgorithm1(p, [&](int, double r) {
+        const Chunks c = chunksAt(p, r);
+        const CaseSplit split = caseSplitOf(c, r);
+        const int k = split.case1(p.tGar) ? 1 : split.otherCase;
+        return Classified{k, caseTimeOf(c, k, r, p.tGar)};
+    });
+}
+
+PipelineGrid::PipelineGrid(const PipelineProblem &p)
+{
+    if (!hasGrid(p))
+        return;
+    const double step = gridStep(p);
+    samples_.reserve(kGridSamples);
+    for (int i = 0; i < kGridSamples; ++i) {
+        const double r = 1.0 + step * i;
+        const Chunks c = chunksAt(p, r);
+        const CaseSplit split = caseSplitOf(c, r);
+        // Cases 2-4 do not read t_gar.
+        samples_.push_back({split, interBase(c, r),
+                            caseTimeOf(c, split.otherCase, r, 0.0)});
+    }
+}
+
+PipelineSolution
+solvePipeline(const PipelineProblem &p, const PipelineGrid &grid)
+{
+    FSMOE_CHECK_ARG(grid.samples().size() ==
+                        (hasGrid(p) ? size_t{kGridSamples} : 0),
+                    "the grid of another problem");
+    // Case 1's time is case1Base + t_gar, the very addition caseTimeOf
+    // makes, and the other cases read no t_gar: the bits of a sample
+    // classified in place.
+    const PipelineGrid::Sample *samples = grid.samples().data();
+    return solveAlgorithm1(p, [&](int i, double) {
+        const PipelineGrid::Sample &s = samples[i];
+        return s.split.case1(p.tGar)
+                   ? Classified{1, s.case1Base + p.tGar}
+                   : Classified{s.split.otherCase, s.otherTime};
+    });
 }
 
 double

@@ -113,6 +113,41 @@ double overlappableMoeTime(const PipelineProblem &p, double r);
 PipelineSolution solvePipeline(const PipelineProblem &p);
 
 /**
+ * The t_gar-free terms of Algorithm 1's 512-point grid for one
+ * problem: at each sample its CaseSplit, the case-1 makespan less
+ * t_gar and the other case's makespan, the subexpressions
+ * DegreeTable::Row holds at integer r. Built once, it lets solves of
+ * the same problem at many t_gar values (a gradient partition's
+ * layers) pick a case per sample instead of evaluating the formulas.
+ */
+class PipelineGrid
+{
+  public:
+    /** Tabulate @p p's grid; p.tGar is ignored. */
+    explicit PipelineGrid(const PipelineProblem &p);
+
+    /** One sample's t_gar-free terms. */
+    struct Sample
+    {
+        CaseSplit split;
+        double case1Base; ///< Case-1 makespan less t_gar.
+        double otherTime; ///< Makespan of split.otherCase.
+    };
+
+    const std::vector<Sample> &samples() const { return samples_; }
+
+  private:
+    std::vector<Sample> samples_; ///< Empty at rMax = 1: no grid.
+};
+
+/**
+ * solvePipeline(p) with the grid pass read from @p grid, which must be
+ * PipelineGrid(q) for a q equal to @p p but in tGar. Same bits.
+ */
+PipelineSolution solvePipeline(const PipelineProblem &p,
+                               const PipelineGrid &grid);
+
+/**
  * Brute-force reference: evaluate analyticMoeTime at every integer r
  * in [1, rMax] and return the argmin. The test oracle for
  * solvePipeline and DegreeTable::minTime.

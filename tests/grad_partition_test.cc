@@ -3,19 +3,24 @@
  * Tests for the adaptive gradient partitioner (§5): byte conservation,
  * causality, window filling, and step 2 against two oracles — a grid
  * DP over the same objective and differential evolution at several
- * seeds — on the demo grid's partitions and on seeded random stacks.
+ * seeds — on the demo grid's partitions and on seeded random stacks;
+ * and step 2's carried DP against the full-raise one it replaced
+ * (tests/place_remainder_reference.h), bit for bit.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 
+#include "base/stats.h"
 #include "core/grad_partition.h"
 #include "core/moe_config.h"
 #include "core/schedules/schedule.h"
 #include "model/models.h"
+#include "place_remainder_reference.h"
 #include "runtime/scenario.h"
 #include "sim/cluster.h"
 #include "solver/differential_evolution.h"
@@ -509,6 +514,171 @@ TEST(GradPartitionOracle, ExactOnSeededRandomStacks)
     EXPECT_GE(cov.zeroFill, 20);
     EXPECT_GE(cov.merged, 50);
     EXPECT_GE(cov.cases - cov.merged, 50);
+}
+
+/**
+ * A stack of 16-64 layers with one MoE shape and dense window, so
+ * their flats agree: gradients all equal, light in the first half and
+ * heavy in the second (the prefix bounds bind), none in the first
+ * layer, or drawn per layer.
+ */
+std::vector<GeneralizedLayer>
+identicalStack(std::mt19937_64 &rng, const sim::ClusterSpec &cluster)
+{
+    const PerfModelSet models = PerfModelSet::fromCluster(cluster);
+    const ParallelConfig par = model::paperParallelism(cluster);
+    std::uniform_int_distribution<int> layers_dist(16, 64), pick(0, 2),
+        kinds(0, 3);
+    std::uniform_real_distribution<double> grad_mb(0.25, 160.0),
+        dense_ms(0.0, 2.0);
+    const int n = layers_dist(rng);
+    LayerShape shape;
+    shape.batch = 1 << pick(rng);
+    shape.embed = 1024 << pick(rng);
+    shape.hidden = shape.embed * (2 + 2 * pick(rng));
+    shape.numExperts = cluster.numNodes;
+    GeneralizedLayer gl;
+    gl.moe = makeProblem(models, deriveWorkload(shape, par), Phase::Backward,
+                         0.0, 4 << pick(rng));
+    gl.denseOlpMs = pick(rng) == 0 ? 0.0 : dense_ms(rng);
+    const double light = grad_mb(rng) * (1 << 20);
+    const double heavy = grad_mb(rng) * (1 << 20);
+    const int kind = kinds(rng);
+    std::vector<GeneralizedLayer> out(static_cast<size_t>(n), gl);
+    for (int i = 0; i < n; ++i)
+        out[i].gradBytes = kind == 0   ? light
+                           : kind == 1 ? (2 * i < n ? light : heavy)
+                           : kind == 2 ? (i == 0 ? 0.0 : light)
+                                       : grad_mb(rng) * (1 << 20);
+    return out;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** What the bitwise comparisons exercised, for the coverage checks. */
+struct CarryCoverage
+{
+    int cases = 0, carried = 0, fullRaise = 0, binding = 0, zeroFill = 0,
+        merged = 0;
+    uint64_t steps = 0, fullSteps = 0; ///< Swept by each DP, summed.
+};
+
+/**
+ * placeRemainder against the full-raise reference on one case: the
+ * same bits for every layer, and no more sweep steps. A case whose
+ * DP swept fewer steps carried a settled prefix at some layer; one
+ * that swept as many raised every layer in full.
+ */
+void
+expectReferenceBits(const Step2Case &c, const std::string &name,
+                    CarryCoverage *cov)
+{
+    SCOPED_TRACE(name);
+    uint64_t full_steps = 0;
+    const std::vector<double> want = reference::placeRemainder(
+        c.flats, c.step1.moeBytes, c.available, c.ar, &full_steps);
+    stats::Counter &steps = stats::counter("solver.partition.dp.steps");
+    const uint64_t before = steps.value();
+    const std::vector<double> got =
+        placeRemainder(c.flats, c.step1.moeBytes, c.available, c.ar);
+    const uint64_t swept = steps.value() - before;
+    ASSERT_EQ(got.size(), want.size());
+    bool binding = false;
+    double cum = 0.0;
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(bitsOf(got[i]), bitsOf(want[i]))
+            << "layer " << i << ": " << got[i] << " vs " << want[i];
+        cum += want[i];
+        if (i + 1 < got.size() && want[i] > 0.0 &&
+            cum >= c.available[i] - 1.0 &&
+            c.available[i] < c.remaining - 1.0)
+            binding = true;
+    }
+    EXPECT_LE(swept, full_steps);
+
+    ++cov->cases;
+    cov->steps += swept;
+    cov->fullSteps += full_steps;
+    cov->carried += swept < full_steps ? 1 : 0;
+    cov->fullRaise += swept == full_steps ? 1 : 0;
+    cov->binding += binding ? 1 : 0;
+    cov->merged += c.merged ? 1 : 0;
+    cov->zeroFill += c.step1.moeBytes[0] == 0.0 ? 1 : 0;
+}
+
+TEST(GradPartitionOracle, CarriedDpKeepsTheFullRaiseBits)
+{
+    CarryCoverage demo;
+    for (const runtime::Scenario &s : runtime::demoGrid({1, 2}, {"FSMoE"})) {
+        LinearModel ar;
+        const auto layers = demoLayers(s, &ar);
+        for (bool merged : {false, true})
+            expectReferenceBits(makeCase(layers, ar, merged),
+                                s.label() + (merged ? " merged" : ""),
+                                &demo);
+    }
+    EXPECT_EQ(demo.cases, 16);
+    // gpt2xl-moe/testbedA's merged partitions settle nothing. A cold
+    // demo sweep's solver.partition.dp.steps: the carried prefixes
+    // save 46% of the full raises' sweep steps.
+    EXPECT_EQ(demo.carried, 14);
+    EXPECT_EQ(demo.steps, 32142u);
+    EXPECT_EQ(demo.fullSteps, 60069u);
+
+    // Identical layers on both testbeds and channel models, with
+    // binding prefix bounds and layers starting step 2 at zero bytes.
+    // Each again with every third layer's step-1 fill halved: the same
+    // flats, but neighbours' gains differ, so those layers and the next
+    // ones must not carry.
+    std::mt19937_64 rng(0xc0ffeeULL);
+    CarryCoverage same, refilled;
+    for (int k = 0; same.cases < 240 && k < 2000; ++k) {
+        const sim::ClusterSpec cluster =
+            k % 2 == 0 ? sim::testbedA() : sim::testbedB();
+        const LinearModel ar{cluster.allreduce.alpha, cluster.allreduce.beta,
+                             1.0};
+        const Step2Case c =
+            makeCase(identicalStack(rng, cluster), ar, (k / 2) % 2 == 1);
+        if (!(c.remaining > 0.0))
+            continue;
+        const std::string name = "identical stack " + std::to_string(k);
+        expectReferenceBits(c, name, &same);
+        Step2Case halved = c;
+        for (size_t i = 2; i < halved.layers.size(); i += 3)
+            halved.step1.moeBytes[i] *= 0.5;
+        expectReferenceBits(halved, name + " with halved fills", &refilled);
+    }
+    EXPECT_EQ(same.cases, 240);
+    EXPECT_GE(same.carried, 150);
+    EXPECT_GE(same.binding, 100);
+    EXPECT_GE(same.zeroFill, 50);
+    EXPECT_GE(same.merged, 50);
+    EXPECT_GE(same.cases - same.merged, 50);
+    EXPECT_GE(refilled.carried, 150);
+
+    // The non-identical stacks ExactOnSeededRandomStacks draws: most
+    // raise every layer in full.
+    std::mt19937_64 mixed_rng(0x9a2d17ULL);
+    CarryCoverage mixed;
+    for (int k = 0; mixed.cases < 200 && k < 2000; ++k) {
+        const sim::ClusterSpec cluster =
+            k % 2 == 0 ? sim::testbedA() : sim::testbedB();
+        const auto layers = randomStack(mixed_rng, cluster);
+        const LinearModel ar{cluster.allreduce.alpha, cluster.allreduce.beta,
+                             1.0};
+        const Step2Case c = makeCase(layers, ar, (k / 2) % 2 == 1);
+        if (c.remaining > 0.0)
+            expectReferenceBits(c, "random stack " + std::to_string(k),
+                                &mixed);
+    }
+    EXPECT_EQ(mixed.cases, 200);
+    EXPECT_GE(mixed.fullRaise, 150);
 }
 
 } // namespace

@@ -559,6 +559,53 @@ TEST(PipelineSolver, SinglePassEqualsTheFourPassSolveOnTheDemoGrid)
     EXPECT_GT(solves, 8 * 16);
 }
 
+/** solvePipeline(p) and its tabulated-grid solve, field by field. */
+void
+expectGridSolveIsTheSolve(const PipelineProblem &p, const PipelineGrid &grid,
+                          const std::string &where)
+{
+    const PipelineSolution want = solvePipeline(p);
+    const PipelineSolution got = solvePipeline(p, grid);
+    EXPECT_EQ(bitsOf(got.rContinuous), bitsOf(want.rContinuous)) << where;
+    EXPECT_EQ(got.r, want.r) << where;
+    EXPECT_EQ(bitsOf(got.tMoe), bitsOf(want.tMoe)) << where;
+    EXPECT_EQ(got.caseId, want.caseId) << where;
+    EXPECT_EQ(bitsOf(got.tOlpMoe), bitsOf(want.tOlpMoe)) << where;
+}
+
+TEST(PipelineSolver, TabulatedGridKeepsTheBits)
+{
+    // Each grid is built at another t_gar, then solved at the drawn
+    // one and on and beside every 37th sample's case-1 threshold,
+    // where the sample's case flips.
+    std::mt19937_64 rng(0x96d);
+    for (int i = 0; i < 512; ++i) {
+        PipelineProblem p = randomProblem(rng, 1 + i % 64);
+        if (i >= 448) { // non-finite startups
+            TaskModel *tasks[] = {&p.a2a, &p.ag, &p.rs, &p.exp};
+            const double odd[] = {-HUGE_VAL, HUGE_VAL,
+                                  std::numeric_limits<double>::quiet_NaN()};
+            tasks[i % 4]->alpha = odd[i % 3];
+        }
+        PipelineProblem other = p;
+        other.tGar = 1e3;
+        const PipelineGrid grid(other);
+        EXPECT_EQ(grid.samples().size(), p.rMax == 1 ? 0u : 512u);
+        std::vector<double> gars = {p.tGar};
+        for (size_t k = 0; k < grid.samples().size(); k += 37) {
+            const double th = grid.samples()[k].split.threshold;
+            gars.insert(gars.end(), {th, std::nextafter(th, -HUGE_VAL),
+                                     std::nextafter(th, HUGE_VAL)});
+        }
+        for (double g : gars) {
+            p.tGar = g;
+            expectGridSolveIsTheSolve(p, grid,
+                                      "problem " + std::to_string(i) +
+                                          " t_gar=" + std::to_string(g));
+        }
+    }
+}
+
 TEST(PipelineSolver, AnalyticTimeTracksSimulatedPipeline)
 {
     // The case-formula makespan should approximate the DES makespan of
