@@ -719,29 +719,47 @@ BENCHMARK(BM_SimulatorVsReference)
     ->Args({512, 1, 1});
 
 /**
- * Simulator::run over the demo grid's 54 final graphs, each built
- * once before timing. Unlike BM_Simulator, which re-runs one
- * cache-hot graph, this row pays each run's set-up on graphs of the
- * sizes a sweep simulates. Items are tasks.
+ * The simulator over the demo grid's 54 final graphs, each built once
+ * before timing: `trace:1` is Simulator::run, `trace:0`
+ * Simulator::price, what a sweep records. Unlike BM_Simulator, which
+ * re-runs one cache-hot graph, this row pays each run's set-up on
+ * graphs of the sizes a sweep simulates. The row errors if any bit of
+ * a price (makespan, opTime, linkBusyMs) differs from run()'s, or if
+ * it holds a trace. Items are tasks.
  */
 void
 BM_SimulateDemoGraphs(benchmark::State &state)
 {
+    const bool trace = state.range(0) != 0;
     std::vector<sim::TaskGraph> graphs;
     int64_t tasks = 0;
+    const sim::Simulator simulator;
     for (const runtime::Scenario &scenario : runtime::demoGrid()) {
         graphs.push_back(core::Schedule::create(scenario.schedule)
                              ->build(runtime::ScenarioRegistry::instance()
                                          .makeCost(scenario)));
         tasks += static_cast<int64_t>(graphs.back().size());
+        const sim::SimResult run = simulator.run(graphs.back());
+        const sim::SimResult price = simulator.price(graphs.back());
+        if (!price.trace.empty() ||
+            std::memcmp(&price.makespan, &run.makespan,
+                        sizeof run.makespan) != 0 ||
+            std::memcmp(price.opTime.data(), run.opTime.data(),
+                        sizeof run.opTime) != 0 ||
+            std::memcmp(price.linkBusyMs.data(), run.linkBusyMs.data(),
+                        sizeof run.linkBusyMs) != 0) {
+            state.SkipWithError(
+                ("price differs from run on " + scenario.label()).c_str());
+            return;
+        }
     }
-    const sim::Simulator simulator;
     for (auto _ : state)
         for (const sim::TaskGraph &graph : graphs)
-            benchmark::DoNotOptimize(simulator.run(graph));
+            benchmark::DoNotOptimize(trace ? simulator.run(graph)
+                                           : simulator.price(graph));
     state.SetItemsProcessed(state.iterations() * tasks);
 }
-BENCHMARK(BM_SimulateDemoGraphs);
+BENCHMARK(BM_SimulateDemoGraphs)->ArgName("trace")->Arg(0)->Arg(1);
 
 /**
  * The demo grid's 54 records appended to a fresh journal, committed in

@@ -239,13 +239,12 @@ printRanked(const std::vector<runtime::SweepResult> &records)
  * --profile: where did the sweep's time go? Stage times are summed
  * across workers (they can exceed wall time on multiple threads); cost
  * derivation counts only cost-cache misses. The two solver lines
- * re-slice part of the graph-build line: Algorithm-1 and
- * gradient-partition solves happen inside Schedule::build, so
- * cold-solve time is included in "graph build" and broken out per
- * solver from the process-wide solver cache.
- * A Tutel/Lina degree search simulates its winner inside the build and
- * hands the result back, so "simulate (final graphs)" and the cold
- * simulation count cover only graphs that no search simulated.
+ * re-slice part of the price line: Algorithm-1 and gradient-partition
+ * solves happen inside Schedule::build, so cold-solve time is included
+ * in "graph build + price" and broken out per solver from the
+ * process-wide solver cache. That line also holds every simulation:
+ * a Tutel/Lina degree search's candidates, its winner among them, and
+ * each other schedule's one traceless run of its built graph.
  */
 void
 printProfile(const runtime::SweepStats &stats)
@@ -255,7 +254,7 @@ printProfile(const runtime::SweepStats &stats)
     std::printf("  %-36s %10.1f ms  (%zu cold, %zu cached)\n",
                 "cost derivation", stats.costDeriveMs,
                 stats.costCacheMisses, stats.costCacheHits);
-    std::printf("  %-36s %10.1f ms\n", "graph build + in-build sims",
+    std::printf("  %-36s %10.1f ms\n", "graph build + price (all sims)",
                 stats.graphBuildMs);
     const auto count = [](const char *name) {
         return static_cast<unsigned long long>(
@@ -285,12 +284,9 @@ printProfile(const runtime::SweepStats &stats)
                 count("schedule.search.simulated"),
                 count("schedule.search.cut"),
                 count("schedule.search.boundWalks"));
-    // A degree search simulates its winner inside the build and hands
-    // the result back, so those scenarios add to the graph-build line.
-    std::printf("  %-36s %10.1f ms  (%llu searched winners handed back, "
-                "in graph build; process-wide)\n",
-                "simulate (final graphs)", stats.simulateMs,
-                count("sweep.simulate.handedBack"));
+    std::printf("  %-36s %10llu     (%llu tasks; process-wide)\n",
+                "  simulator runs", count("sim.runs"),
+                count("sim.tasks.executed"));
     std::printf("  %-36s %10.1f ms\n", "sweep wall time",
                 stats.lastSweepWallMs);
 
@@ -318,13 +314,13 @@ printProfile(const runtime::SweepStats &stats)
     std::printf("  %-28s %5.1f%%  (%llu of %llu)\n", "solver caches",
                 pct(sol_h, sol_m), static_cast<unsigned long long>(sol_h),
                 static_cast<unsigned long long>(sol_h + sol_m));
-    const stats::Histogram &sim_ms = stats::histogram("sweep.simulate.ms");
-    if (sim_ms.count() > 0)
-        std::printf("per-scenario simulate: mean %.3f ms, max %.3f ms "
-                    "(%llu cold simulations, handed-back results "
-                    "not counted)\n",
-                    sim_ms.mean(), sim_ms.maxValue(),
-                    static_cast<unsigned long long>(sim_ms.count()));
+    const stats::Histogram &price_ms =
+        stats::histogram("sweep.graphBuild.ms");
+    if (price_ms.count() > 0)
+        std::printf("per-scenario simulate (graph build + price): "
+                    "mean %.3f ms, max %.3f ms (%llu scenarios)\n",
+                    price_ms.mean(), price_ms.maxValue(),
+                    static_cast<unsigned long long>(price_ms.count()));
 }
 
 /**
@@ -401,8 +397,9 @@ pickRecord(const std::vector<runtime::SweepResult> &records,
 
 /**
  * Build and simulate @p r's scenario again, keeping its graph in
- * @p graph: the sweep's own build-then-simulate sequence on the same
- * ModelCost, so the result is the one the sweep priced, bit for bit.
+ * @p graph: a swept result carries no per-task trace, and
+ * Schedule::simulate on the same ModelCost reproduces the bits the
+ * sweep priced, with the trace.
  */
 sim::SimResult
 resimulate(const runtime::SweepResult &r, sim::TaskGraph *graph)

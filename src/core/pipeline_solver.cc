@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "base/logging.h"
@@ -26,6 +28,34 @@ makeProblem(const PerfModelSet &models, const Workload &w, Phase phase,
     p.tGar = phase == Phase::Backward ? t_gar : 0.0;
     p.rMax = r_max;
     return p;
+}
+
+namespace {
+
+bool
+sameBits(double a, double b)
+{
+    uint64_t x, y;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+bool
+sameBits(const TaskModel &a, const TaskModel &b)
+{
+    return sameBits(a.alpha, b.alpha) && sameBits(a.beta, b.beta) &&
+           sameBits(a.n, b.n);
+}
+
+} // namespace
+
+bool
+sameBits(const PipelineProblem &a, const PipelineProblem &b)
+{
+    return sameBits(a.a2a, b.a2a) && sameBits(a.ag, b.ag) &&
+           sameBits(a.rs, b.rs) && sameBits(a.exp, b.exp) &&
+           sameBits(a.tGar, b.tGar) && a.rMax == b.rMax;
 }
 
 namespace {

@@ -56,6 +56,13 @@ enum class Phase { Forward, Backward };
 PipelineProblem makeProblem(const PerfModelSet &models, const Workload &w,
                             Phase phase, double t_gar = 0.0, int r_max = 64);
 
+/**
+ * Whether @p a and @p b hold the same bits in every field, so that
+ * every solver returns the same solution for both. Compared field by
+ * field: the struct has padding after rMax.
+ */
+bool sameBits(const PipelineProblem &a, const PipelineProblem &b);
+
 /** Output of the solver. */
 struct PipelineSolution
 {

@@ -46,18 +46,23 @@ class FsMoeSchedule : public Schedule
         opts.mergeCommLinks = !iio_;
 
         // Forward: each layer gets its own Algorithm-1 degree, served
-        // from the solver cache — within one model every layer poses
-        // the identical problem, so only the first layer solves cold.
-        // The No-IIO ablation serialises intra- and inter-node
-        // collectives on one channel, so its degrees come from the
-        // merged-channel makespan model instead.
+        // from the solver cache. Within one model every layer poses the
+        // identical problem, so a layer whose problem has the previous
+        // layer's bits takes its degree without a lookup. The No-IIO
+        // ablation serialises intra- and inter-node collectives on one
+        // channel, so its degrees come from the merged-channel makespan
+        // model instead.
         sim::TaskId dep = -1;
+        PipelineProblem solved;
+        int r = 0; // 0 until the first layer's problem is solved.
         for (const LayerCost &lc : model.layers) {
-            PipelineProblem prob = makeProblem(model.models, lc.workload,
-                                               Phase::Forward, 0.0,
-                                               model.rMax);
-            int r = iio_ ? cachedSolvePipeline(prob).r
+            const PipelineProblem prob = makeProblem(
+                model.models, lc.workload, Phase::Forward, 0.0, model.rMax);
+            if (r == 0 || !sameBits(prob, solved)) {
+                r = iio_ ? cachedSolvePipeline(prob).r
                          : cachedSolvePipelineMerged(prob).r;
+                solved = prob;
+            }
             dep = appendAttention(graph, lc, Phase::Forward, dep);
             dep = appendMoePhase(graph, lc, model.models, Phase::Forward,
                                  r, opts, dep);

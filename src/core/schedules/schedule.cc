@@ -27,24 +27,35 @@ makeLayerCost(const PerfModelSet &models, const LayerShape &shape,
 double
 Schedule::iterationTimeMs(const ModelCost &model) const
 {
-    return simulate(model).makespan;
+    return price(model).makespan;
 }
 
 sim::TaskGraph
-Schedule::buildSimulated(const ModelCost &model,
+Schedule::buildSimulated(const ModelCost &model, bool record_trace,
                          std::optional<sim::SimResult> &simulated) const
 {
+    (void)record_trace;
     simulated.reset();
     return build(model);
 }
 
 sim::SimResult
+Schedule::price(const ModelCost &model) const
+{
+    std::optional<sim::SimResult> searched;
+    const sim::TaskGraph graph =
+        buildSimulated(model, /*record_trace=*/false, searched);
+    return searched ? std::move(*searched) : sim::Simulator{}.price(graph);
+}
+
+sim::SimResult
 Schedule::simulate(const ModelCost &model, sim::TaskGraph *graph_out) const
 {
-    std::optional<sim::SimResult> handed_back;
-    sim::TaskGraph graph = buildSimulated(model, handed_back);
-    sim::SimResult result = handed_back ? std::move(*handed_back)
-                                        : sim::Simulator{}.run(graph);
+    std::optional<sim::SimResult> searched;
+    sim::TaskGraph graph =
+        buildSimulated(model, /*record_trace=*/true, searched);
+    sim::SimResult result = searched ? std::move(*searched)
+                                     : sim::Simulator{}.run(graph);
     if (graph_out)
         *graph_out = std::move(graph);
     return result;
@@ -389,7 +400,7 @@ tallyDegrees(const DegreeSchedule &sched, const ModelCost &model, int r,
 
 DegreeChoice
 searchDegree(const DegreeSchedule &sched, const ModelCost &model,
-             double cutoff)
+             double cutoff, bool record_trace)
 {
     FSMOE_CHECK_ARG(model.rMax >= 1, "rMax must be at least 1");
     FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
@@ -422,9 +433,11 @@ searchDegree(const DegreeSchedule &sched, const ModelCost &model,
         sim::TaskGraph graph;
         sched.emit(graph, model, r);
         ++simulated;
-        std::optional<sim::SimResult> result = simulator.runBelow(
-            graph, wins_ties ? std::nextafter(best.makespanMs, inf)
-                             : best.makespanMs);
+        const double below = wins_ties ? std::nextafter(best.makespanMs, inf)
+                                       : best.makespanMs;
+        std::optional<sim::SimResult> result =
+            record_trace ? simulator.runBelow(graph, below)
+                         : simulator.priceBelow(graph, below);
         if (result) {
             best_r = r;
             best.r = r;
@@ -455,16 +468,18 @@ sim::TaskGraph
 DegreeSchedule::build(const ModelCost &model) const
 {
     std::optional<sim::SimResult> unused;
-    return buildSimulated(model, unused);
+    return buildSimulated(model, /*record_trace=*/false, unused);
 }
 
 sim::TaskGraph
-DegreeSchedule::buildSimulated(const ModelCost &model,
+DegreeSchedule::buildSimulated(const ModelCost &model, bool record_trace,
                                std::optional<sim::SimResult> &simulated) const
 {
     simulated.reset();
     if (degree_ == 0) {
-        DegreeChoice choice = searchDegree(*this, model);
+        DegreeChoice choice = searchDegree(
+            *this, model, std::numeric_limits<double>::infinity(),
+            record_trace);
         if (choice.makespanMs < std::numeric_limits<double>::infinity())
             simulated = std::move(choice.sim);
         return std::move(choice.graph);
@@ -485,7 +500,8 @@ DegreeSchedule::makespanBelow(const ModelCost &model, double cutoff,
         return inf;
     }
     if (degree_ == 0) {
-        DegreeChoice choice = searchDegree(*this, model, cutoff);
+        DegreeChoice choice =
+            searchDegree(*this, model, cutoff, kept != nullptr);
         if (kept != nullptr && choice.makespanMs < inf)
             *kept = {std::move(choice.graph), std::move(choice.sim),
                      choice.r};

@@ -150,15 +150,12 @@ class Schedule
     virtual sim::TaskGraph build(const ModelCost &model) const = 0;
 
     /**
-     * build(model), and in @p simulated the graph's
-     * `Simulator::run` result, bit for bit, when building it already
-     * simulated it (a degree search simulates its winner); otherwise
-     * @p simulated is left empty. The default builds and simulates
-     * nothing.
+     * The price of build(model): `Simulator::price(build(model))` bit
+     * for bit (makespan, opTime and linkBusyMs, and an empty trace).
+     * What a sweep records. A graph is simulated at most once: a
+     * degree search's winner is not simulated again.
      */
-    virtual sim::TaskGraph
-    buildSimulated(const ModelCost &model,
-                   std::optional<sim::SimResult> &simulated) const;
+    sim::SimResult price(const ModelCost &model) const;
 
     /**
      * The makespan of build(model) when it is below @p cutoff, else
@@ -187,17 +184,31 @@ class Schedule
         return 0.0;
     }
 
-    /** Convenience: build, simulate, and return the makespan in ms. */
+    /** Convenience: price(model).makespan, in ms. */
     double iterationTimeMs(const ModelCost &model) const;
 
     /**
      * Build + simulate, returning the full result for inspection:
-     * `Simulator::run(build(model))` bit for bit, with the graph in
-     * @p graph_out. A graph is simulated at most once: a result that
-     * buildSimulated() hands back is not simulated again.
+     * `Simulator::run(build(model))` bit for bit, trace included, with
+     * the graph in @p graph_out. A graph is simulated at most once: a
+     * degree search records its candidates' traces and hands its
+     * winner's result back.
      */
     sim::SimResult simulate(const ModelCost &model,
                             sim::TaskGraph *graph_out = nullptr) const;
+
+  protected:
+    /**
+     * build(model), and in @p simulated the graph's `Simulator::run`
+     * result, bit for bit, when building it already simulated it (a
+     * degree search simulates its winner), its trace recorded only
+     * when @p record_trace; otherwise @p simulated is left empty. The
+     * default builds and simulates nothing. price() and simulate()
+     * finish what it leaves.
+     */
+    virtual sim::TaskGraph
+    buildSimulated(const ModelCost &model, bool record_trace,
+                   std::optional<sim::SimResult> &simulated) const;
 
   private:
     friend class ScheduleRegistry;
@@ -303,8 +314,8 @@ struct DegreeChoice
     int r = 1;
     double makespanMs = 0.0;
     sim::TaskGraph graph; ///< The schedule's graph at r.
-    /// Simulator::run(graph), trace included, when makespanMs is
-    /// finite; otherwise empty.
+    /// Simulator::run(graph) when makespanMs is finite, its trace
+    /// recorded only when the search was asked to; otherwise empty.
     sim::SimResult sim;
 };
 
@@ -319,23 +330,16 @@ class DegreeSchedule : public Schedule
     /** @param degree Fixed pipeline degree; 0 searches 1..rMax. */
     explicit DegreeSchedule(int degree) : degree_(degree) {}
 
+    /** At degree 0, the search's winner, found without a trace. */
     sim::TaskGraph build(const ModelCost &model) const override;
-
-    /**
-     * At degree 0, the search's winner with its simulated result (none
-     * when no candidate finished below +inf).
-     */
-    sim::TaskGraph
-    buildSimulated(const ModelCost &model,
-                   std::optional<sim::SimResult> &simulated) const override;
 
     /**
      * +inf at once when degreeFreeBound() reaches @p cutoff (counted in
      * schedule.search.degreeFreeCut). Otherwise, at degree 0, the
      * search seeded with @p cutoff, whose winner is what @p kept
-     * receives, with the degree it picked; at a fixed degree, the
-     * graph is built and simulated only when makespanLowerBound() is
-     * below @p cutoff.
+     * receives, with the degree it picked (the search records traces
+     * only with @p kept); at a fixed degree, the graph is built and
+     * simulated only when makespanLowerBound() is below @p cutoff.
      */
     double makespanBelow(const ModelCost &model, double cutoff,
                          SimulatedGraph *kept = nullptr) const override;
@@ -374,6 +378,15 @@ class DegreeSchedule : public Schedule
     }
 
   protected:
+    /**
+     * At degree 0, the search's winner with its simulated result (none
+     * when no candidate finished below +inf), every candidate traced
+     * when @p record_trace.
+     */
+    sim::TaskGraph
+    buildSimulated(const ModelCost &model, bool record_trace,
+                   std::optional<sim::SimResult> &simulated) const override;
+
     /** The fixed pipeline degree, or 0 for the search. */
     int degree() const { return degree_; }
 
@@ -391,16 +404,18 @@ class DegreeSchedule : public Schedule
  * lane), and the candidates are visited in ascending (bound, r) order.
  * One whose bound already reaches the best makespan so far is skipped
  * without being built; the rest are built and simulated with that
- * makespan as the cutoff (Simulator::runBelow). A candidate below the
+ * makespan as the cutoff (Simulator::priceBelow, or with
+ * @p record_trace Simulator::runBelow). A candidate below the
  * incumbent's r keeps the tie: it is skipped only on a bound above the
  * best and runs against the best's successor, nextafter(best, +inf).
  * So the choice is the lexicographic least (makespan, r), the unpruned
  * ascending loop's, bit for bit. Counts into schedule.search.{
  * candidates, bounded, simulated, cut, boundWalks}
- * (docs/OBSERVABILITY.md). The winner's graph and its whole SimResult
- * are the ones the search simulated, returned so the caller need
- * neither emit nor simulate it again; holding them while later
- * candidates build raises peak memory by up to one graph and trace.
+ * (docs/OBSERVABILITY.md). The winner's graph and its SimResult are
+ * the ones the search simulated, returned so the caller need neither
+ * emit nor simulate it again; holding them while later candidates
+ * build raises peak memory by up to one graph (and one trace, with
+ * @p record_trace).
  *
  * The best makespan starts at @p cutoff. When the minimum is below it,
  * the result is the unseeded search's (same r, makespan bits and
@@ -412,7 +427,8 @@ class DegreeSchedule : public Schedule
  */
 DegreeChoice searchDegree(
     const DegreeSchedule &sched, const ModelCost &model,
-    double cutoff = std::numeric_limits<double>::infinity());
+    double cutoff = std::numeric_limits<double>::infinity(),
+    bool record_trace = false);
 
 /** Build backward-order generalized layers for the grad partitioner. */
 std::vector<GeneralizedLayer> makeGeneralizedLayers(const ModelCost &model);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -30,8 +29,6 @@ struct EngineStats
     stats::Counter &costMisses = stats::counter("sweep.costCache.misses");
     stats::Histogram &costDeriveMs = stats::histogram("sweep.costDerive.ms");
     stats::Histogram &graphBuildMs = stats::histogram("sweep.graphBuild.ms");
-    stats::Histogram &simulateMs = stats::histogram("sweep.simulate.ms");
-    stats::Counter &handedBack = stats::counter("sweep.simulate.handedBack");
     stats::Histogram &sweepWallMs = stats::histogram("sweep.wall.ms");
 
     static EngineStats &instance()
@@ -158,47 +155,15 @@ SweepEngine::costFor(const Scenario &s)
     }
 }
 
-sim::SimResult
-SweepEngine::timedSimulate(const Scenario &s, const core::ModelCost &cost)
+void
+SweepEngine::chargeGraphBuild(std::chrono::steady_clock::time_point t0)
 {
-    // Schedule::simulate() with its two stages timed apart. A degree
-    // search hands back its winner's result, simulated inside the
-    // build: that scenario charges only graph build.
-    const auto t0 = std::chrono::steady_clock::now();
-    sim::TaskGraph graph;
-    std::optional<sim::SimResult> searched;
-    {
-        SelfSpan span("graphBuild", "stage");
-        auto schedule = core::Schedule::create(s.schedule);
-        graph = schedule->buildSimulated(cost, searched);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const bool handed_back = searched.has_value();
-    sim::SimResult result;
-    if (searched) {
-        result = std::move(*searched);
-    } else {
-        SelfSpan span("simulate", "stage");
-        result = sim::Simulator{}.run(graph);
-    }
-    const auto t2 = std::chrono::steady_clock::now();
-    const double build_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double simulate_ms =
-        std::chrono::duration<double, std::milli>(t2 - t1).count();
-    EngineStats &es = EngineStats::instance();
-    es.graphBuildMs.observe(build_ms);
-    if (handed_back)
-        es.handedBack.inc();
-    else
-        es.simulateMs.observe(simulate_ms);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.graphBuildMs += build_ms;
-        if (!handed_back)
-            stats_.simulateMs += simulate_ms;
-    }
-    return result;
+    const double build_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+    EngineStats::instance().graphBuildMs.observe(build_ms);
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.graphBuildMs += build_ms;
 }
 
 double
@@ -212,14 +177,7 @@ SweepEngine::makespanBelow(const core::Schedule &schedule,
         SelfSpan span("graphBuild", "stage");
         makespan = schedule.makespanBelow(cost, cutoff, kept);
     }
-    const double build_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-    EngineStats::instance().graphBuildMs.observe(build_ms);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.graphBuildMs += build_ms;
-    }
+    chargeGraphBuild(t0);
     return makespan;
 }
 
@@ -230,7 +188,13 @@ SweepEngine::evaluate(const Scenario &s)
     auto cost = costFor(s);
     ScenarioResult out;
     out.scenario = s;
-    out.sim = timedSimulate(s, *cost);
+    // The price only: a swept result carries no per-task trace.
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        SelfSpan stage("graphBuild", "stage");
+        out.sim = core::Schedule::create(s.schedule)->price(*cost);
+    }
+    chargeGraphBuild(t0);
     out.makespanMs = out.sim.makespan;
     EngineStats::instance().scenarios.inc();
     return out;

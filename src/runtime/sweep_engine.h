@@ -3,11 +3,12 @@
  * The scenario-sweep engine: fans Scenario evaluations across the
  * calling thread and up to numThreads - 1 helper threads, each
  * claiming the next scenario index from one shared counter. An
- * evaluation derives the scenario's ModelCost, then builds and
- * simulates its schedule's graph. Only the ModelCost is
- * memoized, keyed by Scenario::costKey() (every field except the
- * schedule), so all schedule variants of one configuration price the
- * workload once; every evaluation builds and simulates its graph.
+ * evaluation derives the scenario's ModelCost, then prices its
+ * schedule (core::Schedule::price: build and simulate, recording no
+ * per-task trace). Only the ModelCost is memoized, keyed by
+ * Scenario::costKey() (every field except the schedule), so all
+ * schedule variants of one configuration price the workload once;
+ * every evaluation builds and simulates its graph.
  *
  * Determinism contract: the simulator itself is single-threaded and
  * deterministic, and the engine parallelises only *across* scenarios —
@@ -26,6 +27,7 @@
 #ifndef FSMOE_RUNTIME_SWEEP_ENGINE_H
 #define FSMOE_RUNTIME_SWEEP_ENGINE_H
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -53,7 +55,11 @@ struct ScenarioResult
 {
     Scenario scenario;
     double makespanMs = 0.0;
-    sim::SimResult sim; ///< Full per-task timing.
+    /// The schedule's price: makespan, opTime and linkBusyMs, with an
+    /// empty trace, so a result's size does not grow with its graph.
+    /// core::Schedule::simulate on the same ModelCost reproduces these
+    /// bits with the per-task trace.
+    sim::SimResult sim;
 };
 
 /** Counters of one engine lifetime (the cost cache persists across runs). */
@@ -68,19 +74,16 @@ struct SweepStats
 
     // Per-stage wall time, summed across workers (so on N threads the
     // stages can add up to ~N x lastSweepWallMs). Cost derivation counts
-    // only cost-cache misses; every evaluation builds and simulates, so
-    // the other two stages count every scenario. Graph build
-    // includes everything a Schedule::buildSimulated does: solver
-    // calls and in-schedule degree-search simulations, the searched
-    // winner's included, whose result is handed back and not
-    // simulated again (see core::solverCacheStats for the solver
-    // share). Feeds `fsmoe_sweep --profile`.
+    // only cost-cache misses; every evaluation prices its schedule, so
+    // graph build counts every scenario. Graph build includes
+    // everything a Schedule::price does: solver calls, in-schedule
+    // degree-search simulations and the final graph's simulation (see
+    // core::solverCacheStats for the solver share). Feeds
+    // `fsmoe_sweep --profile`.
     double costDeriveMs = 0.0; ///< Cold ModelCost derivations.
-    /// Schedule create + buildSimulated, and all of makespanBelow().
+    /// Schedule create + price, and all of makespanBelow().
     double graphBuildMs = 0.0;
-    /// Simulator::run on built graphs that no in-build search
-    /// simulated (FSMoE's, DS-MoE's, a fixed-degree Tutel's, ...).
-    double simulateMs = 0.0;
+    double simulateMs = 0.0; ///< Stays 0; perfbench still names it.
 };
 
 class SweepEngine
@@ -102,8 +105,9 @@ class SweepEngine
 
     /**
      * Evaluate one scenario on the calling thread: its memoized
-     * ModelCost, then timedSimulate(). The per-scenario body of run(),
-     * and the one path in the repo that yields a ScenarioResult.
+     * ModelCost, then core::Schedule::price(), timed as graph build.
+     * The per-scenario body of run(), and the one path in the repo
+     * that yields a ScenarioResult.
      * Creates no threads, so a forked service worker can call it
      * (service/sweep_server.h).
      * Throws whatever cost derivation or the schedule build throws.
@@ -138,15 +142,8 @@ class SweepEngine
      */
     std::shared_ptr<const core::ModelCost> costFor(const Scenario &s);
 
-    /**
-     * core::Schedule::simulate() for @p s, charging its two stages to
-     * SweepStats::graphBuildMs / simulateMs: the build, with any
-     * degree search, whose winner's result is handed back, and only
-     * when nothing was handed back, the Simulator::run of the built
-     * graph.
-     */
-    sim::SimResult timedSimulate(const Scenario &s,
-                                 const core::ModelCost &cost);
+    /** Add the time since @p t0 to SweepStats::graphBuildMs. */
+    void chargeGraphBuild(std::chrono::steady_clock::time_point t0);
 
     SweepOptions options_;
     mutable std::mutex mu_;

@@ -240,7 +240,7 @@ class EventQueue
 };
 
 /**
- * The event loop behind run(), makespanBelow() and runBelow().
+ * The event loop behind run(), price() and the cutoff runs.
  * Simulates @p graph into @p result, writing result.trace only when
  * @p record_trace (the caller sizes it), and gives up — returning
  * false with @p result partial — once the makespan is proven
@@ -472,39 +472,64 @@ simulate(const TaskGraph &graph, double cutoff, bool record_trace,
     return !cut;
 }
 
+/** The whole run of @p graph, with its trace when @p record_trace. */
+SimResult
+simulateAll(const TaskGraph &graph, bool record_trace)
+{
+    SimResult result;
+    if (record_trace)
+        result.trace.resize(graph.tasks().size());
+    simulate(graph, std::numeric_limits<double>::infinity(), record_trace,
+             result);
+    return result;
+}
+
+/** The run of @p graph if its makespan is below @p cutoff. */
+std::optional<SimResult>
+simulateBelow(const TaskGraph &graph, double cutoff, bool record_trace)
+{
+    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
+    SimResult result;
+    if (record_trace)
+        result.trace.resize(graph.tasks().size());
+    if (simulate(graph, cutoff, record_trace, result) &&
+        result.makespan < cutoff)
+        return result;
+    return std::nullopt;
+}
+
 } // namespace
 
 SimResult
 Simulator::run(const TaskGraph &graph) const
 {
-    SimResult result;
-    result.trace.resize(graph.tasks().size());
-    simulate(graph, std::numeric_limits<double>::infinity(),
-             /*record_trace=*/true, result);
-    return result;
+    return simulateAll(graph, /*record_trace=*/true);
+}
+
+SimResult
+Simulator::price(const TaskGraph &graph) const
+{
+    return simulateAll(graph, /*record_trace=*/false);
 }
 
 double
 Simulator::makespanBelow(const TaskGraph &graph, double cutoff) const
 {
-    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
-    SimResult result;
-    return simulate(graph, cutoff, /*record_trace=*/false, result) &&
-                   result.makespan < cutoff
-               ? result.makespan
-               : std::numeric_limits<double>::infinity();
+    const std::optional<SimResult> result = priceBelow(graph, cutoff);
+    return result ? result->makespan
+                  : std::numeric_limits<double>::infinity();
+}
+
+std::optional<SimResult>
+Simulator::priceBelow(const TaskGraph &graph, double cutoff) const
+{
+    return simulateBelow(graph, cutoff, /*record_trace=*/false);
 }
 
 std::optional<SimResult>
 Simulator::runBelow(const TaskGraph &graph, double cutoff) const
 {
-    FSMOE_CHECK_ARG(!std::isnan(cutoff), "makespan cutoff is NaN");
-    SimResult result;
-    result.trace.resize(graph.tasks().size());
-    if (simulate(graph, cutoff, /*record_trace=*/true, result) &&
-        result.makespan < cutoff)
-        return result;
-    return std::nullopt;
+    return simulateBelow(graph, cutoff, /*record_trace=*/true);
 }
 
 double

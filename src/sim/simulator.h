@@ -89,6 +89,13 @@ class Simulator
     SimResult run(const TaskGraph &graph) const;
 
     /**
+     * run(graph) without the per-task trace: the same event loop, so
+     * makespan, opTime and linkBusyMs have run()'s bits, and trace is
+     * empty. For a caller that prices a graph and reads no timeline.
+     */
+    SimResult price(const TaskGraph &graph) const;
+
+    /**
      * The makespan of @p graph when it is below @p cutoff, else +inf.
      * Runs run()'s event loop, recording no per-task trace, and stops
      * as soon as the answer is known to be >= @p cutoff:
@@ -107,11 +114,20 @@ class Simulator
     double makespanBelow(const TaskGraph &graph, double cutoff) const;
 
     /**
-     * run(graph) when its makespan is below @p cutoff, else
-     * std::nullopt: makespanBelow() with the per-task trace recorded,
-     * for a caller that keeps a winner's whole result. A returned
-     * result is bit-identical to run(graph), trace included. A NaN
+     * price(graph) when its makespan is below @p cutoff, else
+     * std::nullopt: makespanBelow() keeping opTime and linkBusyMs, for
+     * a caller that prices a winner and reads no timeline. A NaN
      * cutoff is rejected.
+     */
+    std::optional<SimResult> priceBelow(const TaskGraph &graph,
+                                        double cutoff) const;
+
+    /**
+     * run(graph) when its makespan is below @p cutoff, else
+     * std::nullopt: priceBelow() with the per-task trace recorded, for
+     * a caller that keeps a winner's whole result. A returned result
+     * is bit-identical to run(graph), trace included. A NaN cutoff is
+     * rejected.
      */
     std::optional<SimResult> runBelow(const TaskGraph &graph,
                                       double cutoff) const;

@@ -54,6 +54,37 @@ TEST(PipelineSolver, ChunkTimesFollowEq1)
     EXPECT_DOUBLE_EQ(m.chunk(4), 5.5);
 }
 
+TEST(PipelineSolver, SameBitsComparesEveryFieldByItsBits)
+{
+    PipelineProblem p;
+    p.a2a = {0.5, 1e-6, 3e7};
+    p.ag = {0.1, 2e-6, 1e6};
+    p.rs = {0.1, 2e-6, 1e6};
+    p.exp = {0.2, 1e-9, 4e9};
+    p.tGar = 0.0;
+    p.rMax = 16;
+    EXPECT_TRUE(sameBits(p, p));
+    // Each field on its own tells two problems apart.
+    const std::vector<std::function<void(PipelineProblem &)>> edits = {
+        [](PipelineProblem &q) { q.a2a.alpha = std::nextafter(0.5, 1.0); },
+        [](PipelineProblem &q) { q.ag.beta *= 2; },
+        [](PipelineProblem &q) { q.rs.n += 1; },
+        [](PipelineProblem &q) { q.exp.alpha = 0.3; },
+        [](PipelineProblem &q) { q.tGar = -0.0; }, // equal, other bits
+        [](PipelineProblem &q) { q.rMax = 17; },
+    };
+    for (size_t i = 0; i < edits.size(); ++i) {
+        PipelineProblem q = p;
+        edits[i](q);
+        EXPECT_FALSE(sameBits(p, q)) << "edit " << i;
+        EXPECT_FALSE(sameBits(q, p)) << "edit " << i;
+    }
+    // A NaN has its own bits, which a value comparison never matches.
+    PipelineProblem nan = p;
+    nan.exp.beta = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(sameBits(nan, nan));
+}
+
 TEST(PipelineSolver, CasesPartitionTheSpace)
 {
     // Whatever the inputs, exactly one case must hold at every r.

@@ -15,10 +15,12 @@
 #include "base/stats.h"
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
+#include "core/solver_cache.h"
 #include "runtime/scenario.h"
 #include "runtime/sweep_engine.h"
 #include "runtime/trace_export.h"
 #include "sim/trace.h"
+#include "test_util.h"
 
 namespace fsmoe::runtime {
 namespace {
@@ -218,23 +220,12 @@ TEST(SweepEngine, ParallelResultsAreBitIdenticalToSerial)
     ASSERT_EQ(p.size(), grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
         EXPECT_GT(s[i].makespanMs, 0.0);
-        // memcmp: bit-identical, not approximately equal.
-        EXPECT_EQ(std::memcmp(&s[i].makespanMs, &p[i].makespanMs,
-                              sizeof(double)),
-                  0)
+        // Every field a result carries, bit for bit; neither holds a
+        // trace (sim_fuzz_test covers the trace's determinism).
+        EXPECT_TRUE(test::sameBits(s[i].makespanMs, p[i].makespanMs))
             << grid[i].label();
-        ASSERT_EQ(s[i].sim.trace.size(), p[i].sim.trace.size());
-        for (size_t t = 0; t < s[i].sim.trace.size(); ++t) {
-            EXPECT_EQ(s[i].sim.trace[t].id, p[i].sim.trace[t].id);
-            EXPECT_EQ(std::memcmp(&s[i].sim.trace[t].start,
-                                  &p[i].sim.trace[t].start,
-                                  sizeof(double)),
-                      0);
-            EXPECT_EQ(std::memcmp(&s[i].sim.trace[t].finish,
-                                  &p[i].sim.trace[t].finish,
-                                  sizeof(double)),
-                      0);
-        }
+        EXPECT_TRUE(s[i].sim.trace.empty()) << grid[i].label();
+        test::expectPriceOf(p[i].sim, s[i].sim, grid[i].label());
     }
 }
 
@@ -277,22 +268,10 @@ TEST(SweepEngine, WarmRerunIsBitIdenticalToAFreshRun)
 
     ASSERT_EQ(warm.size(), fresh.size());
     for (size_t i = 0; i < warm.size(); ++i) {
-        EXPECT_EQ(std::memcmp(&warm[i].makespanMs, &fresh[i].makespanMs,
-                              sizeof(double)),
-                  0)
+        EXPECT_TRUE(test::sameBits(warm[i].makespanMs, fresh[i].makespanMs))
             << grid[i].label();
-        ASSERT_EQ(warm[i].sim.trace.size(), fresh[i].sim.trace.size());
-        for (size_t t = 0; t < warm[i].sim.trace.size(); ++t) {
-            EXPECT_EQ(warm[i].sim.trace[t].id, fresh[i].sim.trace[t].id);
-            EXPECT_EQ(std::memcmp(&warm[i].sim.trace[t].start,
-                                  &fresh[i].sim.trace[t].start,
-                                  sizeof(double)),
-                      0);
-            EXPECT_EQ(std::memcmp(&warm[i].sim.trace[t].finish,
-                                  &fresh[i].sim.trace[t].finish,
-                                  sizeof(double)),
-                      0);
-        }
+        EXPECT_TRUE(fresh[i].sim.trace.empty()) << grid[i].label();
+        test::expectPriceOf(warm[i].sim, fresh[i].sim, grid[i].label());
     }
 }
 
@@ -336,6 +315,22 @@ TEST(SweepEngine, DemoGridDegreeSearchesSimulateThePinnedCandidates)
         EXPECT_TRUE(same_bits(again.linkBusyMs, r.sim.linkBusyMs))
             << s.label();
     }
+}
+
+TEST(SweepEngine, DemoGridPricesWithoutTracesAndOneSolvePerFsMoeBuild)
+{
+    // A swept result is priced, not traced. And each of the demo
+    // grid's 16 FSMoE and FSMoE-No-IIO builds poses its layers one
+    // identical forward problem, which it looks up once, cold.
+    core::clearSolverCaches();
+    const std::vector<ScenarioResult> results =
+        SweepEngine({/*numThreads=*/1}).run(demoGrid());
+    ASSERT_EQ(results.size(), 54u);
+    for (const ScenarioResult &r : results)
+        EXPECT_TRUE(r.sim.trace.empty()) << r.scenario.label();
+    const core::SolverCacheStats solver = core::solverCacheStats();
+    EXPECT_EQ(solver.pipelineMisses, 16u);
+    EXPECT_EQ(solver.pipelineHits, 0u);
 }
 
 TEST(SweepEngine, OneScenarioRunsOnTheCallingThreadWithTheSameStats)

@@ -8,9 +8,10 @@
  * Schedule::makespanBelow against run()'s makespan,
  * Schedule::makespanLowerBound below it, each lane of a search's
  * one-walk duration tally against a one-degree tally,
- * Schedule::simulate, which hands back a search's result, against
- * run(build()), and Schedule::graphKey: specs with one key build one
- * graph.
+ * Schedule::simulate, which hands back a search's result, and
+ * Schedule::price, its traceless twin, against run(build()), FSMoE's
+ * one forward solve per distinct layer problem, and
+ * Schedule::graphKey: specs with one key build one graph.
  */
 #include <algorithm>
 #include <cmath>
@@ -29,6 +30,7 @@
 #include "base/stats.h"
 #include "core/schedules/schedule.h"
 #include "core/schedules/schedule_registry.h"
+#include "core/solver_cache.h"
 #include "model/models.h"
 #include "runtime/scenario.h"
 #include "sim/cluster.h"
@@ -767,6 +769,86 @@ TEST(Schedules, SimulateIsRunOfBuildSimulatingOnce)
             EXPECT_EQ(d_runs, searched ? d_simulated : 1u) << where;
             EXPECT_EQ(d_simulated > 0, searched) << where;
         }
+    }
+}
+
+TEST(Schedules, PriceIsRunOfBuildWithoutTheTrace)
+{
+    // Every builtin schedule, and each degree-searching one at degree 0
+    // and at a fixed degree, on the eight demo configurations:
+    // price(m) has run(build(m))'s makespan, opTime and linkBusyMs
+    // bits and no trace, simulating exactly what simulate(m) does; and
+    // simulate(m) keeps the whole trace, so a search winner that a
+    // sweep no longer hands back traced still yields it.
+    const std::vector<std::string> searching = degreeSearchingSchedules();
+    ASSERT_EQ(searching.size(), 3u);
+    stats::Counter &runs = stats::counter("sim.runs");
+    for (const auto &[key, s] : demoConfigs()) {
+        const ModelCost cost =
+            runtime::ScenarioRegistry::instance().makeCost(s);
+        std::vector<std::string> specs = ScheduleRegistry::instance().names();
+        for (const std::string &name : searching)
+            for (const int r : {0, 3})
+                specs.push_back(withDegree(name, r));
+        for (const std::string &spec : specs) {
+            const std::string where = key + " " + spec;
+            const auto sched = Schedule::create(spec);
+            const sim::SimResult want =
+                sim::Simulator{}.run(sched->build(cost));
+            const uint64_t runs0 = runs.value();
+            const sim::SimResult priced = sched->price(cost);
+            const uint64_t price_runs = runs.value() - runs0;
+            test::expectPriceOf(priced, want, where + " price");
+            EXPECT_TRUE(test::sameBits(sched->iterationTimeMs(cost),
+                                       want.makespan))
+                << where;
+            const uint64_t runs1 = runs.value();
+            expectSameResult(sched->simulate(cost), want,
+                             where + " simulate");
+            EXPECT_EQ(runs.value() - runs1, price_runs) << where;
+        }
+    }
+}
+
+TEST(Schedules, FsMoeSolvesEachRunOfEqualForwardProblemsOnce)
+{
+    // Layers A A B B A: three forward lookups, one per run of layers
+    // whose problems have equal bits, and each layer still takes its
+    // own problem's degree.
+    ModelCost cost = smallModel(sim::testbedA(), 1, 2048);
+    const LayerCost a = cost.layers[0];
+    const LayerCost b = smallModel(sim::testbedA(), 1, 8192).layers[0];
+    cost.layers = {a, a, b, b, a};
+    std::vector<int> want;
+    for (const LayerCost &lc : cost.layers)
+        want.push_back(solvePipeline(makeProblem(cost.models, lc.workload,
+                                                 Phase::Forward, 0.0,
+                                                 cost.rMax))
+                           .r);
+    ASSERT_NE(want[0], want[2]) << "the two problems must differ in degree";
+
+    for (const char *spec : {"FSMoE", "FSMoE-No-IIO"}) {
+        const SolverCacheStats before = solverCacheStats();
+        const sim::TaskGraph g = Schedule::create(spec)->build(cost);
+        const SolverCacheStats after = solverCacheStats();
+        EXPECT_EQ(after.pipelineHits + after.pipelineMisses -
+                      before.pipelineHits - before.pipelineMisses,
+                  3u)
+            << spec;
+        if (std::string(spec) != "FSMoE")
+            continue;
+        // The forward phases are the first five routing-led segments;
+        // each holds one expert task per chunk.
+        std::vector<int> experts;
+        for (const sim::Task &t : g.tasks()) {
+            if (t.op == sim::OpType::Routing)
+                experts.push_back(0);
+            else if (t.op == sim::OpType::Experts)
+                ++experts.back();
+        }
+        ASSERT_GE(experts.size(), want.size());
+        experts.resize(want.size());
+        EXPECT_EQ(experts, want);
     }
 }
 

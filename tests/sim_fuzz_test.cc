@@ -203,9 +203,10 @@ replayRemainingWork(const TaskGraph &g, const SimResult &result)
 }
 
 /**
- * run(g) is referenceRun(g), bit for bit; makespanBelow(g, c) is
- * run(g).makespan, bit for bit, when that is below c and +inf
- * otherwise, and runBelow(g, c) is run(g) whole or nothing; checked
+ * run(g) is referenceRun(g), bit for bit, and price(g) is run(g)
+ * without the trace; makespanBelow(g, c) is run(g).makespan, bit for
+ * bit, when that is below c and +inf otherwise, runBelow(g, c) is
+ * run(g) whole or nothing, and priceBelow(g, c) price(g); checked
  * at the makespan m, at both of its nextafter neighbours, at
  * m (1 +- 2^-k) for k from 1 to 53, at 0 and +inf, and at random
  * cutoffs. Neither lower bound may exceed m, so neither can
@@ -218,6 +219,7 @@ expectCutoffContract(const TaskGraph &g, std::mt19937 &rng,
     const Simulator simulator;
     const SimResult run = simulator.run(g);
     test::expectIdentical(g, run, referenceRun(g), what + " reference");
+    test::expectPriceOf(simulator.price(g), run, what + " price");
     const double m = run.makespan;
     EXPECT_LE(Simulator::makespanLowerBound(g), m) << what;
     EXPECT_LE(replayRemainingWork(g, run).bound, m) << what;
@@ -240,6 +242,10 @@ expectCutoffContract(const TaskGraph &g, std::mt19937 &rng,
         ASSERT_EQ(whole.has_value(), m < c) << what << ": cutoff " << c;
         if (whole)
             test::expectIdentical(g, *whole, run, what + " runBelow");
+        const std::optional<SimResult> priced = simulator.priceBelow(g, c);
+        ASSERT_EQ(priced.has_value(), m < c) << what << ": cutoff " << c;
+        if (priced)
+            test::expectPriceOf(*priced, run, what + " priceBelow");
     }
 }
 

@@ -121,6 +121,28 @@ expectIdentical(const sim::TaskGraph &g, const sim::SimResult &got,
     }
 }
 
+/**
+ * @p got is @p want's price: the same makespan, opTime and linkBusyMs
+ * bits, and no per-task trace.
+ */
+inline void
+expectPriceOf(const sim::SimResult &got, const sim::SimResult &want,
+              const std::string &what)
+{
+    EXPECT_TRUE(got.trace.empty()) << what << ": a price has no trace";
+    EXPECT_TRUE(sameBits(got.makespan, want.makespan))
+        << what << ": makespan " << got.makespan << " vs "
+        << want.makespan;
+    for (size_t op = 0; op < want.opTime.size(); ++op)
+        EXPECT_TRUE(sameBits(got.opTime[op], want.opTime[op]))
+            << what << ": op "
+            << sim::opTypeName(static_cast<sim::OpType>(op));
+    for (size_t li = 0; li < want.linkBusyMs.size(); ++li)
+        EXPECT_TRUE(sameBits(got.linkBusyMs[li], want.linkBusyMs[li]))
+            << what << ": link "
+            << sim::linkName(static_cast<sim::Link>(li));
+}
+
 } // namespace fsmoe::test
 
 #endif // FSMOE_TESTS_TEST_UTIL_H
